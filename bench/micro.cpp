@@ -76,19 +76,42 @@ void BM_MortonAdjacent(benchmark::State& state) {
 BENCHMARK(BM_MortonAdjacent);
 
 void BM_Fft3d(benchmark::State& state) {
-  const std::size_t n = state.range(0);
+  // Args (N, s). s = 0: complex forward + inverse on the N^3 grid.
+  // s > 0: the V-list's pair, forward_r2c of an s^3 corner cube and
+  // inverse_c2r back to it (N = 12, s = 6 is the surface n = 6 grid).
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t s = static_cast<std::size_t>(state.range(1));
   fft::Fft3d plan(n);
   Rng rng(3);
-  std::vector<fft::Complex> vol(plan.volume());
-  for (auto& v : vol) v = fft::Complex(rng.uniform(), rng.uniform());
-  for (auto _ : state) {
-    plan.forward(vol);
-    plan.inverse(vol);
-    benchmark::DoNotOptimize(vol.data());
+  if (s == 0) {
+    std::vector<fft::Complex> vol(plan.volume());
+    for (auto& v : vol) v = fft::Complex(rng.uniform(), rng.uniform());
+    for (auto _ : state) {
+      plan.forward(vol);
+      plan.inverse(vol);
+      benchmark::DoNotOptimize(vol.data());
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * plan.transform_flops());
+    return;
   }
-  state.SetItemsProcessed(state.iterations() * 2 * plan.transform_flops());
+  std::vector<double> cube(s * s * s), out(s * s * s);
+  for (auto& v : cube) v = rng.uniform();
+  std::vector<fft::Complex> half(plan.half_volume());
+  for (auto _ : state) {
+    plan.forward_r2c(cube, s, half);
+    plan.inverse_c2r(half, s, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 *
+                          plan.real_transform_flops(s));
 }
-BENCHMARK(BM_Fft3d)->Arg(8)->Arg(16);
+BENCHMARK(BM_Fft3d)
+    ->Args({8, 0})
+    ->Args({12, 0})
+    ->Args({16, 0})
+    ->Args({8, 4})
+    ->Args({12, 6})
+    ->Args({16, 8});
 
 void BM_LaGemmAcc(benchmark::State& state) {
   // One surface-operator application batched over nb octant columns
@@ -109,30 +132,6 @@ void BM_LaGemmAcc(benchmark::State& state) {
                           static_cast<std::int64_t>(la::gemm_flops(a, nb)));
 }
 BENCHMARK(BM_LaGemmAcc)->Arg(32)->Arg(256);
-
-void BM_FftPointwiseMacMany(benchmark::State& state) {
-  // One translation spectrum applied to a run of source/accumulator
-  // volumes, as in the offset-sorted V-list (grid 16 = surface n 6).
-  const std::size_t npairs = static_cast<std::size_t>(state.range(0));
-  const std::size_t vol = fft::Fft3d(16).volume();
-  Rng rng(8);
-  std::vector<fft::Complex> g(vol), f(npairs * vol), acc(npairs * vol);
-  for (auto& v : g) v = fft::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
-  for (auto& v : f) v = fft::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
-  std::vector<const fft::Complex*> fs(npairs);
-  std::vector<fft::Complex*> accs(npairs);
-  for (std::size_t p = 0; p < npairs; ++p) {
-    fs[p] = f.data() + p * vol;
-    accs[p] = acc.data() + p * vol;
-  }
-  for (auto _ : state) {
-    fft::pointwise_mac_many(g, fs, accs);
-    benchmark::DoNotOptimize(acc.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(8 * vol * npairs));
-}
-BENCHMARK(BM_FftPointwiseMacMany)->Arg(1)->Arg(32);
 
 void BM_FftPointwiseMacChunked(benchmark::State& state) {
   // One frequency chunk of the chunk-major V-list sweep: nentries

@@ -230,15 +230,10 @@ void Evaluator::run_dag() {
   const bool use_fft = opts.m2l == M2lMode::kFft;
   const std::size_t elen = tables_.eq_len();
   const std::size_t clen = tables_.check_len();
-  const int sd = tables_.sdim();
-  const int td = tables_.tdim();
-  const int m = tables_.m();
   const std::size_t nn = let_.nodes.size();
-  const std::size_t vol = tables_.fft_volume();
-  static constexpr std::size_t kFreqChunk = 16;  // as in vli_fft_batched
 
-  // Model flops per phase: GEMM/MAC amounts are known while building
-  // ("planned"); kernel-direct and FFT amounts are summed by the chunk
+  // Model flops per phase: GEMM and V-list amounts are known while
+  // building ("planned"); kernel-direct amounts are summed by the chunk
   // tasks ("counted"). Folded into ctx_.flops once the graph drained,
   // in the bulk engine's phase order — totals match exactly because
   // both modes sum the same per-chunk integers.
@@ -265,13 +260,6 @@ void Evaluator::run_dag() {
                                       {"eval.wli"},
                                       {"eval.d2t"}}};
 
-  // One operator component applied to entries [e0, e1) of fidx/aidx
-  // (identical to vli_fft_batched's RunGroup).
-  struct RunGroup {
-    const fft::Complex* g;
-    std::size_t e0, e1;
-  };
-
   // Per-level graph handles and buffers. Everything a task lambda
   // touches lives here or in the Evaluator, so it outlives every task
   // (all tasks complete before run_dag returns).
@@ -288,12 +276,7 @@ void Evaluator::run_dag() {
     std::vector<double> s2u_tmp;
     std::vector<double> gin, gout;     ///< level-local gather/GEMM buffers
     std::vector<std::int32_t> xnodes;  ///< targets with X-work
-    // FFT V-list state (layout as in vli_fft_batched).
-    std::vector<std::int32_t> vtgt, vsrc;
-    std::size_t n_local_src = 0;  ///< vsrc[0, n) are never ghost-written
-    std::vector<fft::Complex> spectra, acc;
-    std::vector<RunGroup> groups;
-    std::vector<std::int32_t> fidx, aidx;
+    VliLevel vli;  ///< FFT V-list state, as in vli_fft_batched
   };
   std::vector<LevelDag> lv(static_cast<std::size_t>(std::max(max_level_, -1) + 1));
 
@@ -459,195 +442,72 @@ void Evaluator::run_dag() {
 
     // --- V-list ---
     if (use_fft) {
-      PKIFMM_CHECK(vol % kFreqChunk == 0);
-      const std::size_t nchunks = vol / kFreqChunk;
-      lane_line_.assign(std::size_t(pool_->lanes()) * vol, fft::Complex(0, 0));
+      const std::size_t nchunks = tables_.spectrum_len() / Tables::kFreqChunk;
+      vli_lane_scratch();
       slot_of_.assign(nn, -1);
-      std::vector<std::tuple<int, std::int32_t, std::int32_t>> pairs;
       for (int level = min_level_; level <= max_level_; ++level) {
         LevelDag& L = lv[level];
-        std::vector<std::int32_t> srcs;  // first-reference order
-        for (auto i : level_nodes_[level]) {
-          if (!let_.nodes[i].target) continue;
-          const auto list = let_.v.of(i);
-          if (list.empty()) continue;
-          L.vtgt.push_back(i);
-          for (auto si : list)
-            if (slot_of_[si] < 0) {
-              slot_of_[si] = 0;
-              srcs.push_back(si);
-            }
-        }
-        if (L.vtgt.empty()) continue;
+        VliLevel& V = L.vli;
+        vli_collect(level, V);
+        if (V.tgt.empty()) continue;
         // Local (never ghost-written) slots first so the ghost-gated
-        // forward-FFT chunks cover a contiguous tail. Determinism-safe:
-        // the pair sort below orders on (offset, target) which is
-        // unique per pair, so slot renumbering cannot reorder MACs.
-        for (auto si : srcs)
-          if (!shared_node[si]) L.vsrc.push_back(si);
-        L.n_local_src = L.vsrc.size();
-        for (auto si : srcs)
-          if (shared_node[si]) L.vsrc.push_back(si);
-        for (std::size_t sl = 0; sl < L.vsrc.size(); ++sl)
-          slot_of_[L.vsrc[sl]] = static_cast<std::int32_t>(sl);
+        // forward chunks cover a contiguous tail.
+        const std::size_t n_local = static_cast<std::size_t>(
+            std::stable_partition(
+                V.src.begin(), V.src.end(),
+                [&](std::int32_t si) { return !shared_node[si]; }) -
+            V.src.begin());
+        // Operator fetches happen here, sequentially at build time.
+        phf[kPhVli].planned += vli_plan(level, V);
+        scratch_bytes += static_cast<double>(V.spectra.size() + V.acc.size()) *
+                         sizeof(fft::Complex);
+        VliLevel* Vp = &V;
 
-        const std::size_t nsrc = L.vsrc.size();
-        const std::size_t ntgt = L.vtgt.size();
-        const std::size_t nsc = nsrc * sd;
-        const std::size_t ntc = ntgt * td;
-        L.spectra.assign(nsc * vol, fft::Complex(0, 0));
-        L.acc.assign(ntc * vol, fft::Complex(0, 0));
-        scratch_bytes +=
-            static_cast<double>((nsc + ntc) * vol) * sizeof(fft::Complex);
-        LevelDag* Lp = &L;
-
-        // Forward FFTs: chunks of local slots release on up_final
-        // alone; chunks touching shared slots additionally wait for
-        // the level's ghost latch — the incremental release that lets
-        // local V-work start while the reduction is in flight.
+        // Forward transforms: chunks of local slots release on up_final
+        // alone; chunks touching shared slots additionally wait for the
+        // level's ghost latch — the incremental release that lets local
+        // V-work start while the reduction is in flight.
         const NodeId fwd_done = graph.event("eval.vli");
-        for (std::size_t b = 0; b < nsrc; b += kFftSlotGrain) {
-          const std::size_t e = std::min(nsrc, b + kFftSlotGrain);
-          const NodeId t = graph.node(
-              "eval.vli",
-              [this, Lp, b, e, sd, m, vol, elen, nchunks, &phf](int lane) {
-                const auto& embed = tables_.embed_index();
-                const std::span<fft::Complex> line(
-                    lane_line_.data() + std::size_t(lane) * vol, vol);
-                const std::size_t nsc2 = Lp->vsrc.size() * std::size_t(sd);
-                std::uint64_t local = 0;
-                for (std::size_t sl = b; sl < e; ++sl) {
-                  const double* usrc =
-                      u_.data() + std::size_t(Lp->vsrc[sl]) * elen;
-                  for (int c = 0; c < sd; ++c) {
-                    std::fill(line.begin(), line.end(), fft::Complex(0, 0));
-                    for (int k = 0; k < m; ++k)
-                      line[embed[k]] = usrc[k * sd + c];
-                    tables_.fft().forward(line);
-                    const std::size_t comp = sl * sd + c;
-                    for (std::size_t fc = 0; fc < nchunks; ++fc) {
-                      fft::Complex* dst =
-                          Lp->spectra.data() + (fc * nsc2 + comp) * kFreqChunk;
-                      const fft::Complex* sp = line.data() + fc * kFreqChunk;
-                      for (std::size_t q = 0; q < kFreqChunk; ++q)
-                        dst[q] = sp[q];
-                    }
-                  }
-                  local += sd * tables_.fft().transform_flops();
-                }
-                phf[kPhVli].counted.fetch_add(local,
-                                              std::memory_order_relaxed);
-              });
+        for (std::size_t b = 0; b < V.src.size(); b += kFftSlotGrain) {
+          const std::size_t e = std::min(V.src.size(), b + kFftSlotGrain);
+          const NodeId t = graph.node("eval.vli", [this, Vp, b, e](int lane) {
+            vli_forward(*Vp, b, e, lane);
+          });
           graph.edge(L.up_final, t);
-          if (e > L.n_local_src) graph.edge(L.ghost_done, t);
+          if (e > n_local) graph.edge(L.ghost_done, t);
           graph.edge(t, fwd_done);
-        }
-
-        // (target, source) pairs sorted by offset; operator fetches are
-        // sequential here at build time (the m2l spectra cache is lazy
-        // and not thread-safe).
-        pairs.clear();
-        for (std::size_t bj = 0; bj < ntgt; ++bj) {
-          const std::int32_t i = L.vtgt[bj];
-          const LetNode& node = let_.nodes[i];
-          for (auto si : let_.v.of(i))
-            pairs.emplace_back(pair_offset_index(node, let_.nodes[si]),
-                               static_cast<std::int32_t>(bj), slot_of_[si]);
-        }
-        std::sort(pairs.begin(), pairs.end());
-        for (std::size_t r0 = 0; r0 < pairs.size();) {
-          const int off = std::get<0>(pairs[r0]);
-          std::size_t r1 = r0;
-          while (r1 < pairs.size() && std::get<0>(pairs[r1]) == off) ++r1;
-          const std::size_t run = r1 - r0;
-          const auto g = tables_.m2l_spectra(level, off);
-          for (int ti = 0; ti < td; ++ti)
-            for (int sc = 0; sc < sd; ++sc) {
-              const std::size_t e0 = L.fidx.size();
-              for (std::size_t p = 0; p < run; ++p) {
-                const auto& pr = pairs[r0 + p];
-                L.fidx.push_back(std::get<2>(pr) * sd + sc);
-                L.aidx.push_back(std::get<1>(pr) * td + ti);
-              }
-              L.groups.push_back({g.data() + std::size_t(ti * sd + sc) * vol,
-                                  e0, L.fidx.size()});
-            }
-          phf[kPhVli].planned += 8ull * td * sd * vol * run;
-          r0 = r1;
         }
 
         // Frequency-chunk MACs, then per-target inverse transforms.
         const NodeId mac_done = graph.event("eval.vli");
         for (std::size_t cb = 0; cb < nchunks; cb += kFreqChunkGrain) {
           const std::size_t ce = std::min(nchunks, cb + kFreqChunkGrain);
-          const NodeId t = graph.node("eval.vli", [Lp, cb, ce, sd, td](int) {
-            const std::size_t nsc2 = Lp->vsrc.size() * std::size_t(sd);
-            const std::size_t ntc2 = Lp->vtgt.size() * std::size_t(td);
-            const std::span<const std::int32_t> fidx_all(Lp->fidx);
-            const std::span<const std::int32_t> aidx_all(Lp->aidx);
-            for (std::size_t fc = cb; fc < ce; ++fc) {
-              const fft::Complex* fb =
-                  Lp->spectra.data() + fc * nsc2 * kFreqChunk;
-              fft::Complex* ab = Lp->acc.data() + fc * ntc2 * kFreqChunk;
-              const std::size_t q0 = fc * kFreqChunk;
-              for (const RunGroup& grp : Lp->groups)
-                fft::pointwise_mac_chunked(
-                    grp.g + q0, kFreqChunk, fb, ab,
-                    fidx_all.subspan(grp.e0, grp.e1 - grp.e0),
-                    aidx_all.subspan(grp.e0, grp.e1 - grp.e0));
-            }
-          });
+          const NodeId t = graph.node(
+              "eval.vli", [this, Vp, cb, ce](int) { vli_mac(*Vp, cb, ce); });
           graph.edge(fwd_done, t);
           graph.edge(t, mac_done);
         }
 
-        const LevelOps ops = tables_.at(level);
-        const double m2l_scale = ops.m2l_scale;
+        const double m2l_scale = tables_.at(level).m2l_scale;
         const NodeId extract_done = graph.event("eval.vli");
-        for (std::size_t b = 0; b < ntgt; b += kFftSlotGrain) {
-          const std::size_t e = std::min(ntgt, b + kFftSlotGrain);
+        for (std::size_t b = 0; b < V.tgt.size(); b += kFftSlotGrain) {
+          const std::size_t e = std::min(V.tgt.size(), b + kFftSlotGrain);
           const NodeId t = graph.node(
-              "eval.vli", [this, Lp, b, e, td, m, vol, clen, nchunks,
-                           m2l_scale, &phf](int lane) {
-                const auto& embed = tables_.embed_index();
-                const std::span<fft::Complex> line(
-                    lane_line_.data() + std::size_t(lane) * vol, vol);
-                const std::size_t ntc2 = Lp->vtgt.size() * std::size_t(td);
-                std::uint64_t local = 0;
-                for (std::size_t bj = b; bj < e; ++bj) {
-                  double* out =
-                      checkpot_.data() + std::size_t(Lp->vtgt[bj]) * clen;
-                  for (int ti = 0; ti < td; ++ti) {
-                    const std::size_t comp = bj * td + ti;
-                    for (std::size_t fc = 0; fc < nchunks; ++fc) {
-                      const fft::Complex* sp =
-                          Lp->acc.data() + (fc * ntc2 + comp) * kFreqChunk;
-                      fft::Complex* dst = line.data() + fc * kFreqChunk;
-                      for (std::size_t q = 0; q < kFreqChunk; ++q)
-                        dst[q] = sp[q];
-                    }
-                    tables_.fft().inverse(line);
-                    for (int k = 0; k < m; ++k)
-                      out[k * td + ti] += m2l_scale * line[embed[k]].real();
-                  }
-                  local += td * tables_.fft().transform_flops();
-                }
-                phf[kPhVli].counted.fetch_add(local,
-                                              std::memory_order_relaxed);
+              "eval.vli", [this, Vp, b, e, m2l_scale](int lane) {
+                vli_inverse(*Vp, b, e, m2l_scale, lane);
               });
           graph.edge(mac_done, t);
           graph.edge(t, extract_done);
         }
-        // Free the level's volumes once consumed: per-level footprints
+        // Free the level's spectra once consumed: per-level footprints
         // decay geometrically with depth, but releasing early keeps
         // several levels in flight cheap.
-        const NodeId freed = graph.node("eval.vli", [Lp](int) {
-          std::vector<fft::Complex>().swap(Lp->spectra);
-          std::vector<fft::Complex>().swap(Lp->acc);
+        const NodeId freed = graph.node("eval.vli", [Vp](int) {
+          std::vector<fft::Complex>().swap(Vp->spectra);
+          std::vector<fft::Complex>().swap(Vp->acc);
         });
         graph.edge(extract_done, freed);
         L.vli_done = extract_done;
-        for (auto si : L.vsrc) slot_of_[si] = -1;  // reset for next level
       }
     } else {
       // Dense M2L: one chained gemm_stage per (level, offset) run,
@@ -933,7 +793,7 @@ void Evaluator::run_dag() {
   scratch_bytes += cap(uwin) + cap(uwout) + cap(dwin) + cap(dwout);
   for (const LevelDag& L : lv)
     scratch_bytes += cap(L.gin) + cap(L.gout) + cap(L.s2u_tmp) +
-                     cap(L.fidx) + cap(L.aidx);
+                     cap(L.vli.fidx) + cap(L.vli.aidx);
   ctx_.rec.gauge_set("mem.eval.dag_scratch_bytes", scratch_bytes);
 }
 
@@ -954,11 +814,14 @@ void Evaluator::publish_mem_gauges() {
   rec.gauge_set("mem.eval.surface_bytes",
                 static_cast<double>(surf_.bytes()) + cap(surf_scratch_));
   rec.gauge_set("mem.eval.lane_scratch_bytes",
-                cap(lane_surf_) + cap(lane_line_));
+                cap(lane_surf_) + cap(lane_cube_) + cap(lane_half_));
   rec.gauge_set("mem.eval.batch_bytes",
                 cap(batch_in_) + cap(batch_out_) + cap(batch_tmp_) +
-                    cap(slots_a_) + cap(slots_b_) + cap(slot_of_));
-  rec.gauge_set("mem.eval.fft_chunk_bytes", cap(spectra_) + cap(fft_acc_));
+                    cap(slots_a_) + cap(slots_b_) + cap(slot_of_) +
+                    cap(vli_.tgt) + cap(vli_.src) + cap(vli_.fidx) +
+                    cap(vli_.aidx));
+  rec.gauge_set("mem.eval.fft_chunk_bytes",
+                cap(vli_.spectra) + cap(vli_.acc));
 }
 
 namespace {
@@ -1296,15 +1159,20 @@ void Evaluator::vli_dense_batched() {
 }
 
 void Evaluator::vli_fft_scalar() {
-  // FFT-diagonal translation, batched by level so per-octant spectra are
-  // kept only for the level being processed.
+  // FFT-diagonal translation, batched by level so per-octant half
+  // spectra are kept only for the level being processed.
   const int sd = tables_.sdim();
   const int td = tables_.tdim();
-  const std::size_t vol = tables_.fft_volume();
+  const std::size_t n = static_cast<std::size_t>(tables_.n());
+  const std::size_t len = tables_.spectrum_len();
+  const std::size_t hv = tables_.fft().half_volume();
   const auto& embed = tables_.embed_index();
   const int m = tables_.m();
+  const Tables::VliFlops& fl = tables_.vli_flops();
 
-  std::vector<fft::Complex> acc(static_cast<std::size_t>(td) * vol);
+  std::vector<double> cube(n * n * n);
+  std::vector<fft::Complex> acc(static_cast<std::size_t>(td) * len);
+  std::vector<std::pair<int, std::int32_t>> offsets;
   for (int level = min_level_; level <= max_level_; ++level) {
     // Sources used by some target's V-list at this level.
     std::unordered_map<std::int32_t, std::vector<fft::Complex>> spectra;
@@ -1314,21 +1182,20 @@ void Evaluator::vli_fft_scalar() {
     }
     if (spectra.empty()) continue;
 
-    // Per-octant forward FFTs of the padded equivalent densities.
+    // Per-octant r2c transforms of the embedded equivalent densities.
     for (auto& [si, spec] : spectra) {
-      spec.assign(static_cast<std::size_t>(sd) * vol, fft::Complex(0, 0));
+      spec.assign(static_cast<std::size_t>(sd) * len, fft::Complex(0, 0));
       const double* usrc = u_.data() + std::size_t(si) * tables_.eq_len();
-      for (int k = 0; k < m; ++k)
-        for (int c = 0; c < sd; ++c)
-          spec[static_cast<std::size_t>(c) * vol + embed[k]] =
-              usrc[k * sd + c];
-      for (int c = 0; c < sd; ++c)
-        tables_.fft().forward(
-            std::span<fft::Complex>(spec.data() + std::size_t(c) * vol, vol));
-      ctx_.flops.add("eval.vli", sd * tables_.fft().transform_flops());
+      for (int c = 0; c < sd; ++c) {
+        std::fill(cube.begin(), cube.end(), 0.0);
+        for (int k = 0; k < m; ++k) cube[embed[k]] = usrc[k * sd + c];
+        tables_.fft().forward_r2c(
+            cube, n, std::span<fft::Complex>(spec.data() + c * len, hv));
+      }
+      ctx_.flops.add("eval.vli", fl.fwd_per_source);
     }
 
-    // Diagonal translation + inverse FFT per target.
+    // Diagonal translation + c2r transform per target.
     const LevelOps ops = tables_.at(level);
     for (auto i : level_nodes_[level]) {
       const LetNode& node = let_.nodes[i];
@@ -1336,230 +1203,224 @@ void Evaluator::vli_fft_scalar() {
       const auto list = let_.v.of(i);
       if (list.empty()) continue;
 
+      // Sources in offset order, the batched sweep's accumulation order.
+      offsets.clear();
+      for (auto si : list)
+        offsets.emplace_back(pair_offset_index(node, let_.nodes[si]), si);
+      std::sort(offsets.begin(), offsets.end());
       std::fill(acc.begin(), acc.end(), fft::Complex(0, 0));
-      for (auto si : list) {
-        const auto g = tables_.m2l_spectra(
-            level, pair_offset_index(node, let_.nodes[si]));
+      for (const auto& [off, si] : offsets) {
+        const auto g = tables_.m2l_spectra(level, off);
         const auto& spec = spectra.at(si);
         for (int ti = 0; ti < td; ++ti)
-          for (int si_c = 0; si_c < sd; ++si_c)
+          for (int sc = 0; sc < sd; ++sc)
             fft::pointwise_mac(
-                g.subspan(std::size_t(ti * sd + si_c) * vol, vol),
-                std::span<const fft::Complex>(
-                    spec.data() + std::size_t(si_c) * vol, vol),
-                std::span<fft::Complex>(acc.data() + std::size_t(ti) * vol,
-                                        vol));
-        ctx_.flops.add("eval.vli", 8ull * td * sd * vol);
+                g.subspan(std::size_t(ti * sd + sc) * len, len),
+                std::span<const fft::Complex>(spec.data() + sc * len, len),
+                std::span<fft::Complex>(acc.data() + ti * len, len));
+        ctx_.flops.add("eval.vli", fl.mac_per_pair);
       }
-      for (int ti = 0; ti < td; ++ti)
-        tables_.fft().inverse(
-            std::span<fft::Complex>(acc.data() + std::size_t(ti) * vol, vol));
-      ctx_.flops.add("eval.vli", td * tables_.fft().transform_flops());
-
       double* out = checkpot_.data() + std::size_t(i) * tables_.check_len();
-      for (int k = 0; k < m; ++k)
-        for (int ti = 0; ti < td; ++ti)
-          out[k * td + ti] +=
-              ops.m2l_scale *
-              acc[static_cast<std::size_t>(ti) * vol + embed[k]].real();
+      for (int ti = 0; ti < td; ++ti) {
+        tables_.fft().inverse_c2r(
+            std::span<fft::Complex>(acc.data() + ti * len, hv), n, cube);
+        for (int k = 0; k < m; ++k)
+          out[k * td + ti] += ops.m2l_scale * cube[embed[k]];
+      }
+      ctx_.flops.add("eval.vli", fl.inv_per_target);
     }
   }
 }
 
+// The batched FFT V-list, shared by vli_fft_batched (bulk) and run_dag.
+// Relative to the scalar path:
+//  - half spectra live in ONE flat buffer indexed by level slots
+//    (slot_of_) instead of an unordered_map of vectors,
+//  - (target, source) pairs are sorted by translation-offset index so
+//    each m2l_spectra operator is fetched once per run,
+//  - spectra and accumulators are stored CHUNK-MAJOR (all slots'
+//    values for one kFreqChunk-frequency chunk contiguous) and the
+//    diagonal multiply sweeps the frequency axis in the outer loop:
+//    each chunk's working set (one chunk of every live slot) fits L2,
+//    so the MAC is compute-bound instead of re-streaming whole spectra
+//    from memory for every pair. Value (slot_comp, q) lives at
+//    buf[(q / kFreqChunk) * ncomp * kFreqChunk + slot_comp * kFreqChunk
+//        + q % kFreqChunk].
+// Flops follow Tables::vli_flops() exactly as in the scalar path.
 
-void Evaluator::vli_fft_batched() {
-  // Same math as the scalar FFT path with three structural changes:
-  //  - spectra live in ONE flat buffer indexed by level-sorted source
-  //    slots (slot_of_) instead of an unordered_map of vectors,
-  //  - (target, source) pairs are sorted by translation-offset index so
-  //    each m2l_spectra operator is fetched once per run,
-  //  - spectra and accumulators are stored CHUNK-MAJOR (all slots'
-  //    values for one kFreqChunk-frequency chunk contiguous) and the
-  //    diagonal multiply sweeps the frequency axis in the outer loop:
-  //    each chunk's working set (one chunk of every live slot) fits L2,
-  //    so the MAC is compute-bound instead of re-streaming full 3-D
-  //    volumes from memory for every pair.
-  // Flop accounting is per-source/per-pair/per-target exactly as in the
-  // scalar path, so totals are identical.
+void Evaluator::vli_collect(int level, VliLevel& V) {
+  V.tgt.clear();
+  V.src.clear();
+  for (auto i : level_nodes_[level]) {
+    if (!let_.nodes[i].target) continue;
+    const auto list = let_.v.of(i);
+    if (list.empty()) continue;
+    V.tgt.push_back(i);
+    for (auto si : list)
+      if (slot_of_[si] < 0) {
+        slot_of_[si] = 0;  // seen; vli_plan numbers the slots
+        V.src.push_back(si);
+      }
+  }
+}
+
+std::uint64_t Evaluator::vli_plan(int level, VliLevel& V) {
   const int sd = tables_.sdim();
   const int td = tables_.tdim();
-  const std::size_t vol = tables_.fft_volume();
-  const auto& embed = tables_.embed_index();
-  const int m = tables_.m();
-  const std::size_t elen = tables_.eq_len();
-  const std::size_t clen = tables_.check_len();
+  const std::size_t len = tables_.spectrum_len();
+  for (std::size_t sl = 0; sl < V.src.size(); ++sl)
+    slot_of_[V.src[sl]] = static_cast<std::int32_t>(sl);
 
-  // Chunk-major addressing: value (slot_comp, q) lives at
-  // buf[(q / kFreqChunk) * ncomp * kFreqChunk + slot_comp * kFreqChunk
-  //     + q % kFreqChunk].
-  constexpr std::size_t kFreqChunk = 16;
-  PKIFMM_CHECK(vol % kFreqChunk == 0);
-  const std::size_t nchunks = vol / kFreqChunk;
-
-  slot_of_.assign(let_.nodes.size(), -1);
-
+  // All (target, source) pairs of the level, sorted by offset index.
+  // (offset, target) is unique per pair, so the order of the MACs into
+  // any accumulator does not depend on how the slots were numbered.
   std::vector<std::tuple<int, std::int32_t, std::int32_t>> pairs;
-  // A run group applies one td x sd component of one offset's spectrum
-  // to entries [e0, e1) of the flat fidx/aidx arrays.
-  struct RunGroup {
-    const fft::Complex* g;
-    std::size_t e0, e1;
-  };
-  std::vector<RunGroup> groups;
-  std::vector<std::int32_t> fidx, aidx;
-  // One embed/extract-order volume per pool lane: the forward and
-  // inverse transform chunks each use their executing lane's line.
-  lane_line_.assign(std::size_t(pool_->lanes()) * vol, fft::Complex(0, 0));
+  for (std::size_t bj = 0; bj < V.tgt.size(); ++bj) {
+    const LetNode& node = let_.nodes[V.tgt[bj]];
+    for (auto si : let_.v.of(V.tgt[bj]))
+      pairs.emplace_back(pair_offset_index(node, let_.nodes[si]),
+                         static_cast<std::int32_t>(bj), slot_of_[si]);
+  }
+  std::sort(pairs.begin(), pairs.end());
 
-  for (int level = min_level_; level <= max_level_; ++level) {
-    // Targets with V-interactions at this level, and the flat slot
-    // index of the unique sources they reference.
-    slots_b_.clear();  // target node indices
-    slots_a_.clear();  // source node index per slot
-    for (auto i : level_nodes_[level]) {
-      if (!let_.nodes[i].target) continue;
-      const auto list = let_.v.of(i);
-      if (list.empty()) continue;
-      slots_b_.push_back(i);
-      for (auto si : list)
-        if (slot_of_[si] < 0) {
-          slot_of_[si] = static_cast<std::int32_t>(slots_a_.size());
-          slots_a_.push_back(si);
+  // One operator fetch per offset run; each td x sd component of a run
+  // becomes an entry group sharing one spectrum component.
+  V.groups.clear();
+  V.fidx.clear();
+  V.aidx.clear();
+  for (std::size_t r0 = 0; r0 < pairs.size();) {
+    const int off = std::get<0>(pairs[r0]);
+    std::size_t r1 = r0;
+    while (r1 < pairs.size() && std::get<0>(pairs[r1]) == off) ++r1;
+    const auto g = tables_.m2l_spectra(level, off);
+    for (int ti = 0; ti < td; ++ti)
+      for (int sc = 0; sc < sd; ++sc) {
+        const std::size_t e0 = V.fidx.size();
+        for (std::size_t p = r0; p < r1; ++p) {
+          V.fidx.push_back(std::get<2>(pairs[p]) * sd + sc);
+          V.aidx.push_back(std::get<1>(pairs[p]) * td + ti);
         }
+        V.groups.push_back(
+            {g.data() + std::size_t(ti * sd + sc) * len, e0, V.fidx.size()});
+      }
+    r0 = r1;
+  }
+  for (auto si : V.src) slot_of_[si] = -1;  // reset for the next level
+
+  // vli_forward writes every spectra value; the MAC accumulates.
+  V.spectra.resize(V.src.size() * sd * len);
+  V.acc.assign(V.tgt.size() * td * len, fft::Complex(0, 0));
+  const Tables::VliFlops& fl = tables_.vli_flops();
+  return V.src.size() * fl.fwd_per_source + pairs.size() * fl.mac_per_pair +
+         V.tgt.size() * fl.inv_per_target;
+}
+
+void Evaluator::vli_lane_scratch() {
+  const std::size_t n = static_cast<std::size_t>(tables_.n());
+  const std::size_t lanes = static_cast<std::size_t>(pool_->lanes());
+  lane_cube_.assign(lanes * n * n * n, 0.0);
+  lane_half_.assign(lanes * tables_.spectrum_len(), fft::Complex(0, 0));
+}
+
+void Evaluator::vli_forward(VliLevel& V, std::size_t b, std::size_t e,
+                            int lane) {
+  const int sd = tables_.sdim();
+  const int m = tables_.m();
+  const auto& embed = tables_.embed_index();
+  const std::size_t n = static_cast<std::size_t>(tables_.n());
+  const std::size_t len = tables_.spectrum_len();
+  const std::size_t hv = tables_.fft().half_volume();
+  const std::size_t nsc = V.src.size() * sd;
+  const std::span<double> cube(lane_cube_.data() + lane * n * n * n,
+                               n * n * n);
+  fft::Complex* half = lane_half_.data() + lane * len;
+  std::fill(half + hv, half + len, fft::Complex(0, 0));
+  for (std::size_t sl = b; sl < e; ++sl) {
+    const double* usrc = u_.data() + std::size_t(V.src[sl]) * tables_.eq_len();
+    for (int c = 0; c < sd; ++c) {
+      std::fill(cube.begin(), cube.end(), 0.0);
+      for (int k = 0; k < m; ++k) cube[embed[k]] = usrc[k * sd + c];
+      tables_.fft().forward_r2c(cube, n, std::span<fft::Complex>(half, hv));
+      const std::size_t comp = sl * sd + c;
+      for (std::size_t q0 = 0; q0 < len; q0 += Tables::kFreqChunk)
+        std::copy(half + q0, half + q0 + Tables::kFreqChunk,
+                  V.spectra.data() + q0 * nsc + comp * Tables::kFreqChunk);
     }
-    if (slots_b_.empty()) continue;
+  }
+}
 
-    const std::size_t nsrc = slots_a_.size();
-    const std::size_t ntgt = slots_b_.size();
-    const std::size_t nsc = nsrc * sd;  // source slot components
-    const std::size_t ntc = ntgt * td;  // target slot components
+void Evaluator::vli_mac(VliLevel& V, std::size_t cb, std::size_t ce) {
+  constexpr std::size_t kc = Tables::kFreqChunk;
+  const std::size_t nsc = V.src.size() * tables_.sdim();
+  const std::size_t ntc = V.tgt.size() * tables_.tdim();
+  const std::span<const std::int32_t> fidx(V.fidx), aidx(V.aidx);
+  for (std::size_t ci = cb; ci < ce; ++ci) {
+    const fft::Complex* fb = V.spectra.data() + ci * nsc * kc;
+    fft::Complex* ab = V.acc.data() + ci * ntc * kc;
+    for (const VliLevel::Group& grp : V.groups)
+      fft::pointwise_mac_chunked(grp.g + ci * kc, kc, fb, ab,
+                                 fidx.subspan(grp.e0, grp.e1 - grp.e0),
+                                 aidx.subspan(grp.e0, grp.e1 - grp.e0));
+  }
+}
 
-    // Forward FFT of each unique source's padded equivalent densities
-    // into a contiguous volume, scattered to chunk-major slots. Each
-    // chunk of slots owns disjoint spectra_ components.
-    spectra_.resize(nsc * vol);
-    std::atomic<std::uint64_t> fwd_flops{0};
+void Evaluator::vli_inverse(VliLevel& V, std::size_t b, std::size_t e,
+                            double scale, int lane) {
+  const int td = tables_.tdim();
+  const int m = tables_.m();
+  const auto& embed = tables_.embed_index();
+  const std::size_t n = static_cast<std::size_t>(tables_.n());
+  const std::size_t len = tables_.spectrum_len();
+  const std::size_t hv = tables_.fft().half_volume();
+  const std::size_t clen = tables_.check_len();
+  const std::size_t ntc = V.tgt.size() * td;
+  const std::span<double> cube(lane_cube_.data() + lane * n * n * n,
+                               n * n * n);
+  fft::Complex* half = lane_half_.data() + lane * len;
+  for (std::size_t bj = b; bj < e; ++bj) {
+    double* out = checkpot_.data() + std::size_t(V.tgt[bj]) * clen;
+    for (int ti = 0; ti < td; ++ti) {
+      const std::size_t comp = bj * td + ti;
+      for (std::size_t q0 = 0; q0 < hv; q0 += Tables::kFreqChunk) {
+        const fft::Complex* src =
+            V.acc.data() + q0 * ntc + comp * Tables::kFreqChunk;
+        std::copy(src, src + std::min(Tables::kFreqChunk, hv - q0), half + q0);
+      }
+      tables_.fft().inverse_c2r(std::span<fft::Complex>(half, hv), n, cube);
+      for (int k = 0; k < m; ++k) out[k * td + ti] += scale * cube[embed[k]];
+    }
+  }
+}
+
+void Evaluator::vli_fft_batched() {
+  const std::size_t nchunks = tables_.spectrum_len() / Tables::kFreqChunk;
+  slot_of_.assign(let_.nodes.size(), -1);
+  vli_lane_scratch();
+  for (int level = min_level_; level <= max_level_; ++level) {
+    vli_collect(level, vli_);
+    if (vli_.tgt.empty()) continue;
+    ctx_.flops.add("eval.vli", vli_plan(level, vli_));
+
+    // Each chunk of source slots owns disjoint spectra components,
+    // each frequency chunk disjoint accumulator windows, each chunk of
+    // targets disjoint checkpot_ rows.
     pool_->parallel_for(
-        nsrc, kFftSlotGrain,
+        vli_.src.size(), kFftSlotGrain,
         [&](std::size_t b, std::size_t e, int lane) {
-          const std::span<fft::Complex> line(
-              lane_line_.data() + std::size_t(lane) * vol, vol);
-          std::uint64_t local = 0;
-          for (std::size_t sl = b; sl < e; ++sl) {
-            const double* usrc = u_.data() + std::size_t(slots_a_[sl]) * elen;
-            for (int c = 0; c < sd; ++c) {
-              std::fill(line.begin(), line.end(), fft::Complex(0, 0));
-              for (int k = 0; k < m; ++k) line[embed[k]] = usrc[k * sd + c];
-              tables_.fft().forward(line);
-              const std::size_t comp = sl * sd + c;
-              for (std::size_t ci = 0; ci < nchunks; ++ci) {
-                fft::Complex* dst =
-                    spectra_.data() + (ci * nsc + comp) * kFreqChunk;
-                const fft::Complex* src = line.data() + ci * kFreqChunk;
-                for (std::size_t q = 0; q < kFreqChunk; ++q) dst[q] = src[q];
-              }
-            }
-            local += sd * tables_.fft().transform_flops();
-          }
-          fwd_flops.fetch_add(local, std::memory_order_relaxed);
+          vli_forward(vli_, b, e, lane);
         },
         "eval.vli");
-    ctx_.flops.add("eval.vli", fwd_flops.load(std::memory_order_relaxed));
-
-    // All (target, source) pairs of the level, sorted by offset index.
-    pairs.clear();
-    for (std::size_t bj = 0; bj < ntgt; ++bj) {
-      const std::int32_t i = slots_b_[bj];
-      const LetNode& node = let_.nodes[i];
-      for (auto si : let_.v.of(i))
-        pairs.emplace_back(pair_offset_index(node, let_.nodes[si]),
-                           static_cast<std::int32_t>(bj), slot_of_[si]);
-    }
-    std::sort(pairs.begin(), pairs.end());
-
-    // One operator fetch per offset run; each td x sd component of a
-    // run becomes an entry group sharing one spectrum component.
-    groups.clear();
-    fidx.clear();
-    aidx.clear();
-    for (std::size_t r0 = 0; r0 < pairs.size();) {
-      const int off = std::get<0>(pairs[r0]);
-      std::size_t r1 = r0;
-      while (r1 < pairs.size() && std::get<0>(pairs[r1]) == off) ++r1;
-      const std::size_t run = r1 - r0;
-      const auto g = tables_.m2l_spectra(level, off);
-      for (int ti = 0; ti < td; ++ti)
-        for (int sc = 0; sc < sd; ++sc) {
-          const std::size_t e0 = fidx.size();
-          for (std::size_t p = 0; p < run; ++p) {
-            const auto& pr = pairs[r0 + p];
-            fidx.push_back(std::get<2>(pr) * sd + sc);
-            aidx.push_back(std::get<1>(pr) * td + ti);
-          }
-          groups.push_back(
-              {g.data() + std::size_t(ti * sd + sc) * vol, e0, fidx.size()});
-        }
-      ctx_.flops.add("eval.vli", 8ull * td * sd * vol * run);
-      r0 = r1;
-    }
-
-    // Chunk-major diagonal-translation sweep. The operator slices are
-    // read straight from the volume-major m2l table (a contiguous
-    // kFreqChunk window per group per chunk).
-    fft_acc_.assign(ntc * vol, fft::Complex(0, 0));
-    const std::span<const std::int32_t> fidx_all(fidx);
-    const std::span<const std::int32_t> aidx_all(aidx);
-    // Frequency chunks write disjoint fft_acc_ windows, so the chunk
-    // axis parallelizes with no change to per-element MAC order.
     pool_->parallel_for(
         nchunks, kFreqChunkGrain,
-        [&](std::size_t cb, std::size_t ce, int) {
-          for (std::size_t ci = cb; ci < ce; ++ci) {
-            const fft::Complex* fb = spectra_.data() + ci * nsc * kFreqChunk;
-            fft::Complex* ab = fft_acc_.data() + ci * ntc * kFreqChunk;
-            const std::size_t q0 = ci * kFreqChunk;
-            for (const RunGroup& grp : groups)
-              fft::pointwise_mac_chunked(
-                  grp.g + q0, kFreqChunk, fb, ab,
-                  fidx_all.subspan(grp.e0, grp.e1 - grp.e0),
-                  aidx_all.subspan(grp.e0, grp.e1 - grp.e0));
-          }
-        },
+        [&](std::size_t cb, std::size_t ce, int) { vli_mac(vli_, cb, ce); },
         "eval.vli");
-
-    // Per-target gather back to volume order, inverse transform, and
-    // surface extraction; each chunk of targets owns disjoint
-    // checkpot_ rows.
-    const LevelOps ops = tables_.at(level);
-    std::atomic<std::uint64_t> inv_flops{0};
+    const double scale = tables_.at(level).m2l_scale;
     pool_->parallel_for(
-        ntgt, kFftSlotGrain,
+        vli_.tgt.size(), kFftSlotGrain,
         [&](std::size_t b, std::size_t e, int lane) {
-          const std::span<fft::Complex> line(
-              lane_line_.data() + std::size_t(lane) * vol, vol);
-          std::uint64_t local = 0;
-          for (std::size_t bj = b; bj < e; ++bj) {
-            double* out = checkpot_.data() + std::size_t(slots_b_[bj]) * clen;
-            for (int ti = 0; ti < td; ++ti) {
-              const std::size_t comp = bj * td + ti;
-              for (std::size_t ci = 0; ci < nchunks; ++ci) {
-                const fft::Complex* src =
-                    fft_acc_.data() + (ci * ntc + comp) * kFreqChunk;
-                fft::Complex* dst = line.data() + ci * kFreqChunk;
-                for (std::size_t q = 0; q < kFreqChunk; ++q) dst[q] = src[q];
-              }
-              tables_.fft().inverse(line);
-              for (int k = 0; k < m; ++k)
-                out[k * td + ti] += ops.m2l_scale * line[embed[k]].real();
-            }
-            local += td * tables_.fft().transform_flops();
-          }
-          inv_flops.fetch_add(local, std::memory_order_relaxed);
+          vli_inverse(vli_, b, e, scale, lane);
         },
         "eval.vli");
-    ctx_.flops.add("eval.vli", inv_flops.load(std::memory_order_relaxed));
-
-    for (auto si : slots_a_) slot_of_[si] = -1;  // reset for next level
   }
 }
 
@@ -1828,7 +1689,7 @@ std::vector<double> leaf_work_estimates(const Tables& tables,
                                         const octree::Let& let) {
   const std::uint64_t kflops = tables.kernel().flops_per_interaction();
   const int m = tables.m();
-  const double tf = static_cast<double>(tables.fft().transform_flops());
+  const Tables::VliFlops& vf = tables.vli_flops();
 
   // Source counts per node (targets and sources may differ per point).
   std::vector<double> nsrc(let.nodes.size(), 0.0);
@@ -1843,18 +1704,18 @@ std::vector<double> leaf_work_estimates(const Tables& tables,
     const double ntrg = node.target_count;
     double w = 0.0;
     for (auto si : let.u.of(i)) w += ntrg * nsrc[si] * kflops;
-    // V: per-pair diagonal multiply on the padded grid, plus one
-    // inverse FFT on the target side and one forward FFT on the source
-    // side. The forward-FFT charge is deliberately a function of the
+    // V (Tables::vli_flops): per-pair diagonal multiply over the half
+    // spectrum, plus the target side's c2r and the source side's r2c
+    // transforms. The forward charge is deliberately a function of the
     // leaf alone (not of how many targets consume its spectrum): the
     // weights must be identical no matter which rank currently owns
     // which leaf, so that the weighted partition is a pure function of
     // the global tree — the incremental setup path maintains that
     // partition step by step and relies on reproducing it exactly.
     const auto vlist = let.v.of(i);
-    w += double(vlist.size()) * 8.0 * tables.fft_volume() *
-         tables.sdim() * tables.tdim();
-    if (!vlist.empty()) w += (tables.tdim() + tables.sdim()) * tf;
+    w += double(vlist.size()) * double(vf.mac_per_pair);
+    if (!vlist.empty())
+      w += double(vf.fwd_per_source) + double(vf.inv_per_target);
     w += double(let.w.of(i).size()) * ntrg * m * kflops;
     for (auto si : let.x.of(i)) w += nsrc[si] * m * kflops;
     // S2U + D2T per-leaf work.

@@ -20,15 +20,17 @@
 ///   kBatched — level- and operator-blocked batches: U2U/L2L as one GEMM
 ///              per (level, child index), uc2ue/dc2de as one GEMM per
 ///              level, dense M2L as one GEMM per (level, offset), and
-///              the FFT V-list with flat level-sorted source spectra and
-///              (target, source) pairs sorted by translation offset so
-///              each operator spectrum is streamed over a contiguous run.
+///              the FFT V-list with flat level-sorted source half
+///              spectra and (target, source) pairs sorted by translation
+///              offset so each operator spectrum is streamed over a
+///              contiguous run.
 /// Both modes account identical model flops into the same eval.* phases
 /// and agree on the outputs to rounding.
 ///
-/// The V-list translation is either FFT-diagonal (per-octant forward
-/// FFTs batched by level, pointwise multiply per pair, inverse FFT per
-/// target — the paper's scheme) or dense (ablation baseline).
+/// The V-list translation is either FFT-diagonal (per-octant
+/// real-to-complex FFTs batched by level, pointwise multiply per pair
+/// over the Hermitian half spectrum, complex-to-real FFT per target —
+/// the paper's scheme) or dense (ablation baseline).
 ///
 /// Intra-rank parallelism (paper §V's per-node concurrency, on CPU
 /// workers): every batched hot loop — per-leaf kernel evaluations,
@@ -147,6 +149,38 @@ class Evaluator {
   void vli_fft_batched();
   void downward_batched();
 
+  /// One level's batched FFT V-list: target and source node per slot,
+  /// chunk-major half spectra and accumulators, and the offset-sorted
+  /// MAC entries, grouped per operator component.
+  struct VliLevel {
+    /// One operator component applied to entries [e0, e1) of fidx/aidx.
+    struct Group {
+      const fft::Complex* g;
+      std::size_t e0, e1;
+    };
+    std::vector<std::int32_t> tgt, src;
+    std::vector<fft::Complex> spectra, acc;
+    std::vector<Group> groups;
+    std::vector<std::int32_t> fidx, aidx;
+  };
+  // The batched V-list's steps, shared by vli_fft_batched and run_dag.
+  /// Collects the level's V-list targets and unique sources, in
+  /// first-reference order (slot_of_ marks the sources seen).
+  void vli_collect(int level, VliLevel& V);
+  /// Numbers the source slots in V.src order, builds the offset-sorted
+  /// MAC entries, sizes the buffers, resets slot_of_, and returns the
+  /// level's V-list model flops.
+  std::uint64_t vli_plan(int level, VliLevel& V);
+  /// Sizes the per-lane transform scratch.
+  void vli_lane_scratch();
+  /// Source slots [b, e): embed -> r2c -> scatter chunk-major.
+  void vli_forward(VliLevel& V, std::size_t b, std::size_t e, int lane);
+  /// Frequency chunks [cb, ce) of the diagonal MAC.
+  void vli_mac(VliLevel& V, std::size_t cb, std::size_t ce);
+  /// Target slots [b, e): gather -> c2r -> extract into checkpot_.
+  void vli_inverse(VliLevel& V, std::size_t b, std::size_t e, double scale,
+                   int lane);
+
   /// Data-driven execution of the whole batched pipeline as one
   /// util::TaskGraph (FmmOptions::exec_mode = kDag): the bulk engine's
   /// chunks become DAG nodes, edges exist only where a chunk reads
@@ -205,7 +239,7 @@ class Evaluator {
   // Batch scratch, reused across phases/levels (kept allocated).
   std::vector<double> batch_in_, batch_out_, batch_tmp_;
   std::vector<std::int32_t> slots_a_, slots_b_;
-  std::vector<fft::Complex> spectra_, fft_acc_;
+  VliLevel vli_;                            ///< bulk FFT V-list level
   std::vector<std::int32_t> slot_of_;       ///< node -> level source slot
 
   // Intra-rank scheduling. pool_ is ctx.pool when the Runtime provided
@@ -219,7 +253,8 @@ class Evaluator {
   std::unique_ptr<util::TaskPool> owned_pool_;
   util::TaskPool* pool_ = nullptr;
   std::vector<double> lane_surf_;        ///< lanes x 3*surf count
-  std::vector<fft::Complex> lane_line_;  ///< lanes x fft volume
+  std::vector<double> lane_cube_;        ///< lanes x n^3 lattice cube
+  std::vector<fft::Complex> lane_half_;  ///< lanes x spectrum_len
 
   // Background-ULI state (see uli_start/uli_join).
   std::vector<double> f_uli_;            ///< ULI-only potentials

@@ -78,15 +78,19 @@ Tables::Tables(const kernels::Kernel& kernel, const FmmOptions& opts)
   tdim_ = kernel.target_dim();
   cache_ = std::make_shared<Cache>();
 
-  const std::size_t grid =
-      fft::next_pow2(2 * static_cast<std::size_t>(opts.surface_n) - 1);
-  fft_ = std::make_shared<fft::Fft3d>(grid);
+  const std::size_t n = static_cast<std::size_t>(opts.surface_n);
+  fft_ = std::make_shared<fft::Fft3d>(fft::smooth_size(2 * n - 1));
+  spectrum_len_ = (fft_->half_volume() + kFreqChunk - 1) / kFreqChunk *
+                  kFreqChunk;
+  const std::uint64_t real_flops = fft_->real_transform_flops(n);
+  vli_flops_ = {8ull * tdim_ * sdim_ * spectrum_len_, sdim_ * real_flops,
+                tdim_ * real_flops};
 
   const auto& lattice = surface_lattice(opts.surface_n);
   embed_.reserve(lattice.size());
   for (const auto& ijk : lattice)
     embed_.push_back(static_cast<int>(
-        (static_cast<std::size_t>(ijk[2]) * grid + ijk[1]) * grid + ijk[0]));
+        (static_cast<std::size_t>(ijk[2]) * n + ijk[1]) * n + ijk[0]));
 
   // Eagerly build the reference level so concurrent ranks never race on
   // the most commonly used entry.
@@ -164,11 +168,11 @@ std::vector<fft::Complex> Tables::build_spectra(int level,
 
   const std::size_t grid = fft_n();
   const std::size_t vol = fft_volume();
-  std::vector<fft::Complex> out(static_cast<std::size_t>(tdim_) * sdim_ * vol,
-                                fft::Complex(0, 0));
+  const std::size_t ncomp = static_cast<std::size_t>(tdim_) * sdim_;
+  std::vector<double> kvol(ncomp * vol, 0.0);
 
   // K(t_phys + d*h) for lattice displacements d in [-(n-1), n-1]^3,
-  // wrapped circularly into the N^3 grid.
+  // wrapped circularly into the N^3 grid (N >= 2n-1: no two collide).
   double blk[9];
   for (int ddz = -(n - 1); ddz <= n - 1; ++ddz)
     for (int ddy = -(n - 1); ddy <= n - 1; ++ddy)
@@ -180,12 +184,16 @@ std::vector<fft::Complex> Tables::build_spectra(int level,
         const std::size_t iy = (ddy + grid) % grid;
         const std::size_t iz = (ddz + grid) % grid;
         const std::size_t cell = (iz * grid + iy) * grid + ix;
-        for (int c = 0; c < tdim_ * sdim_; ++c)
-          out[c * vol + cell] = blk[c];
+        for (std::size_t c = 0; c < ncomp; ++c) kvol[c * vol + cell] = blk[c];
       }
 
-  for (int c = 0; c < tdim_ * sdim_; ++c)
-    fft_->forward(std::span<fft::Complex>(out.data() + c * vol, vol));
+  const std::size_t len = spectrum_len();
+  std::vector<fft::Complex> out(ncomp * len, fft::Complex(0, 0));
+  for (std::size_t c = 0; c < ncomp; ++c)
+    fft_->forward_r2c(std::span<const double>(kvol.data() + c * vol, vol),
+                      grid,
+                      std::span<fft::Complex>(out.data() + c * len,
+                                              fft_->half_volume()));
   return out;
 }
 
@@ -218,7 +226,9 @@ la::Matrix Tables::build_dense(int level, int off_index) const {
 
 namespace {
 
-constexpr std::uint64_t kCacheMagic = 0x706b69666d6d5442ull;  // "pkifmmTB"
+// "pkifmmTC": half-spectrum layout. "pkifmmTB" files (full N^3 complex
+// spectra on a power-of-two grid) are rejected by the magic check.
+constexpr std::uint64_t kCacheMagic = 0x706b69666d6d5443ull;
 
 template <typename T>
 void put(std::ostream& os, const T& v) {
@@ -325,12 +335,20 @@ bool Tables::load_cache(const std::string& path) {
   std::map<std::pair<int, int>, std::vector<fft::Complex>> spectra;
   std::uint64_t nspec = 0;
   if (!get(is, nspec) || nspec > (1u << 20)) return false;
+  const std::uint64_t expected =
+      static_cast<std::uint64_t>(tdim_) * sdim_ * spectrum_len();
   for (std::uint64_t i = 0; i < nspec; ++i) {
     std::int32_t level = 0, off = 0;
     std::uint64_t count = 0;
-    if (!get(is, level) || !get(is, off) || !get(is, count) ||
-        count > (1u << 24))
+    if (!get(is, level) || !get(is, off) || !get(is, count)) return false;
+    // Every entry must be a full operator at a legal V-list offset: a
+    // short one would make m2l_spectra return a truncated span that the
+    // MAC sweep reads past.
+    if (level < 0 || off < 0 || off >= 7 * 7 * 7 || count != expected)
       return false;
+    int dx, dy, dz;
+    decode_offset(off, dx, dy, dz);
+    if (!is_vlist_offset(dx, dy, dz)) return false;
     std::vector<fft::Complex> spec(count);
     is.read(reinterpret_cast<char*>(spec.data()),
             std::streamsize(count * sizeof(fft::Complex)));

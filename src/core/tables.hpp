@@ -3,6 +3,13 @@
 /// \brief Precomputed KIFMM translation operators (paper Table I's
 /// S/U/D/E/Q/R/T operators in matrix or FFT-spectrum form).
 ///
+/// The FFT V-list works on an N^3 grid, N the smallest {2,3}-smooth
+/// size >= 2n-1 (12 at n = 6, 8 at n = 4), and keeps only Hermitian
+/// half spectra: N * N * (N/2+1) frequencies, padded to a multiple of
+/// the kFreqChunk-frequency chunk of the chunk-major MAC sweep
+/// (spectrum_len()). The V-list flop model (vli_flops()) is defined
+/// here once for the evaluators and the load-balance weights.
+///
 /// For homogeneous kernels (Laplace, Stokes: degree -1) one reference
 /// table serves all octree levels through a power-of-two scaling; for
 /// non-homogeneous kernels (Yukawa) tables are built lazily per level.
@@ -75,21 +82,44 @@ class Tables {
   /// Length of a check-potential vector (m * tdim).
   int check_len() const { return m_ * tdim_; }
 
-  /// FFT grid edge N (power of two >= 2n-1) and plan.
+  /// Frequencies per chunk of the chunk-major V-list MAC sweep.
+  static constexpr std::size_t kFreqChunk = 16;
+
+  /// FFT grid edge N (smallest {2,3}-smooth size >= 2n-1), the N^3
+  /// complex volume, and the plan.
   std::size_t fft_n() const { return fft_->n(); }
   std::size_t fft_volume() const { return fft_->volume(); }
   const fft::Fft3d& fft() const { return *fft_; }
 
-  /// Volume index of each surface lattice point in the N^3 FFT grid.
+  /// Stored length of one half spectrum: fft().half_volume() rounded up
+  /// to a multiple of kFreqChunk (the tail is zero).
+  std::size_t spectrum_len() const { return spectrum_len_; }
+
+  /// Index of each surface lattice point (i, j, k) in the n^3 corner
+  /// cube that Fft3d::forward_r2c reads and inverse_c2r writes:
+  /// (k*n + j)*n + i.
   const std::vector<int>& embed_index() const { return embed_; }
+
+  /// The FFT V-list flop model, shared by every evaluator and by
+  /// leaf_work_estimates: a diagonal MAC of 8 flops per stored
+  /// frequency per td x sd component for each (target, source) pair,
+  /// sdim r2c transforms per source box, tdim c2r transforms per
+  /// target box (Fft3d::real_transform_flops at corner extent n).
+  struct VliFlops {
+    std::uint64_t mac_per_pair;
+    std::uint64_t fwd_per_source;
+    std::uint64_t inv_per_target;
+  };
+  const VliFlops& vli_flops() const { return vli_flops_; }
 
   /// Level-scaled operator set. Thread-safe.
   LevelOps at(int level) const;
 
-  /// FFT M2L: the td*sd spectra for a given offset index, concatenated
-  /// component-major (component c = ti*sdim+si occupies
-  /// [c*fft_volume(), (c+1)*fft_volume())). Unscaled reference values;
-  /// multiply the *output* by LevelOps::m2l_scale. Thread-safe (lazy).
+  /// FFT M2L: the td*sd half spectra for a given offset index,
+  /// concatenated component-major (component c = ti*sdim+si occupies
+  /// [c*spectrum_len(), (c+1)*spectrum_len())). Unscaled reference
+  /// values; multiply the *output* by LevelOps::m2l_scale. Thread-safe
+  /// (lazy).
   std::span<const fft::Complex> m2l_spectra(int level, int off_index) const;
 
   /// Dense M2L matrix for an offset (ablation path). Thread-safe (lazy).
@@ -102,8 +132,10 @@ class Tables {
   std::size_t save_cache(const std::string& path) const;
 
   /// Loads a cache written by save_cache. Returns false — leaving the
-  /// in-memory cache untouched — if the file is missing, corrupt, or
-  /// belongs to a different kernel/geometry. Thread-safe.
+  /// in-memory cache untouched — if the file is missing, corrupt, in
+  /// an older layout, belongs to a different kernel/geometry, or holds
+  /// a spectrum entry that is not exactly td*sd*spectrum_len() values
+  /// under a legal V-list offset. Thread-safe.
   bool load_cache(const std::string& path);
 
  private:
@@ -135,6 +167,8 @@ class Tables {
   FmmOptions opts_;
   int m_, sdim_, tdim_;
   std::shared_ptr<fft::Fft3d> fft_;
+  std::size_t spectrum_len_ = 0;
+  VliFlops vli_flops_{};
   std::vector<int> embed_;
   std::shared_ptr<Cache> cache_;
 };

@@ -106,9 +106,12 @@ void GpuEvaluator::s2u_gpu() {
 }
 
 void GpuEvaluator::vli_gpu() {
-  const std::size_t vol = tables_.fft_volume();
+  const std::size_t sn = static_cast<std::size_t>(tables_.n());
+  const std::size_t len = tables_.spectrum_len();
+  const std::size_t hv = tables_.fft().half_volume();
   const auto& embed = tables_.embed_index();
   const int m = tables_.m();
+  const core::Tables::VliFlops& fl = tables_.vli_flops();
   const auto u = cpu_.u();
   auto checkpot = cpu_.checkpot_mutable();
 
@@ -118,14 +121,15 @@ void GpuEvaluator::vli_gpu() {
     max_level = std::max(max_level, static_cast<int>(n.key.level));
   }
 
-  std::vector<fft::Complex> work(vol);
+  std::vector<double> cube(sn * sn * sn);
+  std::vector<fft::Complex> half(hv);
   for (int level = min_level; level <= max_level; ++level) {
     // Collect targets and used sources at this level.
     std::vector<std::int32_t> targets;
     std::unordered_map<std::int32_t, std::int32_t> src_slot;
     std::unordered_map<int, std::int32_t> g_slot;
     VliBatch batch;
-    batch.vol = vol;
+    batch.vol = len;
     batch.target_offset.push_back(0);
 
     for (std::size_t i = 0; i < let_.nodes.size(); ++i) {
@@ -158,45 +162,48 @@ void GpuEvaluator::vli_gpu() {
           static_cast<std::int32_t>(batch.pair_src.size()));
     }
 
-    // CPU: forward FFTs of the used sources (paper: per-octant FFTs on
-    // the CPU), downconverted to single precision for the device.
-    batch.src_spectra.assign(src_slot.size() * vol, {0, 0});
+    // CPU: r2c transforms of the used sources (paper: per-octant FFTs
+    // on the CPU), downconverted to single precision for the device.
+    // The padded tail of every half spectrum stays zero.
+    batch.src_spectra.assign(src_slot.size() * len, {0, 0});
     for (const auto& [si, slot] : src_slot) {
-      std::fill(work.begin(), work.end(), fft::Complex(0, 0));
+      std::fill(cube.begin(), cube.end(), 0.0);
       const double* usrc = u.data() + std::size_t(si) * tables_.eq_len();
-      for (int k = 0; k < m; ++k) work[embed[k]] = usrc[k];
-      tables_.fft().forward(work);
-      ctx_.flops.add("eval.vli.host", tables_.fft().transform_flops());
-      for (std::size_t i = 0; i < vol; ++i)
-        batch.src_spectra[std::size_t(slot) * vol + i] =
-            std::complex<float>(static_cast<float>(work[i].real()),
-                                static_cast<float>(work[i].imag()));
+      for (int k = 0; k < m; ++k) cube[embed[k]] = usrc[k];
+      tables_.fft().forward_r2c(cube, sn, half);
+      ctx_.flops.add("eval.vli.host", fl.fwd_per_source);
+      for (std::size_t i = 0; i < hv; ++i)
+        batch.src_spectra[std::size_t(slot) * len + i] =
+            std::complex<float>(static_cast<float>(half[i].real()),
+                                static_cast<float>(half[i].imag()));
     }
-    batch.g_spectra.assign(g_slot.size() * vol, {0, 0});
+    batch.g_spectra.assign(g_slot.size() * len, {0, 0});
     for (const auto& [off, slot] : g_slot) {
       const auto gd = tables_.m2l_spectra(level, off);
-      for (std::size_t i = 0; i < vol; ++i)
-        batch.g_spectra[std::size_t(slot) * vol + i] =
+      for (std::size_t i = 0; i < len; ++i)
+        batch.g_spectra[std::size_t(slot) * len + i] =
             std::complex<float>(static_cast<float>(gd[i].real()),
                                 static_cast<float>(gd[i].imag()));
     }
 
+    // The device MAC (8 flops per stored frequency and pair) is the
+    // V-list flop model's per-pair term for this scalar kernel.
     std::uint64_t kflops = 0;
     const auto acc = run_vli_diag(dev_, batch, &kflops);
+    PKIFMM_CHECK(kflops == batch.pair_src.size() * fl.mac_per_pair);
     ctx_.flops.add("eval.vli", kflops);
 
-    // CPU: inverse FFT per target and surface extraction.
+    // CPU: c2r transform per target and surface extraction.
     const core::LevelOps ops = tables_.at(level);
     for (std::size_t t = 0; t < targets.size(); ++t) {
-      for (std::size_t i = 0; i < vol; ++i)
-        work[i] = fft::Complex(acc[t * vol + i].real(),
-                               acc[t * vol + i].imag());
-      tables_.fft().inverse(work);
-      ctx_.flops.add("eval.vli.host", tables_.fft().transform_flops());
+      for (std::size_t i = 0; i < hv; ++i)
+        half[i] = fft::Complex(acc[t * len + i].real(),
+                               acc[t * len + i].imag());
+      tables_.fft().inverse_c2r(half, sn, cube);
+      ctx_.flops.add("eval.vli.host", fl.inv_per_target);
       double* out =
           checkpot.data() + std::size_t(targets[t]) * tables_.check_len();
-      for (int k = 0; k < m; ++k)
-        out[k] += ops.m2l_scale * work[embed[k]].real();
+      for (int k = 0; k < m; ++k) out[k] += ops.m2l_scale * cube[embed[k]];
     }
   }
 }

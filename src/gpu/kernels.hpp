@@ -49,7 +49,7 @@ std::uint64_t run_d2t(StreamDevice& dev, const GpuLet& g,
 /// Diagonal V-list translation batch: per-target accumulation of
 /// pointwise products of source spectra with translation spectra.
 struct VliBatch {
-  std::size_t vol = 0;  ///< padded FFT volume (complex elements)
+  std::size_t vol = 0;  ///< stored half-spectrum length (complex values)
   std::vector<std::complex<float>> src_spectra;  ///< nsrc x vol
   std::vector<std::complex<float>> g_spectra;    ///< noffsets x vol
   /// CSR pair lists per target: pairs [target_offset[t], target_offset[t+1]).

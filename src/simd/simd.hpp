@@ -9,7 +9,7 @@
 /// compiled in its own translation unit with its own -m flags, selected
 /// ONCE at runtime from CPUID and exposed as a table of function
 /// pointers. Hot callers (kernels::Kernel::direct, la::gemm_acc_cols,
-/// fft::pointwise_mac_*, fft::Fft3d::line_fft) fetch the table via
+/// fft::pointwise_mac_*) fetch the table via
 /// ops() and stay agnostic of the lane width.
 ///
 /// Tier selection:

@@ -2,7 +2,9 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <unordered_map>
@@ -168,41 +170,51 @@ INSTANTIATE_TEST_SUITE_P(Kernels, OperatorTest,
                          ::testing::Values("laplace", "stokes", "yukawa"));
 
 TEST(Operators, FftM2LMatchesDenseM2L) {
-  // The diagonal (FFT) translation and the dense matrix must agree on
-  // the resulting check potentials for every tested offset.
+  // The diagonal (FFT) translation over the half spectrum and the dense
+  // matrix must agree on the resulting check potentials for every
+  // tested offset, on even (6, 8, 12) and odd (9) grids.
   kernels::LaplaceKernel kernel;
-  FmmOptions opts;
-  opts.surface_n = 4;
-  const Tables t(kernel, opts);
-  Rng rng(9);
-  std::vector<double> u(t.eq_len());
-  for (auto& v : u) v = rng.uniform(-1, 1);
+  for (int sn : {3, 4, 5, 6}) {
+    FmmOptions opts;
+    opts.surface_n = sn;
+    const Tables t(kernel, opts);
+    Rng rng(9);
+    std::vector<double> u(t.eq_len());
+    for (auto& v : u) v = rng.uniform(-1, 1);
 
-  const std::size_t vol = t.fft_volume();
-  const auto& embed = t.embed_index();
+    const std::size_t n = static_cast<std::size_t>(sn);
+    const std::size_t len = t.spectrum_len();
+    const std::size_t hv = t.fft().half_volume();
+    ASSERT_EQ(len % Tables::kFreqChunk, 0u);
+    ASSERT_GE(len, hv);
+    const auto& embed = t.embed_index();
 
-  for (auto [dx, dy, dz] : std::vector<std::array<int, 3>>{
-           {2, 0, 0}, {-2, 1, 0}, {3, -3, 3}, {0, 2, -1}, {-3, 0, 2}}) {
-    const int off = offset_index(dx, dy, dz);
-    // Dense path.
-    const la::Matrix& m = t.m2l_dense(0, off);
-    std::vector<double> dense_out(t.check_len(), 0.0);
-    la::gemv_acc(m, u, dense_out);
+    for (auto [dx, dy, dz] : std::vector<std::array<int, 3>>{
+             {2, 0, 0}, {-2, 1, 0}, {3, -3, 3}, {0, 2, -1}, {-3, 0, 2}}) {
+      const int off = offset_index(dx, dy, dz);
+      // Dense path.
+      const la::Matrix& m = t.m2l_dense(0, off);
+      std::vector<double> dense_out(t.check_len(), 0.0);
+      la::gemv_acc(m, u, dense_out);
 
-    // FFT path.
-    std::vector<fft::Complex> spec(vol, fft::Complex(0, 0));
-    for (int k = 0; k < t.m(); ++k) spec[embed[k]] = u[k];
-    t.fft().forward(spec);
-    std::vector<fft::Complex> acc(vol, fft::Complex(0, 0));
-    fft::pointwise_mac(t.m2l_spectra(0, off), spec, acc);
-    t.fft().inverse(acc);
-    std::vector<double> fft_out(t.check_len());
-    // Offset sign convention: dense matrix maps source at origin to
-    // target at offset; spectra encode the same displacement.
-    for (int k = 0; k < t.m(); ++k) fft_out[k] = acc[embed[k]].real();
+      // FFT path: embed -> r2c -> MAC over the stored length -> c2r.
+      std::vector<double> cube(n * n * n, 0.0);
+      for (int k = 0; k < t.m(); ++k) cube[embed[k]] = u[k];
+      std::vector<fft::Complex> spec(len, fft::Complex(0, 0));
+      t.fft().forward_r2c(cube, n, std::span<fft::Complex>(spec.data(), hv));
+      std::vector<fft::Complex> acc(len, fft::Complex(0, 0));
+      const auto g = t.m2l_spectra(0, off);
+      ASSERT_EQ(g.size(), len);
+      fft::pointwise_mac(g, spec, acc);
+      t.fft().inverse_c2r(std::span<fft::Complex>(acc.data(), hv), n, cube);
+      std::vector<double> fft_out(t.check_len());
+      // Offset sign convention: dense matrix maps source at origin to
+      // target at offset; spectra encode the same displacement.
+      for (int k = 0; k < t.m(); ++k) fft_out[k] = cube[embed[k]];
 
-    EXPECT_LT(rel_l2_error(fft_out, dense_out), 1e-10)
-        << "offset " << dx << "," << dy << "," << dz;
+      EXPECT_LT(rel_l2_error(fft_out, dense_out), 1e-10)
+          << "n=" << sn << " offset " << dx << "," << dy << "," << dz;
+    }
   }
 }
 
@@ -468,10 +480,11 @@ TEST(Fmm, NoLoadBalanceStillCorrect) {
 }
 
 TEST(Fmm, HigherOrderIsMoreAccurate) {
-  // Sweep surface_n and verify the error drops monotonically.
+  // Sweep surface_n over even and odd orders (FFT grids 6, 8, 9, 12,
+  // 16, 16) and verify the error drops monotonically.
   kernels::LaplaceKernel kernel;
   std::vector<double> errs;
-  for (int n : {4, 6, 8}) {
+  for (int n : {3, 4, 5, 6, 7, 8}) {
     FmmOptions opts;
     opts.surface_n = n;
     opts.max_points_per_leaf = 40;
@@ -493,9 +506,9 @@ TEST(Fmm, HigherOrderIsMoreAccurate) {
       errs.push_back(rel_l2_error(approx, exact));
     });
   }
-  EXPECT_LT(errs[1], errs[0]);
-  EXPECT_LT(errs[2], errs[1]);
-  EXPECT_LT(errs[2], 1e-5);
+  for (std::size_t i = 1; i < errs.size(); ++i)
+    EXPECT_LT(errs[i], errs[i - 1]) << "surface_n " << i + 3;
+  EXPECT_LT(errs.back(), 1e-5);
 }
 
 TEST(Fmm, RepeatedEvaluationWithNewDensities) {
@@ -750,6 +763,62 @@ TEST(TablesCache, MissingOrCorruptFileReturnsFalse) {
     os << "not a table cache at all";
   }
   EXPECT_FALSE(t.load_cache(path));
+}
+
+TEST(TablesCache, ShortSpectrumReturnsFalse) {
+  // A spectrum entry must hold exactly td*sd*spectrum_len() values
+  // under a legal V-list offset: a short one used to load and hand the
+  // MAC sweep a truncated operator to read past.
+  kernels::LaplaceKernel kernel;
+  FmmOptions opts;
+  opts.surface_n = 4;
+  const Tables a(kernel, opts);
+  (void)a.m2l_spectra(0, offset_index(2, -1, 0));
+  const std::string path = ::testing::TempDir() + "/pkifmm_tables4.bin";
+  a.save_cache(path);
+  std::string bytes;
+  {
+    std::ifstream is(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  // The only spectrum entry is the file's tail: level, offset, count,
+  // then count complex values (Laplace: td = sd = 1).
+  const std::uint64_t count = a.spectrum_len();
+  const std::size_t count_at =
+      bytes.size() - count * sizeof(fft::Complex) - sizeof(std::uint64_t);
+  const std::size_t off_at = count_at - sizeof(std::int32_t);
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + count_at, sizeof stored);
+  ASSERT_EQ(stored, count);
+
+  auto load_variant = [&](const std::string& variant) {
+    const std::string vpath = ::testing::TempDir() + "/pkifmm_tables5.bin";
+    {
+      std::ofstream os(vpath, std::ios::binary | std::ios::trunc);
+      os.write(variant.data(), std::streamsize(variant.size()));
+    }
+    Tables b(kernel, opts);
+    return b.load_cache(vpath);
+  };
+  EXPECT_TRUE(load_variant(bytes));
+
+  std::string shortened = bytes;
+  const std::uint64_t short_count = count - 1;
+  std::memcpy(shortened.data() + count_at, &short_count, sizeof short_count);
+  shortened.resize(shortened.size() - sizeof(fft::Complex));
+  EXPECT_FALSE(load_variant(shortened));
+
+  // A full-length entry under a non-V-list (adjacent) offset.
+  std::string misplaced = bytes;
+  const std::int32_t adjacent = offset_index(1, 0, 0);
+  std::memcpy(misplaced.data() + off_at, &adjacent, sizeof adjacent);
+  EXPECT_FALSE(load_variant(misplaced));
+
+  // A file in the previous full-volume format ("pkifmmTB" magic).
+  std::string old_format = bytes;
+  const std::uint64_t old_magic = 0x706b69666d6d5442ull;
+  std::memcpy(old_format.data(), &old_magic, sizeof old_magic);
+  EXPECT_FALSE(load_variant(old_format));
 }
 
 TEST(Fmm, FlopAndTimePhasesAreRecorded) {

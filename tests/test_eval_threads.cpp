@@ -36,12 +36,13 @@ struct Case {
   bool runtime_pool;  ///< provide the pool via Runtime::run overload
   M2lMode m2l = M2lMode::kFft;
   ExecMode exec = ExecMode::kBulkSync;
+  int surface_n = 4;
 };
 
 ThreadRun run_with_threads(const Case& c, int p, int threads) {
   auto kernel = kernels::make_kernel(c.kernel);
   FmmOptions opts;
-  opts.surface_n = 4;
+  opts.surface_n = c.surface_n;
   opts.max_points_per_leaf = 20;
   opts.eval_mode = c.mode;
   opts.m2l = c.m2l;
@@ -195,13 +196,21 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false},
         Case{"laplace", Distribution::kEllipsoid, EvalMode::kBatched, false,
              M2lMode::kDense},
-        Case{"yukawa", Distribution::kUniform, EvalMode::kBatched, true}),
+        Case{"yukawa", Distribution::kUniform, EvalMode::kBatched, true},
+        // Other orders: FFT grids 6 (n=3), 9 (n=5) and 16 (n=7).
+        Case{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false,
+             M2lMode::kFft, ExecMode::kBulkSync, 3},
+        Case{"laplace", Distribution::kUniform, EvalMode::kBatched, false,
+             M2lMode::kFft, ExecMode::kBulkSync, 5},
+        Case{"laplace", Distribution::kEllipsoid, EvalMode::kBatched, false,
+             M2lMode::kFft, ExecMode::kBulkSync, 7}),
     [](const ::testing::TestParamInfo<Case>& info) {
       const Case& c = info.param;
       std::string name = c.kernel;
       name += c.dist == Distribution::kUniform ? "Uniform" : "Ellipsoid";
       name += c.m2l == M2lMode::kFft ? "Fft" : "Dense";
       if (c.runtime_pool) name += "RuntimePool";
+      if (c.surface_n != 4) name += "N" + std::to_string(c.surface_n);
       return name;
     });
 
@@ -247,13 +256,16 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"laplace", Distribution::kUniform, EvalMode::kBatched, false},
         Case{"laplace", Distribution::kEllipsoid, EvalMode::kScalar, false},
         Case{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false},
-        Case{"yukawa", Distribution::kUniform, EvalMode::kBatched, true}),
+        Case{"yukawa", Distribution::kUniform, EvalMode::kBatched, true},
+        Case{"laplace", Distribution::kEllipsoid, EvalMode::kBatched, false,
+             M2lMode::kFft, ExecMode::kBulkSync, 5}),
     [](const ::testing::TestParamInfo<Case>& info) {
       const Case& c = info.param;
       std::string name = c.kernel;
       name += c.dist == Distribution::kUniform ? "Uniform" : "Ellipsoid";
       name += c.mode == EvalMode::kBatched ? "Batched" : "Scalar";
       if (c.runtime_pool) name += "RuntimePool";
+      if (c.surface_n != 4) name += "N" + std::to_string(c.surface_n);
       return name;
     });
 

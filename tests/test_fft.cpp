@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "fft/fft.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace pkifmm::fft {
@@ -164,28 +165,37 @@ TEST(Fft3d, CircularConvolutionViaFrequencyProduct) {
   EXPECT_LT(max_err(prod, direct), 1e-10);
 }
 
-TEST(NextPow2, Values) {
-  EXPECT_EQ(next_pow2(1), 1u);
-  EXPECT_EQ(next_pow2(7), 8u);
-  EXPECT_EQ(next_pow2(8), 8u);
-  EXPECT_EQ(next_pow2(11), 16u);
-  EXPECT_EQ(next_pow2(15), 16u);
+TEST(FftSmoothSize, Values) {
+  EXPECT_EQ(smooth_size(0), 1u);
+  EXPECT_EQ(smooth_size(1), 1u);
+  EXPECT_EQ(smooth_size(5), 6u);
+  EXPECT_EQ(smooth_size(7), 8u);
+  EXPECT_EQ(smooth_size(8), 8u);
+  EXPECT_EQ(smooth_size(9), 9u);
+  EXPECT_EQ(smooth_size(11), 12u);
+  EXPECT_EQ(smooth_size(13), 16u);
+  EXPECT_EQ(smooth_size(15), 16u);
+  EXPECT_EQ(smooth_size(17), 18u);
+  EXPECT_EQ(smooth_size(25), 27u);
+  EXPECT_EQ(smooth_size(100), 108u);
 }
 
-TEST(NextPow2, LargestPowerOfTwoIsFixpoint) {
+TEST(FftSmoothSize, LargestPowerOfTwoIsFixpoint) {
   constexpr std::size_t kMaxPow2 =
       std::numeric_limits<std::size_t>::max() / 2 + 1;
-  EXPECT_EQ(next_pow2(kMaxPow2), kMaxPow2);
-  EXPECT_EQ(next_pow2(kMaxPow2 - 1), kMaxPow2);
+  EXPECT_EQ(smooth_size(kMaxPow2), kMaxPow2);
+  // 2^63 - 1 has prime factors above 3, and no 2^a 3^b lies between.
+  EXPECT_EQ(smooth_size(kMaxPow2 - 1), kMaxPow2);
 }
 
-TEST(NextPow2, RejectsUnrepresentableRequest) {
-  // Above the top power of two the doubling loop used to overflow p to
-  // zero and spin forever; it must throw instead.
+TEST(FftSmoothSize, RejectsUnrepresentableRequest) {
+  // Above the top power of two the search could overflow; it must
+  // throw instead of wrapping around.
   constexpr std::size_t kMaxPow2 =
       std::numeric_limits<std::size_t>::max() / 2 + 1;
-  EXPECT_ANY_THROW(next_pow2(kMaxPow2 + 1));
-  EXPECT_ANY_THROW(next_pow2(std::numeric_limits<std::size_t>::max()));
+  EXPECT_THROW(smooth_size(kMaxPow2 + 1), CheckFailure);
+  EXPECT_THROW(smooth_size(std::numeric_limits<std::size_t>::max()),
+               CheckFailure);
 }
 
 TEST(PointwiseMac, Accumulates) {
@@ -195,62 +205,6 @@ TEST(PointwiseMac, Accumulates) {
   pointwise_mac(g, f, acc);
   EXPECT_EQ(acc[0], Complex(1, 0) + Complex(1, 1) * Complex(0, 1));
   EXPECT_EQ(acc[1], Complex(6, 0));
-}
-
-TEST(PointwiseMacMany, MatchesRepeatedPointwiseMac) {
-  const std::size_t n = 64, npairs = 5;
-  const auto g = random_signal(n, 201);
-  std::vector<std::vector<Complex>> fs, accs, ref;
-  for (std::size_t p = 0; p < npairs; ++p) {
-    fs.push_back(random_signal(n, 300 + p));
-    accs.push_back(random_signal(n, 400 + p));
-    ref.push_back(accs.back());
-    pointwise_mac(g, fs.back(), ref.back());
-  }
-  std::vector<const Complex*> fptr;
-  std::vector<Complex*> aptr;
-  for (std::size_t p = 0; p < npairs; ++p) {
-    fptr.push_back(fs[p].data());
-    aptr.push_back(accs[p].data());
-  }
-  pointwise_mac_many(g, fptr, aptr);
-  for (std::size_t p = 0; p < npairs; ++p)
-    EXPECT_LT(max_err(accs[p], ref[p]), 1e-14) << "pair " << p;
-}
-
-TEST(PointwiseMacMany, WindowTouchesOnlyRange) {
-  const std::size_t n = 32;
-  const auto g = random_signal(n, 210);
-  auto f = random_signal(n, 211);
-  auto acc = random_signal(n, 212);
-  const auto before = acc;
-  const Complex* fp = f.data();
-  Complex* ap = acc.data();
-  const std::size_t begin = 8, end = 24;
-  pointwise_mac_many(g, {&fp, 1}, {&ap, 1}, begin, end);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Complex want = (i >= begin && i < end)
-                             ? before[i] + g[i] * f[i]
-                             : before[i];
-    EXPECT_LT(std::abs(acc[i] - want), 1e-14) << i;
-  }
-}
-
-TEST(PointwiseMacMany, RejectsWindowPastSpectrum) {
-  // The old code clamped end to g.size(), silently truncating the
-  // product; an out-of-range window is a caller bug and must throw.
-  const std::size_t n = 16;
-  const auto g = random_signal(n, 230);
-  auto f = random_signal(n, 231);
-  auto acc = random_signal(n, 232);
-  const Complex* fp = f.data();
-  Complex* ap = acc.data();
-  EXPECT_ANY_THROW(pointwise_mac_many(g, {&fp, 1}, {&ap, 1}, 0, n + 1));
-  EXPECT_ANY_THROW(pointwise_mac_many(g, {&fp, 1}, {&ap, 1}, 8, 4));
-  // In-range windows (including empty and the npos default) are fine.
-  EXPECT_NO_THROW(pointwise_mac_many(g, {&fp, 1}, {&ap, 1}, 4, 4));
-  EXPECT_NO_THROW(pointwise_mac_many(g, {&fp, 1}, {&ap, 1}, 0, n));
-  EXPECT_NO_THROW(pointwise_mac_many(g, {&fp, 1}, {&ap, 1}));
 }
 
 TEST(PointwiseMacChunked, MatchesPerEntryMac) {
@@ -270,6 +224,172 @@ TEST(PointwiseMacChunked, MatchesPerEntryMac) {
           g[i] * f[std::size_t(fidx[e]) * c + i];
   pointwise_mac_chunked(g.data(), c, f.data(), acc.data(), fidx, aidx);
   EXPECT_LT(max_err(acc, ref), 1e-14);
+}
+
+/// Reference 3-D DFT: the O(n) 1-D DFT along each axis in turn.
+std::vector<Complex> dft3(std::span<const Complex> v, std::size_t n,
+                          bool inverse) {
+  std::vector<Complex> out(v.begin(), v.end()), line(n);
+  const std::size_t stride[3] = {1, n, n * n};
+  for (int axis = 0; axis < 3; ++axis) {
+    const std::size_t st = stride[axis];
+    for (std::size_t base = 0; base < n * n * n; ++base) {
+      if ((base / st) % n != 0) continue;  // visit each line once
+      for (std::size_t t = 0; t < n; ++t) line[t] = out[base + t * st];
+      const auto f = dft(line, inverse);
+      for (std::size_t t = 0; t < n; ++t) out[base + t * st] = f[t];
+    }
+  }
+  return out;
+}
+
+std::vector<double> random_real(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.uniform(-1, 1);
+  return v;
+}
+
+/// The s^3 corner cube embedded in a zeroed n^3 complex volume.
+std::vector<Complex> embed_corner(std::span<const double> cube,
+                                  std::size_t s, std::size_t n) {
+  std::vector<Complex> vol(n * n * n, Complex(0, 0));
+  for (std::size_t z = 0; z < s; ++z)
+    for (std::size_t y = 0; y < s; ++y)
+      for (std::size_t x = 0; x < s; ++x)
+        vol[(z * n + y) * n + x] = cube[(z * s + y) * s + x];
+  return vol;
+}
+
+TEST(Fft3d, RejectsPrimeFactorAboveThree) {
+  for (std::size_t n : {0u, 5u, 7u, 10u, 14u, 15u, 22u})
+    EXPECT_THROW(Fft3d plan(n), CheckFailure) << "n=" << n;
+  for (std::size_t n : {1u, 2u, 3u, 6u, 9u, 12u, 18u})
+    EXPECT_NO_THROW(Fft3d plan(n)) << "n=" << n;
+}
+
+TEST(Fft3d, MixedRadixMatchesReferenceDft) {
+  for (std::size_t n : {3u, 6u, 9u, 12u}) {
+    Fft3d plan(n);
+    const auto v = random_signal(plan.volume(), 30 + n);
+    auto f = v;
+    plan.forward(f);
+    EXPECT_LT(max_err(f, dft3(v, n, false)), 1e-10) << "n=" << n;
+    auto b = v;
+    plan.inverse(b);
+    EXPECT_LT(max_err(b, dft3(v, n, true)), 1e-12) << "n=" << n;
+  }
+}
+
+TEST(Fft3dReal, ForwardMatchesComplexTransform) {
+  for (std::size_t n : {6u, 8u, 9u, 12u, 16u})
+    for (std::size_t s : {n / 2, n}) {
+      Fft3d plan(n);
+      const std::size_t hn = n / 2 + 1;
+      const auto cube = random_real(s * s * s, 40 + n + s);
+      std::vector<Complex> half(plan.half_volume());
+      plan.forward_r2c(cube, s, half);
+      auto full = embed_corner(cube, s, n);
+      plan.forward(full);
+      double err = 0.0;
+      for (std::size_t kz = 0; kz < n; ++kz)
+        for (std::size_t ky = 0; ky < n; ++ky)
+          for (std::size_t kx = 0; kx < hn; ++kx)
+            err = std::max(err, std::abs(half[(kz * n + ky) * hn + kx] -
+                                         full[(kz * n + ky) * n + kx]));
+      EXPECT_LT(err, 1e-11) << "n=" << n << " s=" << s;
+    }
+}
+
+TEST(Fft3dReal, InverseMatchesComplexTransform) {
+  // c2r of a Hermitian half spectrum is the real part of the complex
+  // inverse of its full spectrum, restricted to the corner.
+  for (std::size_t n : {6u, 8u, 9u, 12u, 16u})
+    for (std::size_t s : {n / 2, n}) {
+      Fft3d plan(n);
+      const std::size_t hn = n / 2 + 1;
+      auto full = embed_corner(random_real(n * n * n, 50 + n), n, n);
+      plan.forward(full);
+      std::vector<Complex> half(plan.half_volume());
+      for (std::size_t kz = 0; kz < n; ++kz)
+        for (std::size_t ky = 0; ky < n; ++ky)
+          for (std::size_t kx = 0; kx < hn; ++kx)
+            half[(kz * n + ky) * hn + kx] = full[(kz * n + ky) * n + kx];
+      std::vector<double> cube(s * s * s);
+      plan.inverse_c2r(half, s, cube);
+      plan.inverse(full);
+      double err = 0.0;
+      for (std::size_t z = 0; z < s; ++z)
+        for (std::size_t y = 0; y < s; ++y)
+          for (std::size_t x = 0; x < s; ++x)
+            err = std::max(err, std::abs(cube[(z * s + y) * s + x] -
+                                         full[(z * n + y) * n + x].real()));
+      EXPECT_LT(err, 1e-12) << "n=" << n << " s=" << s;
+    }
+}
+
+TEST(Fft3dReal, RoundTripIsIdentity) {
+  for (std::size_t n : {6u, 8u, 9u, 12u, 16u}) {
+    Fft3d plan(n);
+    const std::size_t s = (n + 1) / 2;
+    const auto cube = random_real(s * s * s, 60 + n);
+    std::vector<Complex> half(plan.half_volume());
+    plan.forward_r2c(cube, s, half);
+    std::vector<double> back(cube.size());
+    plan.inverse_c2r(half, s, back);
+    double err = 0.0;
+    for (std::size_t i = 0; i < cube.size(); ++i)
+      err = std::max(err, std::abs(back[i] - cube[i]));
+    EXPECT_LT(err, 1e-13) << "n=" << n;
+  }
+}
+
+TEST(Fft3dReal, CircularConvolutionViaHalfSpectrumProduct) {
+  // The V-list's use: f on an s^3 corner, g on the whole grid; the
+  // half-spectrum product's c2r is their circular convolution.
+  for (std::size_t n : {6u, 9u}) {
+    Fft3d plan(n);
+    const std::size_t s = 3;
+    const auto f = random_real(s * s * s, 70 + n);
+    const auto g = random_real(n * n * n, 80 + n);
+    std::vector<double> direct(s * s * s, 0.0);
+    for (std::size_t az = 0; az < s; ++az)
+      for (std::size_t ay = 0; ay < s; ++ay)
+        for (std::size_t ax = 0; ax < s; ++ax)
+          for (std::size_t bz = 0; bz < s; ++bz)
+            for (std::size_t by = 0; by < s; ++by)
+              for (std::size_t bx = 0; bx < s; ++bx)
+                direct[(az * s + ay) * s + ax] +=
+                    f[(bz * s + by) * s + bx] *
+                    g[(((az - bz + n) % n) * n + (ay - by + n) % n) * n +
+                      (ax - bx + n) % n];
+
+    std::vector<Complex> fh(plan.half_volume()), gh(plan.half_volume()),
+        prod(plan.half_volume(), Complex(0, 0));
+    plan.forward_r2c(f, s, fh);
+    plan.forward_r2c(g, n, gh);
+    pointwise_mac(gh, fh, prod);
+    std::vector<double> conv(s * s * s);
+    plan.inverse_c2r(prod, s, conv);
+    double err = 0.0;
+    for (std::size_t i = 0; i < conv.size(); ++i)
+      err = std::max(err, std::abs(conv[i] - direct[i]));
+    EXPECT_LT(err, 1e-12) << "n=" << n;
+  }
+}
+
+TEST(Fft3dReal, FlopModel) {
+  // Power-of-two lines keep the 5 n log2 n count; radix 3 adds 28 n/3.
+  EXPECT_EQ(Fft3d(8).line_flops(), 5u * 8 * 3);
+  EXPECT_EQ(Fft3d(16).line_flops(), 5u * 16 * 4);
+  EXPECT_EQ(Fft3d(12).line_flops(), 5u * 12 * 2 + 28u * 4);
+  EXPECT_EQ(Fft3d(9).line_flops(), 2u * 28 * 3);
+  // n = 12 at the V-list extent 6: 18 paired x-lines, 6*7 y-lines and
+  // 12*7 z-lines, against 3*144 lines for a complex transform.
+  const Fft3d plan(12);
+  EXPECT_EQ(plan.real_transform_flops(6), (18u + 42 + 84) * 232);
+  EXPECT_EQ(plan.transform_flops(), 3u * 144 * 232);
+  EXPECT_EQ(plan.half_volume(), 12u * 12 * 7);
 }
 
 TEST(Fft3d, TransformFlopsPositiveAndScales) {

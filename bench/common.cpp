@@ -31,8 +31,6 @@ struct MetricsLog {
   int run_index = 0;
   bool flow_trace = false;  ///< --flow-trace: obs/flow.hpp tracing
   int flow_capacity = 0;    ///< --flow-capacity (0 = library default)
-  bool exec_dag = false;       ///< --exec-mode=dag: TaskGraph pipeline
-  bool exec_mode_set = false;  ///< --exec-mode was given explicitly
   bool health = false;         ///< --health: FmmOptions::health layer
   bool health_rate_set = false;   ///< --health-sample-rate was given
   double health_rate = 0.0;       ///< its value when set
@@ -80,15 +78,9 @@ void flush_metrics() try {
                   log.summary_path.c_str(), log.summary_runs.size());
     }
     if (!log.history_path.empty()) {
-      // DAG runs record under a distinct bench key: pkifmm_trend
-      // groups its trajectories by the record's "bench" string, so the
-      // "+dag" suffix keeps the two scheduling modes from being
-      // trend-gated against each other's history.
-      const std::string hist_bench =
-          log.exec_dag ? log.bench + "+dag" : log.bench;
       obs::append_run_record(
           log.history_path,
-          obs::run_record_from_summary(summary, hist_bench, log.git_sha,
+          obs::run_record_from_summary(summary, log.bench, log.git_sha,
                                        log.first_config));
       std::printf("[metrics] appended run record to %s (sha %s)\n",
                   log.history_path.c_str(), log.git_sha.c_str());
@@ -138,16 +130,6 @@ void metrics_init(const Cli& cli, const std::string& bench_name) {
   log.git_sha = sha.empty() ? "unknown" : sha;
   log.flow_trace = cli.has("flow-trace");
   log.flow_capacity = cli.get_int("flow-capacity", 0);
-  const std::string exec = cli.get("exec-mode", "");
-  if (!exec.empty()) {
-    if (exec != "bulk" && exec != "dag") {
-      std::fprintf(stderr, "%s: --exec-mode must be bulk|dag, got '%s'\n",
-                   bench_name.c_str(), exec.c_str());
-      std::exit(2);
-    }
-    log.exec_mode_set = true;
-    log.exec_dag = exec == "dag";
-  }
   log.health = cli.has("health");
   const std::string rate = cli.get("health-sample-rate", "");
   if (!rate.empty()) {
@@ -170,9 +152,6 @@ void apply_flow_flags(core::FmmOptions& opts) {
   const MetricsLog& log = metrics_log();
   if (log.flow_trace) opts.flow_trace = true;
   if (log.flow_capacity > 0) opts.flow_capacity = log.flow_capacity;
-  if (log.exec_mode_set)
-    opts.exec_mode = log.exec_dag ? core::ExecMode::kDag
-                                  : core::ExecMode::kBulkSync;
   if (log.health) opts.health = true;
   if (log.health_rate_set) opts.health_sample_rate = log.health_rate;
 }
@@ -196,14 +175,6 @@ void record_run(const std::string& kind, const ExperimentConfig& cfg,
   config.set("surface_n", std::int64_t{cfg.opts.surface_n});
   config.set("max_points_per_leaf",
              std::int64_t{cfg.opts.max_points_per_leaf});
-  // The scheduling mode is part of the run's identity: trend tooling
-  // must never regress-compare a DAG run against bulk-sync history.
-  // run_fmm applies --exec-mode to a COPY of cfg.opts, so the log flag
-  // (when given) is the authoritative source, not cfg.opts.exec_mode.
-  const bool dag = log.exec_mode_set
-                       ? log.exec_dag
-                       : cfg.opts.exec_mode == core::ExecMode::kDag;
-  config.set("exec_mode", dag ? "dag" : "bulk");
   // Health runs carry different work (sampling direct sums) and an
   // extra run.v1 field — stamp the config so report/trend tooling can
   // tell health-on and health-off runs apart.

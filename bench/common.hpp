@@ -108,21 +108,16 @@ Experiment run_fmm(const ExperimentConfig& cfg, const std::string& kernel);
 /// compares against a checked-in BENCH_baseline.json and what the
 /// history record condenses for `tools/pkifmm_trend`.
 /// Also parses `--flow-trace` / `--flow-capacity=<events>`
-/// (obs/flow.hpp message-flow tracing, off by default) and
-/// `--exec-mode=bulk|dag` (FmmOptions::exec_mode — bulk-synchronous
-/// reference vs util::TaskGraph data-driven execution); apply_flow_flags
+/// (obs/flow.hpp message-flow tracing, off by default); apply_flow_flags
 /// copies them onto an FmmOptions, and run_fmm / run_gpu_fmm apply them
-/// automatically. Recorded runs carry `config.exec_mode`, and history
-/// records from a `--exec-mode=dag` process append under the bench name
-/// `<bench>+dag` so pkifmm_trend keeps the two modes' trajectories (and
-/// regression gates) separate.
+/// automatically.
 /// Also parses `--health` / `--health-sample-rate=<frac in [0,1]>`
 /// (FmmOptions::health numerical-health layer, DESIGN.md §5g): health
 /// runs carry `config.health` (+ rate) and an extra `health` object in
 /// their run.v1 history records.
 void metrics_init(const Cli& cli, const std::string& bench_name);
 
-/// Copies the --flow-trace / --flow-capacity / --exec-mode /
+/// Copies the --flow-trace / --flow-capacity /
 /// --health / --health-sample-rate flags captured by metrics_init onto
 /// `opts`. Benches that drive comm::Runtime directly (instead of via
 /// run_fmm) call this on their own FmmOptions.

@@ -274,12 +274,12 @@ void BM_GemmBatchParallel(benchmark::State& state) {
 }
 
 void BM_DagGraphThroughput(benchmark::State& state) {
-  // Pure scheduling overhead of the DAG executor: a layered graph of
+  // Pure scheduling overhead of util::TaskGraph: a layered graph of
   // EMPTY nodes (kLayers x kWidth, fan-in 2 per node), rebuilt and
   // drained every iteration. Per-node cost = graph construction +
   // dependency counting + ready-enqueue + pool dispatch, with zero
-  // useful work to hide behind — the upper bound on what kDag can cost
-  // over kBulkSync per scheduled chunk.
+  // useful work to hide behind — the upper bound on what a graph
+  // schedule adds over parallel_for per scheduled chunk.
   const int workers = static_cast<int>(state.range(0));
   util::TaskPool pool(workers);
   constexpr int kLayers = 32;

@@ -12,10 +12,7 @@
 /// columns stay roughly constant — the same arithmetic runs, spread
 /// over workers — which is itself a useful sanity check. `--clamp=0`
 /// bypasses the oversubscription guard (for measuring on boxes whose
-/// core count is below p * K). `--exec-mode=dag` runs the evaluation
-/// as one dependency-counted task graph (DESIGN.md "DAG executor") —
-/// with identical outputs, so the wall-clock delta against the default
-/// bulk-synchronous mode is the scheduling win itself.
+/// core count is below p * K).
 ///
 /// `--health` enables the numerical-health layer (DESIGN.md §5g);
 /// `--health-overhead-check` measures its cost: the bench runs the
@@ -147,9 +144,8 @@ int main(int argc, char** argv) {
   cfg.opts = opts;
   record_run("fmm", cfg, "laplace", r.reports, comm::CostModel{});
 
-  std::printf("threads per rank: %d (clamp %s) | exec mode: %s\n\n", threads,
-              clamp ? "on" : "off",
-              opts.exec_mode == core::ExecMode::kDag ? "dag" : "bulk");
+  std::printf("threads per rank: %d (clamp %s)\n\n", threads,
+              clamp ? "on" : "off");
   Table table({"phase", "max cpu (s)", "avg cpu (s)", "max wall (s)",
                "peak RSS (MiB)"});
   const auto mib = [](double b) { return fixed(b / (1024.0 * 1024.0), 1); };

@@ -7,9 +7,7 @@
 /// Upward, Comm, U-list, V-list, W-list, X-list, Downward, Comp, each
 /// with Max./Avg. wall time and Max./Avg. flops; plus setup and sort
 /// times in the caption. Here the same table is produced at simulator
-/// scale (default p = 16, 1500 points/rank). `--exec-mode=dag` runs the
-/// pipeline as one dependency-counted task graph (identical numbers in
-/// the flops columns, by the bitwise-parity contract).
+/// scale (default p = 16, 1500 points/rank).
 
 #include <cstdio>
 

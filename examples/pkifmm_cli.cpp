@@ -2,9 +2,11 @@
 /// \brief Command-line driver exposing the full pkifmm configuration
 /// surface — the entry point a downstream user scripts against.
 ///
-///   ./pkifmm_cli --n=50000 --kernel=stokes --dist=nonuniform \
-///                --ranks=8 --q=60 --accuracy=4 --reduce=hypercube \
+///   ./pkifmm_cli --n=50000 --kernel=stokes --dist=nonuniform
+///                --ranks=8 --q=60 --accuracy=4 --reduce=hypercube
 ///                --m2l=fft --balance21 --gradient --check=100
+///
+/// (one command line, wrapped here).
 ///
 /// Prints tree statistics, the per-phase Max/Avg breakdown (Table II
 /// layout), and an optional accuracy check against direct summation on

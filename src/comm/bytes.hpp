@@ -56,7 +56,8 @@ class Reader {
     const auto n = read<std::uint64_t>();
     PKIFMM_CHECK_MSG(pos_ + n * sizeof(T) <= data_.size(), "payload underrun");
     std::vector<T> v(n);
-    std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (n > 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }
@@ -73,7 +74,7 @@ class Reader {
 template <Pod T>
 Bytes to_bytes(std::span<const T> v) {
   Bytes out(v.size() * sizeof(T));
-  std::memcpy(out.data(), v.data(), out.size());
+  if (!out.empty()) std::memcpy(out.data(), v.data(), out.size());
   return out;
 }
 
@@ -82,7 +83,7 @@ template <Pod T>
 std::vector<T> from_bytes(std::span<const std::byte> b) {
   PKIFMM_CHECK(b.size() % sizeof(T) == 0);
   std::vector<T> v(b.size() / sizeof(T));
-  std::memcpy(v.data(), b.data(), b.size());
+  if (!v.empty()) std::memcpy(v.data(), b.data(), b.size());
   return v;
 }
 

@@ -1,9 +1,7 @@
 #include "core/evaluator.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <numeric>
 #include <tuple>
@@ -125,14 +123,23 @@ std::span<const double> Evaluator::box_surf(double radius_scale, const Key& k,
   return out;
 }
 
-void Evaluator::gemm_batched(const la::Matrix& m, std::size_t ncols,
-                             double scale, const char* phase) {
+void Evaluator::gemm_batched(const la::Matrix& m, double scale,
+                             std::span<const double> src,
+                             std::span<const std::int32_t> in,
+                             std::span<double> dst,
+                             std::span<const std::int32_t> out,
+                             const char* phase) {
+  const std::size_t ncols = in.size();
+  batch_in_.resize(m.cols() * ncols);
+  la::gather_columns(src, in, m.cols(), batch_in_);
+  batch_out_.assign(m.rows() * ncols, 0.0);
   pool_->parallel_for(
       ncols, kColGrain,
       [&](std::size_t c0, std::size_t c1, int) {
         la::gemm_acc_cols(m, batch_in_, batch_out_, ncols, c0, c1, scale);
       },
       phase);
+  la::scatter_columns_acc(batch_out_, out, m.rows(), dst);
   ctx_.flops.add(phase, la::gemm_flops(m, ncols));
 }
 
@@ -148,13 +155,6 @@ int Evaluator::pair_offset_index(const LetNode& tnode,
 }
 
 void Evaluator::run() {
-  // Data-driven execution replaces the whole bulk-synchronous pipeline
-  // below (scalar mode has no chunk decomposition to schedule, so it
-  // always runs bulk-synchronously).
-  if (tables_.options().exec_mode == ExecMode::kDag && batched()) {
-    run_dag();
-    return;
-  }
   // ULI ‖ {S2U, U2U, comm, VLI, XLI, down, WLI, D2T}: the direct
   // interactions depend on nothing upstream, so they start now and the
   // workers execute them whenever no far-field chunk is runnable —
@@ -201,600 +201,6 @@ void Evaluator::run() {
   health_post_run();
   pool_->fold_stats(ctx_.rec);
   publish_mem_gauges();
-}
-
-/// The DAG executor. Same arithmetic as the bulk-synchronous batched
-/// engine — every task below is exactly one of its chunks (per-leaf
-/// kernel chunks, GEMM column windows, frequency-chunk MACs, FFT slot
-/// chunks), every accumulation order is preserved by edges — so the
-/// potentials are bitwise identical and the model-flop totals exact.
-/// What changes is WHEN chunks run: a chunk starts the moment its
-/// inputs are final instead of at a phase barrier, ULI/XLI/WLI chunks
-/// fill worker idle time, and the reduce-scatter's per-node write-back
-/// callback releases ghost-gated V-list work level by level while the
-/// communication is still in flight.
-///
-/// Timer phases: eval.dag.build (graph construction + launch),
-/// eval.dag.up (rank thread helping until local upward densities are
-/// final), eval.comm (the reduce, as in bulk mode), eval.dag.run
-/// (helping until the graph drains). Flops are folded into the
-/// canonical eval.* phases, so flop-based comparisons work across
-/// exec modes.
-void Evaluator::run_dag() {
-  using util::TaskGraph;
-  using NodeId = util::TaskGraph::NodeId;
-  constexpr NodeId kNoNode = TaskGraph::kNone;
-
-  const auto& kern = tables_.kernel();
-  const FmmOptions& opts = tables_.options();
-  const bool use_fft = opts.m2l == M2lMode::kFft;
-  const std::size_t elen = tables_.eq_len();
-  const std::size_t clen = tables_.check_len();
-  const std::size_t nn = let_.nodes.size();
-
-  // Model flops per phase: GEMM and V-list amounts are known while
-  // building ("planned"); kernel-direct amounts are summed by the chunk
-  // tasks ("counted"). Folded into ctx_.flops once the graph drained,
-  // in the bulk engine's phase order — totals match exactly because
-  // both modes sum the same per-chunk integers.
-  enum Ph : std::size_t {
-    kPhS2u,
-    kPhU2u,
-    kPhVli,
-    kPhXli,
-    kPhDown,
-    kPhWli,
-    kPhD2t,
-    kNumPh
-  };
-  struct PhaseFlops {
-    const char* name;
-    std::uint64_t planned = 0;
-    std::atomic<std::uint64_t> counted{0};
-  };
-  std::array<PhaseFlops, kNumPh> phf{{{"eval.s2u"},
-                                      {"eval.u2u"},
-                                      {"eval.vli"},
-                                      {"eval.xli"},
-                                      {"eval.down"},
-                                      {"eval.wli"},
-                                      {"eval.d2t"}}};
-
-  // Per-level graph handles and buffers. Everything a task lambda
-  // touches lives here or in the Evaluator, so it outlives every task
-  // (all tasks complete before run_dag returns).
-  struct LevelDag {
-    NodeId s2u_done = TaskGraph::kNone;
-    NodeId up_final = TaskGraph::kNone;    ///< u_ rows at level locally final
-    NodeId ghost_done = TaskGraph::kNone;  ///< + reduce write-backs arrived
-    NodeId vli_done = TaskGraph::kNone;
-    NodeId xli_done = TaskGraph::kNone;
-    NodeId down_done = TaskGraph::kNone;
-    int ghost_expected = 0;
-    int ghost_signaled = 0;  ///< rank thread only
-    std::vector<std::int32_t> s2u_slots, s2u_iota;
-    std::vector<double> s2u_tmp;
-    std::vector<double> gin, gout;     ///< level-local gather/GEMM buffers
-    std::vector<std::int32_t> xnodes;  ///< targets with X-work
-    VliLevel vli;  ///< FFT V-list state, as in vli_fft_batched
-  };
-  std::vector<LevelDag> lv(static_cast<std::size_t>(std::max(max_level_, -1) + 1));
-
-  // Shared-node predicate: the reduce write-back only ever touches
-  // is_shared() nodes, so chunks reading only non-shared u_ rows never
-  // race the communication and need no ghost gating.
-  std::vector<char> shared_node(nn, 0);
-  if (ctx_.size() > 1)
-    for (std::size_t i = 0; i < nn; ++i)
-      if (is_shared(let_.nodes[i].key, let_.splitters, ctx_.rank()))
-        shared_node[i] = 1;
-
-  util::TaskGraph graph(*pool_, "eval.dag");
-
-  // A gather -> column-windowed GEMM -> scatter stage, the DAG form of
-  // gemm_batched(). Deque keeps stage addresses stable for the lambdas.
-  // Stages sharing a bin/bout buffer pair MUST be chained by edges.
-  struct GemmStage {
-    const la::Matrix* mat;
-    double scale;
-    std::vector<std::int32_t> in_slots, out_slots;
-    const std::vector<double>* src;
-    std::vector<double>* dst;
-    std::size_t in_len, out_len;
-    std::vector<double>* bin;
-    std::vector<double>* bout;
-  };
-  std::deque<GemmStage> stages;
-  auto gemm_stage = [&](NodeId entry, Ph ph, const char* phase,
-                        const la::Matrix& mat, double scale,
-                        std::vector<std::int32_t> in_slots,
-                        const std::vector<double>* src, std::size_t in_len,
-                        std::vector<std::int32_t> out_slots,
-                        std::vector<double>* dst, std::size_t out_len,
-                        std::vector<double>* bin,
-                        std::vector<double>* bout) -> NodeId {
-    stages.push_back(GemmStage{&mat, scale, std::move(in_slots),
-                               std::move(out_slots), src, dst, in_len, out_len,
-                               bin, bout});
-    GemmStage* s = &stages.back();
-    const std::size_t nb = s->in_slots.size();
-    const NodeId gather = graph.node(phase, [s, nb](int) {
-      s->bin->resize(s->in_len * nb);
-      la::gather_columns(*s->src, s->in_slots, s->in_len, *s->bin);
-      s->bout->assign(s->out_len * nb, 0.0);
-    });
-    if (entry != TaskGraph::kNone) graph.edge(entry, gather);
-    const NodeId scatter = graph.node(phase, [s](int) {
-      la::scatter_columns_acc(*s->bout, s->out_slots, s->out_len, *s->dst);
-    });
-    for (std::size_t c0 = 0; c0 < nb; c0 += kColGrain) {
-      const std::size_t c1 = std::min(nb, c0 + kColGrain);
-      const NodeId w = graph.node(phase, [s, nb, c0, c1](int) {
-        la::gemm_acc_cols(*s->mat, *s->bin, *s->bout, nb, c0, c1, s->scale);
-      });
-      graph.edge(gather, w);
-      graph.edge(w, scatter);
-    }
-    phf[ph].planned += la::gemm_flops(mat, nb);
-    return scatter;
-  };
-
-  // Chain buffers for the strictly-sequential u2u and downward stages.
-  std::vector<double> uwin, uwout, dwin, dwout;
-  double scratch_bytes = 0;  // planned DAG scratch, published as a gauge
-
-  NodeId upward_all = kNoNode;
-  NodeId ghosts_all = kNoNode;
-  {
-    auto bt = ctx_.timer.scope("eval.dag.build");
-
-    // Ghost-arrival latches: one event per level, released by the
-    // reduce's write-back callback (or the post-reduce flush) once per
-    // shared node of that level. With one rank every count is zero and
-    // the latches fire at launch.
-    ghosts_all = graph.event("eval.ghost");
-    for (int level = min_level_; level <= max_level_; ++level) {
-      LevelDag& L = lv[level];
-      for (auto i : level_nodes_[level])
-        if (shared_node[i]) ++L.ghost_expected;
-      L.ghost_done = graph.event("eval.ghost");
-      graph.external(L.ghost_done, L.ghost_expected);
-      graph.edge(L.ghost_done, ghosts_all);
-    }
-
-    // --- S2U: per-leaf check potentials, then one uc2ue stage/level ---
-    for (int level = min_level_; level <= max_level_; ++level) {
-      LevelDag& L = lv[level];
-      for (auto i : level_nodes_[level]) {
-        const LetNode& node = let_.nodes[i];
-        if (!(node.owned && node.global_leaf)) continue;
-        if (leaf_source_positions(i).empty()) continue;
-        L.s2u_slots.push_back(i);
-      }
-      if (L.s2u_slots.empty()) continue;
-      const std::size_t nb = L.s2u_slots.size();
-      L.s2u_tmp.assign(nb * clen, 0.0);
-      L.s2u_iota.resize(nb);
-      std::iota(L.s2u_iota.begin(), L.s2u_iota.end(), 0);
-      LevelDag* Lp = &L;
-      const NodeId directs = graph.event("eval.s2u");
-      for (std::size_t b = 0; b < nb; b += kNodeGrain) {
-        const std::size_t e = std::min(nb, b + kNodeGrain);
-        const NodeId t = graph.node(
-            "eval.s2u", [this, Lp, b, e, clen, &kern, &phf](int lane) {
-              std::uint64_t local = 0;
-              for (std::size_t j = b; j < e; ++j) {
-                const std::int32_t i = Lp->s2u_slots[j];
-                const auto uc = box_surf(tables_.options().upward_check_radius,
-                                         let_.nodes[i].key, lane);
-                local += kern.direct(
-                    uc, leaf_source_positions(i), leaf_source_densities(i),
-                    std::span<double>(Lp->s2u_tmp.data() + j * clen, clen));
-              }
-              phf[kPhS2u].counted.fetch_add(local, std::memory_order_relaxed);
-            });
-        graph.edge(t, directs);
-      }
-      const LevelOps ops = tables_.at(level);
-      L.s2u_done =
-          gemm_stage(directs, kPhS2u, "eval.s2u", *ops.uc2ue, ops.uc2ue_scale,
-                     L.s2u_iota, &L.s2u_tmp, clen, L.s2u_slots, &u_, elen,
-                     &L.gin, &L.gout);
-    }
-
-    // --- U2U: deepest level first, child indices 7..0, each stage
-    // chained (shared uwin/uwout and the same add-order into parents as
-    // the bulk engine). up_final[l] = "u_ rows at level l are locally
-    // final" — it gates this level's V-list forward work.
-    {
-      NodeId chain = kNoNode;
-      for (int level = max_level_; level >= min_level_; --level) {
-        LevelDag& L = lv[level];
-        const NodeId fin = graph.event("eval.u2u");
-        if (L.s2u_done != kNoNode) graph.edge(L.s2u_done, fin);
-        if (chain != kNoNode) graph.edge(chain, fin);
-        L.up_final = fin;
-        chain = fin;
-        if (level > min_level_ && !level_nodes_[level].empty()) {
-          const LevelOps ops = tables_.at(level - 1);
-          NodeId prev = fin;
-          for (int ci = 7; ci >= 0; --ci) {
-            std::vector<std::int32_t> children, parents;
-            for (auto i : level_nodes_[level]) {
-              const LetNode& node = let_.nodes[i];
-              if (!node.target || node.parent < 0) continue;
-              if (!let_.nodes[node.parent].target) continue;
-              if (morton::child_index(node.key) != ci) continue;
-              children.push_back(i);
-              parents.push_back(node.parent);
-            }
-            if (children.empty()) continue;
-            prev = gemm_stage(prev, kPhU2u, "eval.u2u", (*ops.m2m)[ci], 1.0,
-                              std::move(children), &u_, elen,
-                              std::move(parents), &u_, elen, &uwin, &uwout);
-          }
-          chain = prev;
-        }
-      }
-      upward_all = graph.event("eval.u2u");
-      if (chain != kNoNode) graph.edge(chain, upward_all);
-    }
-
-    // --- V-list ---
-    if (use_fft) {
-      const std::size_t nchunks = tables_.spectrum_len() / Tables::kFreqChunk;
-      vli_lane_scratch();
-      slot_of_.assign(nn, -1);
-      for (int level = min_level_; level <= max_level_; ++level) {
-        LevelDag& L = lv[level];
-        VliLevel& V = L.vli;
-        vli_collect(level, V);
-        if (V.tgt.empty()) continue;
-        // Local (never ghost-written) slots first so the ghost-gated
-        // forward chunks cover a contiguous tail.
-        const std::size_t n_local = static_cast<std::size_t>(
-            std::stable_partition(
-                V.src.begin(), V.src.end(),
-                [&](std::int32_t si) { return !shared_node[si]; }) -
-            V.src.begin());
-        // Operator fetches happen here, sequentially at build time.
-        phf[kPhVli].planned += vli_plan(level, V);
-        scratch_bytes += static_cast<double>(V.spectra.size() + V.acc.size()) *
-                         sizeof(fft::Complex);
-        VliLevel* Vp = &V;
-
-        // Forward transforms: chunks of local slots release on up_final
-        // alone; chunks touching shared slots additionally wait for the
-        // level's ghost latch — the incremental release that lets local
-        // V-work start while the reduction is in flight.
-        const NodeId fwd_done = graph.event("eval.vli");
-        for (std::size_t b = 0; b < V.src.size(); b += kFftSlotGrain) {
-          const std::size_t e = std::min(V.src.size(), b + kFftSlotGrain);
-          const NodeId t = graph.node("eval.vli", [this, Vp, b, e](int lane) {
-            vli_forward(*Vp, b, e, lane);
-          });
-          graph.edge(L.up_final, t);
-          if (e > n_local) graph.edge(L.ghost_done, t);
-          graph.edge(t, fwd_done);
-        }
-
-        // Frequency-chunk MACs, then per-target inverse transforms.
-        const NodeId mac_done = graph.event("eval.vli");
-        for (std::size_t cb = 0; cb < nchunks; cb += kFreqChunkGrain) {
-          const std::size_t ce = std::min(nchunks, cb + kFreqChunkGrain);
-          const NodeId t = graph.node(
-              "eval.vli", [this, Vp, cb, ce](int) { vli_mac(*Vp, cb, ce); });
-          graph.edge(fwd_done, t);
-          graph.edge(t, mac_done);
-        }
-
-        const double m2l_scale = tables_.at(level).m2l_scale;
-        const NodeId extract_done = graph.event("eval.vli");
-        for (std::size_t b = 0; b < V.tgt.size(); b += kFftSlotGrain) {
-          const std::size_t e = std::min(V.tgt.size(), b + kFftSlotGrain);
-          const NodeId t = graph.node(
-              "eval.vli", [this, Vp, b, e, m2l_scale](int lane) {
-                vli_inverse(*Vp, b, e, m2l_scale, lane);
-              });
-          graph.edge(mac_done, t);
-          graph.edge(t, extract_done);
-        }
-        // Free the level's spectra once consumed: per-level footprints
-        // decay geometrically with depth, but releasing early keeps
-        // several levels in flight cheap.
-        const NodeId freed = graph.node("eval.vli", [Vp](int) {
-          std::vector<fft::Complex>().swap(Vp->spectra);
-          std::vector<fft::Complex>().swap(Vp->acc);
-        });
-        graph.edge(extract_done, freed);
-        L.vli_done = extract_done;
-      }
-    } else {
-      // Dense M2L: one chained gemm_stage per (level, offset) run,
-      // entered once the level's upward densities AND ghosts landed.
-      std::vector<std::tuple<int, std::int32_t, std::int32_t>> pairs;
-      for (int level = min_level_; level <= max_level_; ++level) {
-        LevelDag& L = lv[level];
-        pairs.clear();
-        for (auto i : level_nodes_[level]) {
-          const LetNode& node = let_.nodes[i];
-          if (!node.target) continue;
-          for (auto si : let_.v.of(i))
-            pairs.emplace_back(pair_offset_index(node, let_.nodes[si]), i, si);
-        }
-        if (pairs.empty()) continue;
-        std::sort(pairs.begin(), pairs.end());
-        const NodeId entry = graph.event("eval.vli");
-        graph.edge(L.up_final, entry);
-        graph.edge(L.ghost_done, entry);
-        const LevelOps ops = tables_.at(level);
-        NodeId prev = entry;
-        for (std::size_t r0 = 0; r0 < pairs.size();) {
-          const int off = std::get<0>(pairs[r0]);
-          std::size_t r1 = r0;
-          std::vector<std::int32_t> srcs, tgts;
-          for (; r1 < pairs.size() && std::get<0>(pairs[r1]) == off; ++r1) {
-            tgts.push_back(std::get<1>(pairs[r1]));
-            srcs.push_back(std::get<2>(pairs[r1]));
-          }
-          prev = gemm_stage(prev, kPhVli, "eval.vli",
-                            tables_.m2l_dense(level, off), ops.m2l_scale,
-                            std::move(srcs), &u_, elen, std::move(tgts),
-                            &checkpot_, clen, &L.gin, &L.gout);
-          r0 = r1;
-        }
-        L.vli_done = prev;
-      }
-    }
-
-    // --- X-list: per-level chunks, after the level's V-work so each
-    // checkpot_ row accumulates V then X exactly as in bulk mode.
-    for (int level = min_level_; level <= max_level_; ++level) {
-      LevelDag& L = lv[level];
-      for (auto i : level_nodes_[level])
-        if (let_.nodes[i].target && !let_.x.of(i).empty())
-          L.xnodes.push_back(i);
-      if (L.xnodes.empty()) continue;
-      LevelDag* Lp = &L;
-      const NodeId done = graph.event("eval.xli");
-      for (std::size_t b = 0; b < L.xnodes.size(); b += kNodeGrain) {
-        const std::size_t e = std::min(L.xnodes.size(), b + kNodeGrain);
-        const NodeId t = graph.node(
-            "eval.xli", [this, Lp, b, e, clen, &kern, &phf](int lane) {
-              std::uint64_t local = 0;
-              for (std::size_t j = b; j < e; ++j) {
-                const std::int32_t i = Lp->xnodes[j];
-                const auto dc = box_surf(tables_.options().down_check_radius,
-                                         let_.nodes[i].key, lane);
-                std::span<double> out(
-                    checkpot_.data() + std::size_t(i) * clen, clen);
-                for (auto si : let_.x.of(i))
-                  local += kern.direct(dc, leaf_source_positions(si),
-                                       leaf_source_densities(si), out);
-              }
-              phf[kPhXli].counted.fetch_add(local, std::memory_order_relaxed);
-            });
-        if (L.vli_done != kNoNode) graph.edge(L.vli_done, t);
-        graph.edge(t, done);
-      }
-      L.xli_done = done;
-    }
-
-    // --- Downward: coarsest level first; L2L child indices 0..7 then
-    // the level's dc2de, all chained (shared dwin/dwout; the chain is
-    // the bulk engine's own level order).
-    {
-      NodeId down_prev = kNoNode;
-      for (int level = min_level_; level <= max_level_; ++level) {
-        LevelDag& L = lv[level];
-        if (level_nodes_[level].empty()) {
-          L.down_done = down_prev;
-          continue;
-        }
-        const NodeId entry = graph.event("eval.down");
-        if (down_prev != kNoNode) graph.edge(down_prev, entry);
-        if (L.vli_done != kNoNode) graph.edge(L.vli_done, entry);
-        if (L.xli_done != kNoNode) graph.edge(L.xli_done, entry);
-        NodeId prev = entry;
-        if (level > min_level_) {
-          const LevelOps pair_ops = tables_.at(level - 1);
-          for (int ci = 0; ci < 8; ++ci) {
-            std::vector<std::int32_t> parents, children;
-            for (auto i : level_nodes_[level]) {
-              const LetNode& node = let_.nodes[i];
-              if (!node.target || node.parent < 0) continue;
-              if (!let_.nodes[node.parent].target) continue;
-              if (morton::child_index(node.key) != ci) continue;
-              parents.push_back(node.parent);
-              children.push_back(i);
-            }
-            if (parents.empty()) continue;
-            prev = gemm_stage(prev, kPhDown, "eval.down", (*pair_ops.l2l)[ci],
-                              pair_ops.l2l_scale, std::move(parents), &d_,
-                              elen, std::move(children), &checkpot_, clen,
-                              &dwin, &dwout);
-          }
-        }
-        std::vector<std::int32_t> tgts;
-        for (auto i : level_nodes_[level])
-          if (let_.nodes[i].target) tgts.push_back(i);
-        if (!tgts.empty()) {
-          const LevelOps ops = tables_.at(level);
-          prev = gemm_stage(prev, kPhDown, "eval.down", *ops.dc2de,
-                            ops.dc2de_scale, tgts, &checkpot_, clen, tgts,
-                            &d_, elen, &dwin, &dwout);
-        }
-        L.down_done = prev;
-        down_prev = prev;
-      }
-    }
-
-    // --- W-list then D2T, the bulk engine's global node chunks. A
-    // chunk's W task needs every source density (upward + ghosts); its
-    // D2T task additionally needs the downward chain to have finalized
-    // d_ at each level its leaves live on, and runs after the W task so
-    // each leaf's f_ row accumulates W then D2T as in bulk mode.
-    for (std::size_t b = 0; b < nn; b += kNodeGrain) {
-      const std::size_t e = std::min(nn, b + kNodeGrain);
-      bool has_leaf = false, has_w = false;
-      std::vector<int> levels;
-      for (std::size_t i = b; i < e; ++i) {
-        const LetNode& node = let_.nodes[i];
-        if (!(node.owned && node.global_leaf) || node.target_count == 0)
-          continue;
-        has_leaf = true;
-        if (!let_.w.of(i).empty()) has_w = true;
-        const int l = node.key.level;
-        if (std::find(levels.begin(), levels.end(), l) == levels.end())
-          levels.push_back(l);
-      }
-      if (!has_leaf) continue;
-      NodeId wt = kNoNode;
-      if (has_w) {
-        wt = graph.node(
-            "eval.wli", [this, b, e, elen, &kern, &phf](int lane) {
-              std::uint64_t local = 0;
-              for (std::size_t i = b; i < e; ++i) {
-                const LetNode& node = let_.nodes[i];
-                if (!(node.owned && node.global_leaf) ||
-                    node.target_count == 0)
-                  continue;
-                const auto list = let_.w.of(i);
-                if (list.empty()) continue;
-                const auto trg = leaf_target_positions(node);
-                auto out = leaf_target_potential(node);
-                for (auto si : list) {
-                  const auto ue =
-                      box_surf(tables_.options().upward_equiv_radius,
-                               let_.nodes[si].key, lane);
-                  local += kern.direct(
-                      trg, ue,
-                      std::span<const double>(
-                          u_.data() + std::size_t(si) * elen, elen),
-                      out);
-                }
-              }
-              phf[kPhWli].counted.fetch_add(local, std::memory_order_relaxed);
-            });
-        graph.edge(upward_all, wt);
-        graph.edge(ghosts_all, wt);
-      }
-      const NodeId dt = graph.node(
-          "eval.d2t", [this, b, e, elen, &kern, &phf](int lane) {
-            std::uint64_t local = 0;
-            for (std::size_t i = b; i < e; ++i) {
-              const LetNode& node = let_.nodes[i];
-              if (!(node.owned && node.global_leaf) || node.target_count == 0)
-                continue;
-              const auto de = box_surf(tables_.options().down_equiv_radius,
-                                       node.key, lane);
-              local += kern.direct(
-                  leaf_target_positions(node), de,
-                  std::span<const double>(d_.data() + i * elen, elen),
-                  leaf_target_potential(node));
-            }
-            phf[kPhD2t].counted.fetch_add(local, std::memory_order_relaxed);
-          });
-      if (wt != kNoNode) graph.edge(wt, dt);
-      for (int l : levels)
-        if (lv[l].down_done != kNoNode) graph.edge(lv[l].down_done, dt);
-    }
-
-    // --- ULI: dependency-free roots — just another set of DAG nodes
-    // that fill worker idle time anywhere in the schedule. Merged into
-    // f_ after the graph drains, exactly as uli_join() does.
-    f_uli_.assign(f_.size(), 0.0);
-    uli_flops_.store(0, std::memory_order_relaxed);
-    uli_w0_ = obs::wall_seconds();
-    for (std::size_t b = 0; b < nn; b += kNodeGrain) {
-      const std::size_t e = std::min(nn, b + kNodeGrain);
-      graph.node("eval.uli",
-                 [this, b, e](int lane) { uli_chunk(b, e, lane); });
-    }
-
-    graph.launch();
-  }
-
-  // Help the workers until the local upward pass is done — the reduce
-  // below needs every shared node's partial density final.
-  {
-    auto ut = ctx_.timer.scope("eval.dag.up");
-    graph.wait_node(upward_all);
-  }
-
-  // The reduce, with the per-node write-back callback forwarding each
-  // arrival to its level's latch. Predicted-but-unreached shared nodes
-  // are flushed afterwards — including on the exception path, where the
-  // graph must still be able to drain for safe unwinding.
-  {
-    auto ct = ctx_.timer.scope("eval.comm");
-    ctx_.comm.cost().set_phase("eval.comm");
-    NodeFinalFn on_final;
-    if (ctx_.size() > 1)
-      on_final = [this, &lv, &graph](std::int32_t ni) {
-        LevelDag& L = lv[let_.nodes[static_cast<std::size_t>(ni)].key.level];
-        if (L.ghost_signaled < L.ghost_expected) {
-          ++L.ghost_signaled;
-          graph.signal(L.ghost_done);
-        }
-      };
-    auto flush_ghosts = [&lv, &graph] {
-      for (LevelDag& L : lv)
-        while (L.ghost_signaled < L.ghost_expected) {
-          ++L.ghost_signaled;
-          graph.signal(L.ghost_done);
-        }
-    };
-    try {
-      reduce_upward_densities(ctx_.comm, let_, tables_.eq_len(), u_,
-                              opts.reduce, on_final);
-    } catch (...) {
-      flush_ghosts();
-      throw;
-    }
-    flush_ghosts();
-  }
-
-  // Drain the rest of the graph, then fold flops (bulk phase order) and
-  // merge the ULI buffer (still last, so f_'s summation order matches
-  // uli_join()).
-  {
-    auto rt = ctx_.timer.scope("eval.dag.run");
-    graph.wait();
-    for (const PhaseFlops& pf : phf)
-      ctx_.flops.add(pf.name,
-                     pf.planned + pf.counted.load(std::memory_order_relaxed));
-    ctx_.flops.add("eval.uli", uli_flops_.load(std::memory_order_relaxed));
-    for (std::size_t k = 0; k < f_.size(); ++k) f_[k] += f_uli_[k];
-  }
-
-  // No phase boundaries exist in DAG mode, so the health sentinels run
-  // back to back after the drain (see evaluator.hpp).
-  health_post_s2u();
-  health_post_reduce();
-  health_post_run();
-
-  // ULI overlap accounting: there is no join window in DAG mode — every
-  // ULI burst executes interleaved with the rest of the graph, so
-  // overlap == busy by construction. Must precede fold_stats (which
-  // resets the burst log).
-  const double inf = std::numeric_limits<double>::infinity();
-  const double uli_busy = pool_->busy_overlap("eval.uli", uli_w0_, inf);
-  ctx_.rec.counter_add("sched.uli.busy_seconds", uli_busy);
-  ctx_.rec.counter_add("sched.uli.overlap_seconds", uli_busy);
-
-  graph.fold_stats(ctx_.rec);
-  pool_->fold_stats(ctx_.rec);
-  publish_mem_gauges();
-  auto cap = [](const auto& v) {
-    return static_cast<double>(
-        v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type));
-  };
-  scratch_bytes += cap(uwin) + cap(uwout) + cap(dwin) + cap(dwout);
-  for (const LevelDag& L : lv)
-    scratch_bytes += cap(L.gin) + cap(L.gout) + cap(L.s2u_tmp) +
-                     cap(L.vli.fidx) + cap(L.vli.aidx);
-  ctx_.rec.gauge_set("mem.eval.dag_scratch_bytes", scratch_bytes);
 }
 
 /// Publishes the evaluator's scratch footprint as `mem.eval.*` byte
@@ -982,7 +388,6 @@ void Evaluator::s2u_scalar() {
 void Evaluator::s2u_batched() {
   const auto& kern = tables_.kernel();
   const std::size_t clen = tables_.check_len();
-  const std::size_t elen = tables_.eq_len();
   for (int level = min_level_; level <= max_level_; ++level) {
     // Contributing leaves at this level.
     slots_a_.clear();
@@ -1020,12 +425,9 @@ void Evaluator::s2u_batched() {
     // the whole level (column-windowed over the pool).
     slots_b_.resize(nb);
     std::iota(slots_b_.begin(), slots_b_.end(), 0);
-    batch_in_.resize(clen * nb);
-    la::gather_columns(batch_tmp_, slots_b_, clen, batch_in_);
     const LevelOps ops = tables_.at(level);
-    batch_out_.assign(elen * nb, 0.0);
-    gemm_batched(*ops.uc2ue, nb, ops.uc2ue_scale, "eval.s2u");
-    la::scatter_columns_acc(batch_out_, slots_a_, elen, u_);
+    gemm_batched(*ops.uc2ue, ops.uc2ue_scale, batch_tmp_, slots_b_, u_,
+                 slots_a_, "eval.s2u");
   }
 }
 
@@ -1056,7 +458,6 @@ void Evaluator::u2u_batched() {
   // operators of the paper's Table I). Child indices run high-to-low
   // to add into each parent in the same order as the scalar engine's
   // reverse-preorder sweep, so u2u rounds identically in both modes.
-  const std::size_t elen = tables_.eq_len();
   for (int level = max_level_; level > min_level_; --level) {
     if (level_nodes_[level].empty()) continue;
     const LevelOps ops = tables_.at(level - 1);
@@ -1072,13 +473,8 @@ void Evaluator::u2u_batched() {
         slots_b_.push_back(node.parent);
       }
       if (slots_a_.empty()) continue;
-      const std::size_t nb = slots_a_.size();
-      const la::Matrix& m = (*ops.m2m)[ci];
-      batch_in_.resize(elen * nb);
-      la::gather_columns(u_, slots_a_, elen, batch_in_);
-      batch_out_.assign(elen * nb, 0.0);
-      gemm_batched(m, nb, 1.0, "eval.u2u");
-      la::scatter_columns_acc(batch_out_, slots_b_, elen, u_);
+      gemm_batched((*ops.m2m)[ci], 1.0, u_, slots_a_, u_, slots_b_,
+                   "eval.u2u");
     }
   }
 }
@@ -1123,8 +519,6 @@ void Evaluator::vli_dense_scalar() {
 
 void Evaluator::vli_dense_batched() {
   // Pairs sorted by translation offset: one GEMM per (level, offset).
-  const std::size_t elen = tables_.eq_len();
-  const std::size_t clen = tables_.check_len();
   std::vector<std::tuple<int, std::int32_t, std::int32_t>> pairs;
   for (int level = min_level_; level <= max_level_; ++level) {
     pairs.clear();
@@ -1146,13 +540,8 @@ void Evaluator::vli_dense_batched() {
         slots_b_.push_back(std::get<1>(pairs[r1]));
         slots_a_.push_back(std::get<2>(pairs[r1]));
       }
-      const std::size_t nb = r1 - r0;
-      const la::Matrix& m = tables_.m2l_dense(level, off);
-      batch_in_.resize(elen * nb);
-      la::gather_columns(u_, slots_a_, elen, batch_in_);
-      batch_out_.assign(clen * nb, 0.0);
-      gemm_batched(m, nb, ops.m2l_scale, "eval.vli");
-      la::scatter_columns_acc(batch_out_, slots_b_, clen, checkpot_);
+      gemm_batched(tables_.m2l_dense(level, off), ops.m2l_scale, u_,
+                   slots_a_, checkpot_, slots_b_, "eval.vli");
       r0 = r1;
     }
   }
@@ -1232,7 +621,7 @@ void Evaluator::vli_fft_scalar() {
   }
 }
 
-// The batched FFT V-list, shared by vli_fft_batched (bulk) and run_dag.
+// The batched FFT V-list (vli_fft_batched and the steps it runs).
 // Relative to the scalar path:
 //  - half spectra live in ONE flat buffer indexed by level slots
 //    (slot_of_) instead of an unordered_map of vectors,
@@ -1248,7 +637,13 @@ void Evaluator::vli_fft_scalar() {
 //        + q % kFreqChunk].
 // Flops follow Tables::vli_flops() exactly as in the scalar path.
 
-void Evaluator::vli_collect(int level, VliLevel& V) {
+std::uint64_t Evaluator::vli_plan(int level, VliLevel& V) {
+  const int sd = tables_.sdim();
+  const int td = tables_.tdim();
+  const std::size_t len = tables_.spectrum_len();
+
+  // Targets with a V-list, and their unique sources as slots in
+  // first-reference order.
   V.tgt.clear();
   V.src.clear();
   for (auto i : level_nodes_[level]) {
@@ -1258,18 +653,10 @@ void Evaluator::vli_collect(int level, VliLevel& V) {
     V.tgt.push_back(i);
     for (auto si : list)
       if (slot_of_[si] < 0) {
-        slot_of_[si] = 0;  // seen; vli_plan numbers the slots
+        slot_of_[si] = static_cast<std::int32_t>(V.src.size());
         V.src.push_back(si);
       }
   }
-}
-
-std::uint64_t Evaluator::vli_plan(int level, VliLevel& V) {
-  const int sd = tables_.sdim();
-  const int td = tables_.tdim();
-  const std::size_t len = tables_.spectrum_len();
-  for (std::size_t sl = 0; sl < V.src.size(); ++sl)
-    slot_of_[V.src[sl]] = static_cast<std::int32_t>(sl);
 
   // All (target, source) pairs of the level, sorted by offset index.
   // (offset, target) is unique per pair, so the order of the MACs into
@@ -1313,13 +700,6 @@ std::uint64_t Evaluator::vli_plan(int level, VliLevel& V) {
   const Tables::VliFlops& fl = tables_.vli_flops();
   return V.src.size() * fl.fwd_per_source + pairs.size() * fl.mac_per_pair +
          V.tgt.size() * fl.inv_per_target;
-}
-
-void Evaluator::vli_lane_scratch() {
-  const std::size_t n = static_cast<std::size_t>(tables_.n());
-  const std::size_t lanes = static_cast<std::size_t>(pool_->lanes());
-  lane_cube_.assign(lanes * n * n * n, 0.0);
-  lane_half_.assign(lanes * tables_.spectrum_len(), fft::Complex(0, 0));
 }
 
 void Evaluator::vli_forward(VliLevel& V, std::size_t b, std::size_t e,
@@ -1394,12 +774,15 @@ void Evaluator::vli_inverse(VliLevel& V, std::size_t b, std::size_t e,
 
 void Evaluator::vli_fft_batched() {
   const std::size_t nchunks = tables_.spectrum_len() / Tables::kFreqChunk;
+  const std::size_t n = static_cast<std::size_t>(tables_.n());
+  const std::size_t lanes = static_cast<std::size_t>(pool_->lanes());
+  lane_cube_.assign(lanes * n * n * n, 0.0);
+  lane_half_.assign(lanes * tables_.spectrum_len(), fft::Complex(0, 0));
   slot_of_.assign(let_.nodes.size(), -1);
-  vli_lane_scratch();
   for (int level = min_level_; level <= max_level_; ++level) {
-    vli_collect(level, vli_);
+    const std::uint64_t flops = vli_plan(level, vli_);
     if (vli_.tgt.empty()) continue;
-    ctx_.flops.add("eval.vli", vli_plan(level, vli_));
+    ctx_.flops.add("eval.vli", flops);
 
     // Each chunk of source slots owns disjoint spectra components,
     // each frequency chunk disjoint accumulator windows, each chunk of
@@ -1483,8 +866,6 @@ void Evaluator::downward_batched() {
   // Coarsest level first: a level's check potentials receive L2L from
   // already-finalized parent densities (one GEMM per child index), then
   // ONE dc2de conversion finalizes the level's own densities.
-  const std::size_t elen = tables_.eq_len();
-  const std::size_t clen = tables_.check_len();
   for (int level = min_level_; level <= max_level_; ++level) {
     if (level_nodes_[level].empty()) continue;
     if (level > min_level_) {
@@ -1501,13 +882,8 @@ void Evaluator::downward_batched() {
           slots_b_.push_back(i);
         }
         if (slots_a_.empty()) continue;
-        const std::size_t nb = slots_a_.size();
-        const la::Matrix& l2l = (*pair_ops.l2l)[ci];
-        batch_in_.resize(elen * nb);
-        la::gather_columns(d_, slots_a_, elen, batch_in_);
-        batch_out_.assign(clen * nb, 0.0);
-        gemm_batched(l2l, nb, pair_ops.l2l_scale, "eval.down");
-        la::scatter_columns_acc(batch_out_, slots_b_, clen, checkpot_);
+        gemm_batched((*pair_ops.l2l)[ci], pair_ops.l2l_scale, d_, slots_a_,
+                     checkpot_, slots_b_, "eval.down");
       }
     }
 
@@ -1515,13 +891,9 @@ void Evaluator::downward_batched() {
     for (auto i : level_nodes_[level])
       if (let_.nodes[i].target) slots_a_.push_back(i);
     if (slots_a_.empty()) continue;
-    const std::size_t nb = slots_a_.size();
     const LevelOps ops = tables_.at(level);
-    batch_in_.resize(clen * nb);
-    la::gather_columns(checkpot_, slots_a_, clen, batch_in_);
-    batch_out_.assign(elen * nb, 0.0);
-    gemm_batched(*ops.dc2de, nb, ops.dc2de_scale, "eval.down");
-    la::scatter_columns_acc(batch_out_, slots_a_, elen, d_);
+    gemm_batched(*ops.dc2de, ops.dc2de_scale, checkpot_, slots_a_, d_,
+                 slots_a_, "eval.down");
   }
 }
 

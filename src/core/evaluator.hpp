@@ -68,11 +68,6 @@ class Evaluator {
   ~Evaluator();
 
   /// Runs the full pipeline with per-phase timing/flop accounting.
-  /// Dispatches on FmmOptions::exec_mode: kBulkSync executes the
-  /// phases in sequence with a barrier between each; kDag (with the
-  /// batched engine) executes them as one dependency-counted
-  /// util::TaskGraph via run_dag(). Both produce bitwise-identical
-  /// potentials and exact flop equality for any thread count.
   void run();
 
   /// Target potentials aligned with Let::points (tdim per point).
@@ -88,8 +83,9 @@ class Evaluator {
   /// potentials only.
   std::vector<double> target_gradient();
 
-  // Individual phases, public for focused tests and for the GPU engine
-  // which substitutes some of them. Each dispatches on eval_mode.
+  // Individual phases, public for focused tests, for the wall-clock
+  // benchmark's traced evaluate, and for the GPU engine which
+  // substitutes some of them. Each dispatches on eval_mode.
   void s2u();
   void u2u();
   void comm_reduce();
@@ -163,16 +159,12 @@ class Evaluator {
     std::vector<Group> groups;
     std::vector<std::int32_t> fidx, aidx;
   };
-  // The batched V-list's steps, shared by vli_fft_batched and run_dag.
-  /// Collects the level's V-list targets and unique sources, in
-  /// first-reference order (slot_of_ marks the sources seen).
-  void vli_collect(int level, VliLevel& V);
-  /// Numbers the source slots in V.src order, builds the offset-sorted
-  /// MAC entries, sizes the buffers, resets slot_of_, and returns the
-  /// level's V-list model flops.
+  // The batched V-list's steps.
+  /// Collects the level's V-list targets and unique sources (slots in
+  /// first-reference order), builds the offset-sorted MAC entries,
+  /// sizes the buffers, resets slot_of_, and returns the level's V-list
+  /// model flops.
   std::uint64_t vli_plan(int level, VliLevel& V);
-  /// Sizes the per-lane transform scratch.
-  void vli_lane_scratch();
   /// Source slots [b, e): embed -> r2c -> scatter chunk-major.
   void vli_forward(VliLevel& V, std::size_t b, std::size_t e, int lane);
   /// Frequency chunks [cb, ce) of the diagonal MAC.
@@ -180,14 +172,6 @@ class Evaluator {
   /// Target slots [b, e): gather -> c2r -> extract into checkpot_.
   void vli_inverse(VliLevel& V, std::size_t b, std::size_t e, double scale,
                    int lane);
-
-  /// Data-driven execution of the whole batched pipeline as one
-  /// util::TaskGraph (FmmOptions::exec_mode = kDag): the bulk engine's
-  /// chunks become DAG nodes, edges exist only where a chunk reads
-  /// another chunk's output, and the Algorithm 3 reduce releases
-  /// ghost-gated V-list work incrementally per level as complete
-  /// densities arrive. See DESIGN.md "DAG executor".
-  void run_dag();
 
   // ULI ‖ far-field overlap: uli_start() submits the per-node-range
   // U-list chunks as background pool tasks writing f_uli_; uli_join()
@@ -198,11 +182,16 @@ class Evaluator {
   void uli_join();
   void uli_chunk(std::size_t b, std::size_t e, int lane);
 
-  /// One gemm_acc over `ncols` batch columns, split into disjoint
-  /// column windows over the pool (bitwise identical to the unsplit
-  /// call; see la::gemm_acc_cols).
-  void gemm_batched(const la::Matrix& m, std::size_t ncols, double scale,
-                    const char* phase);
+  /// One batched translation through batch_in_/batch_out_: column j
+  /// gathers src row in[j] (m.cols() values), one gemm_acc over all
+  /// columns runs split into disjoint column windows over the pool
+  /// (bitwise identical to the unsplit call; see la::gemm_acc_cols),
+  /// and column j accumulates into dst row out[j] (m.rows() values).
+  /// Adds the model flops to `phase`.
+  void gemm_batched(const la::Matrix& m, double scale,
+                    std::span<const double> src,
+                    std::span<const std::int32_t> in, std::span<double> dst,
+                    std::span<const std::int32_t> out, const char* phase);
 
   /// Publishes scratch-buffer capacities as `mem.eval.*` byte gauges
   /// (run() calls this after the pipeline; see DESIGN.md §5b).
@@ -211,10 +200,8 @@ class Evaluator {
   // Health-layer phase-boundary sentinels (FmmOptions::health,
   // DESIGN.md §5g): NaN/Inf scans, the moment invariant, and
   // order-independent state digests, recorded as `health.*` counters
-  // (hard failures under health_fatal). No-ops when health is off. In
-  // bulk-sync mode each runs at its phase boundary; run_dag has no
-  // boundaries, so all three run post-drain (injected corruption is
-  // still caught by the digests, just not mid-pipeline).
+  // (hard failures under health_fatal). No-ops when health is off.
+  // run() calls each at its phase boundary.
   void health_post_s2u();    ///< owned-leaf upward densities
   void health_post_reduce(); ///< reduced upward densities (all owned)
   void health_post_run();    ///< final potentials (owned leaf targets)
@@ -239,7 +226,7 @@ class Evaluator {
   // Batch scratch, reused across phases/levels (kept allocated).
   std::vector<double> batch_in_, batch_out_, batch_tmp_;
   std::vector<std::int32_t> slots_a_, slots_b_;
-  VliLevel vli_;                            ///< bulk FFT V-list level
+  VliLevel vli_;                            ///< FFT V-list level
   std::vector<std::int32_t> slot_of_;       ///< node -> level source slot
 
   // Intra-rank scheduling. pool_ is ctx.pool when the Runtime provided

@@ -26,21 +26,6 @@ enum class EvalMode {
   kBatched,  ///< level- and operator-blocked GEMM/FFT batches (paper §IV-V)
 };
 
-/// How the batched evaluation phases are scheduled on the task pool.
-enum class ExecMode {
-  /// Phase-by-phase with a barrier between S2U, U2U, reduce, VLI, XLI,
-  /// downward, WLI, D2T (the reference shape; only ULI overlaps).
-  kBulkSync,
-  /// Dependency-counted task DAG (util::TaskGraph): a chunk runs as
-  /// soon as its inputs are final, ghost-density arrival from the
-  /// Alg. 3 reduce releases dependent V-list work incrementally, and
-  /// ULI is just another DAG root. Bitwise-identical results to
-  /// kBulkSync for any thread count (tests/test_eval_threads.cpp).
-  /// Applies to EvalMode::kBatched; the scalar engine always runs
-  /// bulk-synchronous.
-  kDag,
-};
-
 struct FmmOptions {
   /// Surface lattice parameter n: equivalent/check surfaces carry
   /// n^3 - (n-2)^3 points. 4 = low accuracy, 6 = medium, 8 = high.
@@ -59,11 +44,6 @@ struct FmmOptions {
   /// evaluation pipeline. Both produce identical flop totals and agree
   /// to rounding (see tests/test_eval_modes.cpp).
   EvalMode eval_mode = EvalMode::kBatched;
-
-  /// Bulk-synchronous (default) vs data-driven DAG scheduling of the
-  /// batched pipeline. Both produce bitwise-identical potentials and
-  /// exact flop equality (tests/test_eval_threads.cpp).
-  ExecMode exec_mode = ExecMode::kBulkSync;
 
   /// Intra-rank worker threads for the batched evaluation phases
   /// (paper §V's per-node parallelism, on CPU workers). 1 = serial

@@ -81,37 +81,19 @@ void merge_entries(Pool& pool, int eq_len, const comm::Bytes& payload) {
   PKIFMM_CHECK(r.done());
 }
 
-/// Copies the complete sums back into the node array, deepest levels
-/// first (deep octants gate the most downstream work, so DAG execution
-/// wants their on_final signals earliest), reporting each written node
-/// through `on_final` when set. The order only affects callback timing
-/// — the copies land in disjoint rows.
+/// Copies the complete sums back into the node array.
 void write_back(const Pool& pool, const octree::Let& let, int eq_len,
-                std::span<double> u, const NodeFinalFn& on_final) {
-  std::vector<std::pair<std::int32_t, const std::vector<double>*>> hits;
-  hits.reserve(pool.size());
+                std::span<double> u) {
   for (const auto& [key, val] : pool) {
     const std::int32_t ni = let.find(key);
-    if (ni >= 0) hits.emplace_back(ni, &val);
-  }
-  std::stable_sort(hits.begin(), hits.end(),
-                   [&](const auto& a, const auto& b) {
-                     return let.nodes[static_cast<std::size_t>(a.first)]
-                                .key.level >
-                            let.nodes[static_cast<std::size_t>(b.first)]
-                                .key.level;
-                   });
-  for (const auto& [ni, val] : hits) {
-    std::copy(val->begin(), val->end(),
-              u.begin() + std::size_t(ni) * eq_len);
-    if (on_final) on_final(ni);
+    if (ni >= 0)
+      std::copy(val.begin(), val.end(), u.begin() + std::size_t(ni) * eq_len);
   }
 }
 
 /// Paper Algorithm 3: combined reduce-and-scatter over the hypercube.
 void reduce_hypercube(comm::Comm& c, const octree::Let& let, int eq_len,
-                      std::span<double> u, Pool pool,
-                      const NodeFinalFn& on_final) {
+                      std::span<double> u, Pool pool) {
   const int p = c.size();
   const int r = c.rank();
   PKIFMM_CHECK_MSG(is_power_of_two(p),
@@ -148,13 +130,12 @@ void reduce_hypercube(comm::Comm& c, const octree::Let& let, int eq_len,
   }
 
   // Write the complete sums back into the node array.
-  write_back(pool, let, eq_len, u, on_final);
+  write_back(pool, let, eq_len, u);
 }
 
 /// The paper's previous scheme: per-octant owner reduction + broadcast.
 void reduce_owner(comm::Comm& c, const octree::Let& let, int eq_len,
-                  std::span<double> u, Pool pool,
-                  const NodeFinalFn& on_final) {
+                  std::span<double> u, Pool pool) {
   const int p = c.size();
   // Two alltoallv exchanges: contributors -> owner, owner -> users.
   auto cs = c.cost().collective("owner_reduce", 2);
@@ -211,7 +192,7 @@ void reduce_owner(comm::Comm& c, const octree::Let& let, int eq_len,
     auto in = c.alltoallv(std::move(out));
     Pool complete;
     for (int k = 0; k < p; ++k) merge_entries(complete, eq_len, in[k]);
-    write_back(complete, let, eq_len, u, on_final);
+    write_back(complete, let, eq_len, u);
   }
 }
 
@@ -219,8 +200,7 @@ void reduce_owner(comm::Comm& c, const octree::Let& let, int eq_len,
 
 void reduce_upward_densities(comm::Comm& c, const octree::Let& let,
                              int eq_len, std::span<double> u,
-                             ReduceMode mode,
-                             const NodeFinalFn& on_final) {
+                             ReduceMode mode) {
   PKIFMM_CHECK(u.size() == let.nodes.size() * static_cast<std::size_t>(eq_len));
   if (c.size() == 1) return;
 
@@ -238,10 +218,10 @@ void reduce_upward_densities(comm::Comm& c, const octree::Let& let,
 
   switch (mode) {
     case ReduceMode::kHypercube:
-      reduce_hypercube(c, let, eq_len, u, std::move(pool), on_final);
+      reduce_hypercube(c, let, eq_len, u, std::move(pool));
       break;
     case ReduceMode::kOwner:
-      reduce_owner(c, let, eq_len, u, std::move(pool), on_final);
+      reduce_owner(c, let, eq_len, u, std::move(pool));
       break;
   }
 }

@@ -25,7 +25,6 @@
 /// GPU ULI kernels).
 
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "comm/comm.hpp"
@@ -34,25 +33,13 @@
 
 namespace pkifmm::core {
 
-/// Per-node completion callback for reduce_upward_densities: invoked
-/// with the LET node index right after that node's complete density was
-/// written back into `u`. Runs on the calling (rank) thread.
-using NodeFinalFn = std::function<void(std::int32_t)>;
-
 /// Sums partial upward densities over contributors and delivers the
 /// complete values to users. `u` is the per-node density array
 /// (nodes * eq_len, node-major); on entry target nodes hold this rank's
 /// partials, on exit every node this rank uses holds the global sum.
-/// When `on_final` is set it fires once per written-back node, deepest
-/// levels first — the DAG executor uses it to release dependent V-list
-/// work incrementally instead of waiting for the whole reduction
-/// (FmmOptions::exec_mode = kDag). Every node it reports lies in the
-/// is_shared() set; nodes is_shared() predicts but no contribution
-/// reached are NOT reported (the caller flushes those after return).
 void reduce_upward_densities(comm::Comm& c, const octree::Let& let,
                              int eq_len, std::span<double> u,
-                             ReduceMode mode,
-                             const NodeFinalFn& on_final = {});
+                             ReduceMode mode);
 
 /// True iff some rank in [rank_lo, rank_hi] uses octant beta, i.e. the
 /// neighborhood of beta's parent overlaps that key-space range. Exposed

@@ -124,61 +124,6 @@ void cmac_t(const double* g, const double* f, double* acc, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// fft_bfly: one radix-2 butterfly block, v = b * w (w = twiddle with
-// sgn applied to its imaginary part), b = u - v, u = u + v, over
-// `half` interleaved complex values. The complex product reuses the
-// cmac idiom with g := w, f := b. The sign is folded into the twiddle
-// vector by an even/sgn lane mask multiply, matching the scalar
-// `wi = sgn * tw[...]` exactly.
-// ---------------------------------------------------------------------------
-
-template <class P>
-void fft_bfly_t(double* u, double* b, const double* tw, double sgn,
-                std::size_t half) {
-  if constexpr (P::kWidth == 1) {
-    for (std::size_t j = 0; j < half; ++j) {
-      const double wr = tw[2 * j];
-      const double wi = sgn * tw[2 * j + 1];
-      const double br = b[2 * j], bi = b[2 * j + 1];
-      const double vr = br * wr - bi * wi;
-      const double vi = br * wi + bi * wr;
-      const double ur = u[2 * j], ui = u[2 * j + 1];
-      u[2 * j] = ur + vr;
-      u[2 * j + 1] = ui + vi;
-      b[2 * j] = ur - vr;
-      b[2 * j + 1] = ui - vi;
-    }
-  } else {
-    constexpr std::size_t W = P::kWidth;
-    double sbuf[W];
-    for (std::size_t l = 0; l < W; ++l) sbuf[l] = (l & 1) ? sgn : 1.0;
-    const typename P::V vsgn = P::loadu(sbuf);
-    const std::size_t nd = 2 * half;
-    std::size_t i = 0;
-    for (; i + W <= nd; i += W) {
-      const typename P::V w = P::mul(P::loadu(tw + i), vsgn);
-      const typename P::V vb = P::loadu(b + i);
-      const typename P::V t = P::mul(P::dup_odd(w), P::swap_pairs(vb));
-      const typename P::V v = P::fmaddsub(P::dup_even(w), vb, t);
-      const typename P::V vu = P::loadu(u + i);
-      P::storeu(u + i, P::add(vu, v));
-      P::storeu(b + i, P::sub(vu, v));
-    }
-    if (i < nd) {
-      // nd is even, so the in-pair shuffles never cross the mask edge.
-      const typename P::M m = P::tail_mask(nd - i);
-      const typename P::V w = P::mul(P::maskz_loadu(m, tw + i), vsgn);
-      const typename P::V vb = P::maskz_loadu(m, b + i);
-      const typename P::V t = P::mul(P::dup_odd(w), P::swap_pairs(vb));
-      const typename P::V v = P::fmaddsub(P::dup_even(w), vb, t);
-      const typename P::V vu = P::maskz_loadu(m, u + i);
-      P::mask_storeu(u + i, m, P::add(vu, v));
-      P::mask_storeu(b + i, m, P::sub(vu, v));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Direct kernels. Shared staging: W targets -> SoA lanes (tail lanes
 // replicate target 0 and are dropped at writeback).
 // ---------------------------------------------------------------------------
@@ -366,7 +311,6 @@ Ops make_ops(Tier tier, const char* name) {
   t.width = P::kWidth;
   t.axpyn = &axpyn_t<P>;
   t.cmac = &cmac_t<P>;
-  t.fft_bfly = &fft_bfly_t<P>;
   t.laplace = &direct_laplace_t<P>;
   t.laplace_grad = &direct_laplace_grad_t<P>;
   t.stokes = &direct_stokes_t<P>;

@@ -118,6 +118,12 @@ struct Avx512Pack {
   static constexpr std::size_t kWidth = 8;
   using V = __m512d;
   using M = __mmask8;
+  /// All lanes. sqrt and the lane shuffles below use the maskz forms
+  /// with this mask: GCC 12's unmasked forms pass
+  /// _mm512_undefined_pd(), which -Wmaybe-uninitialized reports (GCC
+  /// bug 105593), and the full mask compiles to the same unmasked
+  /// instruction.
+  static constexpr M kAll = 0xFF;
 
   static V zero() { return _mm512_setzero_pd(); }
   static V set1(double x) { return _mm512_set1_pd(x); }
@@ -127,16 +133,16 @@ struct Avx512Pack {
   static V sub(V a, V b) { return _mm512_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm512_mul_pd(a, b); }
   static V div(V a, V b) { return _mm512_div_pd(a, b); }
-  static V sqrt(V a) { return _mm512_sqrt_pd(a); }
+  static V sqrt(V a) { return _mm512_maskz_sqrt_pd(kAll, a); }
   static V fmadd(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
   static M eq(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ); }
   static V zero_where(M m, V v) {
     return _mm512_maskz_mov_pd(static_cast<M>(~m), v);
   }
 
-  static V swap_pairs(V v) { return _mm512_permute_pd(v, 0x55); }
-  static V dup_even(V v) { return _mm512_movedup_pd(v); }
-  static V dup_odd(V v) { return _mm512_permute_pd(v, 0xFF); }
+  static V swap_pairs(V v) { return _mm512_maskz_permute_pd(kAll, v, 0x55); }
+  static V dup_even(V v) { return _mm512_maskz_movedup_pd(kAll, v); }
+  static V dup_odd(V v) { return _mm512_maskz_permute_pd(kAll, v, 0xFF); }
   static V fmaddsub(V a, V b, V c) { return _mm512_fmaddsub_pd(a, b, c); }
 
   static M tail_mask(std::size_t n) {

@@ -63,13 +63,6 @@ struct Ops {
   /// values ([re, im] pairs of doubles).
   void (*cmac)(const double* g, const double* f, double* acc, std::size_t n);
 
-  /// One radix-2 butterfly block over `half` interleaved complex
-  /// values: v = b[j] * (tw[j].re, sgn * tw[j].im); b[j] = u[j] - v;
-  /// u[j] = u[j] + v. tw holds forward-sign twiddles; sgn = -1 applies
-  /// the inverse transform's conjugation on the fly.
-  void (*fft_bfly)(double* u, double* b, const double* tw, double sgn,
-                   std::size_t half);
-
   /// Direct-summation kernels (xyz-interleaved points; f accumulated,
   /// target-major with the kernel's natural component stride).
   /// Coincident target/source pairs contribute zero (r2 == 0 lane

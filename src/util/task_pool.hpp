@@ -43,8 +43,11 @@
 /// TaskGraph (below) layers dependency-counted task nodes on top of the
 /// same deques: nodes carry an atomic remaining-dependency counter and
 /// a successor list, and enqueue into the pool the instant the counter
-/// hits zero ("ready-on-zero"). core::Evaluator uses it to run the FMM
-/// pipeline data-driven (FmmOptions::exec_mode = kDag).
+/// hits zero ("ready-on-zero"). No library code builds one:
+/// core::Evaluator runs its phases in order over parallel_for, because
+/// a task-graph schedule of the same chunks showed no wall-clock gain
+/// on any benchmark workload (DESIGN.md §5d). TaskGraph stays, with its
+/// tests and bench/micro cases, for a future data-driven schedule.
 
 #include <atomic>
 #include <condition_variable>

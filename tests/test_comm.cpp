@@ -17,10 +17,12 @@ TEST(Bytes, PackReadRoundTrip) {
   pack(b, 42);
   pack(b, 3.5);
   pack(b, std::vector<int>{1, 2, 3});
+  pack(b, std::vector<double>{});
   Reader r(b);
   EXPECT_EQ(r.read<int>(), 42);
   EXPECT_DOUBLE_EQ(r.read<double>(), 3.5);
   EXPECT_EQ(r.read_vector<int>(), (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(r.read_vector<double>().empty());
   EXPECT_TRUE(r.done());
 }
 
@@ -33,9 +35,12 @@ TEST(Bytes, UnderrunThrows) {
 }
 
 TEST(Bytes, SpanRoundTrip) {
-  std::vector<double> v = {1.0, 2.0, 3.0};
-  auto b = to_bytes(std::span<const double>(v));
-  EXPECT_EQ(from_bytes<double>(b), v);
+  for (const std::vector<double>& v :
+       {std::vector<double>{1.0, 2.0, 3.0}, std::vector<double>{}}) {
+    auto b = to_bytes(std::span<const double>(v));
+    EXPECT_EQ(b.size(), v.size() * sizeof(double));
+    EXPECT_EQ(from_bytes<double>(b), v);
+  }
 }
 
 TEST(Runtime, SingleRankRuns) {

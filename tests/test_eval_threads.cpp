@@ -3,12 +3,15 @@
 /// exactly equal per-phase flop counts for any threads_per_rank, in
 /// both eval modes, because every parallel chunk writes a pre-assigned
 /// disjoint output range in the serial iteration order and the chunk
-/// decomposition never depends on the worker count. clamp_threads is
-/// off so the sweep exercises real worker threads even on one-core CI.
+/// decomposition never depends on the worker count. DagExecParity also
+/// checks run() against the public phase methods on one LET at every
+/// thread count. clamp_threads is off so the sweeps exercise real
+/// worker threads even on one-core CI.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -35,21 +38,33 @@ struct Case {
   EvalMode mode;
   bool runtime_pool;  ///< provide the pool via Runtime::run overload
   M2lMode m2l = M2lMode::kFft;
-  ExecMode exec = ExecMode::kBulkSync;
+  int ranks = 2;
   int surface_n = 4;
 };
 
-ThreadRun run_with_threads(const Case& c, int p, int threads) {
-  auto kernel = kernels::make_kernel(c.kernel);
+FmmOptions case_options(const Case& c, int threads) {
   FmmOptions opts;
   opts.surface_n = c.surface_n;
   opts.max_points_per_leaf = 20;
   opts.eval_mode = c.mode;
   opts.m2l = c.m2l;
-  opts.exec_mode = c.exec;
   opts.threads_per_rank = threads;
   opts.clamp_threads = false;
-  const Tables tables(*kernel, opts);
+  return opts;
+}
+
+/// Runs `fn` on p ranks, with the per-rank pool from the Runtime when
+/// the case asks for it (otherwise each Evaluator owns one).
+std::vector<comm::RankReport> run_ranks(
+    const Case& c, int p, int threads,
+    const std::function<void(comm::RankCtx&)>& fn) {
+  return c.runtime_pool ? comm::Runtime::run(p, threads, /*clamp=*/false, fn)
+                        : comm::Runtime::run(p, fn);
+}
+
+ThreadRun run_with_threads(const Case& c, int p, int threads) {
+  auto kernel = kernels::make_kernel(c.kernel);
+  const Tables tables(*kernel, case_options(c, threads));
 
   ThreadRun out;
   out.eval_flops.resize(p);
@@ -68,10 +83,7 @@ ThreadRun run_with_threads(const Case& c, int p, int threads) {
           std::vector<double>(res.potentials.begin() + i * td,
                               res.potentials.begin() + (i + 1) * td);
   };
-  auto reports =
-      c.runtime_pool
-          ? comm::Runtime::run(p, threads, /*clamp=*/false, fn)
-          : comm::Runtime::run(p, fn);
+  const auto reports = run_ranks(c, p, threads, fn);
   for (int r = 0; r < p; ++r) {
     for (const auto& [phase, flops] : reports[r].flop_phases)
       if (phase.rfind("eval.", 0) == 0) out.eval_flops[r][phase] = flops;
@@ -87,7 +99,7 @@ class EvalThreadDeterminism : public ::testing::TestWithParam<Case> {};
 
 TEST_P(EvalThreadDeterminism, IdenticalAcrossThreadCounts) {
   const Case c = GetParam();
-  const int p = 2;
+  const int p = c.ranks;
 
   const ThreadRun base = run_with_threads(c, p, 1);
   ASSERT_GT(base.pot.size(), 0u);
@@ -131,60 +143,102 @@ TEST_P(EvalThreadDeterminism, IdenticalAcrossThreadCounts) {
   }
 }
 
-/// Exec-mode parity sweep (DESIGN.md "DAG executor"): the DAG execution
-/// of the batched pipeline must reproduce the bulk-synchronous
-/// reference BITWISE — identical potentials and exactly equal per-phase
-/// flop counts — for any thread count, because DAG edges preserve every
-/// accumulation order of the bulk engine and the node decomposition
-/// never depends on the worker count. p=4 for FFT cases so the
-/// hypercube reduce's incremental ghost releases are exercised on a
-/// multi-round exchange; p=2 for the dense-M2L ablation.
+/// run() and the nine public phase methods on one LET, per rank. The
+/// phase methods are the path of the wall-clock benchmark's traced
+/// evaluate and of the GPU engine; run() adds the background ULI start
+/// before S2U and the health sentinels.
+struct PhasePathRun {
+  std::vector<std::vector<double>> run_pot, phase_pot;  // Let order
+  std::vector<std::map<std::string, std::uint64_t>> run_flops, phase_flops;
+};
+
+PhasePathRun run_both_paths(const Case& c, int threads) {
+  auto kernel = kernels::make_kernel(c.kernel);
+  const Tables tables(*kernel, case_options(c, threads));
+  const int p = c.ranks;
+  PhasePathRun out;
+  out.run_pot.resize(p);
+  out.phase_pot.resize(p);
+  out.run_flops.resize(p);
+  out.phase_flops.resize(p);
+  run_ranks(c, p, threads, [&](comm::RankCtx& ctx) {
+    ParallelFmm fmm(ctx, tables);
+    fmm.setup(octree::generate_points(c.dist, 900, ctx.rank(), p,
+                                      tables.sdim(), 91));
+    octree::Let let = fmm.let();
+    octree::refresh_ghost_densities(ctx.comm, let);
+    const auto eval_flops = [&] {
+      std::map<std::string, std::uint64_t> m;
+      for (const auto& [phase, fl] : ctx.flops.phases())
+        if (phase.rfind("eval.", 0) == 0) m[phase] = fl;
+      return m;
+    };
+    const int r = ctx.rank();
+
+    auto f0 = eval_flops();
+    Evaluator whole(tables, let, ctx);
+    whole.run();
+    auto f1 = eval_flops();
+
+    Evaluator phases(tables, let, ctx);
+    phases.s2u();
+    phases.u2u();
+    phases.comm_reduce();
+    phases.vli();
+    phases.xli();
+    phases.downward();
+    phases.wli();
+    phases.d2t();
+    phases.uli();
+    const auto f2 = eval_flops();
+
+    out.run_pot[r].assign(whole.potential().begin(),
+                          whole.potential().end());
+    out.phase_pot[r].assign(phases.potential().begin(),
+                            phases.potential().end());
+    for (const auto& [phase, fl] : f2) {
+      out.run_flops[r][phase] = f1[phase] - f0[phase];
+      out.phase_flops[r][phase] = fl - f1[phase];
+    }
+  });
+  return out;
+}
+
+/// Phase-path parity sweep: run() and the public phase methods must
+/// produce BITWISE-identical potentials and exactly equal per-phase
+/// flop counts on one LET, at every thread count, and both must match
+/// the one-thread phase methods. FFT cases run at p=4 so the hypercube
+/// reduce runs two rounds; the dense-M2L ablation at p=2. (The suite
+/// name is kept from a removed task-graph schedule so that the test
+/// names stay stable.)
 class DagExecParity : public ::testing::TestWithParam<Case> {};
 
 TEST_P(DagExecParity, BitwiseMatchesBulkSyncAcrossThreadCounts) {
-  Case c = GetParam();
-  const int p = c.m2l == M2lMode::kFft ? 4 : 2;
+  const Case c = GetParam();
+  const PhasePathRun base = run_both_paths(c, 1);
+  for (int r = 0; r < c.ranks; ++r) {
+    ASSERT_GT(base.phase_pot[r].size(), 0u) << "rank " << r;
+    EXPECT_GT(base.phase_flops[r].at("eval.vli"), 0u) << "rank " << r;
+  }
 
-  c.exec = ExecMode::kBulkSync;
-  const ThreadRun base = run_with_threads(c, p, 1);
-  ASSERT_GT(base.pot.size(), 0u);
-  std::uint64_t base_total = 0;
-  for (const auto& m : base.eval_flops)
-    for (const auto& [phase, fl] : m) base_total += fl;
-  ASSERT_GT(base_total, 0u);
-
-  c.exec = ExecMode::kDag;
   for (const int threads : {1, 2, 4}) {
-    const ThreadRun run = run_with_threads(c, p, threads);
-
-    ASSERT_EQ(base.pot.size(), run.pot.size()) << threads << " threads";
-    for (const auto& [gid, comps] : base.pot) {
-      const auto it = run.pot.find(gid);
-      ASSERT_NE(it, run.pot.end()) << "gid " << gid;
-      ASSERT_EQ(comps.size(), it->second.size());
-      for (std::size_t k = 0; k < comps.size(); ++k)
-        EXPECT_EQ(comps[k], it->second[k])
-            << "gid " << gid << " comp " << k << " @ " << threads
+    const PhasePathRun run = threads == 1 ? base : run_both_paths(c, threads);
+    for (int r = 0; r < c.ranks; ++r) {
+      const auto& ref = base.phase_pot[r];
+      ASSERT_EQ(ref.size(), run.run_pot[r].size()) << "rank " << r;
+      ASSERT_EQ(ref.size(), run.phase_pot[r].size()) << "rank " << r;
+      for (std::size_t k = 0; k < ref.size(); ++k) {
+        EXPECT_EQ(ref[k], run.run_pot[r][k])
+            << "run() rank " << r << " entry " << k << " @ " << threads
             << " threads";
-    }
-
-    // Exact flop equality: the DAG runs the same model arithmetic,
-    // phase by phase and rank by rank.
-    for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(base.eval_flops[r], run.eval_flops[r])
-          << "rank " << r << " @ " << threads << " threads";
-    }
-
-    // The DAG scheduler published its counters on every rank.
-    for (int r = 0; r < p; ++r) {
-      const auto& s = run.sched[r];
-      ASSERT_TRUE(s.count("sched.dag.graphs")) << "rank " << r;
-      EXPECT_GE(s.at("sched.dag.graphs"), 1.0) << "rank " << r;
-      ASSERT_TRUE(s.count("sched.dag.nodes")) << "rank " << r;
-      EXPECT_GT(s.at("sched.dag.nodes"), 0.0) << "rank " << r;
-      ASSERT_TRUE(s.count("sched.dag.tasks")) << "rank " << r;
-      EXPECT_GT(s.at("sched.dag.tasks"), 0.0) << "rank " << r;
-      ASSERT_TRUE(s.count("sched.dag.edges")) << "rank " << r;
+        EXPECT_EQ(ref[k], run.phase_pot[r][k])
+            << "phase methods rank " << r << " entry " << k << " @ "
+            << threads << " threads";
+      }
+      EXPECT_EQ(base.phase_flops[r], run.run_flops[r])
+          << "run() rank " << r << " @ " << threads << " threads";
+      EXPECT_EQ(base.phase_flops[r], run.phase_flops[r])
+          << "phase methods rank " << r << " @ " << threads << " threads";
     }
   }
 }
@@ -192,18 +246,21 @@ TEST_P(DagExecParity, BitwiseMatchesBulkSyncAcrossThreadCounts) {
 INSTANTIATE_TEST_SUITE_P(
     KernelsAndM2lModes, DagExecParity,
     ::testing::Values(
-        Case{"laplace", Distribution::kUniform, EvalMode::kBatched, false},
-        Case{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false},
+        Case{"laplace", Distribution::kUniform, EvalMode::kBatched, false,
+             M2lMode::kFft, 4},
+        Case{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false,
+             M2lMode::kFft, 4},
         Case{"laplace", Distribution::kEllipsoid, EvalMode::kBatched, false,
              M2lMode::kDense},
-        Case{"yukawa", Distribution::kUniform, EvalMode::kBatched, true},
+        Case{"yukawa", Distribution::kUniform, EvalMode::kBatched, true,
+             M2lMode::kFft, 4},
         // Other orders: FFT grids 6 (n=3), 9 (n=5) and 16 (n=7).
         Case{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false,
-             M2lMode::kFft, ExecMode::kBulkSync, 3},
+             M2lMode::kFft, 4, 3},
         Case{"laplace", Distribution::kUniform, EvalMode::kBatched, false,
-             M2lMode::kFft, ExecMode::kBulkSync, 5},
+             M2lMode::kFft, 4, 5},
         Case{"laplace", Distribution::kEllipsoid, EvalMode::kBatched, false,
-             M2lMode::kFft, ExecMode::kBulkSync, 7}),
+             M2lMode::kFft, 4, 7}),
     [](const ::testing::TestParamInfo<Case>& info) {
       const Case& c = info.param;
       std::string name = c.kernel;
@@ -258,7 +315,7 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false},
         Case{"yukawa", Distribution::kUniform, EvalMode::kBatched, true},
         Case{"laplace", Distribution::kEllipsoid, EvalMode::kBatched, false,
-             M2lMode::kFft, ExecMode::kBulkSync, 5}),
+             M2lMode::kFft, 2, 5}),
     [](const ::testing::TestParamInfo<Case>& info) {
       const Case& c = info.param;
       std::string name = c.kernel;

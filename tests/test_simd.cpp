@@ -84,7 +84,6 @@ TEST(SimdTier, TableShapePerTier) {
     EXPECT_EQ(o.width, want);
     EXPECT_NE(o.axpyn, nullptr);
     EXPECT_NE(o.cmac, nullptr);
-    EXPECT_NE(o.fft_bfly, nullptr);
     EXPECT_NE(o.laplace, nullptr);
     EXPECT_NE(o.laplace_grad, nullptr);
     EXPECT_NE(o.stokes, nullptr);
@@ -235,65 +234,6 @@ TEST_F(SimdTest, CmacBitwiseInvariantToChunking) {
       for (std::size_t i = 0; i < 2 * n; ++i)
         EXPECT_EQ(split[i], whole[i])
             << tier_name(t) << " cut=" << cut << " i=" << i;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// fft_bfly
-// ---------------------------------------------------------------------------
-
-// Reference: the scalar radix-2 butterfly block, same association as
-// the pre-SIMD Fft3d::line_fft inner loop.
-void fft_bfly_ref(double* u, double* b, const double* tw, double sgn,
-                  std::size_t half) {
-  for (std::size_t j = 0; j < half; ++j) {
-    const double wr = tw[2 * j];
-    const double wi = sgn * tw[2 * j + 1];
-    const double br = b[2 * j], bi = b[2 * j + 1];
-    const double vr = br * wr - bi * wi;
-    const double vi = br * wi + bi * wr;
-    const double ur = u[2 * j], ui = u[2 * j + 1];
-    u[2 * j] = ur + vr;
-    u[2 * j + 1] = ui + vi;
-    b[2 * j] = ur - vr;
-    b[2 * j + 1] = ui - vi;
-  }
-}
-
-TEST_F(SimdTest, FftBflyMatchesScalarButterflies) {
-  // half values straddle every vector width, including non-powers of
-  // two (the op's contract is any half; Fft3d only uses powers of two).
-  for (const std::size_t half : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 31u}) {
-    for (const double sgn : {1.0, -1.0}) {
-      const auto u0 = random_vec(2 * half, 11 * half, -1.0, 1.0);
-      const auto b0 = random_vec(2 * half, 13 * half, -1.0, 1.0);
-      // Unit-magnitude twiddles like the real table.
-      auto tw = random_vec(2 * half, 17 * half, -1.0, 1.0);
-      for (std::size_t j = 0; j < half; ++j) {
-        const double norm =
-            std::sqrt(tw[2 * j] * tw[2 * j] + tw[2 * j + 1] * tw[2 * j + 1]);
-        tw[2 * j] /= norm;
-        tw[2 * j + 1] /= norm;
-      }
-
-      auto uref = u0, bref = b0;
-      fft_bfly_ref(uref.data(), bref.data(), tw.data(), sgn, half);
-
-      for (Tier t : available_tiers()) {
-        auto u = u0, b = b0;
-        ops_for_tier(t).fft_bfly(u.data(), b.data(), tw.data(), sgn, half);
-        EXPECT_LT(rel_err(u, uref), 1e-12)
-            << tier_name(t) << " half=" << half << " sgn=" << sgn;
-        EXPECT_LT(rel_err(b, bref), 1e-12)
-            << tier_name(t) << " half=" << half << " sgn=" << sgn;
-        if (t == Tier::kScalar) {
-          for (std::size_t i = 0; i < 2 * half; ++i) {
-            EXPECT_EQ(u[i], uref[i]) << "half=" << half << " i=" << i;
-            EXPECT_EQ(b[i], bref[i]) << "half=" << half << " i=" << i;
-          }
-        }
-      }
     }
   }
 }

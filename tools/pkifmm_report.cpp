@@ -32,10 +32,7 @@
 ///      present, i.e. the run drove a util::TaskPool): per-worker-lane
 ///      busy fraction over the pool lifetime plus the ULI overlap
 ///      efficiency — what fraction of the U-list direct work executed
-///      concurrently with the far-field pipeline; when the summary
-///      carries `sched.dag.*` counters (--exec-mode=dag runs) a DAG
-///      subsection adds graph shape, mean ready-queue depth, and the
-///      top dependency stalls by release wait,
+///      concurrently with the far-field pipeline,
 ///   5. message-flow waits (only when the summary carries a "flow"
 ///      section, i.e. the run used --flow-trace): per-phase wall-time
 ///      decomposition into compute / comm-wait / pool-idle with a wait
@@ -428,59 +425,6 @@ static int run(int argc, char** argv) {
           uli_busy > 0.0 ? uli_overlap / uli_busy : 0.0, sci(uli_overlap).c_str(),
           sci(uli_busy).c_str());
     }
-    std::printf("\n");
-  }
-
-  // --- 4b. DAG executor (--exec-mode=dag runs only): graph shape,
-  // ready-queue depth, and the phases whose tasks waited longest
-  // between dependency release and execution start. Keyed on the
-  // sched.dag.* counters, so pre-DAG metrics files (or bulk-sync runs)
-  // simply skip the section.
-  if (metrics.contains("sched.dag.graphs")) {
-    const double depth_sum = metric_sum(metrics, "sched.dag.ready_depth_sum");
-    const double depth_n =
-        metric_sum(metrics, "sched.dag.ready_depth_samples");
-    std::printf(
-        "DAG executor: %s graph(s) | %s nodes, %s edges, %s pool tasks, "
-        "%s external signals\n",
-        sci(metric_sum(metrics, "sched.dag.graphs")).c_str(),
-        sci(metric_sum(metrics, "sched.dag.nodes")).c_str(),
-        sci(metric_sum(metrics, "sched.dag.edges")).c_str(),
-        sci(metric_sum(metrics, "sched.dag.tasks")).c_str(),
-        sci(metric_sum(metrics, "sched.dag.signals")).c_str());
-    std::printf(
-        "mean ready-queue depth %.2f over %s samples | release-wait "
-        "total %s s\n",
-        depth_n > 0.0 ? depth_sum / depth_n : 0.0, sci(depth_n).c_str(),
-        sci(metric_sum(metrics, "sched.dag.release_wait_seconds")).c_str());
-
-    // Top dependency stalls: DAG phases ranked by total release wait —
-    // where ready work sat longest behind busy lanes or late releases.
-    const std::string pre = "sched.dag.phase.";
-    const std::string suf = ".release_wait_seconds";
-    std::vector<std::string> dag_phases;
-    for (const std::string& key : metrics.keys())
-      if (key.rfind(pre, 0) == 0 && key.size() > pre.size() + suf.size() &&
-          key.compare(key.size() - suf.size(), suf.size(), suf) == 0)
-        dag_phases.push_back(
-            key.substr(pre.size(), key.size() - pre.size() - suf.size()));
-    std::sort(dag_phases.begin(), dag_phases.end(),
-              [&](const std::string& a, const std::string& b) {
-                return metric_sum(metrics, pre + a + suf) >
-                       metric_sum(metrics, pre + b + suf);
-              });
-    if (dag_phases.size() > top_k) dag_phases.resize(top_k);
-    Table stalls({"DAG phase", "Tasks", "Busy (s)", "Release wait (s)",
-                  "Overlap (s)"});
-    for (const std::string& dp : dag_phases)
-      stalls.add_row(
-          {dp, sci(metric_sum(metrics, pre + dp + ".tasks")),
-           sci(metric_sum(metrics, pre + dp + ".busy_seconds")),
-           sci(metric_sum(metrics, pre + dp + suf)),
-           sci(metric_sum(metrics, pre + dp + ".overlap_seconds"))});
-    if (!dag_phases.empty())
-      std::printf("Top-%zu dependency stalls (by release wait):\n%s",
-                  dag_phases.size(), stalls.str().c_str());
     std::printf("\n");
   }
 

@@ -66,7 +66,7 @@ Outcome run_once(bool offload_wx, octree::Distribution dist, std::uint64_t n,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "ablation_gpu_wx");
   const auto n = static_cast<std::uint64_t>(cli.get_int("n", 20000));
@@ -97,4 +97,8 @@ int main(int argc, char** argv) {
       "a clear end-to-end win on the adaptive (nonuniform) tree where the\n"
       "CPU-resident W/X work sits on the critical path.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

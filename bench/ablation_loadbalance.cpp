@@ -66,7 +66,7 @@ Summary run_strategy(Strategy strat, int p, std::uint64_t per_rank, int q) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "ablation_loadbalance");
   const int p = static_cast<int>(cli.get_int("p", 16));
@@ -94,4 +94,8 @@ int main(int argc, char** argv) {
       "wildly); the paper's work-weighted partitioning brings max/avg\n"
       "close to 1, matching the tight max-vs-avg dots of its Fig. 3.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

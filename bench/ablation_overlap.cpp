@@ -20,7 +20,7 @@
 using namespace pkifmm;
 using namespace pkifmm::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "ablation_overlap");
   const int pmax = static_cast<int>(cli.get_int("pmax", 32));
@@ -59,4 +59,8 @@ int main(int argc, char** argv) {
       "becomes a larger share of the evaluation — quantifying what the\n"
       "paper left on the table by not overlapping.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

@@ -16,7 +16,7 @@
 using namespace pkifmm;
 using namespace pkifmm::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "ablation_reduce");
   const int pmax = static_cast<int>(cli.get_int("pmax", 32));
@@ -51,4 +51,8 @@ int main(int argc, char** argv) {
       "while the owner scheme's max messages grow ~linearly with p (the\n"
       "64K-core failure mode the paper reports).\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

@@ -18,7 +18,7 @@
 using namespace pkifmm;
 using namespace pkifmm::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "ablation_treebuild");
   const int pmax = static_cast<int>(cli.get_int("pmax", 32));
@@ -73,4 +73,8 @@ int main(int argc, char** argv) {
       "per-rank count stays near the local share — the reason the SC'03\n"
       "approach died beyond ~2-3K processes.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

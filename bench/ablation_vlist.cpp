@@ -13,7 +13,7 @@
 using namespace pkifmm;
 using namespace pkifmm::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "ablation_vlist");
   const auto n_points = static_cast<std::uint64_t>(cli.get_int("n", 20000));
@@ -54,4 +54,8 @@ int main(int argc, char** argv) {
       "2^a 3^b >= 2n-1 (8, 12, 16 at n = 4, 6, 8). FFT is level with dense\n"
       "at n = 4 and wins from n = 6, by more as n (accuracy) grows.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

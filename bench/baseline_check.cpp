@@ -21,6 +21,7 @@
 
 #include <cstdio>
 
+#include "common.hpp"
 #include "obs/aggregate.hpp"
 #include "obs/json.hpp"
 #include "util/cli.hpp"
@@ -28,7 +29,7 @@
 
 using namespace pkifmm;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   const std::string summary_path = cli.get("summary", "");
   const std::string baseline_path = cli.get("baseline", "");
@@ -74,4 +75,9 @@ int main(int argc, char** argv) {
   std::printf("REGRESSION: %zu violation(s)\n%s\n", violations.size(),
               table.str().c_str());
   return 1;
+}
+
+int main(int argc, char** argv) {
+  // An unreadable or malformed summary is bad input, not a regression.
+  return pkifmm::bench::guarded_main(argc, argv, bench_main, 2);
 }

@@ -135,6 +135,14 @@ void record_run(const std::string& kind, const ExperimentConfig& cfg,
 const core::Tables& tables_for(const std::string& kernel,
                                const core::FmmOptions& opts);
 
+/// Runs a bench's body as its main. An exception escaping `body` (a
+/// CheckFailure from bad input, say) is printed to stderr as
+/// "<bench>: error: <what>", <bench> the basename of argv[0], and the
+/// process exits with `error_status` instead of ending in
+/// std::terminate.
+int guarded_main(int argc, char** argv, int (*body)(int, char**),
+                 int error_status = 1);
+
 /// Prints a headline for a bench, echoing the paper artifact it
 /// regenerates.
 void print_header(const std::string& artifact, const std::string& what);

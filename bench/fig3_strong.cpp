@@ -72,7 +72,7 @@ void run_series(octree::Distribution dist, const char* label,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "fig3_strong");
   const int pmax = static_cast<int>(cli.get_int("pmax", 16));
@@ -89,4 +89,8 @@ int main(int argc, char** argv) {
       "Paper reference: 80-90%% parallel efficiency over a 16x rank "
       "range,\nwith good load balance (max close to avg).\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

@@ -51,7 +51,7 @@ void run_series(octree::Distribution dist, const char* label,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "fig4_weak");
   const int pmax = static_cast<int>(cli.get_int("pmax", 16));
@@ -67,4 +67,8 @@ int main(int argc, char** argv) {
       "evaluation (vs 15x slower in the SC'03 code), and total time grows\n"
       "~1.5x across the full weak-scaling range.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

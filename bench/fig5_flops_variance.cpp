@@ -60,7 +60,7 @@ Summary run_series(octree::Distribution dist, const char* label, int p,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "fig5_flops_variance");
   const int p = static_cast<int>(cli.get_int("p", 16));
@@ -78,4 +78,8 @@ int main(int argc, char** argv) {
       "paper's plots). Measured stddev/avg: uniform %.3f, nonuniform %.3f\n",
       uni.stddev / uni.avg, non.stddev / non.avg);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

@@ -17,7 +17,7 @@
 using namespace pkifmm;
 using namespace pkifmm::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "fig6_gpu_weak");
   const int pmax = static_cast<int>(cli.get_int("pmax", 8));
@@ -67,4 +67,8 @@ int main(int argc, char** argv) {
       "the series more than at the paper's 1M points/GPU.)\n",
       min_speedup);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

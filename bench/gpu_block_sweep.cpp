@@ -14,7 +14,7 @@
 using namespace pkifmm;
 using namespace pkifmm::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "gpu_block_sweep");
   const auto n = static_cast<std::uint64_t>(cli.get_int("n", 20000));
@@ -65,4 +65,8 @@ int main(int argc, char** argv) {
       "(many small boxes); arithmetic intensity improves with b until\n"
       "padding waste dominates — the b the paper tunes per machine.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

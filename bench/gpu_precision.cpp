@@ -61,7 +61,7 @@ std::pair<double, double> errors_for(int surface_n, std::uint64_t n) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "gpu_precision");
   const auto n = static_cast<std::uint64_t>(cli.get_int("n", 4000));
@@ -82,4 +82,8 @@ int main(int argc, char** argv) {
       "single precision as a limitation and runs its GPU experiments at\n"
       "moderate accuracy.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

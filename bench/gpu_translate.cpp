@@ -15,7 +15,7 @@
 using namespace pkifmm;
 using namespace pkifmm::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "gpu_translate");
 
@@ -54,4 +54,8 @@ int main(int argc, char** argv) {
   std::printf("Expected shape: translation remains a minor fraction of the\n"
               "evaluation work at every size.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

@@ -11,10 +11,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
+#include "common.hpp"
 #include "comm/comm.hpp"
 #include "comm/sort.hpp"
 #include "core/surface.hpp"
@@ -158,6 +162,83 @@ void BM_FftPointwiseMacChunked(benchmark::State& state) {
                           static_cast<std::int64_t>(8 * kChunk * nentries));
 }
 BENCHMARK(BM_FftPointwiseMacChunked)->Arg(64)->Arg(1024);
+
+void BM_FftMacLevel(benchmark::State& state) {
+  // The batched V-list MAC at a real level shape: targets are the first
+  // 1,022 octants of a uniform level-4 grid in Morton order (one rank's
+  // share of the uniform_farfield workload), sources the union of their
+  // V-lists, n = 6 (63 chunks of 16 frequencies). Spectra and
+  // accumulators are chunk-major, pairs are sorted by offset, and each
+  // (chunk, offset run) is one pointwise_mac_chunked call, as in
+  // core::Evaluator::vli_mac. Items are flops: 8 per frequency per pair.
+  constexpr int kLevel = 4;
+  constexpr std::size_t kTargets = 1022, kChunk = core::Tables::kFreqChunk;
+  const std::size_t len = fft::Fft3d(12).half_volume();  // 1,008 at n = 6
+  const std::size_t nchunks = len / kChunk;
+  const morton::Coord side = morton::kGridSize >> kLevel;
+  std::vector<morton::Key> grid;
+  for (morton::Coord x = 0; x < morton::kGridSize; x += side)
+    for (morton::Coord y = 0; y < morton::kGridSize; y += side)
+      for (morton::Coord z = 0; z < morton::kGridSize; z += side)
+        grid.push_back(morton::make_key(x, y, z, kLevel));
+  std::sort(grid.begin(), grid.end());
+
+  // (offset, target slot, source key) per V-list pair.
+  std::vector<std::tuple<int, std::int32_t, morton::Key>> pairs;
+  for (std::size_t t = 0; t < kTargets; ++t)
+    for (const morton::Key& pc : morton::neighborhood(morton::parent(grid[t])))
+      for (const morton::Key& s : morton::children(pc))
+        if (s != grid[t] && !morton::adjacent(s, grid[t]))
+          pairs.emplace_back(core::vlist_offset_index(grid[t], s),
+                             static_cast<std::int32_t>(t), s);
+  std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
+    return std::tie(std::get<0>(a), std::get<1>(a)) <
+           std::tie(std::get<0>(b), std::get<1>(b));
+  });
+  std::map<morton::Key, std::int32_t> src_slot;
+  struct Run {
+    std::size_t op, e0, e1;
+  };
+  std::vector<Run> runs;
+  std::vector<std::int32_t> fidx, aidx;
+  int prev_off = -1;
+  for (const auto& [off, t, s] : pairs) {
+    if (off != prev_off) runs.push_back({runs.size(), fidx.size(), 0});
+    prev_off = off;
+    fidx.push_back(src_slot.try_emplace(s, src_slot.size()).first->second);
+    aidx.push_back(t);
+    runs.back().e1 = fidx.size();
+  }
+
+  Rng rng(12);
+  auto random_spectra = [&](std::size_t n) {
+    std::vector<fft::Complex> v(n);
+    for (auto& z : v) z = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    return v;
+  };
+  const auto g = random_spectra(runs.size() * len);
+  const auto f = random_spectra(nchunks * src_slot.size() * kChunk);
+  std::vector<fft::Complex> acc(nchunks * kTargets * kChunk);
+  const std::span<const std::int32_t> fs(fidx), as(aidx);
+  for (auto _ : state) {
+    for (std::size_t ci = 0; ci < nchunks; ++ci) {
+      const fft::Complex* fb = f.data() + ci * src_slot.size() * kChunk;
+      fft::Complex* ab = acc.data() + ci * kTargets * kChunk;
+      for (const Run& r : runs)
+        fft::pointwise_mac_chunked(g.data() + r.op * len + ci * kChunk, kChunk,
+                                   fb, ab, fs.subspan(r.e0, r.e1 - r.e0),
+                                   as.subspan(r.e0, r.e1 - r.e0));
+    }
+    benchmark::DoNotOptimize(acc.data());
+  }
+  state.counters["sources"] = static_cast<double>(src_slot.size());
+  state.counters["pairs"] = static_cast<double>(pairs.size());
+  state.counters["offsets"] = static_cast<double>(runs.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(8 * kChunk * nchunks *
+                                                    pairs.size()));
+}
+BENCHMARK(BM_FftMacLevel)->Unit(benchmark::kMillisecond);
 
 void BM_PinvPrecompute(benchmark::State& state) {
   // The S2U/D2D conversion operator build for surface order n.
@@ -356,7 +437,7 @@ class MetricsReporter : public benchmark::ConsoleReporter {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   // google-benchmark rejects flags it does not know, so peel off
   // --metrics-out / --history-out / --git-sha / --threads before
   // handing argv over.
@@ -468,4 +549,8 @@ int main(int argc, char** argv) {
                 history_path.c_str(), git_sha.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

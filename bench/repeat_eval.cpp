@@ -94,7 +94,7 @@ PassResult run_pass(const core::Tables& tables, int p, int threads,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "repeat_eval");
   const int p = static_cast<int>(cli.get_int("p", 4));
@@ -189,4 +189,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

@@ -16,7 +16,7 @@
 using namespace pkifmm;
 using namespace pkifmm::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "table2_breakdown");
   const int p = static_cast<int>(cli.get_int("p", 16));
@@ -102,4 +102,8 @@ int main(int argc, char** argv) {
       "avg 1.20e+02 s; U- and V-lists dominate and are comparable; W/X are\n"
       "~4x smaller; comm is a small fraction of total eval.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

@@ -18,7 +18,7 @@
 using namespace pkifmm;
 using namespace pkifmm::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "table3_gpu_q");
   // The paper's q values are exactly 1M/8^5, 1M/8^4, 1M/8^3 — each q
@@ -93,4 +93,8 @@ int main(int argc, char** argv) {
               rows[2][2] > rows[3][2] ? "yes" : "NO",
               interior_opt ? "yes" : "NO");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

@@ -44,7 +44,7 @@ std::vector<double> parse_churns(const std::string& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "timestep");
   const int p = static_cast<int>(cli.get_int("p", 4));
@@ -139,4 +139,8 @@ int main(int argc, char** argv) {
   std::printf("amortization at <=1%% churn: %s (target >= 3x)\n",
               ok_3x ? "ok" : "BELOW TARGET");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pkifmm::bench::guarded_main(argc, argv, bench_main);
 }

@@ -1,6 +1,7 @@
 #include "core/evaluator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -143,17 +144,6 @@ void Evaluator::gemm_batched(const la::Matrix& m, double scale,
   ctx_.flops.add(phase, la::gemm_flops(m, ncols));
 }
 
-int Evaluator::pair_offset_index(const LetNode& tnode,
-                                 const LetNode& snode) const {
-  const auto ta = morton::anchor(tnode.key);
-  const auto sa = morton::anchor(snode.key);
-  const auto side = morton::cell_side(tnode.key);
-  const int dx = (static_cast<std::int64_t>(ta[0]) - sa[0]) / side;
-  const int dy = (static_cast<std::int64_t>(ta[1]) - sa[1]) / side;
-  const int dz = (static_cast<std::int64_t>(ta[2]) - sa[2]) / side;
-  return offset_index(dx, dy, dz);
-}
-
 void Evaluator::run() {
   // ULI ‖ {S2U, U2U, comm, VLI, XLI, down, WLI, D2T}: the direct
   // interactions depend on nothing upstream, so they start now and the
@@ -224,8 +214,8 @@ void Evaluator::publish_mem_gauges() {
   rec.gauge_set("mem.eval.batch_bytes",
                 cap(batch_in_) + cap(batch_out_) + cap(batch_tmp_) +
                     cap(slots_a_) + cap(slots_b_) + cap(slot_of_) +
-                    cap(vli_.tgt) + cap(vli_.src) + cap(vli_.fidx) +
-                    cap(vli_.aidx));
+                    cap(vli_.tgt) + cap(vli_.src) + cap(vli_.off) +
+                    cap(vli_.fidx) + cap(vli_.aidx));
   rec.gauge_set("mem.eval.fft_chunk_bytes",
                 cap(vli_.spectra) + cap(vli_.acc));
 }
@@ -503,7 +493,7 @@ void Evaluator::vli_dense_scalar() {
     const LevelOps ops = tables_.at(node.key.level);
     for (auto si : list) {
       const la::Matrix& m = tables_.m2l_dense(
-          node.key.level, pair_offset_index(node, let_.nodes[si]));
+          node.key.level, vlist_offset_index(node.key, let_.nodes[si].key));
       la::gemv_acc(m,
                    std::span<const double>(
                        u_.data() + std::size_t(si) * tables_.eq_len(),
@@ -526,7 +516,8 @@ void Evaluator::vli_dense_batched() {
       const LetNode& node = let_.nodes[i];
       if (!node.target) continue;
       for (auto si : let_.v.of(i))
-        pairs.emplace_back(pair_offset_index(node, let_.nodes[si]), i, si);
+        pairs.emplace_back(vlist_offset_index(node.key, let_.nodes[si].key),
+                           i, si);
     }
     if (pairs.empty()) continue;
     std::sort(pairs.begin(), pairs.end());
@@ -595,7 +586,8 @@ void Evaluator::vli_fft_scalar() {
       // Sources in offset order, the batched sweep's accumulation order.
       offsets.clear();
       for (auto si : list)
-        offsets.emplace_back(pair_offset_index(node, let_.nodes[si]), si);
+        offsets.emplace_back(vlist_offset_index(node.key, let_.nodes[si].key),
+                             si);
       std::sort(offsets.begin(), offsets.end());
       std::fill(acc.begin(), acc.end(), fft::Complex(0, 0));
       for (const auto& [off, si] : offsets) {
@@ -640,65 +632,74 @@ void Evaluator::vli_fft_scalar() {
 std::uint64_t Evaluator::vli_plan(int level, VliLevel& V) {
   const int sd = tables_.sdim();
   const int td = tables_.tdim();
+  const std::size_t ncomp = std::size_t(td) * sd;
   const std::size_t len = tables_.spectrum_len();
 
-  // Targets with a V-list, and their unique sources as slots in
-  // first-reference order.
+  // Targets with a V-list, their unique sources as slots in
+  // first-reference order, and each pair's offset index (pairs in
+  // target-slot order), counted per offset.
   V.tgt.clear();
   V.src.clear();
+  V.off.clear();
+  std::array<std::size_t, kNumOffsets> count{};
   for (auto i : level_nodes_[level]) {
-    if (!let_.nodes[i].target) continue;
+    const LetNode& node = let_.nodes[i];
+    if (!node.target) continue;
     const auto list = let_.v.of(i);
     if (list.empty()) continue;
     V.tgt.push_back(i);
-    for (auto si : list)
+    for (auto si : list) {
+      const int off = vlist_offset_index(node.key, let_.nodes[si].key);
+      V.off.push_back(static_cast<std::uint16_t>(off));
+      ++count[off];
       if (slot_of_[si] < 0) {
         slot_of_[si] = static_cast<std::int32_t>(V.src.size());
         V.src.push_back(si);
       }
+    }
   }
-
-  // All (target, source) pairs of the level, sorted by offset index.
-  // (offset, target) is unique per pair, so the order of the MACs into
-  // any accumulator does not depend on how the slots were numbered.
-  std::vector<std::tuple<int, std::int32_t, std::int32_t>> pairs;
-  for (std::size_t bj = 0; bj < V.tgt.size(); ++bj) {
-    const LetNode& node = let_.nodes[V.tgt[bj]];
-    for (auto si : let_.v.of(V.tgt[bj]))
-      pairs.emplace_back(pair_offset_index(node, let_.nodes[si]),
-                         static_cast<std::int32_t>(bj), slot_of_[si]);
-  }
-  std::sort(pairs.begin(), pairs.end());
 
   // One operator fetch per offset run; each td x sd component of a run
-  // becomes an entry group sharing one spectrum component.
+  // becomes an entry group sharing one spectrum component. A run of k
+  // pairs starting at pair p0 owns entries [ncomp p0, ncomp (p0 + k)),
+  // component c the k entries from ncomp p0 + c k.
+  std::array<std::size_t, kNumOffsets> next;  // next component-0 entry
   V.groups.clear();
-  V.fidx.clear();
-  V.aidx.clear();
-  for (std::size_t r0 = 0; r0 < pairs.size();) {
-    const int off = std::get<0>(pairs[r0]);
-    std::size_t r1 = r0;
-    while (r1 < pairs.size() && std::get<0>(pairs[r1]) == off) ++r1;
+  std::size_t p0 = 0;
+  for (int off = 0; off < kNumOffsets; ++off) {
+    const std::size_t k = count[off];
+    next[off] = ncomp * p0;
+    p0 += k;
+    if (k == 0) continue;
     const auto g = tables_.m2l_spectra(level, off);
-    for (int ti = 0; ti < td; ++ti)
-      for (int sc = 0; sc < sd; ++sc) {
-        const std::size_t e0 = V.fidx.size();
-        for (std::size_t p = r0; p < r1; ++p) {
-          V.fidx.push_back(std::get<2>(pairs[p]) * sd + sc);
-          V.aidx.push_back(std::get<1>(pairs[p]) * td + ti);
-        }
-        V.groups.push_back(
-            {g.data() + std::size_t(ti * sd + sc) * len, e0, V.fidx.size()});
-      }
-    r0 = r1;
+    for (std::size_t c = 0; c < ncomp; ++c)
+      V.groups.push_back({g.data() + c * len, next[off] + c * k,
+                          next[off] + (c + 1) * k});
   }
+
+  // Counting sort: pairs are dealt to their offset's run in target-slot
+  // order, giving the (offset, target) order of a comparison sort.
+  // (offset, target) is unique per pair, so the order of the MACs into
+  // any accumulator does not depend on how the slots were numbered.
+  V.fidx.resize(ncomp * V.off.size());
+  V.aidx.resize(ncomp * V.off.size());
+  for (std::size_t bj = 0, p = 0; bj < V.tgt.size(); ++bj)
+    for (auto si : let_.v.of(V.tgt[bj])) {
+      const std::uint16_t off = V.off[p++];
+      std::size_t e = next[off]++;
+      for (int ti = 0; ti < td; ++ti)
+        for (int sc = 0; sc < sd; ++sc, e += count[off]) {
+          V.fidx[e] = slot_of_[si] * sd + sc;
+          V.aidx[e] = static_cast<std::int32_t>(bj) * td + ti;
+        }
+    }
   for (auto si : V.src) slot_of_[si] = -1;  // reset for the next level
 
   // vli_forward writes every spectra value; the MAC accumulates.
   V.spectra.resize(V.src.size() * sd * len);
   V.acc.assign(V.tgt.size() * td * len, fft::Complex(0, 0));
   const Tables::VliFlops& fl = tables_.vli_flops();
-  return V.src.size() * fl.fwd_per_source + pairs.size() * fl.mac_per_pair +
+  return V.src.size() * fl.fwd_per_source + V.off.size() * fl.mac_per_pair +
          V.tgt.size() * fl.inv_per_target;
 }
 

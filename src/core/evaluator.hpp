@@ -123,10 +123,6 @@ class Evaluator {
   std::span<const double> box_surf(double radius_scale, const morton::Key& k,
                                    int lane);
 
-  /// V-list translation offset index of a (target, source) node pair.
-  int pair_offset_index(const octree::LetNode& tnode,
-                        const octree::LetNode& snode) const;
-
   bool batched() const {
     return tables_.options().eval_mode == EvalMode::kBatched;
   }
@@ -146,8 +142,9 @@ class Evaluator {
   void downward_batched();
 
   /// One level's batched FFT V-list: target and source node per slot,
-  /// chunk-major half spectra and accumulators, and the offset-sorted
-  /// MAC entries, grouped per operator component.
+  /// chunk-major half spectra and accumulators, each pair's offset
+  /// index, and the offset-sorted MAC entries, grouped per operator
+  /// component.
   struct VliLevel {
     /// One operator component applied to entries [e0, e1) of fidx/aidx.
     struct Group {
@@ -156,14 +153,15 @@ class Evaluator {
     };
     std::vector<std::int32_t> tgt, src;
     std::vector<fft::Complex> spectra, acc;
+    std::vector<std::uint16_t> off;  ///< per pair, target-slot order
     std::vector<Group> groups;
     std::vector<std::int32_t> fidx, aidx;
   };
   // The batched V-list's steps.
   /// Collects the level's V-list targets and unique sources (slots in
-  /// first-reference order), builds the offset-sorted MAC entries,
-  /// sizes the buffers, resets slot_of_, and returns the level's V-list
-  /// model flops.
+  /// first-reference order), counting-sorts the pairs into the
+  /// offset-sorted MAC entries, sizes the buffers, resets slot_of_, and
+  /// returns the level's V-list model flops.
   std::uint64_t vli_plan(int level, VliLevel& V);
   /// Source slots [b, e): embed -> r2c -> scatter chunk-major.
   void vli_forward(VliLevel& V, std::size_t b, std::size_t e, int lane);

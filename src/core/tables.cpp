@@ -16,6 +16,22 @@ int offset_index(int dx, int dy, int dz) {
   return ((dx + 3) * 7 + (dy + 3)) * 7 + (dz + 3);
 }
 
+int vlist_offset_index(const morton::Key& target,
+                       const morton::Key& source) {
+  PKIFMM_DCHECK(target.level == source.level);
+  const auto ta = morton::anchor(target);
+  const auto sa = morton::anchor(source);
+  // Same-level anchors are multiples of the side 2^shift, so the
+  // arithmetic shift divides exactly.
+  const int shift = morton::kMaxDepth - target.level;
+  const auto d = [&](int c) {
+    return static_cast<int>(
+        (static_cast<std::int64_t>(ta[c]) - static_cast<std::int64_t>(sa[c])) >>
+        shift);
+  };
+  return offset_index(d(0), d(1), d(2));
+}
+
 bool is_vlist_offset(int dx, int dy, int dz) {
   const int c = std::max({std::abs(dx), std::abs(dy), std::abs(dz)});
   return c >= 2 && c <= 3;
@@ -344,7 +360,7 @@ bool Tables::load_cache(const std::string& path) {
     // Every entry must be a full operator at a legal V-list offset: a
     // short one would make m2l_spectra return a truncated span that the
     // MAC sweep reads past.
-    if (level < 0 || off < 0 || off >= 7 * 7 * 7 || count != expected)
+    if (level < 0 || off < 0 || off >= kNumOffsets || count != expected)
       return false;
     int dx, dy, dz;
     decode_offset(off, dx, dy, dz);

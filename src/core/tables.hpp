@@ -37,11 +37,19 @@
 #include "fft/fft.hpp"
 #include "kernels/kernel.hpp"
 #include "la/matrix.hpp"
+#include "morton/key.hpp"
 
 namespace pkifmm::core {
 
 /// Flattened index of a V-list offset (dx, dy, dz), each in [-3, 3].
 int offset_index(int dx, int dy, int dz);
+
+/// Number of offset_index values (7^3); indices run over [0, kNumOffsets).
+inline constexpr int kNumOffsets = 7 * 7 * 7;
+
+/// offset_index of a same-level (target, source) octant pair: the
+/// target anchor minus the source anchor, in octant sides.
+int vlist_offset_index(const morton::Key& target, const morton::Key& source);
 
 /// True iff (dx,dy,dz) is a legal V-list offset: Chebyshev distance 2 or
 /// 3 (same-level, parents are colleagues, boxes not adjacent).

@@ -352,15 +352,10 @@ void pointwise_mac_chunked(const Complex* g, std::size_t c,
                            std::span<const std::int32_t> fidx,
                            std::span<const std::int32_t> aidx) {
   PKIFMM_CHECK(fidx.size() == aidx.size());
-  const simd::Ops& ops = simd::ops();
-  const double* gd = reinterpret_cast<const double*>(g);
-  for (std::size_t e = 0; e < fidx.size(); ++e) {
-    const double* fd =
-        reinterpret_cast<const double*>(f_base + std::size_t(fidx[e]) * c);
-    double* ad =
-        reinterpret_cast<double*>(acc_base + std::size_t(aidx[e]) * c);
-    ops.cmac(gd, fd, ad, c);
-  }
+  simd::ops().cmac_entries(reinterpret_cast<const double*>(g), c,
+                           reinterpret_cast<const double*>(f_base),
+                           reinterpret_cast<double*>(acc_base), fidx.data(),
+                           aidx.data(), fidx.size());
 }
 
 }  // namespace pkifmm::fft

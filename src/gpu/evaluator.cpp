@@ -141,17 +141,12 @@ void GpuEvaluator::vli_gpu() {
     if (targets.empty()) continue;
 
     for (auto ti : targets) {
-      const auto ta = morton::anchor(let_.nodes[ti].key);
-      const auto side = morton::cell_side(let_.nodes[ti].key);
       for (auto si : let_.v.of(ti)) {
         auto [sit, snew] = src_slot.try_emplace(
             si, static_cast<std::int32_t>(src_slot.size()));
         (void)snew;
-        const auto sa = morton::anchor(let_.nodes[si].key);
-        const int dx = (static_cast<std::int64_t>(ta[0]) - sa[0]) / side;
-        const int dy = (static_cast<std::int64_t>(ta[1]) - sa[1]) / side;
-        const int dz = (static_cast<std::int64_t>(ta[2]) - sa[2]) / side;
-        const int off = core::offset_index(dx, dy, dz);
+        const int off = core::vlist_offset_index(let_.nodes[ti].key,
+                                                 let_.nodes[si].key);
         auto [git, gnew] =
             g_slot.try_emplace(off, static_cast<std::int32_t>(g_slot.size()));
         (void)gnew;

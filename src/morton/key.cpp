@@ -32,12 +32,27 @@ Bits spread(Coord c) {
   return out;
 }
 
+/// Bit 3i of v -> bit i for i in [0, 21) (v's bits 0..60), by the
+/// standard mask-and-shift compaction: each step doubles the width of
+/// the packed bit groups. Other bits of v are ignored.
+constexpr std::uint64_t compact64(std::uint64_t v) {
+  v &= 0x1249249249249249ULL;
+  v = (v ^ (v >> 2)) & 0x30c30c30c30c30c3ULL;
+  v = (v ^ (v >> 4)) & 0xf00f00f00f00f00fULL;
+  v = (v ^ (v >> 8)) & 0x00ff0000ff0000ffULL;
+  v = (v ^ (v >> 16)) & 0xffff00000000ffffULL;
+  v = (v ^ (v >> 32)) & 0x00000000001fffffULL;
+  return v;
+}
+
 Coord compact(Bits bits) {
-  // Collect every third bit, starting at bit 0.
-  Coord c = 0;
-  for (int i = 0; i < kMaxDepth; ++i)
-    if ((bits >> (3 * i)) & 1) c |= Coord{1} << i;
-  return c;
+  // Every third bit, starting at bit 0: bits 0..62 hold coordinate
+  // bits 0..20 and bits 63..89 hold bits 21..29, so splitting the key
+  // at bit 63 lets both halves compact with the same 64-bit masks.
+  const auto lo = static_cast<std::uint64_t>(bits);
+  const auto hi = static_cast<std::uint64_t>(bits >> 63);
+  return static_cast<Coord>((compact64(lo) | (compact64(hi) << 21)) &
+                            (kGridSize - 1));
 }
 
 }  // namespace

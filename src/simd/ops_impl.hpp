@@ -124,6 +124,55 @@ void cmac_t(const double* g, const double* f, double* acc, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
+// cmac_entries: one operator chunk applied to a list of (source,
+// accumulator) chunks, the chunk-major V-list sweep's inner loop. The
+// vector tiers split g into blocks of kCmacHeldDoubles and hold each
+// block's dup-even/dup-odd vectors across all entries; every element
+// still gets cmac_t's exact update, in entry order, so the result is
+// bitwise that of one cmac_t call per entry.
+// ---------------------------------------------------------------------------
+
+/// Doubles of g held per block: one 16-frequency V-list chunk (4
+/// AVX-512 or 8 AVX2 vectors).
+inline constexpr std::size_t kCmacHeldDoubles = 32;
+
+template <class P>
+void cmac_entries_t(const double* g, std::size_t c, const double* f,
+                    double* acc, const std::int32_t* fidx,
+                    const std::int32_t* aidx, std::size_t ne) {
+  const std::size_t nd = 2 * c;  // doubles per chunk
+  std::size_t j = 0;
+  if constexpr (P::kWidth > 1) {
+    using V = typename P::V;
+    constexpr std::size_t W = P::kWidth;
+    constexpr std::size_t K = kCmacHeldDoubles / W;
+    for (; j + K * W <= nd; j += K * W) {
+      V ge[K], go[K];
+      for (std::size_t k = 0; k < K; ++k) {
+        const V vg = P::loadu(g + j + k * W);
+        ge[k] = P::dup_even(vg);
+        go[k] = P::dup_odd(vg);
+      }
+      for (std::size_t e = 0; e < ne; ++e) {
+        const double* fe = f + std::size_t(fidx[e]) * nd + j;
+        double* ae = acc + std::size_t(aidx[e]) * nd + j;
+        for (std::size_t k = 0; k < K; ++k) {
+          const V vf = P::loadu(fe + k * W);
+          const V t = P::mul(go[k], P::swap_pairs(vf));
+          const V r = P::fmaddsub(ge[k], vf, t);
+          P::storeu(ae + k * W, P::add(P::loadu(ae + k * W), r));
+        }
+      }
+    }
+  }
+  if (j == nd) return;
+  // The scalar tier, and what is left of a chunk narrower than a block.
+  for (std::size_t e = 0; e < ne; ++e)
+    cmac_t<P>(g + j, f + std::size_t(fidx[e]) * nd + j,
+              acc + std::size_t(aidx[e]) * nd + j, (nd - j) / 2);
+}
+
+// ---------------------------------------------------------------------------
 // Direct kernels. Shared staging: W targets -> SoA lanes (tail lanes
 // replicate target 0 and are dropped at writeback).
 // ---------------------------------------------------------------------------
@@ -311,6 +360,7 @@ Ops make_ops(Tier tier, const char* name) {
   t.width = P::kWidth;
   t.axpyn = &axpyn_t<P>;
   t.cmac = &cmac_t<P>;
+  t.cmac_entries = &cmac_entries_t<P>;
   t.laplace = &direct_laplace_t<P>;
   t.laplace_grad = &direct_laplace_grad_t<P>;
   t.stokes = &direct_stokes_t<P>;

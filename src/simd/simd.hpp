@@ -32,6 +32,7 @@
 /// scalar tier reproduces the pre-SIMD code paths.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,17 @@ struct Ops {
   /// Interleaved complex MAC: acc[i] += g[i] * f[i] for n complex
   /// values ([re, im] pairs of doubles).
   void (*cmac)(const double* g, const double* f, double* acc, std::size_t n);
+
+  /// One operator chunk over an entry list: for e = 0, 1, ..., ne-1 in
+  /// order, cmac(g, f + 2c fidx[e], acc + 2c aidx[e], c) — c complex
+  /// values per chunk, fidx/aidx in chunk units. Every element receives
+  /// exactly cmac's per-element update, so the result is bitwise that
+  /// of the ne calls (entries may repeat an accumulator; later entries
+  /// see earlier ones' sums). Vector tiers keep g's dup-even/dup-odd
+  /// halves in registers across the entries.
+  void (*cmac_entries)(const double* g, std::size_t c, const double* f,
+                       double* acc, const std::int32_t* fidx,
+                       const std::int32_t* aidx, std::size_t ne);
 
   /// Direct-summation kernels (xyz-interleaved points; f accumulated,
   /// target-major with the kernel's natural component stride).

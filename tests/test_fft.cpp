@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "fft/fft.hpp"
+#include "simd/simd.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -210,20 +211,26 @@ TEST(PointwiseMac, Accumulates) {
 TEST(PointwiseMacChunked, MatchesPerEntryMac) {
   // Chunk-major layout: slot s's frequencies [q0, q0+c) live at
   // base + s*c. Each (fidx, aidx) entry is one translation applied to
-  // one chunk; duplicates must accumulate.
+  // one chunk; duplicates must accumulate in entry order. On every SIMD
+  // tier the result is bitwise that of one pointwise_mac per entry.
   const std::size_t c = 16, nf = 6, na = 4;
   const auto g = random_signal(c, 220);
   const auto f = random_signal(c * nf, 221);
-  auto acc = random_signal(c * na, 222);
-  auto ref = acc;
+  const auto acc0 = random_signal(c * na, 222);
   const std::vector<std::int32_t> fidx = {0, 5, 2, 5};
   const std::vector<std::int32_t> aidx = {3, 0, 3, 1};
-  for (std::size_t e = 0; e < fidx.size(); ++e)
-    for (std::size_t i = 0; i < c; ++i)
-      ref[std::size_t(aidx[e]) * c + i] +=
-          g[i] * f[std::size_t(fidx[e]) * c + i];
-  pointwise_mac_chunked(g.data(), c, f.data(), acc.data(), fidx, aidx);
-  EXPECT_LT(max_err(acc, ref), 1e-14);
+  for (const simd::Tier t : simd::available_tiers()) {
+    simd::force_tier(t);
+    auto ref = acc0;
+    for (std::size_t e = 0; e < fidx.size(); ++e)
+      pointwise_mac(g, std::span(f).subspan(std::size_t(fidx[e]) * c, c),
+                    std::span(ref).subspan(std::size_t(aidx[e]) * c, c));
+    auto acc = acc0;
+    pointwise_mac_chunked(g.data(), c, f.data(), acc.data(), fidx, aidx);
+    for (std::size_t i = 0; i < acc.size(); ++i)
+      EXPECT_EQ(acc[i], ref[i]) << simd::tier_name(t) << " i=" << i;
+  }
+  simd::clear_forced_tier();
 }
 
 /// Reference 3-D DFT: the O(n) 1-D DFT along each axis in turn.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 
 #include "morton/key.hpp"
@@ -21,6 +22,38 @@ TEST(Interleave, RoundTrips) {
     EXPECT_EQ(y, y2);
     EXPECT_EQ(z, z2);
   }
+}
+
+TEST(Interleave, EveryBitRoundTrips) {
+  // The decode compacts the key's two 64-bit halves, split at bit 63,
+  // so every coordinate bit is checked on its own: bit i of x, y and z
+  // sits at key bit 3i, 3i+1 and 3i+2, on both sides of the split. Each
+  // single-bit coordinate is also checked with the other two axes all
+  // ones, and every coordinate through anchor(make_key()) at every
+  // level it is aligned to.
+  auto check = [](Coord x, Coord y, Coord z) {
+    Coord x2, y2, z2;
+    deinterleave(interleave(x, y, z), x2, y2, z2);
+    EXPECT_EQ(x2, x);
+    EXPECT_EQ(y2, y);
+    EXPECT_EQ(z2, z);
+    for (int level = 0; level <= kMaxDepth; ++level) {
+      const Coord keep = ~((Coord{1} << (kMaxDepth - level)) - 1);
+      const std::array<Coord, 3> a = {x & keep, y & keep, z & keep};
+      EXPECT_EQ(anchor(make_key(a[0], a[1], a[2], level)), a)
+          << "level " << level;
+    }
+  };
+  constexpr Coord kOnes = kGridSize - 1;
+  for (int bit = 0; bit < kMaxDepth; ++bit) {
+    const Coord c = Coord{1} << bit;
+    for (const Coord rest : {Coord{0}, kOnes}) {
+      check(c, rest, rest);
+      check(rest, c, rest);
+      check(rest, rest, c);
+    }
+  }
+  check(kOnes, kOnes, kOnes);
 }
 
 TEST(Interleave, KnownSmallValues) {

@@ -84,6 +84,7 @@ TEST(SimdTier, TableShapePerTier) {
     EXPECT_EQ(o.width, want);
     EXPECT_NE(o.axpyn, nullptr);
     EXPECT_NE(o.cmac, nullptr);
+    EXPECT_NE(o.cmac_entries, nullptr);
     EXPECT_NE(o.laplace, nullptr);
     EXPECT_NE(o.laplace_grad, nullptr);
     EXPECT_NE(o.stokes, nullptr);
@@ -234,6 +235,38 @@ TEST_F(SimdTest, CmacBitwiseInvariantToChunking) {
       for (std::size_t i = 0; i < 2 * n; ++i)
         EXPECT_EQ(split[i], whole[i])
             << tier_name(t) << " cut=" << cut << " i=" << i;
+    }
+  }
+}
+
+TEST_F(SimdTest, CmacEntriesMatchesPerEntryCmac) {
+  // One operator chunk over an entry list, against a loop of the same
+  // tier's cmac, bitwise: c = 16 (Tables::kFreqChunk, one held block),
+  // 20 (a block plus a remainder), 5 and 1 (narrower than a block).
+  // Accumulator 2 is hit twice, so the entry order matters; an empty
+  // list leaves the accumulators untouched.
+  const std::size_t nslots = 6;
+  const std::vector<std::int32_t> fidx = {0, 5, 2, 5, 3};
+  const std::vector<std::int32_t> aidx = {2, 0, 2, 4, 1};
+  for (const std::size_t c : {16u, 20u, 5u, 1u}) {
+    const auto g = random_vec(2 * c, 60 + c, -1.0, 1.0);
+    const auto f = random_vec(2 * c * nslots, 61 + c, -1.0, 1.0);
+    const auto a0 = random_vec(2 * c * nslots, 62 + c, -1.0, 1.0);
+    for (Tier t : available_tiers()) {
+      const Ops& o = ops_for_tier(t);
+      auto ref = a0;
+      for (std::size_t e = 0; e < fidx.size(); ++e)
+        o.cmac(g.data(), f.data() + 2 * c * fidx[e],
+               ref.data() + 2 * c * aidx[e], c);
+      auto acc = a0;
+      o.cmac_entries(g.data(), c, f.data(), acc.data(), fidx.data(),
+                     aidx.data(), fidx.size());
+      for (std::size_t i = 0; i < acc.size(); ++i)
+        EXPECT_EQ(acc[i], ref[i]) << tier_name(t) << " c=" << c << " i=" << i;
+      auto none = a0;
+      o.cmac_entries(g.data(), c, f.data(), none.data(), fidx.data(),
+                     aidx.data(), 0);
+      EXPECT_EQ(none, a0) << tier_name(t) << " c=" << c;
     }
   }
 }

@@ -62,5 +62,5 @@ int bench_main(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return pkifmm::bench::guarded_main(argc, argv, bench_main);
+  return pkifmm::util::guarded_main(argc, argv, bench_main);
 }

@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 #include <set>
-#include <string_view>
 
 #include "obs/aggregate.hpp"
 #include "obs/hw.hpp"
@@ -471,19 +470,6 @@ Experiment run_fmm(const ExperimentConfig& cfg, const std::string& kernel) {
   });
   record_run("fmm", cfg, kernel, exp.reports, exp.model);
   return exp;
-}
-
-int guarded_main(int argc, char** argv, int (*body)(int, char**),
-                 int error_status) {
-  try {
-    return body(argc, argv);
-  } catch (const std::exception& e) {
-    const std::string_view path = argc > 0 ? argv[0] : "bench";
-    const std::string_view name = path.substr(path.find_last_of('/') + 1);
-    std::fprintf(stderr, "%.*s: error: %s\n", static_cast<int>(name.size()),
-                 name.data(), e.what());
-    return error_status;
-  }
 }
 
 void print_header(const std::string& artifact, const std::string& what) {

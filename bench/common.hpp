@@ -104,9 +104,10 @@ Experiment run_fmm(const ExperimentConfig& cfg, const std::string& kernel);
 /// tables, so the numbers agree to within formatting; each run also
 /// carries the process peak RSS and per-phase peak-RSS deltas. The
 /// summary merges all recorded runs (per-phase accumulators folded
-/// with Accumulator::merge); it is what `bench/baseline_check`
-/// compares against a checked-in BENCH_baseline.json and what the
-/// history record condenses for `tools/pkifmm_trend`.
+/// with Accumulator::merge) and is built here, from the RankReports,
+/// at exit — ParallelFmm::evaluate() sends no observability traffic.
+/// The history record condenses it for `tools/pkifmm_trend`, the perf
+/// gate.
 /// Also parses `--flow-trace` / `--flow-capacity=<events>`
 /// (obs/flow.hpp message-flow tracing, off by default); apply_flow_flags
 /// copies them onto an FmmOptions, and run_fmm / run_gpu_fmm apply them
@@ -134,14 +135,6 @@ void record_run(const std::string& kind, const ExperimentConfig& cfg,
 /// options are rebound per call via Tables::with_options).
 const core::Tables& tables_for(const std::string& kernel,
                                const core::FmmOptions& opts);
-
-/// Runs a bench's body as its main. An exception escaping `body` (a
-/// CheckFailure from bad input, say) is printed to stderr as
-/// "<bench>: error: <what>", <bench> the basename of argv[0], and the
-/// process exits with `error_status` instead of ending in
-/// std::terminate.
-int guarded_main(int argc, char** argv, int (*body)(int, char**),
-                 int error_status = 1);
 
 /// Prints a headline for a bench, echoing the paper artifact it
 /// regenerates.

@@ -354,61 +354,6 @@ void BM_GemmBatchParallel(benchmark::State& state) {
                           static_cast<std::int64_t>(la::gemm_flops(a, nb)));
 }
 
-void BM_DagGraphThroughput(benchmark::State& state) {
-  // Pure scheduling overhead of util::TaskGraph: a layered graph of
-  // EMPTY nodes (kLayers x kWidth, fan-in 2 per node), rebuilt and
-  // drained every iteration. Per-node cost = graph construction +
-  // dependency counting + ready-enqueue + pool dispatch, with zero
-  // useful work to hide behind — the upper bound on what a graph
-  // schedule adds over parallel_for per scheduled chunk.
-  const int workers = static_cast<int>(state.range(0));
-  util::TaskPool pool(workers);
-  constexpr int kLayers = 32;
-  constexpr int kWidth = 16;
-  for (auto _ : state) {
-    util::TaskGraph g(pool, "micro.dag");
-    std::array<util::TaskGraph::NodeId, kWidth> prev;
-    for (int i = 0; i < kWidth; ++i) prev[i] = g.node("layer", [](int) {});
-    for (int l = 1; l < kLayers; ++l) {
-      std::array<util::TaskGraph::NodeId, kWidth> cur;
-      for (int i = 0; i < kWidth; ++i) {
-        cur[i] = g.node("layer", [](int) {});
-        g.edge(prev[i], cur[i]);
-        g.edge(prev[(i + 1) % kWidth], cur[i]);
-      }
-      prev = cur;
-    }
-    g.launch();
-    g.wait();
-  }
-  state.counters["workers"] = workers;
-  state.SetItemsProcessed(state.iterations() * kLayers * kWidth);
-}
-
-void BM_DagReleaseLatency(benchmark::State& state) {
-  // Dependency-release latency: a strict chain of empty nodes, so each
-  // hop is complete() -> successor counter hits zero -> enqueue ->
-  // dequeue -> run, with no available parallelism. Per-item time IS
-  // the release handoff (on workers > 0 it includes the cross-thread
-  // wake; at 0 workers it is the inline help-drain path).
-  const int workers = static_cast<int>(state.range(0));
-  util::TaskPool pool(workers);
-  constexpr int kChain = 256;
-  for (auto _ : state) {
-    util::TaskGraph g(pool, "micro.dag");
-    util::TaskGraph::NodeId prev = g.node("chain", [](int) {});
-    for (int i = 1; i < kChain; ++i) {
-      const util::TaskGraph::NodeId n = g.node("chain", [](int) {});
-      g.edge(prev, n);
-      prev = n;
-    }
-    g.launch();
-    g.wait();
-  }
-  state.counters["workers"] = workers;
-  state.SetItemsProcessed(state.iterations() * kChain);
-}
-
 /// Console reporting plus machine-readable capture for the perf-gate
 /// artifacts (the other benches' --metrics-out analog; google-benchmark
 /// owns the timing loop here, so the capture rides on the reporter).
@@ -487,11 +432,6 @@ int bench_main(int argc, char** argv) {
         ->Arg(w);
     benchmark::RegisterBenchmark("BM_GemmBatchParallel", BM_GemmBatchParallel)
         ->Arg(w);
-    benchmark::RegisterBenchmark("BM_DagGraphThroughput",
-                                 BM_DagGraphThroughput)
-        ->Arg(w);
-    benchmark::RegisterBenchmark("BM_DagReleaseLatency", BM_DagReleaseLatency)
-        ->Arg(w);
   }
 
   int nargs = static_cast<int>(args.size());
@@ -517,7 +457,7 @@ int bench_main(int argc, char** argv) {
     // per-iteration adjusted times in seconds. Flops are 0 — the flop
     // gate's floor ignores them; the longitudinal signal here is the
     // per-item time of the scheduling/kernel substrates (e.g. the
-    // BM_Dag* overhead benches drifting up).
+    // BM_TaskPoolParallelFor dispatch cost drifting up).
     auto unit_seconds = [](const std::string& u) {
       if (u == "ns") return 1e-9;
       if (u == "us") return 1e-6;
@@ -552,5 +492,5 @@ int bench_main(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return pkifmm::bench::guarded_main(argc, argv, bench_main);
+  return pkifmm::util::guarded_main(argc, argv, bench_main);
 }

@@ -30,8 +30,8 @@ int bench_main(int argc, char** argv) {
   cfg.n_points = per_rank * p;
   cfg.opts.surface_n = 4;
   cfg.opts.max_points_per_leaf = 40;
-  // Intra-rank task pool (0 extra workers by default so the checked-in
-  // BENCH_baseline stays a serial-evaluator record).
+  // Intra-rank task pool (0 extra workers by default, so the
+  // BENCH_history.jsonl trajectory stays a serial-evaluator record).
   cfg.opts.threads_per_rank = static_cast<int>(cli.get_int("threads", 1));
   cfg.opts.clamp_threads = cli.get_bool("clamp", true);
   Experiment exp = run_fmm(cfg, "stokes");
@@ -105,5 +105,5 @@ int bench_main(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return pkifmm::bench::guarded_main(argc, argv, bench_main);
+  return pkifmm::util::guarded_main(argc, argv, bench_main);
 }

@@ -18,7 +18,7 @@
 
 using namespace pkifmm;
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   Cli cli(argc, argv);
   const auto n = static_cast<std::uint64_t>(cli.get_int("n", 20000));
   const int grid = static_cast<int>(cli.get_int("grid", 24));
@@ -100,4 +100,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(the hot spot sits at the cluster center x=y=0.3)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return util::guarded_main(argc, argv, example_main);
 }

@@ -24,7 +24,7 @@
 
 using namespace pkifmm;
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   Cli cli(argc, argv);
   if (cli.has("help")) {
     std::printf(
@@ -152,4 +152,8 @@ int main(int argc, char** argv) {
   if (gradient) row("Gradient", "grad.");
   std::printf("\n%s", table.str().c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return util::guarded_main(argc, argv, example_main);
 }

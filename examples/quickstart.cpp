@@ -18,7 +18,7 @@
 
 using namespace pkifmm;
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   Cli cli(argc, argv);
   const auto n = static_cast<std::uint64_t>(cli.get_int("n", 20000));
   const int p = static_cast<int>(cli.get_int("ranks", 4));
@@ -81,4 +81,8 @@ int main(int argc, char** argv) {
   });
   std::printf("done in %.2f s wall\n", wall.seconds());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return util::guarded_main(argc, argv, example_main);
 }

@@ -24,7 +24,7 @@
 
 using namespace pkifmm;
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   Cli cli(argc, argv);
   const auto n = static_cast<std::uint64_t>(cli.get_int("n", 20000));
   const int p = static_cast<int>(cli.get_int("ranks", 4));
@@ -106,4 +106,8 @@ int main(int argc, char** argv) {
     }
   });
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return util::guarded_main(argc, argv, example_main);
 }

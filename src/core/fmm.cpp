@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "obs/aggregate.hpp"
 #include "obs/flow.hpp"
 #include "obs/health.hpp"
 #include "octree/balance.hpp"
@@ -138,19 +137,11 @@ void ParallelFmm::set_densities(const std::vector<std::uint64_t>& gids,
   densities_dirty_ = true;
 }
 
-double ParallelFmm::evaluate_imbalance() const {
-  if (summary_.type() != obs::Json::Type::kObject) return 0.0;
-  if (!summary_.contains("phases")) return 0.0;
-  const obs::Json& phases = summary_.at("phases");
-  if (phases.type() != obs::Json::Type::kObject || !phases.contains("eval"))
-    return 0.0;
-  const obs::Json& eval = phases.at("eval");
-  if (eval.type() != obs::Json::Type::kObject || !eval.contains("cpu"))
-    return 0.0;
-  const obs::Json& cpu = eval.at("cpu");
-  if (cpu.type() != obs::Json::Type::kObject || !cpu.contains("imbalance"))
-    return 0.0;
-  return cpu.at("imbalance").as_double();
+double ParallelFmm::evaluate_imbalance() {
+  const double max = ctx_.comm.allreduce_max(eval_cpu_);
+  const double sum = ctx_.comm.allreduce_sum(eval_cpu_);
+  if (!(sum > 0.0)) return 0.0;
+  return max / (sum / static_cast<double>(ctx_.comm.size()));
 }
 
 void ParallelFmm::full_rebuild_with(
@@ -196,9 +187,8 @@ void ParallelFmm::update_points(const std::vector<octree::PointMove>& moves) {
   // Threshold mode coasts on the current partition until the measured
   // evaluate imbalance has stayed at or above the threshold for
   // repart_hysteresis consecutive calls, then re-canonicalizes with one
-  // full rebuild. The imbalance comes from the cross-rank summary,
-  // which is identical on every rank, so the decision is collectively
-  // consistent without extra communication.
+  // full rebuild. The imbalance is allreduced here, so every rank sees
+  // the same value and the decision is collectively consistent.
   const bool threshold_mode =
       opts.load_balance && opts.repart_imbalance_threshold > 1.0;
   // repair_tree reproduces the canonical (unbalanced) leaf set; with
@@ -206,6 +196,7 @@ void ParallelFmm::update_points(const std::vector<octree::PointMove>& moves) {
   // contract.
   bool force_full = !opts.incremental_setup || opts.balance_2to1;
   if (!force_full && threshold_mode) {
+    ctx_.comm.cost().set_phase("setup.incr.balance");
     if (evaluate_imbalance() >= opts.repart_imbalance_threshold) {
       if (++over_threshold_steps_ >= std::max(opts.repart_hysteresis, 1)) {
         force_full = true;
@@ -328,8 +319,8 @@ ParallelFmm::Result ParallelFmm::evaluate(bool with_gradient) {
     ctx_.rec.counter_add("health.steps");
   }
   Result out;
+  auto root = ctx_.rec.span("eval");
   {
-    auto root = ctx_.rec.span("eval");
     ctx_.comm.cost().set_phase("eval.comm");
     if (densities_dirty_) {
       auto t = ctx_.timer.scope("eval.comm");
@@ -366,22 +357,12 @@ ParallelFmm::Result ParallelFmm::evaluate(bool with_gradient) {
       }
     }
   }
+  eval_cpu_ += root.close().cpu;
 
   // Accuracy sampling runs outside the "eval" span so a health-enabled
   // run's eval.* phase times stay comparable to a health-off run; the
   // sample's collectives and flops get their own health.sample phase.
   if (opts.health && opts.health_sample_rate > 0.0) health_sample(out);
-
-  // Cross-rank observability gather (outside the "eval" span, charged
-  // to its own phase): snapshot the flat metric table first so the
-  // gather's own traffic never appears in the summary it produces,
-  // then allgather the snapshots and aggregate on every rank.
-  ctx_.comm.cost().set_phase("obs.gather");
-  const obs::RankMetrics mine = comm::snapshot_with_counters(ctx_);
-  {
-    auto t = ctx_.timer.scope("obs.gather");
-    summary_ = obs::summarize_metrics(obs::gather_metrics(ctx_.comm, mine));
-  }
   return out;
 }
 
@@ -492,8 +473,8 @@ void ParallelFmm::health_sample(const Result& out) {
       [](double a, double b) { return a + b; });
 
   // Compare this rank's slice of the reduced reference against its FMM
-  // values. err2/ref2 sum across ranks, so the summary-level
-  // sqrt(Σerr2 / Σref2) is the exact sampled relative L2 error.
+  // values. err2/ref2 sum across ranks, so sqrt(Σerr2 / Σref2) is the
+  // exact sampled relative L2 error.
   const std::size_t base = offset[static_cast<std::size_t>(ctx_.rank())] / 3 *
                            static_cast<std::size_t>(td);
   double err2 = 0.0, ref2 = 0.0;
@@ -503,11 +484,19 @@ void ParallelFmm::health_sample(const Result& out) {
     err2 += diff * diff;
     ref2 += r * r;
   }
-  rec.counter_add("health.sample.count",
-                  static_cast<double>(my_pos.size() / 3));
+  const double count = static_cast<double>(my_pos.size() / 3);
+  rec.counter_add("health.sample.count", count);
   rec.counter_add("health.sample.err2", err2);
   rec.counter_add("health.sample.ref2", ref2);
   rec.counter_add("health.sample.gid_digest", gid_digest);
+
+  const double mine[3] = {count, err2, ref2};
+  const std::vector<double> total = ctx_.comm.allreduce(
+      std::span<const double>(mine),
+      [](double a, double b) { return a + b; });
+  sample_totals_.count += total[0];
+  sample_totals_.err2 += total[1];
+  sample_totals_.ref2 += total[2];
 }
 
 }  // namespace pkifmm::core

@@ -23,7 +23,6 @@
 
 #include "core/evaluator.hpp"
 #include "core/tables.hpp"
-#include "obs/json.hpp"
 #include "octree/partition.hpp"
 #include "octree/update.hpp"
 
@@ -95,30 +94,34 @@ class ParallelFmm {
   const octree::Let& let() const { return *let_; }
   const Tables& tables() const { return tables_; }
 
-  /// Cross-rank summary document ("pkifmm.summary.v1", see
-  /// obs/aggregate.hpp). At the end of every evaluate() each rank
-  /// snapshots its flat metric table, the snapshots are allgathered
-  /// over the communicator (phase "obs.gather" — the gather's own
-  /// traffic is excluded from the summary it produces), and every rank
-  /// aggregates them, so all ranks hold the identical document — the
-  /// MPI-style pattern where any rank can write summary.json. Null
-  /// before the first evaluate(). With threads_per_rank > 1 the
-  /// evaluator folds its task pool's `sched.*` counters and per-worker
-  /// burst spans into the rank snapshot before the gather, so the
-  /// summary carries worker busy-fractions and the ULI overlap
-  /// accounting (rendered by tools/pkifmm_report).
-  const obs::Json& summary() const { return summary_; }
+  /// Cross-rank running sums of the accuracy sample (FmmOptions::health
+  /// with a positive health_sample_rate) over every evaluate() so far:
+  /// sampled targets, Σ (fmm − direct)² and Σ direct². Each evaluate()
+  /// allreduces its own sample, so the sums are identical on every
+  /// rank and decisions taken from them (core::TimeStepper's drift
+  /// monitor) are collectively consistent. Zero before the first
+  /// sampled evaluate().
+  struct SampleTotals {
+    double count = 0.0;
+    double err2 = 0.0;
+    double ref2 = 0.0;
+  };
+  const SampleTotals& sample_totals() const { return sample_totals_; }
 
   /// The per-rank recorder the FMM reports into — for callers layering
   /// their own health/diagnostic counters on top (core::TimeStepper's
-  /// drift monitor).
+  /// drift monitor). evaluate() sends only FMM traffic; a caller that
+  /// wants the cross-rank summary builds it from this recorder with
+  /// comm::snapshot_with_counters, obs::gather_metrics and
+  /// obs::summarize_metrics (obs/aggregate.hpp).
   obs::Recorder& recorder() const { return ctx_.rec; }
 
  private:
-  /// Evaluate-phase cpu imbalance (max/avg) from the last summary —
-  /// identical on every rank, so the threshold policy's decision is
-  /// collectively consistent. 0 before the first evaluate().
-  double evaluate_imbalance() const;
+  /// Evaluate-phase cpu imbalance, max / avg over ranks of eval_cpu_.
+  /// Collective (one allreduce each for max and sum); identical on
+  /// every rank, so the threshold policy's decision is collectively
+  /// consistent. 0 before the first evaluate().
+  double evaluate_imbalance();
   void full_rebuild_with(const std::vector<octree::PointMove>& moves);
   void set_let_gauges();
 
@@ -127,7 +130,8 @@ class ParallelFmm {
   /// consumer-side per ghost leaf — globally equal sums in a clean
   /// run), and the online accuracy sample (deterministic gid-hash
   /// subset of owned targets re-evaluated against all sources via
-  /// Kernel::direct_sample, folded into health.sample.* counters).
+  /// Kernel::direct_sample, folded into health.sample.* counters and,
+  /// allreduced, into sample_totals_).
   void health_ghost_checks();
   void health_sample(const Result& out);
 
@@ -142,7 +146,10 @@ class ParallelFmm {
   octree::LetSync let_sync_;
   UpdateStats update_stats_;
   int over_threshold_steps_ = 0;
-  obs::Json summary_;
+  /// This rank's CPU seconds inside evaluate()'s "eval" span, summed
+  /// over every call (what evaluate_imbalance() compares across ranks).
+  double eval_cpu_ = 0.0;
+  SampleTotals sample_totals_;
   bool densities_dirty_ = false;
   /// Health bookkeeping: whether this object enabled the cost
   /// tracker's payload digests (disabled again in the destructor,

@@ -78,9 +78,10 @@ struct FmmOptions {
   /// from-scratch setup() would choose, which is what makes the
   /// bitwise-parity contract hold at any rank count. > 1
   /// ("threshold"): ownership is left alone — cheapest per step — until
-  /// the measured evaluate-phase cpu imbalance (max/avg from the
-  /// cross-rank summary, identical on every rank) has been at or above
-  /// this value for repart_hysteresis consecutive update_points()
+  /// the measured evaluate-phase cpu imbalance (max/avg over ranks of
+  /// the CPU time spent in evaluate(), allreduced by update_points()
+  /// in this mode only, so identical on every rank) has been at or
+  /// above this value for repart_hysteresis consecutive update_points()
   /// calls; then one full rebuild re-canonicalizes everything. While
   /// coasting below the threshold the partition may differ from the
   /// canonical one, so cross-rank reduction groupings — and thus the

@@ -41,27 +41,13 @@ TimeStepper::TimeStepper(ParallelFmm& fmm, VelocityFn velocity,
 void TimeStepper::health_drift_check() {
   const FmmOptions& fopts = fmm_.tables().options();
   if (!fopts.health || fopts.health_sample_rate <= 0.0) return;
-  // Cumulative cross-rank sample sums from the last evaluate()'s
-  // summary (null before the first evaluate — nothing to diff yet).
-  const obs::Json& s = fmm_.summary();
-  if (s.type() != obs::Json::Type::kObject || !s.contains("metrics")) return;
-  const obs::Json& m = s.at("metrics");
-  auto metric_sum = [&m](const char* name) -> double {
-    if (m.type() != obs::Json::Type::kObject || !m.contains(name)) return 0.0;
-    const obs::Json& e = m.at(name);
-    if (e.type() != obs::Json::Type::kObject || !e.contains("sum"))
-      return 0.0;
-    return e.at("sum").as_double();
-  };
-  const double cnt = metric_sum("health.sample.count");
-  const double err2 = metric_sum("health.sample.err2");
-  const double ref2 = metric_sum("health.sample.ref2");
-  const double d_cnt = cnt - prev_cnt_;
-  const double d_err2 = err2 - prev_err2_;
-  const double d_ref2 = ref2 - prev_ref2_;
-  prev_cnt_ = cnt;
-  prev_err2_ = err2;
-  prev_ref2_ = ref2;
+  // Cross-rank sample sums over every evaluate() so far (zero before
+  // the first one — nothing to diff yet).
+  const ParallelFmm::SampleTotals& s = fmm_.sample_totals();
+  const double d_cnt = s.count - prev_.count;
+  const double d_err2 = s.err2 - prev_.err2;
+  const double d_ref2 = s.ref2 - prev_.ref2;
+  prev_ = s;
   if (d_cnt <= 0.0 || d_ref2 <= 0.0) return;
 
   const double err = std::sqrt(std::max(d_err2, 0.0) / d_ref2);

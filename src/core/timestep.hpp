@@ -68,10 +68,10 @@ class TimeStepper {
   std::uint64_t steps_taken() const { return steps_; }
 
  private:
-  /// Diffs the cumulative health.sample.{count,err2,ref2} sums in the
-  /// last summary against the previous step's values and feeds the
-  /// interval error to drift_. The summary is identical on every rank,
-  /// so the warning decision is collectively consistent.
+  /// Diffs ParallelFmm::sample_totals() against the previous step's
+  /// values and feeds the interval error to drift_. The totals are
+  /// identical on every rank, so the warning decision is collectively
+  /// consistent.
   void health_drift_check();
 
   ParallelFmm& fmm_;
@@ -80,7 +80,7 @@ class TimeStepper {
   double t_ = 0.0;
   std::uint64_t steps_ = 0;
   obs::DriftMonitor drift_;
-  double prev_cnt_ = 0.0, prev_err2_ = 0.0, prev_ref2_ = 0.0;
+  ParallelFmm::SampleTotals prev_;
 };
 
 }  // namespace pkifmm::core

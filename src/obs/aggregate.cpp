@@ -834,76 +834,4 @@ void write_summary_json(const std::string& path, const Json& summary) {
   write_json_file(path, summary);
 }
 
-Json compare_summaries(const Json& fresh, const Json& baseline,
-                       const GateOptions& opt) {
-  validate_summary_json(fresh);
-  validate_summary_json(baseline);
-  PKIFMM_CHECK_MSG(fresh.at("nranks").as_int() ==
-                       baseline.at("nranks").as_int(),
-                   "summaries ran at different rank counts ("
-                       << fresh.at("nranks").as_int() << " vs "
-                       << baseline.at("nranks").as_int()
-                       << "); not comparable");
-
-  Json violations = Json::array();
-  std::int64_t checked = 0;
-
-  const Json& bphases = baseline.at("phases");
-  const Json& fphases = fresh.at("phases");
-  for (const std::string& phase : bphases.keys()) {
-    if (!fphases.contains(phase)) {
-      Json v = Json::object();
-      v.set("phase", phase);
-      v.set("metric", "missing");
-      v.set("baseline", bphases.at(phase).at("wall").at("sum").as_double());
-      v.set("fresh", 0.0);
-      v.set("ratio", 0.0);
-      v.set("limit", 0.0);
-      violations.push_back(std::move(v));
-      continue;
-    }
-    const Json& bp = bphases.at(phase);
-    const Json& fp = fphases.at(phase);
-
-    struct Check {
-      const char* metric;
-      double limit;
-      double floor;
-    };
-    const Check checks[] = {
-        {"wall", opt.time_ratio, opt.min_seconds},
-        {"cpu", opt.time_ratio, opt.min_seconds},
-        {"flops", opt.work_ratio, opt.min_flops},
-        {"msgs_sent", opt.work_ratio, opt.min_msgs},
-        {"bytes_sent", opt.work_ratio, opt.min_bytes},
-    };
-    for (const Check& c : checks) {
-      const double base = bp.at(c.metric).at("sum").as_double();
-      const double now = fp.at(c.metric).at("sum").as_double();
-      // Machine-tolerance envelope: tiny phases are all noise. A fresh
-      // value below the floor passes outright; the baseline is clamped
-      // to the floor so growth from ~0 is still caught.
-      if (now < c.floor) continue;
-      ++checked;
-      const double ratio = now / std::max(base, c.floor);
-      if (ratio > c.limit) {
-        Json v = Json::object();
-        v.set("phase", phase);
-        v.set("metric", c.metric);
-        v.set("baseline", base);
-        v.set("fresh", now);
-        v.set("ratio", ratio);
-        v.set("limit", c.limit);
-        violations.push_back(std::move(v));
-      }
-    }
-  }
-
-  Json report = Json::object();
-  report.set("ok", violations.size() == 0);
-  report.set("checked", checked);
-  report.set("violations", std::move(violations));
-  return report;
-}
-
 }  // namespace pkifmm::obs

@@ -1,8 +1,8 @@
 #pragma once
 /// \file aggregate.hpp
 /// \brief Cross-rank aggregation: per-rank RankMetrics snapshots ->
-/// one summary.json ("pkifmm.summary.v1"), plus the regression gate
-/// that compares two summaries.
+/// one summary.json ("pkifmm.summary.v1"). The perf gate over these
+/// summaries is obs/trend.hpp (run records + tools/pkifmm_trend).
 ///
 /// The paper's headline evidence is cross-rank: Table II is Max/Avg
 /// per phase across 65K processes, Fig. 5 is per-rank flop variance,
@@ -58,7 +58,8 @@
 /// cross-rank graph of spans + binding message edges (a receive that
 /// provably waited on a late sender hops the path to that sender), and
 /// splits the path into compute and in-flight transfer legs. The
-/// legacy "critical_path" makespan stays for baseline compatibility.
+/// "critical_path" makespan stays; tools/pkifmm_report's Makespan
+/// column reads it.
 ///
 /// Sources, per phase:
 ///  - wall/cpu come from the canonical `time.<phase>.*` counters when
@@ -112,41 +113,21 @@ void validate_summary_json(const Json& doc);
 /// Validates and writes a summary document.
 void write_summary_json(const std::string& path, const Json& summary);
 
-/// Thresholds for the perf-regression gate. Work metrics (flops,
-/// msgs, bytes) are exactly reproducible run-over-run, so their ratio
-/// bound is tight; wall/cpu time is measured on whatever machine CI
-/// lands on, so its bound is loose and phases below the absolute
-/// floors are skipped entirely (the machine-tolerance envelope).
-struct GateOptions {
-  double time_ratio = 1.6;    ///< fresh/baseline bound for wall & cpu
-  double work_ratio = 1.25;   ///< bound for flops / msgs / bytes
-  /// Ignore time checks below this. Simulated ranks are threads of one
-  /// process, so sub-50ms phase walls are dominated by scheduler
-  /// contention (2x swings rerun-to-rerun on the same machine); only
-  /// phases long enough to average the noise out are gated on time.
-  double min_seconds = 5e-2;
-  double min_flops = 1e4;     ///< ignore flop checks below this
-  double min_msgs = 16;       ///< ignore msg-count checks below this
-  double min_bytes = 4096;    ///< ignore byte checks below this
-};
-
-/// Compares a fresh summary against a baseline summary. Returns
-///   { "ok": bool, "checked": <int>, "violations": [
-///       { "phase", "metric", "baseline", "fresh", "ratio", "limit" },
-///       ... ] }
-/// A phase present in the baseline but absent from the fresh summary
-/// is itself a violation (metric "missing"); new phases in the fresh
-/// summary are ignored. Throws CheckFailure if either document fails
-/// validate_summary_json or the rank counts differ (not comparable).
-Json compare_summaries(const Json& fresh, const Json& baseline,
-                       const GateOptions& opt = {});
-
 /// Gathers every rank's snapshot to every rank over any communicator
 /// providing `allgatherv(std::span<const char>)` (comm::Comm does; the
 /// duck typing keeps obs free of a link dependency on comm). Each rank
 /// serializes its snapshot as a one-rank metrics.json, the documents
 /// travel as bytes, and every rank parses all of them back — exactly
-/// the pattern a real MPI build would use with MPI_Allgatherv.
+/// the pattern a real MPI build would use with MPI_Allgatherv. The
+/// bytes grow with p and with the recorded spans, so nothing on the
+/// ParallelFmm::evaluate() path calls it: a caller that wants a
+/// mid-run summary runs it on demand, under its own cost phase (e.g.
+/// "obs.gather") so the gather's traffic stays out of the FMM phases,
+/// after taking its snapshot with comm::snapshot_with_counters:
+///
+///   ctx.comm.cost().set_phase("obs.gather");
+///   const RankMetrics mine = comm::snapshot_with_counters(ctx);
+///   const Json summary = summarize_metrics(gather_metrics(ctx.comm, mine));
 template <class CommT>
 std::vector<RankMetrics> gather_metrics(CommT& comm,
                                         const RankMetrics& mine) {

@@ -45,8 +45,8 @@ const AuxMetric kAuxMetrics[] = {
      &TrendOptions::time_ratio},
 };
 
-/// Hard-gated metrics (GateOptions semantics). Floors resolved from
-/// TrendOptions at check time.
+/// Hard-gated metrics. Floors resolved from TrendOptions at check
+/// time.
 struct HardMetric {
   const char* key;
   double TrendOptions::* ratio;
@@ -65,6 +65,12 @@ double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   const std::size_t mid = v.size() / 2;
   return v.size() % 2 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+/// A record's "config" object; records written without one compare
+/// as an empty config.
+Json config_of(const Json& rec) {
+  return rec.contains("config") ? rec.at("config") : Json::object();
 }
 
 Json finding(const std::string& phase, const std::string& metric,
@@ -210,7 +216,24 @@ Json trend_analyze(const std::vector<Json>& records,
   Json warnings = Json::array();
   std::int64_t checked = 0;
 
-  if (records.size() < 2) {
+  // References: the last opt.window earlier records that ran at the
+  // newest record's rank count and config. A run at another p or
+  // problem size does other work, so it is no reference.
+  std::vector<const Json*> refs;
+  if (!records.empty()) {
+    const Json& last = records.back();
+    for (std::size_t i = 0; i + 1 < records.size(); ++i)
+      if (records[i].at("nranks") == last.at("nranks") &&
+          config_of(records[i]) == config_of(last))
+        refs.push_back(&records[i]);
+    const std::size_t keep =
+        static_cast<std::size_t>(std::max(1, opt.window));
+    if (refs.size() > keep)
+      refs.erase(refs.begin(),
+                 refs.end() - static_cast<std::ptrdiff_t>(keep));
+  }
+
+  if (refs.empty()) {
     report.set("ok", true);
     report.set("checked", checked);
     report.set("window", 0);
@@ -223,17 +246,12 @@ Json trend_analyze(const std::vector<Json>& records,
   }
 
   const Json& fresh = records.back();
-  const std::size_t navail = records.size() - 1;
-  const std::size_t nref =
-      std::min<std::size_t>(navail, static_cast<std::size_t>(
-                                        std::max(1, opt.window)));
-  // Reference slice: the nref records immediately preceding the newest.
-  const std::size_t ref0 = navail - nref;
+  const std::size_t nref = refs.size();
 
   // Union of phase names across reference records, in first-seen order.
   std::vector<std::string> phase_names;
-  for (std::size_t i = ref0; i < navail; ++i)
-    for (const std::string& name : records[i].at("phases").keys())
+  for (const Json* r : refs)
+    for (const std::string& name : r->at("phases").keys())
       if (std::find(phase_names.begin(), phase_names.end(), name) ==
           phase_names.end())
         phase_names.push_back(name);
@@ -243,8 +261,8 @@ Json trend_analyze(const std::vector<Json>& records,
     // Median over the reference records that have (phase, metric).
     auto ref_median = [&](const char* metric) -> std::vector<double> {
       std::vector<double> vals;
-      for (std::size_t i = ref0; i < navail; ++i) {
-        const Json& ph = records[i].at("phases");
+      for (const Json* r : refs) {
+        const Json& ph = r->at("phases");
         if (ph.contains(phase) && ph.at(phase).contains(metric))
           vals.push_back(ph.at(phase).at(metric).as_double());
       }
@@ -300,10 +318,9 @@ Json trend_analyze(const std::vector<Json>& records,
   if (fresh.contains("health")) {
     const Json& fh = fresh.at("health");
     std::vector<double> vals;
-    for (std::size_t i = ref0; i < navail; ++i)
-      if (records[i].contains("health"))
-        vals.push_back(
-            records[i].at("health").at("sampled_rel_err").as_double());
+    for (const Json* r : refs)
+      if (r->contains("health"))
+        vals.push_back(r->at("health").at("sampled_rel_err").as_double());
     if (!vals.empty() && fh.contains("sampled_rel_err")) {
       const double now = fh.at("sampled_rel_err").as_double();
       if (now >= opt.min_err) {

@@ -3,11 +3,11 @@
 /// \brief Bench-trajectory records ("pkifmm.run.v1") and trend
 /// analysis over BENCH_history.jsonl.
 ///
-/// The perf gate (aggregate.hpp compare_summaries) answers "is this
-/// run worse than the one checked-in baseline?". Trend records answer
-/// the longitudinal question — "how has each phase moved over the last
-/// K runs?" — which is what catches the slow drift a single baseline
-/// ratio absorbs. Every bench appends one compact line per run:
+/// Trend records are the perf gate (tools/pkifmm_trend): "is this run
+/// worse than the recent runs of the same bench and config?", asked
+/// against the median of the last K comparable runs rather than one
+/// checked-in baseline, so no single noisy run in the history sets
+/// the reference. Every bench appends one compact line per run:
 ///
 ///   {
 ///     "schema": "pkifmm.run.v1",
@@ -39,12 +39,14 @@
 /// truncated last line (crashed bench) only loses that run.
 ///
 /// trend_analyze compares the newest record against the *median* of
-/// the previous `window` records per (phase, metric) — the median
-/// keeps one noisy CI machine from poisoning the reference. Time and
-/// work metrics gate with the same ratios/floors as GateOptions
-/// (hard-fail); hardware-counter and memory metrics only ever WARN,
-/// because they are machine-dependent (a different CI host has a
-/// different cache) and perf access comes and goes with the container.
+/// the previous `window` records with the same nranks and config per
+/// (phase, metric) — the median keeps one noisy CI machine from
+/// poisoning the reference. Time and work metrics hard-fail past their
+/// ratio bounds (phases below the absolute floors are skipped: sub-50ms
+/// walls of thread-simulated ranks are scheduler noise); hardware-
+/// counter and memory metrics only ever WARN, because they are
+/// machine-dependent (a different CI host has a different cache) and
+/// perf access comes and goes with the container.
 
 #include <string>
 #include <vector>
@@ -76,8 +78,10 @@ void append_run_record(const std::string& path, const Json& record);
 /// on unreadable files or lines that fail to parse/validate.
 std::vector<Json> read_run_history(const std::string& path);
 
-/// Thresholds for trend_analyze. Time/work ratios and floors mirror
-/// GateOptions; hw metrics get their own looser ratio and are
+/// Thresholds for trend_analyze. Work metrics (flops, msgs, bytes) are
+/// exactly reproducible run-over-run, so their ratio bound is tight;
+/// wall/cpu time is measured on whatever machine CI lands on, so its
+/// bound is loose. hw metrics get their own looser ratio and are
 /// warn-only regardless.
 struct TrendOptions {
   int window = 8;             ///< reference = median of last `window`
@@ -85,7 +89,7 @@ struct TrendOptions {
   double time_ratio = 1.6;    ///< hard bound for wall & cpu
   double work_ratio = 1.25;   ///< hard bound for flops / msgs / bytes
   double hw_ratio = 1.5;      ///< WARN bound for cycles/misses/faults/rss
-  double min_seconds = 5e-2;  ///< floors, as in GateOptions
+  double min_seconds = 5e-2;  ///< ignore values below these floors
   double min_flops = 1e4;
   double min_msgs = 16;
   double min_bytes = 4096;
@@ -106,7 +110,9 @@ struct TrendOptions {
 
 /// Analyzes records of ONE bench, ordered oldest -> newest. The newest
 /// record is compared per phase against the median of up to
-/// opt.window preceding records. Returns
+/// opt.window preceding records that ran at the same "nranks" with an
+/// equal "config" object (other records are not comparable and are
+/// skipped). Returns
 ///   { "ok": bool,                  // no hard regressions
 ///     "checked": <int>, "window": <int>,  // references actually used
 ///     "newest_sha": "<sha>",
@@ -114,8 +120,10 @@ struct TrendOptions {
 ///                        "ratio", "limit" }, ... ],
 ///     "warnings":   [ ...same shape, hw/mem metrics... ] }
 /// A phase present in every reference record but missing from the
-/// newest is a regression with metric "missing". Fewer than 2 records
-/// yields ok with checked = 0 (nothing to compare yet). Throws
+/// newest is a regression with metric "missing". No comparable earlier
+/// record (fewer than 2 records, or none at the newest's nranks and
+/// config) yields ok with window = checked = 0 (nothing to compare
+/// yet). Throws
 /// CheckFailure if any record fails validate_run_json.
 Json trend_analyze(const std::vector<Json>& records,
                    const TrendOptions& opt = {});

@@ -1,5 +1,7 @@
 #include "util/cli.hpp"
 
+#include <cstdio>
+#include <exception>
 #include <string_view>
 
 #include "util/check.hpp"
@@ -44,4 +46,20 @@ bool Cli::get_bool(const std::string& key, bool fallback) const {
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
+namespace util {
+
+int guarded_main(int argc, char** argv, int (*body)(int, char**),
+                 int error_status) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    const std::string_view path = argc > 0 ? argv[0] : "main";
+    const std::string_view name = path.substr(path.find_last_of('/') + 1);
+    std::fprintf(stderr, "%.*s: error: %s\n", static_cast<int>(name.size()),
+                 name.data(), e.what());
+    return error_status;
+  }
+}
+
+}  // namespace util
 }  // namespace pkifmm

@@ -1,6 +1,7 @@
 #pragma once
 /// \file cli.hpp
-/// \brief Minimal --key=value command-line parsing for benches/examples.
+/// \brief Minimal --key=value command-line parsing for benches/examples,
+/// and the error-reporting main wrapper they share.
 
 #include <cstdint>
 #include <map>
@@ -24,4 +25,15 @@ class Cli {
   std::map<std::string, std::string> kv_;
 };
 
+namespace util {
+
+/// Runs `body` as a program's main. An exception escaping `body` (a
+/// CheckFailure from bad input, say) is printed to stderr as
+/// "<name>: error: <what>", <name> the basename of argv[0], and the
+/// process exits with `error_status` instead of ending in
+/// std::terminate.
+int guarded_main(int argc, char** argv, int (*body)(int, char**),
+                 int error_status = 1);
+
+}  // namespace util
 }  // namespace pkifmm

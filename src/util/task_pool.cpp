@@ -48,10 +48,7 @@ TaskPool::~TaskPool() {
 void TaskPool::submit(Group& g, std::string name,
                       std::function<void(int)> fn) {
   g.pending_.fetch_add(1, std::memory_order_relaxed);
-  push_task(Task{std::move(fn), &g, std::move(name)});
-}
-
-void TaskPool::push_task(Task t) {
+  Task t{std::move(fn), &g, std::move(name)};
   // Round-robin over the WORKER lanes when there are any, so background
   // tasks start without the caller's help; lane 0 otherwise.
   int lane = 0;
@@ -199,9 +196,6 @@ void TaskPool::run_task(Task&& t, int lane) {
 }
 
 void TaskPool::finish_task(Group* g, std::exception_ptr err) {
-  // TaskGraph nodes run groupless: their wrapper owns completion and
-  // error capture (TaskGraph::run_node), so there is nothing to do.
-  if (g == nullptr) return;
   if (err != nullptr) {
     std::lock_guard<std::mutex> lock(g->mu_);
     if (!g->error_) g->error_ = err;
@@ -278,308 +272,6 @@ double TaskPool::busy_overlap(const std::string& name, double w0,
     }
   }
   return total;
-}
-
-namespace {
-
-using IntervalList = std::vector<std::pair<double, double>>;
-
-/// Sorts and merges [t0, t1) intervals in place into a disjoint union.
-void merge_intervals(IntervalList& v) {
-  std::sort(v.begin(), v.end());
-  std::size_t out = 0;
-  for (const auto& iv : v) {
-    if (out > 0 && iv.first <= v[out - 1].second)
-      v[out - 1].second = std::max(v[out - 1].second, iv.second);
-    else
-      v[out++] = iv;
-  }
-  v.resize(out);
-}
-
-/// Total seconds the two disjoint-union lists intersect.
-double intersect_seconds(const IntervalList& a, const IntervalList& b) {
-  double total = 0.0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const double lo = std::max(a[i].first, b[j].first);
-    const double hi = std::min(a[i].second, b[j].second);
-    if (hi > lo) total += hi - lo;
-    if (a[i].second < b[j].second)
-      ++i;
-    else
-      ++j;
-  }
-  return total;
-}
-
-template <class T>
-void atomic_store_max(std::atomic<T>& a, T v) {
-  T cur = a.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-TaskGraph::TaskGraph(TaskPool& pool, std::string name)
-    : pool_(pool), name_(std::move(name)) {
-  lane_intervals_.resize(static_cast<std::size_t>(pool_.lanes()));
-}
-
-TaskGraph::~TaskGraph() {
-  if (!launched_) return;
-  try {
-    wait();
-  } catch (...) {
-    // Task errors are observable via an explicit wait(); destruction
-    // must only guarantee no node still references this graph.
-  }
-}
-
-std::int32_t TaskGraph::phase_id(const std::string& phase) {
-  // Linear scan: graphs carry ~10 phases, and this is build-time only.
-  for (std::size_t i = 0; i < phases_.size(); ++i)
-    if (phases_[i]->name == phase) return static_cast<std::int32_t>(i);
-  phases_.push_back(std::make_unique<PhaseStat>());
-  phases_.back()->name = phase;
-  return static_cast<std::int32_t>(phases_.size() - 1);
-}
-
-TaskGraph::NodeId TaskGraph::node(std::string phase,
-                                  std::function<void(int)> fn) {
-  PKIFMM_CHECK(!launched_);
-  auto n = std::make_unique<Node>();
-  n->fn = std::move(fn);
-  n->phase = phase_id(phase);
-  graph_nodes_.push_back(std::move(n));
-  return static_cast<NodeId>(graph_nodes_.size() - 1);
-}
-
-TaskGraph::NodeId TaskGraph::event(std::string phase) {
-  return node(std::move(phase), nullptr);
-}
-
-void TaskGraph::edge(NodeId pred, NodeId succ) {
-  PKIFMM_CHECK(!launched_);
-  PKIFMM_CHECK(pred >= 0 &&
-               pred < static_cast<NodeId>(graph_nodes_.size()));
-  PKIFMM_CHECK(succ >= 0 &&
-               succ < static_cast<NodeId>(graph_nodes_.size()));
-  PKIFMM_CHECK(pred != succ);
-  graph_nodes_[static_cast<std::size_t>(pred)]->succ.push_back(succ);
-  graph_nodes_[static_cast<std::size_t>(succ)]->pending.fetch_add(
-      1, std::memory_order_relaxed);
-  ++nedges_;
-}
-
-void TaskGraph::external(NodeId succ, int count) {
-  PKIFMM_CHECK(!launched_);
-  PKIFMM_CHECK(succ >= 0 &&
-               succ < static_cast<NodeId>(graph_nodes_.size()));
-  PKIFMM_CHECK(count >= 0);
-  graph_nodes_[static_cast<std::size_t>(succ)]->pending.fetch_add(
-      count, std::memory_order_relaxed);
-}
-
-void TaskGraph::signal(NodeId id) {
-  PKIFMM_CHECK(id >= 0 && id < static_cast<NodeId>(graph_nodes_.size()));
-  signals_.fetch_add(1, std::memory_order_relaxed);
-  release_dep(id);
-}
-
-void TaskGraph::launch() {
-  PKIFMM_CHECK(!launched_);
-  launched_ = true;
-  remaining_.store(static_cast<std::int64_t>(graph_nodes_.size()),
-                   std::memory_order_release);
-  // Drop every node's construction guard. Early nodes may fire, run,
-  // and release successors while later guards are still being dropped;
-  // each node's OWN guard keeps it from firing before its turn here.
-  for (NodeId id = 0; id < static_cast<NodeId>(graph_nodes_.size()); ++id)
-    release_dep(id);
-}
-
-void TaskGraph::release_dep(NodeId id) {
-  Node& n = *graph_nodes_[static_cast<std::size_t>(id)];
-  if (n.pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  if (!n.fn) {
-    complete(id);  // event node: completes inline on the releaser
-    return;
-  }
-  enqueue(id);
-}
-
-void TaskGraph::enqueue(NodeId id) {
-  Node& n = *graph_nodes_[static_cast<std::size_t>(id)];
-  // ready_t is published to the executing thread by the deque mutex
-  // inside push_task (written before push, read after pop).
-  n.ready_t = obs::wall_seconds();
-  const std::int64_t depth =
-      ready_now_.fetch_add(1, std::memory_order_relaxed) + 1;
-  ready_depth_sum_.fetch_add(depth, std::memory_order_relaxed);
-  ready_depth_samples_.fetch_add(1, std::memory_order_relaxed);
-  atomic_store_max(ready_depth_peak_, depth);
-  pool_.push_task(TaskPool::Task{
-      [this, id](int lane) { run_node(id, lane); }, nullptr,
-      phases_[static_cast<std::size_t>(n.phase)]->name});
-}
-
-void TaskGraph::run_node(NodeId id, int lane) {
-  Node& n = *graph_nodes_[static_cast<std::size_t>(id)];
-  PhaseStat& ps = *phases_[static_cast<std::size_t>(n.phase)];
-  const double t0 = obs::wall_seconds();
-  ready_now_.fetch_sub(1, std::memory_order_relaxed);
-  const auto waited_ns = static_cast<std::uint64_t>(
-      std::max(0.0, t0 - n.ready_t) * 1e9);
-  ps.release_wait_ns.fetch_add(waited_ns, std::memory_order_relaxed);
-  atomic_store_max(release_wait_max_ns_, waited_ns);
-  try {
-    n.fn(lane);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(err_mu_);
-    if (!error_) error_ = std::current_exception();
-  }
-  const double t1 = obs::wall_seconds();
-  ps.busy_ns.fetch_add(static_cast<std::uint64_t>((t1 - t0) * 1e9),
-                       std::memory_order_relaxed);
-  ps.tasks.fetch_add(1, std::memory_order_relaxed);
-  lane_intervals_[static_cast<std::size_t>(lane)].push_back(
-      Interval{n.phase, t0, t1});
-  complete(id);
-}
-
-void TaskGraph::complete(NodeId id) {
-  Node& n = *graph_nodes_[static_cast<std::size_t>(id)];
-  // seq_cst store: pairs Dekker-style with the watcher's seq_cst
-  // watchers_ increment + done load in wait_node — either the
-  // completer sees the watcher (and notifies), or the watcher sees
-  // done (and never sleeps).
-  n.done.store(true);
-  for (const NodeId s : n.succ) release_dep(s);
-  // Read watchers_ BEFORE the remaining_ decrement: the decrement that
-  // takes remaining_ to zero releases wait(), after which the graph may
-  // be destroyed, so no graph member may be touched past it (pool_
-  // outlives the graph, so the wake below is safe either way). The
-  // seq_cst load still follows the done store, preserving the Dekker
-  // pairing with wait_node.
-  const bool watched = watchers_.load() > 0;
-  TaskPool& pool = pool_;  // local: pool_ is graph memory too
-  const std::int64_t left =
-      remaining_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  if (left == 0 || watched) {
-    // The empty critical section pairs with the waiters' predicate
-    // check under wake_mu_ (same protocol as Group completion).
-    { std::lock_guard<std::mutex> lock(pool.wake_mu_); }
-    pool.wake_cv_.notify_all();
-  }
-}
-
-bool TaskGraph::completed(NodeId id) const {
-  PKIFMM_CHECK(id >= 0 && id < static_cast<NodeId>(graph_nodes_.size()));
-  return graph_nodes_[static_cast<std::size_t>(id)]->done.load(
-      std::memory_order_acquire);
-}
-
-void TaskGraph::wait_node(NodeId id) {
-  PKIFMM_CHECK(launched_);
-  PKIFMM_CHECK(id >= 0 && id < static_cast<NodeId>(graph_nodes_.size()));
-  Node& n = *graph_nodes_[static_cast<std::size_t>(id)];
-  watchers_.fetch_add(1);  // seq_cst: see complete()
-  while (!n.done.load()) {
-    TaskPool::Task t;
-    if (pool_.try_pop(0, t)) {
-      pool_.run_task(std::move(t), 0);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(pool_.wake_mu_);
-    pool_.wake_cv_.wait(lock, [&] {
-      return n.done.load() ||
-             pool_.ready_.load(std::memory_order_relaxed) > 0;
-    });
-  }
-  watchers_.fetch_sub(1);
-}
-
-void TaskGraph::wait() {
-  PKIFMM_CHECK(launched_);
-  while (remaining_.load(std::memory_order_acquire) > 0) {
-    TaskPool::Task t;
-    if (pool_.try_pop(0, t)) {
-      pool_.run_task(std::move(t), 0);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(pool_.wake_mu_);
-    pool_.wake_cv_.wait(lock, [&] {
-      return remaining_.load(std::memory_order_acquire) == 0 ||
-             pool_.ready_.load(std::memory_order_relaxed) > 0;
-    });
-  }
-  std::exception_ptr err;
-  {
-    std::lock_guard<std::mutex> lock(err_mu_);
-    err = error_;
-    error_ = nullptr;
-  }
-  if (err) std::rethrow_exception(err);
-}
-
-void TaskGraph::fold_stats(obs::Recorder& rec) {
-  // Quiescent by contract (wait() returned), so plain reads are fine.
-  rec.counter_add("sched.dag.graphs", 1.0);
-  rec.counter_add("sched.dag.nodes",
-                  static_cast<double>(graph_nodes_.size()));
-  rec.counter_add("sched.dag.edges", static_cast<double>(nedges_));
-  rec.counter_add("sched.dag.signals",
-                  static_cast<double>(signals_.load()));
-  rec.counter_add("sched.dag.ready_depth_sum",
-                  static_cast<double>(ready_depth_sum_.load()));
-  rec.counter_add("sched.dag.ready_depth_samples",
-                  static_cast<double>(ready_depth_samples_.load()));
-  // Gauges keep the max across graphs/folds (gauge_set is last-write).
-  const auto& gauges = rec.metrics().gauges;
-  auto gauge_max = [&](const std::string& name, double v) {
-    const auto it = gauges.find(name);
-    if (it != gauges.end()) v = std::max(v, it->second);
-    rec.gauge_set(name, v);
-  };
-  gauge_max("sched.dag.ready_depth_peak",
-            static_cast<double>(ready_depth_peak_.load()));
-  gauge_max("sched.dag.release_wait_max_seconds",
-            static_cast<double>(release_wait_max_ns_.load()) * 1e-9);
-
-  // Per-phase busy/stall totals plus overlap attribution: how much of
-  // phase P's executed wall time was concurrent with ANY other phase.
-  std::vector<IntervalList> by_phase(phases_.size());
-  for (const auto& lane : lane_intervals_)
-    for (const Interval& iv : lane)
-      by_phase[static_cast<std::size_t>(iv.phase)].push_back(
-          {iv.t0, iv.t1});
-  for (IntervalList& v : by_phase) merge_intervals(v);
-  double tasks_total = 0.0, release_total = 0.0;
-  for (std::size_t p = 0; p < phases_.size(); ++p) {
-    const PhaseStat& ps = *phases_[p];
-    IntervalList others;
-    for (std::size_t q = 0; q < phases_.size(); ++q)
-      if (q != p)
-        others.insert(others.end(), by_phase[q].begin(), by_phase[q].end());
-    merge_intervals(others);
-    const std::string base = "sched.dag.phase." + ps.name;
-    rec.counter_add(base + ".busy_seconds",
-                    static_cast<double>(ps.busy_ns.load()) * 1e-9);
-    rec.counter_add(base + ".tasks",
-                    static_cast<double>(ps.tasks.load()));
-    rec.counter_add(base + ".release_wait_seconds",
-                    static_cast<double>(ps.release_wait_ns.load()) * 1e-9);
-    rec.counter_add(base + ".overlap_seconds",
-                    intersect_seconds(by_phase[p], others));
-    tasks_total += static_cast<double>(ps.tasks.load());
-    release_total += static_cast<double>(ps.release_wait_ns.load()) * 1e-9;
-  }
-  rec.counter_add("sched.dag.tasks", tasks_total);
-  rec.counter_add("sched.dag.release_wait_seconds", release_total);
-  for (auto& lane : lane_intervals_) lane.clear();
 }
 
 }  // namespace pkifmm::util

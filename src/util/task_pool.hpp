@@ -39,15 +39,6 @@
 /// `sched.*` counters and spans with SpanEvent::tid = worker index + 1
 /// (tid 0 stays the rank thread), which the Chrome trace exporter
 /// renders as one row per worker.
-///
-/// TaskGraph (below) layers dependency-counted task nodes on top of the
-/// same deques: nodes carry an atomic remaining-dependency counter and
-/// a successor list, and enqueue into the pool the instant the counter
-/// hits zero ("ready-on-zero"). No library code builds one:
-/// core::Evaluator runs its phases in order over parallel_for, because
-/// a task-graph schedule of the same chunks showed no wall-clock gain
-/// on any benchmark workload (DESIGN.md §5d). TaskGraph stays, with its
-/// tests and bench/micro cases, for a future data-driven schedule.
 
 #include <atomic>
 #include <condition_variable>
@@ -74,8 +65,6 @@ namespace pkifmm::util {
 /// `enforce = false` (FmmOptions::clamp_threads).
 int recommended_workers(int threads_per_rank, int nranks,
                         bool enforce = true);
-
-class TaskGraph;
 
 class TaskPool {
  public:
@@ -151,11 +140,9 @@ class TaskPool {
   double busy_overlap(const std::string& name, double w0, double w1) const;
 
  private:
-  friend class TaskGraph;
-
   struct Task {
     std::function<void(int)> fn;
-    Group* group;  ///< null for TaskGraph nodes (they track their own)
+    Group* group;
     std::string name;
   };
 
@@ -177,9 +164,8 @@ class TaskPool {
     double busy = 0.0;
     std::vector<Burst> bursts;
     /// Push-time depth samples of THIS lane's deque, guarded by `mu`
-    /// like the deque itself (TaskGraph releases call push_task from
-    /// worker threads concurrently, so a pool-wide histogram would
-    /// race); fold_stats merges the lanes into sched.queue_depth.
+    /// like the deque itself; fold_stats merges the lanes into
+    /// sched.queue_depth.
     obs::Histogram depth;
   };
 
@@ -189,9 +175,6 @@ class TaskPool {
   bool try_pop(int lane, Task& out);
   void run_task(Task&& t, int lane);
   void finish_task(Group* g, std::exception_ptr err);
-  /// Round-robins `t` onto a worker deque (lane 0 with no workers) and
-  /// wakes one sleeper. Shared by submit() and TaskGraph enqueues.
-  void push_task(Task t);
 
   int nworkers_ = 0;
   std::vector<std::unique_ptr<Lane>> lanes_;
@@ -202,140 +185,6 @@ class TaskPool {
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> rr_{0};     ///< round-robin submit cursor
   double epoch_;                         ///< fold window start
-};
-
-/// A dependency-counted task DAG executed on a TaskPool.
-///
-/// Build phase (single-threaded, before launch()): create nodes with
-/// node()/event(), wire edges with edge(pred, succ), and declare
-/// external dependencies (satisfied later by signal()) with
-/// external(). A *task node* carries a function that runs on some lane
-/// when all its dependencies completed; an *event node* carries no
-/// work — it completes inline on whichever thread releases its last
-/// dependency, and exists to fan dependencies in/out cheaply.
-///
-/// Run phase: launch() arms the graph — every node whose dependency
-/// count is already zero becomes ready and enqueues into the pool's
-/// work-stealing deques (ready-on-zero; LIFO per lane, steals
-/// oldest-first, exactly the TaskPool policy). signal(id) releases one
-/// external dependency of `id` and is safe from any thread, before or
-/// after launch (nothing fires until launch() drops the built-in
-/// launch guard). wait()/wait_node() block on the calling thread,
-/// helping to drain the pool while they wait, and wait() rethrows the
-/// first exception any node threw once the graph drained.
-///
-/// Determinism: the graph adds *ordering*, never arithmetic — a
-/// correct edge set makes every task's inputs final before it runs,
-/// and the tasks themselves follow the TaskPool determinism contract
-/// (fixed chunking, disjoint writes, ascending iteration). Completion
-/// order may vary freely; outputs may not.
-///
-/// Observability (fold_stats): `sched.dag.*` counters — node/edge/
-/// signal totals, ready-queue depth sum/samples/peak, dependency-
-/// release latency (ready -> start) totals and max, and per phase
-/// `sched.dag.phase.<ph>.{busy_seconds,tasks,release_wait_seconds,
-/// overlap_seconds}` where overlap_seconds is the wall time phase
-/// `<ph>`'s task intervals spent overlapped with ANY other phase's —
-/// the attribution that shows which phases actually ran concurrently.
-class TaskGraph {
- public:
-  using NodeId = std::int32_t;
-  static constexpr NodeId kNone = -1;
-
-  /// `name` labels the graph in logs/metrics. The pool must outlive
-  /// the graph.
-  TaskGraph(TaskPool& pool, std::string name);
-  /// Waits for a launched graph to drain (swallowing task errors —
-  /// call wait() yourself to observe them). Callers must have
-  /// delivered every declared external() signal before destruction.
-  ~TaskGraph();
-
-  TaskGraph(const TaskGraph&) = delete;
-  TaskGraph& operator=(const TaskGraph&) = delete;
-
-  /// Adds a task node. `phase` groups its scheduler statistics and
-  /// names its burst span; fn(lane) runs once all dependencies
-  /// completed. Build-phase only.
-  NodeId node(std::string phase, std::function<void(int)> fn);
-  /// Adds an event node (no work; completes inline on release).
-  NodeId event(std::string phase);
-  /// Declares that `succ` cannot start before `pred` completed.
-  /// Build-phase only.
-  void edge(NodeId pred, NodeId succ);
-  /// Adds `count` external dependencies to `succ`, each satisfied by
-  /// one later signal(succ). Build-phase only.
-  void external(NodeId succ, int count = 1);
-  /// Releases one external dependency of `id`. Thread-safe; callable
-  /// before or after launch(). The caller must not signal more times
-  /// than external() declared.
-  void signal(NodeId id);
-
-  /// Arms the graph: dependency-free nodes become ready immediately.
-  /// Exactly once; build methods are invalid afterwards.
-  void launch();
-  /// Blocks until `id` completed, executing queued tasks on the
-  /// calling thread while waiting. The node must not be gated on an
-  /// external signal the caller has yet to send (deadlock).
-  void wait_node(NodeId id);
-  /// Blocks until every node completed (helping like wait_node), then
-  /// rethrows the first exception any task threw.
-  void wait();
-  /// True once `id` completed. Acquire-ordered: a true result makes
-  /// the node's writes visible.
-  bool completed(NodeId id) const;
-
-  std::size_t nodes() const { return graph_nodes_.size(); }
-  std::size_t edges() const { return nedges_; }
-
-  /// Publishes the `sched.dag.*` statistics described above and
-  /// resets them. Call after wait(), from the owning rank thread.
-  void fold_stats(obs::Recorder& rec);
-
- private:
-  struct Node {
-    std::function<void(int)> fn;  ///< null => event node
-    std::vector<NodeId> succ;
-    std::atomic<int> pending{1};  ///< +1 launch guard, dropped by launch()
-    std::atomic<bool> done{false};
-    double ready_t = 0.0;  ///< when pending hit zero (task nodes)
-    std::int32_t phase = 0;
-  };
-  struct PhaseStat {
-    std::string name;
-    std::atomic<std::uint64_t> busy_ns{0};
-    std::atomic<std::uint64_t> release_wait_ns{0};
-    std::atomic<std::uint64_t> tasks{0};
-  };
-  /// One executed task interval, recorded lane-privately for the
-  /// fold-time per-phase overlap computation.
-  struct Interval {
-    std::int32_t phase;
-    double t0, t1;
-  };
-
-  std::int32_t phase_id(const std::string& phase);
-  void release_dep(NodeId id);  ///< one dependency of id completed
-  void enqueue(NodeId id);      ///< pending hit zero on a task node
-  void run_node(NodeId id, int lane);
-  void complete(NodeId id);     ///< mark done, release successors
-
-  TaskPool& pool_;
-  std::string name_;
-  std::vector<std::unique_ptr<Node>> graph_nodes_;
-  std::vector<std::unique_ptr<PhaseStat>> phases_;
-  std::vector<std::vector<Interval>> lane_intervals_;
-  std::size_t nedges_ = 0;
-  bool launched_ = false;
-  std::atomic<std::int64_t> remaining_{0};  ///< nodes not yet completed
-  std::atomic<std::int64_t> ready_now_{0};  ///< enqueued, not started
-  std::atomic<std::int64_t> ready_depth_sum_{0};
-  std::atomic<std::int64_t> ready_depth_samples_{0};
-  std::atomic<std::int64_t> ready_depth_peak_{0};
-  std::atomic<std::uint64_t> signals_{0};
-  std::atomic<std::uint64_t> release_wait_max_ns_{0};
-  std::atomic<int> watchers_{0};  ///< wait_node callers needing wakeups
-  std::mutex err_mu_;
-  std::exception_ptr error_;
 };
 
 }  // namespace pkifmm::util

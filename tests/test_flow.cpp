@@ -482,7 +482,12 @@ TEST(FlowIntegration, TracedRunMatchesAndDecomposes) {
         core::ParallelFmm fmm(ctx, tables);
         fmm.setup(std::move(pts));
         (void)fmm.evaluate();
-        summaries[static_cast<std::size_t>(ctx.rank())] = fmm.summary();
+        // The cross-rank summary, built on demand; the gather runs in
+        // its own phase after the snapshot, so its traffic stays out.
+        ctx.comm.cost().set_phase("obs.gather");
+        const RankMetrics mine = comm::snapshot_with_counters(ctx);
+        summaries[static_cast<std::size_t>(ctx.rank())] =
+            summarize_metrics(gather_metrics(ctx.comm, mine));
       });
   ASSERT_EQ(reports.size(), static_cast<std::size_t>(kP));
 

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -266,24 +267,69 @@ TEST(Trend, StableTrajectoryPasses) {
 
 TEST(Trend, DetectsInjectedWallRegression) {
   // Four steady records, then the newest at 3x the median wall time —
-  // well past the 1.6x gate. This is the synthetic-regression
+  // well past the 1.6x gate — and 2x the flops, messages and bytes,
+  // past the 1.25x work gate. This is the synthetic-regression
   // acceptance check for tools/pkifmm_trend.
   std::vector<Json> hist;
   for (int i = 0; i < 4; ++i)
     hist.push_back(make_record("base", 1.0, 2e6));
-  hist.push_back(make_record("bad", 3.0, 2e6));
+  Json bad = make_record("bad", 3.0, 2e6);
+  Json phases = bad.at("phases");
+  Json eval = phases.at("eval");
+  for (const char* work : {"flops", "msgs_sent", "bytes_sent"})
+    eval.set(work, 2.0 * eval.at(work).as_double());
+  phases.set("eval", eval);
+  bad.set("phases", phases);
+  hist.push_back(bad);
   const Json r = trend_analyze(hist);
   EXPECT_FALSE(r.at("ok").as_bool());
   ASSERT_GE(r.at("regressions").size(), 1u);
   bool found = false;
-  for (const Json& f : r.at("regressions").items())
-    if (f.at("phase").as_string() == "eval" &&
-        f.at("metric").as_string() == "wall") {
+  std::set<std::string> work;
+  for (const Json& f : r.at("regressions").items()) {
+    if (f.at("phase").as_string() != "eval") continue;
+    const std::string metric = f.at("metric").as_string();
+    if (metric == "wall") {
       found = true;
       EXPECT_NEAR(f.at("ratio").as_double(), 3.0, 0.2);
       EXPECT_DOUBLE_EQ(f.at("limit").as_double(), 1.6);
+    } else if (metric != "cpu") {
+      work.insert(metric);
+      EXPECT_DOUBLE_EQ(f.at("ratio").as_double(), 2.0) << metric;
+      EXPECT_DOUBLE_EQ(f.at("limit").as_double(), 1.25) << metric;
     }
+  }
   EXPECT_TRUE(found);
+  EXPECT_EQ(work,
+            (std::set<std::string>{"flops", "msgs_sent", "bytes_sent"}));
+}
+
+TEST(Trend, OnlySameRankCountAndConfigAreReferences) {
+  // The newest record runs at 3x the wall time of every earlier one,
+  // but a run at another rank count or config does other work: with
+  // only such records before it there is nothing to compare against.
+  Json other_config = Json::object();
+  other_config.set("n_points", 8000);
+  std::vector<Json> hist;
+  for (int i = 0; i < 3; ++i) {
+    Json at_p2 = make_record("p2", 1.0, 2e6);
+    at_p2.set("nranks", 2);
+    hist.push_back(at_p2);
+    Json resized = make_record("n8000", 1.0, 2e6);
+    resized.set("config", other_config);
+    hist.push_back(resized);
+  }
+  hist.push_back(make_record("slow", 3.0, 2e6));
+  const Json alone = trend_analyze(hist);
+  EXPECT_TRUE(alone.at("ok").as_bool());
+  EXPECT_EQ(alone.at("window").as_int(), 0);
+  EXPECT_EQ(alone.at("checked").as_int(), 0);
+
+  // One matching reference is enough to flag it.
+  hist.insert(hist.begin(), make_record("base", 1.0, 2e6));
+  const Json flagged = trend_analyze(hist);
+  EXPECT_FALSE(flagged.at("ok").as_bool());
+  EXPECT_EQ(flagged.at("window").as_int(), 1);
 }
 
 TEST(Trend, HwDriftOnlyWarns) {

@@ -169,193 +169,6 @@ TEST(TaskPool, BusyOverlapMeasuresNamedBurstsInWindow) {
   EXPECT_EQ(pool.busy_overlap("other", w0, w1), 0.0);
 }
 
-// ---------------------------------------------------------------------------
-// TaskGraph: dependency-counted DAG execution on the pool (see the
-// build/run/determinism contract in util/task_pool.hpp).
-
-class TaskGraphWorkers : public ::testing::TestWithParam<int> {};
-
-TEST_P(TaskGraphWorkers, DiamondRespectsEveryOrdering) {
-  TaskPool pool(GetParam());
-  TaskGraph g(pool, "diamond");
-  std::atomic<int> step{0};
-  int at_a = -1, at_b = -1, at_c = -1, at_d = -1;
-  const auto a = g.node("ph", [&](int) { at_a = step.fetch_add(1); });
-  const auto b = g.node("ph", [&](int) { at_b = step.fetch_add(1); });
-  const auto c = g.node("ph", [&](int) { at_c = step.fetch_add(1); });
-  const auto d = g.node("ph", [&](int) { at_d = step.fetch_add(1); });
-  g.edge(a, b);
-  g.edge(a, c);
-  g.edge(b, d);
-  g.edge(c, d);
-  EXPECT_EQ(g.nodes(), 4u);
-  EXPECT_EQ(g.edges(), 4u);
-  g.launch();
-  g.wait();
-  EXPECT_EQ(at_a, 0);
-  EXPECT_EQ(at_d, 3);
-  EXPECT_TRUE((at_b == 1 && at_c == 2) || (at_b == 2 && at_c == 1))
-      << at_b << " " << at_c;
-  EXPECT_TRUE(g.completed(d));
-}
-
-TEST_P(TaskGraphWorkers, FanOutFanInThroughEvent) {
-  TaskPool pool(GetParam());
-  TaskGraph g(pool, "fan");
-  constexpr int kWide = 32;
-  std::atomic<int> ran{0};
-  bool root_done = false;
-  const auto root = g.node("ph", [&](int) { root_done = true; });
-  const auto barrier = g.event("ph");
-  for (int i = 0; i < kWide; ++i) {
-    const auto mid = g.node("ph", [&](int) {
-      EXPECT_TRUE(root_done);  // edge ordering makes the write visible
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-    g.edge(root, mid);
-    g.edge(mid, barrier);
-  }
-  int after = -1;
-  const auto sink = g.node("ph", [&](int) { after = ran.load(); });
-  g.edge(barrier, sink);
-  g.launch();
-  g.wait();
-  EXPECT_EQ(after, kWide);  // the event fired only after every mid task
-}
-
-TEST_P(TaskGraphWorkers, ExternalSignalsGateAndRelease) {
-  TaskPool pool(GetParam());
-  TaskGraph g(pool, "ext");
-  std::atomic<bool> ran{false};
-  const auto gated = g.node("ph", [&](int) { ran.store(true); });
-  g.external(gated, 2);
-  g.signal(gated);  // signalling BEFORE launch is legal
-  g.launch();
-  // One of two signals delivered: the node must not have started (no
-  // worker can pop what was never enqueued).
-  EXPECT_FALSE(g.completed(gated));
-  EXPECT_FALSE(ran.load());
-  g.signal(gated);
-  g.wait();
-  EXPECT_TRUE(ran.load());
-  EXPECT_TRUE(g.completed(gated));
-}
-
-TEST_P(TaskGraphWorkers, WaitNodeHelpsUntilTargetCompletes) {
-  TaskPool pool(GetParam());
-  TaskGraph g(pool, "waitnode");
-  std::atomic<int> order{0};
-  int at_a = -1, at_b = -1;
-  const auto a = g.node("ph", [&](int) { at_a = order.fetch_add(1); });
-  const auto b = g.node("ph", [&](int) { at_b = order.fetch_add(1); });
-  g.edge(a, b);
-  const auto tail = g.node("ph", [&](int) { order.fetch_add(1); });
-  g.edge(b, tail);
-  g.launch();
-  g.wait_node(b);  // must make progress even with zero workers
-  EXPECT_TRUE(g.completed(a));
-  EXPECT_TRUE(g.completed(b));
-  EXPECT_EQ(at_a, 0);
-  EXPECT_EQ(at_b, 1);
-  g.wait();
-  EXPECT_TRUE(g.completed(tail));
-}
-
-TEST_P(TaskGraphWorkers, ErrorPropagatesButGraphDrains) {
-  TaskPool pool(GetParam());
-  TaskGraph g(pool, "err");
-  std::atomic<int> ran{0};
-  const auto bad = g.node("ph", [&](int) -> void {
-    throw std::runtime_error("dag task failed");
-  });
-  const auto succ = g.node("ph", [&](int) { ran.fetch_add(1); });
-  g.edge(bad, succ);  // successors of a failed node still run (drain)
-  g.node("ph", [&](int) { ran.fetch_add(1); });
-  g.launch();
-  EXPECT_THROW(g.wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 2);
-  EXPECT_TRUE(g.completed(bad));  // completed = done, not succeeded
-}
-
-TEST_P(TaskGraphWorkers, DestructorDrainsLaunchedGraph) {
-  TaskPool pool(GetParam());
-  std::atomic<int> ran{0};
-  {
-    TaskGraph g(pool, "dtor");
-    for (int i = 0; i < 16; ++i) g.node("ph", [&](int) { ran.fetch_add(1); });
-    g.launch();
-    // No wait(): the destructor must block until all 16 executed (they
-    // capture `ran`, which dies right after the graph).
-  }
-  EXPECT_EQ(ran.load(), 16);
-}
-
-TEST_P(TaskGraphWorkers, FoldStatsPublishesDagCounters) {
-  obs::Recorder rec(0);
-  TaskPool pool(GetParam());
-  TaskGraph g(pool, "stats");
-  const auto a = g.node("alpha", [](int) {});
-  const auto b = g.node("beta", [](int) {});
-  const auto ev = g.event("beta");
-  g.edge(a, b);
-  g.edge(b, ev);
-  g.external(ev, 1);
-  g.launch();
-  g.signal(ev);
-  g.wait();
-  g.fold_stats(rec);
-  EXPECT_EQ(rec.counter("sched.dag.graphs"), 1.0);
-  EXPECT_EQ(rec.counter("sched.dag.nodes"), 3.0);
-  EXPECT_EQ(rec.counter("sched.dag.edges"), 2.0);
-  EXPECT_EQ(rec.counter("sched.dag.signals"), 1.0);
-  EXPECT_EQ(rec.counter("sched.dag.tasks"), 2.0);  // events are not tasks
-  EXPECT_EQ(rec.counter("sched.dag.phase.alpha.tasks"), 1.0);
-  EXPECT_EQ(rec.counter("sched.dag.phase.beta.tasks"), 1.0);
-  EXPECT_GE(rec.counter("sched.dag.phase.alpha.busy_seconds"), 0.0);
-  EXPECT_GE(rec.counter("sched.dag.release_wait_seconds"), 0.0);
-  EXPECT_GE(rec.metrics().gauges.at("sched.dag.ready_depth_peak"), 1.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(WorkerCounts, TaskGraphWorkers,
-                         ::testing::Values(0, 1, 3),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "w" + std::to_string(info.param);
-                         });
-
-TEST(TaskGraph, ConcurrentReleaseRaceIsClean) {
-  // Many predecessors finishing at once all decrement the same sink's
-  // dependency counter, while the main thread concurrently delivers an
-  // external signal — the exact hot path TSan must see as clean, and
-  // exactly-once semantics must hold (the sink runs once, after every
-  // contribution is visible).
-  for (int round = 0; round < 20; ++round) {
-    TaskPool pool(3);
-    TaskGraph g(pool, "race");
-    constexpr int kWide = 64;
-    std::vector<std::uint64_t> cell(kWide, 0);
-    const auto sink_gate = g.event("race");
-    for (int i = 0; i < kWide; ++i) {
-      const auto t = g.node("race", [&cell, i](int) {
-        cell[static_cast<std::size_t>(i)] = static_cast<std::uint64_t>(i) + 1;
-      });
-      g.edge(t, sink_gate);
-    }
-    std::uint64_t sum = 0;
-    std::atomic<int> sink_runs{0};
-    const auto sink = g.node("race", [&](int) {
-      sink_runs.fetch_add(1);
-      for (std::uint64_t v : cell) sum += v;
-    });
-    g.edge(sink_gate, sink);
-    g.external(sink, 1);
-    g.launch();
-    g.signal(sink);  // races against the predecessor completions
-    g.wait();
-    EXPECT_EQ(sink_runs.load(), 1);
-    EXPECT_EQ(sum, std::uint64_t(kWide) * (kWide + 1) / 2);
-  }
-}
-
 TEST(TaskPool, ZeroWorkersRunsInlineDeterministically) {
   // The inline executor and a 2-worker pool must produce identical
   // chunk decompositions (the contract behind thread-count-invariant

@@ -569,13 +569,7 @@ static int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  // Missing files and schema violations surface as CheckFailure (a
-  // std::logic_error) from read_json_file/validate_summary_json; an
-  // uncaught throw would std::terminate with no actionable message.
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "pkifmm_report: error: %s\n", e.what());
-    return 2;
-  }
+  // Missing files and schema violations surface as CheckFailure from
+  // read_json_file/validate_summary_json: print them and exit 2.
+  return util::guarded_main(argc, argv, run, 2);
 }

@@ -4,11 +4,11 @@
 ///
 /// Records are grouped by bench name; within each group the newest
 /// record is compared against the median of the preceding --window
-/// records (obs::trend_analyze). Wall/cpu/flops/msgs/bytes regressions
-/// beyond the gate ratios are hard failures; hardware-counter and
-/// memory metrics only warn — they move whenever CI lands on a
-/// different machine, and perf access comes and goes with the
-/// container.
+/// records with the same rank count and config (obs::trend_analyze).
+/// Wall/cpu/flops/msgs/bytes regressions beyond the gate ratios are
+/// hard failures; hardware-counter and memory metrics only warn — they
+/// move whenever CI lands on a different machine, and perf access comes
+/// and goes with the container.
 ///
 ///   pkifmm_trend --history=<BENCH_history.jsonl>
 ///       [--bench=<name>]      # analyze only this bench's records
@@ -156,10 +156,14 @@ static int run(int argc, char** argv) {
     const bool ok = analysis.at("ok").as_bool();
     all_ok = all_ok && ok;
     if (analysis.at("window").as_int() == 0) {
-      // A single record has no prior window — say so instead of the
-      // baffling "median of 0 prior: OK (0 checks)".
-      std::printf("only one record — no reference window to gate against "
-                  "(first run): OK\n");
+      // No prior window — say so instead of the baffling "median of 0
+      // prior: OK (0 checks)".
+      if (recs.size() == 1)
+        std::printf("only one record — no reference window to gate "
+                    "against (first run): OK\n");
+      else
+        std::printf("no earlier record at this rank count and config — no "
+                    "reference window to gate against (first run): OK\n");
     } else {
       std::printf("newest vs median of %lld prior: %s (%lld checks, "
                   "%zu regression(s), %zu warning(s))\n",
@@ -187,10 +191,5 @@ static int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "pkifmm_trend: error: %s\n", e.what());
-    return 2;
-  }
+  return util::guarded_main(argc, argv, run, 2);
 }

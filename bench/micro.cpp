@@ -255,25 +255,46 @@ void BM_PinvPrecompute(benchmark::State& state) {
 BENCHMARK(BM_PinvPrecompute)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 void BM_KernelDirect(benchmark::State& state) {
-  auto kern = kernels::make_kernel(state.range(0) == 0 ? "laplace" : "stokes");
+  // One q x q leaf pair of the four SIMD-routed kernels, as wallbench's
+  // direct micro-call sets it up: targets in the unit box, sources in
+  // the adjacent box (x + 1). q = 100 and 600 are the leaf sizes of
+  // timestep_churn and ellipsoid_nearfield. Items are pairs; the
+  // model_flops counter is the kernel's flop model per second. Set
+  // PKIFMM_SIMD to time a lower tier.
+  static const char* const kNames[] = {"laplace", "laplace-grad", "stokes",
+                                       "stokes-reg"};
+  const std::string name = kNames[state.range(0)];
+  const auto kern = name == "laplace-grad"
+                        ? kernels::make_kernel("laplace")->gradient()
+                        : kernels::make_kernel(name);
+  const std::size_t q = static_cast<std::size_t>(state.range(1));
   Rng rng(4);
-  const int n = 512;
-  std::vector<double> tgt(3 * n), src(3 * n),
-      den(n * kern->source_dim());
+  std::vector<double> tgt(3 * q), src(3 * q), den(q * kern->source_dim());
   for (auto& v : tgt) v = rng.uniform();
-  for (auto& v : src) v = rng.uniform();
+  for (std::size_t i = 0; i < q; ++i) {
+    src[3 * i] = 1.0 + rng.uniform();
+    src[3 * i + 1] = rng.uniform();
+    src[3 * i + 2] = rng.uniform();
+  }
   for (auto& v : den) v = rng.uniform(-1, 1);
-  std::vector<double> pot(n * kern->target_dim());
+  std::vector<double> pot(q * kern->target_dim());
+  std::uint64_t flops = 0;
   for (auto _ : state) {
     std::fill(pot.begin(), pot.end(), 0.0);
-    kern->direct(tgt, src, den, pot);
+    flops += kern->direct(tgt, src, den, pot);
     benchmark::DoNotOptimize(pot.data());
+    benchmark::ClobberMemory();
   }
-  // Report sustained model-flops (compare with the paper's 500 MFlop/s).
-  state.SetItemsProcessed(state.iterations() * n * n *
-                          kern->flops_per_interaction());
+  state.SetLabel(name);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(q * q));
+  state.counters["model_flops"] =
+      benchmark::Counter(static_cast<double>(flops),
+                         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_KernelDirect)->Arg(0)->Arg(1);
+BENCHMARK(BM_KernelDirect)
+    ->ArgNames({"kernel", "q"})
+    ->ArgsProduct({{0, 1, 2, 3}, {100, 600}});
 
 void BM_SampleSort(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));

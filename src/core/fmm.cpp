@@ -466,8 +466,8 @@ void ParallelFmm::health_sample(const Result& out) {
   }
 
   std::vector<double> ref((all_pos.size() / 3) * td, 0.0);
-  ctx_.flops.add("health.sample", tables_.kernel().direct_sample(
-                                      all_pos, src_pos, src_den, ref));
+  ctx_.flops.add("health.sample",
+                 tables_.kernel().direct(all_pos, src_pos, src_den, ref));
   const std::vector<double> ref_sum = ctx_.comm.allreduce(
       std::span<const double>(ref),
       [](double a, double b) { return a + b; });

@@ -130,8 +130,9 @@ class ParallelFmm {
   /// consumer-side per ghost leaf — globally equal sums in a clean
   /// run), and the online accuracy sample (deterministic gid-hash
   /// subset of owned targets re-evaluated against all sources via
-  /// Kernel::direct_sample, folded into health.sample.* counters and,
-  /// allreduced, into sample_totals_).
+  /// Kernel::direct — the same dispatched kernel as the U-list, whose
+  /// own accuracy the SimdTest cross-tier tests bound — folded into
+  /// health.sample.* counters and, allreduced, into sample_totals_).
   void health_ghost_checks();
   void health_sample(const Result& out);
 

@@ -19,9 +19,11 @@ constexpr double kOneOver8Pi = 1.0 / (8.0 * std::numbers::pi);
 /// amortizes over the tile and the inner target loop vectorizes. For a
 /// fixed target the sources are still visited in order 0..ns-1, so the
 /// accumulation into f[t] is bitwise identical to the naive loop.
-/// Used by the generic Kernel::direct and the Yukawa kernels (whose
-/// exp() has no vector implementation); the rsqrt-based kernels route
-/// through the runtime-dispatched simd::ops() tiers instead.
+/// Used by the Yukawa kernels, whose exp() has no vector
+/// implementation. The 1/r kernels (Laplace, Laplace-grad, Stokes,
+/// regularized Stokes) route through the runtime-dispatched
+/// simd::ops() tiers instead; how each tier computes 1/r is in
+/// simd/pack.hpp (rsqrt).
 constexpr std::size_t kDirectTile = 32;
 
 template <int TD, int SD, class K>
@@ -55,44 +57,6 @@ std::uint64_t direct_impl(const K& kern, std::span<const double> targets,
 }
 
 }  // namespace
-
-std::uint64_t Kernel::direct(std::span<const double> targets,
-                             std::span<const double> sources,
-                             std::span<const double> density,
-                             std::span<double> potential) const {
-  PKIFMM_CHECK(targets.size() % 3 == 0 && sources.size() % 3 == 0);
-  const std::size_t nt = targets.size() / 3;
-  const std::size_t ns = sources.size() / 3;
-  const int sd = source_dim();
-  const int td = target_dim();
-  PKIFMM_CHECK(density.size() == ns * static_cast<std::size_t>(sd));
-  PKIFMM_CHECK(potential.size() == nt * static_cast<std::size_t>(td));
-
-  double blk[9];
-  for (std::size_t t0 = 0; t0 < nt; t0 += kDirectTile) {
-    const std::size_t t1 = std::min(nt, t0 + kDirectTile);
-    for (std::size_t s = 0; s < ns; ++s) {
-      const double* ys = &sources[3 * s];
-      const double* q = &density[s * sd];
-      for (std::size_t t = t0; t < t1; ++t) {
-        const double* xt = &targets[3 * t];
-        const double d[3] = {xt[0] - ys[0], xt[1] - ys[1], xt[2] - ys[2]};
-        block(d, blk);
-        double* f = &potential[t * td];
-        for (int i = 0; i < td; ++i)
-          for (int j = 0; j < sd; ++j) f[i] += blk[i * sd + j] * q[j];
-      }
-    }
-  }
-  return nt * ns * flops_per_interaction();
-}
-
-std::uint64_t Kernel::direct_sample(std::span<const double> targets,
-                                    std::span<const double> sources,
-                                    std::span<const double> density,
-                                    std::span<double> potential) const {
-  return direct(targets, sources, density, potential);
-}
 
 la::Matrix Kernel::assemble(std::span<const double> targets,
                             std::span<const double> sources) const {
@@ -220,9 +184,9 @@ std::pair<std::size_t, std::size_t> check_direct_spans(
 
 }  // namespace
 
-// The rsqrt-based kernels route through the runtime-dispatched SIMD
-// tiers (src/simd/): source-tiled loops over target vector lanes, with
-// the r2 == 0 guard as a lane mask. The Yukawa kernels keep the scalar
+// The 1/r kernels route through the runtime-dispatched SIMD tiers
+// (src/simd/): source-tiled loops over target vector lanes, with the
+// r2 == 0 guard as a lane mask. The Yukawa kernels keep the scalar
 // direct_impl tile at every tier — their exp() has no vector
 // implementation, and a libm call per lane would erase the win.
 std::uint64_t LaplaceKernel::direct(std::span<const double> targets,

@@ -69,38 +69,20 @@ class Kernel {
   /// span must be pre-sized to targets.size()/3*target_dim and is
   /// accumulated into. Returns the flop count of the evaluation.
   ///
-  /// Target-tiled (tile of ~32 targets, source loop outside the tile) so
-  /// the inner loop vectorizes. The rsqrt-based kernels (Laplace,
-  /// Laplace-grad, Stokes, regularized Stokes) override this to route
-  /// through the runtime-dispatched SIMD tiers (simd::ops()); the Yukawa
-  /// kernels override with the same tiling but a statically inlined
-  /// block(). In every case sources are visited in order 0..ns-1 per
-  /// target and the potential accumulates in that order, so within one
-  /// SIMD tier results are bitwise deterministic regardless of how
-  /// callers split the target range; across tiers results agree to
-  /// 1e-12 relative (see DESIGN.md, SIMD section).
+  /// Sources are visited in order 0..ns-1 per target. Results are
+  /// bitwise deterministic within one SIMD tier however callers split
+  /// the target range, and agree to 1e-12 relative across tiers (see
+  /// DESIGN.md, SIMD section).
   virtual std::uint64_t direct(std::span<const double> targets,
                                std::span<const double> sources,
                                std::span<const double> density,
-                               std::span<double> potential) const;
+                               std::span<double> potential) const = 0;
 
   /// Assembles the dense interaction matrix K(X, Y) with shape
   /// (ntargets*target_dim) x (nsources*source_dim). Used by the KIFMM
   /// precomputation (S, U, D, E, Q, R, T operators of paper Table I).
   la::Matrix assemble(std::span<const double> targets,
                       std::span<const double> sources) const;
-
-  /// Reference summation for the online health sampler
-  /// (obs/health.hpp): identical contract to direct(), but a stable,
-  /// non-virtual entry point so the health layer's accuracy estimate is
-  /// pinned to the kernel's canonical summation semantics (coincident
-  /// target/source pairs contribute the kernel's own zero-displacement
-  /// block — exactly what the FMM's U-list computes) even if direct()
-  /// later grows fast-math variants. Forwards to direct().
-  std::uint64_t direct_sample(std::span<const double> targets,
-                              std::span<const double> sources,
-                              std::span<const double> density,
-                              std::span<double> potential) const;
 };
 
 /// Laplace single layer: K = 1 / (4 pi |d|). Scalar, homogeneous of

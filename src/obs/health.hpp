@@ -11,8 +11,11 @@
 ///
 ///  1. **Accuracy sampling** — `health_sampled` deterministically picks
 ///     a (seed, step)-derived subset of target gids; the picked targets
-///     are re-evaluated against all sources via Kernel::direct_sample
-///     and compared to the FMM potentials. The counters
+///     are re-evaluated against all sources via Kernel::direct, the
+///     same dispatched kernel the U-list uses, and compared to the FMM
+///     potentials. The sample measures the FMM against that kernel;
+///     the kernel's own accuracy is bounded by the SimdTest cross-tier
+///     tests, not by the sample. The counters
 ///     `health.sample.{count,err2,ref2}` sum cleanly across ranks, so
 ///     the summary-level sampled relative error is the exact L2-norm
 ///     ratio sqrt(Σerr2 / Σref2) over the whole sample.

@@ -15,10 +15,12 @@
 ///    where callers place window/chunk boundaries. This is what
 ///    preserves the bitwise-determinism-per-thread-count contract of
 ///    the threaded evaluator within one tier.
-///  - Across tiers, results agree to 1e-12 relative (FMA contraction
-///    and lane-width differences only; no reassociation of any
-///    per-target/per-element reduction: sources are always accumulated
-///    in index order, one target per lane).
+///  - Across tiers, results agree to 1e-12 relative: FMA contraction,
+///    lane width and, in the AVX-512 direct kernels, 1/r from rsqrt14
+///    plus two Newton steps (P::rsqrt; the scalar and AVX2 tiers divide
+///    1 by sqrt). No per-target/per-element reduction is reassociated:
+///    sources are always accumulated in index order, one target per
+///    lane.
 ///  - Flop accounting is done by the callers from analytic models, so
 ///    flop counts are exactly equal across tiers by construction.
 ///
@@ -216,7 +218,6 @@ void store_lanes_acc(double* f, std::size_t t0, int stride, int comp,
 template <class P>
 void direct_laplace_t(const double* trg, std::size_t nt, const double* src,
                       std::size_t ns, const double* q, double* f) {
-  const typename P::V one = P::set1(1.0);
   for (std::size_t t0 = 0; t0 < nt; t0 += P::kWidth) {
     const TargetGroup<P> tg = load_targets<P>(trg, t0, nt);
     typename P::V acc = P::zero();
@@ -228,7 +229,7 @@ void direct_laplace_t(const double* trg, std::size_t nt, const double* src,
       r2 = P::fmadd(dy, dy, r2);
       r2 = P::fmadd(dz, dz, r2);
       const typename P::V inv_r =
-          P::zero_where(P::eq(r2, P::zero()), P::div(one, P::sqrt(r2)));
+          P::zero_where(P::eq(r2, P::zero()), P::rsqrt(r2));
       acc = P::fmadd(P::set1(kOneOver4Pi * q[s]), inv_r, acc);
     }
     store_lanes_acc<P>(f, t0, 1, 0, acc, tg.lanes);
@@ -240,7 +241,6 @@ template <class P>
 void direct_laplace_grad_t(const double* trg, std::size_t nt,
                            const double* src, std::size_t ns, const double* q,
                            double* f) {
-  const typename P::V one = P::set1(1.0);
   for (std::size_t t0 = 0; t0 < nt; t0 += P::kWidth) {
     const TargetGroup<P> tg = load_targets<P>(trg, t0, nt);
     typename P::V a0 = P::zero(), a1 = P::zero(), a2 = P::zero();
@@ -252,7 +252,7 @@ void direct_laplace_grad_t(const double* trg, std::size_t nt,
       r2 = P::fmadd(dy, dy, r2);
       r2 = P::fmadd(dz, dz, r2);
       const typename P::V inv_r =
-          P::zero_where(P::eq(r2, P::zero()), P::div(one, P::sqrt(r2)));
+          P::zero_where(P::eq(r2, P::zero()), P::rsqrt(r2));
       const typename P::V inv_r3 =
           P::mul(P::mul(inv_r, inv_r), inv_r);
       const typename P::V c =
@@ -272,7 +272,6 @@ void direct_laplace_grad_t(const double* trg, std::size_t nt,
 template <class P>
 void direct_stokes_t(const double* trg, std::size_t nt, const double* src,
                      std::size_t ns, const double* q, double* f) {
-  const typename P::V one = P::set1(1.0);
   for (std::size_t t0 = 0; t0 < nt; t0 += P::kWidth) {
     const TargetGroup<P> tg = load_targets<P>(trg, t0, nt);
     typename P::V a0 = P::zero(), a1 = P::zero(), a2 = P::zero();
@@ -285,7 +284,7 @@ void direct_stokes_t(const double* trg, std::size_t nt, const double* src,
       r2 = P::fmadd(dy, dy, r2);
       r2 = P::fmadd(dz, dz, r2);
       const typename P::V inv_r =
-          P::zero_where(P::eq(r2, P::zero()), P::div(one, P::sqrt(r2)));
+          P::zero_where(P::eq(r2, P::zero()), P::rsqrt(r2));
       const typename P::V inv_r3 =
           P::mul(P::mul(inv_r, inv_r), inv_r);
       typename P::V dq = P::mul(dx, P::set1(q0));
@@ -313,7 +312,6 @@ template <class P>
 void direct_stokes_reg_t(const double* trg, std::size_t nt, const double* src,
                          std::size_t ns, const double* q, double* f,
                          double eps2) {
-  const typename P::V one = P::set1(1.0);
   const typename P::V veps2 = P::set1(eps2);
   for (std::size_t t0 = 0; t0 < nt; t0 += P::kWidth) {
     const TargetGroup<P> tg = load_targets<P>(trg, t0, nt);
@@ -327,7 +325,7 @@ void direct_stokes_reg_t(const double* trg, std::size_t nt, const double* src,
       r2 = P::fmadd(dy, dy, r2);
       r2 = P::fmadd(dz, dz, r2);
       const typename P::V re2 = P::add(r2, veps2);
-      const typename P::V inv_s = P::div(one, P::sqrt(re2));
+      const typename P::V inv_s = P::rsqrt(re2);
       // 1 / (re2 * sqrt(re2)) = inv_s^3
       const typename P::V inv =
           P::mul(P::mul(inv_s, inv_s), inv_s);

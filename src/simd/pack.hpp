@@ -5,8 +5,11 @@
 ///
 /// A pack type exposes W double lanes (`V`), a lane mask (`M`), and the
 /// handful of operations the hot kernels need: broadcast, unaligned
-/// load/store, fused multiply-add, sqrt/div, equality masks, and MASKED
-/// load/store for tails. Three implementations exist:
+/// load/store, fused multiply-add, the reciprocal square root rsqrt,
+/// equality masks, and MASKED load/store for tails. rsqrt is the one
+/// operation whose arithmetic differs by tier: the scalar and AVX2 packs
+/// divide 1 by sqrt(x), the AVX-512 pack refines rsqrt14 with two Newton
+/// steps (see Avx512Pack::rsqrt). Three implementations exist:
 ///
 ///  - ScalarPack (W = 1): plain doubles, compiled in every build; the
 ///    portable fallback and the reference tier for the parity tests.
@@ -53,8 +56,8 @@ struct ScalarPack {
   static V add(V a, V b) { return a + b; }
   static V sub(V a, V b) { return a - b; }
   static V mul(V a, V b) { return a * b; }
-  static V div(V a, V b) { return a / b; }
-  static V sqrt(V a) { return std::sqrt(a); }
+  /// 1 / sqrt(a), the pre-SIMD expression.
+  static V rsqrt(V a) { return 1.0 / std::sqrt(a); }
   static V fmadd(V a, V b, V c) { return a * b + c; }
   /// Lanes where a == b (IEEE compare: -0 == +0, NaN != NaN).
   static M eq(V a, V b) { return a == b; }
@@ -84,8 +87,12 @@ struct Avx2Pack {
   static V add(V a, V b) { return _mm256_add_pd(a, b); }
   static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
-  static V div(V a, V b) { return _mm256_div_pd(a, b); }
-  static V sqrt(V a) { return _mm256_sqrt_pd(a); }
+  /// 1 / sqrt(a) by division. AVX2 has no double-precision rsqrt; a
+  /// float rsqrt estimate plus three double Newton steps lost to the
+  /// divider on Stokes (DESIGN.md §5e).
+  static V rsqrt(V a) {
+    return _mm256_div_pd(_mm256_set1_pd(1.0), _mm256_sqrt_pd(a));
+  }
   static V fmadd(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
   static M eq(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
   static V zero_where(M m, V v) { return _mm256_andnot_pd(m, v); }
@@ -118,7 +125,7 @@ struct Avx512Pack {
   static constexpr std::size_t kWidth = 8;
   using V = __m512d;
   using M = __mmask8;
-  /// All lanes. sqrt and the lane shuffles below use the maskz forms
+  /// All lanes. rsqrt and the lane shuffles below use the maskz forms
   /// with this mask: GCC 12's unmasked forms pass
   /// _mm512_undefined_pd(), which -Wmaybe-uninitialized reports (GCC
   /// bug 105593), and the full mask compiles to the same unmasked
@@ -132,8 +139,25 @@ struct Avx512Pack {
   static V add(V a, V b) { return _mm512_add_pd(a, b); }
   static V sub(V a, V b) { return _mm512_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm512_mul_pd(a, b); }
-  static V div(V a, V b) { return _mm512_div_pd(a, b); }
-  static V sqrt(V a) { return _mm512_maskz_sqrt_pd(kAll, a); }
+  /// 1 / sqrt(a) from the rsqrt14 estimate (relative error < 2^-14) and
+  /// two Newton steps y += (y / 2) (1 - a y^2), the residual in one
+  /// fnmadd: about 2^-27 after the first step, rounding level after the
+  /// second. The residual is formed from a, not from a / 2, which
+  /// underflows to 0 at the smallest subnormal. Lanes where a is +-0 or
+  /// +inf keep the estimate, which is exact there (+-inf, 0) but which
+  /// Newton would turn into NaN. NaN stays NaN.
+  static V rsqrt(V a) {
+    const V y0 = _mm512_maskz_rsqrt14_pd(kAll, a);
+    const V one = _mm512_set1_pd(1.0);
+    const V half = _mm512_set1_pd(0.5);
+    V y = y0;
+    for (int step = 0; step < 2; ++step) {
+      const V e = _mm512_fnmadd_pd(_mm512_mul_pd(a, y), y, one);
+      y = _mm512_fmadd_pd(_mm512_mul_pd(half, y), e, y);
+    }
+    // fpclass categories 0x02 | 0x04 | 0x08: +0, -0, +inf.
+    return _mm512_mask_mov_pd(y, _mm512_fpclass_pd_mask(a, 0x0E), y0);
+  }
   static V fmadd(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
   static M eq(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ); }
   static V zero_where(M m, V v) {

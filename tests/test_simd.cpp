@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <limits>
+#include <memory>
 #include <numbers>
 #include <span>
 #include <vector>
@@ -329,6 +332,56 @@ TEST_F(SimdTest, LaplaceGradCrossTierParity) {
       std::vector<double> pot(3 * nt, 0.0);
       EXPECT_EQ(k->direct(tgt, src, den, pot), flops_ref);
       EXPECT_LT(rel_err(pot, ref), 1e-12) << tier_name(t) << " nt=" << nt;
+    }
+  }
+}
+
+TEST_F(SimdTest, DirectKernelsEdgeLanesMatchScalarTier) {
+  // One source at the origin and 11 targets along x, so every vector
+  // tier runs a full-width body and a masked tail. The offsets give r2
+  // = +0 and -0, the smallest subnormal (2.3e-162 squared rounds to
+  // it), a subnormal, just above DBL_MIN, 1, 1e300, near DBL_MAX, +inf
+  // (1e200 squared overflows), NaN, and an ordinary value. Each tier
+  // must reproduce the scalar tier's 1/r there: finite values to 1e-12
+  // relative, zeros exactly, infinities with their sign, NaN as NaN.
+  const double offsets[] = {0.0,     -0.0,  2.3e-162, 1e-160,
+                            1.5e-154, 1.0,  1e150,    1.3e154,
+                            1e200,   std::numeric_limits<double>::quiet_NaN(),
+                            0.5};
+  std::vector<double> tgt;
+  for (const double x : offsets) tgt.insert(tgt.end(), {x, 0.0, 0.0});
+  const std::vector<double> src = {0.0, 0.0, 0.0};
+  const std::vector<double> den3 = {1.0, 0.5, -0.25};
+
+  std::vector<std::unique_ptr<kernels::Kernel>> ks;
+  ks.push_back(kernels::make_kernel("laplace"));
+  ks.push_back(kernels::make_kernel("laplace")->gradient());
+  ks.push_back(kernels::make_kernel("stokes"));
+  ks.push_back(kernels::make_kernel("stokes-reg"));
+  for (const auto& k : ks) {
+    const std::size_t td = static_cast<std::size_t>(k->target_dim());
+    const std::vector<double> den(den3.begin(),
+                                  den3.begin() + k->source_dim());
+    force_tier(Tier::kScalar);
+    std::vector<double> ref(std::size(offsets) * td, 0.0);
+    k->direct(tgt, src, den, ref);
+
+    for (Tier t : available_tiers()) {
+      force_tier(t);
+      std::vector<double> pot(ref.size(), 0.0);
+      k->direct(tgt, src, den, pot);
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        SCOPED_TRACE(::testing::Message()
+                     << k->name() << " " << tier_name(t) << " x="
+                     << offsets[i / td] << " component " << i % td);
+        const double r = ref[i], v = pot[i];
+        if (std::isnan(r))
+          EXPECT_TRUE(std::isnan(v)) << v;
+        else if (std::isinf(r) || r == 0.0)
+          EXPECT_EQ(v, r);
+        else
+          EXPECT_LE(std::abs(v - r), 1e-12 * std::abs(r)) << v << " vs " << r;
+      }
     }
   }
 }

@@ -1,6 +1,6 @@
 /// \file micro.cpp
 /// \brief google-benchmark micro-benchmarks of the pkifmm substrates:
-/// Morton algebra, FFTs, the pseudo-inverse precomputation, kernel
+/// Morton algebra, FFTs, the operator precompute (core::Tables), kernel
 /// inner loops (the paper's "500 MFlop/s single-core" context), and
 /// the in-process communication fabric.
 
@@ -21,12 +21,10 @@
 #include "common.hpp"
 #include "comm/comm.hpp"
 #include "comm/sort.hpp"
-#include "core/surface.hpp"
 #include "core/tables.hpp"
 #include "fft/fft.hpp"
 #include "kernels/kernel.hpp"
 #include "la/matrix.hpp"
-#include "la/svd.hpp"
 #include "morton/key.hpp"
 #include "obs/json.hpp"
 #include "obs/trend.hpp"
@@ -240,19 +238,27 @@ void BM_FftMacLevel(benchmark::State& state) {
 }
 BENCHMARK(BM_FftMacLevel)->Unit(benchmark::kMillisecond);
 
-void BM_PinvPrecompute(benchmark::State& state) {
-  // The S2U/D2D conversion operator build for surface order n.
-  const int n = static_cast<int>(state.range(0));
-  kernels::LaplaceKernel kern;
-  const std::array<double, 3> c = {0, 0, 0};
-  const auto ue = core::surface_points(n, 1.05, c, 0.5);
-  const auto uc = core::surface_points(n, 2.95, c, 0.5);
+void BM_TablesBuild(benchmark::State& state) {
+  // The whole core::Tables constructor (pseudo-inverse, M2M products,
+  // L2L matrices) at the three wallbench shapes: (laplace, 6),
+  // (stokes, 4) and (laplace, 4). A micro reproduction of wallbench's
+  // core.tables_s.
+  static const char* const kNames[] = {"laplace", "stokes"};
+  const auto kern = kernels::make_kernel(kNames[state.range(0)]);
+  core::FmmOptions opts;
+  opts.surface_n = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    auto p = la::pinv(kern.assemble(uc, ue));
-    benchmark::DoNotOptimize(p.data());
+    const core::Tables t(*kern, opts);
+    benchmark::DoNotOptimize(t.at(0).uc2ue->data());
   }
+  state.SetLabel(kNames[state.range(0)]);
 }
-BENCHMARK(BM_PinvPrecompute)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TablesBuild)
+    ->ArgNames({"kernel", "n"})
+    ->Args({0, 6})
+    ->Args({1, 4})
+    ->Args({0, 4})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KernelDirect(benchmark::State& state) {
   // One q x q leaf pair of the four SIMD-routed kernels, as wallbench's

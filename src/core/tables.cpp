@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 
 #include "core/surface.hpp"
 #include "la/svd.hpp"
@@ -44,6 +43,15 @@ namespace {
 std::array<double, 3> child_center(int i, double parent_half) {
   const double q = 0.5 * parent_half;
   return {(i & 1) ? q : -q, (i & 2) ? q : -q, (i & 4) ? q : -q};
+}
+
+/// True iff b is a's transpose, bit for bit.
+bool is_transpose(const la::Matrix& a, const la::Matrix& b) {
+  if (a.rows() != b.cols() || a.cols() != b.rows()) return false;
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j)
+      if (a(i, j) != b(j, i)) return false;
+  return true;
 }
 
 void decode_offset(int off, int& dx, int& dy, int& dz) {
@@ -88,6 +96,14 @@ Tables Tables::with_options(const FmmOptions& opts) const {
 Tables::Tables(const kernels::Kernel& kernel, const FmmOptions& opts)
     : kernel_(kernel), opts_(opts) {
   PKIFMM_CHECK(opts.surface_n >= 3);
+  for (const double r : {opts.upward_equiv_radius, opts.upward_check_radius,
+                         opts.down_equiv_radius, opts.down_check_radius})
+    PKIFMM_CHECK_MSG(std::isfinite(r) && r > 0.0,
+                     "surface radii must be finite and > 0, got " << r);
+  PKIFMM_CHECK_MSG(std::isfinite(opts.pinv_cutoff) && opts.pinv_cutoff >= 0.0 &&
+                       opts.pinv_cutoff < 1.0,
+                   "pinv_cutoff must be finite and in [0, 1), got "
+                       << opts.pinv_cutoff);
   validate_options(opts);
   m_ = surface_point_count(opts.surface_n);
   sdim_ = kernel.source_dim();
@@ -123,9 +139,12 @@ std::unique_ptr<Tables::LevelTables> Tables::build_level(int level) const {
   const auto de = surface_points(n, opts_.down_equiv_radius, origin, half);
   const auto dc = surface_points(n, opts_.down_check_radius, origin, half);
 
+  const la::Matrix k_up = kernel_.assemble(uc, ue);
+  const la::Matrix k_down = kernel_.assemble(dc, de);
   auto t = std::make_unique<LevelTables>();
-  t->uc2ue = la::pinv(kernel_.assemble(uc, ue), opts_.pinv_cutoff);
-  t->dc2de = la::pinv(kernel_.assemble(dc, de), opts_.pinv_cutoff);
+  t->uc2ue = la::pinv(k_up, opts_.pinv_cutoff);
+  t->dc2de = is_transpose(k_down, k_up) ? t->uc2ue.transposed()
+                                        : la::pinv(k_down, opts_.pinv_cutoff);
 
   const double child_half = 0.5 * half;
   for (int i = 0; i < 8; ++i) {
@@ -238,144 +257,6 @@ la::Matrix Tables::build_dense(int level, int off_index) const {
   const auto ue = surface_points(n, opts_.upward_equiv_radius, src_center, half);
   const auto dc = surface_points(n, opts_.down_check_radius, trg_center, half);
   return kernel_.assemble(dc, ue);
-}
-
-namespace {
-
-// "pkifmmTC": half-spectrum layout. "pkifmmTB" files (full N^3 complex
-// spectra on a power-of-two grid) are rejected by the magic check.
-constexpr std::uint64_t kCacheMagic = 0x706b69666d6d5443ull;
-
-template <typename T>
-void put(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool get(std::istream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  return bool(is);
-}
-
-void put_matrix(std::ostream& os, const la::Matrix& m) {
-  put(os, static_cast<std::uint64_t>(m.rows()));
-  put(os, static_cast<std::uint64_t>(m.cols()));
-  os.write(reinterpret_cast<const char*>(m.data()),
-           std::streamsize(m.rows() * m.cols() * sizeof(double)));
-}
-
-bool get_matrix(std::istream& is, la::Matrix& m) {
-  std::uint64_t r = 0, c = 0;
-  if (!get(is, r) || !get(is, c)) return false;
-  if (r > (1u << 20) || c > (1u << 20)) return false;  // sanity bound
-  m = la::Matrix(r, c);
-  is.read(reinterpret_cast<char*>(m.data()),
-          std::streamsize(r * c * sizeof(double)));
-  return bool(is);
-}
-
-}  // namespace
-
-std::size_t Tables::save_cache(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  PKIFMM_CHECK_MSG(os.good(), "cannot open '" << path << "' for writing");
-
-  put(os, kCacheMagic);
-  const std::string kname = kernel_.name();
-  put(os, static_cast<std::uint32_t>(kname.size()));
-  os.write(kname.data(), std::streamsize(kname.size()));
-  put(os, static_cast<std::int32_t>(opts_.surface_n));
-  put(os, opts_.upward_equiv_radius);
-  put(os, opts_.upward_check_radius);
-  put(os, opts_.down_equiv_radius);
-  put(os, opts_.down_check_radius);
-  put(os, opts_.pinv_cutoff);
-
-  put(os, static_cast<std::uint64_t>(cache_->levels.size()));
-  for (const auto& [level, t] : cache_->levels) {
-    put(os, static_cast<std::int32_t>(level));
-    put_matrix(os, t->uc2ue);
-    put_matrix(os, t->dc2de);
-    for (const auto& m : t->m2m) put_matrix(os, m);
-    for (const auto& m : t->l2l) put_matrix(os, m);
-  }
-  put(os, static_cast<std::uint64_t>(cache_->spectra.size()));
-  for (const auto& [key, spec] : cache_->spectra) {
-    put(os, static_cast<std::int32_t>(key.first));
-    put(os, static_cast<std::int32_t>(key.second));
-    put(os, static_cast<std::uint64_t>(spec.size()));
-    os.write(reinterpret_cast<const char*>(spec.data()),
-             std::streamsize(spec.size() * sizeof(fft::Complex)));
-  }
-  PKIFMM_CHECK_MSG(os.good(), "write to '" << path << "' failed");
-  return static_cast<std::size_t>(os.tellp());
-}
-
-bool Tables::load_cache(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return false;
-
-  std::uint64_t magic = 0;
-  if (!get(is, magic) || magic != kCacheMagic) return false;
-  std::uint32_t klen = 0;
-  if (!get(is, klen) || klen > 64) return false;
-  std::string kname(klen, '\0');
-  is.read(kname.data(), klen);
-  std::int32_t sn = 0;
-  double r1, r2, r3, r4, cutoff;
-  if (!get(is, sn) || !get(is, r1) || !get(is, r2) || !get(is, r3) ||
-      !get(is, r4) || !get(is, cutoff))
-    return false;
-  if (kname != kernel_.name() || sn != opts_.surface_n ||
-      r1 != opts_.upward_equiv_radius || r2 != opts_.upward_check_radius ||
-      r3 != opts_.down_equiv_radius || r4 != opts_.down_check_radius ||
-      cutoff != opts_.pinv_cutoff)
-    return false;
-
-  // Stage everything, then commit under the lock.
-  std::map<int, std::unique_ptr<LevelTables>> levels;
-  std::uint64_t nlevels = 0;
-  if (!get(is, nlevels) || nlevels > 1024) return false;
-  for (std::uint64_t i = 0; i < nlevels; ++i) {
-    std::int32_t level = 0;
-    if (!get(is, level)) return false;
-    auto t = std::make_unique<LevelTables>();
-    if (!get_matrix(is, t->uc2ue) || !get_matrix(is, t->dc2de)) return false;
-    for (auto& m : t->m2m)
-      if (!get_matrix(is, m)) return false;
-    for (auto& m : t->l2l)
-      if (!get_matrix(is, m)) return false;
-    levels.emplace(level, std::move(t));
-  }
-  std::map<std::pair<int, int>, std::vector<fft::Complex>> spectra;
-  std::uint64_t nspec = 0;
-  if (!get(is, nspec) || nspec > (1u << 20)) return false;
-  const std::uint64_t expected =
-      static_cast<std::uint64_t>(tdim_) * sdim_ * spectrum_len();
-  for (std::uint64_t i = 0; i < nspec; ++i) {
-    std::int32_t level = 0, off = 0;
-    std::uint64_t count = 0;
-    if (!get(is, level) || !get(is, off) || !get(is, count)) return false;
-    // Every entry must be a full operator at a legal V-list offset: a
-    // short one would make m2l_spectra return a truncated span that the
-    // MAC sweep reads past.
-    if (level < 0 || off < 0 || off >= kNumOffsets || count != expected)
-      return false;
-    int dx, dy, dz;
-    decode_offset(off, dx, dy, dz);
-    if (!is_vlist_offset(dx, dy, dz)) return false;
-    std::vector<fft::Complex> spec(count);
-    is.read(reinterpret_cast<char*>(spec.data()),
-            std::streamsize(count * sizeof(fft::Complex)));
-    if (!is) return false;
-    spectra.emplace(std::make_pair(level, off), std::move(spec));
-  }
-
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  cache_->levels = std::move(levels);
-  cache_->spectra = std::move(spectra);
-  return true;
 }
 
 const la::Matrix& Tables::m2l_dense(int level, int off_index) const {

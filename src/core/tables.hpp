@@ -10,6 +10,16 @@
 /// (spectrum_len()). The V-list flop model (vli_flops()) is defined
 /// here once for the evaluators and the load-balance weights.
 ///
+/// uc2ue and dc2de are the truncated pseudo-inverses (la::pinv) of
+/// K(uc, ue) and K(dc, de). When the surfaces mirror each other, i.e.
+/// K(dc, de) equals K(uc, ue)^T entry for entry, bit for bit (the
+/// default radii, upward_equiv = down_check and upward_check =
+/// down_equiv, with a kernel whose K(x, y) = K(y, x)^T), dc2de is
+/// uc2ue^T: pinv(A^T) = pinv(A)^T with the same singular values, so the
+/// same truncation, and only one SVD runs. The test reads the assembled
+/// matrices, so non-default radii and per-level tables need no rule of
+/// their own.
+///
 /// For homogeneous kernels (Laplace, Stokes: degree -1) one reference
 /// table serves all octree levels through a power-of-two scaling; for
 /// non-homogeneous kernels (Yukawa) tables are built lazily per level.
@@ -132,19 +142,6 @@ class Tables {
 
   /// Dense M2L matrix for an offset (ablation path). Thread-safe (lazy).
   const la::Matrix& m2l_dense(int level, int off_index) const;
-
-  /// Persists the precomputed operator cache (level tables + M2L
-  /// spectra; the dense ablation matrices are cheap and not saved) so a
-  /// later run can skip the SVD/FFT precomputation. Returns bytes
-  /// written. Thread-safe.
-  std::size_t save_cache(const std::string& path) const;
-
-  /// Loads a cache written by save_cache. Returns false — leaving the
-  /// in-memory cache untouched — if the file is missing, corrupt, in
-  /// an older layout, belongs to a different kernel/geometry, or holds
-  /// a spectrum entry that is not exactly td*sd*spectrum_len() values
-  /// under a legal V-list offset. Thread-safe.
-  bool load_cache(const std::string& path);
 
  private:
   struct LevelTables {

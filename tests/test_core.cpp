@@ -3,15 +3,15 @@
 #include <array>
 #include <cmath>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 
 #include "core/direct.hpp"
 #include "core/fmm.hpp"
 #include "core/surface.hpp"
+#include "simd/simd.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -241,6 +241,117 @@ TEST(Operators, HomogeneousScalingMatchesRebuiltLevel) {
     // factors of 2^level, which this still catches decisively.
     EXPECT_NEAR(approx[0], exact[0], 1e-3 * std::abs(exact[0]))
         << "level " << level;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Operator precompute (Tables)
+// ---------------------------------------------------------------------
+
+/// True iff a and b have the same shape and bit-identical entries.
+bool bitwise_equal(const la::Matrix& a, const la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+/// ||x - y||_F / ||y||_F.
+double rel_diff(const la::Matrix& x, const la::Matrix& y) {
+  la::Matrix d = x;
+  for (std::size_t i = 0; i < d.rows(); ++i)
+    for (std::size_t j = 0; j < d.cols(); ++j) d(i, j) -= y(i, j);
+  return d.frobenius_norm() / y.frobenius_norm();
+}
+
+/// K(surface r1, surface r2) at level 0 (unit box at the origin).
+la::Matrix level0_kernel_matrix(const kernels::Kernel& kernel, int n,
+                                double trg_radius, double src_radius) {
+  const std::array<double, 3> origin = {0.0, 0.0, 0.0};
+  return kernel.assemble(surface_points(n, trg_radius, origin, 0.5),
+                         surface_points(n, src_radius, origin, 0.5));
+}
+
+TEST(Tables, MirroredSurfacesShareOnePinv) {
+  // Default radii mirror each other (upward_equiv = down_check,
+  // upward_check = down_equiv), so K(dc, de) = K(uc, ue)^T and dc2de
+  // is exactly uc2ue^T, per level for a non-homogeneous kernel too.
+  FmmOptions opts;
+  opts.surface_n = 4;
+  for (const auto& [name, level] :
+       {std::pair<const char*, int>{"laplace", 0}, {"stokes", 0},
+        {"yukawa", 2}}) {
+    const auto kernel = kernels::make_kernel(name);
+    const Tables t(*kernel, opts);
+    const LevelOps ops = t.at(level);
+    EXPECT_TRUE(bitwise_equal(*ops.dc2de, ops.uc2ue->transposed())) << name;
+  }
+
+  // Moved downward equivalent surface: no mirror, so dc2de is its own
+  // pseudo-inverse of K(dc, de).
+  kernels::LaplaceKernel kernel;
+  opts.down_equiv_radius = 3.0;
+  const Tables t(kernel, opts);
+  const LevelOps ops = t.at(0);
+  EXPECT_FALSE(bitwise_equal(*ops.dc2de, ops.uc2ue->transposed()));
+  const la::Matrix k = level0_kernel_matrix(
+      kernel, opts.surface_n, opts.down_check_radius, opts.down_equiv_radius);
+  EXPECT_LE(rel_diff(la::gemm(la::gemm(k, *ops.dc2de), k), k), 1e-8);
+}
+
+TEST(Tables, PinvMoorePenroseAtWallbenchShapes) {
+  // K(uc, ue) at the wallbench orders: 152^2 (Laplace, n = 6) and 168^2
+  // (Stokes, n = 4). Both Moore-Penrose identities hold for the stored
+  // uc2ue (P) at the default cutoff.
+  for (const auto& [name, n] :
+       {std::pair<const char*, int>{"laplace", 6}, {"stokes", 4}}) {
+    const auto kernel = kernels::make_kernel(name);
+    FmmOptions opts;
+    opts.surface_n = n;
+    const Tables t(*kernel, opts);
+    const la::Matrix& p = *t.at(0).uc2ue;
+    const la::Matrix a = level0_kernel_matrix(
+        *kernel, n, opts.upward_check_radius, opts.upward_equiv_radius);
+    EXPECT_LE(rel_diff(la::gemm(la::gemm(a, p), a), a), 1e-8) << name;
+    EXPECT_LE(rel_diff(la::gemm(la::gemm(p, a), p), p), 1e-8) << name;
+  }
+}
+
+TEST(Tables, OperatorsIdenticalUnderEverySimdTier) {
+  // The precompute is plain C++: Tables built under any forced tier
+  // equal the scalar tier's bit for bit (EvalSimdTierParity relies on
+  // it).
+  struct TierGuard {
+    ~TierGuard() { simd::clear_forced_tier(); }
+  } guard;
+  for (const auto& [name, n] :
+       {std::pair<const char*, int>{"laplace", 6}, {"stokes", 4}}) {
+    const auto kernel = kernels::make_kernel(name);
+    FmmOptions opts;
+    opts.surface_n = n;
+    const int off = offset_index(2, -1, 0);
+    simd::force_tier(simd::Tier::kScalar);
+    const Tables ref(*kernel, opts);
+    const LevelOps r = ref.at(0);
+    const auto r_spec = ref.m2l_spectra(0, off);
+    for (const simd::Tier tier : simd::available_tiers()) {
+      simd::force_tier(tier);
+      const Tables t(*kernel, opts);
+      const LevelOps o = t.at(0);
+      const std::string where =
+          std::string(name) + " under " + simd::tier_name(tier);
+      EXPECT_TRUE(bitwise_equal(*o.uc2ue, *r.uc2ue)) << where;
+      EXPECT_TRUE(bitwise_equal(*o.dc2de, *r.dc2de)) << where;
+      for (int i = 0; i < 8; ++i) {
+        EXPECT_TRUE(bitwise_equal((*o.m2m)[i], (*r.m2m)[i])) << where;
+        EXPECT_TRUE(bitwise_equal((*o.l2l)[i], (*r.l2l)[i])) << where;
+      }
+      const auto spec = t.m2l_spectra(0, off);
+      ASSERT_EQ(spec.size(), r_spec.size()) << where;
+      EXPECT_EQ(std::memcmp(spec.data(), r_spec.data(),
+                            spec.size() * sizeof(fft::Complex)),
+                0)
+          << where;
+    }
   }
 }
 
@@ -670,155 +781,6 @@ TEST(Fmm, RepeatedSetupOnSameInstanceMatchesFreshInstance) {
     EXPECT_GT(g.at("mem.let.total_bytes"), 0.0);
     EXPECT_GE(g.at("mem.let.total_bytes"), g.at("mem.let.ghost_bytes"));
   }
-}
-
-/// Sequential e2e accuracy check against direct summation with the
-/// given (possibly cache-loaded) tables.
-void run_e2e_with_tables(const Tables& tables, std::uint64_t n) {
-  comm::Runtime::run(1, [&](comm::RankCtx& ctx) {
-    auto pts = octree::generate_points(Distribution::kUniform, n, 0, 1,
-                                       tables.sdim(), 17);
-    const auto mine = pts;
-    ParallelFmm fmm(ctx, tables);
-    fmm.setup(std::move(pts));
-    auto result = fmm.evaluate();
-    const auto exact = direct_reference(ctx.comm, tables.kernel(), mine);
-    std::unordered_map<std::uint64_t, double> by_gid;
-    for (std::size_t i = 0; i < result.gids.size(); ++i)
-      by_gid[result.gids[i]] = result.potentials[i];
-    std::vector<double> approx(mine.size());
-    for (std::size_t i = 0; i < mine.size(); ++i)
-      approx[i] = by_gid.at(mine[i].gid);
-    EXPECT_LT(rel_l2_error(approx, exact), 5e-3);
-  });
-}
-
-TEST(TablesCache, SaveLoadRoundTripsBitwise) {
-  kernels::LaplaceKernel kernel;
-  FmmOptions opts;
-  opts.surface_n = 4;
-  const Tables a(kernel, opts);
-  // Populate a level and one spectrum.
-  const LevelOps ops_a = a.at(0);
-  const auto spec_a = a.m2l_spectra(0, offset_index(2, -1, 0));
-  const std::string path = ::testing::TempDir() + "/pkifmm_tables.bin";
-  EXPECT_GT(a.save_cache(path), 0u);
-
-  Tables b(kernel, opts);
-  ASSERT_TRUE(b.load_cache(path));
-  const LevelOps ops_b = b.at(0);
-  ASSERT_EQ(ops_b.uc2ue->rows(), ops_a.uc2ue->rows());
-  for (std::size_t i = 0; i < ops_a.uc2ue->rows(); ++i)
-    for (std::size_t j = 0; j < ops_a.uc2ue->cols(); ++j)
-      EXPECT_EQ((*ops_b.uc2ue)(i, j), (*ops_a.uc2ue)(i, j));
-  const auto spec_b = b.m2l_spectra(0, offset_index(2, -1, 0));
-  ASSERT_EQ(spec_b.size(), spec_a.size());
-  for (std::size_t i = 0; i < spec_a.size(); ++i)
-    EXPECT_EQ(spec_b[i], spec_a[i]);
-}
-
-TEST(TablesCache, LoadedTablesGiveAccurateFmm) {
-  kernels::LaplaceKernel kernel;
-  FmmOptions opts;
-  opts.surface_n = 4;
-  opts.max_points_per_leaf = 40;
-  const std::string path = ::testing::TempDir() + "/pkifmm_tables2.bin";
-  {
-    const Tables t(kernel, opts);
-    (void)t.at(0);
-    t.save_cache(path);
-  }
-  Tables t(kernel, opts);
-  ASSERT_TRUE(t.load_cache(path));
-  run_e2e_with_tables(t, 1500);
-}
-
-TEST(TablesCache, RejectsMismatchedGeometry) {
-  kernels::LaplaceKernel kernel;
-  FmmOptions a4;
-  a4.surface_n = 4;
-  const Tables t4(kernel, a4);
-  const std::string path = ::testing::TempDir() + "/pkifmm_tables3.bin";
-  t4.save_cache(path);
-
-  FmmOptions a6;
-  a6.surface_n = 6;
-  Tables t6(kernel, a6);
-  EXPECT_FALSE(t6.load_cache(path));
-
-  kernels::StokesKernel stokes;
-  Tables ts(stokes, a4);
-  EXPECT_FALSE(ts.load_cache(path));
-}
-
-TEST(TablesCache, MissingOrCorruptFileReturnsFalse) {
-  kernels::LaplaceKernel kernel;
-  FmmOptions opts;
-  opts.surface_n = 4;
-  Tables t(kernel, opts);
-  EXPECT_FALSE(t.load_cache("/nonexistent/path/tables.bin"));
-  const std::string path = ::testing::TempDir() + "/pkifmm_garbage.bin";
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "not a table cache at all";
-  }
-  EXPECT_FALSE(t.load_cache(path));
-}
-
-TEST(TablesCache, ShortSpectrumReturnsFalse) {
-  // A spectrum entry must hold exactly td*sd*spectrum_len() values
-  // under a legal V-list offset: a short one used to load and hand the
-  // MAC sweep a truncated operator to read past.
-  kernels::LaplaceKernel kernel;
-  FmmOptions opts;
-  opts.surface_n = 4;
-  const Tables a(kernel, opts);
-  (void)a.m2l_spectra(0, offset_index(2, -1, 0));
-  const std::string path = ::testing::TempDir() + "/pkifmm_tables4.bin";
-  a.save_cache(path);
-  std::string bytes;
-  {
-    std::ifstream is(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(is), {});
-  }
-  // The only spectrum entry is the file's tail: level, offset, count,
-  // then count complex values (Laplace: td = sd = 1).
-  const std::uint64_t count = a.spectrum_len();
-  const std::size_t count_at =
-      bytes.size() - count * sizeof(fft::Complex) - sizeof(std::uint64_t);
-  const std::size_t off_at = count_at - sizeof(std::int32_t);
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + count_at, sizeof stored);
-  ASSERT_EQ(stored, count);
-
-  auto load_variant = [&](const std::string& variant) {
-    const std::string vpath = ::testing::TempDir() + "/pkifmm_tables5.bin";
-    {
-      std::ofstream os(vpath, std::ios::binary | std::ios::trunc);
-      os.write(variant.data(), std::streamsize(variant.size()));
-    }
-    Tables b(kernel, opts);
-    return b.load_cache(vpath);
-  };
-  EXPECT_TRUE(load_variant(bytes));
-
-  std::string shortened = bytes;
-  const std::uint64_t short_count = count - 1;
-  std::memcpy(shortened.data() + count_at, &short_count, sizeof short_count);
-  shortened.resize(shortened.size() - sizeof(fft::Complex));
-  EXPECT_FALSE(load_variant(shortened));
-
-  // A full-length entry under a non-V-list (adjacent) offset.
-  std::string misplaced = bytes;
-  const std::int32_t adjacent = offset_index(1, 0, 0);
-  std::memcpy(misplaced.data() + off_at, &adjacent, sizeof adjacent);
-  EXPECT_FALSE(load_variant(misplaced));
-
-  // A file in the previous full-volume format ("pkifmmTB" magic).
-  std::string old_format = bytes;
-  const std::uint64_t old_magic = 0x706b69666d6d5442ull;
-  std::memcpy(old_format.data(), &old_magic, sizeof old_magic);
-  EXPECT_FALSE(load_variant(old_format));
 }
 
 TEST(Fmm, FlopAndTimePhasesAreRecorded) {

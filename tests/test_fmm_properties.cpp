@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "core/direct.hpp"
@@ -312,6 +313,30 @@ TEST(Failure, BadSurfaceOrderRejected) {
   FmmOptions opts;
   opts.surface_n = 2;
   EXPECT_THROW(Tables(kernel, opts), CheckFailure);
+}
+
+TEST(Failure, BadSurfaceGeometryRejected) {
+  // A non-finite or non-positive radius (check points at NaN or at the
+  // box centre) and a cutoff that is NaN, negative or truncates every
+  // singular value (>= 1) are rejected before any operator is built.
+  kernels::LaplaceKernel kernel;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double FmmOptions::*radius :
+       {&FmmOptions::upward_equiv_radius, &FmmOptions::upward_check_radius,
+        &FmmOptions::down_equiv_radius, &FmmOptions::down_check_radius})
+    for (const double bad : {nan, inf, 0.0, -1.0}) {
+      FmmOptions opts;
+      opts.surface_n = 4;
+      opts.*radius = bad;
+      EXPECT_THROW(Tables(kernel, opts), CheckFailure) << bad;
+    }
+  for (const double bad : {nan, -1e-12, 1.0}) {
+    FmmOptions opts;
+    opts.surface_n = 4;
+    opts.pinv_cutoff = bad;
+    EXPECT_THROW(Tables(kernel, opts), CheckFailure) << bad;
+  }
 }
 
 // ---------------------------------------------------------------------

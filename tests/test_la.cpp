@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "la/matrix.hpp"
 #include "la/svd.hpp"
@@ -194,6 +195,16 @@ TEST(Svd, DiagonalMatrixSingularValues) {
   EXPECT_NEAR(s.sigma[0], 5.0, 1e-12);
   EXPECT_NEAR(s.sigma[1], 3.0, 1e-12);
   EXPECT_NEAR(s.sigma[2], 1.0, 1e-12);
+}
+
+TEST(Svd, RejectsNonFiniteInput) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    Matrix a = random_matrix(4, 4, 13);
+    a(2, 1) = bad;
+    EXPECT_THROW(svd(a), CheckFailure) << bad;
+    EXPECT_THROW(pinv(a), CheckFailure) << bad;
+  }
 }
 
 TEST(Pinv, InvertsWellConditionedSquare) {

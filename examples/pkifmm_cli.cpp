@@ -45,7 +45,9 @@ static int example_main(int argc, char** argv) {
     return 0;
   }
 
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 20000));
+  const std::int64_t n_arg = cli.get_int("n", 20000);
+  PKIFMM_CHECK_MSG(n_arg >= 1, "--n must be at least 1, got " << n_arg);
+  const auto n = static_cast<std::uint64_t>(n_arg);
   const int p = static_cast<int>(cli.get_int("ranks", 4));
   const std::string kernel_name = cli.get("kernel", "laplace");
   const auto dist = octree::distribution_from_name(cli.get("dist", "uniform"));
@@ -57,11 +59,15 @@ static int example_main(int argc, char** argv) {
   core::FmmOptions opts;
   opts.surface_n = static_cast<int>(cli.get_int("accuracy", 6));
   opts.max_points_per_leaf = static_cast<int>(cli.get_int("q", 100));
-  opts.m2l = cli.get("m2l", "fft") == "dense" ? core::M2lMode::kDense
-                                              : core::M2lMode::kFft;
-  opts.reduce = cli.get("reduce", "hypercube") == "owner"
-                    ? core::ReduceMode::kOwner
-                    : core::ReduceMode::kHypercube;
+  const std::string m2l = cli.get("m2l", "fft");
+  PKIFMM_CHECK_MSG(m2l == "fft" || m2l == "dense",
+                   "unknown --m2l '" << m2l << "' (fft | dense)");
+  opts.m2l = m2l == "dense" ? core::M2lMode::kDense : core::M2lMode::kFft;
+  const std::string reduce = cli.get("reduce", "hypercube");
+  PKIFMM_CHECK_MSG(reduce == "hypercube" || reduce == "owner",
+                   "unknown --reduce '" << reduce << "' (hypercube | owner)");
+  opts.reduce = reduce == "owner" ? core::ReduceMode::kOwner
+                                  : core::ReduceMode::kHypercube;
   opts.load_balance = !cli.get_bool("no-load-balance", false);
   opts.balance_2to1 = cli.get_bool("balance21", false);
   PKIFMM_CHECK_MSG(!gradient || kernel->gradient() != nullptr,

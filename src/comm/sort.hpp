@@ -6,9 +6,9 @@
 /// input points into Morton order ("the main communication cost is
 /// associated with the parallel sort", §III-D, complexity
 /// O(n/p log n/p + p log p), a combination of sample sort and bitonic
-/// sort). This header implements the sample-sort component plus the two
-/// repartitioning helpers the tree construction and load balancing use:
-/// splitter-directed repartition and order-preserving rebalancing.
+/// sort). This header implements the sample-sort component plus the
+/// order-preserving rebalance the tree construction uses. (Work-weighted
+/// repartitioning lives in octree/partition.hpp.)
 
 #include <algorithm>
 #include <cstdint>
@@ -129,37 +129,6 @@ void sample_sort(Comm& c, std::vector<T>& data, Less less) {
   std::sort(data.begin(), data.end(), less);
 }
 
-/// Redistributes locally sorted data so rank k receives exactly the
-/// elements x with splitters[k] <= key(x) < splitters[k+1] (elements
-/// below splitters[0]... splitters[0] is conventionally the global
-/// minimum and everything below it also lands on rank 0). `splitters`
-/// must be identical on all ranks, have size() == comm size, and be
-/// non-decreasing. Global sortedness is preserved.
-template <Pod T, class K, class KeyFn, class KeyLess>
-void repartition_by_splitters(Comm& c, std::vector<T>& data,
-                              const std::vector<K>& splitters, KeyFn key,
-                              KeyLess kless) {
-  const int p = c.size();
-  PKIFMM_CHECK(static_cast<int>(splitters.size()) == p);
-  std::vector<std::vector<T>> outgoing(p);
-  std::size_t begin = 0;
-  for (int k = 0; k < p; ++k) {
-    // End of rank k's slice: first element with key >= splitters[k+1].
-    std::size_t end = data.size();
-    if (k + 1 < p) {
-      auto it = std::lower_bound(
-          data.begin() + begin, data.end(), splitters[k + 1],
-          [&](const T& a, const K& s) { return kless(key(a), s); });
-      end = static_cast<std::size_t>(it - data.begin());
-    }
-    outgoing[k].assign(data.begin() + begin, data.begin() + end);
-    begin = end;
-  }
-  auto incoming = c.alltoallv(std::move(outgoing));
-  data.clear();
-  for (auto& run : incoming) data.insert(data.end(), run.begin(), run.end());
-}
-
 /// Order-preserving rebalance: after the call every rank holds
 /// floor/ceil(total/p) consecutive elements of the global order. This is
 /// the "each process owns a contiguous chunk of the sorted array" step.
@@ -184,43 +153,6 @@ void rebalance_equal(Comm& c, std::vector<T>& data) {
     if (lo < hi)
       outgoing[k].assign(data.begin() + (lo - before),
                          data.begin() + (hi - before));
-  }
-  auto incoming = c.alltoallv(std::move(outgoing));
-  data.clear();
-  for (auto& run : incoming) data.insert(data.end(), run.begin(), run.end());
-}
-
-/// Generic weighted partition of a globally ordered array (Algorithm 1
-/// of Sundar et al. [16], which the paper uses for work-based leaf
-/// repartitioning, §III-B): element i (global order) is assigned to rank
-/// floor(p * prefix_weight(i) / total_weight), i.e. each rank ends up
-/// with approximately equal total weight while the order is preserved.
-/// `weight` maps an element to its (non-negative) work estimate.
-template <Pod T, class WeightFn>
-void weighted_partition(Comm& c, std::vector<T>& data, WeightFn weight) {
-  const int p = c.size();
-  if (p == 1) return;
-
-  double local_w = 0.0;
-  for (const T& x : data) local_w += static_cast<double>(weight(x));
-  const double before = c.exscan_sum(local_w);
-  const double total = c.allreduce_sum(local_w);
-  if (total <= 0.0) {
-    rebalance_equal(c, data);
-    return;
-  }
-
-  std::vector<std::vector<T>> outgoing(p);
-  double prefix = before;
-  for (const T& x : data) {
-    const double w = static_cast<double>(weight(x));
-    // Assign by the midpoint of the element's weight interval so that
-    // heavy elements land where most of their mass lies.
-    const double mid = prefix + 0.5 * w;
-    int dest = static_cast<int>(mid / total * p);
-    dest = std::clamp(dest, 0, p - 1);
-    outgoing[dest].push_back(x);
-    prefix += w;
   }
   auto incoming = c.alltoallv(std::move(outgoing));
   data.clear();

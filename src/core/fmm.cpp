@@ -89,7 +89,6 @@ void ParallelFmm::setup(std::vector<octree::PointRec> points) {
   // Retain the owned tree: update_points repairs it in place instead
   // of rebuilding from the point cloud.
   tree_ = std::move(tree);
-  over_threshold_steps_ = 0;
   update_stats_ = {};
   set_let_gauges();
 }
@@ -137,38 +136,11 @@ void ParallelFmm::set_densities(const std::vector<std::uint64_t>& gids,
   densities_dirty_ = true;
 }
 
-double ParallelFmm::evaluate_imbalance() {
-  const double max = ctx_.comm.allreduce_max(eval_cpu_);
-  const double sum = ctx_.comm.allreduce_sum(eval_cpu_);
-  if (!(sum > 0.0)) return 0.0;
-  return max / (sum / static_cast<double>(ctx_.comm.size()));
-}
-
 void ParallelFmm::full_rebuild_with(
     const std::vector<octree::PointMove>& moves) {
-  // Same input validation as the incremental path, so the escape hatch
-  // and the repair agree on what a malformed call is.
-  {
-    std::vector<std::uint64_t> gids;
-    gids.reserve(moves.size());
-    for (const octree::PointMove& m : moves) gids.push_back(m.gid);
-    std::sort(gids.begin(), gids.end());
-    PKIFMM_CHECK_MSG(
-        std::adjacent_find(gids.begin(), gids.end()) == gids.end(),
-        "update_points: duplicate gid in moves");
-  }
-  std::unordered_map<std::uint64_t, std::size_t> by_gid;
-  by_gid.reserve(tree_.points.size());
-  for (std::size_t i = 0; i < tree_.points.size(); ++i)
-    by_gid.emplace(tree_.points[i].gid, i);
-  for (const octree::PointMove& m : moves) {
-    auto it = by_gid.find(m.gid);
-    PKIFMM_CHECK_MSG(it != by_gid.end(), "update_points: gid "
-                                             << m.gid
-                                             << " is not owned by this rank");
-    octree::PointRec& pt = tree_.points[it->second];
-    for (int c = 0; c < 3; ++c) pt.pos[c] = m.pos[c];
-  }
+  // The incremental path's validation, so the escape hatch and the
+  // repair agree on what a malformed call is.
+  (void)octree::apply_moves(tree_.points, moves);
 
   ctx_.rec.counter_add("setup.incr.full_rebuilds", 1.0);
   std::vector<octree::PointRec> pts = std::move(tree_.points);
@@ -180,33 +152,27 @@ void ParallelFmm::full_rebuild_with(
   densities_dirty_ = true;
 }
 
+void ParallelFmm::repair_let(std::span<const morton::Key> dirty_leaves) {
+  octree::LetSyncStats ls;
+  octree::ListRepairStats lr;
+  auto next = std::make_unique<octree::Let>(
+      let_sync_.update(ctx_.comm, tree_, dirty_leaves, &ls));
+  octree::repair_interaction_lists(*let_, *next, &lr);
+  let_ = std::move(next);
+  update_stats_.ghost_octants_sent += ls.octants_sent + ls.removes_sent;
+  update_stats_.ghost_ranks += ls.ranks_touched;
+  update_stats_.lists_rebuilt += lr.rebuilt_targets;
+  update_stats_.lists_kept += lr.kept_targets;
+}
+
 void ParallelFmm::update_points(const std::vector<octree::PointMove>& moves) {
   PKIFMM_CHECK_MSG(let_ != nullptr, "setup() must run before update_points()");
   const FmmOptions& opts = tables_.options();
 
-  // Threshold mode coasts on the current partition until the measured
-  // evaluate imbalance has stayed at or above the threshold for
-  // repart_hysteresis consecutive calls, then re-canonicalizes with one
-  // full rebuild. The imbalance is allreduced here, so every rank sees
-  // the same value and the decision is collectively consistent.
-  const bool threshold_mode =
-      opts.load_balance && opts.repart_imbalance_threshold > 1.0;
   // repair_tree reproduces the canonical (unbalanced) leaf set; with
   // 2:1 refinement on, only a full rebuild preserves the parity
   // contract.
-  bool force_full = !opts.incremental_setup || opts.balance_2to1;
-  if (!force_full && threshold_mode) {
-    ctx_.comm.cost().set_phase("setup.incr.balance");
-    if (evaluate_imbalance() >= opts.repart_imbalance_threshold) {
-      if (++over_threshold_steps_ >= std::max(opts.repart_hysteresis, 1)) {
-        force_full = true;
-        over_threshold_steps_ = 0;
-      }
-    } else {
-      over_threshold_steps_ = 0;
-    }
-  }
-  if (force_full) {
+  if (!opts.incremental_setup || opts.balance_2to1) {
     full_rebuild_with(moves);
     return;
   }
@@ -234,26 +200,17 @@ void ParallelFmm::update_points(const std::vector<octree::PointMove>& moves) {
   ctx_.comm.cost().set_phase("setup.incr.let");
   {
     auto t = ctx_.timer.scope("setup.incr.let");
-    octree::LetSyncStats ls;
-    octree::ListRepairStats lr;
-    auto next = std::make_unique<octree::Let>(
-        let_sync_.update(ctx_.comm, tree_, rep.dirty_leaves, &ls));
-    octree::repair_interaction_lists(*let_, *next, &lr);
-    let_ = std::move(next);
-    update_stats_.ghost_octants_sent += ls.octants_sent + ls.removes_sent;
-    update_stats_.ghost_ranks += ls.ranks_touched;
-    update_stats_.lists_rebuilt += lr.rebuilt_targets;
-    update_stats_.lists_kept += lr.kept_targets;
+    repair_let(rep.dirty_leaves);
   }
 
-  // Track mode (the default): re-derive the canonical work-weighted
-  // destinations every step and migrate as soon as any leaf's
-  // destination changed. The weights are a pure per-leaf function of
-  // the global tree (ownership-independent) and the prefix scan runs
-  // over the allgathered global vector, so the partition never drifts
-  // from what a from-scratch setup() would choose — which is what
-  // keeps the bitwise-parity contract at any rank count.
-  if (opts.load_balance && !threshold_mode && ctx_.comm.size() > 1) {
+  // Repartition: re-derive the canonical work-weighted destinations
+  // every step and migrate as soon as any leaf's destination changed.
+  // The weights are a pure per-leaf function of the global tree
+  // (ownership-independent) and the prefix scan runs over the
+  // allgathered global vector, so the partition never drifts from what
+  // a from-scratch setup() would choose — which is what keeps the
+  // bitwise-parity contract at any rank count.
+  if (opts.load_balance && ctx_.comm.size() > 1) {
     ctx_.comm.cost().set_phase("setup.incr.balance");
     auto t = ctx_.timer.scope("setup.incr.balance");
     const auto weights = leaf_work_estimates(tables_, *let_);
@@ -269,16 +226,7 @@ void ParallelFmm::update_points(const std::vector<octree::PointMove>& moves) {
       // Migration changes ownership, not bucket content: the LetSync
       // diff of the new own-key set against the retained staging is
       // the whole delta, so no leaves are dirty.
-      octree::LetSyncStats ls;
-      octree::ListRepairStats lr;
-      auto next = std::make_unique<octree::Let>(
-          let_sync_.update(ctx_.comm, tree_, {}, &ls));
-      octree::repair_interaction_lists(*let_, *next, &lr);
-      let_ = std::move(next);
-      update_stats_.ghost_octants_sent += ls.octants_sent + ls.removes_sent;
-      update_stats_.ghost_ranks += ls.ranks_touched;
-      update_stats_.lists_rebuilt += lr.rebuilt_targets;
-      update_stats_.lists_kept += lr.kept_targets;
+      repair_let({});
     }
   }
 
@@ -357,7 +305,7 @@ ParallelFmm::Result ParallelFmm::evaluate(bool with_gradient) {
       }
     }
   }
-  eval_cpu_ += root.close().cpu;
+  root.close();
 
   // Accuracy sampling runs outside the "eval" span so a health-enabled
   // run's eval.* phase times stay comparable to a health-off run; the

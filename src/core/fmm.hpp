@@ -63,15 +63,16 @@ class ParallelFmm {
   /// kernel with a gradient companion (Laplace, Yukawa).
   Result evaluate(bool with_gradient = false);
 
-  /// Moves owned points (each gid must be owned by this rank) and
-  /// repairs the tree, the LET and the interaction lists in place —
-  /// the per-step cost is proportional to churn, not N. Collective:
-  /// every rank calls it each step, with possibly empty moves. The
-  /// resulting state is bitwise identical to a from-scratch setup()
-  /// on the union of all ranks' updated points (see
-  /// FmmOptions::incremental_setup and repart_imbalance_threshold for
-  /// the policy and its escape hatches). Densities are preserved;
-  /// ghost copies refresh at the next evaluate().
+  /// Moves owned points (each gid must be owned by this rank, and
+  /// listed once) and repairs the tree, the LET and the interaction
+  /// lists in place — the per-step cost is proportional to churn, not
+  /// N. With load_balance, leaves then migrate to their canonical
+  /// work-weighted destinations whenever those moved. Collective: every
+  /// rank calls it each step, with possibly empty moves. The resulting
+  /// state is bitwise identical to a from-scratch setup() on the union
+  /// of all ranks' updated points at any rank count (see
+  /// FmmOptions::incremental_setup for the escape hatch). Densities are
+  /// preserved; ghost copies refresh at the next evaluate().
   void update_points(const std::vector<octree::PointMove>& moves);
 
   /// What the last update_points() did (repair vs rebuild, churn,
@@ -117,12 +118,11 @@ class ParallelFmm {
   obs::Recorder& recorder() const { return ctx_.rec; }
 
  private:
-  /// Evaluate-phase cpu imbalance, max / avg over ranks of eval_cpu_.
-  /// Collective (one allreduce each for max and sum); identical on
-  /// every rank, so the threshold policy's decision is collectively
-  /// consistent. 0 before the first evaluate().
-  double evaluate_imbalance();
   void full_rebuild_with(const std::vector<octree::PointMove>& moves);
+  /// Delta-syncs the LET against tree_ (`dirty_leaves`: owned leaves
+  /// whose buckets changed), repairs the interaction lists and adds
+  /// the traffic and list counts to update_stats_. Collective.
+  void repair_let(std::span<const morton::Key> dirty_leaves);
   void set_let_gauges();
 
   /// Health layer (FmmOptions::health, DESIGN.md §5g): the ghost
@@ -146,10 +146,6 @@ class ParallelFmm {
   octree::OwnedTree tree_;
   octree::LetSync let_sync_;
   UpdateStats update_stats_;
-  int over_threshold_steps_ = 0;
-  /// This rank's CPU seconds inside evaluate()'s "eval" span, summed
-  /// over every call (what evaluate_imbalance() compares across ranks).
-  double eval_cpu_ = 0.0;
   SampleTotals sample_totals_;
   bool densities_dirty_ = false;
   /// Health bookkeeping: whether this object enabled the cost

@@ -59,7 +59,8 @@ struct FmmOptions {
   bool clamp_threads = true;
 
   /// Work-weighted leaf repartitioning after the first LET build
-  /// (paper §III-B). Disable for the ablation bench.
+  /// (paper §III-B); update_points() keeps the partition canonical.
+  /// Disable for the ablation bench.
   bool load_balance = true;
 
   /// Incremental setup (ROADMAP item 3): ParallelFmm keeps the
@@ -67,32 +68,9 @@ struct FmmOptions {
   /// update_points() calls and repairs them in place, making per-step
   /// setup cost proportional to churn instead of N. The repaired
   /// state is bitwise identical to a from-scratch setup() on the same
-  /// points (tests/test_incremental.cpp). Off = escape hatch: every
-  /// update_points() runs the full setup pipeline.
+  /// points at any rank count (tests/test_incremental.cpp). Off =
+  /// escape hatch: every update_points() runs the full setup pipeline.
   bool incremental_setup = true;
-
-  /// Repartition policy of the incremental path. 0 (default, "track"):
-  /// the canonical work-weighted partition is re-derived after every
-  /// update_points() and leaves migrate as soon as their canonical
-  /// destination changes — ownership then never drifts from what a
-  /// from-scratch setup() would choose, which is what makes the
-  /// bitwise-parity contract hold at any rank count. > 1
-  /// ("threshold"): ownership is left alone — cheapest per step — until
-  /// the measured evaluate-phase cpu imbalance (max/avg over ranks of
-  /// the CPU time spent in evaluate(), allreduced by update_points()
-  /// in this mode only, so identical on every rank) has been at or
-  /// above this value for repart_hysteresis consecutive update_points()
-  /// calls; then one full rebuild re-canonicalizes everything. While
-  /// coasting below the threshold the partition may differ from the
-  /// canonical one, so cross-rank reduction groupings — and thus the
-  /// last bits of the potentials at p > 1 — may drift within rounding;
-  /// the tree, leaf set and total flops still match exactly.
-  double repart_imbalance_threshold = 0.0;
-
-  /// Consecutive over-threshold update_points() calls required before
-  /// the threshold policy triggers its full rebuild (debounce, so one
-  /// noisy measurement on some rank count does not thrash).
-  int repart_hysteresis = 2;
 
   /// 2:1 balance refinement of the octree after construction (the
   /// DENDRO substrate feature of the paper's reference [16]). The FMM

@@ -202,15 +202,6 @@ bool adjacent(const Key& a, const Key& b) {
   return touching;  // interiors overlap in all axes otherwise
 }
 
-bool closed_regions_intersect(const Key& a, const Key& b) {
-  const Extent ea = extent_of(a), eb = extent_of(b);
-  for (int d = 0; d < 3; ++d) {
-    if (std::max(ea.lo[d], eb.lo[d]) > std::min(ea.hi[d], eb.hi[d]))
-      return false;
-  }
-  return true;
-}
-
 BoxGeometry box_geometry(const Key& k) {
   const auto a = anchor(k);
   const double inv = 1.0 / static_cast<double>(kGridSize);

@@ -139,10 +139,6 @@ std::vector<Key> neighborhood(const Key& k);
 /// Note an octant is NOT adjacent to itself or to its ancestors.
 bool adjacent(const Key& a, const Key& b);
 
-/// True iff closed regions intersect (adjacency or overlap). This is the
-/// "adjacent or equal/nested" predicate used when collecting J(beta).
-bool closed_regions_intersect(const Key& a, const Key& b);
-
 /// Physical geometry of an octant within the unit cube.
 struct BoxGeometry {
   std::array<double, 3> center;

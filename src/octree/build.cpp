@@ -68,14 +68,13 @@ void close_key_runs(comm::Comm& c, std::vector<PointRec>& pts) {
   if (merged) std::sort(pts.begin(), pts.end());
 }
 
-/// Point-space splitters: rank k's points lie in [s_k, s_{k+1}).
-/// Empty ranks get a degenerate interval (backfilled from the right).
-std::vector<Bits> point_splitters(comm::Comm& c,
-                                  const std::vector<PointRec>& pts) {
+/// Splitters from each rank's first key (its first point or leaf):
+/// rank k's interval starts there; an empty rank gets a degenerate
+/// interval (backfilled from the right). Collective.
+std::vector<Bits> splitters_from_firsts(comm::Comm& c, bool has, Bits first) {
   const int p = c.size();
-  RankSpan mine{static_cast<std::uint8_t>(!pts.empty()),
-                pts.empty() ? Bits{0} : pts.front().key_bits, Bits{0}};
-  auto spans = c.allgather(mine);
+  auto spans =
+      c.allgather(RankSpan{static_cast<std::uint8_t>(has), first, Bits{0}});
   std::vector<Bits> s(p, 0);
   Bits next = key_space_end();
   for (int k = p - 1; k >= 1; --k) {
@@ -83,12 +82,24 @@ std::vector<Bits> point_splitters(comm::Comm& c,
     next = s[k];
   }
   s[0] = 0;
-  for (int k = 0; k + 1 < p; ++k) PKIFMM_CHECK(s[k] <= s[k + 1]);
+  for (int k = 0; k + 1 < p; ++k)
+    PKIFMM_CHECK_MSG(s[k] <= s[k + 1], "splitters not monotone");
   return s;
 }
 
-}  // namespace
+/// Per-octant global census for octants that may straddle rank
+/// boundaries: ancestors (and self) of every boundary cell. Local
+/// information cannot decide the split of these octants, so their
+/// global counts (and the lowest contributing rank — the owner if the
+/// octant becomes a leaf) are exchanged explicitly.
+struct StraddlerTable {
+  std::unordered_map<Key, std::size_t, morton::KeyHash> index;
+  std::vector<std::uint64_t> global_count;
+  std::vector<int> first_contributor;
+};
 
+/// Builds the census for `splitters`' boundary cells from the locally
+/// held (Morton-sorted) points. Collective.
 StraddlerTable build_straddler_table(comm::Comm& c,
                                      const std::vector<PointRec>& pts,
                                      const std::vector<Bits>& splitters,
@@ -131,43 +142,87 @@ StraddlerTable build_straddler_table(comm::Comm& c,
   return table;
 }
 
-namespace {
-
-/// Top-down refinement of the local point range. Straddling octants use
-/// the exchanged global census so every overlapped rank takes the same
-/// split decision; straddling leaves are emitted only by their owner
-/// (the first contributing rank), others queue their points for
-/// migration.
-class LocalBuilder {
+/// Top-down refinement of the local point range. Census octants take
+/// the exchanged global count, so every overlapped rank takes the same
+/// split decision; a census leaf is emitted only by its owner (the
+/// first contributing rank), the others queue its points for
+/// migration. Any other octant with no dirty cell underneath reuses
+/// the prior leaves instead of re-deriving them. The reuse is exact:
+/// under a clean octant the point multiset is unchanged, so the
+/// canonical decomposition (split iff global count > q) is the prior
+/// one.
+class Refiner {
  public:
-  LocalBuilder(const std::vector<PointRec>& pts, const StraddlerTable& table,
-               const BuildParams& params, int my_rank, int nranks)
-      : pts_(pts), table_(table), params_(params), my_rank_(my_rank) {
-    migrate_to_.resize(nranks);
+  Refiner(const std::vector<PointRec>& pts, const StraddlerTable& table,
+          const BuildParams& params, const PriorTree& prior, int my_rank,
+          int nranks)
+      : pts_(pts), table_(table), params_(params), prior_(prior),
+        my_rank_(my_rank) {
+    migrate_to.resize(nranks);
   }
 
   void run() { visit(morton::root(), 0, pts_.size()); }
 
   std::vector<Key> leaves;
+  std::vector<char> reused;  ///< aligned with leaves
   std::vector<std::pair<std::size_t, std::size_t>> kept_ranges;
-  std::vector<std::vector<PointRec>> migrate_to_;
+  std::vector<std::vector<PointRec>> migrate_to;
 
  private:
+  bool clean(const Key& k) const {
+    auto it = std::lower_bound(prior_.dirty.begin(), prior_.dirty.end(),
+                               morton::range_begin(k));
+    return it == prior_.dirty.end() || *it >= morton::range_end(k);
+  }
+
+  /// Reuses the prior leaves tiling range(k) when they provably still
+  /// are the canonical decomposition: the subtree is clean, the first
+  /// prior leaf in range is at or below k's level (a prior leaf *above*
+  /// k would mean the shape changed around k), and the prior leaves
+  /// account for exactly the current points of k.
+  bool try_copy(const Key& k, std::size_t lo, std::size_t hi) {
+    if (!clean(k)) return false;
+    const Bits rb = morton::range_begin(k);
+    const Bits re = morton::range_end(k);
+    const auto& pl = prior_.leaves;
+    auto first = std::lower_bound(
+        pl.begin(), pl.end(), rb,
+        [](const Key& l, Bits b) { return morton::range_begin(l) < b; });
+    auto last = std::lower_bound(
+        first, pl.end(), re,
+        [](const Key& l, Bits b) { return morton::range_begin(l) < b; });
+    if (first == last) return false;
+    if (first->level < k.level) return false;
+    const auto a = static_cast<std::size_t>(first - pl.begin());
+    const auto b = static_cast<std::size_t>(last - pl.begin());
+    const auto& csr = prior_.leaf_point_offset;
+    if (csr[b] - csr[a] != hi - lo) return false;
+    leaves.insert(leaves.end(), first, last);
+    reused.insert(reused.end(), b - a, 1);
+    kept_ranges.emplace_back(lo, hi);
+    return true;
+  }
+
   void visit(const Key& k, std::size_t lo, std::size_t hi) {
     std::uint64_t global = hi - lo;
     int owner = my_rank_;
+    bool in_census = false;
     if (auto it = table_.index.find(k); it != table_.index.end()) {
       global = table_.global_count[it->second];
       owner = table_.first_contributor[it->second];
+      in_census = true;
     }
+    // An empty prior (the from-scratch build) has nothing to reuse.
+    if (!in_census && !prior_.leaves.empty() && try_copy(k, lo, hi)) return;
     if (global <= static_cast<std::uint64_t>(params_.max_points_per_leaf) ||
         k.level >= params_.max_level) {
       if (hi == lo) return;  // no local points: some other rank emits it
       if (owner == my_rank_) {
         leaves.push_back(k);
+        reused.push_back(0);
         kept_ranges.emplace_back(lo, hi);
       } else {
-        auto& out = migrate_to_[owner];
+        auto& out = migrate_to[owner];
         out.insert(out.end(), pts_.begin() + lo, pts_.begin() + hi);
       }
       return;
@@ -195,6 +250,7 @@ class LocalBuilder {
   const std::vector<PointRec>& pts_;
   const StraddlerTable& table_;
   const BuildParams& params_;
+  const PriorTree& prior_;
   int my_rank_;
 };
 
@@ -222,21 +278,9 @@ std::vector<std::size_t> build_leaf_csr(const std::vector<morton::Key>& leaves,
 
 std::vector<Bits> recompute_splitters(comm::Comm& c,
                                       const std::vector<morton::Key>& leaves) {
-  const int p = c.size();
-  RankSpan mine{static_cast<std::uint8_t>(!leaves.empty()),
-                leaves.empty() ? Bits{0} : morton::range_begin(leaves.front()),
-                Bits{0}};
-  auto spans = c.allgather(mine);
-  std::vector<Bits> s(p, 0);
-  Bits next = key_space_end();
-  for (int k = p - 1; k >= 1; --k) {
-    s[k] = spans[k].has ? spans[k].first : next;
-    next = s[k];
-  }
-  s[0] = 0;
-  for (int k = 0; k + 1 < p; ++k)
-    PKIFMM_CHECK_MSG(s[k] <= s[k + 1], "leaf splitters not monotone");
-  return s;
+  return splitters_from_firsts(
+      c, !leaves.empty(),
+      leaves.empty() ? Bits{0} : morton::range_begin(leaves.front()));
 }
 
 std::pair<int, int> overlapping_ranks(const Key& k,
@@ -250,38 +294,29 @@ std::pair<int, int> overlapping_ranks(const Key& k,
   return {rank_of(begin), rank_of(last)};
 }
 
-OwnedTree build_distributed_tree(comm::Comm& c, std::vector<PointRec> points,
-                                 const BuildParams& params) {
-  PKIFMM_CHECK(params.max_points_per_leaf >= 1);
-  PKIFMM_CHECK(params.max_level >= 1 && params.max_level <= morton::kMaxDepth);
-
-  assign_morton_ids(points);
-  comm::sample_sort(c, points, std::less<PointRec>{});
-  comm::rebalance_equal(c, points);
-  close_key_runs(c, points);
-
-  const auto splitters = point_splitters(c, points);
+RefineResult refine_tree(comm::Comm& c, const std::vector<PointRec>& pts,
+                         OwnedTree& tree, const BuildParams& params,
+                         const PriorTree& prior) {
   const auto table =
-      build_straddler_table(c, points, splitters, params.max_level);
-
-  LocalBuilder builder(points, table, params, c.rank(), c.size());
-  builder.run();
+      build_straddler_table(c, pts, tree.splitters, params.max_level);
+  Refiner refiner(pts, table, params, prior, c.rank(), c.size());
+  refiner.run();
 
   // Migrate points of straddling leaves to the leaf owner.
-  auto incoming = c.alltoallv(std::move(builder.migrate_to_));
+  RefineResult res;
+  for (const auto& out : refiner.migrate_to) res.straddlers_sent += out.size();
+  auto incoming = c.alltoallv(std::move(refiner.migrate_to));
 
-  OwnedTree tree;
-  tree.leaves = std::move(builder.leaves);
-  for (const auto& [lo, hi] : builder.kept_ranges)
-    tree.points.insert(tree.points.end(), points.begin() + lo,
-                       points.begin() + hi);
-  bool merged = false;
-  for (auto& run : incoming) {
-    if (run.empty()) continue;
+  tree.leaves = std::move(refiner.leaves);
+  tree.points.clear();
+  for (const auto& [lo, hi] : refiner.kept_ranges)
+    tree.points.insert(tree.points.end(), pts.begin() + lo, pts.begin() + hi);
+  for (const auto& run : incoming) {
     tree.points.insert(tree.points.end(), run.begin(), run.end());
-    merged = true;
+    for (const PointRec& pt : run) res.straddler_cells.push_back(pt.key_bits);
   }
-  if (merged) std::sort(tree.points.begin(), tree.points.end());
+  if (!res.straddler_cells.empty())
+    std::sort(tree.points.begin(), tree.points.end());
 
   tree.leaf_point_offset = build_leaf_csr(tree.leaves, tree.points);
   tree.splitters = recompute_splitters(c, tree.leaves);
@@ -300,6 +335,24 @@ OwnedTree build_distributed_tree(comm::Comm& c, std::vector<PointRec> points,
     PKIFMM_CHECK_MSG(s.first >= prev_end, "leaf ranges overlap across ranks");
     prev_end = s.last;
   }
+  res.reused = std::move(refiner.reused);
+  return res;
+}
+
+OwnedTree build_distributed_tree(comm::Comm& c, std::vector<PointRec> points,
+                                 const BuildParams& params) {
+  PKIFMM_CHECK(params.max_points_per_leaf >= 1);
+  PKIFMM_CHECK(params.max_level >= 1 && params.max_level <= morton::kMaxDepth);
+
+  assign_morton_ids(points);
+  comm::sample_sort(c, points, std::less<PointRec>{});
+  comm::rebalance_equal(c, points);
+  close_key_runs(c, points);
+
+  OwnedTree tree;
+  tree.splitters = splitters_from_firsts(
+      c, !points.empty(), points.empty() ? Bits{0} : points.front().key_bits);
+  (void)refine_tree(c, points, tree, params, PriorTree{});
   return tree;
 }
 

@@ -9,15 +9,17 @@
 /// leaves and their points co-located per rank, plus the key-space
 /// ownership splitters that define the geometric partition Omega_k.
 ///
-/// The construction is bottom-up in spirit: points are sample-sorted by
-/// Morton id, each rank refines its contiguous key interval top-down,
-/// and octants that straddle rank boundaries are resolved exactly by
-/// exchanging per-rank point counts for the (few) ancestors of the
-/// boundary cells; straddling leaves are assigned to the lowest
-/// contributing rank and the other ranks migrate their points there.
+/// Points are sample-sorted by Morton id and each rank refines its
+/// contiguous key interval top-down (refine_tree). Octants that
+/// straddle rank boundaries are resolved exactly by exchanging per-rank
+/// point counts for the (few) ancestors of the boundary cells;
+/// straddling leaves are assigned to the lowest contributing rank and
+/// the other ranks migrate their points there. The incremental repair
+/// (update.hpp) runs the same refinement against the previous step's
+/// tree, so a from-scratch build is a repair against an empty prior.
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -65,23 +67,36 @@ std::vector<std::size_t> build_leaf_csr(const std::vector<morton::Key>& leaves,
 std::pair<int, int> overlapping_ranks(const morton::Key& k,
                                       const std::vector<morton::Bits>& splitters);
 
-/// Per-octant global census for octants that may straddle rank
-/// boundaries: ancestors (and self) of every boundary cell. Local
-/// information cannot decide the split of these octants, so their
-/// global counts (and the lowest contributing rank — the owner if the
-/// octant becomes a leaf) are exchanged explicitly. Shared between the
-/// from-scratch build and the incremental repair (update.hpp).
-struct StraddlerTable {
-  std::unordered_map<morton::Key, std::size_t, morton::KeyHash> index;
-  std::vector<std::uint64_t> global_count;
-  std::vector<int> first_contributor;
+/// What refine_tree may reuse from a previous tree of the same global
+/// point multiset (up to the `dirty` cells). Empty = from scratch.
+struct PriorTree {
+  std::span<const morton::Key> leaves;             ///< sorted
+  std::span<const std::size_t> leaf_point_offset;  ///< CSR over `leaves`
+  /// Sorted Morton ids of the kMaxDepth cells whose points changed.
+  std::span<const morton::Bits> dirty;
 };
 
-/// Builds the census for `splitters`' boundary cells from the locally
-/// held (Morton-sorted) points. Collective.
-StraddlerTable build_straddler_table(comm::Comm& c,
-                                     const std::vector<PointRec>& pts,
-                                     const std::vector<morton::Bits>& splitters,
-                                     int max_level);
+struct RefineResult {
+  /// Aligned with the new tree.leaves: copied verbatim from the prior.
+  std::vector<char> reused;
+  /// Points of straddling leaves sent to the leaf owner.
+  std::size_t straddlers_sent = 0;
+  /// Morton ids of the straddler points received (another rank's
+  /// points, so possibly changes this rank never saw).
+  std::vector<morton::Bits> straddler_cells;
+};
+
+/// The one top-down refinement: refines `pts` (this rank's
+/// Morton-sorted points, all inside its tree.splitters interval) into
+/// the canonical leaves — split an octant iff its global count exceeds
+/// q and its level is below max_level; octants straddling a splitter
+/// are decided by a global census and emitted by their lowest
+/// contributing rank. Under a clean octant that does not straddle, the
+/// prior leaves are copied through. Refills tree.points in place (`pts`
+/// must not alias it) and sets tree.leaves, the CSR and the
+/// leaf-aligned splitters. Collective.
+RefineResult refine_tree(comm::Comm& c, const std::vector<PointRec>& pts,
+                         OwnedTree& tree, const BuildParams& params,
+                         const PriorTree& prior);
 
 }  // namespace pkifmm::octree

@@ -42,8 +42,8 @@ std::vector<int> weighted_destinations(comm::Comm& c,
     for (double w : per_rank[r]) {
       int d;
       if (total > 0.0) {
-        // Assign by the midpoint of the leaf's weight interval, as in
-        // the generic weighted partition.
+        // Assign by the midpoint of the leaf's weight interval, so a
+        // heavy leaf lands where most of its weight lies.
         d = static_cast<int>((prefix + 0.5 * w) / total * p);
       } else {
         d = static_cast<int>(idx * p / count_total);

@@ -8,135 +8,39 @@ namespace pkifmm::octree {
 using morton::Bits;
 using morton::Key;
 
-namespace {
+std::vector<AppliedMove> apply_moves(std::vector<PointRec>& points,
+                                     std::span<const PointMove> moves) {
+  {
+    std::vector<std::uint64_t> gids;
+    gids.reserve(moves.size());
+    for (const auto& m : moves) gids.push_back(m.gid);
+    std::sort(gids.begin(), gids.end());
+    PKIFMM_CHECK_MSG(
+        std::adjacent_find(gids.begin(), gids.end()) == gids.end(),
+        "update_points: duplicate gid in moves");
+  }
+  std::unordered_map<std::uint64_t, std::size_t> by_gid;
+  by_gid.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i)
+    by_gid.emplace(points[i].gid, i);
 
-/// Rank owning Morton id `b` under the leaf-aligned splitters.
-int rank_of(const std::vector<Bits>& splitters, Bits b) {
-  auto it = std::upper_bound(splitters.begin(), splitters.end(), b);
-  return static_cast<int>(it - splitters.begin()) - 1;
+  std::vector<AppliedMove> applied;
+  applied.reserve(moves.size());
+  for (const auto& m : moves) {
+    auto it = by_gid.find(m.gid);
+    PKIFMM_CHECK_MSG(it != by_gid.end(),
+                     "update_points: gid " << m.gid
+                                           << " is not owned by this rank");
+    applied.push_back({it->second, points[it->second].key_bits});
+  }
+  for (std::size_t j = 0; j < moves.size(); ++j) {
+    PointRec& pt = points[applied[j].index];
+    const PointMove& m = moves[j];
+    for (int d = 0; d < 3; ++d) pt.pos[d] = m.pos[d];
+    pt.key_bits = morton::cell_of_point(m.pos[0], m.pos[1], m.pos[2]).bits;
+  }
+  return applied;
 }
-
-/// Top-down repair visit: identical split/ownership decisions to
-/// build.cpp's LocalBuilder, except that a clean subtree — no dirty
-/// Morton cell underneath and no splitter straddling — reuses the
-/// previous step's leaves instead of re-deriving them. The reuse is
-/// exact: under a clean octant the point multiset is unchanged, so the
-/// canonical decomposition (split iff global count > q) is the previous
-/// one.
-class RepairBuilder {
- public:
-  RepairBuilder(const std::vector<PointRec>& pts, const StraddlerTable& table,
-                const BuildParams& params, int my_rank, int nranks,
-                const std::vector<Bits>& dirty_bits,
-                const std::vector<Key>& prior_leaves,
-                const std::vector<std::size_t>& prior_csr)
-      : pts_(pts), table_(table), params_(params), my_rank_(my_rank),
-        dirty_(dirty_bits), prior_leaves_(prior_leaves),
-        prior_csr_(prior_csr) {
-    migrate_to_.resize(nranks);
-  }
-
-  void run() { visit(morton::root(), 0, pts_.size()); }
-
-  std::vector<Key> leaves;
-  std::vector<char> from_copy;  ///< aligned with leaves: reused verbatim
-  std::vector<std::pair<std::size_t, std::size_t>> kept_ranges;
-  std::vector<std::vector<PointRec>> migrate_to_;
-
- private:
-  bool clean(const Key& k) const {
-    auto it = std::lower_bound(dirty_.begin(), dirty_.end(),
-                               morton::range_begin(k));
-    return it == dirty_.end() || *it >= morton::range_end(k);
-  }
-
-  /// Reuses the previous leaves tiling range(k) when they provably
-  /// still are the canonical decomposition: the subtree is clean, the
-  /// first prior leaf in range is at or below k's level (a prior leaf
-  /// *above* k would mean the shape changed around k), and the prior
-  /// leaves account for exactly the current points of k.
-  bool try_copy(const Key& k, std::size_t lo, std::size_t hi) {
-    if (!clean(k)) return false;
-    const Bits rb = morton::range_begin(k);
-    const Bits re = morton::range_end(k);
-    auto first = std::lower_bound(
-        prior_leaves_.begin(), prior_leaves_.end(), rb,
-        [](const Key& l, Bits b) { return morton::range_begin(l) < b; });
-    auto last = std::lower_bound(
-        first, prior_leaves_.end(), re,
-        [](const Key& l, Bits b) { return morton::range_begin(l) < b; });
-    if (first == last) return false;
-    if (first->level < k.level) return false;
-    const std::size_t a =
-        static_cast<std::size_t>(first - prior_leaves_.begin());
-    const std::size_t b =
-        static_cast<std::size_t>(last - prior_leaves_.begin());
-    if (prior_csr_[b] - prior_csr_[a] != hi - lo) return false;
-    leaves.insert(leaves.end(), first, last);
-    from_copy.insert(from_copy.end(), b - a, 1);
-    kept_ranges.emplace_back(lo, hi);
-    return true;
-  }
-
-  void visit(const Key& k, std::size_t lo, std::size_t hi) {
-    std::uint64_t global = hi - lo;
-    int owner = my_rank_;
-    bool in_census = false;
-    if (auto it = table_.index.find(k); it != table_.index.end()) {
-      global = table_.global_count[it->second];
-      owner = table_.first_contributor[it->second];
-      in_census = true;
-    }
-    if (!in_census && try_copy(k, lo, hi)) return;
-    if (global <= static_cast<std::uint64_t>(params_.max_points_per_leaf) ||
-        k.level >= params_.max_level) {
-      if (hi == lo) return;  // no local points: some other rank emits it
-      if (owner == my_rank_) {
-        leaves.push_back(k);
-        from_copy.push_back(0);
-        kept_ranges.emplace_back(lo, hi);
-      } else {
-        auto& out = migrate_to_[owner];
-        out.insert(out.end(), pts_.begin() + lo, pts_.begin() + hi);
-      }
-      return;
-    }
-    std::size_t begin = lo;
-    for (int i = 0; i < 8; ++i) {
-      const Key ch = morton::child(k, i);
-      const std::size_t end =
-          i + 1 < 8 ? lower_index_in(begin, hi, morton::range_end(ch)) : hi;
-      if (end > begin || table_.index.count(ch)) visit(ch, begin, end);
-      begin = end;
-    }
-  }
-
-  std::size_t lower_index_in(std::size_t lo, std::size_t hi, Bits bits) const {
-    return static_cast<std::size_t>(
-        std::lower_bound(pts_.begin() + lo, pts_.begin() + hi, bits,
-                         [](const PointRec& a, Bits b) {
-                           return a.key_bits < b;
-                         }) -
-        pts_.begin());
-  }
-
-  const std::vector<PointRec>& pts_;
-  const StraddlerTable& table_;
-  const BuildParams& params_;
-  int my_rank_;
-  const std::vector<Bits>& dirty_;
-  const std::vector<Key>& prior_leaves_;
-  const std::vector<std::size_t>& prior_csr_;
-};
-
-struct SpanChk {
-  std::uint8_t has;
-  Bits first;
-  Bits last;
-};
-static_assert(std::is_trivially_copyable_v<SpanChk>);
-
-}  // namespace
 
 RepairResult repair_tree(comm::Comm& c, OwnedTree& tree,
                          std::span<const PointMove> moves,
@@ -155,36 +59,13 @@ RepairResult repair_tree(comm::Comm& c, OwnedTree& tree,
 
   // Apply the moves in place; remember both the vacated and the entered
   // kMaxDepth cells — those are where split decisions can change.
-  {
-    std::vector<std::uint64_t> gids;
-    gids.reserve(moves.size());
-    for (const auto& m : moves) gids.push_back(m.gid);
-    std::sort(gids.begin(), gids.end());
-    PKIFMM_CHECK_MSG(
-        std::adjacent_find(gids.begin(), gids.end()) == gids.end(),
-        "update_points: duplicate gid in moves");
-  }
-  std::unordered_map<std::uint64_t, std::size_t> by_gid;
-  by_gid.reserve(tree.points.size());
-  for (std::size_t i = 0; i < tree.points.size(); ++i)
-    by_gid.emplace(tree.points[i].gid, i);
-
   std::vector<Bits> dirty_bits;
   dirty_bits.reserve(2 * moves.size());
   std::vector<char> touched(tree.points.size(), 0);
-  for (const auto& m : moves) {
-    auto it = by_gid.find(m.gid);
-    PKIFMM_CHECK_MSG(it != by_gid.end(),
-                     "update_points: gid " << m.gid
-                                           << " is not owned by this rank");
-    PointRec& pt = tree.points[it->second];
-    dirty_bits.push_back(pt.key_bits);
-    pt.pos[0] = m.pos[0];
-    pt.pos[1] = m.pos[1];
-    pt.pos[2] = m.pos[2];
-    pt.key_bits = morton::cell_of_point(m.pos[0], m.pos[1], m.pos[2]).bits;
-    dirty_bits.push_back(pt.key_bits);
-    touched[it->second] = 1;
+  for (const AppliedMove& a : apply_moves(tree.points, moves)) {
+    dirty_bits.push_back(a.vacated);
+    dirty_bits.push_back(tree.points[a.index].key_bits);
+    touched[a.index] = 1;
   }
 
   // Interval migration: points whose new cell left this rank's
@@ -193,7 +74,8 @@ RepairResult repair_tree(comm::Comm& c, OwnedTree& tree,
   std::vector<char> departed(tree.points.size(), 0);
   for (std::size_t i = 0; i < tree.points.size(); ++i) {
     if (!touched[i]) continue;
-    const int dest = rank_of(tree.splitters, tree.points[i].key_bits);
+    const Key cell{tree.points[i].key_bits, morton::kMaxDepth};
+    const int dest = overlapping_ranks(cell, tree.splitters).first;
     if (dest == c.rank()) continue;
     outgoing[dest].push_back(tree.points[i]);
     departed[i] = 1;
@@ -224,46 +106,23 @@ RepairResult repair_tree(comm::Comm& c, OwnedTree& tree,
   dirty_bits.erase(std::unique(dirty_bits.begin(), dirty_bits.end()),
                    dirty_bits.end());
 
-  // Straddler census on the updated points: remote count changes can
-  // only alter decisions inside these octants, so together with the
-  // dirty cells they bound everything the repair must revisit.
-  const auto table =
-      build_straddler_table(c, merged, tree.splitters, params.max_level);
-
+  // Refine against the previous tree: the census on the updated points
+  // covers the remote count changes, which can only alter decisions in
+  // straddling octants; together with the dirty cells they bound
+  // everything the refinement must revisit.
   const std::vector<Key> prior_leaves = std::move(tree.leaves);
   const std::vector<std::size_t> prior_csr = std::move(tree.leaf_point_offset);
-
-  RepairBuilder builder(merged, table, params, c.rank(), p, dirty_bits,
-                        prior_leaves, prior_csr);
-  builder.run();
-
-  // Migrate points of straddling leaves to the leaf owner.
-  for (const auto& out : builder.migrate_to_)
-    res.stats.migrated_points += out.size();
-  auto straddler_in = c.alltoallv(std::move(builder.migrate_to_));
-
-  tree.leaves = std::move(builder.leaves);
-  tree.points.clear();
-  for (const auto& [lo, hi] : builder.kept_ranges)
-    tree.points.insert(tree.points.end(), merged.begin() + lo,
-                       merged.begin() + hi);
-  bool merged_in = false;
-  for (auto& run : straddler_in) {
-    if (run.empty()) continue;
-    tree.points.insert(tree.points.end(), run.begin(), run.end());
-    // Straddler buckets carry another rank's churn this rank never saw
-    // (that rank's moves were applied remotely), so their cells join
-    // the dirty set for the report below.
-    for (const PointRec& pt : run) dirty_bits.push_back(pt.key_bits);
-    merged_in = true;
-  }
-  if (merged_in) {
-    std::sort(tree.points.begin(), tree.points.end());
+  const RefineResult ref = refine_tree(c, merged, tree, params,
+                                       {prior_leaves, prior_csr, dirty_bits});
+  res.stats.migrated_points += ref.straddlers_sent;
+  // Straddler buckets carry another rank's churn this rank never saw
+  // (that rank's moves were applied remotely), so their cells join the
+  // dirty set for the report below.
+  if (!ref.straddler_cells.empty()) {
+    dirty_bits.insert(dirty_bits.end(), ref.straddler_cells.begin(),
+                      ref.straddler_cells.end());
     std::sort(dirty_bits.begin(), dirty_bits.end());
   }
-
-  tree.leaf_point_offset = build_leaf_csr(tree.leaves, tree.points);
-  tree.splitters = recompute_splitters(c, tree.leaves);
 
   // Dirty-leaf report for the LET delta: a leaf's bucket can only have
   // changed if the leaf is new to this rank, its population changed, or
@@ -273,9 +132,7 @@ RepairResult repair_tree(comm::Comm& c, OwnedTree& tree,
   // unnecessary: the dirty cells are exactly where buckets changed.)
   auto prior_of = [&](const Key& k) -> std::ptrdiff_t {
     auto it = std::lower_bound(prior_leaves.begin(), prior_leaves.end(), k);
-    if (it == prior_leaves.end() || it->bits != k.bits ||
-        it->level != k.level)
-      return -1;
+    if (it == prior_leaves.end() || *it != k) return -1;
     return it - prior_leaves.begin();
   };
   auto dirty_in_range = [&](const Key& k) {
@@ -284,7 +141,7 @@ RepairResult repair_tree(comm::Comm& c, OwnedTree& tree,
     return it != dirty_bits.end() && *it < morton::range_end(k);
   };
   for (std::size_t i = 0; i < tree.leaves.size(); ++i) {
-    if (builder.from_copy[i]) {
+    if (ref.reused[i]) {
       ++res.stats.kept_leaves;
       continue;
     }
@@ -303,21 +160,6 @@ RepairResult repair_tree(comm::Comm& c, OwnedTree& tree,
       res.dirty_leaves.push_back(tree.leaves[i]);
       ++res.stats.dirty_leaves;
     }
-  }
-
-  // Global structural sanity, as in the from-scratch build.
-  SpanChk mine{static_cast<std::uint8_t>(!tree.leaves.empty()),
-               tree.leaves.empty() ? Bits{0}
-                                   : morton::range_begin(tree.leaves.front()),
-               tree.leaves.empty() ? Bits{0}
-                                   : morton::range_end(tree.leaves.back())};
-  auto spans = c.allgather(mine);
-  Bits prev_end = 0;
-  for (const auto& s : spans) {
-    if (!s.has) continue;
-    PKIFMM_CHECK_MSG(s.first >= prev_end,
-                     "repaired leaf ranges overlap across ranks");
-    prev_end = s.last;
   }
   return res;
 }

@@ -12,18 +12,18 @@
 /// split an octant iff its global count exceeds q) while touching only
 /// the octants whose counts actually changed:
 ///
-///  1. moves are applied in place and the affected points re-keyed;
-///     points whose Morton id left this rank's ownership interval
-///     migrate to the interval owner (one alltoallv);
-///  2. a census of the splitter-straddling ancestors (the same octant
-///     set build_distributed_tree exchanges) refreshes the global
-///     counts that local information cannot provide;
-///  3. a top-down visit recomputes the decomposition only where a
-///     "dirty" Morton cell (the old or new cell of a moved point) or a
-///     straddler lies underneath; clean subtrees copy the previous
-///     leaves through untouched.
+///  1. apply_moves writes the new positions in place and re-keys the
+///     moved points; points whose Morton id left this rank's ownership
+///     interval migrate to the interval owner (one alltoallv);
+///  2. refine_tree (build.hpp) runs against the previous tree: the
+///     census of the splitter-straddling ancestors refreshes the global
+///     counts that local information cannot provide, and the top-down
+///     visit recomputes the decomposition only where a "dirty" Morton
+///     cell (the old or new cell of a moved point) or a straddler lies
+///     underneath; clean subtrees copy the previous leaves through.
 ///
-/// The repaired tree is bitwise identical — leaves, point order and
+/// A from-scratch build is the same refinement against an empty prior,
+/// so the repaired tree is bitwise identical — leaves, point order and
 /// splitters — to what build_distributed_tree would return on the
 /// union of every rank's updated points (tests/test_incremental.cpp
 /// pins this across churn rates, distributions and rank counts).
@@ -54,6 +54,20 @@ struct RepairStats {
   std::size_t dirty_leaves = 0;     ///< leaves rebuilt (content changed)
   std::size_t kept_leaves = 0;      ///< leaves copied through untouched
 };
+
+/// One applied move: the point's index in the array and the Morton id
+/// of the kMaxDepth cell it vacated.
+struct AppliedMove {
+  std::size_t index;
+  morton::Bits vacated;
+};
+
+/// Writes each move's position into `points` and re-keys the point.
+/// A gid listed twice or not in `points` is a CheckFailure, raised
+/// before any point is written. Returns one AppliedMove per move, in
+/// order.
+std::vector<AppliedMove> apply_moves(std::vector<PointRec>& points,
+                                     std::span<const PointMove> moves);
 
 struct RepairResult {
   /// Keys of leaves in the repaired tree whose point bucket differs

@@ -332,26 +332,6 @@ TEST(BitonicSort, RejectsUnequalChunks) {
                CheckFailure);
 }
 
-TEST(RepartitionBySplitters, ExactIntervals) {
-  Runtime::run(4, [](RankCtx& ctx) {
-    // Global data 0..399, initially spread by rank; splitters at 0,100,200,300.
-    std::vector<Rec> data;
-    for (int i = 0; i < 100; ++i)
-      data.push_back({static_cast<std::uint64_t>(ctx.rank() + 4 * i), 0});
-    std::sort(data.begin(), data.end(),
-              [](const Rec& a, const Rec& b) { return a.key < b.key; });
-    std::vector<std::uint64_t> splitters = {0, 100, 200, 300};
-    repartition_by_splitters(
-        ctx.comm, data, splitters, [](const Rec& r) { return r.key; },
-        [](std::uint64_t a, std::uint64_t b) { return a < b; });
-    EXPECT_EQ(data.size(), 100u);
-    for (const Rec& r : data) {
-      EXPECT_GE(r.key, static_cast<std::uint64_t>(ctx.rank()) * 100);
-      EXPECT_LT(r.key, static_cast<std::uint64_t>(ctx.rank() + 1) * 100);
-    }
-  });
-}
-
 TEST(RebalanceEqual, EvensOutSkewedCounts) {
   Runtime::run(4, [](RankCtx& ctx) {
     // Rank 0 has everything.
@@ -364,31 +344,6 @@ TEST(RebalanceEqual, EvensOutSkewedCounts) {
     // Order preserved: rank k holds [100k, 100k+100).
     for (std::size_t i = 0; i < data.size(); ++i)
       EXPECT_EQ(data[i].key, static_cast<std::uint64_t>(ctx.rank()) * 100 + i);
-  });
-}
-
-TEST(WeightedPartition, BalancesSkewedWeights) {
-  Runtime::run(4, [](RankCtx& ctx) {
-    // Element weights: the first half of the global order is 10x heavier.
-    std::vector<Rec> data;
-    for (int i = 0; i < 250; ++i) {
-      const std::uint64_t gid = ctx.rank() * 250 + i;
-      data.push_back({gid, 0});
-    }
-    auto weight = [](const Rec& r) { return r.key < 500 ? 10.0 : 1.0; };
-    weighted_partition(ctx.comm, data, weight);
-
-    double my_w = 0.0;
-    for (const auto& r : data) my_w += weight(r);
-    const double total = ctx.comm.allreduce_sum(my_w);
-    // Each rank within 50% of the ideal share.
-    EXPECT_LT(my_w, 1.5 * total / 4);
-    EXPECT_GT(my_w, 0.5 * total / 4);
-    // Order preserved.
-    EXPECT_TRUE(std::is_sorted(data.begin(), data.end(),
-                               [](const Rec& a, const Rec& b) {
-                                 return a.key < b.key;
-                               }));
   });
 }
 
@@ -546,17 +501,6 @@ TEST(PointToPoint, ProbeSeesQueuedMessageWithoutConsuming) {
       EXPECT_EQ(ctx.comm.recv<int>(0, 9), std::vector<int>{11});
       EXPECT_FALSE(ctx.comm.probe(0, 9));
     }
-  });
-}
-
-TEST(WeightedPartition, ZeroWeightsFallBackToEqualCounts) {
-  Runtime::run(3, [](RankCtx& ctx) {
-    std::vector<Rec> data;
-    if (ctx.rank() == 1)
-      for (int i = 0; i < 300; ++i)
-        data.push_back({static_cast<std::uint64_t>(i), 0});
-    weighted_partition(ctx.comm, data, [](const Rec&) { return 0.0; });
-    EXPECT_EQ(data.size(), 100u);
   });
 }
 

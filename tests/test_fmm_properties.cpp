@@ -295,6 +295,45 @@ TEST(Failure, SetDensitiesWithMissingGidThrows) {
       CheckFailure);
 }
 
+/// Both update paths — the repair and the incremental_setup = off
+/// escape hatch — reject a gid listed twice and a gid this rank does
+/// not own, with the same messages.
+TEST(Failure, UpdatePointsRejectsBadMoves) {
+  kernels::LaplaceKernel kernel;
+  for (const bool incremental : {true, false}) {
+    FmmOptions opts;
+    opts.surface_n = 4;
+    opts.incremental_setup = incremental;
+    const Tables tables(kernel, opts);
+    comm::Runtime::run(2, [&](comm::RankCtx& ctx) {
+      auto pts = octree::generate_points(Distribution::kUniform, 400,
+                                         ctx.rank(), 2, 1, 3);
+      ParallelFmm fmm(ctx, tables);
+      fmm.setup(std::move(pts));
+      std::uint64_t own = 0;
+      for (const octree::LetNode& n : fmm.let().nodes)
+        if (n.owned && n.global_leaf && n.point_count > 0) {
+          own = fmm.let().points_of(n)[0].gid;
+          break;
+        }
+      auto expect_rejected = [&](const std::vector<octree::PointMove>& moves,
+                                 const std::string& message) {
+        try {
+          fmm.update_points(moves);
+          ADD_FAILURE() << "accepted bad moves, incremental=" << incremental;
+        } catch (const CheckFailure& e) {
+          EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+              << e.what();
+        }
+      };
+      const octree::PointMove m{own, {0.5, 0.5, 0.5}};
+      expect_rejected({m, m}, "duplicate gid in moves");
+      expect_rejected({{9999999, {0.5, 0.5, 0.5}}},
+                      "is not owned by this rank");
+    });
+  }
+}
+
 TEST(Failure, WithOptionsRejectsGeometryChange) {
   kernels::LaplaceKernel kernel;
   FmmOptions opts;

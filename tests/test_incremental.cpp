@@ -7,8 +7,8 @@
 /// identical to a from-scratch setup() on the same global point set,
 /// and the evaluation must account exactly the same model flops. The
 /// sweep pins this across kernels x distributions x churn rates x rank
-/// counts; further tests cover the repartition threshold policy, its
-/// hysteresis, and the incremental_setup escape hatch.
+/// counts; further tests cover the incremental_setup escape hatch, the
+/// 2:1 fallback and the repartition that keeps the partition canonical.
 
 #include <gtest/gtest.h>
 
@@ -322,71 +322,9 @@ TEST(IncrementalFallback, Balance2to1ForcesFullRebuild) {
     for (const auto& st : stats[r]) EXPECT_TRUE(st.full_rebuild);
 }
 
-/// Threshold mode: a threshold that any real two-rank imbalance
-/// exceeds triggers the full rebuild only after repart_hysteresis
-/// consecutive over-threshold calls — and never before the first
-/// evaluate (no summary, imbalance reads 0).
-TEST(IncrementalRepartition, ThresholdTriggersWithHysteresis) {
-  const int p = 2;
-  FmmOptions opts = small_opts();
-  opts.repart_imbalance_threshold = 1.0 + 1e-12;
-  opts.repart_hysteresis = 2;
-  auto kernel = kernels::make_kernel("laplace");
-  const Tables tables(*kernel, opts);
-
-  std::vector<std::vector<bool>> rebuilds(p);
-  std::mutex mu;
-  comm::Runtime::run(p, [&](comm::RankCtx& ctx) {
-    auto pts = octree::generate_points(Distribution::kCluster, 600,
-                                       ctx.rank(), p, tables.sdim(), 17);
-    ParallelFmm fmm(ctx, tables);
-    fmm.setup(std::move(pts));
-    std::vector<bool> mine;
-    fmm.update_points({});  // before any evaluate: imbalance == 0
-    mine.push_back(fmm.last_update_stats().full_rebuild);
-    (void)fmm.evaluate();
-    fmm.update_points({});  // over threshold, 1st consecutive call
-    mine.push_back(fmm.last_update_stats().full_rebuild);
-    fmm.update_points({});  // 2nd consecutive call -> rebuild
-    mine.push_back(fmm.last_update_stats().full_rebuild);
-    fmm.update_points({});  // counter reset by the rebuild
-    mine.push_back(fmm.last_update_stats().full_rebuild);
-    std::lock_guard<std::mutex> lock(mu);
-    rebuilds[ctx.rank()] = mine;
-  });
-  for (int r = 0; r < p; ++r) {
-    ASSERT_EQ(rebuilds[r].size(), 4u) << "rank " << r;
-    EXPECT_FALSE(rebuilds[r][0]) << "rank " << r;
-    EXPECT_FALSE(rebuilds[r][1]) << "rank " << r;
-    EXPECT_TRUE(rebuilds[r][2]) << "rank " << r;
-    EXPECT_FALSE(rebuilds[r][3]) << "rank " << r;
-  }
-}
-
-/// An unreachable threshold never triggers; the incremental path runs
-/// every step (and coasts without repartitioning — threshold mode
-/// leaves ownership alone below the bar).
-TEST(IncrementalRepartition, UnreachableThresholdNeverRebuilds) {
-  const Case c{"laplace", Distribution::kCluster, 0.2, 2};
-  auto kernel = kernels::make_kernel(c.kernel);
-  FmmOptions opts = small_opts();
-  opts.repart_imbalance_threshold = 1e9;
-  opts.repart_hysteresis = 1;
-
-  std::vector<std::vector<ParallelFmm::UpdateStats>> stats;
-  (void)run_incremental(*kernel, c, opts, nullptr, &stats);
-  for (int r = 0; r < c.p; ++r) {
-    ASSERT_EQ(stats[r].size(), std::size_t(kSteps));
-    for (const auto& st : stats[r]) {
-      EXPECT_FALSE(st.full_rebuild) << "rank " << r;
-      EXPECT_FALSE(st.repartitioned) << "rank " << r;
-    }
-  }
-}
-
-/// Track mode (threshold 0, the default) maintains the canonical
-/// partition: under heavy churn at p > 1 the destinations eventually
-/// shift and leaves migrate without any full rebuild.
+/// The repartition maintains the canonical partition: under heavy
+/// churn at p > 1 the destinations eventually shift and leaves migrate
+/// without any full rebuild.
 TEST(IncrementalRepartition, TrackModeMigratesWithoutRebuild) {
   const Case c{"laplace", Distribution::kCluster, 0.5, 2};
   auto kernel = kernels::make_kernel(c.kernel);
@@ -401,7 +339,7 @@ TEST(IncrementalRepartition, TrackModeMigratesWithoutRebuild) {
     }
   EXPECT_TRUE(any_repart)
       << "50% churn on a clustered distribution never moved a leaf "
-         "between ranks; the track-mode repartition is not engaging";
+         "between ranks; the repartition is not engaging";
 }
 
 }  // namespace

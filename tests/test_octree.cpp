@@ -601,6 +601,23 @@ TEST(LoadBalance, EqualizesSkewedWeights) {
   });
 }
 
+TEST(LoadBalance, ZeroWeightsFallBackToEqualCounts) {
+  comm::Runtime::run(3, [](comm::RankCtx& ctx) {
+    // All 300 leaves on rank 1, all weightless: equal leaf counts, in
+    // global order.
+    const std::vector<double> w(ctx.rank() == 1 ? 300 : 0, 0.0);
+    const auto dest = weighted_destinations(ctx.comm, w);
+    ASSERT_EQ(dest.size(), w.size());
+    std::vector<std::uint64_t> per_rank(3, 0);
+    for (int d : dest) ++per_rank[d];
+    const auto total = ctx.comm.allreduce(
+        std::span<const std::uint64_t>(per_rank),
+        [](std::uint64_t a, std::uint64_t b) { return a + b; });
+    EXPECT_EQ(total, (std::vector<std::uint64_t>{100, 100, 100}));
+    EXPECT_TRUE(std::is_sorted(dest.begin(), dest.end()));
+  });
+}
+
 TEST(LoadBalance, LetRebuildAfterMigrationIsComplete) {
   comm::Runtime::run(4, [](comm::RankCtx& ctx) {
     BuildParams bp;

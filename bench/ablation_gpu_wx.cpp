@@ -43,18 +43,17 @@ Outcome run_once(bool offload_wx, octree::Distribution dist, std::uint64_t n,
 
     // Modeled evaluation time: device kernels + transfers + CPU-side
     // phases at the paper core rate.
-    double host_flops = 0.0, wx_flops = 0.0;
-    for (const auto& [name, f] : ctx.flops.phases()) {
-      const bool wx = name == "eval.wli" || name == "eval.xli";
-      const bool dev_phase =
-          name == "eval.uli" || name == "eval.s2u" || name == "eval.d2t" ||
-          name == "eval.vli" || (wx && offload_wx);
-      if (!dev_phase) host_flops += static_cast<double>(f);
-      if (wx && !offload_wx) wx_flops += static_cast<double>(f);
-    }
+    const obs::RankMetrics& m = ctx.rec.metrics();
+    const double wx_flops =
+        m.counter("flops.eval.wli") + m.counter("flops.eval.xli");
+    double host_flops = m.sum("flops.");
+    for (const char* dev_phase : {"eval.uli", "eval.s2u", "eval.d2t",
+                                  "eval.vli"})
+      host_flops -= m.counter(std::string("flops.") + dev_phase);
+    if (offload_wx) host_flops -= wx_flops;
     out.eval_modeled = model.compute_time(static_cast<std::uint64_t>(host_flops)) +
                        dev.modeled_seconds();
-    out.wx_host_flops = wx_flops;
+    out.wx_host_flops = offload_wx ? 0.0 : wx_flops;
     for (const char* k : {"wli", "xli"}) {
       auto it = dev.kernels().find(k);
       if (it != dev.kernels().end())

@@ -55,12 +55,7 @@ Summary run_strategy(Strategy strat, int p, std::uint64_t per_rank, int q) {
   });
 
   std::vector<double> flops;
-  for (const auto& rep : reports) {
-    double f = 0.0;
-    for (const auto& [name, v] : rep.flop_phases)
-      if (name.rfind("eval.", 0) == 0) f += static_cast<double>(v);
-    flops.push_back(f);
-  }
+  for (const auto& rep : reports) flops.push_back(rep.sum("flops.eval."));
   return Summary::of(flops);
 }
 

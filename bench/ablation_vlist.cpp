@@ -38,7 +38,7 @@ int bench_main(int argc, char** argv) {
       (void)run_fmm(cfg, "laplace");
       cfg.n_points = n_points;
       Experiment exp = run_fmm(cfg, "laplace");
-      const double t = exp.reports[0].cpu_phases.at("eval.vli");
+      const double t = exp.reports[0].counter("time.eval.vli.cpu");
       const double f = exp.phase_flops("eval.vli")[0];
       const bool is_dense = mode == core::M2lMode::kDense;
       if (is_dense) dense_time = t;

@@ -5,6 +5,8 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <string_view>
+#include <utility>
 
 #include "obs/aggregate.hpp"
 #include "obs/hw.hpp"
@@ -113,6 +115,45 @@ obs::Json series_json(const std::vector<double>& per_rank) {
   return out;
 }
 
+/// Sends of the phases whose names start with `prefix`, from their
+/// `comm.<phase>.msgs_sent` / `.bytes_sent` counters.
+comm::CostTracker::Counters sent(const comm::RankReport& rep,
+                                 const std::string& prefix) {
+  comm::CostTracker::Counters c;
+  c.msgs_sent =
+      static_cast<std::uint64_t>(rep.sum("comm." + prefix, ".msgs_sent"));
+  c.bytes_sent =
+      static_cast<std::uint64_t>(rep.sum("comm." + prefix, ".bytes_sent"));
+  return c;
+}
+
+/// f(rep) for every rank, in rank order.
+template <class F>
+std::vector<double> per_rank(const std::vector<comm::RankReport>& reports,
+                             F f) {
+  std::vector<double> out;
+  out.reserve(reports.size());
+  for (const auto& rep : reports) out.push_back(f(rep));
+  return out;
+}
+
+/// Every phase with a `time.<phase>.cpu`, `flops.<phase>` or
+/// `comm.<phase>.msgs_sent` counter on some rank.
+std::set<std::string> phase_names(
+    const std::vector<comm::RankReport>& reports) {
+  static const std::pair<std::string_view, std::string_view> kFamilies[] = {
+      {"time.", ".cpu"}, {"flops.", ""}, {"comm.", ".msgs_sent"}};
+  std::set<std::string> names;
+  for (const auto& rep : reports)
+    for (const auto& [key, v] : rep.counters)
+      for (const auto& [pre, suf] : kFamilies)
+        if (key.size() > pre.size() + suf.size() && key.starts_with(pre) &&
+            key.ends_with(suf))
+          names.insert(
+              key.substr(pre.size(), key.size() - pre.size() - suf.size()));
+  return names;
+}
+
 }  // namespace
 
 void metrics_init(const Cli& cli, const std::string& bench_name) {
@@ -131,16 +172,10 @@ void metrics_init(const Cli& cli, const std::string& bench_name) {
   log.flow_trace = cli.has("flow-trace");
   log.flow_capacity = cli.get_int("flow-capacity", 0);
   log.health = cli.has("health");
-  const std::string rate = cli.get("health-sample-rate", "");
-  if (!rate.empty()) {
-    char* end = nullptr;
-    const double v = std::strtod(rate.c_str(), &end);
-    if (end == rate.c_str() || *end != '\0' || !(v >= 0.0 && v <= 1.0)) {
-      std::fprintf(stderr,
-                   "%s: --health-sample-rate must be in [0, 1], got '%s'\n",
-                   bench_name.c_str(), rate.c_str());
-      std::exit(2);
-    }
+  if (cli.has("health-sample-rate")) {
+    const double v = cli.get_double("health-sample-rate", 0.0);
+    PKIFMM_CHECK_MSG(v >= 0.0 && v <= 1.0,
+                     "--health-sample-rate must be in [0, 1], got " << v);
     log.health_rate_set = true;
     log.health_rate = v;
   }
@@ -194,27 +229,21 @@ void record_run(const std::string& kind, const ExperimentConfig& cfg,
   // thread-CPU + alpha-beta modeled comm (DESIGN.md §2), flops from the
   // analytic counters, msgs/bytes from the send ledger. Phase keys are
   // exact phase names; prefix aggregates ("eval.") are sums of these.
-  std::set<std::string> names;
-  for (const auto& rep : reports) {
-    for (const auto& [name, v] : rep.cpu_phases) names.insert(name);
-    for (const auto& [name, v] : rep.flop_phases) names.insert(name);
-    for (const auto& [name, v] : rep.cost.phases()) names.insert(name);
-  }
   obs::Json phases = obs::Json::object();
-  for (const std::string& name : names) {
+  for (const std::string& name : phase_names(reports)) {
     std::vector<double> time, cpu, comm_time, flops;
     std::uint64_t msgs = 0, bytes = 0;
     for (const auto& rep : reports) {
-      const auto cit = rep.cpu_phases.find(name);
-      const double c = cit == rep.cpu_phases.end() ? 0.0 : cit->second;
-      const auto cnt = rep.cost.get(name);
+      const double c = rep.counter("time." + name + ".cpu");
+      comm::CostTracker::Counters cnt;
+      cnt.msgs_sent = static_cast<std::uint64_t>(
+          rep.counter("comm." + name + ".msgs_sent"));
+      cnt.bytes_sent = static_cast<std::uint64_t>(
+          rep.counter("comm." + name + ".bytes_sent"));
       time.push_back(c + model.comm_time(cnt));
       cpu.push_back(c);
       comm_time.push_back(model.comm_time(cnt));
-      const auto fit = rep.flop_phases.find(name);
-      flops.push_back(fit == rep.flop_phases.end()
-                          ? 0.0
-                          : static_cast<double>(fit->second));
+      flops.push_back(rep.counter("flops." + name));
       msgs += cnt.msgs_sent;
       bytes += cnt.bytes_sent;
     }
@@ -229,12 +258,9 @@ void record_run(const std::string& kind, const ExperimentConfig& cfg,
     // was open (ranks share one address space, so deltas overlap —
     // max, not sum, is the honest per-phase figure).
     double rss_delta = 0.0;
-    for (const auto& rep : reports) {
-      const auto it =
-          rep.obs.counters.find("mem." + name + ".peak_rss_delta_bytes");
-      if (it != rep.obs.counters.end())
-        rss_delta = std::max(rss_delta, it->second);
-    }
+    for (const auto& rep : reports)
+      rss_delta = std::max(
+          rss_delta, rep.counter("mem." + name + ".peak_rss_delta_bytes"));
     ph.set("peak_rss_delta_bytes", rss_delta);
     phases.set(name, std::move(ph));
   }
@@ -246,122 +272,74 @@ void record_run(const std::string& kind, const ExperimentConfig& cfg,
 
   // Full per-rank snapshot (counters, histograms, span trace) in the
   // flat pkifmm.metrics.v1 schema.
-  std::vector<obs::RankMetrics> ranks;
-  ranks.reserve(reports.size());
-  for (const auto& rep : reports) ranks.push_back(rep.obs);
-  run.set("metrics", obs::metrics_to_json(ranks));
+  run.set("metrics", obs::metrics_to_json(reports));
   log.runs.push_back(std::move(run));
 
   // Chrome trace: buffer one per-run document; flush_metrics merges
   // them with a pid stride derived from the actual rank counts.
   if (!log.trace_path.empty())
-    log.trace_runs.push_back(obs::chrome_trace_json(ranks));
+    log.trace_runs.push_back(obs::chrome_trace_json(reports));
   if (!log.summary_path.empty() || !log.history_path.empty())
-    log.summary_runs.push_back(std::move(ranks));
+    log.summary_runs.push_back(reports);
   ++log.run_index;
 }
 
-namespace {
-
-template <class Map>
-double sum_prefix(const Map& m, const std::string& prefix) {
-  double total = 0.0;
-  for (const auto& [name, v] : m)
-    if (name.rfind(prefix, 0) == 0) total += static_cast<double>(v);
-  return total;
-}
-
-comm::CostTracker::Counters counters_prefix(const comm::CostTracker& cost,
-                                            const std::string& prefix) {
-  comm::CostTracker::Counters out;
-  for (const auto& [name, c] : cost.phases()) {
-    if (name.rfind(prefix, 0) != 0) continue;
-    out.msgs_sent += c.msgs_sent;
-    out.bytes_sent += c.bytes_sent;
-    out.msgs_recv += c.msgs_recv;
-    out.bytes_recv += c.bytes_recv;
-  }
-  return out;
-}
-
-}  // namespace
-
 std::vector<double> Experiment::phase_times(const std::string& prefix) const {
-  std::vector<double> out;
-  out.reserve(reports.size());
-  for (const auto& rep : reports) {
-    const double cpu = sum_prefix(rep.cpu_phases, prefix);
-    const auto c = counters_prefix(rep.cost, prefix);
-    out.push_back(cpu + model.comm_time(c));
-  }
-  return out;
+  return per_rank(reports, [&](const comm::RankReport& rep) {
+    return rep.sum("time." + prefix, ".cpu") +
+           model.comm_time(sent(rep, prefix));
+  });
 }
 
 std::vector<double> Experiment::phase_cpu(const std::string& prefix) const {
-  std::vector<double> out;
-  out.reserve(reports.size());
-  for (const auto& rep : reports)
-    out.push_back(sum_prefix(rep.cpu_phases, prefix));
-  return out;
+  return per_rank(reports, [&](const comm::RankReport& rep) {
+    return rep.sum("time." + prefix, ".cpu");
+  });
 }
 
 std::vector<double> Experiment::obs_counter(const std::string& name) const {
-  std::vector<double> out;
-  out.reserve(reports.size());
-  for (const auto& rep : reports) {
-    const auto it = rep.obs.counters.find(name);
-    out.push_back(it == rep.obs.counters.end() ? 0.0 : it->second);
-  }
-  return out;
+  return per_rank(reports, [&](const comm::RankReport& rep) {
+    return rep.counter(name);
+  });
 }
 
 std::vector<double> Experiment::phase_flops(const std::string& prefix) const {
-  std::vector<double> out;
-  out.reserve(reports.size());
-  for (const auto& rep : reports)
-    out.push_back(sum_prefix(rep.flop_phases, prefix));
-  return out;
+  return per_rank(reports, [&](const comm::RankReport& rep) {
+    return rep.sum("flops." + prefix);
+  });
 }
 
 std::vector<double> Experiment::comm_times(const std::string& prefix) const {
-  std::vector<double> out;
-  out.reserve(reports.size());
-  for (const auto& rep : reports)
-    out.push_back(model.comm_time(counters_prefix(rep.cost, prefix)));
-  return out;
+  return per_rank(reports, [&](const comm::RankReport& rep) {
+    return model.comm_time(sent(rep, prefix));
+  });
 }
 
 std::uint64_t Experiment::total_msgs(const std::string& prefix) const {
   std::uint64_t total = 0;
-  for (const auto& rep : reports)
-    total += counters_prefix(rep.cost, prefix).msgs_sent;
+  for (const auto& rep : reports) total += sent(rep, prefix).msgs_sent;
   return total;
 }
 
 std::uint64_t Experiment::total_bytes(const std::string& prefix) const {
   std::uint64_t total = 0;
-  for (const auto& rep : reports)
-    total += counters_prefix(rep.cost, prefix).bytes_sent;
+  for (const auto& rep : reports) total += sent(rep, prefix).bytes_sent;
   return total;
 }
 
 std::uint64_t Experiment::max_msgs(const std::string& prefix) const {
   std::uint64_t m = 0;
   for (const auto& rep : reports)
-    m = std::max(m, counters_prefix(rep.cost, prefix).msgs_sent);
+    m = std::max(m, sent(rep, prefix).msgs_sent);
   return m;
 }
 
 std::vector<double> Experiment::paper_times(const std::string& prefix) const {
-  std::vector<double> out;
-  out.reserve(reports.size());
-  for (const auto& rep : reports) {
-    const double flops = sum_prefix(rep.flop_phases, prefix);
-    const auto c = counters_prefix(rep.cost, prefix);
-    out.push_back(model.compute_time(static_cast<std::uint64_t>(flops)) +
-                  model.comm_time(c));
-  }
-  return out;
+  return per_rank(reports, [&](const comm::RankReport& rep) {
+    return model.compute_time(
+               static_cast<std::uint64_t>(rep.sum("flops." + prefix))) +
+           model.comm_time(sent(rep, prefix));
+  });
 }
 
 std::vector<double> GpuRun::device_times(const std::string& kernel) const {
@@ -379,17 +357,13 @@ std::vector<double> GpuRun::host_times() const {
   static const char* kHostPhases[] = {"eval.s2u.host", "eval.vli.host",
                                       "eval.u2u", "eval.down", "eval.xli",
                                       "eval.wli"};
-  std::vector<double> out;
-  out.reserve(reports.size());
-  for (const auto& rep : reports) {
+  return per_rank(reports, [&](const comm::RankReport& rep) {
     double flops = 0.0;
     for (const char* ph : kHostPhases)
-      flops += sum_prefix(rep.flop_phases, ph);
-    const auto c = counters_prefix(rep.cost, "eval.comm");
-    out.push_back(model.compute_time(static_cast<std::uint64_t>(flops)) +
-                  model.comm_time(c));
-  }
-  return out;
+      flops += rep.sum(std::string("flops.") + ph);
+    return model.compute_time(static_cast<std::uint64_t>(flops)) +
+           model.comm_time(sent(rep, "eval.comm"));
+  });
 }
 
 std::vector<double> GpuRun::eval_times() const {

@@ -52,10 +52,6 @@ struct Experiment {
     auto t = phase_times(prefix);
     return Summary::of(t);
   }
-  Summary flop_summary(const std::string& prefix) const {
-    auto f = phase_flops(prefix);
-    return Summary::of(f);
-  }
 
   /// Per-rank measured thread-CPU seconds over matching phases (no
   /// modeled comm term — the denominator for achieved-flop-rate math).

@@ -43,8 +43,7 @@ int bench_main(int argc, char** argv) {
       ge.run();
       footprint = ge.gpu_let().footprint_bytes();
       translate = ctx.timer.get_cpu("gpu.translate");
-      for (const auto& [name, secs] : ctx.timer.cpu_phases())
-        if (name.rfind("eval.", 0) == 0) eval += secs;
+      eval = ctx.rec.metrics().sum("time.eval.", ".cpu");
     });
     table.add_row({with_commas(n), sci(translate), sci(eval),
                    fixed(100.0 * translate / eval, 1) + "%",

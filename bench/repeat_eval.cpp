@@ -99,7 +99,10 @@ int bench_main(int argc, char** argv) {
   metrics_init(cli, "repeat_eval");
   const int p = static_cast<int>(cli.get_int("p", 4));
   const auto n = static_cast<std::uint64_t>(cli.get_int("n", 20000));
-  const int steps = static_cast<int>(cli.get_int("steps", 5));
+  const std::int64_t steps_arg = cli.get_int("steps", 5);
+  PKIFMM_CHECK_MSG(steps_arg >= 1,
+                   "--steps must be at least 1, got " << steps_arg);
+  const int steps = static_cast<int>(steps_arg);
   const int threads = static_cast<int>(cli.get_int("threads", 1));
   const bool clamp = cli.get_bool("clamp", true);
   const bool overhead_check = cli.has("health-overhead-check");

@@ -54,10 +54,8 @@ int bench_main(int argc, char** argv) {
 
     const comm::CostModel model = run.model;
     auto host_flops = [&](const char* phase) {
-      double f = 0.0;
-      for (const auto& [name, v] : run.reports[0].flop_phases)
-        if (name.rfind(phase, 0) == 0) f += static_cast<double>(v);
-      return model.compute_time(static_cast<std::uint64_t>(f));
+      return model.compute_time(static_cast<std::uint64_t>(
+          run.reports[0].sum(std::string("flops.") + phase)));
     };
     const double up = run.device_times("s2u")[0] + host_flops("eval.s2u.host") +
                       host_flops("eval.u2u");

@@ -49,7 +49,10 @@ int bench_main(int argc, char** argv) {
   metrics_init(cli, "timestep");
   const int p = static_cast<int>(cli.get_int("p", 4));
   const auto n = static_cast<std::uint64_t>(cli.get_int("n", 20000));
-  const int steps = static_cast<int>(cli.get_int("steps", 4));
+  const std::int64_t steps_arg = cli.get_int("steps", 4);
+  PKIFMM_CHECK_MSG(steps_arg >= 1,
+                   "--steps must be at least 1, got " << steps_arg);
+  const int steps = static_cast<int>(steps_arg);
   const bool do_eval = cli.get_bool("eval", false);
   const auto dist =
       octree::distribution_from_name(cli.get("dist", "ellipsoid"));

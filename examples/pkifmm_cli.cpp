@@ -52,7 +52,10 @@ static int example_main(int argc, char** argv) {
   const std::string kernel_name = cli.get("kernel", "laplace");
   const auto dist = octree::distribution_from_name(cli.get("dist", "uniform"));
   const bool gradient = cli.get_bool("gradient", false);
-  const auto check = static_cast<std::size_t>(cli.get_int("check", 0));
+  const std::int64_t check_arg = cli.get_int("check", 0);
+  PKIFMM_CHECK_MSG(check_arg >= 0,
+                   "--check must be at least 0, got " << check_arg);
+  const auto check = static_cast<std::size_t>(check_arg);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
 
   auto kernel = kernels::make_kernel(kernel_name);
@@ -136,13 +139,8 @@ static int example_main(int argc, char** argv) {
   auto row = [&](const char* name, const char* prefix) {
     std::vector<double> t, f;
     for (const auto& rep : reports) {
-      double ct = 0, cf = 0;
-      for (const auto& [ph, v] : rep.cpu_phases)
-        if (ph.rfind(prefix, 0) == 0) ct += v;
-      for (const auto& [ph, v] : rep.flop_phases)
-        if (ph.rfind(prefix, 0) == 0) cf += double(v);
-      t.push_back(ct);
-      f.push_back(cf);
+      t.push_back(rep.sum(std::string("time.") + prefix, ".cpu"));
+      f.push_back(rep.sum(std::string("flops.") + prefix));
     }
     const Summary st = Summary::of(t), sf = Summary::of(f);
     table.add_row({name, sci(st.max), sci(st.avg), sci(sf.max), sci(sf.avg)});

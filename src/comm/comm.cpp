@@ -30,18 +30,11 @@ void Comm::barrier() {
 
 namespace {
 
-/// Folds the flat per-phase tables into `m.counters` under the
-/// canonical names documented in obs/export.hpp. Shared by the
-/// Runtime::run epilogue and snapshot_with_counters so a mid-run
-/// snapshot and the final report can never use different spellings.
-void fold_flat_counters(obs::RankMetrics& m, const PhaseTimer& timer,
-                        const FlopCounter& flops, const CostTracker& cost) {
-  for (const auto& [name, v] : timer.phases())
-    m.counters["time." + name + ".wall"] += v;
-  for (const auto& [name, v] : timer.cpu_phases())
-    m.counters["time." + name + ".cpu"] += v;
-  for (const auto& [name, v] : flops.phases())
-    m.counters["flops." + name] += static_cast<double>(v);
+/// Folds the cost tracker's per-phase, per-destination and collective
+/// tables into `m.counters` under the canonical names documented in
+/// obs/export.hpp. PhaseTimer and FlopCounter need no fold: they write
+/// their `time.*` and `flops.*` counters into the recorder directly.
+void fold_flat_counters(obs::RankMetrics& m, const CostTracker& cost) {
   for (const auto& [name, c] : cost.phases()) {
     m.counters["comm." + name + ".msgs_sent"] +=
         static_cast<double>(c.msgs_sent);
@@ -85,7 +78,7 @@ void fold_flat_counters(obs::RankMetrics& m, const PhaseTimer& timer,
 obs::RankMetrics snapshot_with_counters(const RankCtx& ctx) {
   obs::RankMetrics m = ctx.rec.snapshot();
   m.gauges["obs.epoch"] = ctx.rec.epoch();
-  fold_flat_counters(m, ctx.timer, ctx.flops, ctx.comm.cost());
+  fold_flat_counters(m, ctx.comm.cost());
   // A still-bound flow recorder hasn't published into ctx.rec yet; fold
   // it into this copy so mid-run snapshots carry the flow data too.
   // (Once published, the events live in the recorder snapshot already.)
@@ -101,20 +94,18 @@ std::vector<RankReport> run_impl(int nranks, int pool_workers,
                                  const std::function<void(RankCtx&)>& fn) {
   PKIFMM_CHECK(nranks >= 1);
   Fabric fabric(nranks);
-  obs::Registry registry;  // per-run, per-rank scoped recorders
   std::vector<RankReport> reports(nranks);
 
   std::mutex err_mu;
   std::exception_ptr first_error;
 
   auto body = [&](int rank) {
+    // Declared first, so it outlives everything bound to it below.
+    obs::Recorder rec(rank);
     CostTracker cost;
-    PhaseTimer timer;
-    FlopCounter flops;
-    obs::Recorder& rec = registry.recorder(rank);
     cost.bind(&rec);
-    timer.bind(&rec);
-    flops.bind(&rec);
+    PhaseTimer timer(rec);
+    FlopCounter flops(rec);
     // Thread-scoped hardware counters: constructed HERE, on the rank
     // thread, so the perf fds count this rank's execution. Falls back
     // to rusage-only sampling where perf_event_open is denied.
@@ -136,23 +127,11 @@ std::vector<RankReport> run_impl(int nranks, int pool_workers,
       }
       fabric.poison();
     }
-    // Publish the flat maps as canonical obs counters (naming scheme
-    // documented in obs/export.hpp) so one snapshot carries everything.
     if (pool) pool->fold_stats(rec);  // any scheduler residue since the
                                       // evaluator's own fold
-    RankReport& rep = reports[rank];
     rec.gauge_set("mem.peak_rss_bytes",
                   static_cast<double>(obs::peak_rss_bytes()));
-    rep.obs = rec.snapshot();
-    rep.obs.gauges["obs.epoch"] = rec.epoch();
-    fold_flat_counters(rep.obs, timer, flops, cost);
-    rec.bind_hw(nullptr);  // hw dies with this scope
-    cost.bind(nullptr);    // the recorder dies with this run
-    rep.cost = std::move(cost);
-    rep.time_phases = timer.phases();
-    rep.cpu_phases = timer.cpu_phases();
-    rep.flop_phases = flops.phases();
-    rep.total_flops = flops.total();
+    reports[rank] = snapshot_with_counters(ctx);
   };
 
   if (nranks == 1) {

@@ -13,12 +13,11 @@
 /// implementation rather than magic shared memory.
 ///
 /// Every rank runs as a thread of one process; Runtime::run launches
-/// them and collects per-rank reports (time phases, flop phases,
+/// them and returns each rank's obs snapshot (time phases, flop phases,
 /// communication counters) that the benches aggregate exactly the way
 /// the paper reports "Max."/"Avg." across processes.
 
 #include <functional>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -256,25 +255,18 @@ struct RankCtx {
   int size() const { return comm.size(); }
 };
 
-/// Per-rank measurement snapshot returned by Runtime::run. The legacy
-/// flat maps remain for existing aggregation code; `obs` carries the
-/// same data (and the span trace) in canonical counter form — see
-/// obs/export.hpp for the naming scheme.
-struct RankReport {
-  CostTracker cost;
-  std::map<std::string, double> time_phases;      ///< wall seconds
-  std::map<std::string, double> cpu_phases;       ///< thread-CPU seconds
-  std::map<std::string, std::uint64_t> flop_phases;
-  std::uint64_t total_flops = 0;
-  obs::RankMetrics obs;                           ///< spans + counters
-};
+/// Per-rank measurement snapshot returned by Runtime::run: the rank's
+/// recorder (spans, `time.*`, `flops.*` and every other counter) with
+/// the cost tracker folded in — see snapshot_with_counters and, for the
+/// counter names, obs/export.hpp.
+using RankReport = obs::RankMetrics;
 
-/// Copy of ctx.rec's snapshot with the flat timer/flop/cost tables
-/// folded in as the canonical `time.*` / `flops.*` / `comm.*` /
-/// `commx.*` / `coll.*` counters and the `obs.epoch` gauge — exactly
-/// what Runtime::run publishes into RankReport::obs at the end of the
-/// run, but available mid-run (core::ParallelFmm gathers it across
-/// ranks at the end of evaluate() to build the cross-rank summary).
+/// Copy of ctx.rec's snapshot with the cost tracker's tables folded in
+/// as the canonical `comm.*` / `commx.*` / `coll.*` /
+/// `health.comm.payload_*` counters, plus the `obs.epoch` gauge.
+/// Runtime::run stores exactly this as the rank's RankReport at the end
+/// of the run; a caller that wants a cross-rank summary mid-run takes
+/// it and passes it to obs::gather_metrics (obs/aggregate.hpp).
 obs::RankMetrics snapshot_with_counters(const RankCtx& ctx);
 
 /// Launches p simulated ranks (threads) running fn and returns their

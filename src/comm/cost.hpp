@@ -156,33 +156,12 @@ class CostTracker {
     return it == phases_.end() ? Counters{} : it->second;
   }
 
-  Counters total() const {
-    Counters t;
-    for (const auto& [name, c] : phases_) {
-      t.msgs_sent += c.msgs_sent;
-      t.bytes_sent += c.bytes_sent;
-      t.msgs_recv += c.msgs_recv;
-      t.bytes_recv += c.bytes_recv;
-    }
-    return t;
-  }
-
   const std::map<std::string, Counters>& phases() const { return phases_; }
 
   /// phase -> destination rank -> sends charged to that (dst, phase).
   const std::map<std::string, std::map<int, PeerCounters>>& peer_sends()
       const {
     return peer_sends_;
-  }
-
-  void clear() {
-    phases_.clear();
-    peer_sends_.clear();
-    collectives_.clear();
-    total_msgs_sent_ = 0;
-    total_bytes_sent_ = 0;
-    payload_sent_ = 0.0;
-    payload_recv_ = 0.0;
   }
 
  private:

@@ -23,8 +23,8 @@ bool range_overlaps(Bits begin, Bits end, const std::vector<Bits>& splitters,
   return begin < s_hi && s_lo < end;
 }
 
-}  // namespace
-
+/// True iff some rank in [rank_lo, rank_hi] uses octant beta, i.e. the
+/// neighborhood of beta's parent overlaps that key-space range.
 bool interest_overlaps(const Key& beta, const std::vector<Bits>& splitters,
                        int rank_lo, int rank_hi) {
   if (rank_lo > rank_hi) return false;
@@ -37,13 +37,13 @@ bool interest_overlaps(const Key& beta, const std::vector<Bits>& splitters,
   return false;
 }
 
+/// True iff beta is "shared": some rank other than `self` contributes
+/// to or uses beta.
 bool is_shared(const Key& beta, const std::vector<Bits>& splitters, int self) {
   const int p = static_cast<int>(splitters.size());
   return interest_overlaps(beta, splitters, 0, self - 1) ||
          interest_overlaps(beta, splitters, self + 1, p - 1);
 }
-
-namespace {
 
 using Pool = std::map<Key, std::vector<double>>;
 

@@ -41,16 +41,4 @@ void reduce_upward_densities(comm::Comm& c, const octree::Let& let,
                              int eq_len, std::span<double> u,
                              ReduceMode mode);
 
-/// True iff some rank in [rank_lo, rank_hi] uses octant beta, i.e. the
-/// neighborhood of beta's parent overlaps that key-space range. Exposed
-/// for tests and for the GPU driver.
-bool interest_overlaps(const morton::Key& beta,
-                       const std::vector<morton::Bits>& splitters,
-                       int rank_lo, int rank_hi);
-
-/// True iff beta is "shared": some rank other than `self` contributes
-/// to or uses beta.
-bool is_shared(const morton::Key& beta,
-               const std::vector<morton::Bits>& splitters, int self);
-
 }  // namespace pkifmm::core

@@ -34,13 +34,14 @@ AutotuneResult autotune_q(const core::Tables& base_tables,
 
       // Host-resident phases at the model CPU rate; device phases from
       // the roofline model.
-      std::uint64_t host_flops = 0;
-      for (const auto& [name, f] : ctx.flops.phases()) {
-        const bool on_device = name == "eval.uli" || name == "eval.s2u" ||
-                               name == "eval.d2t" || name == "eval.vli";
-        if (!on_device) host_flops += f;
-      }
-      modeled = model.compute_time(host_flops) + dev.modeled_seconds();
+      const obs::RankMetrics& m = ctx.rec.metrics();
+      double host_flops = m.sum("flops.");
+      for (const char* on_device : {"eval.uli", "eval.s2u", "eval.d2t",
+                                    "eval.vli"})
+        host_flops -= m.counter(std::string("flops.") + on_device);
+      modeled =
+          model.compute_time(static_cast<std::uint64_t>(host_flops)) +
+          dev.modeled_seconds();
     });
     result.modeled_seconds[q] = modeled;
     if (result.best_q == 0 || modeled < best) {

@@ -33,7 +33,7 @@ Workspace make_workspace(StreamDevice& dev, const GpuLet& g) {
 
 std::uint64_t run_uli(StreamDevice& dev, const GpuLet& g, Workspace& ws) {
   const int b = g.block;
-  std::uint64_t total_flops = 0;
+  std::uint64_t recorded = 0;
   std::vector<float> acc(b);
 
   dev.launch("uli", g.chunks(), b, [&](BlockCtx& ctx) {
@@ -86,9 +86,9 @@ std::uint64_t run_uli(StreamDevice& dev, const GpuLet& g, Workspace& ws) {
     for (int tid = 0; tid < valid; ++tid)
       ws.f.data()[t0 + tid] += kOneOver4Pi * acc[tid];
     ctx.store_global(sizeof(float) * std::max(valid, 0));
-    total_flops = ctx.recorded_flops();
+    recorded = ctx.recorded_flops();
   });
-  return total_flops;
+  return recorded;
 }
 
 std::vector<float> run_s2u_check(StreamDevice& dev, const GpuLet& g,
@@ -150,7 +150,7 @@ std::uint64_t run_d2t(StreamDevice& dev, const GpuLet& g,
   const int m = g.m;
   PKIFMM_CHECK(d_per_box.size() == g.boxes.size() * static_cast<std::size_t>(m));
   auto dd = dev.to_device(std::span<const float>(d_per_box));
-  std::uint64_t total_flops = 0;
+  std::uint64_t recorded = 0;
 
   dev.launch("d2t", g.chunks(), b, [&](BlockCtx& ctx) {
     const std::size_t blk = ctx.block_index();
@@ -182,9 +182,9 @@ std::uint64_t run_d2t(StreamDevice& dev, const GpuLet& g,
     }
     ctx.flops(10ull * std::max(valid, 0) * m);
     ctx.store_global(sizeof(float) * std::max(valid, 0));
-    total_flops = ctx.recorded_flops();
+    recorded = ctx.recorded_flops();
   });
-  return total_flops;
+  return recorded;
 }
 
 std::vector<std::complex<float>> run_vli_diag(StreamDevice& dev,
@@ -227,7 +227,7 @@ std::uint64_t run_wli(StreamDevice& dev, const GpuLet& g,
   const int m = g.m;
   PKIFMM_CHECK(u_per_slot.size() == g.wsrc_node.size() * std::size_t(m));
   auto uu = dev.to_device(std::span<const float>(u_per_slot));
-  std::uint64_t total_flops = 0;
+  std::uint64_t recorded = 0;
 
   dev.launch("wli", g.chunks(), b, [&](BlockCtx& ctx) {
     const std::size_t blk = ctx.block_index();
@@ -264,9 +264,9 @@ std::uint64_t run_wli(StreamDevice& dev, const GpuLet& g,
       ctx.flops(10ull * std::max(valid, 0) * m);
     }
     ctx.store_global(sizeof(float) * std::max(valid, 0));
-    total_flops = ctx.recorded_flops();
+    recorded = ctx.recorded_flops();
   });
-  return total_flops;
+  return recorded;
 }
 
 std::vector<float> run_xli(StreamDevice& dev, const GpuLet& g,

@@ -37,11 +37,6 @@ Json stats_json(const Accumulator& a) {
   return out;
 }
 
-double counter_of(const RankMetrics& rm, const std::string& name) {
-  auto it = rm.counters.find(name);
-  return it == rm.counters.end() ? 0.0 : it->second;
-}
-
 /// Parses "commx.<phase>.dst<k>.msgs|bytes"; returns false for
 /// anything else.
 bool parse_commx(const std::string& name, std::string& phase, int& dst,
@@ -356,7 +351,7 @@ Json summarize_runs(const std::string& bench,
     for (const std::string& name : names) {
       if (name.starts_with("commx.")) continue;  // matrix carries these
       Accumulator acc;
-      for (const RankMetrics& rm : ranks) acc.add(counter_of(rm, name));
+      for (const RankMetrics& rm : ranks) acc.add(rm.counter(name));
       metric_aggs[name].merge(acc);
     }
 
@@ -413,13 +408,13 @@ Json summarize_runs(const std::string& bench,
         rank_busy[i] = s_wall;
         double r_wall, r_cpu;
         if (from_counters) {
-          r_wall = counter_of(rm, "time." + phase + ".wall");
-          r_cpu = counter_of(rm, "time." + phase + ".cpu");
+          r_wall = rm.counter("time." + phase + ".wall");
+          r_cpu = rm.counter("time." + phase + ".cpu");
           wall.add(r_wall);
           cpu.add(r_cpu);
-          flops.add(counter_of(rm, "flops." + phase));
-          msgs.add(counter_of(rm, "comm." + phase + ".msgs_sent"));
-          bytes.add(counter_of(rm, "comm." + phase + ".bytes_sent"));
+          flops.add(rm.counter("flops." + phase));
+          msgs.add(rm.counter("comm." + phase + ".msgs_sent"));
+          bytes.add(rm.counter("comm." + phase + ".bytes_sent"));
         } else {
           r_wall = s_wall;
           r_cpu = s_cpu;

@@ -29,7 +29,9 @@
 /// phase indexes flow_phases; t0/t1 are seconds relative to the
 /// recorder epoch).
 ///
-/// Canonical counter names written by comm::Runtime for every rank:
+/// Canonical counter names of every rank. PhaseTimer and FlopCounter
+/// write theirs into the recorder as they go; comm::snapshot_with_counters
+/// (and so every comm::RankReport) folds in the CostTracker's:
 ///   time.<phase>.wall / time.<phase>.cpu     seconds (PhaseTimer)
 ///   flops.<phase>                            analytic flops (FlopCounter)
 ///   comm.<phase>.msgs_sent / .bytes_sent     per-phase sends (CostTracker)

@@ -81,14 +81,8 @@ std::mutex g_inj_mutex;
 bool g_inj_env_read = false;
 std::optional<Injection> g_injection;
 
-}  // namespace
-
-void set_injection(std::optional<Injection> inj) {
-  std::lock_guard<std::mutex> lk(g_inj_mutex);
-  g_injection = inj;
-  g_inj_env_read = true;  // tests own the slot; skip the env from now on
-}
-
+/// The active injection: the test override if set, else the parsed
+/// PKIFMM_INJECT_CORRUPTION env var (read once), else nullopt.
 std::optional<Injection> current_injection() {
   std::lock_guard<std::mutex> lk(g_inj_mutex);
   if (!g_inj_env_read) {
@@ -98,6 +92,14 @@ std::optional<Injection> current_injection() {
     }
   }
   return g_injection;
+}
+
+}  // namespace
+
+void set_injection(std::optional<Injection> inj) {
+  std::lock_guard<std::mutex> lk(g_inj_mutex);
+  g_injection = inj;
+  g_inj_env_read = true;  // tests own the slot; skip the env from now on
 }
 
 bool maybe_inject(InjectPhase phase, int rank, std::span<double> chunk) {

@@ -149,11 +149,9 @@ struct Injection {
 std::optional<Injection> parse_injection(const std::string& spec);
 
 /// Overrides the process-wide injection (tests). nullopt clears it.
+/// Without an override, the PKIFMM_INJECT_CORRUPTION env var is parsed
+/// once and used.
 void set_injection(std::optional<Injection> inj);
-
-/// The active injection: the test override if set, else the parsed
-/// PKIFMM_INJECT_CORRUPTION env var (read once), else nullopt.
-std::optional<Injection> current_injection();
 
 /// If the active injection targets (phase, rank), corrupts element 0
 /// of `chunk` accordingly and returns true. Callers count a hit via

@@ -68,6 +68,22 @@ bool Histogram::operator==(const Histogram& other) const {
          std::equal(buckets_, buckets_ + kBuckets, other.buckets_);
 }
 
+double RankMetrics::counter(const std::string& name) const {
+  auto it = counters.find(name);
+  return it == counters.end() ? 0.0 : it->second;
+}
+
+double RankMetrics::sum(const std::string& prefix,
+                        const std::string& suffix) const {
+  double total = 0.0;
+  for (auto it = counters.lower_bound(prefix);
+       it != counters.end() && it->first.starts_with(prefix); ++it)
+    if (it->first.size() >= prefix.size() + suffix.size() &&
+        it->first.ends_with(suffix))
+      total += it->second;
+  return total;
+}
+
 double RankMetrics::child_wall_sum(std::size_t i) const {
   double total = 0.0;
   for (const SpanEvent& e : spans)
@@ -164,31 +180,6 @@ void Recorder::record_flows(const std::vector<FlowEvent>& flows,
     e.phase = remap[static_cast<std::size_t>(e.phase)];
     metrics_.flows.push_back(e);
   }
-}
-
-Recorder& Registry::recorder(int rank) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& r = recorders_[rank];
-  if (!r) r = std::make_unique<Recorder>(rank);
-  return *r;
-}
-
-std::vector<RankMetrics> Registry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<RankMetrics> out;
-  out.reserve(recorders_.size());
-  for (const auto& [rank, rec] : recorders_) out.push_back(rec->snapshot());
-  return out;
-}
-
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  recorders_.clear();
-}
-
-Registry& Registry::global() {
-  static Registry g;
-  return g;
 }
 
 }  // namespace pkifmm::obs

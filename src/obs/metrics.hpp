@@ -1,32 +1,32 @@
 #pragma once
 /// \file metrics.hpp
-/// \brief Process-wide observability: metrics registry + span tracer.
+/// \brief Per-rank observability: metrics recorder + span tracer.
 ///
 /// The paper's evidence is per-phase, per-rank accounting (Table II's
 /// Max/Avg time-and-flops breakdown, Fig. 5's per-rank flop variance,
 /// the message/round counts behind the hypercube reduce-scatter claim).
 /// obs is the single substrate all of that reports into:
 ///
-///  - Recorder: one per simulated rank. Counters, gauges, per-phase
+///  - Recorder: one per simulated rank, owned by the rank's thread
+///    (comm::Runtime creates it). Counters, gauges, per-phase
 ///    histograms, and a span-based tracer. Every completed span records
 ///    (name, start, wall, cpu, flops, msgs, bytes, parent) where the
 ///    flop/msg/byte attribution is the delta of the rank totals between
 ///    span open and close — so nested spans never double-count.
-///  - Registry: process-wide owner of Recorders with per-rank scoping.
-///    comm::Runtime binds one Recorder per rank; standalone code can use
-///    Registry::global().
+///    util::PhaseTimer and util::FlopCounter write their `time.*` and
+///    `flops.*` counters here; they keep no tables of their own.
+///  - RankMetrics: a copy of everything one Recorder holds. It is what
+///    comm::Runtime::run returns per rank (comm::RankReport), and its
+///    counter() / sum() are the one reader of the canonical counters.
 ///
 /// Exporters (export.hpp) turn Recorder snapshots into a flat
 /// metrics.json and a Chrome trace_event JSON.
 ///
 /// Recorder is intentionally NOT thread-safe: each simulated rank owns
-/// its Recorder, mirroring PhaseTimer/FlopCounter. Registry's recorder
-/// lookup is mutex-guarded so ranks can bind concurrently.
+/// its Recorder.
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -128,6 +128,17 @@ struct RankMetrics {
   std::vector<FlowEvent> flows;          ///< per-message trace (flow on)
   std::vector<std::string> flow_phases;  ///< interned phase names
 
+  /// Value of counter `name`, 0 when the rank never recorded it.
+  double counter(const std::string& name) const;
+
+  /// Sum of the counters whose names start with `prefix` and end with
+  /// `suffix` (the two may not overlap), e.g. sum("time.eval.", ".cpu")
+  /// is the CPU seconds of every evaluation phase. Only the `time.`,
+  /// `flops.` and `comm.` families may be prefix-summed: their phases
+  /// are disjoint, while `hw.*` and `mem.*` are inclusive per span name
+  /// (obs/export.hpp) and must be read by exact name.
+  double sum(const std::string& prefix, const std::string& suffix = "") const;
+
   /// Sum of wall seconds over the direct children of span `i`. The
   /// tracer invariant (asserted in tests) is child_wall_sum(i) <=
   /// spans[i].wall up to scheduler noise.
@@ -154,8 +165,7 @@ class Recorder {
     metrics_.counters[name] += v;
   }
   double counter(const std::string& name) const {
-    auto it = metrics_.counters.find(name);
-    return it == metrics_.counters.end() ? 0.0 : it->second;
+    return metrics_.counter(name);
   }
   void gauge_set(const std::string& name, double v) {
     metrics_.gauges[name] = v;
@@ -255,19 +265,6 @@ class Recorder {
   /// Copy of the snapshot; open spans are not included.
   RankMetrics snapshot() const { return metrics_; }
 
-  void clear() {
-    metrics_.counters.clear();
-    metrics_.gauges.clear();
-    metrics_.histograms.clear();
-    metrics_.spans.clear();
-    metrics_.flows.clear();
-    metrics_.flow_phases.clear();
-    PKIFMM_CHECK_MSG(open_.empty(), "clear() with open spans");
-    flops_total_ = 0;
-    msgs_total_ = 0;
-    bytes_total_ = 0;
-  }
-
  private:
   friend class Span;
 
@@ -290,30 +287,6 @@ class Recorder {
   std::uint64_t flops_total_ = 0;
   std::uint64_t msgs_total_ = 0;
   std::uint64_t bytes_total_ = 0;
-};
-
-/// Process-wide registry of per-rank Recorders. One Registry per SPMD
-/// execution (comm::Runtime creates one per run); Registry::global()
-/// serves code outside a Runtime.
-class Registry {
- public:
-  Registry() = default;
-
-  /// The recorder scoped to `rank`, created on first use. The returned
-  /// reference stays valid for the registry's lifetime.
-  Recorder& recorder(int rank);
-
-  /// Snapshot of every rank seen so far, ordered by rank.
-  std::vector<RankMetrics> snapshot() const;
-
-  /// Drops all recorders (e.g. between bench repetitions).
-  void reset();
-
-  static Registry& global();
-
- private:
-  mutable std::mutex mu_;
-  std::map<int, std::unique_ptr<Recorder>> recorders_;
 };
 
 }  // namespace pkifmm::obs

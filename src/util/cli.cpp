@@ -1,6 +1,8 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <string_view>
 
@@ -32,12 +34,24 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
 
 std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
   auto it = kv_.find(key);
-  return it == kv_.end() ? fallback : std::stoll(it->second);
+  if (it == kv_.end()) return fallback;
+  const std::string& s = it->second;
+  std::int64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  PKIFMM_CHECK_MSG(ec == std::errc() && end == s.data() + s.size(),
+                   "--" << key << " expects an integer, got '" << s << "'");
+  return v;
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   auto it = kv_.find(key);
-  return it == kv_.end() ? fallback : std::stod(it->second);
+  if (it == kv_.end()) return fallback;
+  const std::string& s = it->second;
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  PKIFMM_CHECK_MSG(!s.empty() && end == s.c_str() + s.size(),
+                   "--" << key << " expects a number, got '" << s << "'");
+  return v;
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {

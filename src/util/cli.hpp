@@ -10,7 +10,9 @@
 namespace pkifmm {
 
 /// Parses arguments of the form --key=value (or bare --flag, stored as
-/// "true"). Unrecognized positional arguments raise a CheckFailure.
+/// "true"). Unrecognized positional arguments raise a CheckFailure, and
+/// so does a numeric getter whose value is not a number as a whole
+/// ("--n=2e3" to get_int, "--x=1.5abc" to get_double).
 class Cli {
  public:
   Cli(int argc, char** argv);

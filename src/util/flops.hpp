@@ -9,48 +9,34 @@
 /// constants per kernel interaction live in kernels/kernel.hpp.
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "obs/metrics.hpp"
 
 namespace pkifmm {
 
-/// Rank-local flop accounting keyed by phase name. Not thread-safe by
-/// design: one instance per simulated rank. A bound obs::Recorder
-/// additionally attributes every report to the currently-open spans,
-/// which is how the trace gets per-stage flops.
+/// Rank-local flop accounting keyed by phase name, stored in the rank's
+/// obs::Recorder as the `flops.<phase>` counters. Each report is also
+/// attributed to the currently open spans, which is how the trace gets
+/// per-stage flops. Not thread-safe: one instance per simulated rank.
+/// The double counters stay exact integers while a phase's sum on one
+/// rank is below 2^53 (about 9e15 flops).
 class FlopCounter {
  public:
+  explicit FlopCounter(obs::Recorder& rec) : rec_(rec) {}
+
   void add(const std::string& phase, std::uint64_t flops) {
-    phases_[phase] += flops;
-    total_ += flops;
-    if (rec_ != nullptr) rec_->add_flops(flops);
+    rec_.counter_add("flops." + phase, static_cast<double>(flops));
+    rec_.add_flops(flops);
   }
 
-  /// Binds the per-rank recorder for span flop attribution.
-  void bind(obs::Recorder* rec) { rec_ = rec; }
-
-  std::uint64_t get(const std::string& phase) const {
-    auto it = phases_.find(phase);
-    return it == phases_.end() ? 0 : it->second;
-  }
-
-  std::uint64_t total() const { return total_; }
-
-  const std::map<std::string, std::uint64_t>& phases() const {
-    return phases_;
-  }
-
-  void clear() {
-    phases_.clear();
-    total_ = 0;
+  /// Flops reported for a phase so far (0 if none).
+  double get(const std::string& phase) const {
+    return rec_.counter("flops." + phase);
   }
 
  private:
-  std::map<std::string, std::uint64_t> phases_;
-  std::uint64_t total_ = 0;
-  obs::Recorder* rec_ = nullptr;
+  obs::Recorder& rec_;
 };
 
 }  // namespace pkifmm

@@ -7,17 +7,13 @@
 /// same breakdown (Upward, U-list, V-list, W-list, X-list, Downward,
 /// Comm, ...).
 ///
-/// PhaseTimer is a thin wrapper over the obs span tracer: when a
-/// recorder is bound (comm::Runtime binds one per rank), every Scope is
-/// measured by exactly one obs span — the tracer is the single source
-/// of truth, and the flat phase map is derived from the same
-/// measurement, so trace and table can never disagree.
+/// PhaseTimer keeps no table of its own: every Scope is one obs span on
+/// the rank's Recorder, and its close adds the span's wall and CPU
+/// seconds to the recorder's `time.<phase>.wall` / `time.<phase>.cpu`
+/// counters. Trace and table come from one measurement and one store.
 
 #include <chrono>
-#include <map>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -47,78 +43,46 @@ class Timer {
 /// "cluster" times.
 double thread_cpu_seconds();
 
-/// Accumulates wall and thread-CPU time into named phases. Not
-/// thread-safe: each simulated rank owns its own PhaseTimer.
+/// Named wall and thread-CPU phases of one rank, stored in the rank's
+/// obs::Recorder. Not thread-safe: each simulated rank owns its own.
 class PhaseTimer {
  public:
-  /// RAII scope that adds its lifetime to the named phase. With a bound
-  /// recorder the interval is measured once, by the obs span; without
-  /// one (standalone PhaseTimer, e.g. in unit tests) it self-measures.
+  explicit PhaseTimer(obs::Recorder& rec) : rec_(rec) {}
+
+  /// RAII scope: one obs span, whose wall and CPU seconds are added to
+  /// the phase's counters when it closes.
   class Scope {
    public:
-    Scope(PhaseTimer& owner, std::string name)
-        : owner_(owner), name_(std::move(name)) {
-      if (owner_.rec_ != nullptr)
-        span_.emplace(*owner_.rec_, name_);
-      else
-        cpu_start_ = thread_cpu_seconds();
-    }
+    Scope(obs::Recorder& rec, std::string name)
+        : rec_(rec), name_(std::move(name)), span_(rec, name_) {}
     ~Scope() {
-      if (span_) {
-        const auto d = span_->close();
-        owner_.add(name_, d.wall, d.cpu);
-      } else {
-        owner_.add(name_, timer_.seconds(),
-                   thread_cpu_seconds() - cpu_start_);
-      }
+      const auto d = span_.close();
+      rec_.counter_add("time." + name_ + ".wall", d.wall);
+      rec_.counter_add("time." + name_ + ".cpu", d.cpu);
     }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
    private:
-    PhaseTimer& owner_;
+    obs::Recorder& rec_;
     std::string name_;
-    std::optional<obs::Recorder::Span> span_;
-    Timer timer_;
-    double cpu_start_ = 0.0;
+    obs::Recorder::Span span_;
   };
 
-  Scope scope(std::string name) { return Scope(*this, std::move(name)); }
+  Scope scope(std::string name) { return Scope(rec_, std::move(name)); }
 
-  /// Binds the per-rank recorder; scopes then record spans too.
-  void bind(obs::Recorder* rec) { rec_ = rec; }
-  obs::Recorder* recorder() const { return rec_; }
-
-  void add(const std::string& name, double wall_seconds,
-           double cpu_seconds = 0.0) {
-    phases_[name] += wall_seconds;
-    cpu_phases_[name] += cpu_seconds;
-  }
-
+  /// Accumulated wall seconds of a phase (0 if it never ran).
   double get(const std::string& name) const {
-    auto it = phases_.find(name);
-    return it == phases_.end() ? 0.0 : it->second;
+    return rec_.counter("time." + name + ".wall");
   }
 
+  /// Accumulated thread-CPU seconds of a phase (0 if it never ran).
   double get_cpu(const std::string& name) const {
-    auto it = cpu_phases_.find(name);
-    return it == cpu_phases_.end() ? 0.0 : it->second;
-  }
-
-  const std::map<std::string, double>& phases() const { return phases_; }
-  const std::map<std::string, double>& cpu_phases() const {
-    return cpu_phases_;
-  }
-
-  void clear() {
-    phases_.clear();
-    cpu_phases_.clear();
+    return rec_.counter("time." + name + ".cpu");
   }
 
  private:
-  std::map<std::string, double> phases_;
-  std::map<std::string, double> cpu_phases_;
-  obs::Recorder* rec_ = nullptr;
+  obs::Recorder& rec_;
 };
 
 }  // namespace pkifmm

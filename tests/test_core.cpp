@@ -775,7 +775,7 @@ TEST(Fmm, RepeatedSetupOnSameInstanceMatchesFreshInstance) {
   }
   // mem.let.* gauges must reflect the latest setup, not the first.
   for (const auto& rep : reports) {
-    const auto& g = rep.obs.gauges;
+    const auto& g = rep.gauges;
     ASSERT_TRUE(g.count("mem.let.total_bytes"));
     ASSERT_TRUE(g.count("mem.let.ghost_bytes"));
     EXPECT_GT(g.at("mem.let.total_bytes"), 0.0);
@@ -797,12 +797,13 @@ TEST(Fmm, FlopAndTimePhasesAreRecorded) {
     (void)fmm.evaluate();
   });
   for (const auto& rep : reports) {
-    EXPECT_GT(rep.flop_phases.at("eval.uli"), 0u);
-    EXPECT_GT(rep.flop_phases.at("eval.vli"), 0u);
-    EXPECT_GT(rep.flop_phases.at("eval.s2u"), 0u);
-    EXPECT_GT(rep.time_phases.at("setup.tree"), 0.0);
-    EXPECT_GT(rep.time_phases.at("eval.uli"), 0.0);
-    EXPECT_GT(rep.cost.get("eval.comm").msgs_sent, 0u);
+    const auto& c = rep.counters;
+    EXPECT_GT(c.at("flops.eval.uli"), 0.0);
+    EXPECT_GT(c.at("flops.eval.vli"), 0.0);
+    EXPECT_GT(c.at("flops.eval.s2u"), 0.0);
+    EXPECT_GT(c.at("time.setup.tree.wall"), 0.0);
+    EXPECT_GT(c.at("time.eval.uli.wall"), 0.0);
+    EXPECT_GT(c.at("comm.eval.comm.msgs_sent"), 0.0);
   }
 }
 

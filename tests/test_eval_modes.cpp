@@ -66,8 +66,9 @@ ModeRun run_mode(const kernels::Kernel& kernel, const Case& c, int p,
                               res.potentials.begin() + (i + 1) * td);
   });
   for (int r = 0; r < p; ++r)
-    for (const auto& [phase, flops] : reports[r].flop_phases)
-      if (phase.rfind("eval.", 0) == 0) out.eval_flops[r][phase] = flops;
+    for (const auto& [name, flops] : reports[r].counters)
+      if (name.starts_with("flops.eval."))
+        out.eval_flops[r][name.substr(6)] = static_cast<std::uint64_t>(flops);
   return out;
 }
 

@@ -85,11 +85,12 @@ ThreadRun run_with_threads(const Case& c, int p, int threads) {
   };
   const auto reports = run_ranks(c, p, threads, fn);
   for (int r = 0; r < p; ++r) {
-    for (const auto& [phase, flops] : reports[r].flop_phases)
-      if (phase.rfind("eval.", 0) == 0) out.eval_flops[r][phase] = flops;
-    for (const auto& [name, v] : reports[r].obs.counters)
+    for (const auto& [name, v] : reports[r].counters) {
+      if (name.starts_with("flops.eval."))
+        out.eval_flops[r][name.substr(6)] = static_cast<std::uint64_t>(v);
       if (name.rfind("sched.", 0) == 0) out.sched[r][name] = v;
-    for (const auto& [name, v] : reports[r].obs.gauges)
+    }
+    for (const auto& [name, v] : reports[r].gauges)
       if (name.rfind("sched.", 0) == 0) out.sched[r][name] = v;
   }
   return out;
@@ -169,8 +170,9 @@ PhasePathRun run_both_paths(const Case& c, int threads) {
     octree::refresh_ghost_densities(ctx.comm, let);
     const auto eval_flops = [&] {
       std::map<std::string, std::uint64_t> m;
-      for (const auto& [phase, fl] : ctx.flops.phases())
-        if (phase.rfind("eval.", 0) == 0) m[phase] = fl;
+      for (const auto& [name, fl] : ctx.rec.metrics().counters)
+        if (name.starts_with("flops.eval."))
+          m[name.substr(6)] = static_cast<std::uint64_t>(fl);
       return m;
     };
     const int r = ctx.rank();

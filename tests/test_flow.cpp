@@ -455,11 +455,11 @@ TEST(FlowIntegration, CountersAbsentWhenFlowTraceOff) {
   const core::Tables tables(kernel, small_opts(false));
   const auto reports = run_small_fmm(tables, 2);
   for (const auto& rep : reports) {
-    EXPECT_TRUE(rep.obs.flows.empty());
-    EXPECT_TRUE(rep.obs.flow_phases.empty());
+    EXPECT_TRUE(rep.flows.empty());
+    EXPECT_TRUE(rep.flow_phases.empty());
     // The zero-overhead contract: no flow.* / wait.* counters AT ALL —
     // absent, not zero.
-    for (const auto& [name, v] : rep.obs.counters) {
+    for (const auto& [name, v] : rep.counters) {
       EXPECT_FALSE(name.starts_with("flow.")) << name;
       EXPECT_FALSE(name.starts_with("wait.")) << name;
     }
@@ -494,13 +494,13 @@ TEST(FlowIntegration, TracedRunMatchesAndDecomposes) {
   // Every rank published its ring into the end-of-run snapshot.
   double total_sends = 0.0, total_recvs = 0.0;
   for (const auto& rep : reports) {
-    const auto& c = rep.obs.counters;
+    const auto& c = rep.counters;
     ASSERT_TRUE(c.count("flow.sends"));
     total_sends += c.at("flow.sends");
     total_recvs += c.at("flow.recvs");
     EXPECT_DOUBLE_EQ(c.at("flow.dropped"), 0.0);
-    EXPECT_FALSE(rep.obs.flows.empty());
-    for (const FlowEvent& e : rep.obs.flows) {
+    EXPECT_FALSE(rep.flows.empty());
+    for (const FlowEvent& e : rep.flows) {
       EXPECT_GE(e.seq, 0);
       EXPECT_GE(e.t1, e.t0);
     }
@@ -515,13 +515,13 @@ TEST(FlowIntegration, TracedRunMatchesAndDecomposes) {
   // enqueue, the receive after the dequeue).
   std::map<std::array<int, 4>, std::vector<double>> send_ts, recv_ts;
   for (const auto& rep : reports) {
-    const double epoch = rep.obs.gauges.at("obs.epoch");
-    for (const FlowEvent& e : rep.obs.flows) {
+    const double epoch = rep.gauges.at("obs.epoch");
+    for (const FlowEvent& e : rep.flows) {
       if (e.kind == FlowEvent::kSend)
-        send_ts[{rep.obs.rank, e.peer, e.tag, e.seq}].push_back(epoch +
+        send_ts[{rep.rank, e.peer, e.tag, e.seq}].push_back(epoch +
                                                                 e.t0);
       else
-        recv_ts[{e.peer, rep.obs.rank, e.tag, e.seq}].push_back(epoch +
+        recv_ts[{e.peer, rep.rank, e.tag, e.seq}].push_back(epoch +
                                                                 e.t1);
     }
   }
@@ -562,9 +562,7 @@ TEST(FlowIntegration, TracedRunMatchesAndDecomposes) {
 
   // The merged chrome trace carries flow arrows with matching ids on
   // both endpoints.
-  std::vector<RankMetrics> ranks;
-  for (const auto& rep : reports) ranks.push_back(rep.obs);
-  const Json trace = chrome_trace_json(ranks);
+  const Json trace = chrome_trace_json(reports);
   std::set<std::string> s_ids, f_ids;
   for (const Json& ev : trace.at("traceEvents").items()) {
     const std::string ph = ev.at("ph").as_string();
@@ -575,7 +573,7 @@ TEST(FlowIntegration, TracedRunMatchesAndDecomposes) {
   EXPECT_EQ(s_ids, f_ids);
 
   // And the full snapshot set still round-trips as schema-valid JSON.
-  const Json mdoc = metrics_to_json(ranks);
+  const Json mdoc = metrics_to_json(reports);
   validate_metrics_json(mdoc);
   EXPECT_EQ(metrics_to_json(metrics_from_json(mdoc)), mdoc);
 }

@@ -294,11 +294,8 @@ TEST(GpuFmm, TranslationCostIsMinor) {
     GpuEvaluator gpu(tables, let, ctx, dev, 64);
     gpu.run();
   });
-  const auto& tp = reports[0].time_phases;
-  double eval = 0.0;
-  for (const auto& [name, secs] : tp)
-    if (name.rfind("eval.", 0) == 0) eval += secs;
-  EXPECT_LT(tp.at("gpu.translate"), 0.5 * eval);
+  const double eval = reports[0].sum("time.eval.", ".wall");
+  EXPECT_LT(reports[0].counters.at("time.gpu.translate.wall"), 0.5 * eval);
 }
 
 }  // namespace

@@ -86,10 +86,7 @@ obs::Json run_health(const std::string& kernel_name, Distribution dist,
   };
   auto reports = threads > 1 ? comm::Runtime::run(p, threads, false, body)
                              : comm::Runtime::run(p, body);
-  std::vector<obs::RankMetrics> ranks;
-  ranks.reserve(reports.size());
-  for (auto& rep : reports) ranks.push_back(rep.obs);
-  return obs::summarize_metrics(ranks);
+  return obs::summarize_metrics(reports);
 }
 
 double hfield(const obs::Json& summary, const char* section,
@@ -426,9 +423,7 @@ TEST(HealthDrift, TimeStepperCountsStableSteps) {
       (void)fmm.evaluate();
     }
   });
-  std::vector<obs::RankMetrics> ranks;
-  for (auto& rep : reports) ranks.push_back(rep.obs);
-  const obs::Json s = obs::summarize_metrics(ranks);
+  const obs::Json s = obs::summarize_metrics(reports);
   ASSERT_TRUE(s.contains("health"));
   // Every step() found fresh cumulative sample sums from the evaluate
   // before it, and a mild advection never drifts past 10x baseline.

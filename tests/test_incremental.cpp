@@ -160,8 +160,10 @@ std::vector<StepSnap> run_incremental(
   if (eval_flops) {
     eval_flops->assign(c.p, {});
     for (int r = 0; r < c.p; ++r)
-      for (const auto& [phase, flops] : reports[r].flop_phases)
-        if (phase.rfind("eval.", 0) == 0) (*eval_flops)[r][phase] = flops;
+      for (const auto& [name, flops] : reports[r].counters)
+        if (name.starts_with("flops.eval."))
+          (*eval_flops)[r][name.substr(6)] =
+              static_cast<std::uint64_t>(flops);
   }
   return snaps;
 }
@@ -198,8 +200,10 @@ StepSnap run_from_scratch(
   });
   if (eval_flops) {
     for (int r = 0; r < c.p; ++r)
-      for (const auto& [phase, flops] : reports[r].flop_phases)
-        if (phase.rfind("eval.", 0) == 0) (*eval_flops)[r][phase] += flops;
+      for (const auto& [name, flops] : reports[r].counters)
+        if (name.starts_with("flops.eval."))
+          (*eval_flops)[r][name.substr(6)] +=
+              static_cast<std::uint64_t>(flops);
   }
   return snap;
 }

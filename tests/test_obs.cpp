@@ -1,7 +1,8 @@
 /// Observability layer tests: JSON round-trips, recorder/span
-/// invariants, exporter schemas, the PhaseTimer single-measurement
-/// contract, and a Table II-shaped integration run asserting the nine
-/// paper phases show up with real work attributed to them.
+/// invariants, the RankMetrics counter reader, exporter schemas, the
+/// PhaseTimer single-measurement contract, and a Table II-shaped
+/// integration run asserting the nine paper phases show up with real
+/// work attributed to them.
 
 #include <gtest/gtest.h>
 
@@ -164,16 +165,20 @@ TEST(Recorder, SpansMustCloseInnermostFirst) {
   (void)outer.close();
 }
 
-TEST(Registry, PerRankScoping) {
-  Registry reg;
-  reg.recorder(2).counter_add("x", 5.0);
-  reg.recorder(0).counter_add("x", 1.0);
-  reg.recorder(2).counter_add("x", 5.0);
-  const auto snaps = reg.snapshot();
-  ASSERT_EQ(snaps.size(), 2u);
-  EXPECT_EQ(snaps[0].rank, 0);
-  EXPECT_EQ(snaps[1].rank, 2);
-  EXPECT_DOUBLE_EQ(snaps[1].counters.at("x"), 10.0);
+TEST(RankMetrics, CounterAndPrefixSum) {
+  RankMetrics m;
+  m.counters["time.eval.uli.cpu"] = 1.0;
+  m.counters["time.eval.uli.wall"] = 2.0;
+  m.counters["time.eval.vli.cpu"] = 4.0;
+  m.counters["time.evalx.cpu"] = 8.0;
+  m.counters["flops.eval.uli"] = 16.0;
+  // Counts time.eval.uli.cpu and time.eval.vli.cpu only: not the .wall
+  // counter, and not time.evalx.cpu, whose name lacks the "eval." prefix.
+  EXPECT_DOUBLE_EQ(m.sum("time.eval.", ".cpu"), 5.0);
+  EXPECT_DOUBLE_EQ(m.sum("time."), 15.0);
+  EXPECT_DOUBLE_EQ(m.sum("nothing."), 0.0);
+  EXPECT_DOUBLE_EQ(m.counter("time.eval.vli.cpu"), 4.0);
+  EXPECT_DOUBLE_EQ(m.counter("time.eval.xli.cpu"), 0.0);
 }
 
 // ----------------------------------------------------------- Exporters
@@ -322,14 +327,13 @@ TEST(Export, ChromeTraceAlignsRankEpochs) {
 
 // -------------------------------------- PhaseTimer single measurement
 
-/// With a recorder bound, PhaseTimer::Scope must measure through the
-/// span tracer only — the flat table and the trace come from ONE clock
-/// read, so they can never disagree (the old double-measurement setup
-/// let "Comm" time drift between the two reports).
+/// PhaseTimer::Scope must measure through the span tracer only — the
+/// `time.*` counters and the trace come from ONE clock read, so they
+/// can never disagree (a double measurement lets "Comm" time drift
+/// between the two reports).
 TEST(PhaseTimer, FlatTableEqualsSpanTotals) {
   Recorder rec;
-  PhaseTimer timer;
-  timer.bind(&rec);
+  PhaseTimer timer(rec);
   for (int rep = 0; rep < 3; ++rep) {
     auto outer = timer.scope("eval.uli");
     double sink = 0.0;
@@ -346,25 +350,13 @@ TEST(PhaseTimer, FlatTableEqualsSpanTotals) {
       span_wall += e.wall;
       span_cpu += e.cpu;
     }
-  // Exact equality: the flat map is fed from the very same span close.
-  EXPECT_DOUBLE_EQ(timer.phases().at("eval.uli"), span_wall);
-  EXPECT_DOUBLE_EQ(timer.cpu_phases().at("eval.uli"), span_cpu);
+  // Exact equality: the counters are fed from the very same span close.
+  EXPECT_EQ(m.counters.at("time.eval.uli.wall"), span_wall);
+  EXPECT_EQ(m.counters.at("time.eval.uli.cpu"), span_cpu);
 
   // Child time is contained in parent time.
   for (std::size_t i = 0; i < m.spans.size(); ++i)
     EXPECT_LE(m.child_wall_sum(i), m.spans[i].wall + 1e-9) << m.spans[i].name;
-}
-
-TEST(PhaseTimer, UnboundFallbackStillAccumulates) {
-  PhaseTimer timer;
-  {
-    auto t = timer.scope("phase.a");
-    double sink = 0.0;
-    for (int i = 0; i < 10000; ++i) sink += 1.0 / (1.0 + i);
-    ASSERT_GT(sink, 0.0);
-  }
-  EXPECT_GT(timer.phases().at("phase.a"), 0.0);
-  EXPECT_GE(timer.cpu_phases().at("phase.a"), 0.0);
 }
 
 // --------------------------------------------- Cross-rank aggregation
@@ -541,9 +533,7 @@ TEST(Aggregate, CommMatrixMarginalsMatchCounters) {
     (void)ctx.comm.recv<char>(r ^ 1, 8);
   });
 
-  std::vector<RankMetrics> ranks;
-  for (const auto& rep : reports) ranks.push_back(rep.obs);
-  const Json doc = summarize_metrics(ranks);
+  const Json doc = summarize_metrics(reports);
   validate_summary_json(doc);
 
   // Hand-computed stats: per-rank ring bytes are {100, 200, 300, 400}.
@@ -584,7 +574,7 @@ TEST(Aggregate, CommMatrixMarginalsMatchCounters) {
           row_sum += rows[r].items()[k].as_double();
           col_sum += rows[k].items()[r].as_double();
         }
-        const auto& c = reports[r].obs.counters;
+        const auto& c = reports[r].counters;
         const std::string base = std::string("comm.") + phase + ".";
         EXPECT_DOUBLE_EQ(row_sum,
                          c.at(base + unit + "_sent"))
@@ -649,7 +639,7 @@ TEST(Integration, PaperPhasesAllReport) {
   for (const char* phase : kComputePhases) {
     double flops = 0.0, wall = 0.0;
     for (const auto& rep : reports) {
-      const auto& c = rep.obs.counters;
+      const auto& c = rep.counters;
       auto fit = c.find(std::string("flops.") + phase);
       if (fit != c.end()) flops += fit->second;
       auto wit = c.find(std::string("time.") + phase + ".wall");
@@ -660,27 +650,18 @@ TEST(Integration, PaperPhasesAllReport) {
   }
   double comm_msgs = 0.0;
   for (const auto& rep : reports)
-    comm_msgs += rep.obs.counters.at("comm.eval.comm.msgs_sent");
+    comm_msgs += rep.counters.at("comm.eval.comm.msgs_sent");
   EXPECT_GT(comm_msgs, 0.0);
 
-  for (const auto& rep : reports) {
-    const auto& m = rep.obs;
-    // The canonical counters mirror the legacy flat maps exactly.
-    for (const auto& [name, v] : rep.flop_phases)
-      EXPECT_DOUBLE_EQ(m.counters.at("flops." + name),
-                       static_cast<double>(v))
-          << name;
-    for (const auto& [name, v] : rep.time_phases)
-      EXPECT_DOUBLE_EQ(m.counters.at("time." + name + ".wall"), v) << name;
-
+  for (const auto& m : reports) {
     // Span tree: "setup" and "eval" roots exist in the trace but NOT in
-    // the flat map (prefix sums over "eval." must not double-count).
+    // the phase table (prefix sums over "eval." must not double-count).
     std::set<std::string> span_names;
     for (const SpanEvent& e : m.spans) span_names.insert(e.name);
     EXPECT_TRUE(span_names.count("setup"));
     EXPECT_TRUE(span_names.count("eval"));
-    EXPECT_EQ(rep.time_phases.count("eval"), 0u);
-    EXPECT_EQ(rep.time_phases.count("setup"), 0u);
+    EXPECT_EQ(m.counters.count("time.eval.wall"), 0u);
+    EXPECT_EQ(m.counters.count("time.setup.wall"), 0u);
     for (const char* phase : kComputePhases)
       EXPECT_TRUE(span_names.count(phase)) << phase;
     EXPECT_TRUE(span_names.count("eval.comm"));
@@ -702,9 +683,7 @@ TEST(Integration, PaperPhasesAllReport) {
   }
 
   // The full snapshot set exports as schema-valid metrics JSON.
-  std::vector<RankMetrics> ranks;
-  for (const auto& rep : reports) ranks.push_back(rep.obs);
-  const Json doc = metrics_to_json(ranks);
+  const Json doc = metrics_to_json(reports);
   validate_metrics_json(doc);
   EXPECT_EQ(metrics_to_json(metrics_from_json(doc)), doc);
 }
@@ -754,8 +733,8 @@ TEST(Integration, CrossRankSummaryAgreesWithPerRankMetrics) {
   for (const char* phase : {"eval.s2u", "eval.vli", "eval.uli"}) {
     double wall = 0.0, flops = 0.0;
     for (const auto& rep : reports) {
-      wall += rep.obs.counters.at(std::string("time.") + phase + ".wall");
-      flops += rep.obs.counters.at(std::string("flops.") + phase);
+      wall += rep.counters.at(std::string("time.") + phase + ".wall");
+      flops += rep.counters.at(std::string("flops.") + phase);
     }
     const Json& ph = doc.at("phases").at(phase);
     EXPECT_NEAR(ph.at("wall").at("sum").as_double(), wall, 1e-9 * wall + 1e-12)
@@ -784,7 +763,7 @@ TEST(Integration, CrossRankSummaryAgreesWithPerRankMetrics) {
         for (const Json& cell : rows[static_cast<std::size_t>(r)].items())
           row_sum += cell.as_double();
         total += row_sum;
-        const auto& c = reports[static_cast<std::size_t>(r)].obs.counters;
+        const auto& c = reports[static_cast<std::size_t>(r)].counters;
         auto it = c.find("comm." + phase + "." + unit + "_sent");
         EXPECT_DOUBLE_EQ(row_sum, it == c.end() ? 0.0 : it->second)
             << phase << " " << unit << " row " << r;

@@ -102,32 +102,40 @@ TEST(Timer, MeasuresElapsedTime) {
 }
 
 TEST(PhaseTimer, AccumulatesNamedPhases) {
-  PhaseTimer pt;
-  pt.add("a", 1.5);
-  pt.add("a", 0.5);
-  pt.add("b", 3.0);
-  EXPECT_DOUBLE_EQ(pt.get("a"), 2.0);
-  EXPECT_DOUBLE_EQ(pt.get("b"), 3.0);
+  obs::Recorder rec;
+  PhaseTimer pt(rec);
+  for (const char* name : {"a", "b", "a"}) {
+    auto s = pt.scope(name);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  double a = 0.0, b = 0.0;
+  for (const obs::SpanEvent& e : rec.metrics().spans)
+    (e.name == "a" ? a : b) += e.wall;
+  EXPECT_DOUBLE_EQ(pt.get("a"), a);
+  EXPECT_DOUBLE_EQ(pt.get("b"), b);
   EXPECT_DOUBLE_EQ(pt.get("missing"), 0.0);
 }
 
 TEST(PhaseTimer, ScopeAddsOnDestruction) {
-  PhaseTimer pt;
+  obs::Recorder rec;
+  PhaseTimer pt(rec);
   {
     auto s = pt.scope("x");
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_DOUBLE_EQ(pt.get("x"), 0.0);
   }
   EXPECT_GT(pt.get("x"), 0.0);
 }
 
 TEST(FlopCounter, TracksPerPhaseAndTotal) {
-  FlopCounter fc;
+  obs::Recorder rec;
+  FlopCounter fc(rec);
   fc.add("uli", 100);
   fc.add("vli", 50);
   fc.add("uli", 10);
-  EXPECT_EQ(fc.get("uli"), 110u);
-  EXPECT_EQ(fc.get("vli"), 50u);
-  EXPECT_EQ(fc.total(), 160u);
+  EXPECT_EQ(fc.get("uli"), 110.0);
+  EXPECT_EQ(fc.get("vli"), 50.0);
+  EXPECT_EQ(rec.flops_total(), 160u);
 }
 
 TEST(Summary, ComputesMaxAvgMin) {
@@ -249,6 +257,29 @@ TEST(Cli, ParsesKeyValueAndFlags) {
   EXPECT_TRUE(cli.get_bool("verbose", false));
   EXPECT_DOUBLE_EQ(cli.get_double("rate", 0.0), 2.5);
   EXPECT_EQ(cli.get_int("missing", 7), 7);
+}
+
+TEST(Cli, RejectsMalformedNumbers) {
+  const char* argv[] = {"prog",         "--sci=2e3", "--frac=1.5",
+                        "--tail=3000abc", "--word=abc", "--empty=",
+                        "--neg=-5",     "--small=5e-2", "--flag"};
+  Cli cli(9, const_cast<char**>(argv));
+  for (const char* key : {"sci", "frac", "tail", "word", "empty", "flag"})
+    EXPECT_THROW(cli.get_int(key, 0), CheckFailure) << key;
+  for (const char* key : {"tail", "word", "empty", "flag"})
+    EXPECT_THROW(cli.get_double(key, 0.0), CheckFailure) << key;
+  try {
+    cli.get_int("sci", 0);
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("--sci expects an integer, got '2e3'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cli.get_int("neg", 0), -5);
+  EXPECT_DOUBLE_EQ(cli.get_double("sci", 0.0), 2000.0);
+  EXPECT_DOUBLE_EQ(cli.get_double("small", 0.0), 0.05);
+  EXPECT_DOUBLE_EQ(cli.get_double("neg", 0.0), -5.0);
 }
 
 TEST(Cli, RejectsPositionalArguments) {

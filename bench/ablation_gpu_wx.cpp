@@ -68,8 +68,8 @@ Outcome run_once(bool offload_wx, octree::Distribution dist, std::uint64_t n,
 int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "ablation_gpu_wx");
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 20000));
-  const int q = static_cast<int>(cli.get_int("q", 60));
+  const auto n = cli.get_int_as<std::uint64_t>("n", 20000);
+  const int q = cli.get_int_as<int>("q", 60);
 
   print_header("Extension", "W/X-lists on the GPU (the paper's ongoing work)");
   Table table({"distribution", "W/X placement", "eval modeled (s)",

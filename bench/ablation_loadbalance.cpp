@@ -64,9 +64,9 @@ Summary run_strategy(Strategy strat, int p, std::uint64_t per_rank, int q) {
 int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "ablation_loadbalance");
-  const int p = static_cast<int>(cli.get_int("p", 16));
-  const auto per_rank = static_cast<std::uint64_t>(cli.get_int("per-rank", 1200));
-  const int q = static_cast<int>(cli.get_int("q", 30));
+  const int p = cli.get_int_as<int>("p", 16, 1);
+  const auto per_rank = cli.get_int_as<std::uint64_t>("per-rank", 1200);
+  const int q = cli.get_int_as<int>("q", 30);
 
   print_header("Ablation D",
                "leaf partitioning strategies, clustered nonuniform tree");

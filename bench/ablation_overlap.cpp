@@ -23,8 +23,8 @@ using namespace pkifmm::bench;
 int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "ablation_overlap");
-  const int pmax = static_cast<int>(cli.get_int("pmax", 32));
-  const auto per_rank = static_cast<std::uint64_t>(cli.get_int("per-rank", 800));
+  const int pmax = cli.get_int_as<int>("pmax", 32, 1);
+  const auto per_rank = cli.get_int_as<std::uint64_t>("per-rank", 800);
 
   print_header("Overlap analysis",
                "hiding the upward reduction behind the U-list");

@@ -16,7 +16,7 @@ using namespace pkifmm::bench;
 int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "ablation_vlist");
-  const auto n_points = static_cast<std::uint64_t>(cli.get_int("n", 20000));
+  const auto n_points = cli.get_int_as<std::uint64_t>("n", 20000);
 
   print_header("Ablation A", "V-list translation: FFT-diagonal vs dense");
   Table table({"surface n", "mode", "vli cpu (s)", "vli flops", "speedup"});

@@ -50,6 +50,7 @@ MetricsLog& metrics_log() {
 }
 
 void flush_metrics() try {
+  if (util::main_failed()) return;  // an error run writes no output file
   MetricsLog& log = metrics_log();
   if (!log.metrics_path.empty()) {
     obs::Json doc = obs::Json::object();
@@ -170,7 +171,7 @@ void metrics_init(const Cli& cli, const std::string& bench_name) {
   }
   log.git_sha = sha.empty() ? "unknown" : sha;
   log.flow_trace = cli.has("flow-trace");
-  log.flow_capacity = cli.get_int("flow-capacity", 0);
+  log.flow_capacity = cli.get_int_as<int>("flow-capacity", 0);
   log.health = cli.has("health");
   if (cli.has("health-sample-rate")) {
     const double v = cli.get_double("health-sample-rate", 0.0);

@@ -75,11 +75,11 @@ void run_series(octree::Distribution dist, const char* label,
 int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "fig3_strong");
-  const int pmax = static_cast<int>(cli.get_int("pmax", 16));
+  const int pmax = cli.get_int_as<int>("pmax", 16, 1);
   const auto n_uniform =
-      static_cast<std::uint64_t>(cli.get_int("n-uniform", 16000));
+      cli.get_int_as<std::uint64_t>("n-uniform", 16000);
   const auto n_nonuniform =
-      static_cast<std::uint64_t>(cli.get_int("n-nonuniform", 8000));
+      cli.get_int_as<std::uint64_t>("n-nonuniform", 8000);
 
   print_header("Figure 3", "MPI strong scaling (fixed N, growing p)");
   run_series(octree::Distribution::kUniform, "uniform", n_uniform, pmax, 60);

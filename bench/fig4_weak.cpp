@@ -54,10 +54,10 @@ void run_series(octree::Distribution dist, const char* label,
 int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "fig4_weak");
-  const int pmax = static_cast<int>(cli.get_int("pmax", 16));
-  const auto uni = static_cast<std::uint64_t>(cli.get_int("uniform-per-rank", 1500));
+  const int pmax = cli.get_int_as<int>("pmax", 16, 1);
+  const auto uni = cli.get_int_as<std::uint64_t>("uniform-per-rank", 1500);
   const auto non =
-      static_cast<std::uint64_t>(cli.get_int("nonuniform-per-rank", 1500));
+      cli.get_int_as<std::uint64_t>("nonuniform-per-rank", 1500);
 
   print_header("Figure 4", "MPI weak scaling (fixed N/p, growing p)");
   run_series(octree::Distribution::kUniform, "uniform", uni, pmax, 60);

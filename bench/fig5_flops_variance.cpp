@@ -63,8 +63,8 @@ Summary run_series(octree::Distribution dist, const char* label, int p,
 int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "fig5_flops_variance");
-  const int p = static_cast<int>(cli.get_int("p", 16));
-  const auto per_rank = static_cast<std::uint64_t>(cli.get_int("per-rank", 1500));
+  const int p = cli.get_int_as<int>("p", 16, 1);
+  const auto per_rank = cli.get_int_as<std::uint64_t>("per-rank", 1500);
 
   print_header("Figure 5", "per-process flop variance, uniform vs nonuniform");
   const Summary uni =

@@ -20,10 +20,10 @@ using namespace pkifmm::bench;
 int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "fig6_gpu_weak");
-  const int pmax = static_cast<int>(cli.get_int("pmax", 8));
-  const auto per_rank = static_cast<std::uint64_t>(cli.get_int("per-rank", 3000));
-  const int q_gpu = static_cast<int>(cli.get_int("q-gpu", 1050));
-  const int q_cpu = static_cast<int>(cli.get_int("q-cpu", 100));
+  const int pmax = cli.get_int_as<int>("pmax", 8, 1);
+  const auto per_rank = cli.get_int_as<std::uint64_t>("per-rank", 3000);
+  const int q_gpu = cli.get_int_as<int>("q-gpu", 1050);
+  const int q_cpu = cli.get_int_as<int>("q-cpu", 100);
 
   print_header("Figure 6", "GPU weak scaling, CPU-only vs GPU/CPU");
   std::printf("q(GPU) = %d, q(CPU) = %d — each tuned for its architecture, "

@@ -17,8 +17,8 @@ using namespace pkifmm::bench;
 int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "gpu_block_sweep");
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 20000));
-  const int q = static_cast<int>(cli.get_int("q", 100));
+  const auto n = cli.get_int_as<std::uint64_t>("n", 20000);
+  const int q = cli.get_int_as<int>("q", 100);
 
   print_header("GPU block sweep", "Algorithm 4 thread-block size b");
   Table table({"b", "padded targets", "pad overhead", "uli modeled (s)",

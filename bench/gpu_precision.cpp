@@ -64,7 +64,7 @@ std::pair<double, double> errors_for(int surface_n, std::uint64_t n) {
 int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "gpu_precision");
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 4000));
+  const auto n = cli.get_int_as<std::uint64_t>("n", 4000);
 
   print_header("GPU precision", "double (CPU) vs single (GPU) accuracy floor");
   Table table({"surface n", "CPU (double) rel err", "GPU (float) rel err"});

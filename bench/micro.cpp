@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -15,7 +16,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "common.hpp"
@@ -29,6 +29,7 @@
 #include "obs/json.hpp"
 #include "obs/trend.hpp"
 #include "octree/build.hpp"
+#include "simd/simd.hpp"
 #include "util/rng.hpp"
 #include "util/task_pool.hpp"
 
@@ -136,8 +137,9 @@ void BM_LaGemmAcc(benchmark::State& state) {
 BENCHMARK(BM_LaGemmAcc)->Arg(32)->Arg(256);
 
 void BM_FftPointwiseMacChunked(benchmark::State& state) {
-  // One frequency chunk of the chunk-major V-list sweep: nentries
-  // (source, accumulator) slot pairs under one operator slice.
+  // One frequency chunk of a chunk-major MAC (fft::pointwise_mac_chunked,
+  // the call wallbench's fft.mac_gflops times): nentries (source,
+  // accumulator) slot pairs under one operator slice.
   const std::size_t nentries = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kChunk = 16;
   const std::size_t nslots = 256;
@@ -162,17 +164,19 @@ void BM_FftPointwiseMacChunked(benchmark::State& state) {
 BENCHMARK(BM_FftPointwiseMacChunked)->Arg(64)->Arg(1024);
 
 void BM_FftMacLevel(benchmark::State& state) {
-  // The batched V-list MAC at a real level shape: targets are the first
-  // 1,022 octants of a uniform level-4 grid in Morton order (one rank's
-  // share of the uniform_farfield workload), sources the union of their
-  // V-lists, n = 6 (63 chunks of 16 frequencies). Spectra and
-  // accumulators are chunk-major, pairs are sorted by offset, and each
-  // (chunk, offset run) is one pointwise_mac_chunked call, as in
-  // core::Evaluator::vli_mac. Items are flops: 8 per frequency per pair.
+  // The V-list MAC that core::Evaluator::vli_mac runs, at a real level
+  // shape: targets are the first 1,022 octants of a uniform level-4
+  // grid in Morton order (one rank's share of the uniform_farfield
+  // workload), sources the union of their V-lists, n = 6 (126 blocks of
+  // 8 frequencies). The plan holds the targets' parents and their
+  // colleague entries, built as Evaluator::vli_plan builds it, and each
+  // block is one simd::Ops::vli_mac_block call. Items are flops: 8 per
+  // frequency per V-list pair (Tables::vli_flops). Set PKIFMM_SIMD to
+  // time a lower tier.
   constexpr int kLevel = 4;
-  constexpr std::size_t kTargets = 1022, kChunk = core::Tables::kFreqChunk;
+  constexpr std::size_t kTargets = 1022, kB = simd::kVliBlockDoubles;
   const std::size_t len = fft::Fft3d(12).half_volume();  // 1,008 at n = 6
-  const std::size_t nchunks = len / kChunk;
+  const std::size_t nblk = len / simd::kVliBlock;
   const morton::Coord side = morton::kGridSize >> kLevel;
   std::vector<morton::Key> grid;
   for (morton::Coord x = 0; x < morton::kGridSize; x += side)
@@ -181,60 +185,82 @@ void BM_FftMacLevel(benchmark::State& state) {
         grid.push_back(morton::make_key(x, y, z, kLevel));
   std::sort(grid.begin(), grid.end());
 
-  // (offset, target slot, source key) per V-list pair.
-  std::vector<std::tuple<int, std::int32_t, morton::Key>> pairs;
+  std::map<morton::Key, std::int32_t> tgt_slot, src_slot;
   for (std::size_t t = 0; t < kTargets; ++t)
-    for (const morton::Key& pc : morton::neighborhood(morton::parent(grid[t])))
-      for (const morton::Key& s : morton::children(pc))
-        if (s != grid[t] && !morton::adjacent(s, grid[t]))
-          pairs.emplace_back(core::vlist_offset_index(grid[t], s),
-                             static_cast<std::int32_t>(t), s);
-  std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
-    return std::tie(std::get<0>(a), std::get<1>(a)) <
-           std::tie(std::get<0>(b), std::get<1>(b));
-  });
-  std::map<morton::Key, std::int32_t> src_slot;
-  struct Run {
-    std::size_t op, e0, e1;
-  };
-  std::vector<Run> runs;
-  std::vector<std::int32_t> fidx, aidx;
-  int prev_off = -1;
-  for (const auto& [off, t, s] : pairs) {
-    if (off != prev_off) runs.push_back({runs.size(), fidx.size(), 0});
-    prev_off = off;
-    fidx.push_back(src_slot.try_emplace(s, src_slot.size()).first->second);
-    aidx.push_back(t);
-    runs.back().e1 = fidx.size();
+    tgt_slot[grid[t]] = static_cast<std::int32_t>(t);
+  const auto& pair_slots = core::vli_pair_slots();
+  std::vector<simd::VliParent> parents;
+  std::vector<simd::VliColleague> colleagues;
+  std::size_t pairs = 0;
+  for (std::size_t t = 0; t < kTargets; ++t) {
+    const morton::Key par = morton::parent(grid[t]);
+    if (t > 0 && morton::parent(grid[t - 1]) == par) continue;
+    simd::VliParent vp{};
+    std::uint64_t targets = 0;
+    const auto kids = morton::children(par);
+    for (int ci = 0; ci < 8; ++ci) {
+      const auto it = tgt_slot.find(kids[ci]);
+      vp.tgt[ci] = it == tgt_slot.end() ? -1 : it->second;
+      if (vp.tgt[ci] >= 0) targets |= 0x0101010101010101ull << ci;
+    }
+    vp.c0 = static_cast<std::uint32_t>(colleagues.size());
+    for (int dx = -1; dx <= 1; ++dx)
+      for (int dy = -1; dy <= 1; ++dy)
+        for (int dz = -1; dz <= 1; ++dz) {
+          const auto nb = morton::neighbor(par, dx, dy, dz);
+          if ((dx == 0 && dy == 0 && dz == 0) || !nb) continue;
+          simd::VliColleague vc{};
+          vc.dir = (dx + 1) * 9 + (dy + 1) * 3 + (dz + 1);
+          const auto src = morton::children(*nb);
+          for (int cs = 0; cs < 8; ++cs) {
+            std::uint64_t bits = 0;
+            for (int ct = 0; ct < 8; ++ct)
+              if (pair_slots[64 * vc.dir + 8 * cs + ct] >= 0)
+                bits |= std::uint64_t{1} << (8 * cs + ct);
+            bits &= targets;
+            vc.src[cs] =
+                bits == 0 ? -1
+                          : src_slot.try_emplace(src[cs], src_slot.size())
+                                .first->second;
+            vc.pairs |= bits;
+          }
+          if (vc.pairs == 0) continue;
+          pairs += static_cast<std::size_t>(std::popcount(vc.pairs));
+          colleagues.push_back(vc);
+        }
+    vp.c1 = static_cast<std::uint32_t>(colleagues.size());
+    parents.push_back(vp);
   }
 
   Rng rng(12);
-  auto random_spectra = [&](std::size_t n) {
-    std::vector<fft::Complex> v(n);
-    for (auto& z : v) z = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  auto random_blocks = [&](std::size_t n) {
+    core::AlignedBuffer v;
+    v.resize(n);
+    for (std::size_t i = 0; i < n; ++i) v.data()[i] = rng.uniform(-1, 1);
     return v;
   };
-  const auto g = random_spectra(runs.size() * len);
-  const auto f = random_spectra(nchunks * src_slot.size() * kChunk);
-  std::vector<fft::Complex> acc(nchunks * kTargets * kChunk);
-  const std::span<const std::int32_t> fs(fidx), as(aidx);
+  const std::size_t nsrc = src_slot.size();
+  const std::size_t gblk = core::kNumVlistOffsets * kB;
+  const auto g = random_blocks(nblk * gblk);
+  const auto s = random_blocks(nblk * nsrc * kB);
+  core::AlignedBuffer acc;
+  acc.resize(nblk * kTargets * kB);
+  const simd::Ops& ops = simd::ops();
   for (auto _ : state) {
-    for (std::size_t ci = 0; ci < nchunks; ++ci) {
-      const fft::Complex* fb = f.data() + ci * src_slot.size() * kChunk;
-      fft::Complex* ab = acc.data() + ci * kTargets * kChunk;
-      for (const Run& r : runs)
-        fft::pointwise_mac_chunked(g.data() + r.op * len + ci * kChunk, kChunk,
-                                   fb, ab, fs.subspan(r.e0, r.e1 - r.e0),
-                                   as.subspan(r.e0, r.e1 - r.e0));
-    }
+    for (std::size_t b = 0; b < nblk; ++b)
+      ops.vli_mac_block(g.data() + b * gblk, pair_slots.data(),
+                        s.data() + b * nsrc * kB, acc.data() + b * kTargets * kB,
+                        1, 1, parents.data(), parents.size(),
+                        colleagues.data());
     benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
   }
-  state.counters["sources"] = static_cast<double>(src_slot.size());
-  state.counters["pairs"] = static_cast<double>(pairs.size());
-  state.counters["offsets"] = static_cast<double>(runs.size());
+  state.counters["sources"] = static_cast<double>(nsrc);
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.counters["colleagues"] = static_cast<double>(colleagues.size());
+  state.SetLabel(ops.name);
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(8 * kChunk * nchunks *
-                                                    pairs.size()));
+                          static_cast<std::int64_t>(8 * len * pairs));
 }
 BENCHMARK(BM_FftMacLevel)->Unit(benchmark::kMillisecond);
 

@@ -97,13 +97,11 @@ PassResult run_pass(const core::Tables& tables, int p, int threads,
 int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "repeat_eval");
-  const int p = static_cast<int>(cli.get_int("p", 4));
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 20000));
-  const std::int64_t steps_arg = cli.get_int("steps", 5);
-  PKIFMM_CHECK_MSG(steps_arg >= 1,
-                   "--steps must be at least 1, got " << steps_arg);
-  const int steps = static_cast<int>(steps_arg);
-  const int threads = static_cast<int>(cli.get_int("threads", 1));
+  const int p = cli.get_int_as<int>("p", 4, 1);
+  const auto n = cli.get_int_as<std::uint64_t>("n", 20000);
+  const int steps = cli.get_int_as<int>("steps", 5);
+  PKIFMM_CHECK_MSG(steps >= 1, "--steps must be at least 1, got " << steps);
+  const int threads = cli.get_int_as<int>("threads", 1);
   const bool clamp = cli.get_bool("clamp", true);
   const bool overhead_check = cli.has("health-overhead-check");
   const double max_overhead_pct =
@@ -116,7 +114,7 @@ int bench_main(int argc, char** argv) {
 
   const core::Tables& base = tables_for("laplace", core::FmmOptions{});
   core::FmmOptions opts = base.options();
-  opts.max_points_per_leaf = static_cast<int>(cli.get_int("q", 60));
+  opts.max_points_per_leaf = cli.get_int_as<int>("q", 60);
   opts.threads_per_rank = threads;
   opts.clamp_threads = clamp;
   apply_flow_flags(opts);  // drives Runtime directly, not via run_fmm

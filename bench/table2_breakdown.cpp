@@ -19,8 +19,8 @@ using namespace pkifmm::bench;
 int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "table2_breakdown");
-  const int p = static_cast<int>(cli.get_int("p", 16));
-  const auto per_rank = static_cast<std::uint64_t>(cli.get_int("per-rank", 1500));
+  const int p = cli.get_int_as<int>("p", 16, 1);
+  const auto per_rank = cli.get_int_as<std::uint64_t>("per-rank", 1500);
 
   print_header("Table II", "evaluation-phase breakdown, nonuniform, Stokes");
 
@@ -32,7 +32,7 @@ int bench_main(int argc, char** argv) {
   cfg.opts.max_points_per_leaf = 40;
   // Intra-rank task pool (0 extra workers by default, so the
   // BENCH_history.jsonl trajectory stays a serial-evaluator record).
-  cfg.opts.threads_per_rank = static_cast<int>(cli.get_int("threads", 1));
+  cfg.opts.threads_per_rank = cli.get_int_as<int>("threads", 1);
   cfg.opts.clamp_threads = cli.get_bool("clamp", true);
   Experiment exp = run_fmm(cfg, "stokes");
 

@@ -24,7 +24,7 @@ int bench_main(int argc, char** argv) {
   // The paper's q values are exactly 1M/8^5, 1M/8^4, 1M/8^3 — each q
   // puts the uniform tree one level shallower. We scale N to 15360 and
   // keep the same level semantics: q = N/8^3, N/8^2, N/8^1.
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 15360));
+  const auto n = cli.get_int_as<std::uint64_t>("n", 15360);
 
   print_header("Table III",
                "single GPU, effect of points-per-box q (uniform, Laplace)");

@@ -32,12 +32,19 @@ using namespace pkifmm::bench;
 
 namespace {
 
+/// Comma-separated churn fractions, each parsed whole (the rule of
+/// Cli::get_double) and checked to lie in [0, 1].
 std::vector<double> parse_churns(const std::string& s) {
   std::vector<double> out;
   std::stringstream ss(s);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::stod(tok));
+    if (tok.empty()) continue;
+    double v = 0.0;
+    PKIFMM_CHECK_MSG(util::parse_double(tok, v) && v >= 0.0 && v <= 1.0,
+                     "--churn expects a number in [0, 1], got '" << tok
+                                                                << "'");
+    out.push_back(v);
   }
   return out;
 }
@@ -47,12 +54,10 @@ std::vector<double> parse_churns(const std::string& s) {
 int bench_main(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "timestep");
-  const int p = static_cast<int>(cli.get_int("p", 4));
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 20000));
-  const std::int64_t steps_arg = cli.get_int("steps", 4);
-  PKIFMM_CHECK_MSG(steps_arg >= 1,
-                   "--steps must be at least 1, got " << steps_arg);
-  const int steps = static_cast<int>(steps_arg);
+  const int p = cli.get_int_as<int>("p", 4, 1);
+  const auto n = cli.get_int_as<std::uint64_t>("n", 20000);
+  const int steps = cli.get_int_as<int>("steps", 4);
+  PKIFMM_CHECK_MSG(steps >= 1, "--steps must be at least 1, got " << steps);
   const bool do_eval = cli.get_bool("eval", false);
   const auto dist =
       octree::distribution_from_name(cli.get("dist", "ellipsoid"));
@@ -63,7 +68,7 @@ int bench_main(int argc, char** argv) {
 
   const core::Tables& base = tables_for("laplace", core::FmmOptions{});
   core::FmmOptions opts = base.options();
-  opts.max_points_per_leaf = static_cast<int>(cli.get_int("q", 60));
+  opts.max_points_per_leaf = cli.get_int_as<int>("q", 60);
   apply_flow_flags(opts);
 
   // The swirl: rotation about the vertical axis through the cube

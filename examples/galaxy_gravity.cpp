@@ -22,8 +22,8 @@ using namespace pkifmm;
 
 static int example_main(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 30000));
-  const int p = static_cast<int>(cli.get_int("ranks", 4));
+  const auto n = cli.get_int_as<std::uint64_t>("n", 30000);
+  const int p = cli.get_int_as<int>("ranks", 4, 1);
 
   std::printf("galaxy: %llu bodies (dense core + halo), %d ranks\n",
               static_cast<unsigned long long>(n), p);

@@ -20,9 +20,9 @@ using namespace pkifmm;
 
 static int example_main(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 30000));
-  const int q = static_cast<int>(cli.get_int("q", 200));
-  const int block = static_cast<int>(cli.get_int("block", 64));
+  const auto n = cli.get_int_as<std::uint64_t>("n", 30000);
+  const int q = cli.get_int_as<int>("q", 200);
+  const int block = cli.get_int_as<int>("block", 64);
 
   std::printf("GPU offload: %llu Laplace charges, q = %d, block = %d\n",
               static_cast<unsigned long long>(n), q, block);

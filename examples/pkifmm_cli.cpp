@@ -48,7 +48,7 @@ static int example_main(int argc, char** argv) {
   const std::int64_t n_arg = cli.get_int("n", 20000);
   PKIFMM_CHECK_MSG(n_arg >= 1, "--n must be at least 1, got " << n_arg);
   const auto n = static_cast<std::uint64_t>(n_arg);
-  const int p = static_cast<int>(cli.get_int("ranks", 4));
+  const int p = cli.get_int_as<int>("ranks", 4, 1);
   const std::string kernel_name = cli.get("kernel", "laplace");
   const auto dist = octree::distribution_from_name(cli.get("dist", "uniform"));
   const bool gradient = cli.get_bool("gradient", false);
@@ -56,12 +56,12 @@ static int example_main(int argc, char** argv) {
   PKIFMM_CHECK_MSG(check_arg >= 0,
                    "--check must be at least 0, got " << check_arg);
   const auto check = static_cast<std::size_t>(check_arg);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
+  const auto seed = cli.get_int_as<std::uint64_t>("seed", 42);
 
   auto kernel = kernels::make_kernel(kernel_name);
   core::FmmOptions opts;
-  opts.surface_n = static_cast<int>(cli.get_int("accuracy", 6));
-  opts.max_points_per_leaf = static_cast<int>(cli.get_int("q", 100));
+  opts.surface_n = cli.get_int_as<int>("accuracy", 6);
+  opts.max_points_per_leaf = cli.get_int_as<int>("q", 100);
   const std::string m2l = cli.get("m2l", "fft");
   PKIFMM_CHECK_MSG(m2l == "fft" || m2l == "dense",
                    "unknown --m2l '" << m2l << "' (fft | dense)");

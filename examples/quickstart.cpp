@@ -20,9 +20,9 @@ using namespace pkifmm;
 
 static int example_main(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 20000));
-  const int p = static_cast<int>(cli.get_int("ranks", 4));
-  const int accuracy = static_cast<int>(cli.get_int("accuracy", 6));
+  const auto n = cli.get_int_as<std::uint64_t>("n", 20000);
+  const int p = cli.get_int_as<int>("ranks", 4, 1);
+  const int accuracy = cli.get_int_as<int>("accuracy", 6);
 
   std::printf("pkifmm quickstart: %llu Laplace charges, %d simulated ranks\n",
               static_cast<unsigned long long>(n), p);

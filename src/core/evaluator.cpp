@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <tuple>
-#include <unordered_map>
 
 namespace pkifmm::core {
 
@@ -214,10 +214,12 @@ void Evaluator::publish_mem_gauges() {
   rec.gauge_set("mem.eval.batch_bytes",
                 cap(batch_in_) + cap(batch_out_) + cap(batch_tmp_) +
                     cap(slots_a_) + cap(slots_b_) + cap(slot_of_) +
-                    cap(vli_.tgt) + cap(vli_.src) + cap(vli_.off) +
-                    cap(vli_.fidx) + cap(vli_.aidx));
+                    cap(tgt_slot_of_) + cap(vli_.tgt) + cap(vli_.src) +
+                    cap(vli_.parents) + cap(vli_.colleagues));
   rec.gauge_set("mem.eval.fft_chunk_bytes",
-                cap(vli_.spectra) + cap(vli_.acc));
+                static_cast<double>((vli_.spectra.capacity() +
+                                     vli_.acc.capacity()) *
+                                    sizeof(double)));
 }
 
 namespace {
@@ -479,7 +481,7 @@ void Evaluator::vli() {
   if (tables_.options().m2l == M2lMode::kDense) {
     batched() ? vli_dense_batched() : vli_dense_scalar();
   } else {
-    batched() ? vli_fft_batched() : vli_fft_scalar();
+    vli_fft();
   }
 }
 
@@ -538,180 +540,123 @@ void Evaluator::vli_dense_batched() {
   }
 }
 
-void Evaluator::vli_fft_scalar() {
-  // FFT-diagonal translation, batched by level so per-octant half
-  // spectra are kept only for the level being processed.
-  const int sd = tables_.sdim();
-  const int td = tables_.tdim();
-  const std::size_t n = static_cast<std::size_t>(tables_.n());
-  const std::size_t len = tables_.spectrum_len();
-  const std::size_t hv = tables_.fft().half_volume();
-  const auto& embed = tables_.embed_index();
-  const int m = tables_.m();
-  const Tables::VliFlops& fl = tables_.vli_flops();
-
-  std::vector<double> cube(n * n * n);
-  std::vector<fft::Complex> acc(static_cast<std::size_t>(td) * len);
-  std::vector<std::pair<int, std::int32_t>> offsets;
-  for (int level = min_level_; level <= max_level_; ++level) {
-    // Sources used by some target's V-list at this level.
-    std::unordered_map<std::int32_t, std::vector<fft::Complex>> spectra;
-    for (auto i : level_nodes_[level]) {
-      if (!let_.nodes[i].target) continue;
-      for (auto si : let_.v.of(i)) spectra.try_emplace(si);
-    }
-    if (spectra.empty()) continue;
-
-    // Per-octant r2c transforms of the embedded equivalent densities.
-    for (auto& [si, spec] : spectra) {
-      spec.assign(static_cast<std::size_t>(sd) * len, fft::Complex(0, 0));
-      const double* usrc = u_.data() + std::size_t(si) * tables_.eq_len();
-      for (int c = 0; c < sd; ++c) {
-        std::fill(cube.begin(), cube.end(), 0.0);
-        for (int k = 0; k < m; ++k) cube[embed[k]] = usrc[k * sd + c];
-        tables_.fft().forward_r2c(
-            cube, n, std::span<fft::Complex>(spec.data() + c * len, hv));
-      }
-      ctx_.flops.add("eval.vli", fl.fwd_per_source);
-    }
-
-    // Diagonal translation + c2r transform per target.
-    const LevelOps ops = tables_.at(level);
-    for (auto i : level_nodes_[level]) {
-      const LetNode& node = let_.nodes[i];
-      if (!node.target) continue;
-      const auto list = let_.v.of(i);
-      if (list.empty()) continue;
-
-      // Sources in offset order, the batched sweep's accumulation order.
-      offsets.clear();
-      for (auto si : list)
-        offsets.emplace_back(vlist_offset_index(node.key, let_.nodes[si].key),
-                             si);
-      std::sort(offsets.begin(), offsets.end());
-      std::fill(acc.begin(), acc.end(), fft::Complex(0, 0));
-      for (const auto& [off, si] : offsets) {
-        const auto g = tables_.m2l_spectra(level, off);
-        const auto& spec = spectra.at(si);
-        for (int ti = 0; ti < td; ++ti)
-          for (int sc = 0; sc < sd; ++sc)
-            fft::pointwise_mac(
-                g.subspan(std::size_t(ti * sd + sc) * len, len),
-                std::span<const fft::Complex>(spec.data() + sc * len, len),
-                std::span<fft::Complex>(acc.data() + ti * len, len));
-        ctx_.flops.add("eval.vli", fl.mac_per_pair);
-      }
-      double* out = checkpot_.data() + std::size_t(i) * tables_.check_len();
-      for (int ti = 0; ti < td; ++ti) {
-        tables_.fft().inverse_c2r(
-            std::span<fft::Complex>(acc.data() + ti * len, hv), n, cube);
-        for (int k = 0; k < m; ++k)
-          out[k * td + ti] += ops.m2l_scale * cube[embed[k]];
-      }
-      ctx_.flops.add("eval.vli", fl.inv_per_target);
-    }
-  }
-}
-
-// The batched FFT V-list (vli_fft_batched and the steps it runs).
-// Relative to the scalar path:
-//  - half spectra live in ONE flat buffer indexed by level slots
-//    (slot_of_) instead of an unordered_map of vectors,
-//  - (target, source) pairs are sorted by translation-offset index so
-//    each m2l_spectra operator is fetched once per run,
-//  - spectra and accumulators are stored CHUNK-MAJOR (all slots'
-//    values for one kFreqChunk-frequency chunk contiguous) and the
-//    diagonal multiply sweeps the frequency axis in the outer loop:
-//    each chunk's working set (one chunk of every live slot) fits L2,
-//    so the MAC is compute-bound instead of re-streaming whole spectra
-//    from memory for every pair. Value (slot_comp, q) lives at
-//    buf[(q / kFreqChunk) * ncomp * kFreqChunk + slot_comp * kFreqChunk
-//        + q % kFreqChunk].
-// Flops follow Tables::vli_flops() exactly as in the scalar path.
+// The FFT V-list (vli_fft and the steps it runs). V-list pairs are
+// exactly the non-adjacent child pairs of (target parent, parent
+// colleague) pairs, so the MAC loops over parent pairs: for each
+// 8-frequency block, a target parent keeps its children's accumulators
+// in registers while its colleagues' child spectra stream past
+// (simd::Ops::vli_mac_block). Source spectra, target accumulators and
+// operators are stored in split re/im blocks, block-major: value
+// (slot, component c, frequency q) lives at
+//   buf[((q / 8) nslots ncomp + slot ncomp + c) 16 + q % 8]
+// (+ 8 for the imaginary part), ncomp = sd for sources, td for targets.
+// A block of one level's sources, accumulators and operators is a few
+// hundred KB, so the MAC runs out of L2. Flops follow Tables::vli_flops().
 
 std::uint64_t Evaluator::vli_plan(int level, VliLevel& V) {
   const int sd = tables_.sdim();
   const int td = tables_.tdim();
-  const std::size_t ncomp = std::size_t(td) * sd;
-  const std::size_t len = tables_.spectrum_len();
+  const std::size_t nblk = tables_.spectrum_len() / simd::kVliBlock;
+  const auto& pair_slots = vli_pair_slots();
 
-  // Targets with a V-list, their unique sources as slots in
-  // first-reference order, and each pair's offset index (pairs in
-  // target-slot order), counted per offset.
+  // Targets with a V-list, in node order.
   V.tgt.clear();
   V.src.clear();
-  V.off.clear();
-  std::array<std::size_t, kNumOffsets> count{};
+  V.parents.clear();
+  V.colleagues.clear();
+  std::size_t list_pairs = 0;
   for (auto i : level_nodes_[level]) {
     const LetNode& node = let_.nodes[i];
     if (!node.target) continue;
-    const auto list = let_.v.of(i);
-    if (list.empty()) continue;
+    const std::size_t nv = let_.v.of(i).size();
+    if (nv == 0) continue;
+    list_pairs += nv;
+    tgt_slot_of_[i] = static_cast<std::int32_t>(V.tgt.size());
     V.tgt.push_back(i);
-    for (auto si : list) {
-      const int off = vlist_offset_index(node.key, let_.nodes[si].key);
-      V.off.push_back(static_cast<std::uint16_t>(off));
-      ++count[off];
-      if (slot_of_[si] < 0) {
-        slot_of_[si] = static_cast<std::int32_t>(V.src.size());
-        V.src.push_back(si);
-      }
+  }
+
+  // The V-list pairs of each colleague direction (the bits of
+  // VliColleague::pairs), before the children present are known.
+  std::array<std::uint64_t, 27> dir_pairs{};
+  for (int k = 0; k < 27 * 64; ++k)
+    if (pair_slots[k] >= 0) dir_pairs[k / 64] |= std::uint64_t{1} << (k % 64);
+
+  // Their parents in first-target order (siblings are contiguous in
+  // node order), each with its colleagues in morton::colleagues order:
+  // every target then adds its sources in (colleague, child index)
+  // order, the order lists_for_node builds let_.v in.
+  std::size_t pairs = 0;
+  std::int32_t prev = -1;
+  for (auto t : V.tgt) {
+    const std::int32_t pi = let_.nodes[t].parent;
+    if (pi == prev) continue;
+    prev = pi;
+    PKIFMM_CHECK(pi >= 0);
+    const LetNode& par = let_.nodes[pi];
+    simd::VliParent vp{};
+    std::uint64_t targets = 0;  // pair bits whose ct is a V-list target
+    for (int ci = 0; ci < 8; ++ci) {
+      const std::int32_t c = par.child[ci];
+      vp.tgt[ci] = c >= 0 ? tgt_slot_of_[c] : -1;
+      if (vp.tgt[ci] >= 0) targets |= 0x0101010101010101ull << ci;
     }
-  }
-
-  // One operator fetch per offset run; each td x sd component of a run
-  // becomes an entry group sharing one spectrum component. A run of k
-  // pairs starting at pair p0 owns entries [ncomp p0, ncomp (p0 + k)),
-  // component c the k entries from ncomp p0 + c k.
-  std::array<std::size_t, kNumOffsets> next;  // next component-0 entry
-  V.groups.clear();
-  std::size_t p0 = 0;
-  for (int off = 0; off < kNumOffsets; ++off) {
-    const std::size_t k = count[off];
-    next[off] = ncomp * p0;
-    p0 += k;
-    if (k == 0) continue;
-    const auto g = tables_.m2l_spectra(level, off);
-    for (std::size_t c = 0; c < ncomp; ++c)
-      V.groups.push_back({g.data() + c * len, next[off] + c * k,
-                          next[off] + (c + 1) * k});
-  }
-
-  // Counting sort: pairs are dealt to their offset's run in target-slot
-  // order, giving the (offset, target) order of a comparison sort.
-  // (offset, target) is unique per pair, so the order of the MACs into
-  // any accumulator does not depend on how the slots were numbered.
-  V.fidx.resize(ncomp * V.off.size());
-  V.aidx.resize(ncomp * V.off.size());
-  for (std::size_t bj = 0, p = 0; bj < V.tgt.size(); ++bj)
-    for (auto si : let_.v.of(V.tgt[bj])) {
-      const std::uint16_t off = V.off[p++];
-      std::size_t e = next[off]++;
-      for (int ti = 0; ti < td; ++ti)
-        for (int sc = 0; sc < sd; ++sc, e += count[off]) {
-          V.fidx[e] = slot_of_[si] * sd + sc;
-          V.aidx[e] = static_cast<std::int32_t>(bj) * td + ti;
+    vp.c0 = static_cast<std::uint32_t>(V.colleagues.size());
+    for (int dx = -1; dx <= 1; ++dx)
+      for (int dy = -1; dy <= 1; ++dy)
+        for (int dz = -1; dz <= 1; ++dz) {
+          if (dx == 0 && dy == 0 && dz == 0) continue;
+          const auto nb = morton::neighbor(par.key, dx, dy, dz);
+          if (!nb) continue;
+          const std::int32_t ki = let_.find(*nb);
+          if (ki < 0) continue;
+          simd::VliColleague vc{};
+          vc.dir = (dx + 1) * 9 + (dy + 1) * 3 + (dz + 1);
+          for (int cs = 0; cs < 8; ++cs) {
+            vc.src[cs] = -1;
+            const std::int32_t c = let_.nodes[ki].child[cs];
+            if (c < 0) continue;
+            const std::uint64_t bits =
+                dir_pairs[vc.dir] & targets & (0xFFull << (8 * cs));
+            if (bits == 0) continue;
+            vc.pairs |= bits;
+            if (slot_of_[c] < 0) {
+              slot_of_[c] = static_cast<std::int32_t>(V.src.size());
+              V.src.push_back(c);
+            }
+            vc.src[cs] = slot_of_[c];
+          }
+          if (vc.pairs == 0) continue;
+          pairs += static_cast<std::size_t>(std::popcount(vc.pairs));
+          V.colleagues.push_back(vc);
         }
-    }
+    vp.c1 = static_cast<std::uint32_t>(V.colleagues.size());
+    V.parents.push_back(vp);
+  }
+  PKIFMM_CHECK_MSG(pairs == list_pairs,
+                   "V-list plan has " << pairs << " pairs, the lists "
+                                      << list_pairs);
   for (auto si : V.src) slot_of_[si] = -1;  // reset for the next level
+  for (auto t : V.tgt) tgt_slot_of_[t] = -1;
 
-  // vli_forward writes every spectra value; the MAC accumulates.
-  V.spectra.resize(V.src.size() * sd * len);
-  V.acc.assign(V.tgt.size() * td * len, fft::Complex(0, 0));
+  // vli_forward writes every spectra value; every target's parent
+  // stores its accumulators once per block.
+  V.spectra.resize(nblk * V.src.size() * sd * simd::kVliBlockDoubles);
+  V.acc.resize(nblk * V.tgt.size() * td * simd::kVliBlockDoubles);
   const Tables::VliFlops& fl = tables_.vli_flops();
-  return V.src.size() * fl.fwd_per_source + V.off.size() * fl.mac_per_pair +
+  return V.src.size() * fl.fwd_per_source + pairs * fl.mac_per_pair +
          V.tgt.size() * fl.inv_per_target;
 }
 
 void Evaluator::vli_forward(VliLevel& V, std::size_t b, std::size_t e,
                             int lane) {
+  constexpr std::size_t kB = simd::kVliBlock;
   const int sd = tables_.sdim();
   const int m = tables_.m();
   const auto& embed = tables_.embed_index();
   const std::size_t n = static_cast<std::size_t>(tables_.n());
   const std::size_t len = tables_.spectrum_len();
   const std::size_t hv = tables_.fft().half_volume();
-  const std::size_t nsc = V.src.size() * sd;
+  const std::size_t stride = V.src.size() * sd * simd::kVliBlockDoubles;
   const std::span<double> cube(lane_cube_.data() + lane * n * n * n,
                                n * n * n);
   fft::Complex* half = lane_half_.data() + lane * len;
@@ -722,31 +667,33 @@ void Evaluator::vli_forward(VliLevel& V, std::size_t b, std::size_t e,
       std::fill(cube.begin(), cube.end(), 0.0);
       for (int k = 0; k < m; ++k) cube[embed[k]] = usrc[k * sd + c];
       tables_.fft().forward_r2c(cube, n, std::span<fft::Complex>(half, hv));
-      const std::size_t comp = sl * sd + c;
-      for (std::size_t q0 = 0; q0 < len; q0 += Tables::kFreqChunk)
-        std::copy(half + q0, half + q0 + Tables::kFreqChunk,
-                  V.spectra.data() + q0 * nsc + comp * Tables::kFreqChunk);
+      double* out = V.spectra.data() + (sl * sd + c) * simd::kVliBlockDoubles;
+      for (std::size_t q0 = 0; q0 < len; q0 += kB, out += stride)
+        for (std::size_t k = 0; k < kB; ++k) {
+          out[k] = half[q0 + k].real();
+          out[kB + k] = half[q0 + k].imag();
+        }
     }
   }
 }
 
-void Evaluator::vli_mac(VliLevel& V, std::size_t cb, std::size_t ce) {
-  constexpr std::size_t kc = Tables::kFreqChunk;
-  const std::size_t nsc = V.src.size() * tables_.sdim();
-  const std::size_t ntc = V.tgt.size() * tables_.tdim();
-  const std::span<const std::int32_t> fidx(V.fidx), aidx(V.aidx);
-  for (std::size_t ci = cb; ci < ce; ++ci) {
-    const fft::Complex* fb = V.spectra.data() + ci * nsc * kc;
-    fft::Complex* ab = V.acc.data() + ci * ntc * kc;
-    for (const VliLevel::Group& grp : V.groups)
-      fft::pointwise_mac_chunked(grp.g + ci * kc, kc, fb, ab,
-                                 fidx.subspan(grp.e0, grp.e1 - grp.e0),
-                                 aidx.subspan(grp.e0, grp.e1 - grp.e0));
-  }
+void Evaluator::vli_mac(VliLevel& V, const std::vector<AlignedBuffer>& g,
+                        std::size_t b, std::size_t e) {
+  const int sd = tables_.sdim();
+  const int td = tables_.tdim();
+  const std::size_t sstride = V.src.size() * sd * simd::kVliBlockDoubles;
+  const std::size_t astride = V.tgt.size() * td * simd::kVliBlockDoubles;
+  const simd::Ops& ops = simd::ops();
+  for (std::size_t blk = b; blk < e; ++blk)
+    ops.vli_mac_block(g[blk].data(), vli_pair_slots().data(),
+                      V.spectra.data() + blk * sstride,
+                      V.acc.data() + blk * astride, td, sd, V.parents.data(),
+                      V.parents.size(), V.colleagues.data());
 }
 
 void Evaluator::vli_inverse(VliLevel& V, std::size_t b, std::size_t e,
                             double scale, int lane) {
+  constexpr std::size_t kB = simd::kVliBlock;
   const int td = tables_.tdim();
   const int m = tables_.m();
   const auto& embed = tables_.embed_index();
@@ -754,39 +701,40 @@ void Evaluator::vli_inverse(VliLevel& V, std::size_t b, std::size_t e,
   const std::size_t len = tables_.spectrum_len();
   const std::size_t hv = tables_.fft().half_volume();
   const std::size_t clen = tables_.check_len();
-  const std::size_t ntc = V.tgt.size() * td;
+  const std::size_t stride = V.tgt.size() * td * simd::kVliBlockDoubles;
   const std::span<double> cube(lane_cube_.data() + lane * n * n * n,
                                n * n * n);
   fft::Complex* half = lane_half_.data() + lane * len;
   for (std::size_t bj = b; bj < e; ++bj) {
     double* out = checkpot_.data() + std::size_t(V.tgt[bj]) * clen;
     for (int ti = 0; ti < td; ++ti) {
-      const std::size_t comp = bj * td + ti;
-      for (std::size_t q0 = 0; q0 < hv; q0 += Tables::kFreqChunk) {
-        const fft::Complex* src =
-            V.acc.data() + q0 * ntc + comp * Tables::kFreqChunk;
-        std::copy(src, src + std::min(Tables::kFreqChunk, hv - q0), half + q0);
-      }
+      const double* in =
+          V.acc.data() + (bj * td + ti) * simd::kVliBlockDoubles;
+      for (std::size_t q0 = 0; q0 < hv; q0 += kB, in += stride)
+        for (std::size_t k = 0; k < std::min(kB, hv - q0); ++k)
+          half[q0 + k] = fft::Complex(in[k], in[kB + k]);
       tables_.fft().inverse_c2r(std::span<fft::Complex>(half, hv), n, cube);
       for (int k = 0; k < m; ++k) out[k * td + ti] += scale * cube[embed[k]];
     }
   }
 }
 
-void Evaluator::vli_fft_batched() {
-  const std::size_t nchunks = tables_.spectrum_len() / Tables::kFreqChunk;
+void Evaluator::vli_fft() {
+  const std::size_t nblk = tables_.spectrum_len() / simd::kVliBlock;
   const std::size_t n = static_cast<std::size_t>(tables_.n());
   const std::size_t lanes = static_cast<std::size_t>(pool_->lanes());
   lane_cube_.assign(lanes * n * n * n, 0.0);
   lane_half_.assign(lanes * tables_.spectrum_len(), fft::Complex(0, 0));
   slot_of_.assign(let_.nodes.size(), -1);
+  tgt_slot_of_.assign(let_.nodes.size(), -1);
   for (int level = min_level_; level <= max_level_; ++level) {
     const std::uint64_t flops = vli_plan(level, vli_);
     if (vli_.tgt.empty()) continue;
     ctx_.flops.add("eval.vli", flops);
+    const std::vector<AlignedBuffer>& g = tables_.vli_operator_blocks(level);
 
     // Each chunk of source slots owns disjoint spectra components,
-    // each frequency chunk disjoint accumulator windows, each chunk of
+    // each frequency block disjoint accumulator blocks, each chunk of
     // targets disjoint checkpot_ rows.
     pool_->parallel_for(
         vli_.src.size(), kFftSlotGrain,
@@ -795,8 +743,8 @@ void Evaluator::vli_fft_batched() {
         },
         "eval.vli");
     pool_->parallel_for(
-        nchunks, kFreqChunkGrain,
-        [&](std::size_t cb, std::size_t ce, int) { vli_mac(vli_, cb, ce); },
+        nblk, kFreqBlockGrain,
+        [&](std::size_t b, std::size_t e, int) { vli_mac(vli_, g, b, e); },
         "eval.vli");
     const double scale = tables_.at(level).m2l_scale;
     pool_->parallel_for(

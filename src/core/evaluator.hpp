@@ -14,27 +14,27 @@
 ///   f        — target potentials, aligned with Let::points
 ///              (points x tdim; valid for owned leaves)
 ///
-/// Each translation phase exists in two executions selected by
-/// FmmOptions::eval_mode (see DESIGN.md "Batched evaluation engine"):
-///   kScalar  — one gemv / pointwise_mac per octant or pair (reference)
+/// S2U, U2U, dense M2L and the downward pass exist in two executions
+/// selected by FmmOptions::eval_mode (see DESIGN.md "Batched evaluation
+/// engine"):
+///   kScalar  — one gemv per octant or pair (reference)
 ///   kBatched — level- and operator-blocked batches: U2U/L2L as one GEMM
 ///              per (level, child index), uc2ue/dc2de as one GEMM per
-///              level, dense M2L as one GEMM per (level, offset), and
-///              the FFT V-list with flat level-sorted source half
-///              spectra and (target, source) pairs sorted by translation
-///              offset so each operator spectrum is streamed over a
-///              contiguous run.
+///              level, dense M2L as one GEMM per (level, offset).
 /// Both modes account identical model flops into the same eval.* phases
 /// and agree on the outputs to rounding.
 ///
-/// The V-list translation is either FFT-diagonal (per-octant
-/// real-to-complex FFTs batched by level, pointwise multiply per pair
-/// over the Hermitian half spectrum, complex-to-real FFT per target —
-/// the paper's scheme) or dense (ablation baseline).
+/// The V-list translation is either FFT-diagonal (the paper's scheme;
+/// one engine for both modes) or dense (ablation baseline). The FFT
+/// V-list runs per level: real-to-complex FFTs of the source densities,
+/// a sibling-blocked diagonal MAC over the Hermitian half spectrum that
+/// loops over (target parent, parent colleague) pairs and keeps a
+/// parent's children's accumulators in registers per 8-frequency block
+/// (simd::Ops::vli_mac_block), and a complex-to-real FFT per target.
 ///
 /// Intra-rank parallelism (paper §V's per-node concurrency, on CPU
 /// workers): every batched hot loop — per-leaf kernel evaluations,
-/// batch-GEMM column windows, per-frequency-chunk V-list MACs, per-node
+/// batch-GEMM column windows, per-frequency-block V-list MACs, per-node
 /// direct phases (ULI/XLI/WLI/D2T) — runs as util::TaskPool chunks over
 /// pre-assigned disjoint output ranges, so results are identical for
 /// any FmmOptions::threads_per_rank (see the pool's determinism
@@ -131,42 +131,39 @@ class Evaluator {
   void s2u_scalar();
   void u2u_scalar();
   void vli_dense_scalar();
-  void vli_fft_scalar();
   void downward_scalar();
 
   // Level/operator-blocked implementations (identical flop accounting).
   void s2u_batched();
   void u2u_batched();
   void vli_dense_batched();
-  void vli_fft_batched();
   void downward_batched();
 
-  /// One level's batched FFT V-list: target and source node per slot,
-  /// chunk-major half spectra and accumulators, each pair's offset
-  /// index, and the offset-sorted MAC entries, grouped per operator
-  /// component.
+  /// The FFT V-list, one engine for both eval modes.
+  void vli_fft();
+
+  /// One level's FFT V-list: target and source node per slot, the
+  /// sibling-blocked MAC's plan (target parents and their colleague
+  /// entries), and the source spectra and target accumulators in
+  /// block-major split re/im blocks (simd::Ops::vli_mac_block's layout;
+  /// all slots of frequency block b are contiguous).
   struct VliLevel {
-    /// One operator component applied to entries [e0, e1) of fidx/aidx.
-    struct Group {
-      const fft::Complex* g;
-      std::size_t e0, e1;
-    };
     std::vector<std::int32_t> tgt, src;
-    std::vector<fft::Complex> spectra, acc;
-    std::vector<std::uint16_t> off;  ///< per pair, target-slot order
-    std::vector<Group> groups;
-    std::vector<std::int32_t> fidx, aidx;
+    std::vector<simd::VliParent> parents;
+    std::vector<simd::VliColleague> colleagues;
+    AlignedBuffer spectra, acc;
   };
-  // The batched V-list's steps.
-  /// Collects the level's V-list targets and unique sources (slots in
-  /// first-reference order), counting-sorts the pairs into the
-  /// offset-sorted MAC entries, sizes the buffers, resets slot_of_, and
-  /// returns the level's V-list model flops.
+  // The FFT V-list's steps.
+  /// Collects the level's V-list targets, their parents in first-target
+  /// order, and each parent's colleagues with their V-list child pairs;
+  /// numbers the source children as slots in plan order, sizes the
+  /// buffers, and returns the level's V-list model flops.
   std::uint64_t vli_plan(int level, VliLevel& V);
-  /// Source slots [b, e): embed -> r2c -> scatter chunk-major.
+  /// Source slots [b, e): embed -> r2c -> split into frequency blocks.
   void vli_forward(VliLevel& V, std::size_t b, std::size_t e, int lane);
-  /// Frequency chunks [cb, ce) of the diagonal MAC.
-  void vli_mac(VliLevel& V, std::size_t cb, std::size_t ce);
+  /// Frequency blocks [b, e) of the sibling-blocked MAC.
+  void vli_mac(VliLevel& V, const std::vector<AlignedBuffer>& g,
+               std::size_t b, std::size_t e);
   /// Target slots [b, e): gather -> c2r -> extract into checkpot_.
   void vli_inverse(VliLevel& V, std::size_t b, std::size_t e, double scale,
                    int lane);
@@ -226,6 +223,7 @@ class Evaluator {
   std::vector<std::int32_t> slots_a_, slots_b_;
   VliLevel vli_;                            ///< FFT V-list level
   std::vector<std::int32_t> slot_of_;       ///< node -> level source slot
+  std::vector<std::int32_t> tgt_slot_of_;   ///< node -> level target slot
 
   // Intra-rank scheduling. pool_ is ctx.pool when the Runtime provided
   // one, else owned_pool_ sized from FmmOptions::threads_per_rank.
@@ -234,7 +232,7 @@ class Evaluator {
   static constexpr std::size_t kNodeGrain = 16;  ///< nodes per direct chunk
   static constexpr std::size_t kColGrain = 64;   ///< GEMM columns per chunk
   static constexpr std::size_t kFftSlotGrain = 4;   ///< fwd/inv FFTs per chunk
-  static constexpr std::size_t kFreqChunkGrain = 2; ///< V-list chunks per task
+  static constexpr std::size_t kFreqBlockGrain = 4; ///< V-list blocks per task
   std::unique_ptr<util::TaskPool> owned_pool_;
   util::TaskPool* pool_ = nullptr;
   std::vector<double> lane_surf_;        ///< lanes x 3*surf count

@@ -22,7 +22,8 @@ enum class ReduceMode {
 
 /// How the per-rank evaluation pipeline is executed.
 enum class EvalMode {
-  kScalar,   ///< one gemv / pointwise_mac per octant or pair (reference)
+  kScalar,   ///< one gemv per octant or pair (reference); the FFT V-list
+             ///< is the batched one in both modes
   kBatched,  ///< level- and operator-blocked GEMM/FFT batches (paper §IV-V)
 };
 

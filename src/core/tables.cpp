@@ -36,6 +36,16 @@ bool is_vlist_offset(int dx, int dy, int dz) {
   return c >= 2 && c <= 3;
 }
 
+void AlignedBuffer::resize(std::size_t n) {
+  if (n <= capacity()) return;
+  // Plain malloc, aligned by hand: std::aligned_alloc of the V-list's
+  // buffers raised uniform_farfield's peak RSS by 30-60 MiB.
+  const std::size_t bytes = n * sizeof(double) + kAlign;
+  raw_.reset(static_cast<char*>(std::malloc(bytes)));
+  PKIFMM_CHECK_MSG(raw_ != nullptr, "out of memory: " << bytes << " bytes");
+  cap_ = n;
+}
+
 namespace {
 
 /// Child-center displacement signs for Morton child index i
@@ -77,6 +87,43 @@ void validate_options(const FmmOptions& opts) {
 }
 
 }  // namespace
+
+int vlist_offset_slot(int off) {
+  static const auto slots = [] {
+    std::array<std::int32_t, kNumOffsets> s{};
+    int next = 0;
+    for (int o = 0; o < kNumOffsets; ++o) {
+      int dx = 0, dy = 0, dz = 0;
+      decode_offset(o, dx, dy, dz);
+      s[o] = is_vlist_offset(dx, dy, dz) ? next++ : -1;
+    }
+    return s;
+  }();
+  PKIFMM_DCHECK(off >= 0 && off < kNumOffsets);
+  return slots[off];
+}
+
+const std::array<std::int32_t, 27 * 64>& vli_pair_slots() {
+  static const auto table = [] {
+    std::array<std::int32_t, 27 * 64> t;
+    t.fill(-1);
+    for (int dir = 0; dir < 27; ++dir) {
+      if (dir == 13) continue;
+      const int d[3] = {dir / 9 - 1, dir / 3 % 3 - 1, dir % 3 - 1};
+      for (int cs = 0; cs < 8; ++cs)
+        for (int ct = 0; ct < 8; ++ct) {
+          int o[3];
+          for (int a = 0; a < 3; ++a)
+            o[a] = -2 * d[a] + ((ct >> a) & 1) - ((cs >> a) & 1);
+          if (is_vlist_offset(o[0], o[1], o[2]))
+            t[64 * dir + 8 * cs + ct] =
+                vlist_offset_slot(offset_index(o[0], o[1], o[2]));
+        }
+    }
+    return t;
+  }();
+  return table;
+}
 
 Tables Tables::with_options(const FmmOptions& opts) const {
   PKIFMM_CHECK_MSG(
@@ -242,6 +289,43 @@ std::span<const fft::Complex> Tables::m2l_spectra(int level,
              .emplace(std::make_pair(key, off_index),
                       build_spectra(key, off_index))
              .first;
+  return it->second;
+}
+
+std::vector<AlignedBuffer> Tables::build_vli_blocks(int level) const {
+  PKIFMM_CHECK_MSG(sdim_ <= 3, "the FFT V-list takes source_dim <= 3, got "
+                                   << sdim_);
+  constexpr std::size_t kB = simd::kVliBlock;
+  const std::size_t ncomp = static_cast<std::size_t>(tdim_) * sdim_;
+  const std::size_t len = spectrum_len();
+  std::vector<AlignedBuffer> blocks(len / kB);
+  for (AlignedBuffer& b : blocks)
+    b.resize(kNumVlistOffsets * ncomp * simd::kVliBlockDoubles);
+  for (int off = 0; off < kNumOffsets; ++off) {
+    const int slot = vlist_offset_slot(off);
+    if (slot < 0) continue;
+    const std::vector<fft::Complex> spec = build_spectra(level, off);
+    for (std::size_t c = 0; c < ncomp; ++c)
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        const fft::Complex* z = spec.data() + c * len + b * kB;
+        double* out = blocks[b].data() +
+                      (slot * ncomp + c) * simd::kVliBlockDoubles;
+        for (std::size_t k = 0; k < kB; ++k) {
+          out[k] = z[k].real();
+          out[kB + k] = z[k].imag();
+        }
+      }
+  }
+  return blocks;
+}
+
+const std::vector<AlignedBuffer>& Tables::vli_operator_blocks(
+    int level) const {
+  const int key = kernel_.homogeneous() ? 0 : level;
+  std::lock_guard<std::mutex> lock(cache_->mu);
+  auto it = cache_->vli_blocks.find(key);
+  if (it == cache_->vli_blocks.end())
+    it = cache_->vli_blocks.emplace(key, build_vli_blocks(key)).first;
   return it->second;
 }
 

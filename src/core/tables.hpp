@@ -6,9 +6,10 @@
 /// The FFT V-list works on an N^3 grid, N the smallest {2,3}-smooth
 /// size >= 2n-1 (12 at n = 6, 8 at n = 4), and keeps only Hermitian
 /// half spectra: N * N * (N/2+1) frequencies, padded to a multiple of
-/// the kFreqChunk-frequency chunk of the chunk-major MAC sweep
-/// (spectrum_len()). The V-list flop model (vli_flops()) is defined
-/// here once for the evaluators and the load-balance weights.
+/// kFreqChunk (spectrum_len()). The V-list flop model (vli_flops()) is
+/// defined here once for the evaluators and the load-balance weights.
+/// The CPU engine reads the operator spectra in the sibling-blocked
+/// MAC's layout (vli_operator_blocks(), vli_pair_slots()).
 ///
 /// uc2ue and dc2de are the truncated pseudo-inverses (la::pinv) of
 /// K(uc, ue) and K(dc, de). When the surfaces mirror each other, i.e.
@@ -37,6 +38,8 @@
 ///   L2L (child l)     = 2^(-(l-1) deg) K_ref   (reference pair 0->1)
 
 #include <array>
+#include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -48,6 +51,7 @@
 #include "kernels/kernel.hpp"
 #include "la/matrix.hpp"
 #include "morton/key.hpp"
+#include "simd/simd.hpp"
 
 namespace pkifmm::core {
 
@@ -64,6 +68,49 @@ int vlist_offset_index(const morton::Key& target, const morton::Key& source);
 /// True iff (dx,dy,dz) is a legal V-list offset: Chebyshev distance 2 or
 /// 3 (same-level, parents are colleagues, boxes not adjacent).
 bool is_vlist_offset(int dx, int dy, int dz);
+
+/// Number of legal V-list offsets (7^3 - 3^3).
+inline constexpr int kNumVlistOffsets = 316;
+
+/// Rank of offset_index `off` among the legal V-list offsets in
+/// offset_index order (the offset axis of Tables::vli_operator_blocks),
+/// or -1 if off is not a V-list offset.
+int vlist_offset_slot(int off);
+
+/// The child pairs of the sibling-blocked V-list MAC. For a target
+/// parent P and its colleague P + D, D in {-1, 0, 1}^3 \ {0} with
+/// direction dir = 9 (Dx + 1) + 3 (Dy + 1) + (Dz + 1), entry
+/// [64 dir + 8 cs + ct] is the vlist_offset_slot of target child ct and
+/// source child cs: the offset -2 D + (bits(ct) - bits(cs)) per axis
+/// (Morton child bits, x = bit 0). It is -1 where the two children are
+/// adjacent, and on the whole row dir = 13 (D = 0).
+const std::array<std::int32_t, 27 * 64>& vli_pair_slots();
+
+/// 64-byte-aligned doubles whose values start uninitialized: the
+/// V-list's operator blocks, source spectra and accumulators are each
+/// written in full before they are read. resize() only grows, and
+/// discards the values when it does.
+class AlignedBuffer {
+ public:
+  static constexpr std::size_t kAlign = 64;
+
+  void resize(std::size_t n);
+  double* data() { return aligned(raw_.get()); }
+  const double* data() const { return aligned(raw_.get()); }
+  std::size_t capacity() const { return raw_ ? cap_ : 0; }  ///< in doubles
+
+ private:
+  static double* aligned(char* p) {
+    if (p == nullptr) return nullptr;
+    const auto at = reinterpret_cast<std::uintptr_t>(p);
+    return reinterpret_cast<double*>(p + (kAlign - at % kAlign) % kAlign);
+  }
+  struct Free {
+    void operator()(char* p) const { std::free(p); }
+  };
+  std::unique_ptr<char[], Free> raw_;
+  std::size_t cap_ = 0;
+};
 
 /// Level-resolved view of the translation operators, with the scale
 /// factors already worked out for the requested level.
@@ -100,7 +147,7 @@ class Tables {
   /// Length of a check-potential vector (m * tdim).
   int check_len() const { return m_ * tdim_; }
 
-  /// Frequencies per chunk of the chunk-major V-list MAC sweep.
+  /// spectrum_len() is a multiple of this: two simd::kVliBlock blocks.
   static constexpr std::size_t kFreqChunk = 16;
 
   /// FFT grid edge N (smallest {2,3}-smooth size >= 2n-1), the N^3
@@ -140,6 +187,15 @@ class Tables {
   /// (lazy).
   std::span<const fft::Complex> m2l_spectra(int level, int off_index) const;
 
+  /// The m2l_spectra of all kNumVlistOffsets offsets in the layout of
+  /// simd::Ops::vli_mac_block, one allocation per kVliBlock-frequency
+  /// block b: offset slot o (vlist_offset_slot), component c at
+  /// blocks[b].data() + (o td sd + c) 16, the 8 real parts of
+  /// frequencies [8 b, 8 b + 8) then their 8 imaginary parts. Unscaled
+  /// like m2l_spectra. Built on first use under the cache mutex, and
+  /// without filling the m2l_spectra cache. Thread-safe (lazy).
+  const std::vector<AlignedBuffer>& vli_operator_blocks(int level) const;
+
   /// Dense M2L matrix for an offset (ablation path). Thread-safe (lazy).
   const la::Matrix& m2l_dense(int level, int off_index) const;
 
@@ -157,11 +213,13 @@ class Tables {
     std::mutex mu;
     std::map<int, std::unique_ptr<LevelTables>> levels;
     std::map<std::pair<int, int>, std::vector<fft::Complex>> spectra;
+    std::map<int, std::vector<AlignedBuffer>> vli_blocks;
     std::map<std::pair<int, int>, std::unique_ptr<la::Matrix>> dense;
   };
 
   std::unique_ptr<LevelTables> build_level(int level) const;
   std::vector<fft::Complex> build_spectra(int level, int off_index) const;
+  std::vector<AlignedBuffer> build_vli_blocks(int level) const;
   la::Matrix build_dense(int level, int off_index) const;
 
   /// Reference level used for table geometry. Homogeneous kernels use

@@ -123,16 +123,15 @@ std::size_t smooth_size(std::size_t x);
 void pointwise_mac(std::span<const Complex> g, std::span<const Complex> f,
                    std::span<Complex> acc);
 
-/// One frequency chunk of the chunk-major V-list sweep: entry e does
+/// One frequency chunk of a chunk-major frequency MAC: entry e does
 /// acc_base[aidx[e]*c + i] += g[i] * f_base[fidx[e]*c + i] for
-/// i in [0, c), entries in order. Callers store spectra and
-/// accumulators chunk-major (all slots' values for one c-frequency
-/// chunk contiguous), so a sweep with the chunk loop OUTSIDE the entry
-/// loop touches only c complex values per referenced slot — the whole
-/// level's diagonal translation runs out of L2 instead of re-streaming
-/// full spectra per pair (see core::Evaluator::vli_mac). The whole
-/// entry list is one simd::Ops::cmac_entries call, bitwise equal to a
-/// pointwise_mac per entry. fidx and aidx must have equal length.
+/// i in [0, c), entries in order, with spectra and accumulators stored
+/// chunk-major (all slots' values for one c-frequency chunk
+/// contiguous). The whole entry list is one simd::Ops::cmac_entries
+/// call, bitwise equal to a pointwise_mac per entry. fidx and aidx must
+/// have equal length. The evaluator's V-list no longer calls this (it
+/// runs simd::Ops::vli_mac_block); it stays for the wall-clock
+/// benchmark's fft.mac_gflops micro-call.
 void pointwise_mac_chunked(const Complex* g, std::size_t c,
                            const Complex* f_base, Complex* acc_base,
                            std::span<const std::int32_t> fidx,

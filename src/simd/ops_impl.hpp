@@ -127,15 +127,15 @@ void cmac_t(const double* g, const double* f, double* acc, std::size_t n) {
 
 // ---------------------------------------------------------------------------
 // cmac_entries: one operator chunk applied to a list of (source,
-// accumulator) chunks, the chunk-major V-list sweep's inner loop. The
-// vector tiers split g into blocks of kCmacHeldDoubles and hold each
+// accumulator) chunks, fft::pointwise_mac_chunked's body. The vector
+// tiers split g into blocks of kCmacHeldDoubles and hold each
 // block's dup-even/dup-odd vectors across all entries; every element
 // still gets cmac_t's exact update, in entry order, so the result is
 // bitwise that of one cmac_t call per entry.
 // ---------------------------------------------------------------------------
 
-/// Doubles of g held per block: one 16-frequency V-list chunk (4
-/// AVX-512 or 8 AVX2 vectors).
+/// Doubles of g held per block: one 16-frequency chunk (4 AVX-512 or 8
+/// AVX2 vectors).
 inline constexpr std::size_t kCmacHeldDoubles = 32;
 
 template <class P>
@@ -172,6 +172,128 @@ void cmac_entries_t(const double* g, std::size_t c, const double* f,
   for (std::size_t e = 0; e < ne; ++e)
     cmac_t<P>(g + j, f + std::size_t(fidx[e]) * nd + j,
               acc + std::size_t(aidx[e]) * nd + j, (nd - j) / 2);
+}
+
+// ---------------------------------------------------------------------------
+// vli_mac_block: the sibling-blocked V-list MAC over one 8-frequency
+// block (see Ops::vli_mac_block). A pass keeps CP children's
+// accumulators of one target component, NV vectors of the block each,
+// in registers while the parent's colleagues' source children stream
+// past, so each source load feeds up to CP children. Passes split the
+// children, the target components and the block's vectors, never an
+// element's chain, so a tier's results do not depend on its tiling.
+// ---------------------------------------------------------------------------
+
+/// Register tiling per tier. AVX-512: 8 children x (re, im) = 16 of 32
+/// registers. AVX2 has 16 registers: 4 children and one of the block's
+/// two vectors per pass. Scalar: all 8 lanes of 8 children per pass.
+template <class P>
+struct VliTile {
+  static constexpr std::size_t kVectors = kVliBlock / P::kWidth;
+  static constexpr int kChildren = P::kWidth == 4 ? 4 : 8;
+  static constexpr std::size_t kVectorsPerPass = P::kWidth == 1 ? kVectors : 1;
+};
+
+/// One pass over one parent: children [c_lo, c_lo + CP), target
+/// component ti, block lanes from lane0.
+template <class P, int SD, int CP, std::size_t NV>
+void vli_mac_pass(const double* g, std::size_t gstride, const std::int32_t* op_index,
+                  const double* s, double* acc, int td, int ti, int c_lo,
+                  std::size_t lane0, const VliParent& par,
+                  const VliColleague* colleagues) {
+  using V = typename P::V;
+  constexpr std::size_t W = P::kWidth;
+  constexpr std::size_t B = kVliBlockDoubles;
+  constexpr std::size_t H = kVliBlock;  // the imaginary half
+  constexpr std::uint64_t kGroup = (std::uint64_t{1} << CP) - 1;
+  const std::size_t gcomp = std::size_t(ti) * SD * B + lane0;
+  V re[CP][NV], im[CP][NV];
+#pragma GCC unroll 8
+  for (int j = 0; j < CP; ++j)
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < NV; ++k) re[j][k] = im[j][k] = P::zero();
+  for (std::uint32_t e = par.c0; e < par.c1; ++e) {
+    const VliColleague& col = colleagues[e];
+    const std::int32_t* oi = op_index + 64 * col.dir + c_lo;
+    for (int cs = 0; cs < 8; ++cs) {
+      const unsigned m =
+          static_cast<unsigned>((col.pairs >> (8 * cs + c_lo)) & kGroup);
+      if (m == 0) continue;
+      const double* sp = s + std::size_t(col.src[cs]) * SD * B + lane0;
+      V sr[SD][NV], si[SD][NV];
+#pragma GCC unroll 8
+      for (int sc = 0; sc < SD; ++sc)
+#pragma GCC unroll 8
+        for (std::size_t k = 0; k < NV; ++k) {
+          sr[sc][k] = P::loadu(sp + sc * B + k * W);
+          si[sc][k] = P::loadu(sp + sc * B + H + k * W);
+        }
+      const std::int32_t* o = oi + 8 * cs;
+#pragma GCC unroll 8
+      for (int j = 0; j < CP; ++j) {
+        if (!((m >> j) & 1u)) continue;
+        const double* gp = g + std::size_t(o[j]) * gstride + gcomp;
+#pragma GCC unroll 8
+        for (int sc = 0; sc < SD; ++sc)
+#pragma GCC unroll 8
+          for (std::size_t k = 0; k < NV; ++k) {
+            const V gr = P::loadu(gp + sc * B + k * W);
+            const V gi = P::loadu(gp + sc * B + H + k * W);
+            re[j][k] = P::fmadd(gr, sr[sc][k], re[j][k]);
+            re[j][k] = P::fnmadd(gi, si[sc][k], re[j][k]);
+            im[j][k] = P::fmadd(gr, si[sc][k], im[j][k]);
+            im[j][k] = P::fmadd(gi, sr[sc][k], im[j][k]);
+          }
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int j = 0; j < CP; ++j) {
+    const std::int32_t t = par.tgt[c_lo + j];
+    if (t < 0) continue;
+    double* ap = acc + (std::size_t(t) * td + ti) * B + lane0;
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < NV; ++k) {
+      P::storeu(ap + k * W, re[j][k]);
+      P::storeu(ap + H + k * W, im[j][k]);
+    }
+  }
+}
+
+template <class P, int SD>
+void vli_mac_block_sd(const double* g, const std::int32_t* op_index,
+                      const double* s, double* acc, int td,
+                      const VliParent* parents, std::size_t np,
+                      const VliColleague* colleagues) {
+  using T = VliTile<P>;
+  const std::size_t gstride = std::size_t(td) * SD * kVliBlockDoubles;
+  for (std::size_t p = 0; p < np; ++p)
+    for (std::size_t v = 0; v < T::kVectors; v += T::kVectorsPerPass)
+      for (int ti = 0; ti < td; ++ti)
+        for (int c_lo = 0; c_lo < 8; c_lo += T::kChildren)
+          vli_mac_pass<P, SD, T::kChildren, T::kVectorsPerPass>(
+              g, gstride, op_index, s, acc, td, ti, c_lo, v * P::kWidth,
+              parents[p], colleagues);
+}
+
+template <class P>
+void vli_mac_block_t(const double* g, const std::int32_t* op_index,
+                     const double* s, double* acc, int td, int sd,
+                     const VliParent* parents, std::size_t np,
+                     const VliColleague* colleagues) {
+  switch (sd) {
+    case 1:
+      vli_mac_block_sd<P, 1>(g, op_index, s, acc, td, parents, np, colleagues);
+      break;
+    case 2:
+      vli_mac_block_sd<P, 2>(g, op_index, s, acc, td, parents, np, colleagues);
+      break;
+    case 3:
+      vli_mac_block_sd<P, 3>(g, op_index, s, acc, td, parents, np, colleagues);
+      break;
+    default:
+      break;  // core::Tables admits kernels with sd <= 3 only
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -359,6 +481,7 @@ Ops make_ops(Tier tier, const char* name) {
   t.axpyn = &axpyn_t<P>;
   t.cmac = &cmac_t<P>;
   t.cmac_entries = &cmac_entries_t<P>;
+  t.vli_mac_block = &vli_mac_block_t<P>;
   t.laplace = &direct_laplace_t<P>;
   t.laplace_grad = &direct_laplace_grad_t<P>;
   t.stokes = &direct_stokes_t<P>;

@@ -59,6 +59,8 @@ struct ScalarPack {
   /// 1 / sqrt(a), the pre-SIMD expression.
   static V rsqrt(V a) { return 1.0 / std::sqrt(a); }
   static V fmadd(V a, V b, V c) { return a * b + c; }
+  /// c - a * b.
+  static V fnmadd(V a, V b, V c) { return c - a * b; }
   /// Lanes where a == b (IEEE compare: -0 == +0, NaN != NaN).
   static M eq(V a, V b) { return a == b; }
   /// v where the mask is clear, 0.0 where it is set.
@@ -94,6 +96,8 @@ struct Avx2Pack {
     return _mm256_div_pd(_mm256_set1_pd(1.0), _mm256_sqrt_pd(a));
   }
   static V fmadd(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
+  /// c - a * b, single rounding.
+  static V fnmadd(V a, V b, V c) { return _mm256_fnmadd_pd(a, b, c); }
   static M eq(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
   static V zero_where(M m, V v) { return _mm256_andnot_pd(m, v); }
 
@@ -159,6 +163,7 @@ struct Avx512Pack {
     return _mm512_mask_mov_pd(y, _mm512_fpclass_pd_mask(a, 0x0E), y0);
   }
   static V fmadd(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
+  static V fnmadd(V a, V b, V c) { return _mm512_fnmadd_pd(a, b, c); }
   static M eq(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ); }
   static V zero_where(M m, V v) {
     return _mm512_maskz_mov_pd(static_cast<M>(~m), v);

@@ -9,8 +9,8 @@
 /// compiled in its own translation unit with its own -m flags, selected
 /// ONCE at runtime from CPUID and exposed as a table of function
 /// pointers. Hot callers (kernels::Kernel::direct, la::gemm_acc_cols,
-/// fft::pointwise_mac_*) fetch the table via
-/// ops() and stay agnostic of the lane width.
+/// fft::pointwise_mac_*, core::Evaluator's V-list MAC) fetch the table
+/// via ops() and stay agnostic of the lane width.
 ///
 /// Tier selection:
 ///  - detect_tier() returns the best tier that is BOTH compiled into
@@ -47,6 +47,28 @@ enum class Tier : int {
 /// Max k-term block accepted by Ops::axpyn.
 inline constexpr std::size_t kAxpynMaxK = 4;
 
+/// Frequencies per block of the sibling-blocked V-list MAC. One block of
+/// one (slot, component) spectrum holds 8 real parts, then 8 imaginary
+/// parts: 16 doubles, two AVX-512 vectors.
+inline constexpr std::size_t kVliBlock = 8;
+inline constexpr std::size_t kVliBlockDoubles = 2 * kVliBlock;
+
+/// A target parent of the sibling-blocked V-list MAC: the accumulator
+/// slot of each child and the parent's run of colleague entries.
+struct VliParent {
+  std::int32_t tgt[8];   ///< slot of child ci; -1 if it is no V-list target
+  std::uint32_t c0, c1;  ///< colleague entries [c0, c1)
+};
+
+/// A colleague of a target parent: the source slot of each of its
+/// children, the V-list pairs between the two parents' children, and
+/// the colleague's direction from the parent.
+struct VliColleague {
+  std::int32_t src[8];  ///< slot of child cs; read only if a pair uses cs
+  std::uint64_t pairs;  ///< bit 8 cs + ct set iff (ct, cs) is a V-list pair
+  std::int32_t dir;     ///< row of the op_index table
+};
+
 /// One tier's dispatch table. All pointers are always non-null.
 struct Ops {
   Tier tier;
@@ -74,6 +96,24 @@ struct Ops {
   void (*cmac_entries)(const double* g, std::size_t c, const double* f,
                        double* acc, const std::int32_t* fidx,
                        const std::int32_t* aidx, std::size_t ne);
+
+  /// One kVliBlock-frequency block of the sibling-blocked V-list MAC.
+  /// Blocks are kVliBlockDoubles long: source slot s, component sc at
+  /// s_blk + (s sd + sc) 16; target slot t, component ti at
+  /// acc_blk + (t td + ti) 16; operator o, component ti sd + sc at
+  /// g_blk + (o td sd + ti sd + sc) 16. For each parent, each of its
+  /// colleague entries in order, each source child cs and each target
+  /// child ct whose pair bit is set, with o = op_index[64 dir + 8 cs +
+  /// ct], each accumulator element of A[ct][ti] runs, for sc ascending,
+  ///   re += g_re s_re;  re -= g_im s_im;  im += g_re s_im;  im += g_im s_re
+  /// (fused multiply-adds on the vector tiers). The children's
+  /// accumulators start at zero and are stored once, after the parent's
+  /// last colleague, into the slots tgt[ct] >= 0. Pairs whose bit is
+  /// clear are never multiplied. sd is 1, 2 or 3.
+  void (*vli_mac_block)(const double* g_blk, const std::int32_t* op_index,
+                        const double* s_blk, double* acc_blk, int td, int sd,
+                        const VliParent* parents, std::size_t np,
+                        const VliColleague* colleagues);
 
   /// Direct-summation kernels (xyz-interleaved points; f accumulated,
   /// target-major with the kernel's natural component stride).

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <atomic>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -43,13 +44,22 @@ std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
   return v;
 }
 
+std::int64_t Cli::get_int_in(const std::string& key, std::int64_t lo,
+                             std::int64_t hi) const {
+  const std::int64_t v = get_int(key, 0);
+  PKIFMM_CHECK_MSG(v >= lo && v <= hi, "--" << key
+                                            << " expects an integer in ["
+                                            << lo << ", " << hi << "], got '"
+                                            << get(key, "") << "'");
+  return v;
+}
+
 double Cli::get_double(const std::string& key, double fallback) const {
   auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;
   const std::string& s = it->second;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  PKIFMM_CHECK_MSG(!s.empty() && end == s.c_str() + s.size(),
+  double v = 0.0;
+  PKIFMM_CHECK_MSG(util::parse_double(s, v),
                    "--" << key << " expects a number, got '" << s << "'");
   return v;
 }
@@ -62,11 +72,24 @@ bool Cli::get_bool(const std::string& key, bool fallback) const {
 
 namespace util {
 
+namespace {
+std::atomic<bool> g_main_failed{false};
+}  // namespace
+
+bool main_failed() { return g_main_failed.load(std::memory_order_relaxed); }
+
+bool parse_double(const std::string& s, double& out) {
+  char* end = nullptr;
+  out = std::strtod(s.c_str(), &end);
+  return !s.empty() && end == s.c_str() + s.size();
+}
+
 int guarded_main(int argc, char** argv, int (*body)(int, char**),
                  int error_status) {
   try {
     return body(argc, argv);
   } catch (const std::exception& e) {
+    g_main_failed.store(true, std::memory_order_relaxed);
     const std::string_view path = argc > 0 ? argv[0] : "main";
     const std::string_view name = path.substr(path.find_last_of('/') + 1);
     std::fprintf(stderr, "%.*s: error: %s\n", static_cast<int>(name.size()),

@@ -271,6 +271,67 @@ la::Matrix level0_kernel_matrix(const kernels::Kernel& kernel, int n,
                          surface_points(n, src_radius, origin, 0.5));
 }
 
+TEST(Tables, VliPairSlotsMatchChildKeys) {
+  // vli_pair_slots' closed form against the octants themselves: for a
+  // parent P and each colleague P + D, child ct of P and child cs of
+  // P + D, the slot of their vlist_offset_index, or -1 iff adjacent.
+  const morton::Key par = morton::make_key(
+      5 * (morton::kGridSize >> 3), 2 * (morton::kGridSize >> 3),
+      6 * (morton::kGridSize >> 3), 3);
+  const auto& slots = vli_pair_slots();
+  int pairs = 0;
+  for (int dir = 0; dir < 27; ++dir) {
+    const auto col = morton::neighbor(par, dir / 9 - 1, dir / 3 % 3 - 1,
+                                      dir % 3 - 1);
+    ASSERT_TRUE(col.has_value());
+    for (int cs = 0; cs < 8; ++cs)
+      for (int ct = 0; ct < 8; ++ct) {
+        const morton::Key t = morton::child(par, ct);
+        const morton::Key s = morton::child(*col, cs);
+        const int want = dir == 13 || morton::adjacent(t, s) || t == s
+                             ? -1
+                             : vlist_offset_slot(vlist_offset_index(t, s));
+        EXPECT_EQ(slots[64 * dir + 8 * cs + ct], want)
+            << "dir " << dir << " cs " << cs << " ct " << ct;
+        pairs += want >= 0;
+      }
+  }
+  EXPECT_EQ(pairs, 6 * 48 + 12 * 60 + 8 * 63);  // faces, edges, corners
+}
+
+TEST(Tables, VliOperatorBlocksHoldTheSpectra) {
+  // The block table is m2l_spectra re-laid: offset slot o, component c,
+  // block b holds the real then imaginary parts of frequencies
+  // [8 b, 8 b + 8), bit for bit, for every V-list offset.
+  FmmOptions opts;
+  opts.surface_n = 3;
+  for (const char* name : {"laplace", "stokes"}) {
+    const auto kernel = kernels::make_kernel(name);
+    const Tables t(*kernel, opts);
+    const std::vector<AlignedBuffer>& blocks = t.vli_operator_blocks(0);
+    const std::size_t ncomp = std::size_t(t.tdim()) * t.sdim();
+    const std::size_t len = t.spectrum_len();
+    ASSERT_EQ(blocks.size() * simd::kVliBlock, len);
+    int offsets = 0;
+    for (int off = 0; off < kNumOffsets; ++off) {
+      const int o = vlist_offset_slot(off);
+      if (o < 0) continue;
+      ++offsets;
+      const auto g = t.m2l_spectra(0, off);
+      for (std::size_t c = 0; c < ncomp; ++c)
+        for (std::size_t q = 0; q < len; ++q) {
+          const double* blk =
+              blocks[q / simd::kVliBlock].data() +
+              (o * ncomp + c) * simd::kVliBlockDoubles + q % simd::kVliBlock;
+          ASSERT_EQ(blk[0], g[c * len + q].real()) << name << " off " << off;
+          ASSERT_EQ(blk[simd::kVliBlock], g[c * len + q].imag())
+              << name << " off " << off;
+        }
+    }
+    EXPECT_EQ(offsets, kNumVlistOffsets);
+  }
+}
+
 TEST(Tables, MirroredSurfacesShareOnePinv) {
   // Default radii mirror each other (upward_equiv = down_check,
   // upward_check = down_equiv), so K(dc, de) = K(uc, ue)^T and dc2de

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
 #include <limits>
 #include <memory>
 #include <numbers>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "kernels/kernel.hpp"
@@ -88,6 +90,7 @@ TEST(SimdTier, TableShapePerTier) {
     EXPECT_NE(o.axpyn, nullptr);
     EXPECT_NE(o.cmac, nullptr);
     EXPECT_NE(o.cmac_entries, nullptr);
+    EXPECT_NE(o.vli_mac_block, nullptr);
     EXPECT_NE(o.laplace, nullptr);
     EXPECT_NE(o.laplace_grad, nullptr);
     EXPECT_NE(o.stokes, nullptr);
@@ -271,6 +274,172 @@ TEST_F(SimdTest, CmacEntriesMatchesPerEntryCmac) {
                      aidx.data(), 0);
       EXPECT_EQ(none, a0) << tier_name(t) << " c=" << c;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// vli_mac_block
+// ---------------------------------------------------------------------------
+
+/// One frequency block of a sibling-blocked V-list MAC: random operator
+/// and source blocks and a plan of three target parents. Parents hold
+/// non-target children (tgt -1), colleagues hold missing source
+/// children (src -1) and masked pairs, whose op_index entries name
+/// random nonzero operators, so a masked pair that is multiplied
+/// changes the result. Operator kZeroOp is all zero.
+struct VliProblem {
+  static constexpr int kOps = 12;
+  static constexpr int kZeroOp = kOps - 1;
+  static constexpr std::size_t kSrc = 24, kTgt = 20;
+  int td, sd;
+  std::vector<double> g, s, acc0;
+  std::vector<std::int32_t> op_index;
+  std::vector<VliParent> parents;
+  std::vector<VliColleague> colleagues;
+};
+
+VliProblem make_vli_problem(int td, int sd, std::uint64_t seed) {
+  constexpr std::size_t B = kVliBlockDoubles;
+  VliProblem p;
+  p.td = td;
+  p.sd = sd;
+  p.g = random_vec(VliProblem::kOps * td * sd * B, seed, -1.0, 1.0);
+  std::fill(p.g.begin() + VliProblem::kZeroOp * td * sd * B, p.g.end(), 0.0);
+  p.s = random_vec(VliProblem::kSrc * sd * B, seed + 1, -1.0, 1.0);
+  p.acc0 = random_vec(VliProblem::kTgt * td * B, seed + 2, -1.0, 1.0);
+  Rng rng(seed + 3);
+  p.op_index.resize(27 * 64);
+  for (auto& o : p.op_index)
+    o = static_cast<std::int32_t>(rng.uniform_u64(VliProblem::kZeroOp));
+  const std::int32_t tgt[3][8] = {{0, 1, -1, 2, 3, -1, 4, 5},
+                                  {6, 7, 8, 9, 10, 11, 12, 13},
+                                  {-1, 14, 15, -1, -1, 16, 17, -1}};
+  for (int pi = 0; pi < 3; ++pi) {
+    VliParent par{};
+    std::copy(tgt[pi], tgt[pi] + 8, par.tgt);
+    par.c0 = static_cast<std::uint32_t>(p.colleagues.size());
+    for (int e = 0; e < 4 + pi; ++e) {
+      VliColleague col{};
+      col.dir = static_cast<std::int32_t>(rng.uniform_u64(26));
+      if (col.dir >= 13) ++col.dir;  // never the parent itself
+      for (int cs = 0; cs < 8; ++cs) {
+        const bool missing = rng.uniform() < 0.2;
+        // Slot kSrc - 1 is left for the NaN test.
+        col.src[cs] = missing ? -1
+                              : static_cast<std::int32_t>(
+                                    rng.uniform_u64(VliProblem::kSrc - 1));
+        for (int ct = 0; ct < 8; ++ct) {
+          const bool pair =
+              !missing && par.tgt[ct] >= 0 && rng.uniform() < 0.75;
+          if (pair) col.pairs |= std::uint64_t{1} << (8 * cs + ct);
+        }
+      }
+      p.colleagues.push_back(col);
+    }
+    par.c1 = static_cast<std::uint32_t>(p.colleagues.size());
+    p.parents.push_back(par);
+  }
+  return p;
+}
+
+/// Ops::vli_mac_block's per-element chain as a plain loop: fused
+/// multiply-adds (std::fma) for the vector tiers, a separate multiply
+/// and add for the scalar tier.
+std::vector<double> vli_mac_ref(const VliProblem& p, bool fused) {
+  constexpr std::size_t B = kVliBlockDoubles, H = kVliBlock;
+  const auto fmadd = [fused](double a, double b, double c) {
+    return fused ? std::fma(a, b, c) : a * b + c;
+  };
+  const auto fnmadd = [fused](double a, double b, double c) {
+    return fused ? std::fma(-a, b, c) : c - a * b;
+  };
+  std::vector<double> acc = p.acc0;
+  for (const VliParent& par : p.parents) {
+    std::vector<double> re(8 * p.td * H, 0.0), im(8 * p.td * H, 0.0);
+    for (std::uint32_t e = par.c0; e < par.c1; ++e) {
+      const VliColleague& col = p.colleagues[e];
+      for (int cs = 0; cs < 8; ++cs)
+        for (int ct = 0; ct < 8; ++ct) {
+          if (!((col.pairs >> (8 * cs + ct)) & 1)) continue;
+          const std::size_t o = p.op_index[64 * col.dir + 8 * cs + ct];
+          for (int ti = 0; ti < p.td; ++ti)
+            for (int sc = 0; sc < p.sd; ++sc)
+              for (std::size_t k = 0; k < H; ++k) {
+                const double* g = &p.g[(o * p.td * p.sd + ti * p.sd + sc) * B];
+                const double* s = &p.s[(col.src[cs] * p.sd + sc) * B];
+                double& r = re[(ct * p.td + ti) * H + k];
+                double& i = im[(ct * p.td + ti) * H + k];
+                r = fmadd(g[k], s[k], r);
+                r = fnmadd(g[H + k], s[H + k], r);
+                i = fmadd(g[k], s[H + k], i);
+                i = fmadd(g[H + k], s[k], i);
+              }
+        }
+    }
+    for (int ct = 0; ct < 8; ++ct) {
+      if (par.tgt[ct] < 0) continue;
+      for (int ti = 0; ti < p.td; ++ti)
+        for (std::size_t k = 0; k < H; ++k) {
+          double* a = &acc[(par.tgt[ct] * p.td + ti) * B];
+          a[k] = re[(ct * p.td + ti) * H + k];
+          a[H + k] = im[(ct * p.td + ti) * H + k];
+        }
+    }
+  }
+  return acc;
+}
+
+std::vector<double> run_vli_mac(const Ops& o, const VliProblem& p) {
+  std::vector<double> acc = p.acc0;
+  o.vli_mac_block(p.g.data(), p.op_index.data(), p.s.data(), acc.data(),
+                  p.td, p.sd, p.parents.data(), p.parents.size(),
+                  p.colleagues.data());
+  return acc;
+}
+
+TEST_F(SimdTest, VliMacBlockMatchesPlainChainBitwise) {
+  // Within a tier the op is the plain chain, whatever its register
+  // tiling: same pairs, same order, each element's four steps. Slots no
+  // parent names (18, 19) keep their values.
+  for (const auto& [td, sd] : {std::pair{1, 1}, std::pair{3, 3}}) {
+    const VliProblem p = make_vli_problem(td, sd, 100 + 10 * td);
+    for (Tier t : available_tiers()) {
+      const std::vector<double> ref = vli_mac_ref(p, t != Tier::kScalar);
+      const std::vector<double> acc = run_vli_mac(ops_for_tier(t), p);
+      for (std::size_t i = 0; i < acc.size(); ++i)
+        ASSERT_EQ(acc[i], ref[i])
+            << tier_name(t) << " td=" << td << " sd=" << sd << " i=" << i;
+    }
+  }
+}
+
+TEST_F(SimdTest, VliMacBlockCrossTierParity) {
+  for (const auto& [td, sd] : {std::pair{1, 1}, std::pair{3, 3}}) {
+    const VliProblem p = make_vli_problem(td, sd, 200 + 10 * td);
+    const std::vector<double> ref = run_vli_mac(ops_for_tier(Tier::kScalar), p);
+    for (Tier t : available_tiers())
+      EXPECT_LT(rel_err(run_vli_mac(ops_for_tier(t), p), ref), 1e-12)
+          << tier_name(t) << " td=" << td << " sd=" << sd;
+  }
+}
+
+TEST_F(SimdTest, VliMacBlockMaskedNaNSourceStaysOut) {
+  // A present source child whose pairs are all masked is never read: a
+  // NaN spectrum there must not reach any accumulator, not even through
+  // a zero operator named by its masked op_index entries.
+  for (const auto& [td, sd] : {std::pair{1, 1}, std::pair{3, 3}}) {
+    VliProblem p = make_vli_problem(td, sd, 300 + 10 * td);
+    VliColleague& col = p.colleagues[1];
+    const int cs = 2;
+    col.src[cs] = VliProblem::kSrc - 1;
+    col.pairs &= ~(std::uint64_t{0xFF} << (8 * cs));
+    for (int ct = 0; ct < 8; ++ct)
+      p.op_index[64 * col.dir + 8 * cs + ct] = VliProblem::kZeroOp;
+    std::fill(p.s.begin() + (VliProblem::kSrc - 1) * sd * kVliBlockDoubles,
+              p.s.end(), std::numeric_limits<double>::quiet_NaN());
+    for (Tier t : available_tiers())
+      for (double v : run_vli_mac(ops_for_tier(t), p))
+        ASSERT_TRUE(std::isfinite(v)) << tier_name(t) << " td=" << td;
   }
 }
 

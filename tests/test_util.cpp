@@ -282,6 +282,36 @@ TEST(Cli, RejectsMalformedNumbers) {
   EXPECT_DOUBLE_EQ(cli.get_double("neg", 0.0), -5.0);
 }
 
+TEST(Cli, RejectsOutOfRangeIntegers) {
+  // A value outside the target type (or the given bounds) fails instead
+  // of wrapping when narrowed; the message names the range.
+  const char* argv[] = {"prog",          "--ranks=4294967297", "--q=-1",
+                        "--big=4294967295", "--per-rank=-1",   "--ok=7",
+                        "--huge=99999999999999999999"};
+  Cli cli(7, const_cast<char**>(argv));
+  EXPECT_THROW(cli.get_int_as<int>("ranks", 4, 1), CheckFailure);
+  EXPECT_THROW(cli.get_int_as<int>("q", 60, 1), CheckFailure);
+  EXPECT_THROW(cli.get_int_as<int>("big", 0), CheckFailure);
+  EXPECT_THROW(cli.get_int_as<std::uint64_t>("per-rank", 1), CheckFailure);
+  EXPECT_THROW(cli.get_int_as<std::size_t>("huge", 1), CheckFailure);
+  EXPECT_THROW(cli.get_int_as<int>("ok", 0, 8), CheckFailure);
+  try {
+    cli.get_int_as<int>("ranks", 4, 1);
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "--ranks expects an integer in [1, 2147483647], got "
+                  "'4294967297'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cli.get_int_as<std::uint32_t>("big", 0), 4294967295u);
+  EXPECT_EQ(cli.get_int_as<int>("q", 60), -1);
+  EXPECT_EQ(cli.get_int_as<int>("ok", 0, 1, 7), 7);
+  EXPECT_EQ(cli.get_int_as<std::uint64_t>("missing", 5), 5u);
+  EXPECT_EQ(cli.get_int_as<int>("missing", -3, 1), -3);  // fallback as is
+}
+
 TEST(Cli, RejectsPositionalArguments) {
   const char* argv[] = {"prog", "oops"};
   EXPECT_THROW(Cli(2, const_cast<char**>(argv)), CheckFailure);

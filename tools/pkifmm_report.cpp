@@ -135,7 +135,7 @@ static int run(int argc, char** argv) {
     std::fprintf(stderr, "usage: pkifmm_report --summary=<summary.json>\n");
     return 2;
   }
-  const auto top_k = static_cast<std::size_t>(cli.get_int("top", 5));
+  const auto top_k = cli.get_int_as<std::size_t>("top", 5);
   const std::string want_phase = cli.get("matrix-phase", "");
   const std::string matrix_metric = cli.get("matrix-metric", "bytes");
   const double peak_gflops = cli.get_double("peak-gflops", 8.0);

@@ -82,7 +82,7 @@ static int run(int argc, char** argv) {
   const std::string want_bench = cli.get("bench", "");
   const bool warn_only = cli.has("warn-only");
   obs::TrendOptions opt;
-  opt.window = cli.get_int("window", opt.window);
+  opt.window = cli.get_int_as<int>("window", opt.window);
   opt.time_ratio = cli.get_double("time-ratio", opt.time_ratio);
   opt.work_ratio = cli.get_double("work-ratio", opt.work_ratio);
   opt.hw_ratio = cli.get_double("hw-ratio", opt.hw_ratio);

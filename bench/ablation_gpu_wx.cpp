@@ -17,7 +17,7 @@ using namespace pkifmm::bench;
 namespace {
 
 struct Outcome {
-  double eval_modeled;
+  double modeled_eval_s;
   double wx_host_flops;
   double wx_dev_seconds;
 };
@@ -51,8 +51,9 @@ Outcome run_once(bool offload_wx, octree::Distribution dist, std::uint64_t n,
                                   "eval.vli"})
       host_flops -= m.counter(std::string("flops.") + dev_phase);
     if (offload_wx) host_flops -= wx_flops;
-    out.eval_modeled = model.compute_time(static_cast<std::uint64_t>(host_flops)) +
-                       dev.modeled_seconds();
+    out.modeled_eval_s =
+        model.compute_time(static_cast<std::uint64_t>(host_flops)) +
+        dev.modeled_seconds();
     out.wx_host_flops = offload_wx ? 0.0 : wx_flops;
     for (const char* k : {"wli", "xli"}) {
       auto it = dev.kernels().find(k);
@@ -82,13 +83,13 @@ int bench_main(int argc, char** argv) {
     const Outcome cpu = run_once(false, dist, n, q);
     const Outcome gpu = run_once(true, dist, n, q);
     const comm::CostModel model;
-    table.add_row({dname, "CPU (paper)", sci(cpu.eval_modeled),
+    table.add_row({dname, "CPU (paper)", sci(cpu.modeled_eval_s),
                    sci(model.compute_time(
                        static_cast<std::uint64_t>(cpu.wx_host_flops))),
                    "1.0x"});
-    table.add_row({dname, "GPU (extension)", sci(gpu.eval_modeled),
+    table.add_row({dname, "GPU (extension)", sci(gpu.modeled_eval_s),
                    sci(gpu.wx_dev_seconds),
-                   fixed(cpu.eval_modeled / gpu.eval_modeled, 1) + "x"});
+                   fixed(cpu.modeled_eval_s / gpu.modeled_eval_s, 1) + "x"});
   }
   std::printf("%s\n", table.str().c_str());
   std::printf(

@@ -416,9 +416,11 @@ const core::Tables& tables_for(const std::string& kernel,
     core::FmmOptions base;
     base.surface_n = opts.surface_n;
     t = std::make_unique<core::Tables>(*kern, base);
-    // Warm the lazy M2L spectra so the first experiment's timed phases
-    // don't pay the one-time table build.
+    // Warm the lazy V-list operators so the first experiment's timed
+    // phases don't pay their one-time build: the CPU V-list reads the
+    // blocked table, the GPU emulator the per-offset spectra.
     if (kern->homogeneous()) {
+      (void)t->vli_operator_blocks(0);
       for (int dx = -3; dx <= 3; ++dx)
         for (int dy = -3; dy <= 3; ++dy)
           for (int dz = -3; dz <= 3; ++dz)

@@ -41,8 +41,6 @@ Evaluator::Evaluator(const Tables& tables, const octree::Let& let,
   }
   src_offset_[let_.nodes.size()] = src_pos_.size() / 3;
 
-  surf_scratch_.resize(std::size_t(3) * surf_.count());
-
   // Level index for the batched phases (node order within a level).
   if (!let_.nodes.empty()) {
     min_level_ = morton::kMaxDepth + 1;
@@ -106,13 +104,6 @@ std::span<double> Evaluator::leaf_target_potential(const LetNode& n) {
   const int td = tables_.tdim();
   return {f_.data() + std::size_t(n.point_begin) * td,
           std::size_t(n.target_count) * td};
-}
-
-std::span<const double> Evaluator::box_surf(double radius_scale,
-                                            const Key& k) {
-  const auto g = morton::box_geometry(k);
-  surf_.materialize(radius_scale, g.center, g.half_width, surf_scratch_);
-  return surf_scratch_;
 }
 
 std::span<const double> Evaluator::box_surf(double radius_scale, const Key& k,
@@ -207,8 +198,7 @@ void Evaluator::publish_mem_gauges() {
                 cap(u_) + cap(checkpot_) + cap(d_) + cap(f_) + cap(f_uli_) +
                     cap(pos_) + cap(src_pos_) + cap(src_den_) +
                     cap(src_offset_));
-  rec.gauge_set("mem.eval.surface_bytes",
-                static_cast<double>(surf_.bytes()) + cap(surf_scratch_));
+  rec.gauge_set("mem.eval.surface_bytes", static_cast<double>(surf_.bytes()));
   rec.gauge_set("mem.eval.lane_scratch_bytes",
                 cap(lane_surf_) + cap(lane_cube_) + cap(lane_half_));
   rec.gauge_set("mem.eval.batch_bytes",
@@ -354,30 +344,7 @@ void Evaluator::health_post_run() {
                    "health: non-finite potentials after D2T");
 }
 
-void Evaluator::s2u() { batched() ? s2u_batched() : s2u_scalar(); }
-
-void Evaluator::s2u_scalar() {
-  const auto& kern = tables_.kernel();
-  std::vector<double> check(tables_.check_len());
-  for (std::size_t i = 0; i < let_.nodes.size(); ++i) {
-    const LetNode& node = let_.nodes[i];
-    if (!(node.owned && node.global_leaf)) continue;
-    if (leaf_source_positions(i).empty()) continue;
-    const auto uc =
-        box_surf(tables_.options().upward_check_radius, node.key);
-    std::fill(check.begin(), check.end(), 0.0);
-    ctx_.flops.add("eval.s2u", kern.direct(uc, leaf_source_positions(i),
-                                           leaf_source_densities(i), check));
-    const LevelOps ops = tables_.at(node.key.level);
-    la::gemv_acc(*ops.uc2ue, check,
-                 std::span<double>(u_.data() + i * tables_.eq_len(),
-                                   tables_.eq_len()),
-                 ops.uc2ue_scale);
-    ctx_.flops.add("eval.s2u", la::gemv_flops(*ops.uc2ue));
-  }
-}
-
-void Evaluator::s2u_batched() {
+void Evaluator::s2u() {
   const auto& kern = tables_.kernel();
   const std::size_t clen = tables_.check_len();
   for (int level = min_level_; level <= max_level_; ++level) {
@@ -423,33 +390,12 @@ void Evaluator::s2u_batched() {
   }
 }
 
-void Evaluator::u2u() { batched() ? u2u_batched() : u2u_scalar(); }
-
-void Evaluator::u2u_scalar() {
-  // Reverse preorder = children before parents.
-  for (std::size_t ri = let_.nodes.size(); ri-- > 0;) {
-    const LetNode& node = let_.nodes[ri];
-    if (!node.target || node.parent < 0) continue;
-    if (!let_.nodes[node.parent].target) continue;
-    const LevelOps ops = tables_.at(node.key.level - 1);
-    const la::Matrix& m = (*ops.m2m)[morton::child_index(node.key)];
-    la::gemv_acc(m,
-                 std::span<const double>(u_.data() + ri * tables_.eq_len(),
-                                         tables_.eq_len()),
-                 std::span<double>(u_.data() +
-                                       std::size_t(node.parent) *
-                                           tables_.eq_len(),
-                                   tables_.eq_len()));
-    ctx_.flops.add("eval.u2u", la::gemv_flops(m));
-  }
-}
-
-void Evaluator::u2u_batched() {
+void Evaluator::u2u() {
   // Deepest level first so every child's density is final before it is
   // lifted; within a level, one GEMM per child index (the eight M2M
-  // operators of the paper's Table I). Child indices run high-to-low
-  // to add into each parent in the same order as the scalar engine's
-  // reverse-preorder sweep, so u2u rounds identically in both modes.
+  // operators of the paper's Table I). Child indices run high-to-low,
+  // so each parent adds its children in reverse preorder; the order
+  // fixes the last bits of every potential.
   for (int level = max_level_; level > min_level_; --level) {
     if (level_nodes_[level].empty()) continue;
     const LevelOps ops = tables_.at(level - 1);
@@ -478,39 +424,12 @@ void Evaluator::comm_reduce() {
 }
 
 void Evaluator::vli() {
-  if (tables_.options().m2l == M2lMode::kDense) {
-    batched() ? vli_dense_batched() : vli_dense_scalar();
-  } else {
+  if (tables_.options().m2l == M2lMode::kFft) {
     vli_fft();
+    return;
   }
-}
-
-void Evaluator::vli_dense_scalar() {
-  // Dense baseline: one gemv per (target, source) pair.
-  for (std::size_t i = 0; i < let_.nodes.size(); ++i) {
-    const LetNode& node = let_.nodes[i];
-    if (!node.target) continue;
-    const auto list = let_.v.of(i);
-    if (list.empty()) continue;
-    const LevelOps ops = tables_.at(node.key.level);
-    for (auto si : list) {
-      const la::Matrix& m = tables_.m2l_dense(
-          node.key.level, vlist_offset_index(node.key, let_.nodes[si].key));
-      la::gemv_acc(m,
-                   std::span<const double>(
-                       u_.data() + std::size_t(si) * tables_.eq_len(),
-                       tables_.eq_len()),
-                   std::span<double>(
-                       checkpot_.data() + i * tables_.check_len(),
-                       tables_.check_len()),
-                   ops.m2l_scale);
-      ctx_.flops.add("eval.vli", la::gemv_flops(m));
-    }
-  }
-}
-
-void Evaluator::vli_dense_batched() {
-  // Pairs sorted by translation offset: one GEMM per (level, offset).
+  // Dense M2L (ablation baseline): pairs sorted by translation offset,
+  // one GEMM per (level, offset).
   std::vector<std::tuple<int, std::int32_t, std::int32_t>> pairs;
   for (int level = min_level_; level <= max_level_; ++level) {
     pairs.clear();
@@ -783,35 +702,7 @@ void Evaluator::xli(bool include_leaves) {
   ctx_.flops.add("eval.xli", flops.load(std::memory_order_relaxed));
 }
 
-void Evaluator::downward() { batched() ? downward_batched() : downward_scalar(); }
-
-void Evaluator::downward_scalar() {
-  // Preorder: parents are finalized before their children read them.
-  for (std::size_t i = 0; i < let_.nodes.size(); ++i) {
-    const LetNode& node = let_.nodes[i];
-    if (!node.target) continue;
-    std::span<double> check(checkpot_.data() + i * tables_.check_len(),
-                            tables_.check_len());
-    if (node.parent >= 0 && let_.nodes[node.parent].target) {
-      const LevelOps pair_ops = tables_.at(node.key.level - 1);
-      const la::Matrix& l2l = (*pair_ops.l2l)[morton::child_index(node.key)];
-      la::gemv_acc(l2l,
-                   std::span<const double>(
-                       d_.data() + std::size_t(node.parent) * tables_.eq_len(),
-                       tables_.eq_len()),
-                   check, pair_ops.l2l_scale);
-      ctx_.flops.add("eval.down", la::gemv_flops(l2l));
-    }
-    const LevelOps ops = tables_.at(node.key.level);
-    la::gemv_acc(*ops.dc2de, check,
-                 std::span<double>(d_.data() + i * tables_.eq_len(),
-                                   tables_.eq_len()),
-                 ops.dc2de_scale);
-    ctx_.flops.add("eval.down", la::gemv_flops(*ops.dc2de));
-  }
-}
-
-void Evaluator::downward_batched() {
+void Evaluator::downward() {
   // Coarsest level first: a level's check potentials receive L2L from
   // already-finalized parent densities (one GEMM per child index), then
   // ONE dc2de conversion finalizes the level's own densities.
@@ -983,7 +874,7 @@ std::vector<double> Evaluator::target_gradient() {
     // W-list: gradients of the members' upward equivalent fields.
     for (auto si : let_.w.of(i)) {
       const auto ue = box_surf(tables_.options().upward_equiv_radius,
-                               let_.nodes[si].key);
+                               let_.nodes[si].key, 0);
       ctx_.flops.add(
           "grad.wli",
           grad->direct(trg, ue,
@@ -995,7 +886,7 @@ std::vector<double> Evaluator::target_gradient() {
     // Far field (V + X + coarser levels) through the box's downward
     // equivalent density.
     const auto de =
-        box_surf(tables_.options().down_equiv_radius, node.key);
+        box_surf(tables_.options().down_equiv_radius, node.key, 0);
     ctx_.flops.add(
         "grad.d2t",
         grad->direct(trg, de,

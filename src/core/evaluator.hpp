@@ -14,22 +14,19 @@
 ///   f        — target potentials, aligned with Let::points
 ///              (points x tdim; valid for owned leaves)
 ///
-/// S2U, U2U, dense M2L and the downward pass exist in two executions
-/// selected by FmmOptions::eval_mode (see DESIGN.md "Batched evaluation
-/// engine"):
-///   kScalar  — one gemv per octant or pair (reference)
-///   kBatched — level- and operator-blocked batches: U2U/L2L as one GEMM
-///              per (level, child index), uc2ue/dc2de as one GEMM per
-///              level, dense M2L as one GEMM per (level, offset).
-/// Both modes account identical model flops into the same eval.* phases
-/// and agree on the outputs to rounding.
+/// One engine (see DESIGN.md "Batched evaluation engine") runs every
+/// translation as a level- and operator-blocked batch: U2U/L2L as one
+/// GEMM per (level, child index), uc2ue/dc2de as one GEMM per level,
+/// dense M2L as one GEMM per (level, offset). Its oracles, the
+/// EvalOracle tests, are per-box la::gemm of each operator and analytic
+/// flop counts from the LET's lists.
 ///
-/// The V-list translation is either FFT-diagonal (the paper's scheme;
-/// one engine for both modes) or dense (ablation baseline). The FFT
-/// V-list runs per level: real-to-complex FFTs of the source densities,
-/// a sibling-blocked diagonal MAC over the Hermitian half spectrum that
-/// loops over (target parent, parent colleague) pairs and keeps a
-/// parent's children's accumulators in registers per 8-frequency block
+/// The V-list translation is either FFT-diagonal (the paper's scheme)
+/// or dense (ablation baseline). The FFT V-list runs per level:
+/// real-to-complex FFTs of the source densities, a sibling-blocked
+/// diagonal MAC over the Hermitian half spectrum that loops over
+/// (target parent, parent colleague) pairs and keeps a parent's
+/// children's accumulators in registers per 8-frequency block
 /// (simd::Ops::vli_mac_block), and a complex-to-real FFT per target.
 ///
 /// Intra-rank parallelism (paper §V's per-node concurrency, on CPU
@@ -85,7 +82,7 @@ class Evaluator {
 
   // Individual phases, public for focused tests, for the wall-clock
   // benchmark's traced evaluate, and for the GPU engine which
-  // substitutes some of them. Each dispatches on eval_mode.
+  // substitutes some of them.
   void s2u();
   void u2u();
   void comm_reduce();
@@ -115,31 +112,12 @@ class Evaluator {
   std::span<double> leaf_target_potential(const octree::LetNode& n);
 
   /// Materializes the surface of radius_scale around node's box into
-  /// surf_scratch_ (invalidated by the next call) — the allocation-free
-  /// replacement for building a surface vector per kernel call.
-  std::span<const double> box_surf(double radius_scale, const morton::Key& k);
-  /// Same, into lane-private scratch — the variant every TaskPool chunk
-  /// uses so concurrent chunks never share a surface buffer.
+  /// lane-private scratch (invalidated by the lane's next call), so
+  /// concurrent TaskPool chunks never share a surface buffer.
   std::span<const double> box_surf(double radius_scale, const morton::Key& k,
                                    int lane);
 
-  bool batched() const {
-    return tables_.options().eval_mode == EvalMode::kBatched;
-  }
-
-  // Per-octant reference implementations.
-  void s2u_scalar();
-  void u2u_scalar();
-  void vli_dense_scalar();
-  void downward_scalar();
-
-  // Level/operator-blocked implementations (identical flop accounting).
-  void s2u_batched();
-  void u2u_batched();
-  void vli_dense_batched();
-  void downward_batched();
-
-  /// The FFT V-list, one engine for both eval modes.
+  /// The FFT V-list, vli()'s default branch.
   void vli_fft();
 
   /// One level's FFT V-list: target and source node per slot, the
@@ -211,7 +189,6 @@ class Evaluator {
   std::vector<std::size_t> src_offset_;     ///< nodes+1, into src_pos_/3
 
   SurfaceCache surf_;                       ///< unit surface template
-  std::vector<double> surf_scratch_;        ///< one materialized surface
 
   /// Node indices grouped by octree level (node order within a level),
   /// the grouping key of every batched phase.

@@ -20,13 +20,6 @@ enum class ReduceMode {
   kOwner,      ///< per-octant owner reduction (the paper's *old* scheme)
 };
 
-/// How the per-rank evaluation pipeline is executed.
-enum class EvalMode {
-  kScalar,   ///< one gemv per octant or pair (reference); the FFT V-list
-             ///< is the batched one in both modes
-  kBatched,  ///< level- and operator-blocked GEMM/FFT batches (paper §IV-V)
-};
-
 struct FmmOptions {
   /// Surface lattice parameter n: equivalent/check surfaces carry
   /// n^3 - (n-2)^3 points. 4 = low accuracy, 6 = medium, 8 = high.
@@ -40,11 +33,6 @@ struct FmmOptions {
 
   M2lMode m2l = M2lMode::kFft;
   ReduceMode reduce = ReduceMode::kHypercube;
-
-  /// Batched (default) vs per-octant reference execution of the
-  /// evaluation pipeline. Both produce identical flop totals and agree
-  /// to rounding (see tests/test_eval_modes.cpp).
-  EvalMode eval_mode = EvalMode::kBatched;
 
   /// Intra-rank worker threads for the batched evaluation phases
   /// (paper §V's per-node parallelism, on CPU workers). 1 = serial

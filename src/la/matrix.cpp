@@ -24,20 +24,14 @@ void gemv_acc(const Matrix& a, std::span<const double> x,
               std::span<double> y, double alpha) {
   PKIFMM_CHECK(x.size() == a.cols() && y.size() == a.rows());
   const std::size_t n = a.cols();
-  // alpha scales each term (not the finished sum) so the rounding
-  // matches gemm_acc and the batched engine reproduces this reference
-  // path as closely as reordering allows (see tests/test_eval_modes).
+  // alpha scales each term (not the finished sum), as gemm_acc does, so
+  // the GPU engine's host S2U rounds each term like the CPU engine.
   for (std::size_t r = 0; r < a.rows(); ++r) {
     const double* row = a.data() + r * n;
     double acc = 0.0;
     for (std::size_t c = 0; c < n; ++c) acc += (alpha * row[c]) * x[c];
     y[r] += acc;
   }
-}
-
-void gemv(const Matrix& a, std::span<const double> x, std::span<double> y) {
-  std::fill(y.begin(), y.end(), 0.0);
-  gemv_acc(a, x, y);
 }
 
 Matrix gemm(const Matrix& a, const Matrix& b) {
@@ -129,22 +123,6 @@ void scatter_columns_acc(std::span<const double> src,
     double* col = dst.data() + std::size_t(slots[j]) * len;
     for (std::size_t r = 0; r < len; ++r) col[r] += src[r * nb + j];
   }
-}
-
-Matrix gemm_tn(const Matrix& a, const Matrix& b) {
-  PKIFMM_CHECK(a.rows() == b.rows());
-  Matrix c(a.cols(), b.cols());
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    const double* arow = a.data() + k * a.cols();
-    const double* brow = b.data() + k * b.cols();
-    for (std::size_t i = 0; i < a.cols(); ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      double* crow = c.data() + i * c.cols();
-      for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aki * brow[j];
-    }
-  }
-  return c;
 }
 
 Matrix identity(std::size_t n) {

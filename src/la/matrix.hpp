@@ -71,9 +71,6 @@ class Matrix {
 void gemv_acc(const Matrix& a, std::span<const double> x,
               std::span<double> y, double alpha = 1.0);
 
-/// y = A x.
-void gemv(const Matrix& a, std::span<const double> x, std::span<double> y);
-
 /// C = A B.
 Matrix gemm(const Matrix& a, const Matrix& b);
 
@@ -107,9 +104,6 @@ void scatter_columns_acc(std::span<const double> src,
                          std::span<const std::int32_t> slots, std::size_t len,
                          std::span<double> dst);
 
-/// C = A^T B.
-Matrix gemm_tn(const Matrix& a, const Matrix& b);
-
 /// Identity matrix of order n.
 Matrix identity(std::size_t n);
 
@@ -119,7 +113,7 @@ inline std::uint64_t gemv_flops(const Matrix& a) {
 }
 
 /// Number of flops in one gemm_acc application: exactly ncols gemvs, so
-/// batched and per-node execution account identically.
+/// a batch counts what its columns would count one by one.
 inline std::uint64_t gemm_flops(const Matrix& a, std::size_t ncols) {
   return 2ull * a.rows() * a.cols() * ncols;
 }

@@ -12,9 +12,9 @@ namespace {
 // The rounding-level conventions here (the partial-sum order in dot(),
 // the reflector sign, the side pinv() scales by 1/sigma) fix the last
 // bits of every FMM operator. Fmm.HigherOrderIsMoreAccurate (n = 8
-// against n = 7) and EvalModeParity's Stokes cases sit at that level,
-// so changing any of them can flip those tests (EXPERIMENTS.md, "Choice
-// of rounding conventions").
+// against n = 7) and Tables.PinvMoorePenroseAtWallbenchShapes sit at
+// that level, so changing any of them can flip those tests
+// (EXPERIMENTS.md, "Choice of rounding conventions").
 
 constexpr int kMaxSweeps = 60;
 

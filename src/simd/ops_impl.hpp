@@ -7,8 +7,9 @@
 /// (each TU compiled with its own -m flags; see simd/CMakeLists.txt).
 /// make_ops<P>() assembles a tier's dispatch table.
 ///
-/// Numerical contracts (asserted by tests/test_simd.cpp and the
-/// forced-tier sweeps in test_eval_modes/test_eval_threads):
+/// Numerical contracts (asserted by tests/test_simd.cpp, by the
+/// forced-tier sweeps EvalSimdTierParity and EvalSimdTierThreads, and by
+/// the evaluator's per-box GEMM oracles, which CI runs under each tier):
 ///
 ///  - Per-element arithmetic is identical between a tier's full-width
 ///    body and its masked tail, so results are bitwise independent of

@@ -1,12 +1,12 @@
 /// Thread-count determinism sweep (see util/task_pool.hpp): the
 /// evaluation pipeline must produce BITWISE-identical potentials and
-/// exactly equal per-phase flop counts for any threads_per_rank, in
-/// both eval modes, because every parallel chunk writes a pre-assigned
-/// disjoint output range in the serial iteration order and the chunk
-/// decomposition never depends on the worker count. DagExecParity also
-/// checks run() against the public phase methods on one LET at every
-/// thread count. clamp_threads is off so the sweeps exercise real
-/// worker threads even on one-core CI.
+/// exactly equal per-phase flop counts for any threads_per_rank,
+/// because every parallel chunk writes a pre-assigned disjoint output
+/// range in the serial iteration order and the chunk decomposition
+/// never depends on the worker count. DagExecParity also checks run()
+/// against the public phase methods on one LET at every thread count.
+/// clamp_threads is off so the sweeps exercise real worker threads even
+/// on one-core CI.
 
 #include <gtest/gtest.h>
 
@@ -35,7 +35,6 @@ struct ThreadRun {
 struct Case {
   std::string kernel;
   Distribution dist;
-  EvalMode mode;
   bool runtime_pool;  ///< provide the pool via Runtime::run overload
   M2lMode m2l = M2lMode::kFft;
   int ranks = 2;
@@ -46,7 +45,6 @@ FmmOptions case_options(const Case& c, int threads) {
   FmmOptions opts;
   opts.surface_n = c.surface_n;
   opts.max_points_per_leaf = 20;
-  opts.eval_mode = c.mode;
   opts.m2l = c.m2l;
   opts.threads_per_rank = threads;
   opts.clamp_threads = false;
@@ -248,21 +246,14 @@ TEST_P(DagExecParity, BitwiseMatchesBulkSyncAcrossThreadCounts) {
 INSTANTIATE_TEST_SUITE_P(
     KernelsAndM2lModes, DagExecParity,
     ::testing::Values(
-        Case{"laplace", Distribution::kUniform, EvalMode::kBatched, false,
-             M2lMode::kFft, 4},
-        Case{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false,
-             M2lMode::kFft, 4},
-        Case{"laplace", Distribution::kEllipsoid, EvalMode::kBatched, false,
-             M2lMode::kDense},
-        Case{"yukawa", Distribution::kUniform, EvalMode::kBatched, true,
-             M2lMode::kFft, 4},
+        Case{"laplace", Distribution::kUniform, false, M2lMode::kFft, 4},
+        Case{"stokes", Distribution::kEllipsoid, false, M2lMode::kFft, 4},
+        Case{"laplace", Distribution::kEllipsoid, false, M2lMode::kDense},
+        Case{"yukawa", Distribution::kUniform, true, M2lMode::kFft, 4},
         // Other orders: FFT grids 6 (n=3), 9 (n=5) and 16 (n=7).
-        Case{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false,
-             M2lMode::kFft, 4, 3},
-        Case{"laplace", Distribution::kUniform, EvalMode::kBatched, false,
-             M2lMode::kFft, 4, 5},
-        Case{"laplace", Distribution::kEllipsoid, EvalMode::kBatched, false,
-             M2lMode::kFft, 4, 7}),
+        Case{"stokes", Distribution::kEllipsoid, false, M2lMode::kFft, 4, 3},
+        Case{"laplace", Distribution::kUniform, false, M2lMode::kFft, 4, 5},
+        Case{"laplace", Distribution::kEllipsoid, false, M2lMode::kFft, 4, 7}),
     [](const ::testing::TestParamInfo<Case>& info) {
       const Case& c = info.param;
       std::string name = c.kernel;
@@ -283,7 +274,7 @@ TEST(EvalSimdTierThreads, BitwiseDeterministicWithinEachTier) {
     ~TierGuard() { simd::clear_forced_tier(); }
   } guard;
 
-  const Case c{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false};
+  const Case c{"stokes", Distribution::kEllipsoid, false};
   const int p = 2;
   for (const simd::Tier t : simd::available_tiers()) {
     simd::force_tier(t);
@@ -312,17 +303,15 @@ TEST(EvalSimdTierThreads, BitwiseDeterministicWithinEachTier) {
 INSTANTIATE_TEST_SUITE_P(
     KernelsAndModes, EvalThreadDeterminism,
     ::testing::Values(
-        Case{"laplace", Distribution::kUniform, EvalMode::kBatched, false},
-        Case{"laplace", Distribution::kEllipsoid, EvalMode::kScalar, false},
-        Case{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false},
-        Case{"yukawa", Distribution::kUniform, EvalMode::kBatched, true},
-        Case{"laplace", Distribution::kEllipsoid, EvalMode::kBatched, false,
-             M2lMode::kFft, 2, 5}),
+        Case{"laplace", Distribution::kUniform, false},
+        Case{"stokes", Distribution::kEllipsoid, false},
+        Case{"yukawa", Distribution::kUniform, true},
+        Case{"laplace", Distribution::kEllipsoid, false, M2lMode::kFft, 2, 5}),
     [](const ::testing::TestParamInfo<Case>& info) {
       const Case& c = info.param;
       std::string name = c.kernel;
       name += c.dist == Distribution::kUniform ? "Uniform" : "Ellipsoid";
-      name += c.mode == EvalMode::kBatched ? "Batched" : "Scalar";
+      name += "Batched";  // kept from a removed engine choice: stable names
       if (c.runtime_pool) name += "RuntimePool";
       if (c.surface_n != 4) name += "N" + std::to_string(c.surface_n);
       return name;

@@ -224,7 +224,7 @@ TEST(Assemble, MatrixActionEqualsDirect) {
 
     const la::Matrix m = k->assemble(tgt, src);
     std::vector<double> pot_mat(4 * k->target_dim(), 0.0);
-    la::gemv(m, den, pot_mat);
+    la::gemv_acc(m, den, pot_mat);
 
     for (std::size_t i = 0; i < pot_direct.size(); ++i)
       EXPECT_NEAR(pot_mat[i], pot_direct[i], 1e-12) << name;

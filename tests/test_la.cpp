@@ -39,7 +39,7 @@ TEST(Matrix, GemvMatchesManual) {
   a(1, 0) = 4; a(1, 1) = 5; a(1, 2) = 6;
   const double x[] = {1.0, -1.0, 2.0};
   double y[2] = {0.0, 0.0};
-  gemv(a, x, y);
+  gemv_acc(a, x, y);
   EXPECT_DOUBLE_EQ(y[0], 5.0);
   EXPECT_DOUBLE_EQ(y[1], 11.0);
 }
@@ -57,12 +57,6 @@ TEST(Matrix, GemmAssociatesWithIdentity) {
   const Matrix a = random_matrix(5, 5, 2);
   EXPECT_LT(max_abs_diff(gemm(a, identity(5)), a), 1e-14);
   EXPECT_LT(max_abs_diff(gemm(identity(5), a), a), 1e-14);
-}
-
-TEST(Matrix, GemmTnMatchesExplicitTranspose) {
-  const Matrix a = random_matrix(6, 4, 3);
-  const Matrix b = random_matrix(6, 5, 4);
-  EXPECT_LT(max_abs_diff(gemm_tn(a, b), gemm(a.transposed(), b)), 1e-13);
 }
 
 TEST(Matrix, GemvFlopsFormula) {
@@ -180,8 +174,8 @@ TEST(Svd, SingularValuesSortedDescending) {
 
 TEST(Svd, OrthonormalFactors) {
   const Svd s = svd(random_matrix(14, 9, 9));
-  const Matrix utu = gemm_tn(s.u, s.u);
-  const Matrix vtv = gemm_tn(s.v, s.v);
+  const Matrix utu = gemm(s.u.transposed(), s.u);
+  const Matrix vtv = gemm(s.v.transposed(), s.v);
   EXPECT_LT(max_abs_diff(utu, identity(9)), 1e-10);
   EXPECT_LT(max_abs_diff(vtv, identity(9)), 1e-10);
 }

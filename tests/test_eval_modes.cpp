@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <set>
 #include <span>
 #include <string>
@@ -56,10 +57,18 @@ struct Case {
   std::string kernel;
   Distribution dist;
   bool fft_vlist;
-  // One byte, so it sits in the tail padding and Case keeps its size:
-  // gtest prints the parameter's byte size in each test's listed name.
-  std::uint8_t surface_n = 4;
+  int surface_n = 4;
 };
+
+/// gtest appends the printed parameter to each listed test name.
+/// Without this it prints Case's raw bytes, the first eight of which
+/// are the kernel string's heap address, so the names changed with the
+/// heap layout of each build. Short, since every listed name carries
+/// it.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.kernel << (c.dist == Distribution::kUniform ? " U " : " E ")
+      << (c.fft_vlist ? "fft" : "dense") << " n" << c.surface_n;
+}
 
 FmmOptions case_options(const Case& c) {
   FmmOptions opts;

@@ -4,7 +4,7 @@
 ///
 ///   ./pkifmm_cli --n=50000 --kernel=stokes --dist=nonuniform
 ///                --ranks=8 --q=60 --accuracy=4 --reduce=hypercube
-///                --m2l=fft --balance21 --gradient --check=100
+///                --m2l=fft --gradient --check=100
 ///
 /// (one command line, wrapped here).
 ///
@@ -38,7 +38,6 @@ static int example_main(int argc, char** argv) {
         "  --m2l=M          fft | dense (default fft)\n"
         "  --reduce=R       hypercube | owner (default hypercube)\n"
         "  --no-load-balance  disable work-weighted repartitioning\n"
-        "  --balance21      2:1 balance the octree\n"
         "  --gradient       also evaluate grad(potential)\n"
         "  --check=S        verify S sample points against direct sum\n"
         "  --seed=X         point-generation seed (default 42)\n");
@@ -72,7 +71,6 @@ static int example_main(int argc, char** argv) {
   opts.reduce = reduce == "owner" ? core::ReduceMode::kOwner
                                   : core::ReduceMode::kHypercube;
   opts.load_balance = !cli.get_bool("no-load-balance", false);
-  opts.balance_2to1 = cli.get_bool("balance21", false);
   PKIFMM_CHECK_MSG(!gradient || kernel->gradient() != nullptr,
                    "kernel '" << kernel_name << "' has no gradient");
 

@@ -6,7 +6,6 @@
 
 #include "obs/flow.hpp"
 #include "obs/health.hpp"
-#include "octree/balance.hpp"
 
 namespace pkifmm::core {
 
@@ -64,12 +63,6 @@ void ParallelFmm::setup(std::vector<octree::PointRec> points) {
     tree = octree::build_distributed_tree(ctx_.comm, std::move(points), bp);
   }
 
-  if (opts.balance_2to1) {
-    ctx_.comm.cost().set_phase("setup.b21");
-    auto t = ctx_.timer.scope("setup.b21");
-    (void)octree::balance_2to1(ctx_.comm, tree);
-  }
-
   ctx_.comm.cost().set_phase("setup.let");
   {
     auto t = ctx_.timer.scope("setup.let");
@@ -123,8 +116,8 @@ void ParallelFmm::set_densities(const std::vector<std::uint64_t>& gids,
                    "set_densities: " << (by_gid.size() - matched)
                                      << " gid(s) not owned by this rank");
 
-  // The retained tree is density-authoritative for the incremental
-  // path: repair and the LET delta exchange re-ship leaf buckets from
+  // The retained tree is density-authoritative for update_points:
+  // repair and the LET delta exchange re-ship leaf buckets from
   // tree_.points, so the current densities must live there too.
   for (octree::PointRec& pt : tree_.points) {
     auto it = by_gid.find(pt.gid);
@@ -133,22 +126,6 @@ void ParallelFmm::set_densities(const std::vector<std::uint64_t>& gids,
     for (int c = 0; c < sd; ++c)
       pt.den[c] = densities[it->second * sd + c];
   }
-  densities_dirty_ = true;
-}
-
-void ParallelFmm::full_rebuild_with(
-    const std::vector<octree::PointMove>& moves) {
-  // The incremental path's validation, so the escape hatch and the
-  // repair agree on what a malformed call is.
-  (void)octree::apply_moves(tree_.points, moves);
-
-  ctx_.rec.counter_add("setup.incr.full_rebuilds", 1.0);
-  std::vector<octree::PointRec> pts = std::move(tree_.points);
-  tree_ = {};
-  setup(std::move(pts));
-  update_stats_ = {};
-  update_stats_.full_rebuild = true;
-  update_stats_.moved_points = moves.size();
   densities_dirty_ = true;
 }
 
@@ -168,15 +145,6 @@ void ParallelFmm::repair_let(std::span<const morton::Key> dirty_leaves) {
 void ParallelFmm::update_points(const std::vector<octree::PointMove>& moves) {
   PKIFMM_CHECK_MSG(let_ != nullptr, "setup() must run before update_points()");
   const FmmOptions& opts = tables_.options();
-
-  // repair_tree reproduces the canonical (unbalanced) leaf set; with
-  // 2:1 refinement on, only a full rebuild preserves the parity
-  // contract.
-  if (!opts.incremental_setup || opts.balance_2to1) {
-    full_rebuild_with(moves);
-    return;
-  }
-
   octree::BuildParams bp;
   bp.max_points_per_leaf = opts.max_points_per_leaf;
   bp.max_level = opts.max_level;

@@ -16,7 +16,10 @@
 /// (Algorithm 2), and optional work-weighted repartitioning followed by
 /// an LET rebuild (§III-B). evaluate() runs Algorithm 1 with the
 /// hypercube reduce-scatter (Algorithm 3) and can be called repeatedly
-/// with updated densities (set_densities).
+/// with updated densities (set_densities). For time stepping,
+/// update_points() moves points and repairs the tree, the LET and the
+/// lists in place, bitwise equal to a from-scratch setup() of the moved
+/// cloud (octree/update.hpp, core/timestep.hpp).
 
 #include <memory>
 #include <vector>
@@ -63,22 +66,22 @@ class ParallelFmm {
   /// kernel with a gradient companion (Laplace, Yukawa).
   Result evaluate(bool with_gradient = false);
 
-  /// Moves owned points (each gid must be owned by this rank, and
-  /// listed once) and repairs the tree, the LET and the interaction
-  /// lists in place — the per-step cost is proportional to churn, not
-  /// N. With load_balance, leaves then migrate to their canonical
-  /// work-weighted destinations whenever those moved. Collective: every
-  /// rank calls it each step, with possibly empty moves. The resulting
-  /// state is bitwise identical to a from-scratch setup() on the union
-  /// of all ranks' updated points at any rank count (see
-  /// FmmOptions::incremental_setup for the escape hatch). Densities are
-  /// preserved; ghost copies refresh at the next evaluate().
+  /// Moves owned points (each gid must be owned by this rank and
+  /// listed once, each new position must lie in [0, 1)^3) and repairs
+  /// the tree, the LET and the interaction lists in place — the
+  /// per-step cost is proportional to churn, not N. With load_balance,
+  /// leaves then migrate to their canonical work-weighted destinations
+  /// whenever those moved. Collective: every rank calls it each step,
+  /// with possibly empty moves. The resulting state is bitwise identical
+  /// to a from-scratch setup() on the union of all ranks' updated
+  /// points at any rank count (tests/test_incremental.cpp), so there is
+  /// no rebuild mode: setup() is the rebuild. Densities are preserved;
+  /// ghost copies refresh at the next evaluate().
   void update_points(const std::vector<octree::PointMove>& moves);
 
-  /// What the last update_points() did (repair vs rebuild, churn,
+  /// What the last update_points() did (churn, repair extent,
   /// traffic) — the per-call view of the `setup.incr.*` counters.
   struct UpdateStats {
-    bool full_rebuild = false;   ///< fell back to the full setup pipeline
     bool repartitioned = false;  ///< canonical destinations moved leaves
     std::size_t moved_points = 0;
     std::size_t migrated_points = 0;  ///< points that changed rank
@@ -118,7 +121,6 @@ class ParallelFmm {
   obs::Recorder& recorder() const { return ctx_.rec; }
 
  private:
-  void full_rebuild_with(const std::vector<octree::PointMove>& moves);
   /// Delta-syncs the LET against tree_ (`dirty_leaves`: owned leaves
   /// whose buckets changed), repairs the interaction lists and adds
   /// the traffic and list counts to update_stats_. Collective.
@@ -140,9 +142,9 @@ class ParallelFmm {
   const Tables& tables_;
   std::unique_ptr<obs::FlowRecorder> flow_;  ///< bound iff non-null
   std::unique_ptr<octree::Let> let_;
-  /// Retained across calls for the incremental path: the owned tree
-  /// (repaired in place by update_points) and the LET staging diffed
-  /// against on each delta exchange.
+  /// Retained across calls for update_points: the owned tree
+  /// (repaired in place) and the LET staging diffed against on each
+  /// delta exchange.
   octree::OwnedTree tree_;
   octree::LetSync let_sync_;
   UpdateStats update_stats_;

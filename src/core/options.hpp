@@ -52,22 +52,6 @@ struct FmmOptions {
   /// Disable for the ablation bench.
   bool load_balance = true;
 
-  /// Incremental setup (ROADMAP item 3): ParallelFmm keeps the
-  /// distributed tree and the LET staging alive across
-  /// update_points() calls and repairs them in place, making per-step
-  /// setup cost proportional to churn instead of N. The repaired
-  /// state is bitwise identical to a from-scratch setup() on the same
-  /// points at any rank count (tests/test_incremental.cpp). Off =
-  /// escape hatch: every update_points() runs the full setup pipeline.
-  bool incremental_setup = true;
-
-  /// 2:1 balance refinement of the octree after construction (the
-  /// DENDRO substrate feature of the paper's reference [16]). The FMM
-  /// does not require it — the paper's trees span 20+ levels of
-  /// contrast — but it bounds U/W/X list sizes; off by default to match
-  /// the paper's configuration.
-  bool balance_2to1 = false;
-
   /// Surface radii relative to the box half-width (Ying et al. 2004).
   double upward_equiv_radius = 1.05;
   double upward_check_radius = 2.95;

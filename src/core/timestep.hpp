@@ -8,8 +8,8 @@
 /// user-supplied velocity field over a (deterministically chosen)
 /// subset of the owned points, wraps the positions back into the unit
 /// cube, and hands the moves to ParallelFmm::update_points — so the
-/// per-step setup cost tracks the churn, not N (see
-/// FmmOptions::incremental_setup).
+/// per-step setup cost tracks the churn, not N (bench/timestep times
+/// each step against a from-scratch setup() of the same points).
 ///
 ///   core::TimeStepper ts(fmm, [](std::uint64_t, const auto& x, double) {
 ///     return std::array<double, 3>{-x[1] + 0.5, x[0] - 0.5, 0.0};

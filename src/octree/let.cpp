@@ -142,7 +142,6 @@ Let LetSync::update(comm::Comm& c, const OwnedTree& tree,
                            tree.points.begin() + tree.leaf_point_offset[li],
                            tree.points.begin() +
                                tree.leaf_point_offset[li + 1]);
-      st.ghost_points_sent += npts;
     }
     msg_out[dest].push_back(UpdMsg{
         k.bits, k.level,
@@ -208,7 +207,6 @@ Let LetSync::update(comm::Comm& c, const OwnedTree& tree,
     if (r == c.rank()) continue;
     for (const UpdMsg& m : msg_in[r]) {
       if (m.op != kRemove) continue;
-      ++st.removes_recv;
       const Key k{m.bits, m.level};
       auto it = ghost_.find(k);
       PKIFMM_CHECK_MSG(it != ghost_.end(), "ghost REMOVE for unknown octant");
@@ -230,7 +228,6 @@ Let LetSync::update(comm::Comm& c, const OwnedTree& tree,
     std::size_t cursor = 0;
     for (const UpdMsg& m : msg_in[r]) {
       if (m.op == kRemove) continue;
-      ++st.octants_recv;
       const Key k{m.bits, m.level};
       GhostEntry& g = ghost_[k];
       auto ct = std::lower_bound(g.contributors.begin(), g.contributors.end(),

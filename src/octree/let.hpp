@@ -102,9 +102,6 @@ struct Let {
 struct LetSyncStats {
   std::size_t octants_sent = 0;     ///< SET messages (add or replace)
   std::size_t removes_sent = 0;     ///< REMOVE messages
-  std::size_t ghost_points_sent = 0;
-  std::size_t octants_recv = 0;
-  std::size_t removes_recv = 0;
   std::size_t ranks_touched = 0;    ///< destinations with a nonempty delta
 };
 

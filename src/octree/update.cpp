@@ -8,6 +8,20 @@ namespace pkifmm::octree {
 using morton::Bits;
 using morton::Key;
 
+namespace {
+
+/// One applied move: the point's index in the array and the Morton id
+/// of the kMaxDepth cell it vacated.
+struct AppliedMove {
+  std::size_t index;
+  Bits vacated;
+};
+
+/// Writes each move's position into `points` and re-keys the point.
+/// A gid listed twice or not in `points`, or a coordinate outside
+/// [0, 1) (NaN included: the Morton grid covers only the unit cube), is
+/// a CheckFailure raised before any point is written. Returns one
+/// AppliedMove per move, in order.
 std::vector<AppliedMove> apply_moves(std::vector<PointRec>& points,
                                      std::span<const PointMove> moves) {
   {
@@ -31,6 +45,11 @@ std::vector<AppliedMove> apply_moves(std::vector<PointRec>& points,
     PKIFMM_CHECK_MSG(it != by_gid.end(),
                      "update_points: gid " << m.gid
                                            << " is not owned by this rank");
+    for (int d = 0; d < 3; ++d)
+      PKIFMM_CHECK_MSG(m.pos[d] >= 0.0 && m.pos[d] < 1.0,
+                       "update_points: gid " << m.gid << " moves to pos["
+                                             << d << "] = " << m.pos[d]
+                                             << ", outside [0, 1)");
     applied.push_back({it->second, points[it->second].key_bits});
   }
   for (std::size_t j = 0; j < moves.size(); ++j) {
@@ -42,12 +61,13 @@ std::vector<AppliedMove> apply_moves(std::vector<PointRec>& points,
   return applied;
 }
 
+}  // namespace
+
 RepairResult repair_tree(comm::Comm& c, OwnedTree& tree,
                          std::span<const PointMove> moves,
                          const BuildParams& params) {
   const int p = c.size();
   RepairResult res;
-  res.stats.moved_points = moves.size();
 
   // Zero global churn: the tree is already canonical for these points.
   const auto global_moves =

@@ -12,9 +12,10 @@
 /// split an octant iff its global count exceeds q) while touching only
 /// the octants whose counts actually changed:
 ///
-///  1. apply_moves writes the new positions in place and re-keys the
-///     moved points; points whose Morton id left this rank's ownership
-///     interval migrate to the interval owner (one alltoallv);
+///  1. the moves are checked (each gid owned and listed once, each
+///     coordinate finite and in [0, 1)), written in place and the moved
+///     points re-keyed; points whose Morton id left this rank's
+///     ownership interval migrate to the interval owner (one alltoallv);
 ///  2. refine_tree (build.hpp) runs against the previous tree: the
 ///     census of the splitter-straddling ancestors refreshes the global
 ///     counts that local information cannot provide, and the top-down
@@ -49,25 +50,10 @@ struct PointMove {
 
 /// What one repair_tree call did (feeds the `setup.incr.*` metrics).
 struct RepairStats {
-  std::size_t moved_points = 0;     ///< moves applied on this rank
   std::size_t migrated_points = 0;  ///< points sent to another rank
   std::size_t dirty_leaves = 0;     ///< leaves rebuilt (content changed)
   std::size_t kept_leaves = 0;      ///< leaves copied through untouched
 };
-
-/// One applied move: the point's index in the array and the Morton id
-/// of the kMaxDepth cell it vacated.
-struct AppliedMove {
-  std::size_t index;
-  morton::Bits vacated;
-};
-
-/// Writes each move's position into `points` and re-keys the point.
-/// A gid listed twice or not in `points` is a CheckFailure, raised
-/// before any point is written. Returns one AppliedMove per move, in
-/// order.
-std::vector<AppliedMove> apply_moves(std::vector<PointRec>& points,
-                                     std::span<const PointMove> moves);
 
 struct RepairResult {
   /// Keys of leaves in the repaired tree whose point bucket differs
@@ -80,11 +66,14 @@ struct RepairResult {
 
 /// Applies `moves` to `tree` (in place) and repairs the leaf set, the
 /// point array, the CSR and the splitters to the canonical tree of the
-/// updated global point multiset. Collective: every rank must call it
-/// (with possibly empty moves). Ownership intervals are preserved up to
-/// boundary merges: a leaf that after repair straddles the previous
-/// splitter goes to the lowest contributing rank, exactly like the full
-/// build, and the splitters are recomputed from the repaired leaves.
+/// updated global point multiset. A gid listed twice or not owned here,
+/// or a coordinate outside [0, 1) (NaN included), is a CheckFailure
+/// raised before any point is written. Collective: every rank must
+/// call it (with possibly empty moves). Ownership intervals are
+/// preserved up to boundary merges: a leaf that after repair straddles
+/// the previous splitter goes to the lowest contributing rank, exactly
+/// like the full build, and the splitters are recomputed from the
+/// repaired leaves.
 RepairResult repair_tree(comm::Comm& c, OwnedTree& tree,
                          std::span<const PointMove> moves,
                          const BuildParams& params);

@@ -3,8 +3,9 @@
 /// exactly equal per-phase flop counts for any threads_per_rank,
 /// because every parallel chunk writes a pre-assigned disjoint output
 /// range in the serial iteration order and the chunk decomposition
-/// never depends on the worker count. DagExecParity also checks run()
-/// against the public phase methods on one LET at every thread count.
+/// never depends on the worker count. PhaseMethodParity also checks
+/// run() against the public phase methods on one LET at every thread
+/// count.
 /// clamp_threads is off so the sweeps exercise real worker threads even
 /// on one-core CI.
 
@@ -40,6 +41,15 @@ struct Case {
   int ranks = 2;
   int surface_n = 4;
 };
+
+/// gtest appends the printed parameter to each listed test name;
+/// without this it prints Case's raw bytes, which include the kernel
+/// string's heap address and so change from build to build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.kernel << (c.dist == Distribution::kUniform ? " U " : " E ")
+      << (c.m2l == M2lMode::kFft ? "fft" : "dense") << " p" << c.ranks
+      << " n" << c.surface_n << (c.runtime_pool ? " pool" : "");
+}
 
 FmmOptions case_options(const Case& c, int threads) {
   FmmOptions opts;
@@ -208,12 +218,10 @@ PhasePathRun run_both_paths(const Case& c, int threads) {
 /// produce BITWISE-identical potentials and exactly equal per-phase
 /// flop counts on one LET, at every thread count, and both must match
 /// the one-thread phase methods. FFT cases run at p=4 so the hypercube
-/// reduce runs two rounds; the dense-M2L ablation at p=2. (The suite
-/// name is kept from a removed task-graph schedule so that the test
-/// names stay stable.)
-class DagExecParity : public ::testing::TestWithParam<Case> {};
+/// reduce runs two rounds; the dense-M2L ablation at p=2.
+class PhaseMethodParity : public ::testing::TestWithParam<Case> {};
 
-TEST_P(DagExecParity, BitwiseMatchesBulkSyncAcrossThreadCounts) {
+TEST_P(PhaseMethodParity, MatchesRunBitwiseAcrossThreadCounts) {
   const Case c = GetParam();
   const PhasePathRun base = run_both_paths(c, 1);
   for (int r = 0; r < c.ranks; ++r) {
@@ -244,7 +252,7 @@ TEST_P(DagExecParity, BitwiseMatchesBulkSyncAcrossThreadCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    KernelsAndM2lModes, DagExecParity,
+    KernelsAndM2lModes, PhaseMethodParity,
     ::testing::Values(
         Case{"laplace", Distribution::kUniform, false, M2lMode::kFft, 4},
         Case{"stokes", Distribution::kEllipsoid, false, M2lMode::kFft, 4},

@@ -295,43 +295,59 @@ TEST(Failure, SetDensitiesWithMissingGidThrows) {
       CheckFailure);
 }
 
-/// Both update paths — the repair and the incremental_setup = off
-/// escape hatch — reject a gid listed twice and a gid this rank does
-/// not own, with the same messages.
+/// update_points rejects a gid listed twice, a gid this rank does not
+/// own and a coordinate outside the unit cube [0, 1) (NaN included),
+/// naming the gid, before any point is written: the next evaluate()
+/// matches the one before the rejected calls bitwise.
 TEST(Failure, UpdatePointsRejectsBadMoves) {
   kernels::LaplaceKernel kernel;
-  for (const bool incremental : {true, false}) {
-    FmmOptions opts;
-    opts.surface_n = 4;
-    opts.incremental_setup = incremental;
-    const Tables tables(kernel, opts);
-    comm::Runtime::run(2, [&](comm::RankCtx& ctx) {
-      auto pts = octree::generate_points(Distribution::kUniform, 400,
-                                         ctx.rank(), 2, 1, 3);
-      ParallelFmm fmm(ctx, tables);
-      fmm.setup(std::move(pts));
-      std::uint64_t own = 0;
-      for (const octree::LetNode& n : fmm.let().nodes)
-        if (n.owned && n.global_leaf && n.point_count > 0) {
-          own = fmm.let().points_of(n)[0].gid;
-          break;
-        }
-      auto expect_rejected = [&](const std::vector<octree::PointMove>& moves,
-                                 const std::string& message) {
-        try {
-          fmm.update_points(moves);
-          ADD_FAILURE() << "accepted bad moves, incremental=" << incremental;
-        } catch (const CheckFailure& e) {
-          EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
-              << e.what();
-        }
-      };
-      const octree::PointMove m{own, {0.5, 0.5, 0.5}};
-      expect_rejected({m, m}, "duplicate gid in moves");
-      expect_rejected({{9999999, {0.5, 0.5, 0.5}}},
-                      "is not owned by this rank");
-    });
-  }
+  FmmOptions opts;
+  opts.surface_n = 4;
+  const Tables tables(kernel, opts);
+  comm::Runtime::run(2, [&](comm::RankCtx& ctx) {
+    auto pts = octree::generate_points(Distribution::kUniform, 400,
+                                       ctx.rank(), 2, 1, 3);
+    ParallelFmm fmm(ctx, tables);
+    fmm.setup(std::move(pts));
+    const auto before = fmm.evaluate();
+    std::vector<std::uint64_t> owned;
+    for (const octree::LetNode& n : fmm.let().nodes)
+      if (n.owned && n.global_leaf)
+        for (const octree::PointRec& pt : fmm.let().points_of(n))
+          owned.push_back(pt.gid);
+    ASSERT_GE(owned.size(), 2u);
+    const std::uint64_t own = owned[0];
+    auto expect_rejected = [&](const std::vector<octree::PointMove>& moves,
+                               const std::string& message) {
+      try {
+        fmm.update_points(moves);
+        ADD_FAILURE() << "accepted bad moves, expected: " << message;
+      } catch (const CheckFailure& e) {
+        EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+            << e.what();
+      }
+    };
+    const octree::PointMove m{own, {0.5, 0.5, 0.5}};
+    expect_rejected({m, m}, "duplicate gid in moves");
+    expect_rejected({{9999999, {0.5, 0.5, 0.5}}},
+                    "gid 9999999 is not owned by this rank");
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::string gid = "gid " + std::to_string(own);
+    expect_rejected({{own, {nan, 0.5, 0.5}}},
+                    gid + " moves to pos[0] = nan, outside [0, 1)");
+    expect_rejected({{own, {0.5, 1.5, 0.5}}},
+                    gid + " moves to pos[1] = 1.5, outside [0, 1)");
+    expect_rejected({{own, {0.5, 0.5, -0.25}}},
+                    gid + " moves to pos[2] = -0.25, outside [0, 1)");
+    // A valid move listed first is not written either.
+    expect_rejected({m, {owned[1], {1.0, 0.5, 0.5}}},
+                    "gid " + std::to_string(owned[1]) +
+                        " moves to pos[0] = 1, outside [0, 1)");
+
+    const auto after = fmm.evaluate();
+    EXPECT_EQ(before.gids, after.gids);
+    EXPECT_EQ(before.potentials, after.potentials);
+  });
 }
 
 TEST(Failure, WithOptionsRejectsGeometryChange) {

@@ -213,6 +213,14 @@ struct CleanCase {
   double err_bound;  ///< sampled rel err bound at surface_n = 4
 };
 
+/// gtest appends the printed parameter to each listed test name;
+/// without this it prints CleanCase's raw bytes, which include the
+/// kernel string's heap address and so change from build to build.
+void PrintTo(const CleanCase& c, std::ostream* os) {
+  *os << c.kernel << (c.dist == Distribution::kUniform ? " U" : " E")
+      << " bound " << c.err_bound;
+}
+
 class HealthCleanRun : public ::testing::TestWithParam<CleanCase> {};
 
 TEST_P(HealthCleanRun, NoSentinelHitsAndAccurateSample) {

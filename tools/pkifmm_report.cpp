@@ -7,8 +7,8 @@
 ///   1. a paper-style per-phase breakdown (Table II layout: Max/Avg
 ///      wall time, Max/Avg flops, plus the overlap efficiency the
 ///      summary derives from cross-rank span timelines),
-///   1b. a setup breakdown (sort/tree, 2:1 balance, LET+ghost
-///      exchange, repartition sub-phases) plus the `setup.incr.*`
+///   1b. a setup breakdown (sort/tree, LET+ghost exchange,
+///      repartition sub-phases) plus the `setup.incr.*`
 ///      counters — amortized per update step — when the run used
 ///      incremental repair (ParallelFmm::update_points),
 ///   1c. numerical health (only when the summary carries a "health"
@@ -190,11 +190,10 @@ static int run(int argc, char** argv) {
   const obs::Json& metrics = doc.at("metrics");
 
   // --- 1b. Setup breakdown: where tree construction spends its time
-  // (sort+tree build / 2:1 balance / LET+ghost exchange / repartition),
-  // plus the incremental-repair counters when the run drove
-  // update_points (time-stepping workloads). Phase names: the full
-  // rebuild records setup.tree/.b21/.let/.balance, the incremental
-  // path setup.incr.tree/.let/.balance.
+  // (sort+tree build / LET+ghost exchange / repartition), plus the
+  // incremental-repair counters when the run drove update_points
+  // (time-stepping workloads). Phase names: setup() records
+  // setup.tree/.let/.balance, update_points setup.incr.tree/.let/.balance.
   {
     std::vector<std::string> setup_phases;
     for (const std::string& name : names)
@@ -211,8 +210,8 @@ static int run(int argc, char** argv) {
                     sci(stat(ph, "msgs_sent", "sum")),
                     sci(stat(ph, "bytes_sent", "sum"))});
       }
-      std::printf("Setup breakdown (sort/tree | 2:1 balance | LET+ghost | "
-                  "partition):\n%s\n",
+      std::printf("Setup breakdown (sort/tree | LET+ghost | partition):\n"
+                  "%s\n",
                   st.str().c_str());
     }
     // Incremental-repair counters, amortized per update step. Absent
@@ -220,11 +219,8 @@ static int run(int argc, char** argv) {
     const double steps = metric_sum(metrics, "setup.incr.steps");
     if (steps > 0.0) {
       std::printf(
-          "Incremental setup: %s update step(s), %s full rebuild(s), "
-          "%s repartition(s)\n",
+          "Incremental setup: %s update step(s), %s repartition(s)\n",
           sci(steps).c_str(),
-          sci(std::max(0.0, metric_sum(metrics, "setup.incr.full_rebuilds")))
-              .c_str(),
           sci(std::max(0.0, metric_sum(metrics, "setup.incr.repartitions")))
               .c_str());
       Table incr({"Counter", "Sum", "Per step"});

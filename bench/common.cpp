@@ -32,7 +32,7 @@ struct MetricsLog {
   std::vector<std::vector<obs::RankMetrics>> summary_runs;
   int run_index = 0;
   bool flow_trace = false;  ///< --flow-trace: obs/flow.hpp tracing
-  int flow_capacity = 0;    ///< --flow-capacity (0 = library default)
+  int flow_capacity = 0;    ///< --flow-capacity (0 = not given)
   bool health = false;         ///< --health: FmmOptions::health layer
   bool health_rate_set = false;   ///< --health-sample-rate was given
   double health_rate = 0.0;       ///< its value when set
@@ -171,7 +171,7 @@ void metrics_init(const Cli& cli, const std::string& bench_name) {
   }
   log.git_sha = sha.empty() ? "unknown" : sha;
   log.flow_trace = cli.has("flow-trace");
-  log.flow_capacity = cli.get_int_as<int>("flow-capacity", 0);
+  log.flow_capacity = cli.get_int_as<int>("flow-capacity", 0, 1);
   log.health = cli.has("health");
   if (cli.has("health-sample-rate")) {
     const double v = cli.get_double("health-sample-rate", 0.0);
@@ -187,7 +187,7 @@ void metrics_init(const Cli& cli, const std::string& bench_name) {
 void apply_flow_flags(core::FmmOptions& opts) {
   const MetricsLog& log = metrics_log();
   if (log.flow_trace) opts.flow_trace = true;
-  if (log.flow_capacity > 0) opts.flow_capacity = log.flow_capacity;
+  if (log.flow_capacity != 0) opts.flow_capacity = log.flow_capacity;
   if (log.health) opts.health = true;
   if (log.health_rate_set) opts.health_sample_rate = log.health_rate;
 }

@@ -19,8 +19,8 @@
 /// `--health --eval=1` additionally runs the numerical-health layer
 /// (DESIGN.md §5g) every evaluation: the TimeStepper then diffs the
 /// sampled accuracy step-over-step and raises health.drift.* warnings
-/// when the error grows past FmmOptions::health_drift_ratio times the
-/// early-step baseline.
+/// when the error grows past obs::kDriftRatio (10) times the early-step
+/// baseline.
 
 #include <cstdio>
 #include <sstream>

@@ -28,62 +28,9 @@ void Comm::barrier() {
   }
 }
 
-namespace {
-
-/// Folds the cost tracker's per-phase, per-destination and collective
-/// tables into `m.counters` under the canonical names documented in
-/// obs/export.hpp. PhaseTimer and FlopCounter need no fold: they write
-/// their `time.*` and `flops.*` counters into the recorder directly.
-void fold_flat_counters(obs::RankMetrics& m, const CostTracker& cost) {
-  for (const auto& [name, c] : cost.phases()) {
-    m.counters["comm." + name + ".msgs_sent"] +=
-        static_cast<double>(c.msgs_sent);
-    m.counters["comm." + name + ".bytes_sent"] +=
-        static_cast<double>(c.bytes_sent);
-    m.counters["comm." + name + ".msgs_recv"] +=
-        static_cast<double>(c.msgs_recv);
-    m.counters["comm." + name + ".bytes_recv"] +=
-        static_cast<double>(c.bytes_recv);
-  }
-  // Per-destination sends: one counter pair per (phase, dst) actually
-  // used, parsed back into the dense per-phase traffic matrix by
-  // obs::summarize_metrics.
-  for (const auto& [phase, peers] : cost.peer_sends()) {
-    for (const auto& [dst, p] : peers) {
-      const std::string stem = "commx." + phase + ".dst" + std::to_string(dst);
-      m.counters[stem + ".msgs"] += static_cast<double>(p.msgs);
-      m.counters[stem + ".bytes"] += static_cast<double>(p.bytes);
-    }
-  }
-  for (const auto& [name, s] : cost.collectives()) {
-    m.counters["coll." + name + ".calls"] += static_cast<double>(s.calls);
-    m.counters["coll." + name + ".rounds"] += static_cast<double>(s.rounds);
-    m.counters["coll." + name + ".msgs"] += static_cast<double>(s.msgs);
-    m.counters["coll." + name + ".bytes"] += static_cast<double>(s.bytes);
-  }
-  // Payload-transit digests (health layer): every message is matched
-  // within the run, so across ranks Σ sent == Σ recv — the summary
-  // compares the two sums as a transit-integrity sentinel. The owner
-  // (ParallelFmm) may have unbound digesting by the time the epilogue
-  // folds, so accumulated values count even when no longer enabled.
-  if (cost.payload_digests_enabled() || cost.payload_sent_digest() != 0.0 ||
-      cost.payload_recv_digest() != 0.0) {
-    m.counters["health.comm.payload_sent"] += cost.payload_sent_digest();
-    m.counters["health.comm.payload_recv"] += cost.payload_recv_digest();
-  }
-}
-
-}  // namespace
-
 obs::RankMetrics snapshot_with_counters(const RankCtx& ctx) {
   obs::RankMetrics m = ctx.rec.snapshot();
   m.gauges["obs.epoch"] = ctx.rec.epoch();
-  fold_flat_counters(m, ctx.comm.cost());
-  // A still-bound flow recorder hasn't published into ctx.rec yet; fold
-  // it into this copy so mid-run snapshots carry the flow data too.
-  // (Once published, the events live in the recorder snapshot already.)
-  const obs::FlowRecorder* f = ctx.comm.cost().flow();
-  if (f != nullptr && !f->published()) f->fold_into(m);
   return m;
 }
 
@@ -102,8 +49,7 @@ std::vector<RankReport> run_impl(int nranks, int pool_workers,
   auto body = [&](int rank) {
     // Declared first, so it outlives everything bound to it below.
     obs::Recorder rec(rank);
-    CostTracker cost;
-    cost.bind(&rec);
+    CostTracker cost(rec);
     PhaseTimer timer(rec);
     FlopCounter flops(rec);
     // Thread-scoped hardware counters: constructed HERE, on the rank

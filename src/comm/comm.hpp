@@ -14,8 +14,9 @@
 ///
 /// Every rank runs as a thread of one process; Runtime::run launches
 /// them and returns each rank's obs snapshot (time phases, flop phases,
-/// communication counters) that the benches aggregate exactly the way
-/// the paper reports "Max."/"Avg." across processes.
+/// communication counters, all from the rank's one obs::Recorder) that
+/// the benches aggregate exactly the way the paper reports
+/// "Max."/"Avg." across processes.
 
 #include <functional>
 #include <span>
@@ -25,7 +26,7 @@
 #include "comm/bytes.hpp"
 #include "comm/cost.hpp"
 #include "comm/fabric.hpp"
-#include "obs/health.hpp"
+#include "obs/flow.hpp"
 #include "obs/metrics.hpp"
 #include "util/flops.hpp"
 #include "util/timer.hpp"
@@ -67,10 +68,10 @@ class Comm {
   }
 
   /// Non-blocking probe: true if a message from (source, tag) is
-  /// already queued. Counted by the flow tracer when bound.
+  /// already queued. Counted by the flow ring when it is on.
   bool probe(int source, int tag) {
     PKIFMM_DCHECK(tag >= 0 && tag < kCollectiveTagBase);
-    if (obs::FlowRecorder* f = cost_.flow()) f->on_probe();
+    if (obs::FlowRecorder* f = cost_.recorder().flow()) f->on_probe();
     return fabric_.probe(rank_, source, tag);
   }
 
@@ -197,36 +198,23 @@ class Comm {
   }
 
   void raw_send(int dest, int tag, Bytes payload) {
-    cost_.on_send(dest, payload.size());
-    if (cost_.payload_digests_enabled())
-      cost_.add_payload_sent_digest(
-          obs::bytes_digest(payload.data(), payload.size()));
+    cost_.on_send(dest, payload);
     // Stamp before the enqueue so the matched receive's dequeue time is
     // never earlier (non-negative latency after epoch alignment).
-    if (obs::FlowRecorder* f = cost_.flow())
+    if (obs::FlowRecorder* f = cost_.recorder().flow())
       f->on_send(dest, tag, static_cast<std::int64_t>(payload.size()));
     fabric_.send(rank_, dest, tag, std::move(payload));
   }
 
   Bytes raw_recv(int source, int tag) {
-    obs::FlowRecorder* f = cost_.flow();
-    if (f == nullptr) {
-      Bytes payload = fabric_.recv(rank_, source, tag);
-      cost_.on_recv(payload.size());
-      if (cost_.payload_digests_enabled())
-        cost_.add_payload_recv_digest(
-            obs::bytes_digest(payload.data(), payload.size()));
-      return payload;
-    }
-    const double t0 = f->now();
+    obs::FlowRecorder* f = cost_.recorder().flow();
+    const double t0 = f != nullptr ? f->now() : 0.0;
     bool blocked = false;
     Bytes payload = fabric_.recv(rank_, source, tag, &blocked);
-    f->on_recv(source, tag, static_cast<std::int64_t>(payload.size()), t0,
-               f->now(), blocked);
-    cost_.on_recv(payload.size());
-    if (cost_.payload_digests_enabled())
-      cost_.add_payload_recv_digest(
-          obs::bytes_digest(payload.data(), payload.size()));
+    if (f != nullptr)
+      f->on_recv(source, tag, static_cast<std::int64_t>(payload.size()), t0,
+                 f->now(), blocked);
+    cost_.on_recv(payload);
     return payload;
   }
 
@@ -255,18 +243,16 @@ struct RankCtx {
   int size() const { return comm.size(); }
 };
 
-/// Per-rank measurement snapshot returned by Runtime::run: the rank's
-/// recorder (spans, `time.*`, `flops.*` and every other counter) with
-/// the cost tracker folded in — see snapshot_with_counters and, for the
-/// counter names, obs/export.hpp.
+/// Per-rank measurement snapshot returned by Runtime::run: everything
+/// the rank's recorder holds (spans, `time.*`, `flops.*`, `comm.*` and
+/// every other counter, the flow ring when on) — see
+/// snapshot_with_counters and, for the counter names, obs/export.hpp.
 using RankReport = obs::RankMetrics;
 
-/// Copy of ctx.rec's snapshot with the cost tracker's tables folded in
-/// as the canonical `comm.*` / `commx.*` / `coll.*` /
-/// `health.comm.payload_*` counters, plus the `obs.epoch` gauge.
-/// Runtime::run stores exactly this as the rank's RankReport at the end
-/// of the run; a caller that wants a cross-rank summary mid-run takes
-/// it and passes it to obs::gather_metrics (obs/aggregate.hpp).
+/// ctx.rec.snapshot() plus the `obs.epoch` gauge. Runtime::run stores
+/// exactly this as the rank's RankReport at the end of the run; a
+/// caller that wants a cross-rank summary mid-run takes it and passes
+/// it to obs::gather_metrics (obs/aggregate.hpp).
 obs::RankMetrics snapshot_with_counters(const RankCtx& ctx);
 
 /// Launches p simulated ranks (threads) running fn and returns their

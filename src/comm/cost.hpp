@@ -10,85 +10,71 @@
 /// which is the same alpha-beta model the paper uses to analyze
 /// Algorithm 3 ("t_s and t_w are the latency and bandwidth constants").
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 
-#include "obs/flow.hpp"
 #include "obs/metrics.hpp"
 
 namespace pkifmm::comm {
 
-/// Per-phase message/byte counters for one rank. Sends are charged to
-/// the sender; receives are tracked separately (useful to audit volume
-/// symmetry) but not double-charged by the default model.
-///
-/// With a bound obs::Recorder every send also feeds the span tracer
-/// (so spans carry msgs/bytes deltas) and a per-phase message-size
-/// histogram ("comm.msg_bytes.<phase>"). Collectives report their
-/// calls/rounds/msgs/bytes through collective() scopes, which is the
-/// accounting behind the paper's hypercube reduce-scatter claim
-/// (Algorithm 3's O(log p) rounds vs the owner scheme's O(p) messages).
+/// Per-phase message/byte accounting for one rank, written straight
+/// into the rank's obs::Recorder as each message and collective
+/// happens; the tracker itself holds only the current phase and hot-
+/// path handles into the recorder. Counters (names in obs/export.hpp):
+///  - `comm.<phase>.{msgs,bytes}_{sent,recv}`: sends are charged to
+///    the sender; receives are tracked separately (to audit volume
+///    symmetry) but not double-charged by the default model. A
+///    phase's four counters appear together on its first send or
+///    receive.
+///  - `commx.<phase>.dst<k>.{msgs,bytes}`: the sends to rank k — the
+///    (src, dst, phase) attribution behind the cross-rank traffic
+///    matrix obs::summarize_metrics assembles; per phase, the row sums
+///    equal the `comm.<phase>.*_sent` counters by construction.
+///  - `coll.<name>.{calls,rounds,msgs,bytes}` from collective() scopes:
+///    the accounting behind the paper's hypercube reduce-scatter claim
+///    (Algorithm 3's O(log p) rounds vs the owner scheme's O(p)
+///    messages).
+///  - `health.comm.payload_{sent,recv}` once payload digests are on.
+/// Every send also feeds the span tracer (Recorder::add_sent, so spans
+/// carry msgs/bytes deltas) and a per-phase message-size histogram
+/// ("comm.msg_bytes.<phase>").
 class CostTracker {
  public:
-  void set_phase(std::string phase) {
-    phase_ = std::move(phase);
-    msg_hist_ = rec_ != nullptr
-                    ? rec_->histogram("comm.msg_bytes." + phase_)
-                    : nullptr;
-    if (flow_ != nullptr) flow_->set_phase(phase_);
+  explicit CostTracker(obs::Recorder& rec) : rec_(rec) {
+    set_phase("default");
   }
+
+  obs::Recorder& recorder() const { return rec_; }
+
+  /// Switches the phase later messages are charged to, in the
+  /// counters and in the flow ring when it is on.
+  void set_phase(std::string phase);
   const std::string& phase() const { return phase_; }
 
-  /// Binds the per-rank recorder for span/histogram reporting.
-  void bind(obs::Recorder* rec) {
-    rec_ = rec;
-    msg_hist_ = rec_ != nullptr
-                    ? rec_->histogram("comm.msg_bytes." + phase_)
-                    : nullptr;
-  }
+  /// Turns on the recorder's flow ring (obs::Recorder::enable_flow,
+  /// obs/flow.hpp) and points it at the current phase. Idempotent; it
+  /// stays on for the rest of the rank run. While it is on, Comm
+  /// reports every point-to-point message and probe into it.
+  void enable_flow(std::size_t capacity);
 
-  /// Binds the per-rank flow recorder (owned by the caller — see the
-  /// lifetime contract in obs/flow.hpp: the binder must publish() and
-  /// unbind before the rank function returns). While bound, Comm
-  /// reports every point-to-point message and probe into it, and
-  /// set_phase() keeps its phase in sync with this tracker's.
-  void bind_flow(obs::FlowRecorder* flow) {
-    flow_ = flow;
-    if (flow_ != nullptr) flow_->set_phase(phase_);
-  }
-  obs::FlowRecorder* flow() const { return flow_; }
+  /// Payload-transit digests (health layer, obs/health.hpp): from the
+  /// first call on, every point-to-point payload is hashed at send and
+  /// at receive into `health.comm.payload_sent` / `_recv` (both
+  /// created here, so they exist even with no traffic). Idempotent; it
+  /// stays on for the rest of the rank run. Messages are matched within
+  /// the run, so globally Σ sent digests == Σ recv digests across ranks
+  /// — any mismatch means bytes changed in transit (or a payload was
+  /// injected/corrupted between enqueue and dequeue).
+  void enable_payload_digests();
+  bool payload_digests_enabled() const { return payload_sent_ != nullptr; }
 
-  /// Payload-transit digests (health layer, obs/health.hpp): while
-  /// enabled, Comm hashes every point-to-point payload at send and at
-  /// receive into two per-rank accumulators. Messages are matched
-  /// within their phase, so globally Σ sent digests == Σ recv digests
-  /// across ranks — any mismatch means bytes changed in transit (or a
-  /// payload was injected/corrupted between enqueue and dequeue).
-  void enable_payload_digests(bool on) { payload_digests_ = on; }
-  bool payload_digests_enabled() const { return payload_digests_; }
-  void add_payload_sent_digest(double d) { payload_sent_ += d; }
-  void add_payload_recv_digest(double d) { payload_recv_ += d; }
-  double payload_sent_digest() const { return payload_sent_; }
-  double payload_recv_digest() const { return payload_recv_; }
-
-  void on_send(int dest, std::size_t bytes) {
-    auto& c = phases_[phase_];
-    ++c.msgs_sent;
-    c.bytes_sent += bytes;
-    auto& p = peer_sends_[phase_][dest];
-    ++p.msgs;
-    p.bytes += bytes;
-    ++total_msgs_sent_;
-    total_bytes_sent_ += bytes;
-    if (rec_ != nullptr) rec_->add_sent(1, bytes);
-    if (msg_hist_ != nullptr) msg_hist_->observe(static_cast<double>(bytes));
-  }
-  void on_recv(std::size_t bytes) {
-    auto& c = phases_[phase_];
-    ++c.msgs_recv;
-    c.bytes_recv += bytes;
-  }
+  /// Charges one message to the current phase (and, on send, to
+  /// destination `dest`).
+  void on_send(int dest, std::span<const std::byte> payload);
+  void on_recv(std::span<const std::byte> payload);
 
   struct Counters {
     std::uint64_t msgs_sent = 0;
@@ -97,86 +83,56 @@ class CostTracker {
     std::uint64_t bytes_recv = 0;
   };
 
-  /// Messages/bytes this rank sent to one destination within one phase
-  /// — the (src, dst, phase) attribution behind the cross-rank traffic
-  /// matrix (src is implicitly the owning rank). Row r of the matrix
-  /// assembled by obs::summarize_metrics is rank r's peer_sends(); the
-  /// per-phase row sums therefore equal the Counters sent totals by
-  /// construction, which the tests pin.
-  struct PeerCounters {
-    std::uint64_t msgs = 0;
-    std::uint64_t bytes = 0;
-  };
-
-  /// Per-collective accounting: number of invocations, point-to-point
-  /// rounds, and the messages/bytes sent while the collective ran.
-  struct CollStats {
-    std::uint64_t calls = 0;
-    std::uint64_t rounds = 0;
-    std::uint64_t msgs = 0;
-    std::uint64_t bytes = 0;
-  };
-
   /// RAII scope a collective opens around its message exchange; on
-  /// close, the sends that happened inside are charged to `name`.
-  /// Nested scopes (e.g. an owner-reduce built on alltoallv) attribute
-  /// the same sends to every open collective, by design.
+  /// close, the sends that happened inside (the recorder's add_sent
+  /// totals) are charged to `coll.<name>.*`. Nested scopes (e.g. an
+  /// owner-reduce built on alltoallv) attribute the same sends to every
+  /// open collective, by design.
   class CollectiveScope {
    public:
-    CollectiveScope(CostTracker& t, std::string name, std::uint64_t rounds)
-        : t_(t), name_(std::move(name)), rounds_(rounds),
-          msgs0_(t.total_msgs_sent_), bytes0_(t.total_bytes_sent_) {}
-    ~CollectiveScope() {
-      CollStats& s = t_.collectives_[name_];
-      ++s.calls;
-      s.rounds += rounds_;
-      s.msgs += t_.total_msgs_sent_ - msgs0_;
-      s.bytes += t_.total_bytes_sent_ - bytes0_;
-    }
+    CollectiveScope(obs::Recorder& rec, std::string name,
+                    std::uint64_t rounds)
+        : rec_(rec), name_(std::move(name)), rounds_(rounds),
+          msgs0_(rec.msgs_total()), bytes0_(rec.bytes_total()) {}
+    ~CollectiveScope();
     CollectiveScope(const CollectiveScope&) = delete;
     CollectiveScope& operator=(const CollectiveScope&) = delete;
 
    private:
-    CostTracker& t_;
+    obs::Recorder& rec_;
     std::string name_;
     std::uint64_t rounds_;
     std::uint64_t msgs0_, bytes0_;
   };
 
   CollectiveScope collective(std::string name, std::uint64_t rounds) {
-    return CollectiveScope(*this, std::move(name), rounds);
+    return CollectiveScope(rec_, std::move(name), rounds);
   }
 
-  const std::map<std::string, CollStats>& collectives() const {
-    return collectives_;
-  }
+  /// Reads `comm.<phase>.*` back from the recorder (zeros for a phase
+  /// without traffic).
+  Counters get(const std::string& phase) const;
 
-  Counters get(const std::string& phase) const {
-    auto it = phases_.find(phase);
-    return it == phases_.end() ? Counters{} : it->second;
-  }
-
-  const std::map<std::string, Counters>& phases() const { return phases_; }
-
-  /// phase -> destination rank -> sends charged to that (dst, phase).
-  const std::map<std::string, std::map<int, PeerCounters>>& peer_sends()
-      const {
-    return peer_sends_;
-  }
+  /// Every phase with traffic so far, read back like get().
+  std::map<std::string, Counters> phases() const;
 
  private:
-  std::string phase_ = "default";
-  std::map<std::string, Counters> phases_;
-  std::map<std::string, std::map<int, PeerCounters>> peer_sends_;
-  std::map<std::string, CollStats> collectives_;
-  std::uint64_t total_msgs_sent_ = 0;
-  std::uint64_t total_bytes_sent_ = 0;
-  obs::Recorder* rec_ = nullptr;
+  /// The current phase's `comm.<phase>.*` counters, created together
+  /// on first use after set_phase().
+  struct PhaseSlots {
+    double* msgs_sent = nullptr;
+    double* bytes_sent = nullptr;
+    double* msgs_recv = nullptr;
+    double* bytes_recv = nullptr;
+  };
+  PhaseSlots& slots();
+
+  obs::Recorder& rec_;
+  std::string phase_;
+  PhaseSlots slots_;
   obs::Histogram* msg_hist_ = nullptr;
-  obs::FlowRecorder* flow_ = nullptr;
-  bool payload_digests_ = false;
-  double payload_sent_ = 0.0;
-  double payload_recv_ = 0.0;
+  double* payload_sent_ = nullptr;  ///< non-null iff digests are on
+  double* payload_recv_ = nullptr;
 };
 
 /// Alpha-beta interconnect model plus a sustained per-core compute rate.

@@ -8,6 +8,8 @@
 #include <numeric>
 #include <tuple>
 
+#include "obs/health.hpp"
+
 namespace pkifmm::core {
 
 using morton::Key;

@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "obs/flow.hpp"
 #include "obs/health.hpp"
 
 namespace pkifmm::core {
@@ -12,28 +11,11 @@ namespace pkifmm::core {
 ParallelFmm::ParallelFmm(comm::RankCtx& ctx, const Tables& tables)
     : ctx_(ctx), tables_(tables) {
   const FmmOptions& opts = tables_.options();
-  // Respect an already-bound flow recorder (a caller instrumenting a
-  // wider scope than one ParallelFmm, e.g. tests); otherwise bind our
-  // own for this object's lifetime.
-  if (opts.flow_trace && ctx_.comm.cost().flow() == nullptr) {
-    flow_ = std::make_unique<obs::FlowRecorder>(
-        static_cast<std::size_t>(std::max(opts.flow_capacity, 1)),
-        ctx_.rec.epoch());
-    ctx_.comm.cost().bind_flow(flow_.get());
-  }
-  // Same respect-an-outer-binding pattern for the payload-transit
-  // digests of the health layer.
-  if (opts.health && !ctx_.comm.cost().payload_digests_enabled()) {
-    ctx_.comm.cost().enable_payload_digests(true);
-    payload_digests_bound_ = true;
-  }
-}
-
-ParallelFmm::~ParallelFmm() {
-  if (payload_digests_bound_) ctx_.comm.cost().enable_payload_digests(false);
-  if (flow_ == nullptr) return;
-  ctx_.comm.cost().bind_flow(nullptr);
-  flow_->publish(ctx_.rec);
+  // Both stay on for the rest of the rank run, in the rank's recorder;
+  // a later ParallelFmm on the same rank finds them on already.
+  if (opts.flow_trace)
+    ctx_.comm.cost().enable_flow(static_cast<std::size_t>(opts.flow_capacity));
+  if (opts.health) ctx_.comm.cost().enable_payload_digests();
 }
 
 void ParallelFmm::set_let_gauges() {
@@ -165,37 +147,51 @@ void ParallelFmm::update_points(const std::vector<octree::PointMove>& moves) {
   update_stats_.dirty_leaves = rep.stats.dirty_leaves;
   update_stats_.kept_leaves = rep.stats.kept_leaves;
 
-  ctx_.comm.cost().set_phase("setup.incr.let");
-  {
-    auto t = ctx_.timer.scope("setup.incr.let");
-    repair_let(rep.dirty_leaves);
-  }
-
-  // Repartition: re-derive the canonical work-weighted destinations
-  // every step and migrate as soon as any leaf's destination changed.
-  // The weights are a pure per-leaf function of the global tree
-  // (ownership-independent) and the prefix scan runs over the
-  // allgathered global vector, so the partition never drifts from what
-  // a from-scratch setup() would choose — which is what keeps the
-  // bitwise-parity contract at any rank count.
-  if (opts.load_balance && ctx_.comm.size() > 1) {
-    ctx_.comm.cost().set_phase("setup.incr.balance");
-    auto t = ctx_.timer.scope("setup.incr.balance");
-    const auto weights = leaf_work_estimates(tables_, *let_);
-    const auto dest = octree::weighted_destinations(ctx_.comm, weights);
-    std::uint64_t local_moves = 0;
-    for (std::size_t i = 0; i < dest.size(); ++i)
-      if (dest[i] != ctx_.comm.rank()) ++local_moves;
-    const std::uint64_t global_moves = ctx_.comm.allreduce_sum(local_moves);
-    if (global_moves > 0) {
-      update_stats_.repartitioned = true;
-      update_stats_.leaf_migrations = static_cast<std::size_t>(local_moves);
-      tree_ = octree::migrate_leaves(ctx_.comm, std::move(tree_), dest);
-      // Migration changes ownership, not bucket content: the LetSync
-      // diff of the new own-key set against the retained staging is
-      // the whole delta, so no leaves are dirty.
-      repair_let({});
+  if (rep.global_moves == 0) {
+    // No rank moved a point: the tree, the LET, the lists, the ghost
+    // densities and the work-weighted destinations are all what they
+    // were, so keep them.
+    update_stats_.lists_kept = static_cast<std::size_t>(
+        std::count_if(let_->nodes.begin(), let_->nodes.end(),
+                      [](const octree::LetNode& n) { return n.target; }));
+  } else {
+    {
+      ctx_.comm.cost().set_phase("setup.incr.let");
+      auto t = ctx_.timer.scope("setup.incr.let");
+      repair_let(rep.dirty_leaves);
     }
+    // Repartition: re-derive the canonical work-weighted destinations
+    // every step and migrate as soon as any leaf's destination changed.
+    // The weights are a pure per-leaf function of the global tree
+    // (ownership-independent) and the prefix scan runs over the
+    // allgathered global vector, so the partition never drifts from
+    // what a from-scratch setup() would choose — which is what keeps
+    // the bitwise-parity contract at any rank count.
+    if (opts.load_balance && ctx_.comm.size() > 1) {
+      ctx_.comm.cost().set_phase("setup.incr.balance");
+      auto t = ctx_.timer.scope("setup.incr.balance");
+      const auto weights = leaf_work_estimates(tables_, *let_);
+      const auto dest = octree::weighted_destinations(ctx_.comm, weights);
+      std::uint64_t local_moves = 0;
+      for (std::size_t i = 0; i < dest.size(); ++i)
+        if (dest[i] != ctx_.comm.rank()) ++local_moves;
+      const std::uint64_t global_moves = ctx_.comm.allreduce_sum(local_moves);
+      if (global_moves > 0) {
+        update_stats_.repartitioned = true;
+        update_stats_.leaf_migrations = static_cast<std::size_t>(local_moves);
+        tree_ = octree::migrate_leaves(ctx_.comm, std::move(tree_), dest);
+        // Migration changes ownership, not bucket content: the LetSync
+        // diff of the new own-key set against the retained staging is
+        // the whole delta, so no leaves are dirty.
+        repair_let({});
+      }
+    }
+    set_let_gauges();
+    // The delta assembly restores unchanged ghosts from staging
+    // captured at SET time; the refresh at the next evaluate() re-ships
+    // current densities, restoring exact agreement with a from-scratch
+    // build.
+    densities_dirty_ = true;
   }
 
   ctx_.rec.counter_add("setup.incr.steps", 1.0);
@@ -219,12 +215,6 @@ void ParallelFmm::update_points(const std::vector<octree::PointMove>& moves) {
                        static_cast<double>(update_stats_.leaf_migrations));
   if (update_stats_.repartitioned)
     ctx_.rec.counter_add("setup.incr.repartitions", 1.0);
-
-  set_let_gauges();
-  // The delta assembly restores unchanged ghosts from staging captured
-  // at SET time; the refresh at the next evaluate() re-ships current
-  // densities, restoring exact agreement with a from-scratch build.
-  densities_dirty_ = true;
 }
 
 ParallelFmm::Result ParallelFmm::evaluate(bool with_gradient) {
@@ -347,13 +337,13 @@ void ParallelFmm::health_sample(const Result& out) {
     for (std::size_t k = 0; k < node.target_count; ++k, ++idx) {
       const octree::PointRec& pt = pts[k];
       if (!obs::health_sampled(static_cast<std::int64_t>(pt.gid),
-                               opts.health_seed, eval_count_,
+                               obs::kHealthSeed, eval_count_,
                                opts.health_sample_rate))
         continue;
       my_pos.insert(my_pos.end(), pt.pos, pt.pos + 3);
       for (int c = 0; c < td; ++c)
         my_fmm.push_back(out.potentials[idx * td + c]);
-      gid_digest += static_cast<double>(obs::health_mix64(pt.gid) >> 32);
+      gid_digest += static_cast<double>(splitmix64(pt.gid) >> 32);
     }
   }
 

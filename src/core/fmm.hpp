@@ -33,13 +33,12 @@ namespace pkifmm::core {
 
 class ParallelFmm {
  public:
-  /// With options().flow_trace, binds a per-rank obs::FlowRecorder into
-  /// the communicator's cost tracker (unless one is already bound) so
-  /// every message of setup/evaluate is flow-traced; the destructor
-  /// publishes the ring into ctx.rec and unbinds — per the lifetime
-  /// contract in obs/flow.hpp, before the rank function returns.
+  /// With options().flow_trace, turns on the flow ring of the rank's
+  /// recorder (obs/flow.hpp), and with options().health the payload-
+  /// transit digests of the cost tracker; both stay on for the rest of
+  /// the rank run, so the object may end anywhere in the rank function
+  /// and its traffic still shows in the rank's report.
   ParallelFmm(comm::RankCtx& ctx, const Tables& tables);
-  ~ParallelFmm();
   ParallelFmm(const ParallelFmm&) = delete;
   ParallelFmm& operator=(const ParallelFmm&) = delete;
 
@@ -140,7 +139,6 @@ class ParallelFmm {
 
   comm::RankCtx& ctx_;
   const Tables& tables_;
-  std::unique_ptr<obs::FlowRecorder> flow_;  ///< bound iff non-null
   std::unique_ptr<octree::Let> let_;
   /// Retained across calls for update_points: the owned tree
   /// (repaired in place) and the LET staging diffed against on each
@@ -150,11 +148,8 @@ class ParallelFmm {
   UpdateStats update_stats_;
   SampleTotals sample_totals_;
   bool densities_dirty_ = false;
-  /// Health bookkeeping: whether this object enabled the cost
-  /// tracker's payload digests (disabled again in the destructor,
-  /// mirroring the flow-recorder binding), and the evaluate() ordinal
-  /// that varies the accuracy-sample selection per step.
-  bool payload_digests_bound_ = false;
+  /// evaluate() ordinal that varies the accuracy-sample selection per
+  /// step (health layer).
   std::uint64_t eval_count_ = 0;
 };
 

@@ -70,8 +70,8 @@ struct FmmOptions {
   bool flow_trace = false;
 
   /// Flow ring capacity per rank (events beyond it are dropped and
-  /// counted in `flow.dropped`). Preallocated at setup when flow_trace
-  /// is on.
+  /// counted in `flow.dropped`); at least 1. Preallocated by the first
+  /// ParallelFmm of the rank run when flow_trace is on.
   int flow_capacity = 1 << 15;
 
   /// Runtime numerical-health layer (obs/health.hpp, DESIGN.md §5g):
@@ -94,14 +94,6 @@ struct FmmOptions {
   /// invariant violations) from counters to hard failures
   /// (util::CheckFailure). Requires `health`.
   bool health_fatal = false;
-
-  /// TimeStepper drift gate: after a 2-step baseline warmup, a step
-  /// whose sampled error exceeds `health_drift_ratio ×` the baseline
-  /// mean raises a `health.drift.warnings` count. Must be > 1.
-  double health_drift_ratio = 10.0;
-
-  /// Seed for the deterministic accuracy-sample selection.
-  std::uint64_t health_seed = 0x5eed;
 };
 
 }  // namespace pkifmm::core

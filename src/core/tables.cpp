@@ -81,9 +81,9 @@ void validate_options(const FmmOptions& opts) {
                    "health_sample_rate must be a finite fraction in [0, 1]");
   PKIFMM_CHECK_MSG(!opts.health_fatal || opts.health,
                    "health_fatal requires health");
-  PKIFMM_CHECK_MSG(
-      std::isfinite(opts.health_drift_ratio) && opts.health_drift_ratio > 1.0,
-      "health_drift_ratio must be finite and > 1");
+  PKIFMM_CHECK_MSG(opts.flow_capacity >= 1,
+                   "flow_capacity must be at least 1, got "
+                       << opts.flow_capacity);
 }
 
 }  // namespace

@@ -5,20 +5,11 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace pkifmm::core {
 
 namespace {
-
-/// splitmix64 — the selection hash. Mixing (gid, step) through it gives
-/// a per-step pseudo-random subset that every rank agrees on without
-/// communication.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Periodic wrap into [0, 1). The fold can round to exactly 1.0 for
 /// tiny negative inputs; map that back to 0 (the same cube corner).
@@ -32,8 +23,7 @@ double wrap01(double x) {
 
 TimeStepper::TimeStepper(ParallelFmm& fmm, VelocityFn velocity,
                          TimeStepOptions opts)
-    : fmm_(fmm), velocity_(std::move(velocity)), opts_(opts),
-      drift_(fmm.tables().options().health_drift_ratio) {
+    : fmm_(fmm), velocity_(std::move(velocity)), opts_(opts) {
   PKIFMM_CHECK(opts_.dt > 0.0);
   PKIFMM_CHECK(opts_.move_fraction >= 0.0 && opts_.move_fraction <= 1.0);
 }
@@ -72,7 +62,10 @@ std::size_t TimeStepper::step() {
   for (const octree::LetNode& node : let.nodes) {
     if (!(node.owned && node.global_leaf)) continue;
     for (const octree::PointRec& pt : let.points_of(node)) {
-      if (frac < 1.0 && mix64(pt.gid ^ mix64(steps_ + 1)) >= threshold)
+      // Mixing (gid, step) through splitmix64 gives a per-step
+      // pseudo-random subset every rank agrees on without messages.
+      if (frac < 1.0 &&
+          splitmix64(pt.gid ^ splitmix64(steps_ + 1)) >= threshold)
         continue;
       const std::array<double, 3> x{pt.pos[0], pt.pos[1], pt.pos[2]};
       const std::array<double, 3> v = velocity_(pt.gid, x, t_);

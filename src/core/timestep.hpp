@@ -58,7 +58,7 @@ class TimeStepper {
   /// first folds the sampled error accumulated by the evaluate()s
   /// since the previous step into the drift monitor: the per-interval
   /// error sqrt(Δerr2 / Δref2) is baselined over a short warmup, and
-  /// an interval exceeding health_drift_ratio × baseline raises a
+  /// an interval exceeding obs::kDriftRatio × baseline raises a
   /// `health.drift.warnings` count (`health.drift.steps` observed
   /// intervals, `health.drift.err_max` worst interval error) — the
   /// online tripwire for incremental-repair divergence.

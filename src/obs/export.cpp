@@ -384,9 +384,4 @@ void write_metrics_json(const std::string& path,
   write_json_file(path, doc);
 }
 
-void write_chrome_trace(const std::string& path,
-                        const std::vector<RankMetrics>& ranks) {
-  write_json_file(path, chrome_trace_json(ranks));
-}
-
 }  // namespace pkifmm::obs

@@ -29,9 +29,9 @@
 /// phase indexes flow_phases; t0/t1 are seconds relative to the
 /// recorder epoch).
 ///
-/// Canonical counter names of every rank. PhaseTimer and FlopCounter
-/// write theirs into the recorder as they go; comm::snapshot_with_counters
-/// (and so every comm::RankReport) folds in the CostTracker's:
+/// Canonical counter names of every rank. PhaseTimer, FlopCounter and
+/// comm::CostTracker write theirs into the rank's recorder as they go,
+/// so every snapshot (and so every comm::RankReport) carries them:
 ///   time.<phase>.wall / time.<phase>.cpu     seconds (PhaseTimer)
 ///   flops.<phase>                            analytic flops (FlopCounter)
 ///   comm.<phase>.msgs_sent / .bytes_sent     per-phase sends (CostTracker)
@@ -40,6 +40,9 @@
 ///                                            (sparse; obs::summarize_metrics
 ///                                            assembles the dense matrix)
 ///   coll.<collective>.calls / .rounds / .msgs / .bytes
+///   health.comm.payload_sent / _recv         payload digests (health on)
+/// and, with flow tracing on, the ring's flow.* and wait.<phase>.*
+/// counters, folded in by Recorder::snapshot (obs/flow.hpp).
 ///
 /// Hardware/memory counters folded at span close while an
 /// obs::HwCounters is bound (obs/hw.hpp; names match span names
@@ -109,10 +112,8 @@ Json chrome_trace_json(const std::vector<RankMetrics>& ranks);
 /// "run<k> rank N".
 Json merge_chrome_traces(const std::vector<Json>& runs);
 
-/// Convenience file writers (schema-validated before writing).
+/// Convenience file writer (schema-validated before writing).
 void write_metrics_json(const std::string& path,
-                        const std::vector<RankMetrics>& ranks);
-void write_chrome_trace(const std::string& path,
                         const std::vector<RankMetrics>& ranks);
 
 }  // namespace pkifmm::obs

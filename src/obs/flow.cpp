@@ -1,13 +1,13 @@
 #include "obs/flow.hpp"
 
-#include <algorithm>
 #include <map>
 #include <tuple>
 
 namespace pkifmm::obs {
 
 FlowRecorder::FlowRecorder(std::size_t capacity, double epoch)
-    : epoch_(epoch), capacity_(std::max<std::size_t>(capacity, 1)) {
+    : epoch_(epoch), capacity_(capacity) {
+  PKIFMM_CHECK_MSG(capacity_ >= 1, "flow ring capacity must be at least 1");
   ring_.reserve(capacity_);
   // Matches CostTracker's initial phase so events recorded before the
   // first set_phase() land somewhere sensible.
@@ -84,61 +84,23 @@ std::vector<FlowEvent> FlowRecorder::with_seq() const {
   return out;
 }
 
-template <class AddFn, class MaxFn>
-void FlowRecorder::fold_counters(AddFn&& add, MaxFn&& maxi) const {
-  add("flow.events", static_cast<double>(ring_.size()));
-  add("flow.dropped", static_cast<double>(dropped_));
-  add("flow.probes", static_cast<double>(probes_));
-  add("flow.sends", static_cast<double>(sends_));
-  add("flow.recvs", static_cast<double>(recvs_));
+void FlowRecorder::fold_into(RankMetrics& m) const {
+  m.counters["flow.events"] = static_cast<double>(ring_.size());
+  m.counters["flow.dropped"] = static_cast<double>(dropped_);
+  m.counters["flow.probes"] = static_cast<double>(probes_);
+  m.counters["flow.sends"] = static_cast<double>(sends_);
+  m.counters["flow.recvs"] = static_cast<double>(recvs_);
   for (std::size_t i = 0; i < phases_.size(); ++i) {
     const WaitAccum& w = waits_[i];
     if (w.recvs == 0) continue;
     const std::string stem = "wait." + phases_[i];
-    add(stem + ".seconds", w.seconds);
-    add(stem + ".recvs", static_cast<double>(w.recvs));
-    add(stem + ".blocked", static_cast<double>(w.blocked));
-    maxi(stem + ".max_seconds", w.max_seconds);
+    m.counters[stem + ".seconds"] = w.seconds;
+    m.counters[stem + ".recvs"] = static_cast<double>(w.recvs);
+    m.counters[stem + ".blocked"] = static_cast<double>(w.blocked);
+    m.counters[stem + ".max_seconds"] = w.max_seconds;
   }
-}
-
-void FlowRecorder::fold_into(RankMetrics& m) const {
-  fold_counters(
-      [&](const std::string& name, double v) { m.counters[name] += v; },
-      [&](const std::string& name, double v) {
-        double& c = m.counters[name];
-        c = std::max(c, v);
-      });
-  // Remap this recorder's phase ids onto the snapshot's interning table
-  // (several producers may fold into one rank).
-  std::vector<std::int32_t> remap(phases_.size());
-  for (std::size_t i = 0; i < phases_.size(); ++i) {
-    auto it =
-        std::find(m.flow_phases.begin(), m.flow_phases.end(), phases_[i]);
-    if (it == m.flow_phases.end()) {
-      remap[i] = static_cast<std::int32_t>(m.flow_phases.size());
-      m.flow_phases.push_back(phases_[i]);
-    } else {
-      remap[i] =
-          static_cast<std::int32_t>(it - m.flow_phases.begin());
-    }
-  }
-  for (FlowEvent e : with_seq()) {
-    e.phase = remap[static_cast<std::size_t>(e.phase)];
-    m.flows.push_back(e);
-  }
-}
-
-void FlowRecorder::publish(Recorder& rec) {
-  PKIFMM_CHECK_MSG(!published_, "FlowRecorder published twice");
-  fold_counters(
-      [&](const std::string& name, double v) { rec.counter_add(name, v); },
-      [&](const std::string& name, double v) {
-        const double cur = rec.counter(name);
-        if (v > cur) rec.counter_add(name, v - cur);
-      });
-  rec.record_flows(with_seq(), phases_);
-  published_ = true;
+  m.flows = with_seq();
+  m.flow_phases = phases_;
 }
 
 }  // namespace pkifmm::obs

@@ -6,11 +6,12 @@
 /// charged to whatever phase span happens to be open, and nothing says
 /// *which* message the rank was waiting for or *who* was late. The
 /// FlowRecorder closes that gap. When enabled (FmmOptions::flow_trace /
-/// `--flow-trace`), the comm layer reports every point-to-point message
-/// here — sends at enqueue, receives with (block-begin, dequeue)
-/// timestamps and whether the receive actually waited — into a
-/// preallocated ring. Nothing on the hot path allocates; when the ring
-/// is full, new events are dropped and counted (`flow.dropped`).
+/// `--flow-trace`), the rank's obs::Recorder owns one, and the comm
+/// layer reports every point-to-point message into it — sends at
+/// enqueue, receives with (block-begin, dequeue) timestamps and
+/// whether the receive actually waited — as a preallocated ring.
+/// Nothing on the hot path allocates; when the ring is full, new
+/// events are dropped and counted (`flow.dropped`).
 ///
 /// The recorded events become three things downstream:
 ///  - Chrome trace *flow events* (`"ph":"s"/"f"`) that draw send→recv
@@ -30,15 +31,13 @@
 /// are fresh per call, so a per-(peer, tag) counter map would allocate
 /// per message). The ring keeps events in record order; seqs are
 /// assigned by occurrence counting when the ring is folded out
-/// (fold_into / publish), which is equivalent and free at record time.
+/// (fold_into, which Recorder::snapshot calls), which is equivalent
+/// and free at record time.
 ///
-/// Ownership/lifetime contract: whoever binds a FlowRecorder into a
-/// CostTracker (core::ParallelFmm when flow_trace is on) must publish()
-/// it into the rank's Recorder and unbind it *before* the rank function
-/// returns — the recorder outlives the rank fn, the FlowRecorder need
-/// not. Mid-run snapshots (comm::snapshot_with_counters) fold a live,
-/// not-yet-published FlowRecorder into the snapshot copy without
-/// mutating it, so publishing later never double-counts.
+/// Lifetime: Recorder::enable_flow creates the ring on first use and
+/// the recorder keeps it until the rank run ends, so every snapshot —
+/// mid-run or the final comm::RankReport — folds the whole ring, and
+/// nothing has to hand it over before the rank function returns.
 ///
 /// FlowRecorder is NOT thread-safe, mirroring Recorder: each simulated
 /// rank owns its own.
@@ -59,6 +58,7 @@ class FlowRecorder {
   /// `epoch` is the owning rank Recorder's epoch() so flow timestamps
   /// live on the same rank-relative timeline as span starts (and get
   /// re-absolutized through the same "obs.epoch" gauge downstream).
+  /// `capacity` must be at least 1.
   explicit FlowRecorder(std::size_t capacity = kDefaultCapacity,
                         double epoch = 0.0);
 
@@ -90,17 +90,10 @@ class FlowRecorder {
   std::uint64_t sends() const { return sends_; }
   std::uint64_t recvs() const { return recvs_; }
   std::uint64_t probes() const { return probes_; }
-  bool published() const { return published_; }
 
-  /// Pure read: folds the ring (with seqs assigned), the phase table,
-  /// and the flow/wait counters into `m`. Used for mid-run snapshots;
-  /// does not mark the recorder published.
+  /// Pure read: sets `m`'s flows (the ring, seqs assigned),
+  /// flow_phases and `flow.*` / `wait.*` counters from this ring.
   void fold_into(RankMetrics& m) const;
-
-  /// One-shot end-of-life publish into the owning rank's Recorder:
-  /// same data as fold_into, then marks this recorder published so a
-  /// later snapshot of `rec` won't fold it a second time.
-  void publish(Recorder& rec);
 
  private:
   struct WaitAccum {
@@ -113,9 +106,6 @@ class FlowRecorder {
   /// Ring copy with per-(direction, peer, tag) seqs assigned.
   std::vector<FlowEvent> with_seq() const;
 
-  template <class AddFn, class MaxFn>
-  void fold_counters(AddFn&& add, MaxFn&& maxi) const;
-
   double epoch_;
   std::int32_t cur_phase_ = 0;
   std::vector<std::string> phases_;  ///< interned phase names
@@ -126,7 +116,6 @@ class FlowRecorder {
   std::uint64_t probes_ = 0;
   std::uint64_t sends_ = 0;
   std::uint64_t recvs_ = 0;
-  bool published_ = false;
 };
 
 }  // namespace pkifmm::obs

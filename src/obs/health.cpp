@@ -16,7 +16,7 @@ double bytes_digest(const void* data, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     h = (h ^ p[i]) * 0x100000001b3ULL;
   }
-  return static_cast<double>(health_mix64(h) >> 32);
+  return static_cast<double>(splitmix64(h) >> 32);
 }
 
 std::size_t nonfinite_count(std::span<const double> v) {

@@ -52,17 +52,15 @@
 #include <span>
 #include <string>
 
+#include "util/rng.hpp"
+
 namespace pkifmm::obs {
 
 // ------------------------------------------------------------ hashing
 
-/// splitmix64 finalizer: a cheap, high-quality 64-bit mix.
-inline std::uint64_t health_mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+/// Seed of the accuracy sample: ParallelFmm passes it to
+/// health_sampled.
+inline constexpr std::uint64_t kHealthSeed = 0x5eed;
 
 /// Deterministic membership test for the accuracy sample: true iff
 /// target `gid` is sampled at `rate` for this (seed, step). Depends
@@ -74,8 +72,9 @@ inline bool health_sampled(std::int64_t gid, std::uint64_t seed,
                            std::uint64_t step, double rate) {
   if (rate <= 0.0) return false;
   if (rate >= 1.0) return true;
-  const std::uint64_t h = health_mix64(
-      static_cast<std::uint64_t>(gid) ^ health_mix64(seed ^ (step * 0x9e3779b97f4a7c15ULL)));
+  const std::uint64_t h =
+      splitmix64(static_cast<std::uint64_t>(gid) ^
+                 splitmix64(seed ^ (step * kSplitMix64Gamma)));
   // Top 53 bits -> uniform double in [0, 1).
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return u < rate;
@@ -89,7 +88,7 @@ inline bool health_sampled(std::int64_t gid, std::uint64_t seed,
 class ChunkDigest {
  public:
   explicit ChunkDigest(std::uint64_t seed = 0)
-      : h_(0x243f6a8885a308d3ULL ^ health_mix64(seed)) {}
+      : h_(0x243f6a8885a308d3ULL ^ splitmix64(seed)) {}
 
   void add(double v) {
     std::uint64_t bits;
@@ -101,7 +100,7 @@ class ChunkDigest {
 
   /// Finalized 32-bit chunk value in [0, 2^32), as a double.
   double finish() const {
-    return static_cast<double>(health_mix64(h_) >> 32);
+    return static_cast<double>(splitmix64(h_) >> 32);
   }
 
  private:
@@ -160,6 +159,10 @@ bool maybe_inject(InjectPhase phase, int rank, std::span<double> chunk);
 
 // ------------------------------------------------------------- drift
 
+/// core::TimeStepper's drift gate: a step whose sampled error exceeds
+/// this many times the warmup baseline raises a warning.
+inline constexpr double kDriftRatio = 10.0;
+
 /// Per-step sampled-error trend watcher for core::TimeStepper. The
 /// first `warmup` observed steps establish a baseline (their mean);
 /// afterwards a step warns when its error exceeds
@@ -168,7 +171,7 @@ bool maybe_inject(InjectPhase phase, int rank, std::span<double> chunk);
 /// flagging harmless noise.
 class DriftMonitor {
  public:
-  explicit DriftMonitor(double ratio, int warmup = 2,
+  explicit DriftMonitor(double ratio = kDriftRatio, int warmup = 2,
                         double floor = 1e-14)
       : ratio_(ratio), warmup_(warmup), floor_(floor) {}
 

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <ctime>
 
+#include "obs/flow.hpp"
+
 namespace pkifmm::obs {
 
 double thread_cpu_seconds() {
@@ -159,27 +161,21 @@ void Recorder::fold_hw(const std::string& name, const OpenSpan& o) {
       peak1 > o.rss0 ? static_cast<double>(peak1 - o.rss0) : 0.0;
 }
 
-void Recorder::record_flows(const std::vector<FlowEvent>& flows,
-                            const std::vector<std::string>& phases) {
-  std::vector<std::int32_t> remap(phases.size());
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    auto it = std::find(metrics_.flow_phases.begin(),
-                        metrics_.flow_phases.end(), phases[i]);
-    if (it == metrics_.flow_phases.end()) {
-      remap[i] = static_cast<std::int32_t>(metrics_.flow_phases.size());
-      metrics_.flow_phases.push_back(phases[i]);
-    } else {
-      remap[i] =
-          static_cast<std::int32_t>(it - metrics_.flow_phases.begin());
-    }
-  }
-  metrics_.flows.reserve(metrics_.flows.size() + flows.size());
-  for (FlowEvent e : flows) {
-    PKIFMM_DCHECK(e.phase >= 0 &&
-                  static_cast<std::size_t>(e.phase) < phases.size());
-    e.phase = remap[static_cast<std::size_t>(e.phase)];
-    metrics_.flows.push_back(e);
-  }
+Recorder::Recorder(int rank) : epoch_(wall_seconds()) {
+  metrics_.rank = rank;
+}
+
+Recorder::~Recorder() = default;
+
+FlowRecorder& Recorder::enable_flow(std::size_t capacity) {
+  if (!flow_) flow_ = std::make_unique<FlowRecorder>(capacity, epoch_);
+  return *flow_;
+}
+
+RankMetrics Recorder::snapshot() const {
+  RankMetrics m = metrics_;
+  if (flow_) flow_->fold_into(m);
+  return m;
 }
 
 }  // namespace pkifmm::obs

@@ -9,12 +9,15 @@
 ///
 ///  - Recorder: one per simulated rank, owned by the rank's thread
 ///    (comm::Runtime creates it). Counters, gauges, per-phase
-///    histograms, and a span-based tracer. Every completed span records
-///    (name, start, wall, cpu, flops, msgs, bytes, parent) where the
-///    flop/msg/byte attribution is the delta of the rank totals between
-///    span open and close — so nested spans never double-count.
-///    util::PhaseTimer and util::FlopCounter write their `time.*` and
-///    `flops.*` counters here; they keep no tables of their own.
+///    histograms, a span-based tracer and, when flow tracing is on,
+///    the message-flow ring (obs/flow.hpp). Every completed span
+///    records (name, start, wall, cpu, flops, msgs, bytes, parent)
+///    where the flop/msg/byte attribution is the delta of the rank
+///    totals between span open and close — so nested spans never
+///    double-count. util::PhaseTimer, util::FlopCounter and
+///    comm::CostTracker write their `time.*`, `flops.*` and `comm.*` /
+///    `commx.*` / `coll.*` counters here as they go; none of them
+///    keeps a table of its own.
 ///  - RankMetrics: a copy of everything one Recorder holds. It is what
 ///    comm::Runtime::run returns per rank (comm::RankReport), and its
 ///    counter() / sum() are the one reader of the canonical counters.
@@ -27,6 +30,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -145,12 +149,13 @@ struct RankMetrics {
   double child_wall_sum(std::size_t i) const;
 };
 
+class FlowRecorder;  // obs/flow.hpp
+
 /// Per-rank recording surface. All mutation goes through here.
 class Recorder {
  public:
-  explicit Recorder(int rank = 0) : epoch_(wall_seconds()) {
-    metrics_.rank = rank;
-  }
+  explicit Recorder(int rank = 0);
+  ~Recorder();  // out of line: FlowRecorder is incomplete here
 
   int rank() const { return metrics_.rank; }
 
@@ -178,6 +183,12 @@ class Recorder {
   Histogram* histogram(const std::string& name) {
     return &metrics_.histograms[name];
   }
+  /// Stable counter handle for hot paths (per-message adds): creates
+  /// the counter at 0 if absent; the pointer stays valid for the
+  /// recorder's lifetime.
+  double* counter_slot(const std::string& name) {
+    return &metrics_.counters[name];
+  }
 
   // --- span attribution feeds --------------------------------------
   /// Reported by FlopCounter; attributed to every open span.
@@ -188,6 +199,8 @@ class Recorder {
     bytes_total_ += bytes;
   }
   std::uint64_t flops_total() const { return flops_total_; }
+  std::uint64_t msgs_total() const { return msgs_total_; }
+  std::uint64_t bytes_total() const { return bytes_total_; }
 
   // --- hardware / memory sampling ----------------------------------
   /// Binds a thread-scoped HwCounters (owned by the caller, must
@@ -253,17 +266,22 @@ class Recorder {
   /// relative to epoch() themselves. Call from the owning rank thread.
   void record_span(SpanEvent e) { metrics_.spans.push_back(std::move(e)); }
 
-  /// Appends externally recorded flow events (obs::FlowRecorder
-  /// publishes its ring here at end-of-life). `phases` is the
-  /// producer's interning table; phase ids are remapped onto this
-  /// recorder's table so several producers can publish into one rank.
-  void record_flows(const std::vector<FlowEvent>& flows,
-                    const std::vector<std::string>& phases);
+  // --- message-flow ring (obs/flow.hpp) ----------------------------
+  /// Turns on this rank's flow ring with room for `capacity` events
+  /// and returns it. Idempotent: a later call returns the ring already
+  /// on, whatever its capacity. The ring stays on for the rest of the
+  /// recorder's life; comm::CostTracker keeps its phase in step.
+  FlowRecorder& enable_flow(std::size_t capacity);
+  /// The flow ring, or null while flow tracing is off.
+  FlowRecorder* flow() const { return flow_.get(); }
 
   // --- snapshot ----------------------------------------------------
+  /// Everything recorded so far, without the flow ring.
   const RankMetrics& metrics() const { return metrics_; }
-  /// Copy of the snapshot; open spans are not included.
-  RankMetrics snapshot() const { return metrics_; }
+  /// Copy of metrics() with the flow ring folded in (its events with
+  /// seqs assigned, its phase table and its `flow.*` / `wait.*`
+  /// counters; FlowRecorder::fold_into). Open spans are not included.
+  RankMetrics snapshot() const;
 
  private:
   friend class Span;
@@ -283,6 +301,7 @@ class Recorder {
   RankMetrics metrics_;
   std::vector<OpenSpan> open_;
   HwCounters* hw_ = nullptr;
+  std::unique_ptr<FlowRecorder> flow_;
   double epoch_;
   std::uint64_t flops_total_ = 0;
   std::uint64_t msgs_total_ = 0;

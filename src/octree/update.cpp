@@ -70,9 +70,8 @@ RepairResult repair_tree(comm::Comm& c, OwnedTree& tree,
   RepairResult res;
 
   // Zero global churn: the tree is already canonical for these points.
-  const auto global_moves =
-      c.allreduce_sum(static_cast<std::uint64_t>(moves.size()));
-  if (global_moves == 0) {
+  res.global_moves = c.allreduce_sum(static_cast<std::uint64_t>(moves.size()));
+  if (res.global_moves == 0) {
     res.stats.kept_leaves = tree.leaves.size();
     return res;
   }

@@ -62,6 +62,9 @@ struct RepairResult {
   /// caller diffs its own retained key set for removals.
   std::vector<morton::Key> dirty_leaves;
   RepairStats stats;
+  /// Moves summed over all ranks; 0 means the tree was left as it was
+  /// on every rank.
+  std::uint64_t global_moves = 0;
 };
 
 /// Applies `moves` to `tree` (in place) and repairs the leaf set, the

@@ -11,16 +11,29 @@
 
 namespace pkifmm {
 
+/// The SplitMix64 stream's increment (the 64-bit golden ratio).
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
+/// splitmix64: one increment plus the SplitMix64 finalizer — a cheap,
+/// high-quality 64-bit mix. The project's one hash of a single word
+/// (SplitMix64, the health layer's sample and digests, TimeStepper's
+/// moving subset).
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += kSplitMix64Gamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// SplitMix64 — used only to expand a user seed into generator state.
 class SplitMix64 {
  public:
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    const std::uint64_t x = state_;
+    state_ += kSplitMix64Gamma;
+    return splitmix64(x);
   }
 
  private:

@@ -183,6 +183,21 @@ TEST(Cost, SendsAreCountedPerPhase) {
   EXPECT_GT(reports[0].counter("comm.beta.msgs_sent"), 0.0);  // barrier traffic
 }
 
+TEST(Cost, PayloadDigestCountersAppearWhenEnabled) {
+  auto reports = Runtime::run(1, [](RankCtx& ctx) {
+    EXPECT_FALSE(ctx.comm.cost().payload_digests_enabled());
+    ctx.comm.cost().enable_payload_digests();
+    ctx.comm.cost().enable_payload_digests();  // idempotent
+    EXPECT_TRUE(ctx.comm.cost().payload_digests_enabled());
+  });
+  // No traffic on one rank, yet both digests are there, at 0.
+  for (const char* name :
+       {"health.comm.payload_sent", "health.comm.payload_recv"}) {
+    EXPECT_EQ(reports[0].counters.count(name), 1u) << name;
+    EXPECT_EQ(reports[0].counter(name), 0.0) << name;
+  }
+}
+
 TEST(Cost, AlltoallvBytesMatchPayloads) {
   auto reports = Runtime::run(3, [](RankCtx& ctx) {
     ctx.comm.cost().set_phase("x");

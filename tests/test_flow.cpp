@@ -98,9 +98,13 @@ TEST(FlowRecorder, WaitCountersAccumulatePerPhase) {
   EXPECT_EQ(m.counters.count("wait.default.seconds"), 0u);
 }
 
-TEST(FlowRecorder, PublishIsOneShotAndMatchesFold) {
+TEST(FlowRecorder, RecorderSnapshotFoldsTheRing) {
   Recorder rec;
-  FlowRecorder fr(8, rec.epoch());
+  EXPECT_EQ(rec.flow(), nullptr);  // off until enabled
+  FlowRecorder& fr = rec.enable_flow(8);
+  EXPECT_EQ(&rec.enable_flow(2), &fr);  // idempotent: the first ring stays
+  EXPECT_EQ(fr.capacity(), 8u);
+  EXPECT_EQ(fr.epoch(), rec.epoch());
   fr.set_phase("eval.comm");
   fr.on_send(1, 2, 64);
   fr.on_recv(1, 2, 32, 0.5, 0.9, true);
@@ -108,20 +112,19 @@ TEST(FlowRecorder, PublishIsOneShotAndMatchesFold) {
 
   RankMetrics folded;
   fr.fold_into(folded);
-  EXPECT_FALSE(fr.published());
-
-  fr.publish(rec);
-  EXPECT_TRUE(fr.published());
-  const RankMetrics& m = rec.metrics();
-  for (const auto& [name, v] : folded.counters)
-    EXPECT_DOUBLE_EQ(m.counters.at(name), v) << name;
-  EXPECT_DOUBLE_EQ(m.counters.at("flow.probes"), 1.0);
-  ASSERT_EQ(m.flows.size(), 2u);
-  EXPECT_GE(m.flows[0].seq, 0);
-  ASSERT_EQ(m.flow_phases.size(), 2u);  // "default", "eval.comm"
-  EXPECT_EQ(m.flow_phases[1], "eval.comm");
-
-  EXPECT_ANY_THROW(fr.publish(rec));  // double publish is a bug
+  // The live store holds no flow data: each snapshot folds the ring
+  // afresh, so taking two never double-counts.
+  EXPECT_TRUE(rec.metrics().flows.empty());
+  EXPECT_EQ(rec.metrics().counters.count("flow.sends"), 0u);
+  for (int pass = 0; pass < 2; ++pass) {
+    const RankMetrics m = rec.snapshot();
+    EXPECT_EQ(m.counters, folded.counters);
+    EXPECT_DOUBLE_EQ(m.counters.at("flow.probes"), 1.0);
+    ASSERT_EQ(m.flows.size(), 2u);
+    EXPECT_GE(m.flows[0].seq, 0);
+    ASSERT_EQ(m.flow_phases.size(), 2u);  // "default", "eval.comm"
+    EXPECT_EQ(m.flow_phases[1], "eval.comm");
+  }
 }
 
 // ------------------------------------------------ export / traces
@@ -576,6 +579,74 @@ TEST(FlowIntegration, TracedRunMatchesAndDecomposes) {
   const Json mdoc = metrics_to_json(reports);
   validate_metrics_json(mdoc);
   EXPECT_EQ(metrics_to_json(metrics_from_json(mdoc)), mdoc);
+}
+
+/// The rank's recorder is the one store of its traffic: a flow-traced,
+/// health-enabled ParallelFmm destroyed well before the rank function
+/// returns still leaves its flow events, wait counters and payload
+/// digests in the Runtime::run report, and the cost tracker's
+/// read-back equals the recorder's `comm.*` counters mid-run.
+TEST(FlowIntegration, ReportKeepsTheTrafficOfADestroyedFmm) {
+  kernels::LaplaceKernel kernel;
+  core::FmmOptions opts = small_opts(true);
+  opts.health = true;
+  const core::Tables tables(kernel, opts);
+
+  constexpr int kP = 2;
+  std::vector<std::size_t> phases_read(kP, 0);
+  const auto reports = comm::Runtime::run(kP, [&](comm::RankCtx& ctx) {
+    {
+      core::ParallelFmm fmm(ctx, tables);
+      fmm.setup(octree::generate_points(octree::Distribution::kEllipsoid,
+                                        2000, ctx.rank(), ctx.size(), 1, 42));
+      (void)fmm.evaluate();
+    }
+    const comm::CostTracker& cost = ctx.comm.cost();
+    const auto phases = cost.phases();
+    phases_read[static_cast<std::size_t>(ctx.rank())] = phases.size();
+    for (const auto& entry : phases) {
+      const std::string& phase = entry.first;
+      const comm::CostTracker::Counters g = cost.get(phase);
+      const std::string stem = "comm." + phase + ".";
+      EXPECT_EQ(static_cast<double>(g.msgs_sent),
+                ctx.rec.counter(stem + "msgs_sent")) << phase;
+      EXPECT_EQ(static_cast<double>(g.bytes_sent),
+                ctx.rec.counter(stem + "bytes_sent")) << phase;
+      EXPECT_EQ(static_cast<double>(g.msgs_recv),
+                ctx.rec.counter(stem + "msgs_recv")) << phase;
+      EXPECT_EQ(static_cast<double>(g.bytes_recv),
+                ctx.rec.counter(stem + "bytes_recv")) << phase;
+      // A phase's four counters appear together.
+      EXPECT_EQ(ctx.rec.metrics().counters.count(stem + "msgs_recv"), 1u);
+    }
+    EXPECT_GT(cost.get("eval.comm").msgs_sent, 0u);
+  });
+
+  double sent_digest = 0.0, recv_digest = 0.0;
+  for (const auto& rep : reports) {
+    EXPECT_GE(phases_read[static_cast<std::size_t>(rep.rank)], 4u);
+    // Every message of the object's life is in the ring: the ring saw
+    // each send the comm counters charged.
+    EXPECT_DOUBLE_EQ(rep.counter("flow.sends"),
+                     rep.sum("comm.", ".msgs_sent"));
+    EXPECT_DOUBLE_EQ(rep.counter("flow.recvs"),
+                     rep.sum("comm.", ".msgs_recv"));
+    EXPECT_DOUBLE_EQ(rep.counter("flow.dropped"), 0.0);
+    EXPECT_EQ(rep.flows.size(),
+              static_cast<std::size_t>(rep.counter("flow.events")));
+    bool eval_flow = false;
+    for (const FlowEvent& e : rep.flows)
+      eval_flow = eval_flow ||
+                  rep.flow_phases[static_cast<std::size_t>(e.phase)] ==
+                      "eval.comm";
+    EXPECT_TRUE(eval_flow) << "rank " << rep.rank;
+    EXPECT_GT(rep.counter("wait.eval.comm.recvs"), 0.0);
+    EXPECT_GT(rep.counter("wait.setup.tree.recvs"), 0.0);
+    sent_digest += rep.counter("health.comm.payload_sent");
+    recv_digest += rep.counter("health.comm.payload_recv");
+  }
+  EXPECT_GT(sent_digest, 0.0);
+  EXPECT_EQ(sent_digest, recv_digest);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 /// Numerical-health layer tests (DESIGN.md §5g, obs/health.hpp):
 ///
-///  - options validation: FmmOptions::health_sample_rate /
-///    health_fatal / health_drift_ratio combinations are rejected at
-///    Tables construction, mirroring the set_densities contract style;
+///  - options validation: bad FmmOptions::health_sample_rate /
+///    health_fatal combinations are rejected at Tables construction,
+///    mirroring the set_densities contract style;
 ///  - sampler determinism: the accuracy sample is a pure function of
 ///    (gid, seed, step), so its size, membership digest and error sums
 ///    are identical for any thread count and its membership for any
@@ -116,10 +116,12 @@ TEST(HealthOptions, RejectsInvalidCombinations) {
   bad.health_fatal = true;
   EXPECT_THROW(Tables(*kernel, bad), CheckFailure);
 
-  bad = base;
-  bad.health = true;
-  bad.health_drift_ratio = 1.0;  // must be strictly > 1
-  EXPECT_THROW(Tables(*kernel, bad), CheckFailure);
+  // The flow ring needs room for one event, traced or not.
+  for (const int cap : {0, -5}) {
+    bad = base;
+    bad.flow_capacity = cap;
+    EXPECT_THROW(Tables(*kernel, bad), CheckFailure) << cap;
+  }
 
   // with_options revalidates rebound options.
   const Tables tables(*kernel, base);

@@ -295,9 +295,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// A step in which no rank moves a point (update_points is collective,
 /// with possibly empty moves) leaves the LET and the potentials bitwise
-/// unchanged and re-ships, re-buckets and re-lists nothing. Each
-/// setup.incr.let phase still sends the dense alltoallv's 2(p - 1)
-/// empty messages per rank, so message counts are not asserted.
+/// unchanged and re-ships, re-buckets and re-lists nothing: after the
+/// tree repair's churn allreduce it keeps every leaf and every list,
+/// and sends nothing in setup.incr.let or setup.incr.balance.
 TEST(IncrementalEmptyStep, LeavesLetAndPotentialsUnchanged) {
   auto kernel = kernels::make_kernel("laplace");
   const Tables tables(*kernel, small_opts());
@@ -307,13 +307,18 @@ TEST(IncrementalEmptyStep, LeavesLetAndPotentialsUnchanged) {
     before.let_digest.resize(p);
     after.let_digest.resize(p);
     std::vector<ParallelFmm::UpdateStats> stats(p);
+    std::vector<std::size_t> leaves(p), targets(p);
     std::mutex mu;
-    comm::Runtime::run(p, [&](comm::RankCtx& ctx) {
+    const auto reports = comm::Runtime::run(p, [&](comm::RankCtx& ctx) {
       ParallelFmm fmm(ctx, tables);
       fmm.setup(octree::generate_points(Distribution::kEllipsoid, 4000,
                                         ctx.rank(), p, tables.sdim(), 91));
       snapshot_step(fmm, fmm.evaluate(), ctx.rank(), tables.tdim(), mu,
                     before);
+      for (const octree::LetNode& node : fmm.let().nodes) {
+        leaves[ctx.rank()] += node.owned && node.global_leaf;
+        targets[ctx.rank()] += node.target;
+      }
       fmm.update_points({});
       stats[ctx.rank()] = fmm.last_update_stats();
       snapshot_step(fmm, fmm.evaluate(), ctx.rank(), tables.tdim(), mu,
@@ -322,11 +327,21 @@ TEST(IncrementalEmptyStep, LeavesLetAndPotentialsUnchanged) {
     expect_bitwise_equal(before, after, 1, p);
     for (int r = 0; r < p; ++r) {
       const ParallelFmm::UpdateStats& st = stats[r];
+      EXPECT_EQ(st.moved_points, 0u) << "rank " << r;
+      EXPECT_EQ(st.migrated_points, 0u) << "rank " << r;
       EXPECT_EQ(st.dirty_leaves, 0u) << "rank " << r;
+      EXPECT_EQ(st.kept_leaves, leaves[r]) << "rank " << r;
+      EXPECT_EQ(st.leaf_migrations, 0u) << "rank " << r;
       EXPECT_EQ(st.ghost_octants_sent, 0u) << "rank " << r;
       EXPECT_EQ(st.ghost_ranks, 0u) << "rank " << r;
       EXPECT_EQ(st.lists_rebuilt, 0u) << "rank " << r;
+      EXPECT_EQ(st.lists_kept, targets[r]) << "rank " << r;
       EXPECT_FALSE(st.repartitioned) << "rank " << r;
+      for (const char* phase : {"setup.incr.let", "setup.incr.balance"})
+        for (const char* what : {".msgs_sent", ".bytes_sent"})
+          EXPECT_EQ(reports[r].counter(std::string("comm.") + phase + what),
+                    0.0)
+              << "rank " << r << " " << phase << what;
     }
   }
 }

@@ -132,7 +132,8 @@ TEST(Points, EllipsoidIsNonuniform) {
   // the uniform one for the same N and q (the paper's motivation).
   auto run = [](Distribution dist) {
     comm::Fabric f(1);
-    comm::CostTracker cost;
+    obs::Recorder rec;
+    comm::CostTracker cost(rec);
     comm::Comm c(f, 0, 1, cost);
     BuildParams bp;
     bp.max_points_per_leaf = 20;

@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "obs/aggregate.hpp"
+#include "obs/health.hpp"
 #include "obs/json.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -284,8 +285,9 @@ static int run(int argc, char** argv) {
       std::printf("  WARNING: message payload digests disagree between "
                   "send and receive sides\n");
     if (dwarn > 0.0)
-      std::printf("  WARNING: sampled error drifted past "
-                  "health_drift_ratio x the early-step baseline\n");
+      std::printf("  WARNING: sampled error drifted past %gx the "
+                  "early-step baseline\n",
+                  obs::kDriftRatio);
     if (injected > 0.0)
       std::printf("  note: %s corruption(s) were fault-injected "
                   "(PKIFMM_INJECT_CORRUPTION)\n",

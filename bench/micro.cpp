@@ -438,35 +438,22 @@ class MetricsReporter : public benchmark::ConsoleReporter {
 int bench_main(int argc, char** argv) {
   // google-benchmark rejects flags it does not know, so peel off
   // --metrics-out / --history-out / --git-sha / --threads before
-  // handing argv over.
-  std::string metrics_path, history_path, git_sha;
-  int threads = 4;
-  std::vector<char*> args;
-  constexpr std::string_view kFlag = "--metrics-out=";
-  constexpr std::string_view kHistory = "--history-out=";
-  constexpr std::string_view kSha = "--git-sha=";
-  constexpr std::string_view kThreads = "--threads=";
-  for (int i = 0; i < argc; ++i) {
+  // handing argv over, and parse them with Cli like every other bench
+  // ("--threads=4x" is an error, not 4).
+  constexpr std::array<std::string_view, 4> kOwn = {
+      "--metrics-out=", "--history-out=", "--git-sha=", "--threads="};
+  std::vector<char*> own = {argv[0]}, args = {argv[0]};
+  for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
-    if (a.rfind(kFlag, 0) == 0) {
-      metrics_path = std::string(a.substr(kFlag.size()));
-      continue;
-    }
-    if (a.rfind(kHistory, 0) == 0) {
-      history_path = std::string(a.substr(kHistory.size()));
-      continue;
-    }
-    if (a.rfind(kSha, 0) == 0) {
-      git_sha = std::string(a.substr(kSha.size()));
-      continue;
-    }
-    if (a.rfind(kThreads, 0) == 0) {
-      threads = std::max(1, std::atoi(std::string(a.substr(kThreads.size()))
-                                          .c_str()));
-      continue;
-    }
-    args.push_back(argv[i]);
+    const bool mine = std::ranges::any_of(
+        kOwn, [&](std::string_view f) { return a.starts_with(f); });
+    (mine ? own : args).push_back(argv[i]);
   }
+  const Cli cli(static_cast<int>(own.size()), own.data());
+  const std::string metrics_path = cli.get("metrics-out", "");
+  const std::string history_path = cli.get("history-out", "");
+  std::string git_sha = cli.get("git-sha", "");
+  const int threads = cli.get_int_as<int>("threads", 4, 1);
   for (const char* env : {"PKIFMM_GIT_SHA", "GITHUB_SHA"}) {
     if (!git_sha.empty()) break;
     if (const char* v = std::getenv(env)) git_sha = v;
@@ -474,12 +461,14 @@ int bench_main(int argc, char** argv) {
   if (git_sha.empty()) git_sha = "unknown";
 
   // The pool-scaling benches sweep worker counts up to --threads=K
-  // (K threads per rank means K-1 pool workers next to the caller).
-  std::vector<int> workers = {0, 1, threads - 1};
+  // (K threads per rank means K-1 pool workers next to the caller),
+  // with K clamped to the host's hardware threads as Runtime::run
+  // clamps threads_per_rank.
+  std::vector<int> workers = {0, 1,
+                              util::recommended_workers(threads, 1) - 1};
   std::sort(workers.begin(), workers.end());
   workers.erase(std::unique(workers.begin(), workers.end()), workers.end());
   for (const int w : workers) {
-    if (w < 0) continue;
     benchmark::RegisterBenchmark("BM_TaskPoolParallelFor",
                                  BM_TaskPoolParallelFor)
         ->Arg(w);

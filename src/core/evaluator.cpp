@@ -371,8 +371,8 @@ void Evaluator::s2u() {
           std::uint64_t local = 0;
           for (std::size_t j = b; j < e; ++j) {
             const std::int32_t i = slots_a_[j];
-            const auto uc = box_surf(tables_.options().upward_check_radius,
-                                     let_.nodes[i].key, lane);
+            const auto uc =
+                box_surf(kUpwardCheckRadius, let_.nodes[i].key, lane);
             local += kern.direct(
                 uc, leaf_source_positions(i), leaf_source_densities(i),
                 std::span<double>(batch_tmp_.data() + j * clen, clen));
@@ -691,8 +691,7 @@ void Evaluator::xli(bool include_leaves) {
           if (!include_leaves && node.global_leaf) continue;
           const auto list = let_.x.of(i);
           if (list.empty()) continue;
-          const auto dc =
-              box_surf(tables_.options().down_check_radius, node.key, lane);
+          const auto dc = box_surf(kDownCheckRadius, node.key, lane);
           std::span<double> out(checkpot_.data() + i * clen, clen);
           for (auto si : list)
             local += kern.direct(dc, leaf_source_positions(si),
@@ -756,8 +755,8 @@ void Evaluator::wli() {
           const auto trg = leaf_target_positions(node);
           auto out = leaf_target_potential(node);
           for (auto si : list) {
-            const auto ue = box_surf(tables_.options().upward_equiv_radius,
-                                     let_.nodes[si].key, lane);
+            const auto ue =
+                box_surf(kUpwardEquivRadius, let_.nodes[si].key, lane);
             local += kern.direct(
                 trg, ue,
                 std::span<const double>(u_.data() + std::size_t(si) * elen,
@@ -783,8 +782,7 @@ void Evaluator::d2t() {
           const LetNode& node = let_.nodes[i];
           if (!(node.owned && node.global_leaf) || node.target_count == 0)
             continue;
-          const auto de =
-              box_surf(tables_.options().down_equiv_radius, node.key, lane);
+          const auto de = box_surf(kDownEquivRadius, node.key, lane);
           local += kern.direct(
               leaf_target_positions(node), de,
               std::span<const double>(d_.data() + i * elen, elen),
@@ -875,8 +873,7 @@ std::vector<double> Evaluator::target_gradient() {
     }
     // W-list: gradients of the members' upward equivalent fields.
     for (auto si : let_.w.of(i)) {
-      const auto ue = box_surf(tables_.options().upward_equiv_radius,
-                               let_.nodes[si].key, 0);
+      const auto ue = box_surf(kUpwardEquivRadius, let_.nodes[si].key, 0);
       ctx_.flops.add(
           "grad.wli",
           grad->direct(trg, ue,
@@ -887,8 +884,7 @@ std::vector<double> Evaluator::target_gradient() {
     }
     // Far field (V + X + coarser levels) through the box's downward
     // equivalent density.
-    const auto de =
-        box_surf(tables_.options().down_equiv_radius, node.key, 0);
+    const auto de = box_surf(kDownEquivRadius, node.key, 0);
     ctx_.flops.add(
         "grad.d2t",
         grad->direct(trg, de,

@@ -39,31 +39,23 @@ void ParallelFmm::setup(std::vector<octree::PointRec> points) {
   auto root = ctx_.rec.span("setup");
 
   ctx_.comm.cost().set_phase("setup.tree");
-  octree::OwnedTree tree;
   {
     auto t = ctx_.timer.scope("setup.tree");
-    tree = octree::build_distributed_tree(ctx_.comm, std::move(points), bp);
+    tree_ = octree::build_distributed_tree(ctx_.comm, std::move(points), bp);
   }
 
+  // update_points()'s pipeline from an empty state: every octant is new
+  // to the empty staging and every target's lists are computed against
+  // the empty prior, so a second setup() on this object starts clean.
+  let_sync_ = octree::LetSync{};
+  let_ = std::make_unique<octree::Let>();
   ctx_.comm.cost().set_phase("setup.let");
   {
     auto t = ctx_.timer.scope("setup.let");
-    let_ = std::make_unique<octree::Let>(let_sync_.build(ctx_.comm, tree));
-    octree::build_interaction_lists(*let_);
+    repair_let({});
   }
+  rebalance("setup.balance");
 
-  if (opts.load_balance && ctx_.comm.size() > 1) {
-    ctx_.comm.cost().set_phase("setup.balance");
-    auto t = ctx_.timer.scope("setup.balance");
-    const auto weights = leaf_work_estimates(tables_, *let_);
-    tree = octree::load_balance(ctx_.comm, std::move(tree), weights);
-    let_ = std::make_unique<octree::Let>(let_sync_.build(ctx_.comm, tree));
-    octree::build_interaction_lists(*let_);
-  }
-
-  // Retain the owned tree: update_points repairs it in place instead
-  // of rebuilding from the point cloud.
-  tree_ = std::move(tree);
   update_stats_ = {};
   set_let_gauges();
 }
@@ -124,6 +116,24 @@ void ParallelFmm::repair_let(std::span<const morton::Key> dirty_leaves) {
   update_stats_.lists_kept += lr.kept_targets;
 }
 
+void ParallelFmm::rebalance(const std::string& phase) {
+  if (!tables_.options().load_balance || ctx_.comm.size() == 1) return;
+  ctx_.comm.cost().set_phase(phase);
+  auto t = ctx_.timer.scope(phase);
+  const auto weights = leaf_work_estimates(tables_, *let_);
+  const auto d = octree::weighted_destinations(ctx_.comm, weights);
+  if (!d.moved) return;
+  update_stats_.repartitioned = true;
+  update_stats_.leaf_migrations = static_cast<std::size_t>(
+      std::count_if(d.dest.begin(), d.dest.end(),
+                    [&](int r) { return r != ctx_.comm.rank(); }));
+  tree_ = octree::migrate_leaves(ctx_.comm, std::move(tree_), d.dest);
+  // Migration changes ownership, not bucket content: the LetSync diff
+  // of the new own-key set against the retained staging is the whole
+  // delta, so no leaves are dirty.
+  repair_let({});
+}
+
 void ParallelFmm::update_points(const std::vector<octree::PointMove>& moves) {
   PKIFMM_CHECK_MSG(let_ != nullptr, "setup() must run before update_points()");
   const FmmOptions& opts = tables_.options();
@@ -160,32 +170,7 @@ void ParallelFmm::update_points(const std::vector<octree::PointMove>& moves) {
       auto t = ctx_.timer.scope("setup.incr.let");
       repair_let(rep.dirty_leaves);
     }
-    // Repartition: re-derive the canonical work-weighted destinations
-    // every step and migrate as soon as any leaf's destination changed.
-    // The weights are a pure per-leaf function of the global tree
-    // (ownership-independent) and the prefix scan runs over the
-    // allgathered global vector, so the partition never drifts from
-    // what a from-scratch setup() would choose — which is what keeps
-    // the bitwise-parity contract at any rank count.
-    if (opts.load_balance && ctx_.comm.size() > 1) {
-      ctx_.comm.cost().set_phase("setup.incr.balance");
-      auto t = ctx_.timer.scope("setup.incr.balance");
-      const auto weights = leaf_work_estimates(tables_, *let_);
-      const auto dest = octree::weighted_destinations(ctx_.comm, weights);
-      std::uint64_t local_moves = 0;
-      for (std::size_t i = 0; i < dest.size(); ++i)
-        if (dest[i] != ctx_.comm.rank()) ++local_moves;
-      const std::uint64_t global_moves = ctx_.comm.allreduce_sum(local_moves);
-      if (global_moves > 0) {
-        update_stats_.repartitioned = true;
-        update_stats_.leaf_migrations = static_cast<std::size_t>(local_moves);
-        tree_ = octree::migrate_leaves(ctx_.comm, std::move(tree_), dest);
-        // Migration changes ownership, not bucket content: the LetSync
-        // diff of the new own-key set against the retained staging is
-        // the whole delta, so no leaves are dirty.
-        repair_let({});
-      }
-    }
+    rebalance("setup.incr.balance");
     set_let_gauges();
     // The delta assembly restores unchanged ghosts from staging
     // captured at SET time; the refresh at the next evaluate() re-ships

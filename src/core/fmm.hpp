@@ -13,15 +13,20 @@
 ///
 /// setup() performs the paper's setup phase: Morton sample-sort and
 /// distributed tree construction (§III-A), LET + interaction lists
-/// (Algorithm 2), and optional work-weighted repartitioning followed by
-/// an LET rebuild (§III-B). evaluate() runs Algorithm 1 with the
-/// hypercube reduce-scatter (Algorithm 3) and can be called repeatedly
-/// with updated densities (set_densities). For time stepping,
+/// (Algorithm 2), and optional work-weighted repartitioning (§III-B),
+/// after which the LET and the lists are brought up to date by a delta
+/// exchange that ships only the octants whose owner or subscription
+/// changed. evaluate() runs Algorithm 1 with the hypercube
+/// reduce-scatter (Algorithm 3) and can be called repeatedly with
+/// updated densities (set_densities). For time stepping,
 /// update_points() moves points and repairs the tree, the LET and the
 /// lists in place, bitwise equal to a from-scratch setup() of the moved
-/// cloud (octree/update.hpp, core/timestep.hpp).
+/// cloud (octree/update.hpp, core/timestep.hpp). Both run one pipeline:
+/// setup() is update_points()'s LET repair and repartition started from
+/// an empty LET.
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -44,7 +49,8 @@ class ParallelFmm {
 
   /// Builds the distributed tree, the LET and the interaction lists;
   /// repartitions by work if options().load_balance. Points carry their
-  /// initial densities.
+  /// initial densities. On an object already set up, starts over from
+  /// an empty state: nothing of the previous cloud is reused.
   void setup(std::vector<octree::PointRec> points);
 
   /// Updates the densities of owned points (matched by gid; the map
@@ -124,6 +130,13 @@ class ParallelFmm {
   /// whose buckets changed), repairs the interaction lists and adds
   /// the traffic and list counts to update_stats_. Collective.
   void repair_let(std::span<const morton::Key> dirty_leaves);
+  /// With load_balance at p > 1: derives the canonical work-weighted
+  /// destinations under cost phase and timer `phase` and, if any leaf
+  /// on any rank changes rank, migrates the leaves and repairs the LET.
+  /// The destinations are a pure function of the global tree, so the
+  /// partition never drifts from what a from-scratch setup() would
+  /// choose. Collective.
+  void rebalance(const std::string& phase);
   void set_let_gauges();
 
   /// Health layer (FmmOptions::health, DESIGN.md §5g): the ghost

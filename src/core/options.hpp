@@ -52,15 +52,6 @@ struct FmmOptions {
   /// Disable for the ablation bench.
   bool load_balance = true;
 
-  /// Surface radii relative to the box half-width (Ying et al. 2004).
-  double upward_equiv_radius = 1.05;
-  double upward_check_radius = 2.95;
-  double down_equiv_radius = 2.95;
-  double down_check_radius = 1.05;
-
-  /// Relative singular-value cutoff for the equivalent-density solves.
-  double pinv_cutoff = 1e-12;
-
   /// Per-message flow tracing (obs/flow.hpp): every point-to-point
   /// message gets (src, dst, tag, phase, seq) + timestamps, blocked
   /// receives become first-class `wait.<phase>.*` metrics, and the

@@ -16,6 +16,14 @@
 
 namespace pkifmm::core {
 
+/// Surface radii relative to the box half-width (Ying et al. 2004). The
+/// downward pair mirrors the upward pair, so K(dc, de) = K(uc, ue)^T
+/// and one pseudo-inverse serves both (core/tables.hpp).
+inline constexpr double kUpwardEquivRadius = 1.05;
+inline constexpr double kUpwardCheckRadius = 2.95;
+inline constexpr double kDownEquivRadius = kUpwardCheckRadius;
+inline constexpr double kDownCheckRadius = kUpwardEquivRadius;
+
 /// Number of surface points of the n^3 lattice: n^3 - (n-2)^3.
 int surface_point_count(int n);
 

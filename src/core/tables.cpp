@@ -48,6 +48,9 @@ void AlignedBuffer::resize(std::size_t n) {
 
 namespace {
 
+/// Relative singular-value cutoff of the equivalent-density solves.
+constexpr double kPinvCutoff = 1e-12;
+
 /// Child-center displacement signs for Morton child index i
 /// (bit 0 = x, bit 1 = y, bit 2 = z, matching morton::child).
 std::array<double, 3> child_center(int i, double parent_half) {
@@ -126,14 +129,8 @@ const std::array<std::int32_t, 27 * 64>& vli_pair_slots() {
 }
 
 Tables Tables::with_options(const FmmOptions& opts) const {
-  PKIFMM_CHECK_MSG(
-      opts.surface_n == opts_.surface_n &&
-          opts.upward_equiv_radius == opts_.upward_equiv_radius &&
-          opts.upward_check_radius == opts_.upward_check_radius &&
-          opts.down_equiv_radius == opts_.down_equiv_radius &&
-          opts.down_check_radius == opts_.down_check_radius &&
-          opts.pinv_cutoff == opts_.pinv_cutoff,
-      "with_options may not change geometry-affecting fields");
+  PKIFMM_CHECK_MSG(opts.surface_n == opts_.surface_n,
+                   "with_options may not change surface_n");
   validate_options(opts);
   Tables t = *this;
   t.opts_ = opts;
@@ -143,14 +140,6 @@ Tables Tables::with_options(const FmmOptions& opts) const {
 Tables::Tables(const kernels::Kernel& kernel, const FmmOptions& opts)
     : kernel_(kernel), opts_(opts) {
   PKIFMM_CHECK(opts.surface_n >= 3);
-  for (const double r : {opts.upward_equiv_radius, opts.upward_check_radius,
-                         opts.down_equiv_radius, opts.down_check_radius})
-    PKIFMM_CHECK_MSG(std::isfinite(r) && r > 0.0,
-                     "surface radii must be finite and > 0, got " << r);
-  PKIFMM_CHECK_MSG(std::isfinite(opts.pinv_cutoff) && opts.pinv_cutoff >= 0.0 &&
-                       opts.pinv_cutoff < 1.0,
-                   "pinv_cutoff must be finite and in [0, 1), got "
-                       << opts.pinv_cutoff);
   validate_options(opts);
   m_ = surface_point_count(opts.surface_n);
   sdim_ = kernel.source_dim();
@@ -181,26 +170,27 @@ std::unique_ptr<Tables::LevelTables> Tables::build_level(int level) const {
   const std::array<double, 3> origin = {0.0, 0.0, 0.0};
   const int n = opts_.surface_n;
 
-  const auto ue = surface_points(n, opts_.upward_equiv_radius, origin, half);
-  const auto uc = surface_points(n, opts_.upward_check_radius, origin, half);
-  const auto de = surface_points(n, opts_.down_equiv_radius, origin, half);
-  const auto dc = surface_points(n, opts_.down_check_radius, origin, half);
+  const auto ue = surface_points(n, kUpwardEquivRadius, origin, half);
+  const auto uc = surface_points(n, kUpwardCheckRadius, origin, half);
+  const auto de = surface_points(n, kDownEquivRadius, origin, half);
+  const auto dc = surface_points(n, kDownCheckRadius, origin, half);
 
   const la::Matrix k_up = kernel_.assemble(uc, ue);
-  const la::Matrix k_down = kernel_.assemble(dc, de);
+  PKIFMM_CHECK_MSG(is_transpose(kernel_.assemble(dc, de), k_up),
+                   "K(dc, de) is not K(uc, ue)^T bit for bit: the kernel is "
+                   "not symmetric, K(x, y) != K(y, x)^T");
   auto t = std::make_unique<LevelTables>();
-  t->uc2ue = la::pinv(k_up, opts_.pinv_cutoff);
-  t->dc2de = is_transpose(k_down, k_up) ? t->uc2ue.transposed()
-                                        : la::pinv(k_down, opts_.pinv_cutoff);
+  t->uc2ue = la::pinv(k_up, kPinvCutoff);
+  t->dc2de = t->uc2ue.transposed();
 
   const double child_half = 0.5 * half;
   for (int i = 0; i < 8; ++i) {
     const auto cc = child_center(i, half);
     const auto ue_child =
-        surface_points(n, opts_.upward_equiv_radius, cc, child_half);
+        surface_points(n, kUpwardEquivRadius, cc, child_half);
     t->m2m[i] = la::gemm(t->uc2ue, kernel_.assemble(uc, ue_child));
     const auto dc_child =
-        surface_points(n, opts_.down_check_radius, cc, child_half);
+        surface_points(n, kDownCheckRadius, cc, child_half);
     t->l2l[i] = kernel_.assemble(dc_child, de);
   }
   return t;
@@ -244,8 +234,7 @@ std::vector<fft::Complex> Tables::build_spectra(int level,
 
   const int n = opts_.surface_n;
   const double half = 0.5 * std::pow(2.0, -level);
-  const double h = surface_spacing(n, opts_.upward_equiv_radius, half);
-  PKIFMM_CHECK(opts_.upward_equiv_radius == opts_.down_check_radius);
+  const double h = surface_spacing(n, kUpwardEquivRadius, half);
   const double box = 2.0 * half;
 
   const std::size_t grid = fft_n();
@@ -338,8 +327,8 @@ la::Matrix Tables::build_dense(int level, int off_index) const {
   const double box = 2.0 * half;
   const std::array<double, 3> src_center = {0, 0, 0};
   const std::array<double, 3> trg_center = {dx * box, dy * box, dz * box};
-  const auto ue = surface_points(n, opts_.upward_equiv_radius, src_center, half);
-  const auto dc = surface_points(n, opts_.down_check_radius, trg_center, half);
+  const auto ue = surface_points(n, kUpwardEquivRadius, src_center, half);
+  const auto dc = surface_points(n, kDownCheckRadius, trg_center, half);
   return kernel_.assemble(dc, ue);
 }
 

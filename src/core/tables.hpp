@@ -11,15 +11,14 @@
 /// The CPU engine reads the operator spectra in the sibling-blocked
 /// MAC's layout (vli_operator_blocks(), vli_pair_slots()).
 ///
-/// uc2ue and dc2de are the truncated pseudo-inverses (la::pinv) of
-/// K(uc, ue) and K(dc, de). When the surfaces mirror each other, i.e.
-/// K(dc, de) equals K(uc, ue)^T entry for entry, bit for bit (the
-/// default radii, upward_equiv = down_check and upward_check =
-/// down_equiv, with a kernel whose K(x, y) = K(y, x)^T), dc2de is
-/// uc2ue^T: pinv(A^T) = pinv(A)^T with the same singular values, so the
-/// same truncation, and only one SVD runs. The test reads the assembled
-/// matrices, so non-default radii and per-level tables need no rule of
-/// their own.
+/// uc2ue and dc2de are the truncated pseudo-inverses (la::pinv, relative
+/// cutoff 1e-12) of K(uc, ue) and K(dc, de). The surfaces mirror each
+/// other (core/surface.hpp: upward_equiv = down_check, upward_check =
+/// down_equiv), and every kernel here has K(x, y) = K(y, x)^T, so
+/// K(dc, de) equals K(uc, ue)^T entry for entry, bit for bit, and dc2de
+/// is uc2ue^T: pinv(A^T) = pinv(A)^T with the same singular values, so
+/// the same truncation, and only one SVD runs. Each level's build
+/// checks that property on the assembled matrices.
 ///
 /// For homogeneous kernels (Laplace, Stokes: degree -1) one reference
 /// table serves all octree levels through a power-of-two scaling; for
@@ -131,8 +130,8 @@ class Tables {
 
   /// Copy sharing the (expensive) precomputed operator cache but with
   /// different non-geometric options (q, m2l mode, reduce mode, load
-  /// balancing). Geometry-affecting fields (surface_n, radii,
-  /// pinv_cutoff) must match the original.
+  /// balancing). surface_n, the one geometry-affecting field, must
+  /// match the original.
   Tables with_options(const FmmOptions& opts) const;
 
   const kernels::Kernel& kernel() const { return kernel_; }

@@ -162,9 +162,12 @@ void RegularizedStokesKernel::block(const double d[3], double* out) const {
   const double inv = 1.0 / (re2 * std::sqrt(re2));
   const double diag = kOneOver8Pi * (r2 + 2.0 * eps2_) * inv;
   const double offd = kOneOver8Pi * inv;
+  // offd * (d[i] * d[j]), not (offd * d[i]) * d[j]: the product of the
+  // two components commutes, so the block is symmetric bit for bit and
+  // core::Tables can take dc2de as uc2ue^T.
   for (int i = 0; i < 3; ++i)
     for (int j = 0; j < 3; ++j)
-      out[i * 3 + j] = (i == j ? diag : 0.0) + offd * d[i] * d[j];
+      out[i * 3 + j] = (i == j ? diag : 0.0) + offd * (d[i] * d[j]);
 }
 
 namespace {

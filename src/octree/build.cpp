@@ -23,12 +23,19 @@ std::size_t lower_index(const std::vector<PointRec>& pts, Bits bits) {
       pts.begin());
 }
 
+/// A rank's key span for allgather. The padding is named and zero, so
+/// no indeterminate byte is shipped.
 struct RankSpan {
-  std::uint8_t has;
   Bits first;
   Bits last;
+  std::uint8_t has;
+  std::uint8_t pad[15] = {};
 };
 static_assert(std::is_trivially_copyable_v<RankSpan>);
+static_assert(sizeof(RankSpan) == sizeof(RankSpan::first) +
+                                      sizeof(RankSpan::last) +
+                                      sizeof(RankSpan::has) +
+                                      sizeof(RankSpan::pad));
 
 /// Ensures no kMaxDepth cell's points span a rank boundary: each rank's
 /// leading run of duplicate keys is donated to the lowest rank that
@@ -37,9 +44,9 @@ static_assert(std::is_trivially_copyable_v<RankSpan>);
 void close_key_runs(comm::Comm& c, std::vector<PointRec>& pts) {
   const int p = c.size();
   if (p == 1) return;
-  RankSpan mine{static_cast<std::uint8_t>(!pts.empty()),
-                pts.empty() ? Bits{0} : pts.front().key_bits,
-                pts.empty() ? Bits{0} : pts.back().key_bits};
+  RankSpan mine{pts.empty() ? Bits{0} : pts.front().key_bits,
+                pts.empty() ? Bits{0} : pts.back().key_bits,
+                static_cast<std::uint8_t>(!pts.empty())};
   auto spans = c.allgather(mine);
 
   std::vector<std::vector<PointRec>> outgoing(p);
@@ -74,7 +81,7 @@ void close_key_runs(comm::Comm& c, std::vector<PointRec>& pts) {
 std::vector<Bits> splitters_from_firsts(comm::Comm& c, bool has, Bits first) {
   const int p = c.size();
   auto spans =
-      c.allgather(RankSpan{static_cast<std::uint8_t>(has), first, Bits{0}});
+      c.allgather(RankSpan{first, Bits{0}, static_cast<std::uint8_t>(has)});
   std::vector<Bits> s(p, 0);
   Bits next = key_space_end();
   for (int k = p - 1; k >= 1; --k) {
@@ -323,11 +330,11 @@ RefineResult refine_tree(comm::Comm& c, const std::vector<PointRec>& pts,
 
   // Global structural sanity: leaf ranges must be disjoint and sorted
   // across ranks.
-  RankSpan mine{static_cast<std::uint8_t>(!tree.leaves.empty()),
-                tree.leaves.empty() ? Bits{0}
+  RankSpan mine{tree.leaves.empty() ? Bits{0}
                                     : morton::range_begin(tree.leaves.front()),
                 tree.leaves.empty() ? Bits{0}
-                                    : morton::range_end(tree.leaves.back())};
+                                    : morton::range_end(tree.leaves.back()),
+                static_cast<std::uint8_t>(!tree.leaves.empty())};
   auto spans = c.allgather(mine);
   Bits prev_end = 0;
   for (const auto& s : spans) {

@@ -11,14 +11,20 @@ using morton::Key;
 namespace {
 
 /// Ghost-octant delta message; SET-leaf point payloads travel in a
-/// parallel stream in the same per-destination order.
+/// parallel stream in the same per-destination order. The padding is
+/// named and zero, so no indeterminate byte is shipped.
 struct UpdMsg {
   Bits bits;
+  std::uint32_t npoints;
   std::uint8_t level;
   std::uint8_t op;
-  std::uint32_t npoints;
+  std::uint8_t pad[10] = {};
 };
 static_assert(std::is_trivially_copyable_v<UpdMsg>);
+static_assert(sizeof(UpdMsg) == sizeof(UpdMsg::bits) +
+                                    sizeof(UpdMsg::npoints) +
+                                    sizeof(UpdMsg::level) +
+                                    sizeof(UpdMsg::op) + sizeof(UpdMsg::pad));
 
 inline constexpr std::uint8_t kSetNode = 0;  ///< add/keep an internal octant
 inline constexpr std::uint8_t kSetLeaf = 1;  ///< add/replace a leaf + points
@@ -27,10 +33,15 @@ inline constexpr std::uint8_t kRemove = 2;   ///< withdraw a contribution
 /// Density-refresh message header (see refresh_ghost_densities).
 struct DenMsg {
   Bits bits;
-  std::uint8_t level;
   std::uint32_t npoints;
+  std::uint8_t level;
+  std::uint8_t pad[11] = {};
 };
 static_assert(std::is_trivially_copyable_v<DenMsg>);
+static_assert(sizeof(DenMsg) == sizeof(DenMsg::bits) +
+                                    sizeof(DenMsg::npoints) +
+                                    sizeof(DenMsg::level) +
+                                    sizeof(DenMsg::pad));
 
 /// Destination ranks for octant beta: every rank whose ownership region
 /// overlaps the neighborhood of beta's parent (colleagues of P(beta)
@@ -143,13 +154,12 @@ Let LetSync::update(comm::Comm& c, const OwnedTree& tree,
                            tree.points.begin() +
                                tree.leaf_point_offset[li + 1]);
     }
-    msg_out[dest].push_back(UpdMsg{
-        k.bits, k.level,
-        leaf ? kSetLeaf : kSetNode, npts});
+    msg_out[dest].push_back(
+        UpdMsg{k.bits, npts, k.level, leaf ? kSetLeaf : kSetNode});
     ++st.octants_sent;
   };
   auto emit_remove = [&](const Key& k, std::int32_t dest) {
-    msg_out[dest].push_back(UpdMsg{k.bits, k.level, kRemove, 0});
+    msg_out[dest].push_back(UpdMsg{k.bits, 0, k.level, kRemove});
     ++st.removes_sent;
   };
 
@@ -487,20 +497,7 @@ void lists_for_node(const Let& let, std::size_t i,
 
 }  // namespace
 
-void build_interaction_lists(Let& let) {
-  const std::size_t n = let.nodes.size();
-  std::vector<std::vector<std::int32_t>> u(n), v(n), w(n), x(n);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!let.nodes[i].target) continue;
-    lists_for_node(let, i, u[i], v[i], w[i], x[i]);
-  }
-
-  let.u = compress(u);
-  let.v = compress(v);
-  let.w = compress(w);
-  let.x = compress(x);
-}
+void build_interaction_lists(Let& let) { repair_interaction_lists(Let{}, let); }
 
 void repair_interaction_lists(const Let& prior, Let& let,
                               ListRepairStats* stats) {
@@ -615,7 +612,7 @@ void refresh_ghost_densities(comm::Comm& c, Let& let) {
   std::vector<std::vector<double>> den_out(p);
   for (const auto& [ni, dest] : let.ghost_subscriptions) {
     const LetNode& n = let.nodes[ni];
-    hdr_out[dest].push_back(DenMsg{n.key.bits, n.key.level, n.point_count});
+    hdr_out[dest].push_back(DenMsg{n.key.bits, n.point_count, n.key.level});
     for (const PointRec& pt : let.points_of(n))
       den_out[dest].insert(den_out[dest].end(), pt.den,
                            pt.den + kMaxDensityDim);

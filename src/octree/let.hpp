@@ -106,14 +106,18 @@ struct LetSyncStats {
 };
 
 /// Persistent ghost-octant synchronisation (paper Algorithm 2, made
-/// incremental). The full build and the incremental update run the
-/// same protocol: each rank diffs what it must contribute (its leaves
-/// and ancestors, addressed to every user rank) against what it last
-/// sent, ships only SET/REMOVE deltas, and reassembles the LET from
-/// the retained staging. A full build is simply the delta against
-/// empty state — so the two paths share every line of exchange and
+/// incremental). Each exchange diffs what this rank must contribute
+/// (its leaves and ancestors, addressed to every user rank) against
+/// what it last sent, ships only SET/REMOVE deltas, and reassembles the
+/// LET from the retained staging. A full build is the delta against
+/// empty state, so every exchange shares every line of exchange and
 /// assembly code, and an update on a tree is bitwise identical to a
-/// from-scratch build on the same tree.
+/// from-scratch build on the same tree. core::ParallelFmm keeps one
+/// LetSync: setup() starts it empty and calls update() for the first
+/// LET and again after the repartition, which then ships only the
+/// octants whose owner or subscription changed; update_points() calls
+/// update() after each repair. build() and build_let() are the one-shot
+/// form of the same exchange.
 class LetSync {
  public:
   /// Full Algorithm-2 exchange; (re)initializes the retained state.
@@ -155,7 +159,8 @@ class LetSync {
 Let build_let(comm::Comm& c, const OwnedTree& tree);
 
 /// Builds U/V/W/X lists for every target node of the LET, per the
-/// definitions in Table I of the paper.
+/// definitions in Table I of the paper: repair_interaction_lists
+/// against an empty prior, where every target is new.
 void build_interaction_lists(Let& let);
 
 struct ListRepairStats {
@@ -168,7 +173,7 @@ struct ListRepairStats {
 /// the two node arrays (added/removed octants, flag flips) touches the
 /// neighborhood of its parent — every U/V/W/X member lives inside (or
 /// overlaps) that region — otherwise the prior lists are index-remapped.
-/// The result is identical to build_interaction_lists(let).
+/// The result is identical to recomputing every target's lists.
 void repair_interaction_lists(const Let& prior, Let& let,
                               ListRepairStats* stats = nullptr);
 

@@ -9,18 +9,24 @@ using morton::Key;
 
 namespace {
 
-/// Leaf header accompanying the migrated point stream.
+/// Leaf header accompanying the migrated point stream. The padding is
+/// named and zero, so no indeterminate byte is shipped.
 struct LeafMsg {
   Bits bits;
-  std::uint8_t level;
   std::uint32_t npoints;
+  std::uint8_t level;
+  std::uint8_t pad[11] = {};
 };
 static_assert(std::is_trivially_copyable_v<LeafMsg>);
+static_assert(sizeof(LeafMsg) == sizeof(LeafMsg::bits) +
+                                     sizeof(LeafMsg::npoints) +
+                                     sizeof(LeafMsg::level) +
+                                     sizeof(LeafMsg::pad));
 
 }  // namespace
 
-std::vector<int> weighted_destinations(comm::Comm& c,
-                                       std::span<const double> leaf_weights) {
+Destinations weighted_destinations(comm::Comm& c,
+                                   std::span<const double> leaf_weights) {
   const int p = c.size();
   auto per_rank = c.allgatherv(leaf_weights);
 
@@ -34,8 +40,8 @@ std::vector<int> weighted_destinations(comm::Comm& c,
     count_total += v.size();
   }
 
-  std::vector<int> dest;
-  dest.reserve(leaf_weights.size());
+  Destinations out;
+  out.dest.reserve(leaf_weights.size());
   double prefix = 0.0;
   std::uint64_t idx = 0;
   for (int r = 0; r < p; ++r) {
@@ -49,12 +55,13 @@ std::vector<int> weighted_destinations(comm::Comm& c,
         d = static_cast<int>(idx * p / count_total);
       }
       d = std::clamp(d, 0, p - 1);
-      if (r == c.rank()) dest.push_back(d);
+      if (r == c.rank()) out.dest.push_back(d);
+      out.moved = out.moved || d != r;
       prefix += w;
       ++idx;
     }
   }
-  return dest;
+  return out;
 }
 
 OwnedTree migrate_leaves(comm::Comm& c, OwnedTree tree,
@@ -70,8 +77,8 @@ OwnedTree migrate_leaves(comm::Comm& c, OwnedTree tree,
     const std::uint32_t npts = static_cast<std::uint32_t>(
         tree.leaf_point_offset[i + 1] - tree.leaf_point_offset[i]);
     leaf_out[d].push_back(
-        LeafMsg{morton::range_begin(tree.leaves[i]),
-                static_cast<std::uint8_t>(tree.leaves[i].level), npts});
+        LeafMsg{morton::range_begin(tree.leaves[i]), npts,
+                static_cast<std::uint8_t>(tree.leaves[i].level)});
     pts_out[d].insert(pts_out[d].end(),
                       tree.points.begin() + tree.leaf_point_offset[i],
                       tree.points.begin() + tree.leaf_point_offset[i + 1]);
@@ -100,8 +107,8 @@ OwnedTree migrate_leaves(comm::Comm& c, OwnedTree tree,
 OwnedTree load_balance(comm::Comm& c, OwnedTree tree,
                        const std::vector<double>& leaf_weights) {
   PKIFMM_CHECK(leaf_weights.size() == tree.leaves.size());
-  const auto dest = weighted_destinations(c, leaf_weights);
-  return migrate_leaves(c, std::move(tree), dest);
+  return migrate_leaves(c, std::move(tree),
+                        weighted_destinations(c, leaf_weights).dest);
 }
 
 }  // namespace pkifmm::octree

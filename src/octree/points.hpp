@@ -33,12 +33,16 @@ inline constexpr std::uint8_t kTarget = 2;
 inline constexpr std::uint8_t kBoth = kSource | kTarget;
 
 /// One particle; trivially copyable so it can migrate over the fabric.
+/// The padding is named and zero, so the bytes shipped hold no
+/// indeterminate values (the health layer digests every payload).
 struct PointRec {
   double pos[3];
   double den[kMaxDensityDim];
-  std::uint64_t gid;        ///< global index at generation time
-  morton::Bits key_bits;    ///< Morton id of the kMaxDepth cell
+  std::uint64_t gid;          ///< global index at generation time
+  std::uint8_t pad0[8] = {};  ///< aligns key_bits to 16 bytes
+  morton::Bits key_bits;      ///< Morton id of the kMaxDepth cell
   std::uint8_t kind = kBoth;
+  std::uint8_t pad1[15] = {};
 
   bool is_source() const { return kind & kSource; }
   bool is_target() const { return kind & kTarget; }
@@ -52,6 +56,11 @@ struct PointRec {
 };
 
 static_assert(std::is_trivially_copyable_v<PointRec>);
+static_assert(sizeof(PointRec) ==
+              sizeof(PointRec::pos) + sizeof(PointRec::den) +
+                  sizeof(PointRec::gid) + sizeof(PointRec::pad0) +
+                  sizeof(PointRec::key_bits) + sizeof(PointRec::kind) +
+                  sizeof(PointRec::pad1));
 
 enum class Distribution {
   kUniform,    ///< uniform density over the unit cube

@@ -77,8 +77,8 @@ std::vector<double> make_equiv_density(const Tables& t, const morton::Key& key,
                                        const std::vector<double>& pos,
                                        const std::vector<double>& den) {
   const auto g = morton::box_geometry(key);
-  const auto uc = surface_points(t.n(), t.options().upward_check_radius,
-                                 g.center, g.half_width);
+  const auto uc =
+      surface_points(t.n(), kUpwardCheckRadius, g.center, g.half_width);
   std::vector<double> check(t.check_len(), 0.0);
   t.kernel().direct(uc, pos, den, check);
   const LevelOps ops = t.at(key.level);
@@ -127,8 +127,7 @@ TEST_P(OperatorTest, S2UReproducesFarField) {
       far.push_back(v);
     }
   }
-  const auto approx =
-      eval_equiv(t, box, opts.upward_equiv_radius, u, far);
+  const auto approx = eval_equiv(t, box, kUpwardEquivRadius, u, far);
   std::vector<double> exact(far.size() / 3 * t.tdim(), 0.0);
   kernel->direct(far, pos, den, exact);
   EXPECT_LT(rel_l2_error(approx, exact), 1e-5) << GetParam();
@@ -160,7 +159,7 @@ TEST_P(OperatorTest, M2MPreservesFarField) {
   std::vector<double> far = {g.center[0] + 8 * g.half_width, g.center[1],
                              g.center[2] - 7 * g.half_width};
   const auto approx =
-      eval_equiv(t, parent, opts.upward_equiv_radius, u_parent, far);
+      eval_equiv(t, parent, kUpwardEquivRadius, u_parent, far);
   std::vector<double> exact(t.tdim(), 0.0);
   kernel->direct(far, all_pos, all_den, exact);
   EXPECT_LT(rel_l2_error(approx, exact), 1e-5) << GetParam();
@@ -234,7 +233,7 @@ TEST(Operators, HomogeneousScalingMatchesRebuiltLevel) {
     const auto u = make_equiv_density(t, box, pos, den);
     const std::vector<double> far = {g.center[0], g.center[1] + 5 * g.half_width,
                                      g.center[2]};
-    const auto approx = eval_equiv(t, box, opts.upward_equiv_radius, u, far);
+    const auto approx = eval_equiv(t, box, kUpwardEquivRadius, u, far);
     std::vector<double> exact(1, 0.0);
     kernel.direct(far, pos, den, exact);
     // n=4 truncation error is ~1e-4; a scaling bug would be off by
@@ -333,30 +332,19 @@ TEST(Tables, VliOperatorBlocksHoldTheSpectra) {
 }
 
 TEST(Tables, MirroredSurfacesShareOnePinv) {
-  // Default radii mirror each other (upward_equiv = down_check,
+  // The radii mirror each other (upward_equiv = down_check,
   // upward_check = down_equiv), so K(dc, de) = K(uc, ue)^T and dc2de
   // is exactly uc2ue^T, per level for a non-homogeneous kernel too.
   FmmOptions opts;
   opts.surface_n = 4;
   for (const auto& [name, level] :
        {std::pair<const char*, int>{"laplace", 0}, {"stokes", 0},
-        {"yukawa", 2}}) {
+        {"yukawa", 2}, {"stokes-reg", 0}}) {
     const auto kernel = kernels::make_kernel(name);
     const Tables t(*kernel, opts);
     const LevelOps ops = t.at(level);
     EXPECT_TRUE(bitwise_equal(*ops.dc2de, ops.uc2ue->transposed())) << name;
   }
-
-  // Moved downward equivalent surface: no mirror, so dc2de is its own
-  // pseudo-inverse of K(dc, de).
-  kernels::LaplaceKernel kernel;
-  opts.down_equiv_radius = 3.0;
-  const Tables t(kernel, opts);
-  const LevelOps ops = t.at(0);
-  EXPECT_FALSE(bitwise_equal(*ops.dc2de, ops.uc2ue->transposed()));
-  const la::Matrix k = level0_kernel_matrix(
-      kernel, opts.surface_n, opts.down_check_radius, opts.down_equiv_radius);
-  EXPECT_LE(rel_diff(la::gemm(la::gemm(k, *ops.dc2de), k), k), 1e-8);
 }
 
 TEST(Tables, PinvMoorePenroseAtWallbenchShapes) {
@@ -371,7 +359,7 @@ TEST(Tables, PinvMoorePenroseAtWallbenchShapes) {
     const Tables t(*kernel, opts);
     const la::Matrix& p = *t.at(0).uc2ue;
     const la::Matrix a = level0_kernel_matrix(
-        *kernel, n, opts.upward_check_radius, opts.upward_equiv_radius);
+        *kernel, n, kUpwardCheckRadius, kUpwardEquivRadius);
     EXPECT_LE(rel_diff(la::gemm(la::gemm(a, p), a), a), 1e-8) << name;
     EXPECT_LE(rel_diff(la::gemm(la::gemm(p, a), p), p), 1e-8) << name;
   }

@@ -275,7 +275,7 @@ void check_translations(const Tables& tables, const octree::Let& let,
       if (s2u) {
         const auto g = morton::box_geometry(node.key);
         const std::vector<double> uc = surface_points(
-            tables.n(), opts.upward_check_radius, g.center, g.half_width);
+            tables.n(), kUpwardCheckRadius, g.center, g.half_width);
         std::vector<double> check(clen, 0.0);
         tables.kernel().direct(uc, pos, den, check);
         const LevelOps ops = tables.at(node.key.level);

@@ -10,7 +10,6 @@
 
 #include "core/direct.hpp"
 #include "core/fmm.hpp"
-#include "gpu/autotune.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -370,30 +369,6 @@ TEST(Failure, BadSurfaceOrderRejected) {
   EXPECT_THROW(Tables(kernel, opts), CheckFailure);
 }
 
-TEST(Failure, BadSurfaceGeometryRejected) {
-  // A non-finite or non-positive radius (check points at NaN or at the
-  // box centre) and a cutoff that is NaN, negative or truncates every
-  // singular value (>= 1) are rejected before any operator is built.
-  kernels::LaplaceKernel kernel;
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  for (double FmmOptions::*radius :
-       {&FmmOptions::upward_equiv_radius, &FmmOptions::upward_check_radius,
-        &FmmOptions::down_equiv_radius, &FmmOptions::down_check_radius})
-    for (const double bad : {nan, inf, 0.0, -1.0}) {
-      FmmOptions opts;
-      opts.surface_n = 4;
-      opts.*radius = bad;
-      EXPECT_THROW(Tables(kernel, opts), CheckFailure) << bad;
-    }
-  for (const double bad : {nan, -1e-12, 1.0}) {
-    FmmOptions opts;
-    opts.surface_n = 4;
-    opts.pinv_cutoff = bad;
-    EXPECT_THROW(Tables(kernel, opts), CheckFailure) << bad;
-  }
-}
-
 // ---------------------------------------------------------------------
 // Non-homogeneous kernel tables
 // ---------------------------------------------------------------------
@@ -424,37 +399,6 @@ TEST(Laplace, HomogeneousTablesShareStorageAcrossLevels) {
   const Tables tables(kernel, opts);
   EXPECT_EQ(tables.at(1).uc2ue, tables.at(7).uc2ue);
   EXPECT_NE(tables.at(1).uc2ue_scale, tables.at(7).uc2ue_scale);
-}
-
-// ---------------------------------------------------------------------
-// Autotuner (paper §V: Table III "can be part of an autotuning
-// algorithm")
-// ---------------------------------------------------------------------
-
-TEST(Autotune, PicksInteriorQOnUniformCloud) {
-  kernels::LaplaceKernel kernel;
-  FmmOptions opts;
-  opts.surface_n = 4;
-  const Tables tables(kernel, opts);
-  auto sample =
-      octree::generate_points(Distribution::kUniform, 15360, 0, 1, 1, 42);
-  const int candidates[] = {42, 336, 2688};
-  const auto result = gpu::autotune_q(tables, sample, candidates);
-  EXPECT_EQ(result.best_q, 336);  // the Table III interior optimum
-  ASSERT_EQ(result.modeled_seconds.size(), 3u);
-  EXPECT_LT(result.modeled_seconds.at(336), result.modeled_seconds.at(42));
-  EXPECT_LT(result.modeled_seconds.at(336), result.modeled_seconds.at(2688));
-}
-
-TEST(Autotune, RejectsEmptyInput) {
-  kernels::LaplaceKernel kernel;
-  FmmOptions opts;
-  opts.surface_n = 4;
-  const Tables tables(kernel, opts);
-  auto sample = octree::generate_points(Distribution::kUniform, 10, 0, 1, 1, 1);
-  EXPECT_THROW((void)gpu::autotune_q(tables, sample, {}), CheckFailure);
-  const int bad_q[] = {0};
-  EXPECT_THROW((void)gpu::autotune_q(tables, sample, bad_q), CheckFailure);
 }
 
 }  // namespace

@@ -17,11 +17,14 @@
 ///    and thread counts;
 ///  - health_fatal: a NaN poisoned into the pipeline makes evaluate()
 ///    throw CheckFailure instead of silently producing NaN potentials;
+///  - payload digests: equal across two runs of the same code, so no
+///    wire struct ships an indeterminate byte;
 ///  - drift: DriftMonitor unit behavior plus TimeStepper end-to-end
 ///    drift-step accounting.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -391,6 +394,47 @@ TEST(HealthDigest, NonfiniteCount) {
 }
 
 // -------------------------------------------------------------- drift
+
+/// The comm payload digests hash every byte shipped, padding included,
+/// so a wire struct with an indeterminate byte makes them differ from
+/// run to run. Two runs of the same set-up, time step and evaluate give
+/// the same digest, and what was sent sums to what was received.
+TEST(HealthDigest, PayloadDigestsRepeatAcrossRuns) {
+  auto kernel = kernels::make_kernel("laplace");
+  const Tables tables(*kernel, health_opts(0.0, false, 1));
+  const int p = 2;
+  auto run = [&] {
+    const auto reports = comm::Runtime::run(p, [&](comm::RankCtx& ctx) {
+      ParallelFmm fmm(ctx, tables);
+      fmm.setup(octree::generate_points(Distribution::kEllipsoid, 1600,
+                                        ctx.rank(), p, tables.sdim(), 91));
+      TimeStepOptions ts_opts;
+      ts_opts.dt = 0.05;
+      ts_opts.move_fraction = 0.2;
+      TimeStepper ts(fmm,
+                     [](std::uint64_t, const std::array<double, 3>& x,
+                        double) {
+                       return std::array<double, 3>{-(x[1] - 0.5),
+                                                    x[0] - 0.5, 0.0};
+                     },
+                     ts_opts);
+      (void)ts.step();
+      (void)fmm.evaluate();
+    });
+    std::array<double, 2> sent_recv{};
+    for (const auto& rep : reports) {
+      sent_recv[0] += rep.counter("health.comm.payload_sent");
+      sent_recv[1] += rep.counter("health.comm.payload_recv");
+    }
+    return sent_recv;
+  };
+  const auto a = run();
+  const auto b = run();
+  EXPECT_GT(a[0], 0.0);
+  EXPECT_EQ(a[0], a[1]);
+  EXPECT_EQ(a[0], b[0]);
+  EXPECT_EQ(a[1], b[1]);
+}
 
 TEST(HealthDrift, MonitorWarnsPastBaselineRatio) {
   obs::DriftMonitor mon(10.0, /*warmup=*/2, /*floor=*/1e-14);

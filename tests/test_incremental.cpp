@@ -7,8 +7,9 @@
 /// identical to a from-scratch setup() on the same global point set,
 /// and the evaluation must account exactly the same model flops. The
 /// sweep pins this across kernels x distributions x churn rates x rank
-/// counts; further tests cover a step in which no point moves and the
-/// repartition that keeps the partition canonical.
+/// counts; further tests cover a step in which no point moves, the
+/// repartition that keeps the partition canonical, and setup() itself,
+/// which runs the same repair pipeline from an empty state.
 
 #include <gtest/gtest.h>
 
@@ -344,6 +345,106 @@ TEST(IncrementalEmptyStep, LeavesLetAndPotentialsUnchanged) {
               << "rank " << r << " " << phase << what;
     }
   }
+}
+
+/// setup() runs update_points()'s LET repair and repartition from an
+/// empty state. This ties it to the octree module's from-scratch
+/// pipeline: build the tree, build the LET and the lists, repartition
+/// by work, then build the LET and the lists again from nothing.
+TEST(SetupPipeline, MatchesOctreeFromScratchBitwise) {
+  const FmmOptions opts = small_opts();
+  octree::BuildParams bp;
+  bp.max_points_per_leaf = opts.max_points_per_leaf;
+  bp.max_level = opts.max_level;
+  int migrating_cases = 0;
+  for (const char* name : {"laplace", "stokes", "yukawa"}) {
+    auto kernel = kernels::make_kernel(name);
+    const Tables tables(*kernel, opts);
+    for (const Distribution dist : {Distribution::kUniform,
+                                    Distribution::kEllipsoid,
+                                    Distribution::kCluster})
+      for (const int p : {2, 3, 4}) {
+        SCOPED_TRACE(std::string(name) + " " + dist_name(dist) + " p" +
+                     std::to_string(p));
+        std::vector<std::string> setup_digest(p), octree_digest(p);
+        bool migrated = false;
+        std::mutex mu;
+        comm::Runtime::run(p, [&](comm::RankCtx& ctx) {
+          auto pts = [&] {
+            return octree::generate_points(dist, 1200, ctx.rank(), p,
+                                           tables.sdim(), 17);
+          };
+          ParallelFmm fmm(ctx, tables);
+          fmm.setup(pts());
+
+          auto tree = octree::build_distributed_tree(ctx.comm, pts(), bp);
+          octree::Let let = octree::LetSync{}.build(ctx.comm, tree);
+          octree::build_interaction_lists(let);
+          const auto before = tree.leaves;
+          tree = octree::load_balance(ctx.comm, std::move(tree),
+                                      leaf_work_estimates(tables, let));
+          let = octree::LetSync{}.build(ctx.comm, tree);
+          octree::build_interaction_lists(let);
+
+          std::lock_guard<std::mutex> lock(mu);
+          setup_digest[ctx.rank()] = let_digest(fmm.let());
+          octree_digest[ctx.rank()] = let_digest(let);
+          migrated = migrated || before != tree.leaves;
+        });
+        for (int r = 0; r < p; ++r)
+          EXPECT_EQ(setup_digest[r], octree_digest[r]) << "rank " << r;
+        migrating_cases += migrated;
+      }
+  }
+  // The repartition must move leaves in most cases, or the sweep only
+  // checks the first LET.
+  EXPECT_GE(migrating_cases, 20);
+}
+
+/// setup() on an object already set up starts from an empty state:
+/// the LET and the potentials equal those of a fresh object's setup()
+/// of the second cloud. Two second clouds: the first one's points with
+/// new densities (every leaf and subscription is as before, so only an
+/// emptied ghost staging re-ships the points), and a different cloud.
+TEST(SetupPipeline, SecondSetupEqualsFreshSetup) {
+  auto kernel = kernels::make_kernel("laplace");
+  const Tables tables(*kernel, small_opts());
+  for (const bool same_points : {true, false})
+    for (const int p : {1, 2, 4}) {
+      SCOPED_TRACE("same_points=" + std::to_string(same_points) +
+                   " p=" + std::to_string(p));
+      StepSnap reused, fresh;
+      reused.let_digest.resize(p);
+      fresh.let_digest.resize(p);
+      std::mutex mu;
+      comm::Runtime::run(p, [&](comm::RankCtx& ctx) {
+        auto first = [&] {
+          return octree::generate_points(Distribution::kEllipsoid, 2000,
+                                         ctx.rank(), p, tables.sdim(), 91);
+        };
+        auto second = [&] {
+          if (!same_points)
+            return octree::generate_points(Distribution::kCluster, 1500,
+                                           ctx.rank(), p, tables.sdim(), 7);
+          auto pts = first();
+          for (octree::PointRec& pt : pts)
+            for (double& d : pt.den) d *= -0.5;
+          return pts;
+        };
+        ParallelFmm fmm(ctx, tables);
+        fmm.setup(first());
+        (void)fmm.evaluate();
+        fmm.setup(second());
+        snapshot_step(fmm, fmm.evaluate(), ctx.rank(), tables.tdim(), mu,
+                      reused);
+
+        ParallelFmm other(ctx, tables);
+        other.setup(second());
+        snapshot_step(other, other.evaluate(), ctx.rank(), tables.tdim(),
+                      mu, fresh);
+      });
+      expect_bitwise_equal(reused, fresh, 0, p);
+    }
 }
 
 /// The repartition maintains the canonical partition: under heavy

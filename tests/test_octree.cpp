@@ -607,7 +607,7 @@ TEST(LoadBalance, ZeroWeightsFallBackToEqualCounts) {
     // All 300 leaves on rank 1, all weightless: equal leaf counts, in
     // global order.
     const std::vector<double> w(ctx.rank() == 1 ? 300 : 0, 0.0);
-    const auto dest = weighted_destinations(ctx.comm, w);
+    const auto dest = weighted_destinations(ctx.comm, w).dest;
     ASSERT_EQ(dest.size(), w.size());
     std::vector<std::uint64_t> per_rank(3, 0);
     for (int d : dest) ++per_rank[d];
@@ -616,6 +616,32 @@ TEST(LoadBalance, ZeroWeightsFallBackToEqualCounts) {
         [](std::uint64_t a, std::uint64_t b) { return a + b; });
     EXPECT_EQ(total, (std::vector<std::uint64_t>{100, 100, 100}));
     EXPECT_TRUE(std::is_sorted(dest.begin(), dest.end()));
+  });
+}
+
+TEST(LoadBalance, MovedFlagIsTheSameOnEveryRank) {
+  comm::Runtime::run(3, [](comm::RankCtx& ctx) {
+    // Ten unit-weight leaves per rank: each leaf's destination is the
+    // rank that holds it.
+    const auto stay =
+        weighted_destinations(ctx.comm, std::vector<double>(10, 1.0));
+    EXPECT_FALSE(stay.moved);
+    for (int d : stay.dest) EXPECT_EQ(d, ctx.rank());
+
+    // Rank 2's last leaf weighs 30: rank 1's leaves go to rank 0, so
+    // the flag is set on every rank, rank 0 included, none of whose
+    // own leaves moves.
+    std::vector<double> w(10, 1.0);
+    if (ctx.rank() == 2) w.back() = 30.0;
+    const auto shift = weighted_destinations(ctx.comm, w);
+    EXPECT_TRUE(shift.moved);
+    if (ctx.rank() < 2) {
+      for (int d : shift.dest) EXPECT_EQ(d, 0);
+    }
+  });
+  comm::Runtime::run(1, [](comm::RankCtx& ctx) {
+    EXPECT_FALSE(
+        weighted_destinations(ctx.comm, std::vector<double>{1.0, 5.0}).moved);
   });
 }
 

@@ -50,9 +50,9 @@ int bench_main(int argc, char** argv) {
   std::printf("%s\n", table.str().c_str());
   std::printf(
       "Expected shape: per pair the dense form costs ~2 m^2 flops and the\n"
-      "diagonal form ~8 N^2 (N/2+1) over the half spectrum, N the smallest\n"
-      "2^a 3^b >= 2n-1 (8, 12, 16 at n = 4, 6, 8). FFT is level with dense\n"
-      "at n = 4 and wins from n = 6, by more as n (accuracy) grows.\n");
+      "diagonal form ~8 N^2 (N/2+1) over the half spectrum, N = 2n-1\n"
+      "(7, 11, 15 at n = 4, 6, 8). FFT wins from n = 4, by more as n\n"
+      "(accuracy) grows.\n");
   return 0;
 }
 

@@ -79,9 +79,12 @@ void BM_MortonAdjacent(benchmark::State& state) {
 BENCHMARK(BM_MortonAdjacent);
 
 void BM_Fft3d(benchmark::State& state) {
-  // Args (N, s). s = 0: complex forward + inverse on the N^3 grid.
-  // s > 0: the V-list's pair, forward_r2c of an s^3 corner cube and
-  // inverse_c2r back to it (N = 12, s = 6 is the surface n = 6 grid).
+  // Args (N, s). s = 0: complex forward + inverse on the N^3 grid (what
+  // wallbench's fft.fwd_s times). s > 0: the V-list's pair, forward_r2c
+  // of an s^3 corner cube into a split spectrum and inverse_c2r back to
+  // it, as core::Evaluator runs them, at the grids N = 2n - 1 of the
+  // orders n = 4, 6 and 8, and the operator table's full-grid shape
+  // (11, 11) at n = 6.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t s = static_cast<std::size_t>(state.range(1));
   fft::Fft3d plan(n);
@@ -99,22 +102,23 @@ void BM_Fft3d(benchmark::State& state) {
   }
   std::vector<double> cube(s * s * s), out(s * s * s);
   for (auto& v : cube) v = rng.uniform();
-  std::vector<fft::Complex> half(plan.half_volume());
+  std::vector<double> re(plan.half_volume()), im(plan.half_volume());
   for (auto _ : state) {
-    plan.forward_r2c(cube, s, half);
-    plan.inverse_c2r(half, s, out);
+    plan.forward_r2c(cube, s, re.data(), im.data());
+    plan.inverse_c2r(re.data(), im.data(), s, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 *
                           plan.real_transform_flops(s));
 }
 BENCHMARK(BM_Fft3d)
-    ->Args({8, 0})
-    ->Args({12, 0})
-    ->Args({16, 0})
-    ->Args({8, 4})
-    ->Args({12, 6})
-    ->Args({16, 8});
+    ->Args({7, 0})
+    ->Args({11, 0})
+    ->Args({15, 0})
+    ->Args({7, 4})
+    ->Args({11, 6})
+    ->Args({15, 8})
+    ->Args({11, 11});
 
 void BM_LaGemmAcc(benchmark::State& state) {
   // One surface-operator application batched over nb octant columns
@@ -167,7 +171,7 @@ void BM_FftMacLevel(benchmark::State& state) {
   // The V-list MAC that core::Evaluator::vli_mac runs, at a real level
   // shape: targets are the first 1,022 octants of a uniform level-4
   // grid in Morton order (one rank's share of the uniform_farfield
-  // workload), sources the union of their V-lists, n = 6 (126 blocks of
+  // workload), sources the union of their V-lists, n = 6 (92 blocks of
   // 8 frequencies). The plan holds the targets' parents and their
   // colleague entries, built as Evaluator::vli_plan builds it, and each
   // block is one simd::Ops::vli_mac_block call. Items are flops: 8 per
@@ -175,7 +179,10 @@ void BM_FftMacLevel(benchmark::State& state) {
   // time a lower tier.
   constexpr int kLevel = 4;
   constexpr std::size_t kTargets = 1022, kB = simd::kVliBlockDoubles;
-  const std::size_t len = fft::Fft3d(12).half_volume();  // 1,008 at n = 6
+  core::FmmOptions opts;
+  opts.surface_n = 6;
+  const std::size_t len =  // 736 at n = 6
+      core::Tables(*kernels::make_kernel("laplace"), opts).spectrum_len();
   const std::size_t nblk = len / simd::kVliBlock;
   const morton::Coord side = morton::kGridSize >> kLevel;
   std::vector<morton::Key> grid;

@@ -202,7 +202,7 @@ void Evaluator::publish_mem_gauges() {
                     cap(src_offset_));
   rec.gauge_set("mem.eval.surface_bytes", static_cast<double>(surf_.bytes()));
   rec.gauge_set("mem.eval.lane_scratch_bytes",
-                cap(lane_surf_) + cap(lane_cube_) + cap(lane_half_));
+                cap(lane_surf_) + cap(lane_cube_) + cap(lane_spec_));
   rec.gauge_set("mem.eval.batch_bytes",
                 cap(batch_in_) + cap(batch_out_) + cap(batch_tmp_) +
                     cap(slots_a_) + cap(slots_b_) + cap(slot_of_) +
@@ -577,25 +577,31 @@ void Evaluator::vli_forward(VliLevel& V, std::size_t b, std::size_t e,
   const std::size_t n = static_cast<std::size_t>(tables_.n());
   const std::size_t len = tables_.spectrum_len();
   const std::size_t hv = tables_.fft().half_volume();
-  const std::size_t stride = V.src.size() * sd * simd::kVliBlockDoubles;
   const std::span<double> cube(lane_cube_.data() + lane * n * n * n,
                                n * n * n);
-  fft::Complex* half = lane_half_.data() + lane * len;
-  std::fill(half + hv, half + len, fft::Complex(0, 0));
+  double* spec = lane_spec_.data() + lane * vli_lane_spec_len();
   for (std::size_t sl = b; sl < e; ++sl) {
     const double* usrc = u_.data() + std::size_t(V.src[sl]) * tables_.eq_len();
     for (int c = 0; c < sd; ++c) {
       std::fill(cube.begin(), cube.end(), 0.0);
       for (int k = 0; k < m; ++k) cube[embed[k]] = usrc[k * sd + c];
-      tables_.fft().forward_r2c(cube, n, std::span<fft::Complex>(half, hv));
-      double* out = V.spectra.data() + (sl * sd + c) * simd::kVliBlockDoubles;
-      for (std::size_t q0 = 0; q0 < len; q0 += kB, out += stride)
-        for (std::size_t k = 0; k < kB; ++k) {
-          out[k] = half[q0 + k].real();
-          out[kB + k] = half[q0 + k].imag();
-        }
+      double* re = spec + ((sl - b) * sd + c) * 2 * len;
+      tables_.fft().forward_r2c(cube, n, re, re + len);
+      std::fill(re + hv, re + len, 0.0);
+      std::fill(re + len + hv, re + 2 * len, 0.0);
     }
   }
+  // Block q0 of the chunk's (slot, component) spectra is one contiguous
+  // run of V.spectra.
+  const std::size_t rows = (e - b) * sd;
+  const std::size_t stride = V.src.size() * sd * simd::kVliBlockDoubles;
+  double* out = V.spectra.data() + b * sd * simd::kVliBlockDoubles;
+  for (std::size_t q0 = 0; q0 < len; q0 += kB, out += stride)
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* re = spec + r * 2 * len + q0;
+      std::copy_n(re, kB, out + r * simd::kVliBlockDoubles);
+      std::copy_n(re + len, kB, out + r * simd::kVliBlockDoubles + kB);
+    }
 }
 
 void Evaluator::vli_mac(VliLevel& V, const std::vector<AlignedBuffer>& g,
@@ -620,24 +626,34 @@ void Evaluator::vli_inverse(VliLevel& V, std::size_t b, std::size_t e,
   const auto& embed = tables_.embed_index();
   const std::size_t n = static_cast<std::size_t>(tables_.n());
   const std::size_t len = tables_.spectrum_len();
-  const std::size_t hv = tables_.fft().half_volume();
   const std::size_t clen = tables_.check_len();
-  const std::size_t stride = V.tgt.size() * td * simd::kVliBlockDoubles;
   const std::span<double> cube(lane_cube_.data() + lane * n * n * n,
                                n * n * n);
-  fft::Complex* half = lane_half_.data() + lane * len;
+  double* spec = lane_spec_.data() + lane * vli_lane_spec_len();
+  // The chunk's (target, component) accumulators of block q0 are one
+  // contiguous run of V.acc.
+  const std::size_t rows = (e - b) * td;
+  const std::size_t stride = V.tgt.size() * td * simd::kVliBlockDoubles;
+  const double* in = V.acc.data() + b * td * simd::kVliBlockDoubles;
+  for (std::size_t q0 = 0; q0 < len; q0 += kB, in += stride)
+    for (std::size_t r = 0; r < rows; ++r) {
+      double* re = spec + r * 2 * len + q0;
+      std::copy_n(in + r * simd::kVliBlockDoubles, kB, re);
+      std::copy_n(in + r * simd::kVliBlockDoubles + kB, kB, re + len);
+    }
   for (std::size_t bj = b; bj < e; ++bj) {
     double* out = checkpot_.data() + std::size_t(V.tgt[bj]) * clen;
     for (int ti = 0; ti < td; ++ti) {
-      const double* in =
-          V.acc.data() + (bj * td + ti) * simd::kVliBlockDoubles;
-      for (std::size_t q0 = 0; q0 < hv; q0 += kB, in += stride)
-        for (std::size_t k = 0; k < std::min(kB, hv - q0); ++k)
-          half[q0 + k] = fft::Complex(in[k], in[kB + k]);
-      tables_.fft().inverse_c2r(std::span<fft::Complex>(half, hv), n, cube);
+      const double* re = spec + ((bj - b) * td + ti) * 2 * len;
+      tables_.fft().inverse_c2r(re, re + len, n, cube);
       for (int k = 0; k < m; ++k) out[k * td + ti] += scale * cube[embed[k]];
     }
   }
+}
+
+std::size_t Evaluator::vli_lane_spec_len() const {
+  const std::size_t comps = std::max(tables_.sdim(), tables_.tdim());
+  return kFftSlotGrain * comps * 2 * tables_.spectrum_len();
 }
 
 void Evaluator::vli_fft() {
@@ -645,7 +661,7 @@ void Evaluator::vli_fft() {
   const std::size_t n = static_cast<std::size_t>(tables_.n());
   const std::size_t lanes = static_cast<std::size_t>(pool_->lanes());
   lane_cube_.assign(lanes * n * n * n, 0.0);
-  lane_half_.assign(lanes * tables_.spectrum_len(), fft::Complex(0, 0));
+  lane_spec_.resize(lanes * vli_lane_spec_len());
   slot_of_.assign(let_.nodes.size(), -1);
   tgt_slot_of_.assign(let_.nodes.size(), -1);
   for (int level = min_level_; level <= max_level_; ++level) {

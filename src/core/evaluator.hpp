@@ -137,14 +137,19 @@ class Evaluator {
   /// numbers the source children as slots in plan order, sizes the
   /// buffers, and returns the level's V-list model flops.
   std::uint64_t vli_plan(int level, VliLevel& V);
-  /// Source slots [b, e): embed -> r2c -> split into frequency blocks.
+  /// Source slots [b, e): embed -> r2c of every slot into lane scratch,
+  /// then each frequency block's run of the chunk's slots at once.
   void vli_forward(VliLevel& V, std::size_t b, std::size_t e, int lane);
   /// Frequency blocks [b, e) of the sibling-blocked MAC.
   void vli_mac(VliLevel& V, const std::vector<AlignedBuffer>& g,
                std::size_t b, std::size_t e);
-  /// Target slots [b, e): gather -> c2r -> extract into checkpot_.
+  /// Target slots [b, e): each frequency block's run of the chunk's
+  /// accumulators into lane scratch, then c2r -> extract into checkpot_.
   void vli_inverse(VliLevel& V, std::size_t b, std::size_t e, double scale,
                    int lane);
+  /// Doubles of lane_spec_ per lane: kFftSlotGrain slots of
+  /// max(sd, td) split spectra (spectrum_len() reals, then imaginaries).
+  std::size_t vli_lane_spec_len() const;
 
   // ULI ‖ far-field overlap: uli_start() submits the per-node-range
   // U-list chunks as background pool tasks writing f_uli_; uli_join()
@@ -208,13 +213,13 @@ class Evaluator {
   // the output — never depends on the worker count.
   static constexpr std::size_t kNodeGrain = 16;  ///< nodes per direct chunk
   static constexpr std::size_t kColGrain = 64;   ///< GEMM columns per chunk
-  static constexpr std::size_t kFftSlotGrain = 4;   ///< fwd/inv FFTs per chunk
+  static constexpr std::size_t kFftSlotGrain = 16;  ///< fwd/inv slots per chunk
   static constexpr std::size_t kFreqBlockGrain = 4; ///< V-list blocks per task
   std::unique_ptr<util::TaskPool> owned_pool_;
   util::TaskPool* pool_ = nullptr;
   std::vector<double> lane_surf_;        ///< lanes x 3*surf count
   std::vector<double> lane_cube_;        ///< lanes x n^3 lattice cube
-  std::vector<fft::Complex> lane_half_;  ///< lanes x spectrum_len
+  std::vector<double> lane_spec_;        ///< lanes x vli_lane_spec_len()
 
   // Background-ULI state (see uli_start/uli_join).
   std::vector<double> f_uli_;            ///< ULI-only potentials

@@ -147,7 +147,7 @@ Tables::Tables(const kernels::Kernel& kernel, const FmmOptions& opts)
   cache_ = std::make_shared<Cache>();
 
   const std::size_t n = static_cast<std::size_t>(opts.surface_n);
-  fft_ = std::make_shared<fft::Fft3d>(fft::smooth_size(2 * n - 1));
+  fft_ = std::make_shared<fft::Fft3d>(2 * n - 1);
   spectrum_len_ = (fft_->half_volume() + kFreqChunk - 1) / kFreqChunk *
                   kFreqChunk;
   const std::uint64_t real_flops = fft_->real_transform_flops(n);
@@ -243,7 +243,7 @@ std::vector<fft::Complex> Tables::build_spectra(int level,
   std::vector<double> kvol(ncomp * vol, 0.0);
 
   // K(t_phys + d*h) for lattice displacements d in [-(n-1), n-1]^3,
-  // wrapped circularly into the N^3 grid (N >= 2n-1: no two collide).
+  // wrapped circularly into the N^3 grid (N = 2n-1: each cell once).
   double blk[9];
   for (int ddz = -(n - 1); ddz <= n - 1; ++ddz)
     for (int ddy = -(n - 1); ddy <= n - 1; ++ddy)

@@ -3,11 +3,12 @@
 /// \brief Precomputed KIFMM translation operators (paper Table I's
 /// S/U/D/E/Q/R/T operators in matrix or FFT-spectrum form).
 ///
-/// The FFT V-list works on an N^3 grid, N the smallest {2,3}-smooth
-/// size >= 2n-1 (12 at n = 6, 8 at n = 4), and keeps only Hermitian
-/// half spectra: N * N * (N/2+1) frequencies, padded to a multiple of
-/// kFreqChunk (spectrum_len()). The V-list flop model (vli_flops()) is
-/// defined here once for the evaluators and the load-balance weights.
+/// The FFT V-list works on the N^3 grid with N = 2n-1, the smallest on
+/// which the circular convolution is exact (11 at n = 6, 7 at n = 4),
+/// and keeps only Hermitian half spectra: N * N * (N/2+1) = (2n-1)^2 n
+/// frequencies, padded to a multiple of kFreqChunk (spectrum_len()). The
+/// V-list flop model (vli_flops()) is defined here once for the
+/// evaluators and the load-balance weights.
 /// The CPU engine reads the operator spectra in the sibling-blocked
 /// MAC's layout (vli_operator_blocks(), vli_pair_slots()).
 ///
@@ -149,14 +150,14 @@ class Tables {
   /// spectrum_len() is a multiple of this: two simd::kVliBlock blocks.
   static constexpr std::size_t kFreqChunk = 16;
 
-  /// FFT grid edge N (smallest {2,3}-smooth size >= 2n-1), the N^3
-  /// complex volume, and the plan.
+  /// FFT grid edge N = 2n-1, the N^3 complex volume, and the plan.
   std::size_t fft_n() const { return fft_->n(); }
   std::size_t fft_volume() const { return fft_->volume(); }
   const fft::Fft3d& fft() const { return *fft_; }
 
-  /// Stored length of one half spectrum: fft().half_volume() rounded up
-  /// to a multiple of kFreqChunk (the tail is zero).
+  /// Stored length of one half spectrum: fft().half_volume() =
+  /// (2n-1)^2 n rounded up to a multiple of kFreqChunk (the tail is
+  /// zero): 208 at n = 4, 736 at n = 6.
   std::size_t spectrum_len() const { return spectrum_len_; }
 
   /// Index of each surface lattice point (i, j, k) in the n^3 corner
@@ -168,7 +169,8 @@ class Tables {
   /// leaf_work_estimates: a diagonal MAC of 8 flops per stored
   /// frequency per td x sd component for each (target, source) pair,
   /// sdim r2c transforms per source box, tdim c2r transforms per
-  /// target box (Fft3d::real_transform_flops at corner extent n).
+  /// target box (Fft3d::real_transform_flops at corner extent n, the
+  /// tensor-product arithmetic on the n valid kx lanes).
   struct VliFlops {
     std::uint64_t mac_per_pair;
     std::uint64_t fwd_per_source;

@@ -1,8 +1,6 @@
 #include "fft/fft.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numbers>
 
 #include "simd/simd.hpp"
@@ -12,324 +10,180 @@ namespace pkifmm::fft {
 
 namespace {
 
-bool is_pow2(std::size_t x) { return x != 0 && (x & (x - 1)) == 0; }
+/// Rows of lane data are padded to whole AVX-512 vectors, so that each
+/// starts 64-byte aligned.
+std::size_t padded(std::size_t lanes) { return (lanes + 7) / 8 * 8; }
 
-constexpr double kSin60 = 0.86602540378443864676;  // sqrt(3) / 2
-
-/// Radix-2 butterflies over nc columns: rows a and b = a + span.
-void bfly2(double* __restrict ar, double* __restrict ai,
-           double* __restrict br, double* __restrict bi, double wr, double wi,
-           std::size_t nc) {
-  for (std::size_t c = 0; c < nc; ++c) {
-    const double vr = br[c] * wr - bi[c] * wi;
-    const double vi = br[c] * wi + bi[c] * wr;
-    const double xr = ar[c], xi = ai[c];
-    br[c] = xr - vr;
-    bi[c] = xi - vi;
-    ar[c] = xr + vr;
-    ai[c] = xi + vi;
-  }
+/// Per-thread work space of at least n doubles, 64-byte aligned. It
+/// grows and is never freed: a thread allocates only on its first
+/// transform at a larger size.
+double* scratch(std::size_t n) {
+  thread_local std::vector<double> buf;
+  if (buf.size() < n + 8) buf.resize(n + 8);
+  const auto at = reinterpret_cast<std::uintptr_t>(buf.data());
+  return buf.data() + (64 - at % 64) % 64 / sizeof(double);
 }
 
-/// Radix-3 butterflies over nc columns: rows 0, 1, 2 at one span apart;
-/// w1, w2 are the row-1/row-2 twiddles, sgn = -1 conjugates W_3.
-void bfly3(double* __restrict r0, double* __restrict i0,
-           double* __restrict r1, double* __restrict i1,
-           double* __restrict r2, double* __restrict i2, const double* w,
-           double sgn, std::size_t nc) {
-  const double w1r = w[0], w1i = sgn * w[1], w2r = w[2], w2i = sgn * w[3];
-  const double h = sgn * kSin60;
-  for (std::size_t c = 0; c < nc; ++c) {
-    const double br = r1[c] * w1r - i1[c] * w1i;
-    const double bi = r1[c] * w1i + i1[c] * w1r;
-    const double cr = r2[c] * w2r - i2[c] * w2i;
-    const double ci = r2[c] * w2i + i2[c] * w2r;
-    const double sr = br + cr, si = bi + ci;
-    const double dr = h * (br - cr), di = h * (bi - ci);
-    const double xr = r0[c], xi = i0[c];
-    const double tr = xr - 0.5 * sr, ti = xi - 0.5 * si;
-    r0[c] = xr + sr;
-    i0[c] = xi + si;
-    r1[c] = tr + di;
-    i1[c] = ti - dr;
-    r2[c] = tr - di;
-    i2[c] = ti + dr;
-  }
+/// e^(-2 pi i j / n), exact at the multiples of a quarter turn.
+Complex unit_root(std::size_t j, std::size_t n) {
+  j %= n;
+  if (j == 0) return {1, 0};
+  if (2 * j == n) return {-1, 0};
+  if (4 * j == n) return {0, -1};
+  if (4 * j == 3 * n) return {0, 1};
+  // Angles in (0, pi] keep the argument small; the rest mirror.
+  const bool mirror = 2 * j > n;
+  const double ang = 2.0 * std::numbers::pi *
+                     static_cast<double>(mirror ? n - j : j) /
+                     static_cast<double>(n);
+  return {std::cos(ang), mirror ? std::sin(ang) : -std::sin(ang)};
 }
 
 }  // namespace
 
-void fft_inplace(std::span<Complex> a, bool inverse) {
-  const std::size_t n = a.size();
-  PKIFMM_CHECK_MSG(is_pow2(n), "FFT size must be a power of two, got " << n);
-  if (n == 1) return;
-
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-
-  // Iterative Cooley-Tukey butterflies.
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang =
-        2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1.0 : -1.0);
-    const Complex wlen(std::cos(ang), std::sin(ang));
-    for (std::size_t i = 0; i < n; i += len) {
-      Complex w(1.0, 0.0);
-      for (std::size_t j = 0; j < len / 2; ++j) {
-        const Complex u = a[i + j];
-        const Complex v = a[i + j + len / 2] * w;
-        a[i + j] = u + v;
-        a[i + j + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-
-  if (inverse) {
-    const double inv = 1.0 / static_cast<double>(n);
-    for (auto& x : a) x *= inv;
-  }
-}
-
 Fft3d::Fft3d(std::size_t n) : n_(n) {
   PKIFMM_CHECK_MSG(n >= 1, "Fft3d size must be positive");
-  std::size_t rest = n;
-  for (int r : {2, 3})
-    while (rest % r == 0) {
-      radix_.push_back(r);
-      rest /= r;
-    }
-  PKIFMM_CHECK_MSG(rest == 1, "Fft3d size must be 2^a 3^b, got "
-                                  << n << " (prime factor " << rest << ")");
-
-  // Decimation in time: appending a stage of radix r to a transform of
-  // size m splits the input into r decimated subsequences, subsequence
-  // t taking rows [t*m, (t+1)*m). Hence perm[t*m + p] = prev[p]*r + t.
-  perm_ = {0};
-  std::size_t m = 1;
-  for (int r : radix_) {
-    std::vector<std::size_t> next(m * r);
-    for (int t = 0; t < r; ++t)
-      for (std::size_t p = 0; p < m; ++p) next[t * m + p] = perm_[p] * r + t;
-    perm_ = std::move(next);
-
-    // Stage twiddles W_len^(j t), j in [0, m), t in [1, r).
-    const std::size_t len = m * r;
-    for (std::size_t j = 0; j < m; ++j)
-      for (int t = 1; t < r; ++t) {
-        const double ang = -2.0 * std::numbers::pi *
-                           static_cast<double>(j * t) /
-                           static_cast<double>(len);
-        tw_.push_back(std::cos(ang));
-        tw_.push_back(std::sin(ang));
-      }
-    line_flops_ += r == 2 ? 5 * n : 28 * (n / 3);
-    m = len;
-  }
-}
-
-void Fft3d::stages(double* re, double* im, std::size_t nc,
-                   bool inverse) const {
-  const double sgn = inverse ? -1.0 : 1.0;
-  const double* tw = tw_.data();
-  std::size_t m = 1;
-  for (int r : radix_) {
-    const std::size_t len = m * r;
-    const std::size_t span = m * nc;
-    for (std::size_t base = 0; base < n_; base += len)
-      for (std::size_t j = 0; j < m; ++j) {
-        const double* w = tw + 2 * (r - 1) * j;
-        double* r0 = re + (base + j) * nc;
-        double* i0 = im + (base + j) * nc;
-        if (r == 2)
-          bfly2(r0, i0, r0 + span, i0 + span, w[0], sgn * w[1], nc);
-        else
-          bfly3(r0, i0, r0 + span, i0 + span, r0 + 2 * span, i0 + 2 * span,
-                w, sgn, nc);
-      }
-    tw += 2 * (r - 1) * m;
-    m = len;
-  }
-}
-
-void Fft3d::pass(Complex* data, std::size_t row_stride, std::size_t nblk,
-                 std::size_t blk_stride, std::size_t ncb,
-                 std::size_t in_rows, std::size_t out_rows, bool inverse,
-                 double scale) const {
-  const std::size_t n = n_;
-  const std::size_t nc = nblk * ncb;
-  std::vector<double> buf(2 * n * nc);
-  double* re = buf.data();
-  double* im = re + n * nc;
-  for (std::size_t p = 0; p < n; ++p) {
-    double* dr = re + p * nc;
-    double* di = im + p * nc;
-    const std::size_t t = perm_[p];
-    if (t >= in_rows) {
-      std::fill(dr, dr + nc, 0.0);
-      std::fill(di, di + nc, 0.0);
-      continue;
-    }
-    for (std::size_t b = 0; b < nblk; ++b) {
-      const double* src = reinterpret_cast<const double*>(
-          data + t * row_stride + b * blk_stride);
-      for (std::size_t k = 0; k < ncb; ++k) {
-        dr[b * ncb + k] = src[2 * k];
-        di[b * ncb + k] = src[2 * k + 1];
-      }
-    }
-  }
-  stages(re, im, nc, inverse);
-  for (std::size_t t = 0; t < out_rows; ++t) {
-    const double* sr = re + t * nc;
-    const double* si = im + t * nc;
-    for (std::size_t b = 0; b < nblk; ++b) {
-      double* dst =
-          reinterpret_cast<double*>(data + t * row_stride + b * blk_stride);
-      for (std::size_t k = 0; k < ncb; ++k) {
-        dst[2 * k] = sr[b * ncb + k] * scale;
-        dst[2 * k + 1] = si[b * ncb + k] * scale;
-      }
-    }
-  }
-}
-
-void Fft3d::forward(std::span<Complex> vol) const {
-  PKIFMM_CHECK(vol.size() == volume());
-  const std::size_t n = n_;
-  pass(vol.data(), 1, n * n, n, 1, n, n, false, 1.0);      // x-lines
-  pass(vol.data(), n, n, n * n, n, n, n, false, 1.0);      // y-lines
-  pass(vol.data(), n * n, 1, 0, n * n, n, n, false, 1.0);  // z-lines
-}
-
-void Fft3d::inverse(std::span<Complex> vol) const {
-  PKIFMM_CHECK(vol.size() == volume());
-  const std::size_t n = n_;
+  const std::size_t nn = n * n, hn = half_n();
   const double norm = 1.0 / static_cast<double>(volume());
-  pass(vol.data(), 1, n * n, n, 1, n, n, true, 1.0);
-  pass(vol.data(), n, n, n * n, n, n, n, true, 1.0);
-  pass(vol.data(), n * n, 1, 0, n * n, n, n, true, norm);
+  tw_.assign(8 * nn, 0.0);
+  const auto set = [&](Table t, std::size_t e, Complex v) {
+    tw_[2 * t * nn + e] = v.real();
+    tw_[2 * t * nn + nn + e] = v.imag();
+  };
+  for (std::size_t a = 0; a < n; ++a)
+    for (std::size_t b = 0; b < n; ++b) {
+      const Complex w = unit_root(a * b, n), winv = std::conj(w) * norm;
+      set(kFwd, a * n + b, w);
+      set(kBwd, a * n + b, std::conj(w));
+      set(kBwdNorm, a * n + b, winv);
+      if (a < hn)
+        set(kHerm, a * n + b, a == 0 || 2 * a == n ? winv : 2.0 * winv);
+    }
 }
 
-// The x-pass of both real transforms packs two real lines into one
-// complex line z = a + i b. Forward: A[k] = (Z[k] + conj Z[n-k]) / 2,
-// B[k] = (Z[k] - conj Z[n-k]) / 2i. Inverse: Z = ext(A) + i ext(B),
-// whose inverse transform carries a in its real and b in its imaginary
-// part. Lines are the (y, z) rows of the corner cube, line l = z*s + y.
+// The stages keep lane data in rows of L = padded(lanes) reals followed
+// by L imaginary parts. r2c runs x (s^2 lines (z, y) of s reals -> rows
+// of hn kx values), y (per z, rows y < s -> ky < N) and z (per ky, rows
+// z < s -> kz < N, written into the spectrum); c2r runs z, y and x back,
+// computing only the outputs below s.
+
+std::size_t Fft3d::real_work(std::size_t s) const {
+  return 2 * padded(half_n()) * s * (s + n_);
+}
+
+void Fft3d::r2c(const double* cube, std::size_t s, double* re, double* im,
+                double* work) const {
+  const std::size_t n = n_, hn = half_n(), l = padded(hn), row = 2 * l;
+  double* xs = work;              // rows (z, y), y < s
+  double* ys = work + row * s * s;  // rows (z, ky)
+  const simd::Ops& ops = simd::ops();
+  ops.dft_x({.tr = tw_re(kFwd), .ti = tw_im(kFwd), .ts = n, .lines = s * s,
+             .n_in = s, .n_out = hn, .xr = cube, .x_line = s, .x_step = 1,
+             .yr = xs, .yi = xs + l, .y_line = row});
+  ops.dft_yz({.tr = tw_re(kFwd), .ti = tw_im(kFwd), .ts = n, .lines = s,
+              .n_in = s, .n_out = n, .lanes = hn, .xr = xs, .xi = xs + l,
+              .x_line = row * s, .x_step = row, .yr = ys, .yi = ys + l,
+              .y_line = row * n, .y_step = row});
+  ops.dft_yz({.tr = tw_re(kFwd), .ti = tw_im(kFwd), .ts = n, .lines = n,
+              .n_in = s, .n_out = n, .lanes = hn, .xr = ys, .xi = ys + l,
+              .x_line = row, .x_step = row * n, .yr = re, .yi = im,
+              .y_line = hn, .y_step = n * hn});
+}
+
+void Fft3d::c2r(const double* re, const double* im, std::size_t s,
+                double* cube, double* work) const {
+  const std::size_t n = n_, hn = half_n(), l = padded(hn), row = 2 * l;
+  double* zs = work;                // rows (z, ky), z < s
+  double* ys = work + row * s * n;  // rows (z, y)
+  const simd::Ops& ops = simd::ops();
+  ops.dft_yz({.tr = tw_re(kBwd), .ti = tw_im(kBwd), .ts = n, .lines = n,
+              .n_in = n, .n_out = s, .lanes = hn, .xr = re, .xi = im,
+              .x_line = hn, .x_step = n * hn, .yr = zs, .yi = zs + l,
+              .y_line = row, .y_step = row * n});
+  ops.dft_yz({.tr = tw_re(kBwd), .ti = tw_im(kBwd), .ts = n, .lines = s,
+              .n_in = n, .n_out = s, .lanes = hn, .xr = zs, .xi = zs + l,
+              .x_line = row * n, .x_step = row, .yr = ys, .yi = ys + l,
+              .y_line = row * s, .y_step = row});
+  ops.dft_x({.tr = tw_re(kHerm), .ti = tw_im(kHerm), .ts = n,
+             .lines = s * s, .n_in = hn, .n_out = s, .xr = ys, .xi = ys + l,
+             .x_line = row, .x_step = 1, .yr = cube, .y_line = s});
+}
+
+void Fft3d::forward_r2c(std::span<const double> cube, std::size_t s,
+                        double* re, double* im) const {
+  PKIFMM_CHECK(s >= 1 && s <= n_ && cube.size() == s * s * s);
+  r2c(cube.data(), s, re, im, scratch(real_work(s)));
+}
 
 void Fft3d::forward_r2c(std::span<const double> cube, std::size_t s,
                         std::span<Complex> half) const {
-  const std::size_t n = n_, hn = n / 2 + 1;
-  PKIFMM_CHECK(s >= 1 && s <= n);
-  PKIFMM_CHECK(cube.size() == s * s * s && half.size() == half_volume());
-  const std::size_t nl = s * s, nc = (nl + 1) / 2;
-
-  std::vector<double> buf(2 * n * nc);
-  double* re = buf.data();
-  double* im = re + n * nc;
-  for (std::size_t p = 0; p < n; ++p) {
-    double* dr = re + p * nc;
-    double* di = im + p * nc;
-    const std::size_t x = perm_[p];
-    if (x >= s) {
-      std::fill(dr, dr + nc, 0.0);
-      std::fill(di, di + nc, 0.0);
-      continue;
-    }
-    for (std::size_t c = 0; c < nc; ++c) {
-      dr[c] = cube[2 * c * s + x];
-      di[c] = 2 * c + 1 < nl ? cube[(2 * c + 1) * s + x] : 0.0;
-    }
-  }
-  stages(re, im, nc, false);
-  for (std::size_t l = 0; l < nl; ++l) {
-    const std::size_t c = l / 2;
-    Complex* out = half.data() + ((l / s) * n + l % s) * hn;
-    for (std::size_t k = 0; k < hn; ++k) {
-      const std::size_t k2 = (n - k) % n;
-      const double zr = re[k * nc + c], zi = im[k * nc + c];
-      const double wr = re[k2 * nc + c], wi = -im[k2 * nc + c];
-      out[k] = l % 2 == 0 ? Complex(0.5 * (zr + wr), 0.5 * (zi + wi))
-                          : Complex(0.5 * (zi - wi), -0.5 * (zr - wr));
-    }
-  }
-
-  pass(half.data(), hn, s, n * hn, hn, s, n, false, 1.0);      // y-lines
-  pass(half.data(), n * hn, 1, 0, n * hn, s, n, false, 1.0);   // z-lines
+  PKIFMM_CHECK(s >= 1 && s <= n_ && cube.size() == s * s * s);
+  const std::size_t hv = half_volume(), split = padded(2 * hv);
+  PKIFMM_CHECK(half.size() == hv);
+  double* re = scratch(split + real_work(s));
+  r2c(cube.data(), s, re, re + hv, re + split);
+  for (std::size_t q = 0; q < hv; ++q) half[q] = {re[q], re[hv + q]};
 }
 
-void Fft3d::inverse_c2r(std::span<Complex> half, std::size_t s,
+void Fft3d::inverse_c2r(const double* re, const double* im, std::size_t s,
                         std::span<double> cube) const {
-  const std::size_t n = n_, hn = n / 2 + 1;
-  PKIFMM_CHECK(s >= 1 && s <= n);
-  PKIFMM_CHECK(cube.size() == s * s * s && half.size() == half_volume());
-  const std::size_t nl = s * s, nc = (nl + 1) / 2;
+  PKIFMM_CHECK(s >= 1 && s <= n_ && cube.size() == s * s * s);
+  c2r(re, im, s, cube.data(), scratch(real_work(s)));
+}
 
-  pass(half.data(), n * hn, 1, 0, n * hn, n, s, true, 1.0);    // z-lines
-  pass(half.data(), hn, s, n * hn, hn, n, s, true, 1.0);       // y-lines
+void Fft3d::inverse_c2r(std::span<const Complex> half, std::size_t s,
+                        std::span<double> cube) const {
+  PKIFMM_CHECK(s >= 1 && s <= n_ && cube.size() == s * s * s);
+  const std::size_t hv = half_volume(), split = padded(2 * hv);
+  PKIFMM_CHECK(half.size() == hv);
+  double* re = scratch(split + real_work(s));
+  for (std::size_t q = 0; q < hv; ++q) {
+    re[q] = half[q].real();
+    re[hv + q] = half[q].imag();
+  }
+  c2r(re, re + hv, s, cube.data(), re + split);
+}
 
-  std::vector<double> buf(2 * n * nc, 0.0);
-  double* re = buf.data();
-  double* im = re + n * nc;
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::size_t k = perm_[p];
-    const bool mirror = k >= hn;
-    const std::size_t kk = mirror ? n - k : k;
-    const bool real_only = kk == 0 || 2 * kk == n;
-    for (std::size_t l = 0; l < nl; ++l) {
-      const Complex v = half[((l / s) * n + l % s) * hn + kk];
-      const double vr = v.real();
-      const double vi = real_only ? 0.0 : (mirror ? -v.imag() : v.imag());
-      if (l % 2 == 0) {  // + ext(A)
-        re[p * nc + l / 2] += vr;
-        im[p * nc + l / 2] += vi;
-      } else {  // + i ext(B)
-        re[p * nc + l / 2] -= vi;
-        im[p * nc + l / 2] += vr;
-      }
-    }
-  }
-  stages(re, im, nc, true);
-  const double norm = 1.0 / static_cast<double>(volume());
-  for (std::size_t l = 0; l < nl; ++l) {
-    const double* src = (l % 2 == 0 ? re : im) + l / 2;
-    double* dst = cube.data() + l * s;
-    for (std::size_t x = 0; x < s; ++x) dst[x] = src[x * nc] * norm;
-  }
+void Fft3d::complex_transform(std::span<Complex> vol, Table x,
+                              Table yz) const {
+  PKIFMM_CHECK(vol.size() == volume());
+  const std::size_t n = n_, l = padded(n), row = 2 * l;
+  double* a = scratch(2 * row * n * n);  // rows (z, y), then (kz, ky)
+  double* b = a + row * n * n;           // rows (z, ky)
+  const double* v = reinterpret_cast<const double*>(vol.data());
+  const simd::Ops& ops = simd::ops();
+  ops.dft_x({.tr = tw_re(x), .ti = tw_im(x), .ts = n, .lines = n * n,
+             .n_in = n, .n_out = n, .xr = v, .xi = v + 1, .x_line = 2 * n,
+             .x_step = 2, .yr = a, .yi = a + l, .y_line = row});
+  ops.dft_yz({.tr = tw_re(yz), .ti = tw_im(yz), .ts = n, .lines = n,
+              .n_in = n, .n_out = n, .lanes = n, .xr = a, .xi = a + l,
+              .x_line = row * n, .x_step = row, .yr = b, .yi = b + l,
+              .y_line = row * n, .y_step = row});
+  ops.dft_yz({.tr = tw_re(yz), .ti = tw_im(yz), .ts = n, .lines = n,
+              .n_in = n, .n_out = n, .lanes = n, .xr = b, .xi = b + l,
+              .x_line = row, .x_step = row * n, .yr = a, .yi = a + l,
+              .y_line = row, .y_step = row * n});
+  for (std::size_t r = 0; r < n * n; ++r)
+    for (std::size_t k = 0; k < n; ++k)
+      vol[r * n + k] = {a[r * row + k], a[r * row + l + k]};
+}
+
+void Fft3d::forward(std::span<Complex> vol) const {
+  complex_transform(vol, kFwd, kFwd);
+}
+
+void Fft3d::inverse(std::span<Complex> vol) const {
+  complex_transform(vol, kBwdNorm, kBwd);
 }
 
 std::uint64_t Fft3d::transform_flops() const {
-  return 3ull * n_ * n_ * line_flops_;
+  const std::uint64_t n = n_;
+  return 24 * n * n * n * n;
 }
 
 std::uint64_t Fft3d::real_transform_flops(std::size_t s) const {
-  const std::uint64_t hn = n_ / 2 + 1;
-  const std::uint64_t lines = (s * s + 1) / 2 + s * hn + n_ * hn;
-  return lines * line_flops_;
-}
-
-std::size_t smooth_size(std::size_t x) {
-  // Largest representable power of two; a 2^a 3^b search beyond it
-  // would overflow (and a request that large is a caller bug).
-  constexpr std::size_t kMaxPow2 =
-      std::numeric_limits<std::size_t>::max() / 2 + 1;
-  PKIFMM_CHECK_MSG(x <= kMaxPow2,
-                   "smooth_size: " << x << " exceeds the largest size_t "
-                                   << "power of two (" << kMaxPow2 << ")");
-  // For each power of three p3 <= x (and the first one above), the
-  // smallest p3 * 2^a >= x; v < x <= kMaxPow2 keeps v * 2 in range.
-  std::size_t best = kMaxPow2;
-  for (std::size_t p3 = 1;; p3 *= 3) {
-    std::size_t v = p3;
-    while (v < x) v *= 2;
-    best = std::min(best, v);
-    if (p3 >= x) break;
-  }
-  return best;
+  const std::uint64_t n = n_, hn = half_n(), t = s;
+  return 4 * t * t * t * hn + 8 * t * t * n * hn + 8 * t * n * n * hn;
 }
 
 // The complex MACs below route through the runtime-dispatched SIMD

@@ -1,18 +1,25 @@
 #pragma once
 /// \file fft.hpp
-/// \brief Mixed-radix (2, 3) FFTs, real-to-complex 3-D transforms and
-/// the frequency-space MACs of the V-list.
+/// \brief Tensor-product 3-D DFTs, real-to-complex and complex-to-real,
+/// and the frequency-space MACs of the V-list.
 ///
 /// The paper's V-list translation is diagonalized by FFT: equivalent
 /// densities live on the surface points of a regular n^3 lattice, so
 /// the check-potential evaluation is a lattice convolution. A circular
-/// convolution on an N^3 grid is exact for any N >= 2n-1; pkifmm pads
-/// to the smallest {2,3}-smooth such N (smooth_size) — 12 at the
-/// default n = 6 — and transforms with a mixed-radix (2, 3)
-/// Cooley-Tukey FFT. Densities and kernels are real, so the V-list
-/// carries only the Hermitian half spectrum (N * N * (N/2+1) values)
-/// through Fft3d::forward_r2c / inverse_c2r. FFTW is deliberately not a
-/// dependency (unavailable substrate, see DESIGN.md).
+/// convolution on an N^3 grid is exact for any N >= 2n-1, and
+/// core::Tables takes N = 2n-1 (11 at the default n = 6). Densities and
+/// kernels are real, so the V-list carries only the Hermitian half
+/// spectrum (N * N * (N/2+1) values) through Fft3d::forward_r2c /
+/// inverse_c2r.
+///
+/// At these sizes (N <= 15 for n <= 8) a transform is fastest as three
+/// small dense complex matrix products, one per axis, run as straight
+/// vector arithmetic with no data shuffling: the x stage broadcasts the
+/// data against a row of twiddles in lanes, the y and z stages
+/// broadcast a twiddle against rows of data in lanes. The lanes hold
+/// the half-spectrum index kx, so every order n <= 8 fits one AVX-512
+/// vector. The stages are simd::Ops::dft_x and dft_yz, bitwise equal in
+/// every SIMD tier. Any N >= 1 works.
 
 #include <complex>
 #include <cstddef>
@@ -24,98 +31,91 @@ namespace pkifmm::fft {
 
 using Complex = std::complex<double>;
 
-/// In-place power-of-two complex FFT (the 1-D radix-2 reference).
-/// inverse=true applies the inverse transform including the 1/n
-/// normalization.
-void fft_inplace(std::span<Complex> a, bool inverse);
-
-/// Plan for n x n x n transforms, n = 2^a 3^b (the constructor throws
-/// CheckFailure for a size with a prime factor above 3). Precomputes
-/// the digit-reversal permutation and per-stage twiddles. A complex
-/// volume is stored as v[(z*n + y)*n + x]; a half spectrum as
-/// h[(kz*n + ky)*(n/2+1) + kx], kx in [0, n/2].
+/// Plan for N x N x N transforms, any N >= 1 (the constructor throws
+/// CheckFailure for N = 0): the N x N DFT matrices of both signs, the
+/// normalized inverse, and the Hermitian-weighted inverse of the c2r x
+/// stage. A complex volume is stored as v[(z*N + y)*N + x]; a half
+/// spectrum as h[(kz*N + ky)*hn + kx], kx in [0, hn), hn = N/2 + 1.
 ///
-/// Every pass transforms many lines at once: the lines are gathered
-/// as the columns of a small split re/im matrix (rows in digit-reversed
-/// order) so each butterfly is a contiguous, vectorizable loop over
-/// columns.
-///
-/// Thread-safety contract: after construction a plan is immutable —
-/// the transforms only read the plan tables and write the caller's
-/// buffers plus call-local scratch. core::Evaluator relies on this to
-/// run FFT slots on util::TaskPool lanes concurrently against ONE
-/// shared plan.
+/// Thread-safety contract: after construction a plan is immutable. The
+/// transforms read the plan, write the caller's buffers and use
+/// per-thread scratch that grows once and is never freed, so no
+/// transform allocates after its thread's first call at that size.
+/// core::Evaluator relies on this to run transforms on util::TaskPool
+/// lanes concurrently against ONE shared plan.
 class Fft3d {
  public:
   explicit Fft3d(std::size_t n);
 
   std::size_t n() const { return n_; }
   std::size_t volume() const { return n_ * n_ * n_; }
-  /// Values of a Hermitian half spectrum: n * n * (n/2 + 1).
-  std::size_t half_volume() const { return n_ * n_ * (n_ / 2 + 1); }
+  /// kx extent of a Hermitian half spectrum: N/2 + 1.
+  std::size_t half_n() const { return n_ / 2 + 1; }
+  /// Values of a Hermitian half spectrum: N * N * (N/2 + 1).
+  std::size_t half_volume() const { return n_ * n_ * half_n(); }
 
   /// Complex 3-D transforms in place on volume() values.
   void forward(std::span<Complex> vol) const;
-  /// Inverse including the 1/n^3 normalization.
+  /// Inverse including the 1/N^3 normalization.
   void inverse(std::span<Complex> vol) const;
 
-  /// Real-to-complex forward transform of the n^3 volume that is zero
+  /// Real-to-complex forward transform of the N^3 volume that is zero
   /// outside the corner cube [0, s)^3. `cube` holds that corner as s^3
   /// reals, cube[(z*s + y)*s + x]; `half` receives the first
   /// half_volume() values of the spectrum (the rest follow from
-  /// Hermitian symmetry). Lines that are all zero are skipped.
+  /// Hermitian symmetry).
   void forward_r2c(std::span<const double> cube, std::size_t s,
                    std::span<Complex> half) const;
+  /// The same, with the spectrum split: real parts re[q], imaginary
+  /// parts im[q], q < half_volume().
+  void forward_r2c(std::span<const double> cube, std::size_t s, double* re,
+                   double* im) const;
 
-  /// Complex-to-real inverse (1/n^3 included) of the Hermitian
-  /// extension of `half` (half_volume() values, overwritten as
-  /// scratch), returning only the [0, s)^3 corner in `cube` (s^3 reals,
-  /// layout as in forward_r2c). The imaginary parts at kx = 0 and, for
-  /// even n, kx = n/2 are ignored, as any real signal's are zero. Lines
-  /// no corner value depends on are skipped.
-  void inverse_c2r(std::span<Complex> half, std::size_t s,
+  /// Complex-to-real inverse (1/N^3 included) of the Hermitian
+  /// extension of `half` (half_volume() values), returning only the
+  /// [0, s)^3 corner in `cube` (s^3 reals, layout as in forward_r2c).
+  /// The imaginary parts at kx = 0 and, for even N, kx = N/2 are
+  /// ignored, as any real signal's are zero.
+  void inverse_c2r(std::span<const Complex> half, std::size_t s,
+                   std::span<double> cube) const;
+  /// The same, from a split spectrum (re[q], im[q], q < half_volume()).
+  void inverse_c2r(const double* re, const double* im, std::size_t s,
                    std::span<double> cube) const;
 
-  /// Model flops of one 1-D complex line: per butterfly stage, 5 n
-  /// for radix 2 (one complex multiply + two adds per pair) and 28 n/3
-  /// for radix 3 (two complex multiplies + 16 flops per triple). For a
-  /// power of two this is the standard 5 n log2 n.
-  std::uint64_t line_flops() const { return line_flops_; }
-
-  /// Flops of one complex 3-D transform: 3 n^2 lines.
+  /// Flops of one complex 3-D transform: three stages of N^2 lines,
+  /// each N outputs of N complex multiply-adds (8 flops): 24 N^4.
   std::uint64_t transform_flops() const;
 
-  /// Flops of one forward_r2c or inverse_c2r with corner extent s:
-  /// ceil(s^2/2) x-lines (two real lines ride one complex line), s
-  /// (n/2+1) y-lines and n (n/2+1) z-lines.
+  /// Flops of one forward_r2c or inverse_c2r with corner extent s,
+  /// counted on the hn = N/2 + 1 valid kx values: the x stage's s^2
+  /// lines of s x hn real-by-complex terms (4 flops), the y stage's
+  /// s hn lines of s x N complex terms (8 flops) and the z stage's
+  /// N hn lines of s x N: 4 s^3 hn + 8 s^2 N hn + 8 s N^2 hn.
   std::uint64_t real_transform_flops(std::size_t s) const;
 
  private:
-  /// Butterfly stages over `nc` columns of an n-row split matrix whose
-  /// rows are already in digit-reversed order; leaves natural order.
-  void stages(double* re, double* im, std::size_t nc, bool inverse) const;
+  /// The stage twiddles: four split N x N matrices, entry (a, b) at
+  /// a N + b. kFwd = W^(ab) with W = e^(-2 pi i/N); kBwd = W^(-ab);
+  /// kBwdNorm = W^(-ab) / N^3, the complex inverse's x stage; kHerm
+  /// (rows a < hn) = w_a W^(-ab) / N^3, the c2r x stage, with Hermitian
+  /// weight w_a = 1 at kx = 0 and, for even N, at kx = N/2, else 2.
+  enum Table { kFwd, kBwd, kBwdNorm, kHerm };
+  const double* tw_re(Table t) const { return tw_.data() + 2 * t * n_ * n_; }
+  const double* tw_im(Table t) const { return tw_re(t) + n_ * n_; }
 
-  /// One pass along an axis: the lines are the columns of an n-row
-  /// array whose element (t, b, k) sits at data[t*row_stride +
-  /// b*blk_stride + k] (nblk blocks of ncb contiguous columns). Rows
-  /// >= in_rows are taken as zero without being read; only rows <
-  /// out_rows are written back, multiplied by `scale`.
-  void pass(Complex* data, std::size_t row_stride, std::size_t nblk,
-            std::size_t blk_stride, std::size_t ncb, std::size_t in_rows,
-            std::size_t out_rows, bool inverse, double scale) const;
+  /// Doubles of work space r2c and c2r take at corner extent s.
+  std::size_t real_work(std::size_t s) const;
+  void r2c(const double* cube, std::size_t s, double* re, double* im,
+           double* work) const;
+  void c2r(const double* re, const double* im, std::size_t s, double* cube,
+           double* work) const;
+  /// The complex transform in place: forward with (kFwd, kFwd),
+  /// inverse with (kBwdNorm, kBwd).
+  void complex_transform(std::span<Complex> vol, Table x, Table yz) const;
 
   std::size_t n_;
-  std::vector<int> radix_;          ///< stage radices, first stage first
-  std::vector<std::size_t> perm_;   ///< digit-reversed input row of each row
-  std::vector<double> tw_;          ///< per-stage twiddles (forward sign)
-  std::uint64_t line_flops_ = 0;
+  std::vector<double> tw_;
 };
-
-/// Smallest {2,3}-smooth size (2^a 3^b) >= x, the FFT grid edge for a
-/// lattice convolution needing x points per side. Throws CheckFailure
-/// if x exceeds the largest size_t power of two (no silent
-/// wraparound).
-std::size_t smooth_size(std::size_t x);
 
 /// Pointwise multiply-accumulate in frequency space:
 /// acc[i] += g[i] * f[i]. This is the "diagonal translation" the paper

@@ -21,7 +21,8 @@
 ///    plus two Newton steps (P::rsqrt; the scalar and AVX2 tiers divide
 ///    1 by sqrt). No per-target/per-element reduction is reassociated:
 ///    sources are always accumulated in index order, one target per
-///    lane.
+///    lane. The DFT stages go further and are bitwise equal in every
+///    tier: only fused multiply-adds (fused_fmadd), in one order.
 ///  - Flop accounting is done by the callers from analytic models, so
 ///    flop counts are exactly equal across tiers by construction.
 ///
@@ -298,6 +299,140 @@ void vli_mac_block_t(const double* g, const std::int32_t* op_index,
 }
 
 // ---------------------------------------------------------------------------
+// DFT stages of fft::Fft3d (see Ops::dft_x and Ops::dft_yz). Every
+// output element is one chain of fused multiply-adds over the terms in
+// ascending order, started at zero. Lanes never mix, a tail runs the
+// same arithmetic under a lane mask, and the blocking below only picks
+// which chains run side by side, so all tiers give the same bits.
+// ---------------------------------------------------------------------------
+
+/// Lines (dft_x) or outputs (dft_yz) per block: they share each load,
+/// and their 2K chains cover the FMA latency. AVX-512's 32 registers
+/// hold K = 8 (16 accumulators), AVX2's 16 hold K = 4.
+template <class P>
+inline constexpr std::size_t kDftBlock = P::kWidth == 8 ? 8 : 4;
+
+/// Calls body.template operator()<R>() for the runtime r = R in [1, K);
+/// r = 0 calls nothing.
+template <std::size_t K, class Body>
+void dft_rest(std::size_t r, const Body& body) {
+  if constexpr (K > 1) {
+    if (r == K - 1)
+      body.template operator()<K - 1>();
+    else
+      dft_rest<K - 1>(r, body);
+  }
+}
+
+/// dft_x over lines [l, l + K), output lanes [j, j + W) under mask m.
+/// CI: complex input; CO: complex output.
+template <class P, std::size_t K, bool CI, bool CO>
+void dft_x_lines(const DftStage& st, std::size_t l, std::size_t j,
+                 typename P::M m) {
+  using V = typename P::V;
+  V re[K], im[K];
+#pragma GCC unroll 8
+  for (std::size_t k = 0; k < K; ++k) re[k] = im[k] = P::zero();
+  for (std::size_t t = 0; t < st.n_in; ++t) {
+    const V cr = P::maskz_loadu(m, st.tr + t * st.ts + j);
+    const V ci = P::maskz_loadu(m, st.ti + t * st.ts + j);
+    const std::size_t at = l * st.x_line + t * st.x_step;
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < K; ++k) {
+      const V ar = P::set1(st.xr[at + k * st.x_line]);
+      re[k] = P::fused_fmadd(ar, cr, re[k]);
+      if constexpr (CI) {
+        const V ai = P::set1(st.xi[at + k * st.x_line]);
+        re[k] = P::fused_fnmadd(ai, ci, re[k]);
+        if constexpr (CO) {
+          im[k] = P::fused_fmadd(ar, ci, im[k]);
+          im[k] = P::fused_fmadd(ai, cr, im[k]);
+        }
+      } else if constexpr (CO) {
+        im[k] = P::fused_fmadd(ar, ci, im[k]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t k = 0; k < K; ++k) {
+    P::mask_storeu(st.yr + (l + k) * st.y_line + j, m, re[k]);
+    if constexpr (CO) P::mask_storeu(st.yi + (l + k) * st.y_line + j, m, im[k]);
+  }
+}
+
+template <class P, bool CI, bool CO>
+void dft_x_kind(const DftStage& st) {
+  constexpr std::size_t W = P::kWidth, K = kDftBlock<P>;
+  for (std::size_t j = 0; j < st.n_out; j += W) {
+    const typename P::M m = P::tail_mask(st.n_out - j);
+    std::size_t l = 0;
+    for (; l + K <= st.lines; l += K) dft_x_lines<P, K, CI, CO>(st, l, j, m);
+    dft_rest<K>(st.lines - l, [&]<std::size_t R>() {
+      dft_x_lines<P, R, CI, CO>(st, l, j, m);
+    });
+  }
+}
+
+template <class P>
+void dft_x_t(const DftStage& st) {
+  if (st.xi == nullptr)
+    dft_x_kind<P, false, true>(st);  // the r2c x stage
+  else if (st.yi == nullptr)
+    dft_x_kind<P, true, false>(st);  // the c2r x stage
+  else
+    dft_x_kind<P, true, true>(st);
+}
+
+/// dft_yz for outputs [o, o + K) of one line, lanes [k, k + W) under
+/// mask m; x and y point at the line's lane k.
+template <class P, std::size_t K>
+void dft_yz_outputs(const DftStage& st, const double* xr, const double* xi,
+                    double* yr, double* yi, std::size_t o, typename P::M m) {
+  using V = typename P::V;
+  V re[K], im[K];
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < K; ++j) re[j] = im[j] = P::zero();
+  const double* tr = st.tr + o * st.ts;
+  const double* ti = st.ti + o * st.ts;
+  for (std::size_t t = 0; t < st.n_in; ++t) {
+    const V ar = P::maskz_loadu(m, xr + t * st.x_step);
+    const V ai = P::maskz_loadu(m, xi + t * st.x_step);
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < K; ++j) {
+      const V cr = P::set1(tr[j * st.ts + t]);
+      const V ci = P::set1(ti[j * st.ts + t]);
+      re[j] = P::fused_fmadd(cr, ar, re[j]);
+      re[j] = P::fused_fnmadd(ci, ai, re[j]);
+      im[j] = P::fused_fmadd(cr, ai, im[j]);
+      im[j] = P::fused_fmadd(ci, ar, im[j]);
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < K; ++j) {
+    P::mask_storeu(yr + (o + j) * st.y_step, m, re[j]);
+    P::mask_storeu(yi + (o + j) * st.y_step, m, im[j]);
+  }
+}
+
+template <class P>
+void dft_yz_t(const DftStage& st) {
+  constexpr std::size_t W = P::kWidth, K = kDftBlock<P>;
+  for (std::size_t l = 0; l < st.lines; ++l)
+    for (std::size_t k = 0; k < st.lanes; k += W) {
+      const typename P::M m = P::tail_mask(st.lanes - k);
+      const std::size_t x = l * st.x_line + k, y = l * st.y_line + k;
+      const double *xr = st.xr + x, *xi = st.xi + x;
+      double *yr = st.yr + y, *yi = st.yi + y;
+      std::size_t o = 0;
+      for (; o + K <= st.n_out; o += K)
+        dft_yz_outputs<P, K>(st, xr, xi, yr, yi, o, m);
+      dft_rest<K>(st.n_out - o, [&]<std::size_t R>() {
+        dft_yz_outputs<P, R>(st, xr, xi, yr, yi, o, m);
+      });
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Direct kernels. Shared staging: W targets -> SoA lanes (tail lanes
 // replicate target 0 and are dropped at writeback).
 // ---------------------------------------------------------------------------
@@ -483,6 +618,8 @@ Ops make_ops(Tier tier, const char* name) {
   t.cmac = &cmac_t<P>;
   t.cmac_entries = &cmac_entries_t<P>;
   t.vli_mac_block = &vli_mac_block_t<P>;
+  t.dft_x = &dft_x_t<P>;
+  t.dft_yz = &dft_yz_t<P>;
   t.laplace = &direct_laplace_t<P>;
   t.laplace_grad = &direct_laplace_grad_t<P>;
   t.stokes = &direct_stokes_t<P>;

@@ -5,11 +5,13 @@
 ///
 /// A pack type exposes W double lanes (`V`), a lane mask (`M`), and the
 /// handful of operations the hot kernels need: broadcast, unaligned
-/// load/store, fused multiply-add, the reciprocal square root rsqrt,
-/// equality masks, and MASKED load/store for tails. rsqrt is the one
-/// operation whose arithmetic differs by tier: the scalar and AVX2 packs
-/// divide 1 by sqrt(x), the AVX-512 pack refines rsqrt14 with two Newton
-/// steps (see Avx512Pack::rsqrt). Three implementations exist:
+/// load/store, fused multiply-add (fmadd, which the scalar pack may
+/// leave unfused, and fused_fmadd, which every pack rounds once), the
+/// reciprocal square root rsqrt, equality masks, and MASKED load/store
+/// for tails. rsqrt is the one operation whose arithmetic differs by
+/// tier: the scalar and AVX2 packs divide 1 by sqrt(x), the AVX-512 pack
+/// refines rsqrt14 with two Newton steps (see Avx512Pack::rsqrt). Three
+/// implementations exist:
 ///
 ///  - ScalarPack (W = 1): plain doubles, compiled in every build; the
 ///    portable fallback and the reference tier for the parity tests.
@@ -61,6 +63,11 @@ struct ScalarPack {
   static V fmadd(V a, V b, V c) { return a * b + c; }
   /// c - a * b.
   static V fnmadd(V a, V b, V c) { return c - a * b; }
+  /// a * b + c and c - a * b with one rounding in every build, for the
+  /// kernels that must equal the vector tiers bit for bit (the DFT
+  /// stages). The vector packs' fmadd and fnmadd already round once.
+  static V fused_fmadd(V a, V b, V c) { return std::fma(a, b, c); }
+  static V fused_fnmadd(V a, V b, V c) { return std::fma(-a, b, c); }
   /// Lanes where a == b (IEEE compare: -0 == +0, NaN != NaN).
   static M eq(V a, V b) { return a == b; }
   /// v where the mask is clear, 0.0 where it is set.
@@ -98,6 +105,8 @@ struct Avx2Pack {
   static V fmadd(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
   /// c - a * b, single rounding.
   static V fnmadd(V a, V b, V c) { return _mm256_fnmadd_pd(a, b, c); }
+  static V fused_fmadd(V a, V b, V c) { return fmadd(a, b, c); }
+  static V fused_fnmadd(V a, V b, V c) { return fnmadd(a, b, c); }
   static M eq(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
   static V zero_where(M m, V v) { return _mm256_andnot_pd(m, v); }
 
@@ -164,6 +173,8 @@ struct Avx512Pack {
   }
   static V fmadd(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
   static V fnmadd(V a, V b, V c) { return _mm512_fnmadd_pd(a, b, c); }
+  static V fused_fmadd(V a, V b, V c) { return fmadd(a, b, c); }
+  static V fused_fnmadd(V a, V b, V c) { return fnmadd(a, b, c); }
   static M eq(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ); }
   static V zero_where(M m, V v) {
     return _mm512_maskz_mov_pd(static_cast<M>(~m), v);

@@ -9,8 +9,9 @@
 /// compiled in its own translation unit with its own -m flags, selected
 /// ONCE at runtime from CPUID and exposed as a table of function
 /// pointers. Hot callers (kernels::Kernel::direct, la::gemm_acc_cols,
-/// fft::pointwise_mac_*, core::Evaluator's V-list MAC) fetch the table
-/// via ops() and stay agnostic of the lane width.
+/// fft::pointwise_mac_*, fft::Fft3d's transforms, core::Evaluator's
+/// V-list MAC) fetch the table via ops() and stay agnostic of the lane
+/// width.
 ///
 /// Tier selection:
 ///  - detect_tier() returns the best tier that is BOTH compiled into
@@ -28,8 +29,9 @@
 /// Numerical contract (DESIGN.md "Runtime-dispatched SIMD hot
 /// kernels"): within one tier, results are bitwise deterministic for
 /// any thread count and any caller window split; across tiers, results
-/// agree to 1e-12 relative with exactly equal model flop counts. The
-/// scalar tier reproduces the pre-SIMD code paths.
+/// agree to 1e-12 relative with exactly equal model flop counts, and the
+/// DFT stages (dft_x, dft_yz) are bitwise equal. The scalar tier
+/// reproduces the pre-SIMD code paths.
 
 #include <cstddef>
 #include <cstdint>
@@ -67,6 +69,31 @@ struct VliColleague {
   std::int32_t src[8];  ///< slot of child cs; read only if a pair uses cs
   std::uint64_t pairs;  ///< bit 8 cs + ct set iff (ct, cs) is a V-list pair
   std::int32_t dir;     ///< row of the op_index table
+};
+
+/// One stage of fft::Fft3d's tensor-product DFTs: a small complex
+/// matrix applied along one axis of a batch of lines. Complex arrays
+/// are split: real parts at `*r`, imaginary parts at the same offsets
+/// from `*i`. The twiddle of (a, b) is tr[a ts + b] + i ti[a ts + b].
+/// Ops::dft_x and Ops::dft_yz say which fields they read.
+struct DftStage {
+  const double* tr = nullptr;
+  const double* ti = nullptr;
+  std::size_t ts = 0;
+  std::size_t lines = 0;  ///< independent lines
+  std::size_t n_in = 0;   ///< terms per output
+  std::size_t n_out = 0;  ///< outputs per line
+  std::size_t lanes = 0;  ///< dft_yz: values per row
+  /// Input: term t of line l at x_line l + x_step t. dft_x takes a null
+  /// xi as a real input.
+  const double* xr = nullptr;
+  const double* xi = nullptr;
+  std::size_t x_line = 0, x_step = 0;
+  /// Output: output o of line l at y_line l + y_step o. dft_x keeps only
+  /// the real part when yi is null.
+  double* yr = nullptr;
+  double* yi = nullptr;
+  std::size_t y_line = 0, y_step = 0;
 };
 
 /// One tier's dispatch table. All pointers are always non-null.
@@ -114,6 +141,26 @@ struct Ops {
                         const double* s_blk, double* acc_blk, int td, int sd,
                         const VliParent* parents, std::size_t np,
                         const VliColleague* colleagues);
+
+  /// DFT stage with the output index in lanes (the x axis): for each
+  /// line l and output j < n_out, y(l, j) = sum_{t < n_in} x(l, t)
+  /// tw(t, j), with x(l, t) a broadcast scalar and y(l, j) at
+  /// y_line l + j (y_step unused). Each element starts at zero and
+  /// runs, for t ascending, re += xr tr; re -= xi ti; im += xr ti;
+  /// im += xi tr, leaving out the xi terms when xi is null and the im
+  /// chain when yi is null. Every step is one fused multiply-add (the
+  /// scalar tier uses std::fma) and no lane reads another, so every tier
+  /// gives the same bits.
+  void (*dft_x)(const DftStage& st);
+
+  /// DFT stage with the data in lanes (the y and z axes): for each line
+  /// l, output o < n_out and lane k < lanes, y(l, o, k) = sum_{t < n_in}
+  /// tw(o, t) x(l, t, k), with x(l, t, k) at x_line l + x_step t + k and
+  /// y(l, o, k) at y_line l + y_step o + k. Each element starts at zero
+  /// and runs, for t ascending, re += tr xr; re -= ti xi; im += tr xi;
+  /// im += ti xr, one fused multiply-add each: bitwise equal in every
+  /// tier. Only lanes [0, lanes) are read or written.
+  void (*dft_yz)(const DftStage& st);
 
   /// Direct-summation kernels (xyz-interleaved points; f accumulated,
   /// target-major with the kernel's natural component stride).

@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -11,6 +12,7 @@
 #include "core/direct.hpp"
 #include "core/fmm.hpp"
 #include "core/surface.hpp"
+#include "la/svd.hpp"
 #include "simd/simd.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -171,7 +173,7 @@ INSTANTIATE_TEST_SUITE_P(Kernels, OperatorTest,
 TEST(Operators, FftM2LMatchesDenseM2L) {
   // The diagonal (FFT) translation over the half spectrum and the dense
   // matrix must agree on the resulting check potentials for every
-  // tested offset, on even (6, 8, 12) and odd (9) grids.
+  // tested offset, on the grids 2n - 1 = 5, 7, 9 and 11.
   kernels::LaplaceKernel kernel;
   for (int sn : {3, 4, 5, 6}) {
     FmmOptions opts;
@@ -298,6 +300,31 @@ TEST(Tables, VliPairSlotsMatchChildKeys) {
   EXPECT_EQ(pairs, 6 * 48 + 12 * 60 + 8 * 63);  // faces, edges, corners
 }
 
+TEST(Tables, FftGridIsExactConvolutionSize) {
+  // The V-list grid is N = 2n - 1, the smallest on which the circular
+  // convolution is exact, and a stored spectrum is its half spectrum
+  // N^2 (N/2 + 1) = (2n - 1)^2 n rounded up to kFreqChunk.
+  kernels::LaplaceKernel kernel;
+  for (int n = 3; n <= 8; ++n) {
+    FmmOptions opts;
+    opts.surface_n = n;
+    const Tables t(kernel, opts);
+    const std::size_t grid = 2 * static_cast<std::size_t>(n) - 1;
+    EXPECT_EQ(t.fft_n(), grid) << "n=" << n;
+    EXPECT_EQ(t.fft_volume(), grid * grid * grid) << "n=" << n;
+    const std::size_t half = grid * grid * static_cast<std::size_t>(n);
+    EXPECT_EQ(t.fft().half_volume(), half) << "n=" << n;
+    EXPECT_EQ(t.spectrum_len(), (half + Tables::kFreqChunk - 1) /
+                                    Tables::kFreqChunk * Tables::kFreqChunk)
+        << "n=" << n;
+  }
+  FmmOptions opts;
+  opts.surface_n = 4;
+  EXPECT_EQ(Tables(kernel, opts).spectrum_len(), 208u);
+  opts.surface_n = 6;
+  EXPECT_EQ(Tables(kernel, opts).spectrum_len(), 736u);
+}
+
 TEST(Tables, VliOperatorBlocksHoldTheSpectra) {
   // The block table is m2l_spectra re-laid: offset slot o, component c,
   // block b holds the real then imaginary parts of frequencies
@@ -350,7 +377,11 @@ TEST(Tables, MirroredSurfacesShareOnePinv) {
 TEST(Tables, PinvMoorePenroseAtWallbenchShapes) {
   // K(uc, ue) at the wallbench orders: 152^2 (Laplace, n = 6) and 168^2
   // (Stokes, n = 4). Both Moore-Penrose identities hold for the stored
-  // uc2ue (P) at the default cutoff.
+  // uc2ue (P) to kappa eps / 10, kappa = sigma_max / sigma_min over the
+  // kept singular values: P carries rounding of order eps / sigma_min,
+  // which A P A and P A P amplify by up to kappa. That is 2.5e-8
+  // (kappa 1.1e9) and 1.0e-11 (kappa 4.7e5); the identities read
+  // 1.0e-9 / 4.9e-9 and 1.3e-12 / 3.8e-12.
   for (const auto& [name, n] :
        {std::pair<const char*, int>{"laplace", 6}, {"stokes", 4}}) {
     const auto kernel = kernels::make_kernel(name);
@@ -360,8 +391,14 @@ TEST(Tables, PinvMoorePenroseAtWallbenchShapes) {
     const la::Matrix& p = *t.at(0).uc2ue;
     const la::Matrix a = level0_kernel_matrix(
         *kernel, n, kUpwardCheckRadius, kUpwardEquivRadius);
-    EXPECT_LE(rel_diff(la::gemm(la::gemm(a, p), a), a), 1e-8) << name;
-    EXPECT_LE(rel_diff(la::gemm(la::gemm(p, a), p), p), 1e-8) << name;
+    const std::vector<double> sigma = la::svd(a).sigma;
+    double kept = sigma.front();
+    for (double s : sigma)
+      if (s > 1e-12 * sigma.front()) kept = s;
+    const double bound =
+        0.1 * sigma.front() / kept * std::numeric_limits<double>::epsilon();
+    EXPECT_LE(rel_diff(la::gemm(la::gemm(a, p), a), a), bound) << name;
+    EXPECT_LE(rel_diff(la::gemm(la::gemm(p, a), p), p), bound) << name;
   }
 }
 
@@ -640,35 +677,48 @@ TEST(Fmm, NoLoadBalanceStillCorrect) {
 }
 
 TEST(Fmm, HigherOrderIsMoreAccurate) {
-  // Sweep surface_n over even and odd orders (FFT grids 6, 8, 9, 12,
-  // 16, 16) and verify the error drops monotonically.
+  // Six seeded clouds, surface_n = 3 ... 8 (V-list grids 5 ... 15). On
+  // every cloud the error falls strictly through n = 7. At n = 8 it sits
+  // at the rounding floor of the pseudo-inverse (kappa ~ 3e11 over the
+  // kept singular values, four below the 1e-12 cutoff), where its order
+  // against n = 7 is decided by the last bits of the operators, so n = 8
+  // is held to an absolute bound instead: 0.8e-7 to 4.0e-7 per cloud
+  // under the three SIMD tiers, 1.6e-7 to 2.2e-7 averaged.
   kernels::LaplaceKernel kernel;
-  std::vector<double> errs;
-  for (int n : {3, 4, 5, 6, 7, 8}) {
+  const std::vector<std::uint64_t> seeds = {23, 24, 25, 26, 27, 28};
+  std::vector<std::vector<double>> errs(seeds.size());
+  for (int n = 3; n <= 8; ++n) {
     FmmOptions opts;
     opts.surface_n = n;
     opts.max_points_per_leaf = 40;
     const Tables tables(kernel, opts);
-    comm::Runtime::run(1, [&](comm::RankCtx& ctx) {
-      auto pts = octree::generate_points(Distribution::kUniform, 2000, 0, 1, 1,
-                                         23);
-      const auto my_points = pts;
-      ParallelFmm fmm(ctx, tables);
-      fmm.setup(std::move(pts));
-      auto result = fmm.evaluate();
-      const auto exact = direct_reference(ctx.comm, kernel, my_points);
-      std::vector<double> approx(exact.size());
-      std::unordered_map<std::uint64_t, double> by_gid;
-      for (std::size_t i = 0; i < result.gids.size(); ++i)
-        by_gid[result.gids[i]] = result.potentials[i];
-      for (std::size_t i = 0; i < my_points.size(); ++i)
-        approx[i] = by_gid.at(my_points[i].gid);
-      errs.push_back(rel_l2_error(approx, exact));
-    });
+    for (std::size_t c = 0; c < seeds.size(); ++c)
+      comm::Runtime::run(1, [&](comm::RankCtx& ctx) {
+        auto pts = octree::generate_points(Distribution::kUniform, 2000, 0,
+                                           1, 1, seeds[c]);
+        const auto my_points = pts;
+        ParallelFmm fmm(ctx, tables);
+        fmm.setup(std::move(pts));
+        auto result = fmm.evaluate();
+        const auto exact = direct_reference(ctx.comm, kernel, my_points);
+        std::vector<double> approx(exact.size());
+        std::unordered_map<std::uint64_t, double> by_gid;
+        for (std::size_t i = 0; i < result.gids.size(); ++i)
+          by_gid[result.gids[i]] = result.potentials[i];
+        for (std::size_t i = 0; i < my_points.size(); ++i)
+          approx[i] = by_gid.at(my_points[i].gid);
+        errs[c].push_back(rel_l2_error(approx, exact));
+      });
   }
-  for (std::size_t i = 1; i < errs.size(); ++i)
-    EXPECT_LT(errs[i], errs[i - 1]) << "surface_n " << i + 3;
-  EXPECT_LT(errs.back(), 1e-5);
+  double mean8 = 0.0;
+  for (std::size_t c = 0; c < seeds.size(); ++c) {
+    for (int n = 4; n <= 7; ++n)
+      EXPECT_LT(errs[c][n - 3], errs[c][n - 4])
+          << "seed " << seeds[c] << " surface_n " << n;
+    EXPECT_LT(errs[c][5], 1e-6) << "seed " << seeds[c] << " surface_n 8";
+    mean8 += errs[c][5] / static_cast<double>(seeds.size());
+  }
+  EXPECT_LT(mean8, 4e-7);
 }
 
 TEST(Fmm, RepeatedEvaluationWithNewDensities) {

@@ -1,13 +1,33 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
-#include <limits>
+#include <cstdlib>
+#include <new>
 #include <numbers>
 
 #include "fft/fft.hpp"
 #include "simd/simd.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+
+// Counts every operator new of this binary, for
+// Fft3d.TransformsDoNotAllocate.
+namespace {
+std::atomic<long> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// GCC takes the inlined free() for a mismatch with operator new.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace pkifmm::fft {
 namespace {
@@ -43,60 +63,208 @@ std::vector<Complex> dft(std::span<const Complex> a, bool inverse) {
   return out;
 }
 
+/// Reference 3-D DFT: the O(n^2) 1-D DFT along each axis in turn.
+std::vector<Complex> dft3(std::span<const Complex> v, std::size_t n,
+                          bool inverse) {
+  std::vector<Complex> out(v.begin(), v.end()), line(n);
+  const std::size_t stride[3] = {1, n, n * n};
+  for (int axis = 0; axis < 3; ++axis) {
+    const std::size_t st = stride[axis];
+    for (std::size_t base = 0; base < n * n * n; ++base) {
+      if ((base / st) % n != 0) continue;  // visit each line once
+      for (std::size_t t = 0; t < n; ++t) line[t] = out[base + t * st];
+      const auto f = dft(line, inverse);
+      for (std::size_t t = 0; t < n; ++t) out[base + t * st] = f[t];
+    }
+  }
+  return out;
+}
+
+std::vector<double> random_real(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.uniform(-1, 1);
+  return v;
+}
+
+/// The s^3 corner cube embedded in a zeroed n^3 complex volume.
+std::vector<Complex> embed_corner(std::span<const double> cube,
+                                  std::size_t s, std::size_t n) {
+  std::vector<Complex> vol(n * n * n, Complex(0, 0));
+  for (std::size_t z = 0; z < s; ++z)
+    for (std::size_t y = 0; y < s; ++y)
+      for (std::size_t x = 0; x < s; ++x)
+        vol[(z * n + y) * n + x] = cube[(z * s + y) * s + x];
+  return vol;
+}
+
+/// The kx < n/2 + 1 half of a full n^3 spectrum.
+std::vector<Complex> half_of(std::span<const Complex> full, std::size_t n) {
+  const std::size_t hn = n / 2 + 1;
+  std::vector<Complex> half(n * n * hn);
+  for (std::size_t r = 0; r < n * n; ++r)
+    for (std::size_t kx = 0; kx < hn; ++kx)
+      half[r * hn + kx] = full[r * n + kx];
+  return half;
+}
+
+/// Every grid the transforms are checked on: 1 through 17, the primes
+/// 5, 7, 11 and 13 and the V-list grids 2n - 1 included.
+constexpr std::size_t kMaxN = 17;
+
 TEST(Fft, SizeOneIsIdentity) {
+  const Fft3d plan(1);
   std::vector<Complex> a = {Complex(3.0, -2.0)};
-  fft_inplace(a, false);
+  plan.forward(a);
   EXPECT_EQ(a[0], Complex(3.0, -2.0));
+  plan.inverse(a);
+  EXPECT_EQ(a[0], Complex(3.0, -2.0));
+  const std::vector<double> x = {-1.5};
+  std::vector<Complex> h(1);
+  plan.forward_r2c(x, 1, h);
+  EXPECT_EQ(h[0], Complex(-1.5, 0.0));
+  std::vector<double> back(1);
+  plan.inverse_c2r(h, 1, back);
+  EXPECT_EQ(back[0], -1.5);
 }
 
 TEST(Fft, MatchesReferenceDft) {
-  for (std::size_t n : {2u, 4u, 8u, 16u, 64u}) {
-    auto a = random_signal(n, n);
-    auto ref = dft(a, false);
-    fft_inplace(a, false);
-    EXPECT_LT(max_err(a, ref), 1e-10) << "n=" << n;
+  for (std::size_t n = 1; n <= kMaxN; ++n) {
+    const Fft3d plan(n);
+    auto a = random_signal(plan.volume(), n);
+    const auto ref = dft3(a, n, false);
+    plan.forward(a);
+    EXPECT_LT(max_err(a, ref), 1e-11) << "n=" << n;
   }
 }
 
 TEST(Fft, InverseMatchesReferenceDft) {
-  auto a = random_signal(32, 77);
-  auto ref = dft(a, true);
-  fft_inplace(a, true);
-  EXPECT_LT(max_err(a, ref), 1e-10);
-}
-
-TEST(Fft, RoundTripIsIdentity) {
-  for (std::size_t n : {8u, 128u, 1024u}) {
-    auto a = random_signal(n, 100 + n);
-    auto orig = a;
-    fft_inplace(a, false);
-    fft_inplace(a, true);
-    EXPECT_LT(max_err(a, orig), 1e-11) << "n=" << n;
+  for (std::size_t n = 1; n <= kMaxN; ++n) {
+    const Fft3d plan(n);
+    auto a = random_signal(plan.volume(), 77 + n);
+    const auto ref = dft3(a, n, true);
+    plan.inverse(a);
+    EXPECT_LT(max_err(a, ref), 1e-14) << "n=" << n;
   }
 }
 
-TEST(Fft, RejectsNonPowerOfTwo) {
-  std::vector<Complex> a(12);
-  EXPECT_ANY_THROW(fft_inplace(a, false));
+TEST(Fft, RoundTripIsIdentity) {
+  for (std::size_t n : {2u, 5u, 11u, 12u, 16u}) {
+    const Fft3d plan(n);
+    auto a = random_signal(plan.volume(), 100 + n);
+    const auto orig = a;
+    plan.forward(a);
+    plan.inverse(a);
+    EXPECT_LT(max_err(a, orig), 1e-13) << "n=" << n;
+  }
 }
 
 TEST(Fft, ImpulseGivesFlatSpectrum) {
-  std::vector<Complex> a(16, Complex(0.0, 0.0));
-  a[0] = 1.0;
-  fft_inplace(a, false);
-  for (const auto& x : a) EXPECT_NEAR(std::abs(x - Complex(1.0, 0.0)), 0.0, 1e-12);
+  // A unit impulse at the origin has the all-ones spectrum, through the
+  // complex transform and through r2c.
+  for (std::size_t n : {7u, 8u}) {
+    const Fft3d plan(n);
+    std::vector<Complex> a(plan.volume(), Complex(0.0, 0.0));
+    a[0] = 1.0;
+    plan.forward(a);
+    for (const auto& x : a) EXPECT_EQ(x, Complex(1.0, 0.0)) << "n=" << n;
+    std::vector<double> cube(n * n * n, 0.0);
+    cube[0] = 1.0;
+    std::vector<Complex> half(plan.half_volume());
+    plan.forward_r2c(cube, n, half);
+    for (const auto& x : half) EXPECT_EQ(x, Complex(1.0, 0.0)) << "n=" << n;
+  }
 }
 
 TEST(Fft, LinearityHolds) {
-  auto a = random_signal(64, 1);
-  auto b = random_signal(64, 2);
-  std::vector<Complex> sum(64);
-  for (int i = 0; i < 64; ++i) sum[i] = 2.0 * a[i] + 3.0 * b[i];
-  fft_inplace(a, false);
-  fft_inplace(b, false);
-  fft_inplace(sum, false);
-  for (int i = 0; i < 64; ++i)
-    EXPECT_LT(std::abs(sum[i] - (2.0 * a[i] + 3.0 * b[i])), 1e-10);
+  for (std::size_t n : {8u, 11u}) {
+    const Fft3d plan(n);
+    auto a = random_signal(plan.volume(), 1);
+    auto b = random_signal(plan.volume(), 2);
+    std::vector<Complex> sum(plan.volume());
+    for (std::size_t i = 0; i < sum.size(); ++i)
+      sum[i] = 2.0 * a[i] + 3.0 * b[i];
+    plan.forward(a);
+    plan.forward(b);
+    plan.forward(sum);
+    for (std::size_t i = 0; i < sum.size(); ++i)
+      EXPECT_LT(std::abs(sum[i] - (2.0 * a[i] + 3.0 * b[i])), 1e-11)
+          << "n=" << n << " i=" << i;
+  }
+}
+
+TEST(Fft, ParsevalIdentityHolds) {
+  // sum |x|^2 = sum |X|^2 / N^3 for the complex transform, and for r2c
+  // with each kx counted twice except kx = 0 (and kx = N/2, N even).
+  for (std::size_t n : {9u, 12u}) {
+    const Fft3d plan(n);
+    auto a = random_signal(plan.volume(), 55 + n);
+    double time_energy = 0.0;
+    for (const auto& x : a) time_energy += std::norm(x);
+    plan.forward(a);
+    double freq_energy = 0.0;
+    for (const auto& x : a) freq_energy += std::norm(x);
+    const double vol = static_cast<double>(plan.volume());
+    EXPECT_NEAR(freq_energy / vol, time_energy, 1e-12 * time_energy)
+        << "n=" << n;
+
+    const auto cube = random_real(plan.volume(), 56 + n);
+    std::vector<Complex> half(plan.half_volume());
+    plan.forward_r2c(cube, n, half);
+    double real_energy = 0.0, half_energy = 0.0;
+    for (double x : cube) real_energy += x * x;
+    const std::size_t hn = plan.half_n();
+    for (std::size_t q = 0; q < half.size(); ++q) {
+      const std::size_t kx = q % hn;
+      half_energy += (kx == 0 || 2 * kx == n ? 1.0 : 2.0) * std::norm(half[q]);
+    }
+    EXPECT_NEAR(half_energy / vol, real_energy, 1e-12 * real_energy)
+        << "n=" << n;
+  }
+}
+
+TEST(Fft, RealSignalHasConjugateSymmetricSpectrum) {
+  // X[k] = conj X[-k] componentwise mod N, at odd and even N.
+  for (std::size_t n : {7u, 8u}) {
+    const Fft3d plan(n);
+    auto vol = embed_corner(random_real(plan.volume(), 66 + n), n, n);
+    plan.forward(vol);
+    const auto at = [&](std::size_t x, std::size_t y, std::size_t z) {
+      return vol[((z % n) * n + y % n) * n + x % n];
+    };
+    for (std::size_t z = 0; z < n; ++z)
+      for (std::size_t y = 0; y < n; ++y)
+        for (std::size_t x = 0; x < n; ++x)
+          EXPECT_LT(std::abs(at(x, y, z) - std::conj(at(n - x, n - y, n - z))),
+                    1e-12)
+              << "n=" << n;
+  }
+}
+
+TEST(Fft, ShiftTheoremPhaseRamp) {
+  // Shifting the signal by one along an axis multiplies its spectrum by
+  // W^k along that axis, at odd and even N.
+  for (std::size_t n : {6u, 11u})
+    for (std::size_t axis = 0; axis < 3; ++axis) {
+      const Fft3d plan(n);
+      const std::size_t st = axis == 0 ? 1 : axis == 1 ? n : n * n;
+      auto a = random_signal(plan.volume(), 67 + n);
+      std::vector<Complex> shifted(a.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        const std::size_t c = (i / st) % n;
+        shifted[i] = a[i - c * st + ((c + n - 1) % n) * st];
+      }
+      plan.forward(a);
+      plan.forward(shifted);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        const double ang = -2.0 * std::numbers::pi *
+                           static_cast<double>((i / st) % n) /
+                           static_cast<double>(n);
+        const Complex ramp(std::cos(ang), std::sin(ang));
+        EXPECT_LT(std::abs(shifted[i] - a[i] * ramp), 1e-11)
+            << "n=" << n << " axis " << axis << " i=" << i;
+      }
+    }
 }
 
 TEST(Fft3d, RoundTrip) {
@@ -109,29 +277,27 @@ TEST(Fft3d, RoundTrip) {
 }
 
 TEST(Fft3d, SeparableProductTransform) {
-  // FFT of a separable function f(x,y,z) = gx(x) gy(y) gz(z) is the
-  // tensor product of 1-D FFTs.
-  const std::size_t n = 8;
-  auto gx = random_signal(n, 11), gy = random_signal(n, 12),
-       gz = random_signal(n, 13);
-  Fft3d plan(n);
-  std::vector<Complex> vol(plan.volume());
-  for (std::size_t z = 0; z < n; ++z)
-    for (std::size_t y = 0; y < n; ++y)
-      for (std::size_t x = 0; x < n; ++x)
-        vol[(z * n + y) * n + x] = gx[x] * gy[y] * gz[z];
-  plan.forward(vol);
-  auto fx = gx, fy = gy, fz = gz;
-  fft_inplace(fx, false);
-  fft_inplace(fy, false);
-  fft_inplace(fz, false);
-  double err = 0.0;
-  for (std::size_t z = 0; z < n; ++z)
-    for (std::size_t y = 0; y < n; ++y)
-      for (std::size_t x = 0; x < n; ++x)
-        err = std::max(err, std::abs(vol[(z * n + y) * n + x] -
-                                     fx[x] * fy[y] * fz[z]));
-  EXPECT_LT(err, 1e-10);
+  // The 3-D transform of f(x,y,z) = gx(x) gy(y) gz(z) is the tensor
+  // product of the 1-D transforms, at odd and even N.
+  for (std::size_t n : {8u, 11u}) {
+    auto gx = random_signal(n, 11), gy = random_signal(n, 12),
+         gz = random_signal(n, 13);
+    Fft3d plan(n);
+    std::vector<Complex> vol(plan.volume());
+    for (std::size_t z = 0; z < n; ++z)
+      for (std::size_t y = 0; y < n; ++y)
+        for (std::size_t x = 0; x < n; ++x)
+          vol[(z * n + y) * n + x] = gx[x] * gy[y] * gz[z];
+    plan.forward(vol);
+    const auto fx = dft(gx, false), fy = dft(gy, false), fz = dft(gz, false);
+    double err = 0.0;
+    for (std::size_t z = 0; z < n; ++z)
+      for (std::size_t y = 0; y < n; ++y)
+        for (std::size_t x = 0; x < n; ++x)
+          err = std::max(err, std::abs(vol[(z * n + y) * n + x] -
+                                       fx[x] * fy[y] * fz[z]));
+    EXPECT_LT(err, 1e-10) << "n=" << n;
+  }
 }
 
 TEST(Fft3d, CircularConvolutionViaFrequencyProduct) {
@@ -164,39 +330,6 @@ TEST(Fft3d, CircularConvolutionViaFrequencyProduct) {
   pointwise_mac(gh, fh, prod);
   plan.inverse(prod);
   EXPECT_LT(max_err(prod, direct), 1e-10);
-}
-
-TEST(FftSmoothSize, Values) {
-  EXPECT_EQ(smooth_size(0), 1u);
-  EXPECT_EQ(smooth_size(1), 1u);
-  EXPECT_EQ(smooth_size(5), 6u);
-  EXPECT_EQ(smooth_size(7), 8u);
-  EXPECT_EQ(smooth_size(8), 8u);
-  EXPECT_EQ(smooth_size(9), 9u);
-  EXPECT_EQ(smooth_size(11), 12u);
-  EXPECT_EQ(smooth_size(13), 16u);
-  EXPECT_EQ(smooth_size(15), 16u);
-  EXPECT_EQ(smooth_size(17), 18u);
-  EXPECT_EQ(smooth_size(25), 27u);
-  EXPECT_EQ(smooth_size(100), 108u);
-}
-
-TEST(FftSmoothSize, LargestPowerOfTwoIsFixpoint) {
-  constexpr std::size_t kMaxPow2 =
-      std::numeric_limits<std::size_t>::max() / 2 + 1;
-  EXPECT_EQ(smooth_size(kMaxPow2), kMaxPow2);
-  // 2^63 - 1 has prime factors above 3, and no 2^a 3^b lies between.
-  EXPECT_EQ(smooth_size(kMaxPow2 - 1), kMaxPow2);
-}
-
-TEST(FftSmoothSize, RejectsUnrepresentableRequest) {
-  // Above the top power of two the search could overflow; it must
-  // throw instead of wrapping around.
-  constexpr std::size_t kMaxPow2 =
-      std::numeric_limits<std::size_t>::max() / 2 + 1;
-  EXPECT_THROW(smooth_size(kMaxPow2 + 1), CheckFailure);
-  EXPECT_THROW(smooth_size(std::numeric_limits<std::size_t>::max()),
-               CheckFailure);
 }
 
 TEST(PointwiseMac, Accumulates) {
@@ -233,110 +366,61 @@ TEST(PointwiseMacChunked, MatchesPerEntryMac) {
   simd::clear_forced_tier();
 }
 
-/// Reference 3-D DFT: the O(n) 1-D DFT along each axis in turn.
-std::vector<Complex> dft3(std::span<const Complex> v, std::size_t n,
-                          bool inverse) {
-  std::vector<Complex> out(v.begin(), v.end()), line(n);
-  const std::size_t stride[3] = {1, n, n * n};
-  for (int axis = 0; axis < 3; ++axis) {
-    const std::size_t st = stride[axis];
-    for (std::size_t base = 0; base < n * n * n; ++base) {
-      if ((base / st) % n != 0) continue;  // visit each line once
-      for (std::size_t t = 0; t < n; ++t) line[t] = out[base + t * st];
-      const auto f = dft(line, inverse);
-      for (std::size_t t = 0; t < n; ++t) out[base + t * st] = f[t];
-    }
-  }
-  return out;
-}
-
-std::vector<double> random_real(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> v(n);
-  for (auto& x : v) x = rng.uniform(-1, 1);
-  return v;
-}
-
-/// The s^3 corner cube embedded in a zeroed n^3 complex volume.
-std::vector<Complex> embed_corner(std::span<const double> cube,
-                                  std::size_t s, std::size_t n) {
-  std::vector<Complex> vol(n * n * n, Complex(0, 0));
-  for (std::size_t z = 0; z < s; ++z)
-    for (std::size_t y = 0; y < s; ++y)
-      for (std::size_t x = 0; x < s; ++x)
-        vol[(z * n + y) * n + x] = cube[(z * s + y) * s + x];
-  return vol;
-}
-
-TEST(Fft3d, RejectsPrimeFactorAboveThree) {
-  for (std::size_t n : {0u, 5u, 7u, 10u, 14u, 15u, 22u})
-    EXPECT_THROW(Fft3d plan(n), CheckFailure) << "n=" << n;
-  for (std::size_t n : {1u, 2u, 3u, 6u, 9u, 12u, 18u})
-    EXPECT_NO_THROW(Fft3d plan(n)) << "n=" << n;
-}
-
-TEST(Fft3d, MixedRadixMatchesReferenceDft) {
-  for (std::size_t n : {3u, 6u, 9u, 12u}) {
-    Fft3d plan(n);
-    const auto v = random_signal(plan.volume(), 30 + n);
-    auto f = v;
-    plan.forward(f);
-    EXPECT_LT(max_err(f, dft3(v, n, false)), 1e-10) << "n=" << n;
-    auto b = v;
-    plan.inverse(b);
-    EXPECT_LT(max_err(b, dft3(v, n, true)), 1e-12) << "n=" << n;
-  }
+TEST(Fft3d, ConstructsAtEverySizeButZero) {
+  EXPECT_THROW(Fft3d plan(0), CheckFailure);
+  for (std::size_t n = 1; n <= 40; ++n) EXPECT_NO_THROW(Fft3d plan(n)) << n;
 }
 
 TEST(Fft3dReal, ForwardMatchesComplexTransform) {
-  for (std::size_t n : {6u, 8u, 9u, 12u, 16u})
-    for (std::size_t s : {n / 2, n}) {
-      Fft3d plan(n);
-      const std::size_t hn = n / 2 + 1;
+  // r2c of an s^3 corner is the kx < N/2 + 1 half of the reference
+  // complex DFT of the zero-padded volume, also in its split form.
+  for (std::size_t n = 1; n <= kMaxN; ++n)
+    for (std::size_t s : {std::size_t{1}, (n + 1) / 2, n}) {
+      const Fft3d plan(n);
       const auto cube = random_real(s * s * s, 40 + n + s);
+      const auto ref = half_of(dft3(embed_corner(cube, s, n), n, false), n);
       std::vector<Complex> half(plan.half_volume());
       plan.forward_r2c(cube, s, half);
-      auto full = embed_corner(cube, s, n);
-      plan.forward(full);
-      double err = 0.0;
-      for (std::size_t kz = 0; kz < n; ++kz)
-        for (std::size_t ky = 0; ky < n; ++ky)
-          for (std::size_t kx = 0; kx < hn; ++kx)
-            err = std::max(err, std::abs(half[(kz * n + ky) * hn + kx] -
-                                         full[(kz * n + ky) * n + kx]));
-      EXPECT_LT(err, 1e-11) << "n=" << n << " s=" << s;
+      EXPECT_LT(max_err(half, ref), 1e-11) << "n=" << n << " s=" << s;
+      std::vector<double> re(half.size()), im(half.size());
+      plan.forward_r2c(cube, s, re.data(), im.data());
+      for (std::size_t q = 0; q < half.size(); ++q)
+        ASSERT_EQ(Complex(re[q], im[q]), half[q]) << "n=" << n << " s=" << s;
     }
 }
 
 TEST(Fft3dReal, InverseMatchesComplexTransform) {
-  // c2r of a Hermitian half spectrum is the real part of the complex
-  // inverse of its full spectrum, restricted to the corner.
-  for (std::size_t n : {6u, 8u, 9u, 12u, 16u})
-    for (std::size_t s : {n / 2, n}) {
-      Fft3d plan(n);
-      const std::size_t hn = n / 2 + 1;
-      auto full = embed_corner(random_real(n * n * n, 50 + n), n, n);
-      plan.forward(full);
-      std::vector<Complex> half(plan.half_volume());
-      for (std::size_t kz = 0; kz < n; ++kz)
-        for (std::size_t ky = 0; ky < n; ++ky)
-          for (std::size_t kx = 0; kx < hn; ++kx)
-            half[(kz * n + ky) * hn + kx] = full[(kz * n + ky) * n + kx];
+  // c2r of a Hermitian half spectrum is the reference complex inverse
+  // of its full spectrum, restricted to the corner, also in its split
+  // form.
+  for (std::size_t n = 1; n <= kMaxN; ++n)
+    for (std::size_t s : {std::size_t{1}, (n + 1) / 2, n}) {
+      const Fft3d plan(n);
+      const auto full =
+          dft3(embed_corner(random_real(n * n * n, 50 + n), n, n), n, false);
+      const auto ref = dft3(full, n, true);
+      const auto half = half_of(full, n);
       std::vector<double> cube(s * s * s);
       plan.inverse_c2r(half, s, cube);
-      plan.inverse(full);
       double err = 0.0;
       for (std::size_t z = 0; z < s; ++z)
         for (std::size_t y = 0; y < s; ++y)
           for (std::size_t x = 0; x < s; ++x)
             err = std::max(err, std::abs(cube[(z * s + y) * s + x] -
-                                         full[(z * n + y) * n + x].real()));
-      EXPECT_LT(err, 1e-12) << "n=" << n << " s=" << s;
+                                         ref[(z * n + y) * n + x].real()));
+      EXPECT_LT(err, 1e-13) << "n=" << n << " s=" << s;
+      std::vector<double> re(half.size()), im(half.size()), split(cube.size());
+      for (std::size_t q = 0; q < half.size(); ++q) {
+        re[q] = half[q].real();
+        im[q] = half[q].imag();
+      }
+      plan.inverse_c2r(re.data(), im.data(), s, split);
+      EXPECT_EQ(split, cube) << "n=" << n << " s=" << s;
     }
 }
 
 TEST(Fft3dReal, RoundTripIsIdentity) {
-  for (std::size_t n : {6u, 8u, 9u, 12u, 16u}) {
+  for (std::size_t n : {6u, 7u, 8u, 9u, 11u, 12u, 15u, 16u}) {
     Fft3d plan(n);
     const std::size_t s = (n + 1) / 2;
     const auto cube = random_real(s * s * s, 60 + n);
@@ -354,7 +438,7 @@ TEST(Fft3dReal, RoundTripIsIdentity) {
 TEST(Fft3dReal, CircularConvolutionViaHalfSpectrumProduct) {
   // The V-list's use: f on an s^3 corner, g on the whole grid; the
   // half-spectrum product's c2r is their circular convolution.
-  for (std::size_t n : {6u, 9u}) {
+  for (std::size_t n : {5u, 6u, 9u}) {
     Fft3d plan(n);
     const std::size_t s = 3;
     const auto f = random_real(s * s * s, 70 + n);
@@ -386,17 +470,15 @@ TEST(Fft3dReal, CircularConvolutionViaHalfSpectrumProduct) {
 }
 
 TEST(Fft3dReal, FlopModel) {
-  // Power-of-two lines keep the 5 n log2 n count; radix 3 adds 28 n/3.
-  EXPECT_EQ(Fft3d(8).line_flops(), 5u * 8 * 3);
-  EXPECT_EQ(Fft3d(16).line_flops(), 5u * 16 * 4);
-  EXPECT_EQ(Fft3d(12).line_flops(), 5u * 12 * 2 + 28u * 4);
-  EXPECT_EQ(Fft3d(9).line_flops(), 2u * 28 * 3);
-  // n = 12 at the V-list extent 6: 18 paired x-lines, 6*7 y-lines and
-  // 12*7 z-lines, against 3*144 lines for a complex transform.
-  const Fft3d plan(12);
-  EXPECT_EQ(plan.real_transform_flops(6), (18u + 42 + 84) * 232);
-  EXPECT_EQ(plan.transform_flops(), 3u * 144 * 232);
-  EXPECT_EQ(plan.half_volume(), 12u * 12 * 7);
+  // Tensor-product stages counted on the N/2 + 1 valid kx values. The
+  // V-list shape (N, s) = (11, 6): x 36 lines x 6 x 6 x 4, y 36 lines
+  // x 6 x 11 x 8, z 66 lines x 6 x 11 x 8.
+  const Fft3d plan(11);
+  EXPECT_EQ(plan.half_volume(), 11u * 11 * 6);
+  EXPECT_EQ(plan.real_transform_flops(6), 5184u + 19008 + 34848);
+  EXPECT_EQ(Fft3d(7).real_transform_flops(4),
+            4u * 64 * 4 + 8u * 16 * 7 * 4 + 8u * 4 * 49 * 4);
+  EXPECT_EQ(plan.transform_flops(), 24u * 11 * 11 * 11 * 11);
 }
 
 TEST(Fft3d, TransformFlopsPositiveAndScales) {
@@ -405,38 +487,27 @@ TEST(Fft3d, TransformFlopsPositiveAndScales) {
   EXPECT_GT(b.transform_flops(), a.transform_flops());
 }
 
-TEST(Fft, ParsevalIdentityHolds) {
-  auto a = random_signal(256, 55);
-  double time_energy = 0.0;
-  for (const auto& x : a) time_energy += std::norm(x);
-  fft_inplace(a, false);
-  double freq_energy = 0.0;
-  for (const auto& x : a) freq_energy += std::norm(x);
-  EXPECT_NEAR(freq_energy / 256.0, time_energy, 1e-10 * time_energy);
-}
-
-TEST(Fft, RealSignalHasConjugateSymmetricSpectrum) {
-  Rng rng(66);
-  std::vector<Complex> a(64);
-  for (auto& x : a) x = Complex(rng.uniform(-1, 1), 0.0);
-  fft_inplace(a, false);
-  for (std::size_t k = 1; k < a.size(); ++k)
-    EXPECT_LT(std::abs(a[k] - std::conj(a[a.size() - k])), 1e-10);
-}
-
-TEST(Fft, ShiftTheoremPhaseRamp) {
-  // FFT of a cyclically shifted signal = phase-ramped spectrum.
-  auto a = random_signal(32, 67);
-  std::vector<Complex> shifted(32);
-  for (int i = 0; i < 32; ++i) shifted[i] = a[(i + 31) % 32];  // shift by 1
-  auto fa = a, fs = shifted;
-  fft_inplace(fa, false);
-  fft_inplace(fs, false);
-  for (int k = 0; k < 32; ++k) {
-    const double ang = -2.0 * std::numbers::pi * k / 32.0;
-    const Complex ramp(std::cos(ang), std::sin(ang));
-    EXPECT_LT(std::abs(fs[k] - fa[k] * ramp), 1e-10) << k;
-  }
+TEST(Fft3d, TransformsDoNotAllocate) {
+  // Every transform runs on per-thread scratch that grows once: after
+  // one warm-up call of each, repeated calls allocate nothing.
+  const Fft3d plan(11);
+  const std::size_t s = 6, hv = plan.half_volume();
+  auto vol = random_signal(plan.volume(), 90);
+  const auto cube = random_real(s * s * s, 91);
+  std::vector<Complex> half(hv);
+  std::vector<double> re(hv), im(hv), out(cube.size());
+  const auto all = [&] {
+    plan.forward(vol);
+    plan.inverse(vol);
+    plan.forward_r2c(cube, s, half);
+    plan.inverse_c2r(half, s, out);
+    plan.forward_r2c(cube, s, re.data(), im.data());
+    plan.inverse_c2r(re.data(), im.data(), s, out);
+  };
+  all();
+  const long before = g_news.load();
+  for (int i = 0; i < 5; ++i) all();
+  EXPECT_EQ(g_news.load(), before);
 }
 
 }  // namespace

@@ -91,6 +91,8 @@ TEST(SimdTier, TableShapePerTier) {
     EXPECT_NE(o.cmac, nullptr);
     EXPECT_NE(o.cmac_entries, nullptr);
     EXPECT_NE(o.vli_mac_block, nullptr);
+    EXPECT_NE(o.dft_x, nullptr);
+    EXPECT_NE(o.dft_yz, nullptr);
     EXPECT_NE(o.laplace, nullptr);
     EXPECT_NE(o.laplace_grad, nullptr);
     EXPECT_NE(o.stokes, nullptr);
@@ -441,6 +443,139 @@ TEST_F(SimdTest, VliMacBlockMaskedNaNSourceStaysOut) {
       for (double v : run_vli_mac(ops_for_tier(t), p))
         ASSERT_TRUE(std::isfinite(v)) << tier_name(t) << " td=" << td;
   }
+}
+
+// ---------------------------------------------------------------------------
+// DFT stages
+// ---------------------------------------------------------------------------
+
+/// Operands of one DFT stage on strided, gapped buffers. Every output
+/// value starts as a sentinel, so a write outside the documented
+/// elements shows.
+struct DftProblem {
+  static constexpr double kSentinel = -7.25;
+  std::vector<double> tr, ti, xr, xi, yr, yi;
+  DftStage st;
+
+  DftProblem(DftStage shape, bool real_in, bool real_out, std::size_t x_len,
+             std::size_t y_len, std::uint64_t seed)
+      : tr(random_vec(shape.ts * std::max(shape.n_in, shape.n_out), seed,
+                      -1, 1)),
+        ti(random_vec(tr.size(), seed + 1, -1, 1)),
+        xr(random_vec(x_len, seed + 2, -1, 1)),
+        xi(random_vec(x_len, seed + 3, -1, 1)),
+        yr(y_len, kSentinel),
+        yi(y_len, kSentinel),
+        st(shape) {
+    st.tr = tr.data();
+    st.ti = ti.data();
+    st.xr = xr.data();
+    st.xi = real_in ? nullptr : xi.data();
+    st.yr = yr.data();
+    st.yi = real_out ? nullptr : yi.data();
+  }
+};
+
+/// Ops::dft_x's documented chain, one element at a time, with std::fma.
+void dft_x_ref(DftProblem& p) {
+  const DftStage& st = p.st;
+  for (std::size_t l = 0; l < st.lines; ++l)
+    for (std::size_t j = 0; j < st.n_out; ++j) {
+      double re = 0.0, im = 0.0;
+      for (std::size_t t = 0; t < st.n_in; ++t) {
+        const double cr = st.tr[t * st.ts + j], ci = st.ti[t * st.ts + j];
+        const std::size_t at = l * st.x_line + t * st.x_step;
+        re = std::fma(st.xr[at], cr, re);
+        if (st.xi) re = std::fma(-st.xi[at], ci, re);
+        im = std::fma(st.xr[at], ci, im);
+        if (st.xi) im = std::fma(st.xi[at], cr, im);
+      }
+      p.yr[l * st.y_line + j] = re;
+      if (st.yi) p.yi[l * st.y_line + j] = im;
+    }
+}
+
+/// Ops::dft_yz's documented chain, one element at a time, with std::fma.
+void dft_yz_ref(DftProblem& p) {
+  const DftStage& st = p.st;
+  for (std::size_t l = 0; l < st.lines; ++l)
+    for (std::size_t o = 0; o < st.n_out; ++o)
+      for (std::size_t k = 0; k < st.lanes; ++k) {
+        double re = 0.0, im = 0.0;
+        for (std::size_t t = 0; t < st.n_in; ++t) {
+          const double cr = st.tr[o * st.ts + t], ci = st.ti[o * st.ts + t];
+          const std::size_t at = l * st.x_line + t * st.x_step + k;
+          re = std::fma(cr, st.xr[at], re);
+          re = std::fma(-ci, st.xi[at], re);
+          im = std::fma(cr, st.xi[at], im);
+          im = std::fma(ci, st.xr[at], im);
+        }
+        p.yr[l * st.y_line + o * st.y_step + k] = re;
+        p.yi[l * st.y_line + o * st.y_step + k] = im;
+      }
+}
+
+TEST_F(SimdTest, DftStagesBitwiseEqualAcrossTiers) {
+  // Each tier's stages are the plain chain of fused multiply-adds, bit
+  // for bit, so every tier gives the same bits. The shapes cover lane
+  // counts that leave lanes of a vector idle (1, 3, 6, 11: the V-list's
+  // hn = n at n = 6 fills 6 of 8 AVX-512 lanes), output and line counts
+  // that are not multiples of the blocking (1, 2, 3, 5, 7), and
+  // interleaved input (x_step 2).
+  for (std::size_t lanes : {1u, 3u, 6u, 8u, 11u})
+    for (std::size_t n_out : {1u, 2u, 3u, 5u, 7u}) {
+      const std::size_t n_in = 4, lines = 3, row = lanes + 5;
+      DftStage sh;
+      sh.ts = 9;
+      sh.lines = lines;
+      sh.n_in = n_in;
+      sh.n_out = n_out;
+      sh.lanes = lanes;
+      sh.x_step = row;
+      sh.x_line = n_in * row + 2;
+      sh.y_step = row + 1;
+      sh.y_line = n_out * sh.y_step + 3;
+      const std::size_t seed = 500 + 10 * lanes + n_out;
+      DftProblem ref(sh, false, false, lines * sh.x_line,
+                     lines * sh.y_line, seed);
+      dft_yz_ref(ref);
+      for (Tier t : available_tiers()) {
+        DftProblem p(sh, false, false, lines * sh.x_line, lines * sh.y_line,
+                     seed);
+        ops_for_tier(t).dft_yz(p.st);
+        ASSERT_EQ(p.yr, ref.yr) << tier_name(t) << " lanes " << lanes
+                                << " n_out " << n_out;
+        ASSERT_EQ(p.yi, ref.yi) << tier_name(t) << " lanes " << lanes
+                                << " n_out " << n_out;
+      }
+    }
+  for (const auto& [real_in, real_out] :
+       {std::pair{true, false}, std::pair{false, true},
+        std::pair{false, false}})
+    for (std::size_t n_out : {1u, 3u, 6u, 8u, 13u})
+      for (std::size_t lines : {1u, 5u, 7u}) {
+        DftStage sh;
+        sh.ts = 16;
+        sh.lines = lines;
+        sh.n_in = 5;
+        sh.n_out = n_out;
+        sh.x_step = real_in ? 1 : 2;
+        sh.x_line = sh.n_in * sh.x_step + 1;
+        sh.y_line = n_out + 2;
+        const std::size_t seed = 700 + 10 * n_out + lines;
+        DftProblem ref(sh, real_in, real_out, lines * sh.x_line,
+                       lines * sh.y_line, seed);
+        dft_x_ref(ref);
+        for (Tier t : available_tiers()) {
+          DftProblem p(sh, real_in, real_out, lines * sh.x_line,
+                       lines * sh.y_line, seed);
+          ops_for_tier(t).dft_x(p.st);
+          ASSERT_EQ(p.yr, ref.yr) << tier_name(t) << " n_out " << n_out
+                                  << " lines " << lines;
+          ASSERT_EQ(p.yi, ref.yi) << tier_name(t) << " n_out " << n_out
+                                  << " lines " << lines;
+        }
+      }
 }
 
 // ---------------------------------------------------------------------------

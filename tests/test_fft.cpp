@@ -371,6 +371,21 @@ TEST(Fft3d, ConstructsAtEverySizeButZero) {
   for (std::size_t n = 1; n <= 40; ++n) EXPECT_NO_THROW(Fft3d plan(n)) << n;
 }
 
+TEST(Fft3d, MixedRadixMatchesReferenceDft) {
+  // Sizes with factors 2 and 3, with their own seeds: the sizes of the
+  // former radix-2/3 plan, kept as a fixed regression point.
+  for (std::size_t n : {3u, 6u, 9u, 12u}) {
+    const Fft3d plan(n);
+    const auto v = random_signal(plan.volume(), 30 + n);
+    auto f = v;
+    plan.forward(f);
+    EXPECT_LT(max_err(f, dft3(v, n, false)), 1e-10) << "n=" << n;
+    auto b = v;
+    plan.inverse(b);
+    EXPECT_LT(max_err(b, dft3(v, n, true)), 1e-12) << "n=" << n;
+  }
+}
+
 TEST(Fft3dReal, ForwardMatchesComplexTransform) {
   // r2c of an s^3 corner is the kx < N/2 + 1 half of the reference
   // complex DFT of the zero-padded volume, also in its split form.

@@ -258,13 +258,14 @@ std::vector<fft::Complex> Tables::build_spectra(int level,
         for (std::size_t c = 0; c < ncomp; ++c) kvol[c * vol + cell] = blk[c];
       }
 
-  const std::size_t len = spectrum_len();
+  const std::size_t len = spectrum_len(), hv = fft_->half_volume();
   std::vector<fft::Complex> out(ncomp * len, fft::Complex(0, 0));
-  for (std::size_t c = 0; c < ncomp; ++c)
+  std::vector<double> re(hv), im(hv);
+  for (std::size_t c = 0; c < ncomp; ++c) {
     fft_->forward_r2c(std::span<const double>(kvol.data() + c * vol, vol),
-                      grid,
-                      std::span<fft::Complex>(out.data() + c * len,
-                                              fft_->half_volume()));
+                      grid, re.data(), im.data());
+    for (std::size_t q = 0; q < hv; ++q) out[c * len + q] = {re[q], im[q]};
+  }
   return out;
 }
 

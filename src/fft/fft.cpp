@@ -10,18 +10,13 @@ namespace pkifmm::fft {
 
 namespace {
 
-/// Rows of lane data are padded to whole AVX-512 vectors, so that each
-/// starts 64-byte aligned.
-std::size_t padded(std::size_t lanes) { return (lanes + 7) / 8 * 8; }
-
-/// Per-thread work space of at least n doubles, 64-byte aligned. It
-/// grows and is never freed: a thread allocates only on its first
-/// transform at a larger size.
+/// Per-thread work space of at least n doubles. It grows and is never
+/// freed: a thread allocates only on its first transform at a larger
+/// size.
 double* scratch(std::size_t n) {
   thread_local std::vector<double> buf;
-  if (buf.size() < n + 8) buf.resize(n + 8);
-  const auto at = reinterpret_cast<std::uintptr_t>(buf.data());
-  return buf.data() + (64 - at % 64) % 64 / sizeof(double);
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
 }
 
 /// e^(-2 pi i j / n), exact at the multiples of a quarter turn.
@@ -61,111 +56,74 @@ Fft3d::Fft3d(std::size_t n) : n_(n) {
     }
 }
 
-// The stages keep lane data in rows of L = padded(lanes) reals followed
-// by L imaginary parts. r2c runs x (s^2 lines (z, y) of s reals -> rows
-// of hn kx values), y (per z, rows y < s -> ky < N) and z (per ky, rows
+// The stages keep lane data in rows of L = lanes reals followed by L
+// imaginary parts. r2c runs x (s^2 lines (z, y) of s reals -> rows of
+// hn kx values), y (per z, rows y < s -> ky < N) and z (per ky, rows
 // z < s -> kz < N, written into the spectrum); c2r runs z, y and x back,
 // computing only the outputs below s.
-
-std::size_t Fft3d::real_work(std::size_t s) const {
-  return 2 * padded(half_n()) * s * (s + n_);
-}
-
-void Fft3d::r2c(const double* cube, std::size_t s, double* re, double* im,
-                double* work) const {
-  const std::size_t n = n_, hn = half_n(), l = padded(hn), row = 2 * l;
-  double* xs = work;              // rows (z, y), y < s
-  double* ys = work + row * s * s;  // rows (z, ky)
-  const simd::Ops& ops = simd::ops();
-  ops.dft_x({.tr = tw_re(kFwd), .ti = tw_im(kFwd), .ts = n, .lines = s * s,
-             .n_in = s, .n_out = hn, .xr = cube, .x_line = s, .x_step = 1,
-             .yr = xs, .yi = xs + l, .y_line = row});
-  ops.dft_yz({.tr = tw_re(kFwd), .ti = tw_im(kFwd), .ts = n, .lines = s,
-              .n_in = s, .n_out = n, .lanes = hn, .xr = xs, .xi = xs + l,
-              .x_line = row * s, .x_step = row, .yr = ys, .yi = ys + l,
-              .y_line = row * n, .y_step = row});
-  ops.dft_yz({.tr = tw_re(kFwd), .ti = tw_im(kFwd), .ts = n, .lines = n,
-              .n_in = s, .n_out = n, .lanes = hn, .xr = ys, .xi = ys + l,
-              .x_line = row, .x_step = row * n, .yr = re, .yi = im,
-              .y_line = hn, .y_step = n * hn});
-}
-
-void Fft3d::c2r(const double* re, const double* im, std::size_t s,
-                double* cube, double* work) const {
-  const std::size_t n = n_, hn = half_n(), l = padded(hn), row = 2 * l;
-  double* zs = work;                // rows (z, ky), z < s
-  double* ys = work + row * s * n;  // rows (z, y)
-  const simd::Ops& ops = simd::ops();
-  ops.dft_yz({.tr = tw_re(kBwd), .ti = tw_im(kBwd), .ts = n, .lines = n,
-              .n_in = n, .n_out = s, .lanes = hn, .xr = re, .xi = im,
-              .x_line = hn, .x_step = n * hn, .yr = zs, .yi = zs + l,
-              .y_line = row, .y_step = row * n});
-  ops.dft_yz({.tr = tw_re(kBwd), .ti = tw_im(kBwd), .ts = n, .lines = s,
-              .n_in = n, .n_out = s, .lanes = hn, .xr = zs, .xi = zs + l,
-              .x_line = row * n, .x_step = row, .yr = ys, .yi = ys + l,
-              .y_line = row * s, .y_step = row});
-  ops.dft_x({.tr = tw_re(kHerm), .ti = tw_im(kHerm), .ts = n,
-             .lines = s * s, .n_in = hn, .n_out = s, .xr = ys, .xi = ys + l,
-             .x_line = row, .x_step = 1, .yr = cube, .y_line = s});
-}
 
 void Fft3d::forward_r2c(std::span<const double> cube, std::size_t s,
                         double* re, double* im) const {
   PKIFMM_CHECK(s >= 1 && s <= n_ && cube.size() == s * s * s);
-  r2c(cube.data(), s, re, im, scratch(real_work(s)));
-}
-
-void Fft3d::forward_r2c(std::span<const double> cube, std::size_t s,
-                        std::span<Complex> half) const {
-  PKIFMM_CHECK(s >= 1 && s <= n_ && cube.size() == s * s * s);
-  const std::size_t hv = half_volume(), split = padded(2 * hv);
-  PKIFMM_CHECK(half.size() == hv);
-  double* re = scratch(split + real_work(s));
-  r2c(cube.data(), s, re, re + hv, re + split);
-  for (std::size_t q = 0; q < hv; ++q) half[q] = {re[q], re[hv + q]};
+  const std::size_t n = n_, hn = half_n(), row = 2 * hn;
+  double* xs = scratch(row * s * (s + n));  // rows (z, y), y < s
+  double* ys = xs + row * s * s;            // rows (z, ky)
+  const simd::Ops& ops = simd::ops();
+  ops.dft_x({.tr = tw_re(kFwd), .ti = tw_im(kFwd), .ts = n, .lines = s * s,
+             .n_in = s, .n_out = hn, .xr = cube.data(), .x_line = s,
+             .x_step = 1, .yr = xs, .yi = xs + hn, .y_line = row});
+  ops.dft_yz({.tr = tw_re(kFwd), .ti = tw_im(kFwd), .ts = n, .lines = s,
+              .n_in = s, .n_out = n, .lanes = hn, .xr = xs, .xi = xs + hn,
+              .x_line = row * s, .x_step = row, .yr = ys, .yi = ys + hn,
+              .y_line = row * n, .y_step = row});
+  ops.dft_yz({.tr = tw_re(kFwd), .ti = tw_im(kFwd), .ts = n, .lines = n,
+              .n_in = s, .n_out = n, .lanes = hn, .xr = ys, .xi = ys + hn,
+              .x_line = row, .x_step = row * n, .yr = re, .yi = im,
+              .y_line = hn, .y_step = n * hn});
 }
 
 void Fft3d::inverse_c2r(const double* re, const double* im, std::size_t s,
                         std::span<double> cube) const {
   PKIFMM_CHECK(s >= 1 && s <= n_ && cube.size() == s * s * s);
-  c2r(re, im, s, cube.data(), scratch(real_work(s)));
-}
-
-void Fft3d::inverse_c2r(std::span<const Complex> half, std::size_t s,
-                        std::span<double> cube) const {
-  PKIFMM_CHECK(s >= 1 && s <= n_ && cube.size() == s * s * s);
-  const std::size_t hv = half_volume(), split = padded(2 * hv);
-  PKIFMM_CHECK(half.size() == hv);
-  double* re = scratch(split + real_work(s));
-  for (std::size_t q = 0; q < hv; ++q) {
-    re[q] = half[q].real();
-    re[hv + q] = half[q].imag();
-  }
-  c2r(re, re + hv, s, cube.data(), re + split);
+  const std::size_t n = n_, hn = half_n(), row = 2 * hn;
+  double* zs = scratch(row * s * (s + n));  // rows (z, ky), z < s
+  double* ys = zs + row * s * n;            // rows (z, y)
+  const simd::Ops& ops = simd::ops();
+  ops.dft_yz({.tr = tw_re(kBwd), .ti = tw_im(kBwd), .ts = n, .lines = n,
+              .n_in = n, .n_out = s, .lanes = hn, .xr = re, .xi = im,
+              .x_line = hn, .x_step = n * hn, .yr = zs, .yi = zs + hn,
+              .y_line = row, .y_step = row * n});
+  ops.dft_yz({.tr = tw_re(kBwd), .ti = tw_im(kBwd), .ts = n, .lines = s,
+              .n_in = n, .n_out = s, .lanes = hn, .xr = zs, .xi = zs + hn,
+              .x_line = row * n, .x_step = row, .yr = ys, .yi = ys + hn,
+              .y_line = row * s, .y_step = row});
+  ops.dft_x({.tr = tw_re(kHerm), .ti = tw_im(kHerm), .ts = n,
+             .lines = s * s, .n_in = hn, .n_out = s, .xr = ys, .xi = ys + hn,
+             .x_line = row, .x_step = 1, .yr = cube.data(), .y_line = s});
 }
 
 void Fft3d::complex_transform(std::span<Complex> vol, Table x,
                               Table yz) const {
   PKIFMM_CHECK(vol.size() == volume());
-  const std::size_t n = n_, l = padded(n), row = 2 * l;
+  const std::size_t n = n_, row = 2 * n;
   double* a = scratch(2 * row * n * n);  // rows (z, y), then (kz, ky)
   double* b = a + row * n * n;           // rows (z, ky)
   const double* v = reinterpret_cast<const double*>(vol.data());
   const simd::Ops& ops = simd::ops();
   ops.dft_x({.tr = tw_re(x), .ti = tw_im(x), .ts = n, .lines = n * n,
              .n_in = n, .n_out = n, .xr = v, .xi = v + 1, .x_line = 2 * n,
-             .x_step = 2, .yr = a, .yi = a + l, .y_line = row});
+             .x_step = 2, .yr = a, .yi = a + n, .y_line = row});
   ops.dft_yz({.tr = tw_re(yz), .ti = tw_im(yz), .ts = n, .lines = n,
-              .n_in = n, .n_out = n, .lanes = n, .xr = a, .xi = a + l,
-              .x_line = row * n, .x_step = row, .yr = b, .yi = b + l,
+              .n_in = n, .n_out = n, .lanes = n, .xr = a, .xi = a + n,
+              .x_line = row * n, .x_step = row, .yr = b, .yi = b + n,
               .y_line = row * n, .y_step = row});
   ops.dft_yz({.tr = tw_re(yz), .ti = tw_im(yz), .ts = n, .lines = n,
-              .n_in = n, .n_out = n, .lanes = n, .xr = b, .xi = b + l,
-              .x_line = row, .x_step = row * n, .yr = a, .yi = a + l,
+              .n_in = n, .n_out = n, .lanes = n, .xr = b, .xi = b + n,
+              .x_line = row, .x_step = row * n, .yr = a, .yi = a + n,
               .y_line = row, .y_step = row * n});
   for (std::size_t r = 0; r < n * n; ++r)
     for (std::size_t k = 0; k < n; ++k)
-      vol[r * n + k] = {a[r * row + k], a[r * row + l + k]};
+      vol[r * n + k] = {a[r * row + k], a[r * row + n + k]};
 }
 
 void Fft3d::forward(std::span<Complex> vol) const {

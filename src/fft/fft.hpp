@@ -9,8 +9,8 @@
 /// convolution on an N^3 grid is exact for any N >= 2n-1, and
 /// core::Tables takes N = 2n-1 (11 at the default n = 6). Densities and
 /// kernels are real, so the V-list carries only the Hermitian half
-/// spectrum (N * N * (N/2+1) values) through Fft3d::forward_r2c /
-/// inverse_c2r.
+/// spectrum (N * N * (N/2+1) values, real and imaginary parts in
+/// separate arrays) through Fft3d::forward_r2c / inverse_c2r.
 ///
 /// At these sizes (N <= 15 for n <= 8) a transform is fastest as three
 /// small dense complex matrix products, one per axis, run as straight
@@ -61,24 +61,18 @@ class Fft3d {
 
   /// Real-to-complex forward transform of the N^3 volume that is zero
   /// outside the corner cube [0, s)^3. `cube` holds that corner as s^3
-  /// reals, cube[(z*s + y)*s + x]; `half` receives the first
-  /// half_volume() values of the spectrum (the rest follow from
-  /// Hermitian symmetry).
-  void forward_r2c(std::span<const double> cube, std::size_t s,
-                   std::span<Complex> half) const;
-  /// The same, with the spectrum split: real parts re[q], imaginary
-  /// parts im[q], q < half_volume().
+  /// reals, cube[(z*s + y)*s + x]. The first half_volume() values of
+  /// the spectrum (the rest follow from Hermitian symmetry) are written
+  /// split: real parts re[q], imaginary parts im[q].
   void forward_r2c(std::span<const double> cube, std::size_t s, double* re,
                    double* im) const;
 
   /// Complex-to-real inverse (1/N^3 included) of the Hermitian
-  /// extension of `half` (half_volume() values), returning only the
-  /// [0, s)^3 corner in `cube` (s^3 reals, layout as in forward_r2c).
-  /// The imaginary parts at kx = 0 and, for even N, kx = N/2 are
-  /// ignored, as any real signal's are zero.
-  void inverse_c2r(std::span<const Complex> half, std::size_t s,
-                   std::span<double> cube) const;
-  /// The same, from a split spectrum (re[q], im[q], q < half_volume()).
+  /// extension of the split half spectrum re[q] + i im[q],
+  /// q < half_volume(), returning only the [0, s)^3 corner in `cube`
+  /// (s^3 reals, layout as in forward_r2c). The imaginary parts at
+  /// kx = 0 and, for even N, kx = N/2 are ignored, as any real signal's
+  /// are zero.
   void inverse_c2r(const double* re, const double* im, std::size_t s,
                    std::span<double> cube) const;
 
@@ -103,12 +97,6 @@ class Fft3d {
   const double* tw_re(Table t) const { return tw_.data() + 2 * t * n_ * n_; }
   const double* tw_im(Table t) const { return tw_re(t) + n_ * n_; }
 
-  /// Doubles of work space r2c and c2r take at corner extent s.
-  std::size_t real_work(std::size_t s) const;
-  void r2c(const double* cube, std::size_t s, double* re, double* im,
-           double* work) const;
-  void c2r(const double* re, const double* im, std::size_t s, double* cube,
-           double* work) const;
   /// The complex transform in place: forward with (kFwd, kFwd),
   /// inverse with (kBwdNorm, kBwd).
   void complex_transform(std::span<Complex> vol, Table x, Table yz) const;

@@ -122,7 +122,7 @@ void GpuEvaluator::vli_gpu() {
   }
 
   std::vector<double> cube(sn * sn * sn);
-  std::vector<fft::Complex> half(hv);
+  std::vector<double> re(hv), im(hv);  // one split half spectrum
   for (int level = min_level; level <= max_level; ++level) {
     // Collect targets and used sources at this level.
     std::vector<std::int32_t> targets;
@@ -165,12 +165,11 @@ void GpuEvaluator::vli_gpu() {
       std::fill(cube.begin(), cube.end(), 0.0);
       const double* usrc = u.data() + std::size_t(si) * tables_.eq_len();
       for (int k = 0; k < m; ++k) cube[embed[k]] = usrc[k];
-      tables_.fft().forward_r2c(cube, sn, half);
+      tables_.fft().forward_r2c(cube, sn, re.data(), im.data());
       ctx_.flops.add("eval.vli.host", fl.fwd_per_source);
       for (std::size_t i = 0; i < hv; ++i)
-        batch.src_spectra[std::size_t(slot) * len + i] =
-            std::complex<float>(static_cast<float>(half[i].real()),
-                                static_cast<float>(half[i].imag()));
+        batch.src_spectra[std::size_t(slot) * len + i] = std::complex<float>(
+            static_cast<float>(re[i]), static_cast<float>(im[i]));
     }
     batch.g_spectra.assign(g_slot.size() * len, {0, 0});
     for (const auto& [off, slot] : g_slot) {
@@ -191,10 +190,11 @@ void GpuEvaluator::vli_gpu() {
     // CPU: c2r transform per target and surface extraction.
     const core::LevelOps ops = tables_.at(level);
     for (std::size_t t = 0; t < targets.size(); ++t) {
-      for (std::size_t i = 0; i < hv; ++i)
-        half[i] = fft::Complex(acc[t * len + i].real(),
-                               acc[t * len + i].imag());
-      tables_.fft().inverse_c2r(half, sn, cube);
+      for (std::size_t i = 0; i < hv; ++i) {
+        re[i] = acc[t * len + i].real();
+        im[i] = acc[t * len + i].imag();
+      }
+      tables_.fft().inverse_c2r(re.data(), im.data(), sn, cube);
       ctx_.flops.add("eval.vli.host", fl.inv_per_target);
       double* out =
           checkpot.data() + std::size_t(targets[t]) * tables_.check_len();

@@ -218,6 +218,10 @@ namespace detail {
 const Ops& scalar_ops();
 const Ops& avx2_ops();    ///< defined only when the AVX2 TU is built
 const Ops& avx512_ops();  ///< defined only when the AVX-512 TU is built
+/// The scalar tier's DFT stages built with -mfma (tier_scalar_fma.cpp,
+/// x86 only); scalar_ops() takes them when CPUID reports FMA.
+void scalar_fma_dft_x(const DftStage& st);
+void scalar_fma_dft_yz(const DftStage& st);
 }  // namespace detail
 
 }  // namespace pkifmm::simd

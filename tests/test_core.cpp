@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
@@ -201,13 +202,19 @@ TEST(Operators, FftM2LMatchesDenseM2L) {
       // FFT path: embed -> r2c -> MAC over the stored length -> c2r.
       std::vector<double> cube(n * n * n, 0.0);
       for (int k = 0; k < t.m(); ++k) cube[embed[k]] = u[k];
+      std::vector<double> re(hv), im(hv);
+      t.fft().forward_r2c(cube, n, re.data(), im.data());
       std::vector<fft::Complex> spec(len, fft::Complex(0, 0));
-      t.fft().forward_r2c(cube, n, std::span<fft::Complex>(spec.data(), hv));
+      for (std::size_t q = 0; q < hv; ++q) spec[q] = {re[q], im[q]};
       std::vector<fft::Complex> acc(len, fft::Complex(0, 0));
       const auto g = t.m2l_spectra(0, off);
       ASSERT_EQ(g.size(), len);
       fft::pointwise_mac(g, spec, acc);
-      t.fft().inverse_c2r(std::span<fft::Complex>(acc.data(), hv), n, cube);
+      for (std::size_t q = 0; q < hv; ++q) {
+        re[q] = acc[q].real();
+        im[q] = acc[q].imag();
+      }
+      t.fft().inverse_c2r(re.data(), im.data(), n, cube);
       std::vector<double> fft_out(t.check_len());
       // Offset sign convention: dense matrix maps source at origin to
       // target at offset; spectra encode the same displacement.
@@ -377,11 +384,12 @@ TEST(Tables, MirroredSurfacesShareOnePinv) {
 TEST(Tables, PinvMoorePenroseAtWallbenchShapes) {
   // K(uc, ue) at the wallbench orders: 152^2 (Laplace, n = 6) and 168^2
   // (Stokes, n = 4). Both Moore-Penrose identities hold for the stored
-  // uc2ue (P) to kappa eps / 10, kappa = sigma_max / sigma_min over the
-  // kept singular values: P carries rounding of order eps / sigma_min,
-  // which A P A and P A P amplify by up to kappa. That is 2.5e-8
-  // (kappa 1.1e9) and 1.0e-11 (kappa 4.7e5); the identities read
-  // 1.0e-9 / 4.9e-9 and 1.3e-12 / 3.8e-12.
+  // uc2ue (P) to min(1e-8, kappa eps / 10), kappa = sigma_max /
+  // sigma_min over the kept singular values: P carries rounding of
+  // order eps / sigma_min, which A P A and P A P amplify by up to kappa.
+  // That is 1e-8 (kappa eps / 10 = 2.5e-8 at kappa 1.1e9) and 1.0e-11
+  // (kappa 4.7e5); the identities read 1.0e-9 / 4.9e-9 and
+  // 1.3e-12 / 3.8e-12.
   for (const auto& [name, n] :
        {std::pair<const char*, int>{"laplace", 6}, {"stokes", 4}}) {
     const auto kernel = kernels::make_kernel(name);
@@ -395,8 +403,9 @@ TEST(Tables, PinvMoorePenroseAtWallbenchShapes) {
     double kept = sigma.front();
     for (double s : sigma)
       if (s > 1e-12 * sigma.front()) kept = s;
-    const double bound =
-        0.1 * sigma.front() / kept * std::numeric_limits<double>::epsilon();
+    const double bound = std::min(
+        1e-8,
+        0.1 * sigma.front() / kept * std::numeric_limits<double>::epsilon());
     EXPECT_LE(rel_diff(la::gemm(la::gemm(a, p), a), a), bound) << name;
     EXPECT_LE(rel_diff(la::gemm(la::gemm(p, a), p), p), bound) << name;
   }

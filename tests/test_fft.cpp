@@ -108,6 +108,27 @@ std::vector<Complex> half_of(std::span<const Complex> full, std::size_t n) {
   return half;
 }
 
+/// forward_r2c into an interleaved half spectrum.
+std::vector<Complex> r2c(const Fft3d& plan, std::span<const double> cube,
+                         std::size_t s) {
+  std::vector<double> re(plan.half_volume()), im(plan.half_volume());
+  plan.forward_r2c(cube, s, re.data(), im.data());
+  std::vector<Complex> half(re.size());
+  for (std::size_t q = 0; q < half.size(); ++q) half[q] = {re[q], im[q]};
+  return half;
+}
+
+/// inverse_c2r from an interleaved half spectrum.
+void c2r(const Fft3d& plan, std::span<const Complex> half, std::size_t s,
+         std::span<double> cube) {
+  std::vector<double> re(half.size()), im(half.size());
+  for (std::size_t q = 0; q < half.size(); ++q) {
+    re[q] = half[q].real();
+    im[q] = half[q].imag();
+  }
+  plan.inverse_c2r(re.data(), im.data(), s, cube);
+}
+
 /// Every grid the transforms are checked on: 1 through 17, the primes
 /// 5, 7, 11 and 13 and the V-list grids 2n - 1 included.
 constexpr std::size_t kMaxN = 17;
@@ -120,11 +141,10 @@ TEST(Fft, SizeOneIsIdentity) {
   plan.inverse(a);
   EXPECT_EQ(a[0], Complex(3.0, -2.0));
   const std::vector<double> x = {-1.5};
-  std::vector<Complex> h(1);
-  plan.forward_r2c(x, 1, h);
+  const auto h = r2c(plan, x, 1);
   EXPECT_EQ(h[0], Complex(-1.5, 0.0));
   std::vector<double> back(1);
-  plan.inverse_c2r(h, 1, back);
+  c2r(plan, h, 1, back);
   EXPECT_EQ(back[0], -1.5);
 }
 
@@ -170,9 +190,8 @@ TEST(Fft, ImpulseGivesFlatSpectrum) {
     for (const auto& x : a) EXPECT_EQ(x, Complex(1.0, 0.0)) << "n=" << n;
     std::vector<double> cube(n * n * n, 0.0);
     cube[0] = 1.0;
-    std::vector<Complex> half(plan.half_volume());
-    plan.forward_r2c(cube, n, half);
-    for (const auto& x : half) EXPECT_EQ(x, Complex(1.0, 0.0)) << "n=" << n;
+    for (const auto& x : r2c(plan, cube, n))
+      EXPECT_EQ(x, Complex(1.0, 0.0)) << "n=" << n;
   }
 }
 
@@ -209,8 +228,7 @@ TEST(Fft, ParsevalIdentityHolds) {
         << "n=" << n;
 
     const auto cube = random_real(plan.volume(), 56 + n);
-    std::vector<Complex> half(plan.half_volume());
-    plan.forward_r2c(cube, n, half);
+    const auto half = r2c(plan, cube, n);
     double real_energy = 0.0, half_energy = 0.0;
     for (double x : cube) real_energy += x * x;
     const std::size_t hn = plan.half_n();
@@ -388,26 +406,20 @@ TEST(Fft3d, MixedRadixMatchesReferenceDft) {
 
 TEST(Fft3dReal, ForwardMatchesComplexTransform) {
   // r2c of an s^3 corner is the kx < N/2 + 1 half of the reference
-  // complex DFT of the zero-padded volume, also in its split form.
+  // complex DFT of the zero-padded volume.
   for (std::size_t n = 1; n <= kMaxN; ++n)
     for (std::size_t s : {std::size_t{1}, (n + 1) / 2, n}) {
       const Fft3d plan(n);
       const auto cube = random_real(s * s * s, 40 + n + s);
       const auto ref = half_of(dft3(embed_corner(cube, s, n), n, false), n);
-      std::vector<Complex> half(plan.half_volume());
-      plan.forward_r2c(cube, s, half);
-      EXPECT_LT(max_err(half, ref), 1e-11) << "n=" << n << " s=" << s;
-      std::vector<double> re(half.size()), im(half.size());
-      plan.forward_r2c(cube, s, re.data(), im.data());
-      for (std::size_t q = 0; q < half.size(); ++q)
-        ASSERT_EQ(Complex(re[q], im[q]), half[q]) << "n=" << n << " s=" << s;
+      EXPECT_LT(max_err(r2c(plan, cube, s), ref), 1e-11)
+          << "n=" << n << " s=" << s;
     }
 }
 
 TEST(Fft3dReal, InverseMatchesComplexTransform) {
   // c2r of a Hermitian half spectrum is the reference complex inverse
-  // of its full spectrum, restricted to the corner, also in its split
-  // form.
+  // of its full spectrum, restricted to the corner.
   for (std::size_t n = 1; n <= kMaxN; ++n)
     for (std::size_t s : {std::size_t{1}, (n + 1) / 2, n}) {
       const Fft3d plan(n);
@@ -416,7 +428,7 @@ TEST(Fft3dReal, InverseMatchesComplexTransform) {
       const auto ref = dft3(full, n, true);
       const auto half = half_of(full, n);
       std::vector<double> cube(s * s * s);
-      plan.inverse_c2r(half, s, cube);
+      c2r(plan, half, s, cube);
       double err = 0.0;
       for (std::size_t z = 0; z < s; ++z)
         for (std::size_t y = 0; y < s; ++y)
@@ -424,13 +436,6 @@ TEST(Fft3dReal, InverseMatchesComplexTransform) {
             err = std::max(err, std::abs(cube[(z * s + y) * s + x] -
                                          ref[(z * n + y) * n + x].real()));
       EXPECT_LT(err, 1e-13) << "n=" << n << " s=" << s;
-      std::vector<double> re(half.size()), im(half.size()), split(cube.size());
-      for (std::size_t q = 0; q < half.size(); ++q) {
-        re[q] = half[q].real();
-        im[q] = half[q].imag();
-      }
-      plan.inverse_c2r(re.data(), im.data(), s, split);
-      EXPECT_EQ(split, cube) << "n=" << n << " s=" << s;
     }
 }
 
@@ -439,10 +444,8 @@ TEST(Fft3dReal, RoundTripIsIdentity) {
     Fft3d plan(n);
     const std::size_t s = (n + 1) / 2;
     const auto cube = random_real(s * s * s, 60 + n);
-    std::vector<Complex> half(plan.half_volume());
-    plan.forward_r2c(cube, s, half);
     std::vector<double> back(cube.size());
-    plan.inverse_c2r(half, s, back);
+    c2r(plan, r2c(plan, cube, s), s, back);
     double err = 0.0;
     for (std::size_t i = 0; i < cube.size(); ++i)
       err = std::max(err, std::abs(back[i] - cube[i]));
@@ -470,13 +473,11 @@ TEST(Fft3dReal, CircularConvolutionViaHalfSpectrumProduct) {
                     g[(((az - bz + n) % n) * n + (ay - by + n) % n) * n +
                       (ax - bx + n) % n];
 
-    std::vector<Complex> fh(plan.half_volume()), gh(plan.half_volume()),
-        prod(plan.half_volume(), Complex(0, 0));
-    plan.forward_r2c(f, s, fh);
-    plan.forward_r2c(g, n, gh);
+    const auto fh = r2c(plan, f, s), gh = r2c(plan, g, n);
+    std::vector<Complex> prod(plan.half_volume(), Complex(0, 0));
     pointwise_mac(gh, fh, prod);
     std::vector<double> conv(s * s * s);
-    plan.inverse_c2r(prod, s, conv);
+    c2r(plan, prod, s, conv);
     double err = 0.0;
     for (std::size_t i = 0; i < conv.size(); ++i)
       err = std::max(err, std::abs(conv[i] - direct[i]));
@@ -509,13 +510,10 @@ TEST(Fft3d, TransformsDoNotAllocate) {
   const std::size_t s = 6, hv = plan.half_volume();
   auto vol = random_signal(plan.volume(), 90);
   const auto cube = random_real(s * s * s, 91);
-  std::vector<Complex> half(hv);
   std::vector<double> re(hv), im(hv), out(cube.size());
   const auto all = [&] {
     plan.forward(vol);
     plan.inverse(vol);
-    plan.forward_r2c(cube, s, half);
-    plan.inverse_c2r(half, s, out);
     plan.forward_r2c(cube, s, re.data(), im.data());
     plan.inverse_c2r(re.data(), im.data(), s, out);
   };

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "kernels/kernel.hpp"
+#include "simd/ops_impl.hpp"
 #include "simd/simd.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -515,6 +516,23 @@ void dft_yz_ref(DftProblem& p) {
       }
 }
 
+/// Every implementation of the DFT stages this host can run: each
+/// tier's table, plus the baseline-ISA scalar stages (std::fma through
+/// libm), which the scalar tier's table replaces on FMA hardware.
+struct DftImpl {
+  const char* name;
+  void (*x)(const DftStage&);
+  void (*yz)(const DftStage&);
+};
+
+std::vector<DftImpl> dft_impls() {
+  std::vector<DftImpl> v{{"scalar, std::fma", &impl::dft_x_t<ScalarPack>,
+                          &impl::dft_yz_t<ScalarPack>}};
+  for (Tier t : available_tiers())
+    v.push_back({tier_name(t), ops_for_tier(t).dft_x, ops_for_tier(t).dft_yz});
+  return v;
+}
+
 TEST_F(SimdTest, DftStagesBitwiseEqualAcrossTiers) {
   // Each tier's stages are the plain chain of fused multiply-adds, bit
   // for bit, so every tier gives the same bits. The shapes cover lane
@@ -539,14 +557,14 @@ TEST_F(SimdTest, DftStagesBitwiseEqualAcrossTiers) {
       DftProblem ref(sh, false, false, lines * sh.x_line,
                      lines * sh.y_line, seed);
       dft_yz_ref(ref);
-      for (Tier t : available_tiers()) {
+      for (const DftImpl& d : dft_impls()) {
         DftProblem p(sh, false, false, lines * sh.x_line, lines * sh.y_line,
                      seed);
-        ops_for_tier(t).dft_yz(p.st);
-        ASSERT_EQ(p.yr, ref.yr) << tier_name(t) << " lanes " << lanes
-                                << " n_out " << n_out;
-        ASSERT_EQ(p.yi, ref.yi) << tier_name(t) << " lanes " << lanes
-                                << " n_out " << n_out;
+        d.yz(p.st);
+        ASSERT_EQ(p.yr, ref.yr) << d.name << " lanes " << lanes << " n_out "
+                                << n_out;
+        ASSERT_EQ(p.yi, ref.yi) << d.name << " lanes " << lanes << " n_out "
+                                << n_out;
       }
     }
   for (const auto& [real_in, real_out] :
@@ -566,13 +584,13 @@ TEST_F(SimdTest, DftStagesBitwiseEqualAcrossTiers) {
         DftProblem ref(sh, real_in, real_out, lines * sh.x_line,
                        lines * sh.y_line, seed);
         dft_x_ref(ref);
-        for (Tier t : available_tiers()) {
+        for (const DftImpl& d : dft_impls()) {
           DftProblem p(sh, real_in, real_out, lines * sh.x_line,
                        lines * sh.y_line, seed);
-          ops_for_tier(t).dft_x(p.st);
-          ASSERT_EQ(p.yr, ref.yr) << tier_name(t) << " n_out " << n_out
+          d.x(p.st);
+          ASSERT_EQ(p.yr, ref.yr) << d.name << " n_out " << n_out
                                   << " lines " << lines;
-          ASSERT_EQ(p.yi, ref.yi) << tier_name(t) << " n_out " << n_out
+          ASSERT_EQ(p.yi, ref.yi) << d.name << " n_out " << n_out
                                   << " lines " << lines;
         }
       }

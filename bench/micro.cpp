@@ -335,6 +335,52 @@ BENCHMARK(BM_KernelDirect)
     ->ArgNames({"kernel", "q"})
     ->ArgsProduct({{0, 1, 2, 3}, {100, 600}});
 
+void BM_KernelMutual(benchmark::State& state) {
+  // Both directions of one q x q pair of adjacent leaves (A in the unit
+  // box, B at x + 1), as the U-list evaluates two owned leaves: mutual
+  // = 0 runs direct(A <- B) and direct(B <- A), mutual = 1 one
+  // direct_mutual tile. q = 24, 194 and 600 are the mean leaf sizes of
+  // uniform_farfield and ellipsoid_nearfield and the latter's leaf
+  // limit. Items are pair-directions, 2 q^2 per iteration in both modes.
+  static const char* const kNames[] = {"laplace", "stokes", "stokes-reg",
+                                       "yukawa"};
+  const auto kern = kernels::make_kernel(kNames[state.range(0)]);
+  const bool mutual = state.range(1) != 0;
+  const std::size_t q = static_cast<std::size_t>(state.range(2));
+  const std::size_t d = static_cast<std::size_t>(kern->source_dim());
+  Rng rng(4);
+  std::vector<double> a(3 * q), b(3 * q), qa(q * d), qb(q * d);
+  for (auto& v : a) v = rng.uniform();
+  for (std::size_t i = 0; i < q; ++i) {
+    b[3 * i] = 1.0 + rng.uniform();
+    b[3 * i + 1] = rng.uniform();
+    b[3 * i + 2] = rng.uniform();
+  }
+  for (auto& v : qa) v = rng.uniform(-1, 1);
+  for (auto& v : qb) v = rng.uniform(-1, 1);
+  std::vector<double> fa(q * d), fb(q * d);
+  for (auto _ : state) {
+    std::fill(fa.begin(), fa.end(), 0.0);
+    std::fill(fb.begin(), fb.end(), 0.0);
+    if (mutual) {
+      kern->direct_mutual(a, qa, fa, b, qb, fb);
+    } else {
+      kern->direct(a, b, qb, fa);
+      kern->direct(b, a, qa, fb);
+    }
+    benchmark::DoNotOptimize(fa.data());
+    benchmark::DoNotOptimize(fb.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(kNames[state.range(0)]) +
+                 (mutual ? " mutual" : " one-way"));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(2 * q * q));
+}
+BENCHMARK(BM_KernelMutual)
+    ->ArgNames({"kernel", "mutual", "q"})
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}, {24, 194, 600}});
+
 void BM_SampleSort(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -142,7 +142,10 @@ void Evaluator::run() {
   // interactions depend on nothing upstream, so they start now and the
   // workers execute them whenever no far-field chunk is runnable —
   // including while the rank thread blocks in the reduce-scatter.
-  uli_start();
+  {
+    auto t = ctx_.timer.scope("eval.uli");
+    uli_start();
+  }
   {
     auto t = ctx_.timer.scope("eval.s2u");
     s2u();
@@ -198,8 +201,8 @@ void Evaluator::publish_mem_gauges() {
   obs::Recorder& rec = ctx_.rec;
   rec.gauge_set("mem.eval.state_bytes",
                 cap(u_) + cap(checkpot_) + cap(d_) + cap(f_) + cap(f_uli_) +
-                    cap(pos_) + cap(src_pos_) + cap(src_den_) +
-                    cap(src_offset_));
+                    cap(uli_far_) + cap(pos_) + cap(src_pos_) +
+                    cap(src_den_) + cap(src_offset_));
   rec.gauge_set("mem.eval.surface_bytes", static_cast<double>(surf_.bytes()));
   rec.gauge_set("mem.eval.lane_scratch_bytes",
                 cap(lane_surf_) + cap(lane_cube_) + cap(lane_spec_));
@@ -207,7 +210,8 @@ void Evaluator::publish_mem_gauges() {
                 cap(batch_in_) + cap(batch_out_) + cap(batch_tmp_) +
                     cap(slots_a_) + cap(slots_b_) + cap(slot_of_) +
                     cap(tgt_slot_of_) + cap(vli_.tgt) + cap(vli_.src) +
-                    cap(vli_.parents) + cap(vli_.colleagues));
+                    cap(vli_.parents) + cap(vli_.colleagues) +
+                    cap(uli_act_) + cap(uli_fold_));
   rec.gauge_set("mem.eval.fft_chunk_bytes",
                 static_cast<double>((vli_.spectra.capacity() +
                                      vli_.acc.capacity()) *
@@ -819,6 +823,7 @@ void Evaluator::uli_start() {
   PKIFMM_CHECK(!uli_started_);
   uli_started_ = true;
   f_uli_.assign(f_.size(), 0.0);
+  uli_plan();
   uli_flops_.store(0, std::memory_order_relaxed);
   uli_w0_ = obs::wall_seconds();
   const std::size_t n = let_.nodes.size();
@@ -829,19 +834,83 @@ void Evaluator::uli_start() {
   }
 }
 
+void Evaluator::uli_plan() {
+  const std::size_t nn = let_.nodes.size();
+  uli_act_.assign(let_.u.items.size(), kUliOneWay);
+  uli_fold_.clear();
+  // Leaves whose points are all both targets and sources: their target
+  // and source spans hold the same points in the same order.
+  auto mutual = [&](std::size_t i) {
+    const LetNode& n = let_.nodes[i];
+    return n.owned && n.global_leaf && n.point_count > 0 &&
+           n.target_count == n.point_count &&
+           src_offset_[i + 1] - src_offset_[i] == n.point_count;
+  };
+  std::vector<std::int32_t> far_chunk(nn, -1), far_row(nn, 0);
+  std::size_t rows = 0;
+  for (std::size_t a = 0; a < nn; ++a) {
+    if (!mutual(a)) continue;
+    const std::size_t chunk = a / kNodeGrain;
+    const std::size_t chunk_end = std::min(nn, (chunk + 1) * kNodeGrain);
+    const auto list = let_.u.of(a);
+    std::int32_t* act = uli_act_.data() + let_.u.offset[a];
+    for (std::size_t k = 0; k < list.size(); ++k) {
+      const auto b = static_cast<std::size_t>(list[k]);
+      // Self pairs stay one-way; lower partners have already marked
+      // this entry kUliSkip if their tile covers it.
+      if (b <= a || !mutual(b)) continue;
+      const auto mirror = let_.u.of(b);
+      const auto it = std::find(mirror.begin(), mirror.end(),
+                                static_cast<std::int32_t>(a));
+      if (it == mirror.end()) continue;  // no mirror entry: one-way
+      uli_act_[let_.u.offset[b] + (it - mirror.begin())] = kUliSkip;
+      if (b < chunk_end) {
+        act[k] = kUliNear;
+        continue;
+      }
+      if (far_chunk[b] != static_cast<std::int32_t>(chunk)) {
+        PKIFMM_CHECK(rows <= std::size_t(INT32_MAX));
+        far_chunk[b] = static_cast<std::int32_t>(chunk);
+        far_row[b] = static_cast<std::int32_t>(rows);
+        uli_fold_.emplace_back(static_cast<std::int32_t>(b), far_row[b]);
+        rows += let_.nodes[b].target_count;
+      }
+      act[k] = far_row[b];
+    }
+  }
+  uli_far_.assign(rows * tables_.tdim(), 0.0);
+}
+
 void Evaluator::uli_chunk(std::size_t b, std::size_t e, int /*lane*/) {
   const auto& kern = tables_.kernel();
-  const int td = tables_.tdim();
+  const std::size_t td = tables_.tdim();
   std::uint64_t local = 0;
   for (std::size_t i = b; i < e; ++i) {
     const LetNode& node = let_.nodes[i];
     if (!(node.owned && node.global_leaf) || node.target_count == 0) continue;
     const auto trg = leaf_target_positions(node);
-    std::span<double> out(f_uli_.data() + std::size_t(node.point_begin) * td,
-                          std::size_t(node.target_count) * td);
-    for (auto si : let_.u.of(i))
-      local += kern.direct(trg, leaf_source_positions(si),
-                           leaf_source_densities(si), out);
+    std::span<double> out(f_uli_.data() + node.point_begin * td,
+                          node.target_count * td);
+    const auto list = let_.u.of(i);
+    const std::int32_t* act = uli_act_.data() + let_.u.offset[i];
+    for (std::size_t k = 0; k < list.size(); ++k) {
+      const std::int32_t si = list[k];
+      if (act[k] == kUliSkip) continue;
+      if (act[k] == kUliOneWay) {
+        local += kern.direct(trg, leaf_source_positions(si),
+                             leaf_source_densities(si), out);
+        continue;
+      }
+      // A mutual tile: this leaf is A, si is B, a later node.
+      const LetNode& sn = let_.nodes[si];
+      double* fb = act[k] == kUliNear
+                       ? f_uli_.data() + sn.point_begin * td
+                       : uli_far_.data() + std::size_t(act[k]) * td;
+      local += kern.direct_mutual(trg, leaf_source_densities(i), out,
+                                  leaf_source_positions(si),
+                                  leaf_source_densities(si),
+                                  {fb, sn.target_count * td});
+    }
   }
   uli_flops_.fetch_add(local, std::memory_order_relaxed);
 }
@@ -852,9 +921,17 @@ void Evaluator::uli_join() {
   pool_->wait(uli_group_);
   uli_started_ = false;
   ctx_.flops.add("eval.uli", uli_flops_.load(std::memory_order_relaxed));
-  // Deterministic merge: ULI contributions were summed per target in
-  // the serial per-node order inside f_uli_ regardless of which lane
-  // ran which chunk, so f_ is identical for any worker count.
+  // Deterministic merge: each chunk summed its targets in its serial
+  // node order inside f_uli_ and its partners' sides in its own rows of
+  // uli_far_, whichever lane ran it; the far rows fold in chunk order,
+  // so f_ is identical for any worker count.
+  const std::size_t td = tables_.tdim();
+  for (const auto& [node, row] : uli_fold_) {
+    const LetNode& n = let_.nodes[node];
+    double* dst = f_uli_.data() + n.point_begin * td;
+    const double* src = uli_far_.data() + std::size_t(row) * td;
+    for (std::size_t k = 0; k < n.target_count * td; ++k) dst[k] += src[k];
+  }
   for (std::size_t k = 0; k < f_.size(); ++k) f_[k] += f_uli_[k];
   // Overlap accounting: busy = total ULI execution time on any lane
   // since submission; overlap = the part that ran before the join

@@ -41,11 +41,14 @@
 /// the workers concurrently with the whole far-field pipeline —
 /// including the reduce-scatter's communication wait — accumulating
 /// into a private buffer that is merged into f right before the run
-/// ends ("eval.uli" then measures only join + merge).
+/// ends ("eval.uli" then measures only the plan, join and merge). A
+/// pair of owned leaves runs one Kernel::direct_mutual tile for both
+/// directions (uli_plan).
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -151,14 +154,22 @@ class Evaluator {
   /// max(sd, td) split spectra (spectrum_len() reals, then imaginaries).
   std::size_t vli_lane_spec_len() const;
 
-  // ULI ‖ far-field overlap: uli_start() submits the per-node-range
-  // U-list chunks as background pool tasks writing f_uli_; uli_join()
-  // waits, folds the flops, merges f_ += f_uli_, and records the
-  // overlap metrics. The public uli() is start-then-join (inline when
-  // the pool has no workers).
+  // ULI ‖ far-field overlap: uli_start() plans the mutual tiles and
+  // submits the per-node-range U-list chunks as background pool tasks
+  // writing f_uli_ and uli_far_; uli_join() waits, folds the flops,
+  // folds uli_far_ into f_uli_ in chunk order, merges f_ += f_uli_, and
+  // records the overlap metrics. The public uli() is start-then-join
+  // (inline when the pool has no workers).
   void uli_start();
   void uli_join();
   void uli_chunk(std::size_t b, std::size_t e, int lane);
+  /// Fills uli_act_, uli_fold_ and sizes uli_far_. A pair of distinct
+  /// owned leaves whose points are all both targets and sources is
+  /// evaluated once, by one Kernel::direct_mutual tile run from the
+  /// lower node index; the higher index skips its mirror entry. Partner
+  /// B's side lands in f_uli_ directly when B is in the same kNodeGrain
+  /// chunk, else in the chunk's own rows of uli_far_.
+  void uli_plan();
 
   /// One batched translation through batch_in_/batch_out_: column j
   /// gathers src row in[j] (m.cols() values), one gemm_acc over all
@@ -223,6 +234,18 @@ class Evaluator {
 
   // Background-ULI state (see uli_start/uli_join).
   std::vector<double> f_uli_;            ///< ULI-only potentials
+  /// Per let_.u entry: kUliOneWay, kUliSkip, kUliNear, or the first
+  /// uli_far_ row of the partner's side of a mutual tile.
+  std::vector<std::int32_t> uli_act_;
+  static constexpr std::int32_t kUliOneWay = -1;  ///< direct(A <- B)
+  static constexpr std::int32_t kUliSkip = -2;    ///< B's tile covers it
+  static constexpr std::int32_t kUliNear = -3;    ///< B's side into f_uli_
+  /// Out-of-chunk partner sides, tdim per target row, each chunk's rows
+  /// contiguous and in first-touch order.
+  std::vector<double> uli_far_;
+  /// (partner node, first uli_far_ row) in chunk and first-touch order:
+  /// the order uli_join folds uli_far_ into f_uli_.
+  std::vector<std::pair<std::int32_t, std::int32_t>> uli_fold_;
   util::TaskPool::Group uli_group_;
   std::atomic<std::uint64_t> uli_flops_{0};
   bool uli_started_ = false;

@@ -1,6 +1,7 @@
 #include "core/fmm.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -220,17 +221,24 @@ ParallelFmm::Result ParallelFmm::evaluate(bool with_gradient) {
     }
     if (opts.health) health_ghost_checks();
 
-    Evaluator eval(tables_, *let_, ctx_);
-    eval.run();
+    std::optional<Evaluator> eval;
+    {
+      auto t = ctx_.timer.scope("eval.init");
+      eval.emplace(tables_, *let_, ctx_);
+    }
+    eval->run();
 
     std::vector<double> grad;
     if (with_gradient) {
       auto t = ctx_.timer.scope("eval.grad");
-      grad = eval.target_gradient();
+      grad = eval->target_gradient();
     }
 
+    // Harvesting the owned targets' potentials and releasing the
+    // evaluator's buffers.
+    auto t = ctx_.timer.scope("eval.result");
     const int td = tables_.tdim();
-    const auto f = eval.potential();
+    const auto f = eval->potential();
     for (const octree::LetNode& node : let_->nodes) {
       if (!(node.owned && node.global_leaf)) continue;
       const auto pts = let_->points_of(node);
@@ -247,6 +255,7 @@ ParallelFmm::Result ParallelFmm::evaluate(bool with_gradient) {
         }
       }
     }
+    eval.reset();
   }
   root.close();
 

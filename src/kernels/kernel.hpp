@@ -10,7 +10,9 @@
 ///
 /// A kernel exposes:
 ///  - the tensor block K(x, y) (target_dim x source_dim),
-///  - a tuned direct-summation loop (the ULI inner kernel on the CPU),
+///  - a tuned direct-summation loop (the ULI inner kernel on the CPU)
+///    and its mutual form for pairs of leaves, which the even kernels
+///    evaluate once for both directions,
 ///  - dense matrix assembly for the KIFMM translation-operator setup,
 ///  - homogeneity metadata, which lets the FMM reuse one set of
 ///    translation tables across levels (degree -1 for Laplace/Stokes),
@@ -78,6 +80,27 @@ class Kernel {
                                std::span<const double> density,
                                std::span<double> potential) const = 0;
 
+  /// Mutual direct summation over two point sets A and B whose points
+  /// are each both a target and a source:
+  ///   a_pot += K(A, B) b_den  and  b_pot += K(B, A) a_den.
+  /// Returns the flops of both directions, 2 na nb
+  /// flops_per_interaction(). The potential spans must not overlap.
+  ///
+  /// The default is direct(A <- B) then direct(B <- A), exact for any
+  /// kernel. The even kernels, K(d) = K(-d), override it with one tile
+  /// that computes each pair's block once for both sides. The SIMD-routed
+  /// ones (Laplace, Stokes, regularized Stokes) keep the A side bitwise
+  /// equal to direct(); the B side sums per-lane partials and then
+  /// reduces the lanes in a fixed order, so it is bitwise deterministic
+  /// within a tier and agrees with direct() to rounding. Yukawa's scalar
+  /// tile equals the two direct() calls bit for bit.
+  virtual std::uint64_t direct_mutual(std::span<const double> a_pos,
+                                      std::span<const double> a_den,
+                                      std::span<double> a_pot,
+                                      std::span<const double> b_pos,
+                                      std::span<const double> b_den,
+                                      std::span<double> b_pot) const;
+
   /// Assembles the dense interaction matrix K(X, Y) with shape
   /// (ntargets*target_dim) x (nsources*source_dim). Used by the KIFMM
   /// precomputation (S, U, D, E, Q, R, T operators of paper Table I).
@@ -100,6 +123,12 @@ class LaplaceKernel final : public Kernel {
                        std::span<const double> sources,
                        std::span<const double> density,
                        std::span<double> potential) const override;
+  std::uint64_t direct_mutual(std::span<const double> a_pos,
+                              std::span<const double> a_den,
+                              std::span<double> a_pot,
+                              std::span<const double> b_pos,
+                              std::span<const double> b_den,
+                              std::span<double> b_pot) const override;
   std::unique_ptr<Kernel> gradient() const override;
 };
 
@@ -158,6 +187,12 @@ class StokesKernel final : public Kernel {
                        std::span<const double> sources,
                        std::span<const double> density,
                        std::span<double> potential) const override;
+  std::uint64_t direct_mutual(std::span<const double> a_pos,
+                              std::span<const double> a_den,
+                              std::span<double> a_pot,
+                              std::span<const double> b_pos,
+                              std::span<const double> b_den,
+                              std::span<double> b_pot) const override;
 };
 
 /// Regularized Stokeslet (Cortez 2001): the mollified Stokes single
@@ -181,6 +216,12 @@ class RegularizedStokesKernel final : public Kernel {
                        std::span<const double> sources,
                        std::span<const double> density,
                        std::span<double> potential) const override;
+  std::uint64_t direct_mutual(std::span<const double> a_pos,
+                              std::span<const double> a_den,
+                              std::span<double> a_pot,
+                              std::span<const double> b_pos,
+                              std::span<const double> b_den,
+                              std::span<double> b_pot) const override;
   double epsilon() const { return std::sqrt(eps2_); }
 
  private:
@@ -203,6 +244,12 @@ class YukawaKernel final : public Kernel {
                        std::span<const double> sources,
                        std::span<const double> density,
                        std::span<double> potential) const override;
+  std::uint64_t direct_mutual(std::span<const double> a_pos,
+                              std::span<const double> a_den,
+                              std::span<double> a_pot,
+                              std::span<const double> b_pos,
+                              std::span<const double> b_den,
+                              std::span<double> b_pot) const override;
   std::unique_ptr<Kernel> gradient() const override;
   double lambda() const { return lambda_; }
 

@@ -358,9 +358,13 @@ Json merge_chrome_traces(const std::vector<Json>& runs) {
       if (ev.contains("pid")) out.set("pid", ev.at("pid").as_int() + shift);
       // Flow-event ids are only unique within one run; prefix with the
       // run ordinal so arrows never link across repetitions.
-      if (ev.contains("id"))
-        out.set("id", "r" + std::to_string(k) + ":" +
-                          ev.at("id").as_string());
+      if (ev.contains("id")) {
+        std::string id = "r";
+        id += std::to_string(k);
+        id += ':';
+        id += ev.at("id").as_string();
+        out.set("id", id);
+      }
       if (ev.contains("ph") && ev.at("ph").as_string() == "M" &&
           ev.at("name").as_string() == "process_name") {
         Json args = Json::object();

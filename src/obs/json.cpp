@@ -82,8 +82,13 @@ void append_double(std::string& out, double v) {
 }  // namespace
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
-  const std::string pad = indent > 0 ? "\n" + std::string(std::size_t(indent) * (depth + 1), ' ') : "";
-  const std::string close_pad = indent > 0 ? "\n" + std::string(std::size_t(indent) * depth, ' ') : "";
+  // Appends, not "\n" + std::string(...): GCC 12 reports the prepend
+  // as a -Wrestrict overlap in Release builds.
+  std::string pad, close_pad;
+  if (indent > 0) {
+    pad.append(1, '\n').append(std::size_t(indent) * (depth + 1), ' ');
+    close_pad.append(1, '\n').append(std::size_t(indent) * depth, ' ');
+  }
   switch (type_) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += bool_ ? "true" : "false"; break;

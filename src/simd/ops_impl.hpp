@@ -19,10 +19,15 @@
 ///  - Across tiers, results agree to 1e-12 relative: FMA contraction,
 ///    lane width and, in the AVX-512 direct kernels, 1/r from rsqrt14
 ///    plus two Newton steps (P::rsqrt; the scalar and AVX2 tiers divide
-///    1 by sqrt). No per-target/per-element reduction is reassociated:
-///    sources are always accumulated in index order, one target per
-///    lane. The DFT stages go further and are bitwise equal in every
-///    tier: only fused multiply-adds (fused_fmadd), in one order.
+///    1 by sqrt). The one-way direct kernels, and the A side of the
+///    mutual tiles, accumulate sources in index order, one target per
+///    lane. The mutual tiles' B side is the one reduction a tier
+///    reassociates: each B target sums W per-lane partials over A's
+///    groups in order, then adds the lanes in ascending order, a fixed
+///    order per tier, so it stays bitwise deterministic within a tier
+///    and within 1e-12 of the scalar tier. The DFT stages go further
+///    and are bitwise equal in every tier: only fused multiply-adds
+///    (fused_fmadd), in one order.
 ///  - Flop accounting is done by the callers from analytic models, so
 ///    flop counts are exactly equal across tiers by construction.
 ///
@@ -34,11 +39,15 @@
 /// replicating the first target and simply skip the dead lanes at
 /// writeback. Coincident points are suppressed branch-free with an
 /// r2 == 0 lane mask — the same predicate every scalar kernel::block
-/// uses (see the unified guard in kernels/kernel.cpp).
+/// uses (see the unified guard in kernels/kernel.cpp). The mutual tiles
+/// (Ops::*_mutual) run the same group loop and also broadcast each
+/// source's partials for its own side; see "Mutual direct tiles".
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <numbers>
+#include <vector>
 
 #include "simd/pack.hpp"
 #include "simd/simd.hpp"
@@ -608,6 +617,190 @@ void direct_stokes_reg_t(const double* trg, std::size_t nt, const double* src,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Mutual direct tiles (Ops::*_mutual). A's points sit in lanes and
+// accumulate in registers exactly as in the one-way kernels above; B's
+// points are broadcast. Each B point keeps D partial vectors in
+// per-thread scratch, loaded, updated and stored once per A group, and
+// after A's last group each partial's lanes are summed in ascending
+// order into fb. A's dead tail lanes stage zero density, so they add
+// exact zeros to B.
+// ---------------------------------------------------------------------------
+
+/// Per-thread scratch of at least n doubles, 64-byte aligned, contents
+/// unspecified. One buffer per pack type, so per tier.
+template <class P>
+double* mutual_scratch(std::size_t n) {
+  constexpr std::size_t kAlign = 64 / sizeof(double);
+  thread_local std::vector<double> buf;
+  if (buf.size() < n + kAlign) buf.resize(n + kAlign);
+  const std::size_t mis =
+      (reinterpret_cast<std::uintptr_t>(buf.data()) / sizeof(double)) % kAlign;
+  return buf.data() + (kAlign - mis) % kAlign;
+}
+
+/// A group's source densities in lanes, times scale; zero in dead lanes.
+template <class P, int D>
+void load_density_lanes(const double* q, std::size_t t0, std::size_t lanes,
+                        double scale, typename P::V (&out)[D]) {
+  constexpr std::size_t W = P::kWidth;
+  double buf[D][W];
+  for (int c = 0; c < D; ++c)
+    for (std::size_t l = 0; l < W; ++l)
+      buf[c][l] = l < lanes ? scale * q[(t0 + l) * D + c] : 0.0;
+  for (int c = 0; c < D; ++c) out[c] = P::loadu(buf[c]);
+}
+
+/// The shared mutual loop. pair(ag, qa, y_s, q_s, acc, pb) adds source
+/// s's term into A's accumulators acc and A's terms into B point s's
+/// partials pb; qa holds A's densities in lanes, times qa_scale.
+template <class P, int D, class Pair>
+void mutual_tile(const double* a, std::size_t na, const double* qa, double* fa,
+                 const double* b, std::size_t nb, const double* qb, double* fb,
+                 double qa_scale, const Pair& pair) {
+  using V = typename P::V;
+  constexpr std::size_t W = P::kWidth;
+  double* part = mutual_scratch<P>(nb * D * W);
+  std::fill_n(part, nb * D * W, 0.0);
+  for (std::size_t t0 = 0; t0 < na; t0 += W) {
+    const TargetGroup<P> ag = load_targets<P>(a, t0, na);
+    V q[D], acc[D];
+    load_density_lanes<P, D>(qa, t0, ag.lanes, qa_scale, q);
+    for (int c = 0; c < D; ++c) acc[c] = P::zero();
+    for (std::size_t s = 0; s < nb; ++s) {
+      double* ps = part + s * D * W;
+      V pb[D];
+#pragma GCC unroll 3
+      for (int c = 0; c < D; ++c) pb[c] = P::loadu(ps + c * W);
+      pair(ag, q, b + 3 * s, qb + D * s, acc, pb);
+#pragma GCC unroll 3
+      for (int c = 0; c < D; ++c) P::storeu(ps + c * W, pb[c]);
+    }
+    for (int c = 0; c < D; ++c)
+      store_lanes_acc<P>(fa, t0, D, c, acc[c], ag.lanes);
+  }
+  for (std::size_t k = 0; k < nb * D; ++k) {
+    const double* pk = part + k * W;
+    double sum = pk[0];
+    for (std::size_t l = 1; l < W; ++l) sum += pk[l];
+    fb[k] += sum;
+  }
+}
+
+/// Laplace: the one-way kernel's A side; B gets (q_a / 4 pi) / r, the
+/// 1/(4 pi) staged into A's density lanes.
+template <class P>
+void mutual_laplace_t(const double* a, std::size_t na, const double* qa,
+                      double* fa, const double* b, std::size_t nb,
+                      const double* qb, double* fb) {
+  using V = typename P::V;
+  mutual_tile<P, 1>(
+      a, na, qa, fa, b, nb, qb, fb, kOneOver4Pi,
+      [](const TargetGroup<P>& ag, const V (&q)[1], const double* y,
+         const double* qs, V (&acc)[1], V (&pb)[1]) {
+        const V dx = P::sub(ag.x, P::set1(y[0]));
+        const V dy = P::sub(ag.y, P::set1(y[1]));
+        const V dz = P::sub(ag.z, P::set1(y[2]));
+        V r2 = P::mul(dx, dx);
+        r2 = P::fmadd(dy, dy, r2);
+        r2 = P::fmadd(dz, dz, r2);
+        const V inv_r = P::zero_where(P::eq(r2, P::zero()), P::rsqrt(r2));
+        acc[0] = P::fmadd(P::set1(kOneOver4Pi * qs[0]), inv_r, acc[0]);
+        pb[0] = P::fmadd(q[0], inv_r, pb[0]);
+      });
+}
+
+/// Stokes: K is even, so B's term k8 (q_a / r + d (d.q_a) / r^3) uses
+/// the same d = x_a - y_b as A's.
+template <class P>
+void mutual_stokes_t(const double* a, std::size_t na, const double* qa,
+                     double* fa, const double* b, std::size_t nb,
+                     const double* qb, double* fb) {
+  using V = typename P::V;
+  mutual_tile<P, 3>(
+      a, na, qa, fa, b, nb, qb, fb, 1.0,
+      [](const TargetGroup<P>& ag, const V (&q)[3], const double* y,
+         const double* qs, V (&acc)[3], V (&pb)[3]) {
+        const double q0 = qs[0], q1 = qs[1], q2 = qs[2];
+        const V dx = P::sub(ag.x, P::set1(y[0]));
+        const V dy = P::sub(ag.y, P::set1(y[1]));
+        const V dz = P::sub(ag.z, P::set1(y[2]));
+        V r2 = P::mul(dx, dx);
+        r2 = P::fmadd(dy, dy, r2);
+        r2 = P::fmadd(dz, dz, r2);
+        const V inv_r = P::zero_where(P::eq(r2, P::zero()), P::rsqrt(r2));
+        const V inv_r3 = P::mul(P::mul(inv_r, inv_r), inv_r);
+        V dq = P::mul(dx, P::set1(q0));
+        dq = P::fmadd(dy, P::set1(q1), dq);
+        dq = P::fmadd(dz, P::set1(q2), dq);
+        const V s1 = P::mul(P::set1(kOneOver8Pi), inv_r);
+        const V s3 = P::mul(P::set1(kOneOver8Pi), P::mul(dq, inv_r3));
+        acc[0] = P::fmadd(s1, P::set1(q0), acc[0]);
+        acc[1] = P::fmadd(s1, P::set1(q1), acc[1]);
+        acc[2] = P::fmadd(s1, P::set1(q2), acc[2]);
+        acc[0] = P::fmadd(s3, dx, acc[0]);
+        acc[1] = P::fmadd(s3, dy, acc[1]);
+        acc[2] = P::fmadd(s3, dz, acc[2]);
+        V dqa = P::mul(dx, q[0]);
+        dqa = P::fmadd(dy, q[1], dqa);
+        dqa = P::fmadd(dz, q[2], dqa);
+        const V s3a = P::mul(P::set1(kOneOver8Pi), P::mul(dqa, inv_r3));
+        pb[0] = P::fmadd(s1, q[0], pb[0]);
+        pb[1] = P::fmadd(s1, q[1], pb[1]);
+        pb[2] = P::fmadd(s1, q[2], pb[2]);
+        pb[0] = P::fmadd(s3a, dx, pb[0]);
+        pb[1] = P::fmadd(s3a, dy, pb[1]);
+        pb[2] = P::fmadd(s3a, dz, pb[2]);
+      });
+}
+
+/// Regularized Stokeslet: smooth at r = 0, no lane mask, as one way.
+template <class P>
+void mutual_stokes_reg_t(const double* a, std::size_t na, const double* qa,
+                         double* fa, const double* b, std::size_t nb,
+                         const double* qb, double* fb, double eps2) {
+  using V = typename P::V;
+  const V veps2 = P::set1(eps2);
+  mutual_tile<P, 3>(
+      a, na, qa, fa, b, nb, qb, fb, 1.0,
+      [veps2, eps2](const TargetGroup<P>& ag, const V (&q)[3], const double* y,
+                    const double* qs, V (&acc)[3], V (&pb)[3]) {
+        const double q0 = qs[0], q1 = qs[1], q2 = qs[2];
+        const V dx = P::sub(ag.x, P::set1(y[0]));
+        const V dy = P::sub(ag.y, P::set1(y[1]));
+        const V dz = P::sub(ag.z, P::set1(y[2]));
+        V r2 = P::mul(dx, dx);
+        r2 = P::fmadd(dy, dy, r2);
+        r2 = P::fmadd(dz, dz, r2);
+        const V re2 = P::add(r2, veps2);
+        const V inv_s = P::rsqrt(re2);
+        const V inv = P::mul(P::mul(inv_s, inv_s), inv_s);
+        const V diag = P::mul(P::set1(kOneOver8Pi),
+                              P::mul(P::add(r2, P::set1(2.0 * eps2)), inv));
+        const V offd = P::mul(P::set1(kOneOver8Pi), inv);
+        V dq = P::mul(dx, P::set1(q0));
+        dq = P::fmadd(dy, P::set1(q1), dq);
+        dq = P::fmadd(dz, P::set1(q2), dq);
+        const V s3 = P::mul(offd, dq);
+        acc[0] = P::fmadd(diag, P::set1(q0), acc[0]);
+        acc[1] = P::fmadd(diag, P::set1(q1), acc[1]);
+        acc[2] = P::fmadd(diag, P::set1(q2), acc[2]);
+        acc[0] = P::fmadd(s3, dx, acc[0]);
+        acc[1] = P::fmadd(s3, dy, acc[1]);
+        acc[2] = P::fmadd(s3, dz, acc[2]);
+        V dqa = P::mul(dx, q[0]);
+        dqa = P::fmadd(dy, q[1], dqa);
+        dqa = P::fmadd(dz, q[2], dqa);
+        const V s3a = P::mul(offd, dqa);
+        pb[0] = P::fmadd(diag, q[0], pb[0]);
+        pb[1] = P::fmadd(diag, q[1], pb[1]);
+        pb[2] = P::fmadd(diag, q[2], pb[2]);
+        pb[0] = P::fmadd(s3a, dx, pb[0]);
+        pb[1] = P::fmadd(s3a, dy, pb[1]);
+        pb[2] = P::fmadd(s3a, dz, pb[2]);
+      });
+}
+
 template <class P>
 Ops make_ops(Tier tier, const char* name) {
   Ops t;
@@ -624,6 +817,9 @@ Ops make_ops(Tier tier, const char* name) {
   t.laplace_grad = &direct_laplace_grad_t<P>;
   t.stokes = &direct_stokes_t<P>;
   t.stokes_reg = &direct_stokes_reg_t<P>;
+  t.laplace_mutual = &mutual_laplace_t<P>;
+  t.stokes_mutual = &mutual_stokes_t<P>;
+  t.stokes_reg_mutual = &mutual_stokes_reg_t<P>;
   return t;
 }
 

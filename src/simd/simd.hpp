@@ -11,7 +11,8 @@
 /// pointers. Hot callers (kernels::Kernel::direct, la::gemm_acc_cols,
 /// fft::pointwise_mac_*, fft::Fft3d's transforms, core::Evaluator's
 /// V-list MAC) fetch the table via ops() and stay agnostic of the lane
-/// width.
+/// width. Kernel::direct_mutual routes the U-list's pairs of owned
+/// leaves through the *_mutual entries.
 ///
 /// Tier selection:
 ///  - detect_tier() returns the best tier that is BOTH compiled into
@@ -30,7 +31,9 @@
 /// kernels"): within one tier, results are bitwise deterministic for
 /// any thread count and any caller window split; across tiers, results
 /// agree to 1e-12 relative with exactly equal model flop counts, and the
-/// DFT stages (dft_x, dft_yz) are bitwise equal. The scalar tier
+/// DFT stages (dft_x, dft_yz) are bitwise equal. The mutual direct
+/// tiles' B side reduces per-lane partials in a fixed lane order, so it
+/// keeps the within-tier contract and the 1e-12 bound. The scalar tier
 /// reproduces the pre-SIMD code paths.
 
 #include <cstddef>
@@ -174,6 +177,26 @@ struct Ops {
                  std::size_t ns, const double* q, double* f);
   void (*stokes_reg)(const double* trg, std::size_t nt, const double* src,
                      std::size_t ns, const double* q, double* f, double eps2);
+
+  /// Mutual tiles of the even kernels above, K(d) = K(-d): one pass
+  /// over the na x nb pairs of point sets A and B (each point both a
+  /// target and a source) adds K(x_a - y_b) q_b into fa and
+  /// K(x_b - y_a) q_a into fb, computing r and 1/r once per pair. The
+  /// A side is bitwise the one-way kernel's fa += laplace(a, b, qb).
+  /// The B side gives each B point kWidth per-lane partials, one lane
+  /// per A point of a group, accumulated over A's groups in order and
+  /// reduced in ascending lane order before the one add into fb; it
+  /// agrees with the one-way kernel to rounding (bitwise on the scalar
+  /// tier). fa and fb must not overlap.
+  void (*laplace_mutual)(const double* a, std::size_t na, const double* qa,
+                         double* fa, const double* b, std::size_t nb,
+                         const double* qb, double* fb);
+  void (*stokes_mutual)(const double* a, std::size_t na, const double* qa,
+                        double* fa, const double* b, std::size_t nb,
+                        const double* qb, double* fb);
+  void (*stokes_reg_mutual)(const double* a, std::size_t na, const double* qa,
+                            double* fa, const double* b, std::size_t nb,
+                            const double* qb, double* fb, double eps2);
 };
 
 /// "scalar" | "avx2" | "avx512".

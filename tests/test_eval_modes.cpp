@@ -16,6 +16,8 @@
 ///    lists and point counts.
 ///  - VliFftOracle checks the FFT V-list against dense M2L and its
 ///    flop model.
+///  - UliOracle checks the U-list, mutual tiles included, against
+///    one-way direct sums over each leaf's U-list.
 ///  - EvalSimdTierParity checks every SIMD tier against the scalar
 ///    tier end to end.
 /// CI runs this binary under each PKIFMM_SIMD tier.
@@ -23,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -83,7 +86,8 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   std::string name = c.kernel;
   name += c.dist == Distribution::kUniform ? "Uniform" : "Ellipsoid";
   name += c.fft_vlist ? "Fft" : "Dense";
-  if (c.surface_n != 4) name += "N" + std::to_string(c.surface_n);
+  if (c.surface_n != 4)
+    name.append("N").append(std::to_string(c.surface_n));
   return name;
 }
 
@@ -496,6 +500,96 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{"laplace", Distribution::kUniform, true, 3},
                       Case{"stokes", Distribution::kEllipsoid, true, 3}),
     case_name);
+
+// ---------------------------------------------------------------------
+// U-list oracle.
+
+struct UliCase {
+  std::string kernel;
+  Distribution dist;
+  int p;
+};
+
+void PrintTo(const UliCase& c, std::ostream* os) {
+  *os << c.kernel << (c.dist == Distribution::kUniform ? " U" : " E") << " p"
+      << c.p;
+}
+
+/// uli() on a fresh evaluator against each owned target's one-way sum
+/// over its leaf's U-list, every partner through Kernel::direct. The
+/// engine runs each pair of owned leaves as one mutual tile, whose
+/// partner side reassociates its per-lane partials; self pairs and
+/// ghost partners (p > 1) stay one-way. A dropped, doubled or
+/// misrouted pair moves a whole leaf's potentials, far above the bound.
+class UliOracle : public ::testing::TestWithParam<UliCase> {};
+
+TEST_P(UliOracle, MatchesOneWaySums) {
+  const UliCase c = GetParam();
+  const auto kern = kernels::make_kernel(c.kernel);
+  FmmOptions opts;
+  opts.surface_n = 3;
+  opts.max_points_per_leaf = 20;
+  const Tables tables(*kern, opts);
+  const int sd = tables.sdim(), td = tables.tdim();
+  std::atomic<std::size_t> owned_pairs{0}, ghost_pairs{0};
+  comm::Runtime::run(c.p, [&](comm::RankCtx& ctx) {
+    ParallelFmm fmm(ctx, tables);
+    fmm.setup(octree::generate_points(c.dist, 900, ctx.rank(), c.p, sd, 91));
+    const octree::Let& let = fmm.let();
+    Evaluator ev(tables, let, ctx);
+    ev.uli();
+
+    std::vector<double> ref(ev.potential().size(), 0.0);
+    for (std::size_t i = 0; i < let.nodes.size(); ++i) {
+      const LetNode& node = let.nodes[i];
+      if (!(node.owned && node.global_leaf) || node.target_count == 0)
+        continue;
+      std::vector<double> trg;
+      for (const octree::PointRec& pt : let.points_of(node).first(
+               node.target_count))
+        trg.insert(trg.end(), pt.pos, pt.pos + 3);
+      for (const std::int32_t s : let.u.of(i)) {
+        const LetNode& sn = let.nodes[s];
+        if (static_cast<std::size_t>(s) != i)
+          ++(sn.owned ? owned_pairs : ghost_pairs);
+        std::vector<double> pos, den;
+        for (const octree::PointRec& pt : let.points_of(sn)) {
+          if (!pt.is_source()) continue;
+          pos.insert(pos.end(), pt.pos, pt.pos + 3);
+          den.insert(den.end(), pt.den, pt.den + sd);
+        }
+        std::vector<double> f(std::size_t(node.target_count) * td, 0.0);
+        kern->direct(trg, pos, den, f);
+        for (std::size_t k = 0; k < f.size(); ++k)
+          ref[std::size_t(node.point_begin) * td + k] += f[k];
+      }
+    }
+    EXPECT_LT(rel_l2_error(ev.potential(), ref), 1e-13)
+        << "rank " << ctx.rank();
+  });
+  EXPECT_GT(owned_pairs.load(), 0u);
+  if (c.p > 1) {
+    EXPECT_GT(ghost_pairs.load(), 0u);
+  }
+}
+
+std::vector<UliCase> uli_cases() {
+  std::vector<UliCase> v;
+  for (const char* k : {"laplace", "stokes", "stokes-reg", "yukawa"})
+    for (const Distribution d :
+         {Distribution::kUniform, Distribution::kEllipsoid})
+      for (const int p : {1, 3}) v.push_back({k, d, p});
+  return v;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelsDistributionsAndRanks, UliOracle, ::testing::ValuesIn(uli_cases()),
+    [](const ::testing::TestParamInfo<UliCase>& info) {
+      const UliCase& c = info.param;
+      std::string name = c.kernel == "stokes-reg" ? "stokesReg" : c.kernel;
+      name += c.dist == Distribution::kUniform ? "Uniform" : "Ellipsoid";
+      return name + "P" + std::to_string(c.p);
+    });
 
 /// Forced-tier sweep of the full pipeline: every available SIMD tier
 /// must reproduce the scalar tier's potentials with EXACTLY equal

@@ -268,7 +268,8 @@ INSTANTIATE_TEST_SUITE_P(
       name += c.dist == Distribution::kUniform ? "Uniform" : "Ellipsoid";
       name += c.m2l == M2lMode::kFft ? "Fft" : "Dense";
       if (c.runtime_pool) name += "RuntimePool";
-      if (c.surface_n != 4) name += "N" + std::to_string(c.surface_n);
+      if (c.surface_n != 4)
+        name.append("N").append(std::to_string(c.surface_n));
       return name;
     });
 
@@ -321,7 +322,8 @@ INSTANTIATE_TEST_SUITE_P(
       name += c.dist == Distribution::kUniform ? "Uniform" : "Ellipsoid";
       name += "Batched";  // kept from a removed engine choice: stable names
       if (c.runtime_pool) name += "RuntimePool";
-      if (c.surface_n != 4) name += "N" + std::to_string(c.surface_n);
+      if (c.surface_n != 4)
+        name.append("N").append(std::to_string(c.surface_n));
       return name;
     });
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numbers>
+#include <vector>
 
 #include "kernels/kernel.hpp"
 #include "util/rng.hpp"
@@ -305,6 +308,94 @@ TEST(Laplace, MeanValuePropertyOnSphere) {
   const double dc[3] = {-src[0], -src[1], -src[2]};
   k.block(dc, &center);
   EXPECT_NEAR(sum / n, center, 0.02 * center);
+}
+
+// ---------------------------------------------------------------------
+// direct_mutual: one tile for A <- B and B <- A.
+
+std::vector<double> uniform_vec(std::size_t n, std::uint64_t seed, double lo,
+                                double hi) {
+  Rng rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) x = rng.uniform(lo, hi);
+  return v;
+}
+
+double rel_l2(const std::vector<double>& a, const std::vector<double>& b) {
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    num += (a[i] - b[i]) * (a[i] - b[i]);
+    den += b[i] * b[i];
+  }
+  return std::sqrt(num / den);
+}
+
+/// Both sides of direct_mutual against direct(A <- B) and direct(B <- A)
+/// on adjacent boxes, with A's last point copied into B so one pair is
+/// coincident, and potentials seeded to check the accumulation. Returns
+/// the worse side's relative l2 difference; exact is set if both sides
+/// equal the two direct() calls bit for bit.
+double mutual_vs_direct(const Kernel& k, std::size_t na, std::size_t nb,
+                        bool& exact) {
+  const std::size_t sd = static_cast<std::size_t>(k.source_dim());
+  const std::size_t td = static_cast<std::size_t>(k.target_dim());
+  std::vector<double> a = uniform_vec(3 * na, 10 + na, 0.0, 1.0);
+  std::vector<double> b = uniform_vec(3 * nb, 20 + nb, 0.0, 1.0);
+  for (std::size_t i = 0; i < nb; ++i) b[3 * i] += 1.0;
+  for (int c = 0; c < 3; ++c) b[c] = a[3 * (na - 1) + c];
+  const auto qa = uniform_vec(na * sd, 30 + na, -1.0, 1.0);
+  const auto qb = uniform_vec(nb * sd, 40 + nb, -1.0, 1.0);
+  const auto fa0 = uniform_vec(na * td, 50 + na, -1.0, 1.0);
+  const auto fb0 = uniform_vec(nb * td, 60 + nb, -1.0, 1.0);
+
+  std::vector<double> ra = fa0, rb = fb0, fa = fa0, fb = fb0;
+  const std::uint64_t one_way = k.direct(a, b, qb, ra) + k.direct(b, a, qa, rb);
+  const std::uint64_t mutual = k.direct_mutual(a, qa, fa, b, qb, fb);
+  EXPECT_EQ(mutual, 2 * na * nb * k.flops_per_interaction()) << k.name();
+  EXPECT_EQ(mutual, one_way) << k.name();
+  for (double v : fa) EXPECT_TRUE(std::isfinite(v)) << k.name();
+  for (double v : fb) EXPECT_TRUE(std::isfinite(v)) << k.name();
+  exact = fa == ra && fb == rb;
+  return std::max(rel_l2(fa, ra), rel_l2(fb, rb));
+}
+
+TEST(DirectMutual, MatchesTwoDirectCalls) {
+  // The SIMD-routed kernels: the A side is the one-way kernel's, the B
+  // side reduces per-lane partials, so it agrees to rounding.
+  for (const char* name : {"laplace", "stokes", "stokes-reg"}) {
+    const auto k = make_kernel(name);
+    for (const std::size_t na : {1u, 5u, 9u, 40u})
+      for (const std::size_t nb : {1u, 8u, 17u, 33u}) {
+        bool exact = false;
+        EXPECT_LT(mutual_vs_direct(*k, na, nb, exact), 1e-13)
+            << name << " " << na << " x " << nb;
+      }
+  }
+}
+
+TEST(DirectMutual, YukawaAndDefaultEqualTwoDirectCallsBitwise) {
+  // Yukawa's scalar tile: block(-d) == block(d), and each target keeps
+  // its source order across the tiles. Laplace-gradient is odd and
+  // keeps the default, which is the two direct() calls.
+  std::vector<std::unique_ptr<Kernel>> ks;
+  ks.push_back(make_kernel("yukawa"));
+  ks.push_back(make_kernel("laplace")->gradient());
+  for (const auto& k : ks)
+    for (const std::size_t na : {1u, 7u, 31u, 32u, 33u, 70u})
+      for (const std::size_t nb : {1u, 2u, 45u}) {
+        bool exact = false;
+        mutual_vs_direct(*k, na, nb, exact);
+        EXPECT_TRUE(exact) << k->name() << " " << na << " x " << nb;
+      }
+}
+
+TEST(DirectMutual, RejectsMismatchedSpans) {
+  const auto k = make_kernel("stokes");
+  const std::vector<double> a(6, 0.5), b(9, 0.25);
+  std::vector<double> qa(6), qb(9), fa(6), fb(9), short_fb(6);
+  EXPECT_NO_THROW(k->direct_mutual(a, qa, fa, b, qb, fb));
+  EXPECT_ANY_THROW(k->direct_mutual(a, qa, fa, b, qb, short_fb));
+  EXPECT_ANY_THROW(k->direct_mutual(a, qb, fa, b, qb, fb));
 }
 
 }  // namespace

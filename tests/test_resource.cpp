@@ -258,7 +258,9 @@ TEST(Trend, EmptyHistoryIsOkWithNoWindow) {
 TEST(Trend, StableTrajectoryPasses) {
   std::vector<Json> hist;
   for (int i = 0; i < 5; ++i)
-    hist.push_back(make_record("s" + std::to_string(i), 1.0 + 0.01 * i, 2e6));
+    hist.push_back(
+        make_record(std::string("s").append(std::to_string(i)), 1.0 + 0.01 * i,
+                    2e6));
   const Json r = trend_analyze(hist);
   EXPECT_TRUE(r.at("ok").as_bool());
   EXPECT_EQ(r.at("regressions").size(), 0u);

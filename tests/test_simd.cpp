@@ -14,6 +14,8 @@
 #include <memory>
 #include <numbers>
 #include <span>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -98,6 +100,9 @@ TEST(SimdTier, TableShapePerTier) {
     EXPECT_NE(o.laplace_grad, nullptr);
     EXPECT_NE(o.stokes, nullptr);
     EXPECT_NE(o.stokes_reg, nullptr);
+    EXPECT_NE(o.laplace_mutual, nullptr);
+    EXPECT_NE(o.stokes_mutual, nullptr);
+    EXPECT_NE(o.stokes_reg_mutual, nullptr);
   }
 }
 
@@ -791,6 +796,154 @@ TEST_F(SimdTest, SinglePointSelfInteractionIsExactlyZero) {
       std::vector<double> pot(k->target_dim(), 0.0);
       k->direct(pt, pt, den, pot);
       for (double v : pot) EXPECT_EQ(v, 0.0) << name << " " << tier_name(t);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Mutual direct tiles
+// ---------------------------------------------------------------------------
+
+/// One even kernel's one-way and mutual Ops entries.
+struct MutualKernel {
+  const char* name;
+  std::size_t dim;
+  void one_way(const Ops& o, const std::vector<double>& t,
+               const std::vector<double>& s, const std::vector<double>& q,
+               double* f) const {
+    const std::size_t nt = t.size() / 3, ns = s.size() / 3;
+    if (dim == 1)
+      o.laplace(t.data(), nt, s.data(), ns, q.data(), f);
+    else if (std::string_view(name) == "stokes")
+      o.stokes(t.data(), nt, s.data(), ns, q.data(), f);
+    else
+      o.stokes_reg(t.data(), nt, s.data(), ns, q.data(), f, kEps2);
+  }
+  void mutual(const Ops& o, const std::vector<double>& a,
+              const std::vector<double>& qa, double* fa,
+              const std::vector<double>& b, const std::vector<double>& qb,
+              double* fb) const {
+    const std::size_t na = a.size() / 3, nb = b.size() / 3;
+    if (dim == 1)
+      o.laplace_mutual(a.data(), na, qa.data(), fa, b.data(), nb, qb.data(),
+                       fb);
+    else if (std::string_view(name) == "stokes")
+      o.stokes_mutual(a.data(), na, qa.data(), fa, b.data(), nb, qb.data(),
+                      fb);
+    else
+      o.stokes_reg_mutual(a.data(), na, qa.data(), fa, b.data(), nb,
+                          qb.data(), fb, kEps2);
+  }
+  static constexpr double kEps2 = 1e-4;
+};
+
+const MutualKernel kMutualKernels[] = {
+    {"laplace", 1}, {"stokes", 3}, {"stokes-reg", 3}};
+
+/// A potential buffer with guard cells on both sides: the kernel gets
+/// data() and the guards must keep their sentinel.
+struct Guarded {
+  static constexpr std::size_t kGuard = 16;
+  static constexpr double kSentinel = -12345.5;
+  std::vector<double> buf;
+  explicit Guarded(const std::vector<double>& init)
+      : buf(init.size() + 2 * kGuard, kSentinel) {
+    std::copy(init.begin(), init.end(), buf.begin() + kGuard);
+  }
+  double* data() { return buf.data() + kGuard; }
+  std::vector<double> inner() const {
+    return {buf.begin() + kGuard, buf.end() - kGuard};
+  }
+  bool guards_intact() const {
+    for (std::size_t i = 0; i < kGuard; ++i)
+      if (buf[i] != kSentinel || buf[buf.size() - 1 - i] != kSentinel)
+        return false;
+    return true;
+  }
+};
+
+/// Runs the mutual tile of `k` on tier `o` from seeded potentials and
+/// checks both sides against the same tier's one-way calls (1e-13) and
+/// the scalar tier's (1e-12), and that nothing outside fa/fb moved.
+void check_mutual(const MutualKernel& k, const Ops& o,
+                  const std::vector<double>& a, const std::vector<double>& b,
+                  const std::string& what) {
+  const std::size_t na = a.size() / 3, nb = b.size() / 3, d = k.dim;
+  const auto qa = random_vec(na * d, 30 + na, -1.0, 1.0);
+  const auto qb = random_vec(nb * d, 40 + nb, -1.0, 1.0);
+  const auto fa0 = random_vec(na * d, 50 + na, -1.0, 1.0);
+  const auto fb0 = random_vec(nb * d, 60 + nb, -1.0, 1.0);
+  const Ops& scalar = ops_for_tier(Tier::kScalar);
+  std::vector<double> sa = fa0, sb = fb0, ta = fa0, tb = fb0;
+  k.one_way(scalar, a, b, qb, sa.data());
+  k.one_way(scalar, b, a, qa, sb.data());
+  k.one_way(o, a, b, qb, ta.data());
+  k.one_way(o, b, a, qa, tb.data());
+
+  Guarded fa(fa0), fb(fb0);
+  k.mutual(o, a, qa, fa.data(), b, qb, fb.data());
+  EXPECT_TRUE(fa.guards_intact()) << what;
+  EXPECT_TRUE(fb.guards_intact()) << what;
+  const auto ma = fa.inner(), mb = fb.inner();
+  for (double v : ma) ASSERT_TRUE(std::isfinite(v)) << what;
+  for (double v : mb) ASSERT_TRUE(std::isfinite(v)) << what;
+  // The A side runs the one-way kernel's arithmetic, in its order.
+  EXPECT_EQ(ma, ta) << what << " A side";
+  EXPECT_LE(rel_err(mb, tb), 1e-13) << what << " B side";
+  // One lane: the B side's partials are its one-way sums.
+  if (o.width == 1) {
+    EXPECT_EQ(mb, tb) << what << " B side";
+  }
+  EXPECT_LE(rel_err(ma, sa), 1e-12) << what << " A side vs scalar";
+  EXPECT_LE(rel_err(mb, sb), 1e-12) << what << " B side vs scalar";
+}
+
+TEST_F(SimdTest, MutualTilesMatchOneWayCalls) {
+  // A in the unit box, B in the adjacent box (x + 1), as a U-list pair
+  // of leaves. The sizes straddle every tier's width.
+  const std::size_t sizes[] = {1, 2, 7, 8, 9, 15, 16, 17, 194};
+  for (const MutualKernel& k : kMutualKernels)
+    for (Tier t : available_tiers())
+      for (const std::size_t na : sizes)
+        for (const std::size_t nb : sizes) {
+          const auto a = random_vec(3 * na, 100 + na, 0.0, 1.0);
+          auto b = random_vec(3 * nb, 200 + nb, 0.0, 1.0);
+          for (std::size_t i = 0; i < nb; ++i) b[3 * i] += 1.0;
+          check_mutual(k, ops_for_tier(t), a, b,
+                       std::string(k.name) + " " + tier_name(t) + " " +
+                           std::to_string(na) + " x " + std::to_string(nb));
+        }
+}
+
+TEST_F(SimdTest, MutualTilesCoincidentPointsAddZero) {
+  // B holds copies of A's points 0, 3 and 8 (the last in a second
+  // vector group on every tier, and stored as -0.0 in B), between
+  // points of its own: the coincident pairs add zero to both sides, as
+  // in the one-way kernels, and everything else still counts.
+  auto a = random_vec(3 * 11, 301, 0.0, 1.0);
+  a[24] = a[25] = a[26] = 0.0;
+  auto b = random_vec(3 * 6, 302, 0.0, 1.0);
+  for (int c = 0; c < 3; ++c) {
+    b[c] = a[c];
+    b[6 + c] = a[9 + c];
+    b[15 + c] = -0.0;
+  }
+  for (const MutualKernel& k : kMutualKernels)
+    for (Tier t : available_tiers())
+      check_mutual(k, ops_for_tier(t), a, b,
+                   std::string(k.name) + " " + tier_name(t));
+
+  // One coincident pair alone: exactly zero on both sides.
+  const std::vector<double> p = {0.5, 0.25, 0.75};
+  for (const MutualKernel& k : kMutualKernels) {
+    if (std::string_view(k.name) == "stokes-reg") continue;  // smooth at 0
+    const std::vector<double> q(k.dim, 1.5), zero(k.dim, 0.0);
+    for (Tier t : available_tiers()) {
+      Guarded fa(zero), fb(zero);
+      k.mutual(ops_for_tier(t), p, q, fa.data(), p, q, fb.data());
+      for (double v : fa.inner()) EXPECT_EQ(v, 0.0) << k.name << tier_name(t);
+      for (double v : fb.inner()) EXPECT_EQ(v, 0.0) << k.name << tier_name(t);
+      EXPECT_TRUE(fa.guards_intact() && fb.guards_intact());
     }
   }
 }

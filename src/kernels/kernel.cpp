@@ -56,47 +56,6 @@ std::uint64_t direct_impl(const K& kern, std::span<const double> targets,
   return nt * ns * kern.flops_per_interaction();
 }
 
-/// direct_impl's tile for both directions of an even D x D kernel: one
-/// block() per pair feeds A's target t and B's target s. Each A target
-/// still visits B's points in order, each B target A's points in order
-/// (tile after tile), and block(-d) == block(d), so both sides equal
-/// the two direct_impl calls bit for bit.
-template <int D, class K>
-std::uint64_t direct_mutual_impl(const K& kern, std::span<const double> a_pos,
-                                 std::span<const double> a_den,
-                                 std::span<double> a_pot,
-                                 std::span<const double> b_pos,
-                                 std::span<const double> b_den,
-                                 std::span<double> b_pot) {
-  PKIFMM_CHECK(a_pos.size() % 3 == 0 && b_pos.size() % 3 == 0);
-  const std::size_t na = a_pos.size() / 3;
-  const std::size_t nb = b_pos.size() / 3;
-  PKIFMM_CHECK(a_den.size() == na * D && a_pot.size() == na * D);
-  PKIFMM_CHECK(b_den.size() == nb * D && b_pot.size() == nb * D);
-
-  double blk[D * D];
-  for (std::size_t t0 = 0; t0 < na; t0 += kDirectTile) {
-    const std::size_t t1 = std::min(na, t0 + kDirectTile);
-    for (std::size_t s = 0; s < nb; ++s) {
-      const double* ys = &b_pos[3 * s];
-      const double* qs = &b_den[s * D];
-      double* fs = &b_pot[s * D];
-      for (std::size_t t = t0; t < t1; ++t) {
-        const double* xt = &a_pos[3 * t];
-        const double d[3] = {xt[0] - ys[0], xt[1] - ys[1], xt[2] - ys[2]};
-        kern.block(d, blk);
-        const double* qt = &a_den[t * D];
-        double* ft = &a_pot[t * D];
-        for (int i = 0; i < D; ++i)
-          for (int j = 0; j < D; ++j) ft[i] += blk[i * D + j] * qs[j];
-        for (int i = 0; i < D; ++i)
-          for (int j = 0; j < D; ++j) fs[i] += blk[i * D + j] * qt[j];
-      }
-    }
-  }
-  return 2 * na * nb * kern.flops_per_interaction();
-}
-
 }  // namespace
 
 std::uint64_t Kernel::direct_mutual(std::span<const double> a_pos,
@@ -328,33 +287,11 @@ std::uint64_t RegularizedStokesKernel::direct(
   return nt * ns * flops_per_interaction();
 }
 
-std::uint64_t RegularizedStokesKernel::direct_mutual(
-    std::span<const double> a_pos, std::span<const double> a_den,
-    std::span<double> a_pot, std::span<const double> b_pos,
-    std::span<const double> b_den, std::span<double> b_pot) const {
-  const auto [na, nb] =
-      check_mutual_spans(a_pos, a_den, a_pot, b_pos, b_den, b_pot, 3);
-  simd::ops().stokes_reg_mutual(a_pos.data(), na, a_den.data(), a_pot.data(),
-                                b_pos.data(), nb, b_den.data(), b_pot.data(),
-                                eps2_);
-  return 2 * na * nb * flops_per_interaction();
-}
-
 std::uint64_t YukawaKernel::direct(std::span<const double> targets,
                                    std::span<const double> sources,
                                    std::span<const double> density,
                                    std::span<double> potential) const {
   return direct_impl<1, 1>(*this, targets, sources, density, potential);
-}
-
-std::uint64_t YukawaKernel::direct_mutual(std::span<const double> a_pos,
-                                          std::span<const double> a_den,
-                                          std::span<double> a_pot,
-                                          std::span<const double> b_pos,
-                                          std::span<const double> b_den,
-                                          std::span<double> b_pot) const {
-  return direct_mutual_impl<1>(*this, a_pos, a_den, a_pot, b_pos, b_den,
-                               b_pot);
 }
 
 std::unique_ptr<Kernel> make_kernel(const std::string& name) {

@@ -11,7 +11,7 @@
 /// A kernel exposes:
 ///  - the tensor block K(x, y) (target_dim x source_dim),
 ///  - a tuned direct-summation loop (the ULI inner kernel on the CPU)
-///    and its mutual form for pairs of leaves, which the even kernels
+///    and its mutual form for pairs of leaves, which Laplace and Stokes
 ///    evaluate once for both directions,
 ///  - dense matrix assembly for the KIFMM translation-operator setup,
 ///  - homogeneity metadata, which lets the FMM reuse one set of
@@ -87,13 +87,12 @@ class Kernel {
   /// flops_per_interaction(). The potential spans must not overlap.
   ///
   /// The default is direct(A <- B) then direct(B <- A), exact for any
-  /// kernel. The even kernels, K(d) = K(-d), override it with one tile
-  /// that computes each pair's block once for both sides. The SIMD-routed
-  /// ones (Laplace, Stokes, regularized Stokes) keep the A side bitwise
+  /// kernel. Laplace and Stokes, both even, K(d) = K(-d), override it
+  /// with one SIMD tile that computes each pair's r and 1/r once for
+  /// both sides. Its A side runs direct()'s code, so it is bitwise
   /// equal to direct(); the B side sums per-lane partials and then
   /// reduces the lanes in a fixed order, so it is bitwise deterministic
-  /// within a tier and agrees with direct() to rounding. Yukawa's scalar
-  /// tile equals the two direct() calls bit for bit.
+  /// within a tier and agrees with direct() to rounding.
   virtual std::uint64_t direct_mutual(std::span<const double> a_pos,
                                       std::span<const double> a_den,
                                       std::span<double> a_pot,
@@ -216,12 +215,6 @@ class RegularizedStokesKernel final : public Kernel {
                        std::span<const double> sources,
                        std::span<const double> density,
                        std::span<double> potential) const override;
-  std::uint64_t direct_mutual(std::span<const double> a_pos,
-                              std::span<const double> a_den,
-                              std::span<double> a_pot,
-                              std::span<const double> b_pos,
-                              std::span<const double> b_den,
-                              std::span<double> b_pot) const override;
   double epsilon() const { return std::sqrt(eps2_); }
 
  private:
@@ -244,12 +237,6 @@ class YukawaKernel final : public Kernel {
                        std::span<const double> sources,
                        std::span<const double> density,
                        std::span<double> potential) const override;
-  std::uint64_t direct_mutual(std::span<const double> a_pos,
-                              std::span<const double> a_den,
-                              std::span<double> a_pot,
-                              std::span<const double> b_pos,
-                              std::span<const double> b_den,
-                              std::span<double> b_pot) const override;
   std::unique_ptr<Kernel> gradient() const override;
   double lambda() const { return lambda_; }
 

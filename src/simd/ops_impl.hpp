@@ -39,15 +39,15 @@
 /// replicating the first target and simply skip the dead lanes at
 /// writeback. Coincident points are suppressed branch-free with an
 /// r2 == 0 lane mask — the same predicate every scalar kernel::block
-/// uses (see the unified guard in kernels/kernel.cpp). The mutual tiles
-/// (Ops::*_mutual) run the same group loop and also broadcast each
-/// source's partials for its own side; see "Mutual direct tiles".
+/// uses (see the unified guard in kernels/kernel.cpp). Each kernel's
+/// per-pair arithmetic is written once, as a term type that both the
+/// one-way loop and the mutual tiles (Ops::*_mutual) call; the mutual
+/// tiles also keep per-lane partials for each source's own side (see
+/// "Mutual direct tiles").
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <numbers>
-#include <vector>
 
 #include "simd/pack.hpp"
 #include "simd/simd.hpp"
@@ -443,7 +443,16 @@ void dft_yz_t(const DftStage& st) {
 
 // ---------------------------------------------------------------------------
 // Direct kernels. Shared staging: W targets -> SoA lanes (tail lanes
-// replicate target 0 and are dropped at writeback).
+// replicate target 0 and are dropped at writeback). Each kernel is one
+// term type, written once:
+//   pair(tg, y)      the quantities the group's lanes share with source
+//                    point y (d = x - y, 1/r, ...);
+//   add(p, q, acc)   the kernel applied to densities q (one vector per
+//                    source component) into the accumulators acc.
+// The one-way loop (direct_t) broadcasts each source's densities and
+// adds into the group's accumulators. The mutual tile (mutual_t) runs
+// the same pair() and add() for A's accumulators and then one more
+// add() of A's densities, in lanes, into the source's partials.
 // ---------------------------------------------------------------------------
 
 template <class P>
@@ -481,145 +490,174 @@ void store_lanes_acc(double* f, std::size_t t0, int stride, int comp,
     f[(t0 + l) * static_cast<std::size_t>(stride) + comp] += out[l];
 }
 
-/// Laplace single layer: f[t] += q_s / (4 pi |x_t - y_s|).
+/// d = x - y in the group's lanes and r2 = |d|^2.
 template <class P>
-void direct_laplace_t(const double* trg, std::size_t nt, const double* src,
-                      std::size_t ns, const double* q, double* f) {
-  for (std::size_t t0 = 0; t0 < nt; t0 += P::kWidth) {
-    const TargetGroup<P> tg = load_targets<P>(trg, t0, nt);
-    typename P::V acc = P::zero();
-    for (std::size_t s = 0; s < ns; ++s) {
-      const typename P::V dx = P::sub(tg.x, P::set1(src[3 * s + 0]));
-      const typename P::V dy = P::sub(tg.y, P::set1(src[3 * s + 1]));
-      const typename P::V dz = P::sub(tg.z, P::set1(src[3 * s + 2]));
-      typename P::V r2 = P::mul(dx, dx);
-      r2 = P::fmadd(dy, dy, r2);
-      r2 = P::fmadd(dz, dz, r2);
-      const typename P::V inv_r =
-          P::zero_where(P::eq(r2, P::zero()), P::rsqrt(r2));
-      acc = P::fmadd(P::set1(kOneOver4Pi * q[s]), inv_r, acc);
-    }
-    store_lanes_acc<P>(f, t0, 1, 0, acc, tg.lanes);
-  }
+struct Separation {
+  typename P::V dx, dy, dz, r2;
+};
+
+template <class P>
+Separation<P> separation(const TargetGroup<P>& tg, const double* y) {
+  Separation<P> d;
+  d.dx = P::sub(tg.x, P::set1(y[0]));
+  d.dy = P::sub(tg.y, P::set1(y[1]));
+  d.dz = P::sub(tg.z, P::set1(y[2]));
+  d.r2 = P::mul(d.dx, d.dx);
+  d.r2 = P::fmadd(d.dy, d.dy, d.r2);
+  d.r2 = P::fmadd(d.dz, d.dz, d.r2);
+  return d;
 }
 
-/// grad_x Laplace: f[t][i] += -d_i q_s / (4 pi |d|^3).
+/// 1/r, zero in coincident lanes (r2 == 0).
 template <class P>
-void direct_laplace_grad_t(const double* trg, std::size_t nt,
-                           const double* src, std::size_t ns, const double* q,
-                           double* f) {
-  for (std::size_t t0 = 0; t0 < nt; t0 += P::kWidth) {
-    const TargetGroup<P> tg = load_targets<P>(trg, t0, nt);
-    typename P::V a0 = P::zero(), a1 = P::zero(), a2 = P::zero();
-    for (std::size_t s = 0; s < ns; ++s) {
-      const typename P::V dx = P::sub(tg.x, P::set1(src[3 * s + 0]));
-      const typename P::V dy = P::sub(tg.y, P::set1(src[3 * s + 1]));
-      const typename P::V dz = P::sub(tg.z, P::set1(src[3 * s + 2]));
-      typename P::V r2 = P::mul(dx, dx);
-      r2 = P::fmadd(dy, dy, r2);
-      r2 = P::fmadd(dz, dz, r2);
-      const typename P::V inv_r =
-          P::zero_where(P::eq(r2, P::zero()), P::rsqrt(r2));
-      const typename P::V inv_r3 =
-          P::mul(P::mul(inv_r, inv_r), inv_r);
-      const typename P::V c =
-          P::mul(P::set1(-kOneOver4Pi * q[s]), inv_r3);
-      a0 = P::fmadd(c, dx, a0);
-      a1 = P::fmadd(c, dy, a1);
-      a2 = P::fmadd(c, dz, a2);
-    }
-    store_lanes_acc<P>(f, t0, 3, 0, a0, tg.lanes);
-    store_lanes_acc<P>(f, t0, 3, 1, a1, tg.lanes);
-    store_lanes_acc<P>(f, t0, 3, 2, a2, tg.lanes);
-  }
+typename P::V masked_inv_r(typename P::V r2) {
+  return P::zero_where(P::eq(r2, P::zero()), P::rsqrt(r2));
 }
+
+/// Laplace single layer: f[t] += q_s / (4 pi |x_t - y_s|), the
+/// 1/(4 pi) folded into the densities.
+template <class P>
+struct LaplaceTerm {
+  using V = typename P::V;
+  static constexpr int kTrgDim = 1, kSrcDim = 1;
+  static constexpr double kDensityScale = kOneOver4Pi;
+  struct Pair {
+    V inv_r;
+  };
+  Pair pair(const TargetGroup<P>& tg, const double* y) const {
+    return {masked_inv_r<P>(separation<P>(tg, y).r2)};
+  }
+  void add(const Pair& p, const V (&q)[1], V (&acc)[1]) const {
+    acc[0] = P::fmadd(q[0], p.inv_r, acc[0]);
+  }
+};
+
+/// grad_x Laplace: f[t][i] += -d_i q_s / (4 pi |d|^3), the -1/(4 pi)
+/// folded into the densities.
+template <class P>
+struct LaplaceGradTerm {
+  using V = typename P::V;
+  static constexpr int kTrgDim = 3, kSrcDim = 1;
+  static constexpr double kDensityScale = -kOneOver4Pi;
+  struct Pair {
+    Separation<P> d;
+    V inv_r3;
+  };
+  Pair pair(const TargetGroup<P>& tg, const double* y) const {
+    const Separation<P> d = separation<P>(tg, y);
+    const V inv_r = masked_inv_r<P>(d.r2);
+    return {d, P::mul(P::mul(inv_r, inv_r), inv_r)};
+  }
+  void add(const Pair& p, const V (&q)[1], V (&acc)[3]) const {
+    const V c = P::mul(q[0], p.inv_r3);
+    acc[0] = P::fmadd(c, p.d.dx, acc[0]);
+    acc[1] = P::fmadd(c, p.d.dy, acc[1]);
+    acc[2] = P::fmadd(c, p.d.dz, acc[2]);
+  }
+};
 
 /// Stokes single layer (Oseen): using K q = 1/(8 pi) [q / r + d (d.q)/r^3],
-/// f[t][i] += k8 (q_i / r + d_i (d.q) / r^3).
+/// f[t][i] += k8 (q_i / r + d_i (d.q) / r^3). K is even, so add() serves
+/// both directions of a pair with the same d.
 template <class P>
-void direct_stokes_t(const double* trg, std::size_t nt, const double* src,
-                     std::size_t ns, const double* q, double* f) {
-  for (std::size_t t0 = 0; t0 < nt; t0 += P::kWidth) {
-    const TargetGroup<P> tg = load_targets<P>(trg, t0, nt);
-    typename P::V a0 = P::zero(), a1 = P::zero(), a2 = P::zero();
-    for (std::size_t s = 0; s < ns; ++s) {
-      const double q0 = q[3 * s + 0], q1 = q[3 * s + 1], q2 = q[3 * s + 2];
-      const typename P::V dx = P::sub(tg.x, P::set1(src[3 * s + 0]));
-      const typename P::V dy = P::sub(tg.y, P::set1(src[3 * s + 1]));
-      const typename P::V dz = P::sub(tg.z, P::set1(src[3 * s + 2]));
-      typename P::V r2 = P::mul(dx, dx);
-      r2 = P::fmadd(dy, dy, r2);
-      r2 = P::fmadd(dz, dz, r2);
-      const typename P::V inv_r =
-          P::zero_where(P::eq(r2, P::zero()), P::rsqrt(r2));
-      const typename P::V inv_r3 =
-          P::mul(P::mul(inv_r, inv_r), inv_r);
-      typename P::V dq = P::mul(dx, P::set1(q0));
-      dq = P::fmadd(dy, P::set1(q1), dq);
-      dq = P::fmadd(dz, P::set1(q2), dq);
-      const typename P::V s1 = P::mul(P::set1(kOneOver8Pi), inv_r);
-      const typename P::V s3 =
-          P::mul(P::set1(kOneOver8Pi), P::mul(dq, inv_r3));
-      a0 = P::fmadd(s1, P::set1(q0), a0);
-      a1 = P::fmadd(s1, P::set1(q1), a1);
-      a2 = P::fmadd(s1, P::set1(q2), a2);
-      a0 = P::fmadd(s3, dx, a0);
-      a1 = P::fmadd(s3, dy, a1);
-      a2 = P::fmadd(s3, dz, a2);
-    }
-    store_lanes_acc<P>(f, t0, 3, 0, a0, tg.lanes);
-    store_lanes_acc<P>(f, t0, 3, 1, a1, tg.lanes);
-    store_lanes_acc<P>(f, t0, 3, 2, a2, tg.lanes);
+struct StokesTerm {
+  using V = typename P::V;
+  static constexpr int kTrgDim = 3, kSrcDim = 3;
+  static constexpr double kDensityScale = 1.0;
+  struct Pair {
+    Separation<P> d;
+    V inv_r3, s1;
+  };
+  Pair pair(const TargetGroup<P>& tg, const double* y) const {
+    const Separation<P> d = separation<P>(tg, y);
+    const V inv_r = masked_inv_r<P>(d.r2);
+    return {d, P::mul(P::mul(inv_r, inv_r), inv_r),
+            P::mul(P::set1(kOneOver8Pi), inv_r)};
   }
-}
+  void add(const Pair& p, const V (&q)[3], V (&acc)[3]) const {
+    V dq = P::mul(p.d.dx, q[0]);
+    dq = P::fmadd(p.d.dy, q[1], dq);
+    dq = P::fmadd(p.d.dz, q[2], dq);
+    const V s3 = P::mul(P::set1(kOneOver8Pi), P::mul(dq, p.inv_r3));
+    acc[0] = P::fmadd(p.s1, q[0], acc[0]);
+    acc[1] = P::fmadd(p.s1, q[1], acc[1]);
+    acc[2] = P::fmadd(p.s1, q[2], acc[2]);
+    acc[0] = P::fmadd(s3, p.d.dx, acc[0]);
+    acc[1] = P::fmadd(s3, p.d.dy, acc[1]);
+    acc[2] = P::fmadd(s3, p.d.dz, acc[2]);
+  }
+};
 
 /// Regularized Stokeslet (Cortez): smooth at r = 0, no lane mask —
 /// self-interaction is finite and KEPT, exactly as in the scalar block.
 template <class P>
-void direct_stokes_reg_t(const double* trg, std::size_t nt, const double* src,
-                         std::size_t ns, const double* q, double* f,
-                         double eps2) {
-  const typename P::V veps2 = P::set1(eps2);
+struct StokesRegTerm {
+  using V = typename P::V;
+  static constexpr int kTrgDim = 3, kSrcDim = 3;
+  static constexpr double kDensityScale = 1.0;
+  double eps2;
+  struct Pair {
+    Separation<P> d;
+    V diag, offd;
+  };
+  Pair pair(const TargetGroup<P>& tg, const double* y) const {
+    const Separation<P> d = separation<P>(tg, y);
+    const V re2 = P::add(d.r2, P::set1(eps2));
+    const V inv_s = P::rsqrt(re2);
+    // 1 / (re2 * sqrt(re2)) = inv_s^3
+    const V inv = P::mul(P::mul(inv_s, inv_s), inv_s);
+    return {d,
+            P::mul(P::set1(kOneOver8Pi),
+                   P::mul(P::add(d.r2, P::set1(2.0 * eps2)), inv)),
+            P::mul(P::set1(kOneOver8Pi), inv)};
+  }
+  void add(const Pair& p, const V (&q)[3], V (&acc)[3]) const {
+    V dq = P::mul(p.d.dx, q[0]);
+    dq = P::fmadd(p.d.dy, q[1], dq);
+    dq = P::fmadd(p.d.dz, q[2], dq);
+    const V s3 = P::mul(p.offd, dq);
+    acc[0] = P::fmadd(p.diag, q[0], acc[0]);
+    acc[1] = P::fmadd(p.diag, q[1], acc[1]);
+    acc[2] = P::fmadd(p.diag, q[2], acc[2]);
+    acc[0] = P::fmadd(s3, p.d.dx, acc[0]);
+    acc[1] = P::fmadd(s3, p.d.dy, acc[1]);
+    acc[2] = P::fmadd(s3, p.d.dz, acc[2]);
+  }
+};
+
+/// One source's densities, times the term's scale, in every lane.
+template <class P, class Term>
+void broadcast_density(const double* q,
+                       typename P::V (&out)[Term::kSrcDim]) {
+  for (int c = 0; c < Term::kSrcDim; ++c)
+    out[c] = P::set1(Term::kDensityScale * q[c]);
+}
+
+/// The one-way loop: all sources stream in index order over each group
+/// of W targets, each lane accumulating its own target.
+template <class P, class Term>
+void direct_t(const Term& term, const double* trg, std::size_t nt,
+              const double* src, std::size_t ns, const double* q,
+              double* f) {
+  using V = typename P::V;
+  constexpr int TD = Term::kTrgDim, SD = Term::kSrcDim;
   for (std::size_t t0 = 0; t0 < nt; t0 += P::kWidth) {
     const TargetGroup<P> tg = load_targets<P>(trg, t0, nt);
-    typename P::V a0 = P::zero(), a1 = P::zero(), a2 = P::zero();
+    V acc[TD];
+    for (int c = 0; c < TD; ++c) acc[c] = P::zero();
     for (std::size_t s = 0; s < ns; ++s) {
-      const double q0 = q[3 * s + 0], q1 = q[3 * s + 1], q2 = q[3 * s + 2];
-      const typename P::V dx = P::sub(tg.x, P::set1(src[3 * s + 0]));
-      const typename P::V dy = P::sub(tg.y, P::set1(src[3 * s + 1]));
-      const typename P::V dz = P::sub(tg.z, P::set1(src[3 * s + 2]));
-      typename P::V r2 = P::mul(dx, dx);
-      r2 = P::fmadd(dy, dy, r2);
-      r2 = P::fmadd(dz, dz, r2);
-      const typename P::V re2 = P::add(r2, veps2);
-      const typename P::V inv_s = P::rsqrt(re2);
-      // 1 / (re2 * sqrt(re2)) = inv_s^3
-      const typename P::V inv =
-          P::mul(P::mul(inv_s, inv_s), inv_s);
-      const typename P::V diag = P::mul(
-          P::set1(kOneOver8Pi),
-          P::mul(P::add(r2, P::set1(2.0 * eps2)), inv));
-      const typename P::V offd = P::mul(P::set1(kOneOver8Pi), inv);
-      typename P::V dq = P::mul(dx, P::set1(q0));
-      dq = P::fmadd(dy, P::set1(q1), dq);
-      dq = P::fmadd(dz, P::set1(q2), dq);
-      const typename P::V s3 = P::mul(offd, dq);
-      a0 = P::fmadd(diag, P::set1(q0), a0);
-      a1 = P::fmadd(diag, P::set1(q1), a1);
-      a2 = P::fmadd(diag, P::set1(q2), a2);
-      a0 = P::fmadd(s3, dx, a0);
-      a1 = P::fmadd(s3, dy, a1);
-      a2 = P::fmadd(s3, dz, a2);
+      V qs[SD];
+      broadcast_density<P, Term>(q + SD * s, qs);
+      term.add(term.pair(tg, src + 3 * s), qs, acc);
     }
-    store_lanes_acc<P>(f, t0, 3, 0, a0, tg.lanes);
-    store_lanes_acc<P>(f, t0, 3, 1, a1, tg.lanes);
-    store_lanes_acc<P>(f, t0, 3, 2, a2, tg.lanes);
+    for (int c = 0; c < TD; ++c)
+      store_lanes_acc<P>(f, t0, TD, c, acc[c], tg.lanes);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Mutual direct tiles (Ops::*_mutual). A's points sit in lanes and
-// accumulate in registers exactly as in the one-way kernels above; B's
+// Mutual direct tiles (Ops::*_mutual), for the even kernels. A's points
+// sit in lanes and accumulate in registers exactly as in direct_t; B's
 // points are broadcast. Each B point keeps D partial vectors in
 // per-thread scratch, loaded, updated and stored once per A group, and
 // after A's last group each partial's lanes are summed in ascending
@@ -627,19 +665,7 @@ void direct_stokes_reg_t(const double* trg, std::size_t nt, const double* src,
 // exact zeros to B.
 // ---------------------------------------------------------------------------
 
-/// Per-thread scratch of at least n doubles, 64-byte aligned, contents
-/// unspecified. One buffer per pack type, so per tier.
-template <class P>
-double* mutual_scratch(std::size_t n) {
-  constexpr std::size_t kAlign = 64 / sizeof(double);
-  thread_local std::vector<double> buf;
-  if (buf.size() < n + kAlign) buf.resize(n + kAlign);
-  const std::size_t mis =
-      (reinterpret_cast<std::uintptr_t>(buf.data()) / sizeof(double)) % kAlign;
-  return buf.data() + (kAlign - mis) % kAlign;
-}
-
-/// A group's source densities in lanes, times scale; zero in dead lanes.
+/// A group's densities in lanes, times scale; zero in dead lanes.
 template <class P, int D>
 void load_density_lanes(const double* q, std::size_t t0, std::size_t lanes,
                         double scale, typename P::V (&out)[D]) {
@@ -651,28 +677,30 @@ void load_density_lanes(const double* q, std::size_t t0, std::size_t lanes,
   for (int c = 0; c < D; ++c) out[c] = P::loadu(buf[c]);
 }
 
-/// The shared mutual loop. pair(ag, qa, y_s, q_s, acc, pb) adds source
-/// s's term into A's accumulators acc and A's terms into B point s's
-/// partials pb; qa holds A's densities in lanes, times qa_scale.
-template <class P, int D, class Pair>
-void mutual_tile(const double* a, std::size_t na, const double* qa, double* fa,
-                 const double* b, std::size_t nb, const double* qb, double* fb,
-                 double qa_scale, const Pair& pair) {
+template <class P, class Term>
+void mutual_t(const Term& term, const double* a, std::size_t na,
+              const double* qa, double* fa, const double* b, std::size_t nb,
+              const double* qb, double* fb) {
   using V = typename P::V;
   constexpr std::size_t W = P::kWidth;
-  double* part = mutual_scratch<P>(nb * D * W);
-  std::fill_n(part, nb * D * W, 0.0);
+  constexpr int D = Term::kSrcDim;
+  static_assert(Term::kTrgDim == D, "a mutual tile needs a square kernel");
+  double* part = detail::mutual_scratch(nb * D * W);
+  for (std::size_t k = 0; k < nb * D; ++k) P::storeu(part + k * W, P::zero());
   for (std::size_t t0 = 0; t0 < na; t0 += W) {
     const TargetGroup<P> ag = load_targets<P>(a, t0, na);
     V q[D], acc[D];
-    load_density_lanes<P, D>(qa, t0, ag.lanes, qa_scale, q);
+    load_density_lanes<P, D>(qa, t0, ag.lanes, Term::kDensityScale, q);
     for (int c = 0; c < D; ++c) acc[c] = P::zero();
     for (std::size_t s = 0; s < nb; ++s) {
       double* ps = part + s * D * W;
-      V pb[D];
+      V qs[D], pb[D];
+      broadcast_density<P, Term>(qb + D * s, qs);
 #pragma GCC unroll 3
       for (int c = 0; c < D; ++c) pb[c] = P::loadu(ps + c * W);
-      pair(ag, q, b + 3 * s, qb + D * s, acc, pb);
+      const typename Term::Pair p = term.pair(ag, b + 3 * s);
+      term.add(p, qs, acc);
+      term.add(p, q, pb);
 #pragma GCC unroll 3
       for (int c = 0; c < D; ++c) P::storeu(ps + c * W, pb[c]);
     }
@@ -687,118 +715,44 @@ void mutual_tile(const double* a, std::size_t na, const double* qa, double* fa,
   }
 }
 
-/// Laplace: the one-way kernel's A side; B gets (q_a / 4 pi) / r, the
-/// 1/(4 pi) staged into A's density lanes.
+template <class P>
+void direct_laplace_t(const double* trg, std::size_t nt, const double* src,
+                      std::size_t ns, const double* q, double* f) {
+  direct_t<P>(LaplaceTerm<P>{}, trg, nt, src, ns, q, f);
+}
+
+template <class P>
+void direct_laplace_grad_t(const double* trg, std::size_t nt,
+                           const double* src, std::size_t ns, const double* q,
+                           double* f) {
+  direct_t<P>(LaplaceGradTerm<P>{}, trg, nt, src, ns, q, f);
+}
+
+template <class P>
+void direct_stokes_t(const double* trg, std::size_t nt, const double* src,
+                     std::size_t ns, const double* q, double* f) {
+  direct_t<P>(StokesTerm<P>{}, trg, nt, src, ns, q, f);
+}
+
+template <class P>
+void direct_stokes_reg_t(const double* trg, std::size_t nt, const double* src,
+                         std::size_t ns, const double* q, double* f,
+                         double eps2) {
+  direct_t<P>(StokesRegTerm<P>{eps2}, trg, nt, src, ns, q, f);
+}
+
 template <class P>
 void mutual_laplace_t(const double* a, std::size_t na, const double* qa,
                       double* fa, const double* b, std::size_t nb,
                       const double* qb, double* fb) {
-  using V = typename P::V;
-  mutual_tile<P, 1>(
-      a, na, qa, fa, b, nb, qb, fb, kOneOver4Pi,
-      [](const TargetGroup<P>& ag, const V (&q)[1], const double* y,
-         const double* qs, V (&acc)[1], V (&pb)[1]) {
-        const V dx = P::sub(ag.x, P::set1(y[0]));
-        const V dy = P::sub(ag.y, P::set1(y[1]));
-        const V dz = P::sub(ag.z, P::set1(y[2]));
-        V r2 = P::mul(dx, dx);
-        r2 = P::fmadd(dy, dy, r2);
-        r2 = P::fmadd(dz, dz, r2);
-        const V inv_r = P::zero_where(P::eq(r2, P::zero()), P::rsqrt(r2));
-        acc[0] = P::fmadd(P::set1(kOneOver4Pi * qs[0]), inv_r, acc[0]);
-        pb[0] = P::fmadd(q[0], inv_r, pb[0]);
-      });
+  mutual_t<P>(LaplaceTerm<P>{}, a, na, qa, fa, b, nb, qb, fb);
 }
 
-/// Stokes: K is even, so B's term k8 (q_a / r + d (d.q_a) / r^3) uses
-/// the same d = x_a - y_b as A's.
 template <class P>
 void mutual_stokes_t(const double* a, std::size_t na, const double* qa,
                      double* fa, const double* b, std::size_t nb,
                      const double* qb, double* fb) {
-  using V = typename P::V;
-  mutual_tile<P, 3>(
-      a, na, qa, fa, b, nb, qb, fb, 1.0,
-      [](const TargetGroup<P>& ag, const V (&q)[3], const double* y,
-         const double* qs, V (&acc)[3], V (&pb)[3]) {
-        const double q0 = qs[0], q1 = qs[1], q2 = qs[2];
-        const V dx = P::sub(ag.x, P::set1(y[0]));
-        const V dy = P::sub(ag.y, P::set1(y[1]));
-        const V dz = P::sub(ag.z, P::set1(y[2]));
-        V r2 = P::mul(dx, dx);
-        r2 = P::fmadd(dy, dy, r2);
-        r2 = P::fmadd(dz, dz, r2);
-        const V inv_r = P::zero_where(P::eq(r2, P::zero()), P::rsqrt(r2));
-        const V inv_r3 = P::mul(P::mul(inv_r, inv_r), inv_r);
-        V dq = P::mul(dx, P::set1(q0));
-        dq = P::fmadd(dy, P::set1(q1), dq);
-        dq = P::fmadd(dz, P::set1(q2), dq);
-        const V s1 = P::mul(P::set1(kOneOver8Pi), inv_r);
-        const V s3 = P::mul(P::set1(kOneOver8Pi), P::mul(dq, inv_r3));
-        acc[0] = P::fmadd(s1, P::set1(q0), acc[0]);
-        acc[1] = P::fmadd(s1, P::set1(q1), acc[1]);
-        acc[2] = P::fmadd(s1, P::set1(q2), acc[2]);
-        acc[0] = P::fmadd(s3, dx, acc[0]);
-        acc[1] = P::fmadd(s3, dy, acc[1]);
-        acc[2] = P::fmadd(s3, dz, acc[2]);
-        V dqa = P::mul(dx, q[0]);
-        dqa = P::fmadd(dy, q[1], dqa);
-        dqa = P::fmadd(dz, q[2], dqa);
-        const V s3a = P::mul(P::set1(kOneOver8Pi), P::mul(dqa, inv_r3));
-        pb[0] = P::fmadd(s1, q[0], pb[0]);
-        pb[1] = P::fmadd(s1, q[1], pb[1]);
-        pb[2] = P::fmadd(s1, q[2], pb[2]);
-        pb[0] = P::fmadd(s3a, dx, pb[0]);
-        pb[1] = P::fmadd(s3a, dy, pb[1]);
-        pb[2] = P::fmadd(s3a, dz, pb[2]);
-      });
-}
-
-/// Regularized Stokeslet: smooth at r = 0, no lane mask, as one way.
-template <class P>
-void mutual_stokes_reg_t(const double* a, std::size_t na, const double* qa,
-                         double* fa, const double* b, std::size_t nb,
-                         const double* qb, double* fb, double eps2) {
-  using V = typename P::V;
-  const V veps2 = P::set1(eps2);
-  mutual_tile<P, 3>(
-      a, na, qa, fa, b, nb, qb, fb, 1.0,
-      [veps2, eps2](const TargetGroup<P>& ag, const V (&q)[3], const double* y,
-                    const double* qs, V (&acc)[3], V (&pb)[3]) {
-        const double q0 = qs[0], q1 = qs[1], q2 = qs[2];
-        const V dx = P::sub(ag.x, P::set1(y[0]));
-        const V dy = P::sub(ag.y, P::set1(y[1]));
-        const V dz = P::sub(ag.z, P::set1(y[2]));
-        V r2 = P::mul(dx, dx);
-        r2 = P::fmadd(dy, dy, r2);
-        r2 = P::fmadd(dz, dz, r2);
-        const V re2 = P::add(r2, veps2);
-        const V inv_s = P::rsqrt(re2);
-        const V inv = P::mul(P::mul(inv_s, inv_s), inv_s);
-        const V diag = P::mul(P::set1(kOneOver8Pi),
-                              P::mul(P::add(r2, P::set1(2.0 * eps2)), inv));
-        const V offd = P::mul(P::set1(kOneOver8Pi), inv);
-        V dq = P::mul(dx, P::set1(q0));
-        dq = P::fmadd(dy, P::set1(q1), dq);
-        dq = P::fmadd(dz, P::set1(q2), dq);
-        const V s3 = P::mul(offd, dq);
-        acc[0] = P::fmadd(diag, P::set1(q0), acc[0]);
-        acc[1] = P::fmadd(diag, P::set1(q1), acc[1]);
-        acc[2] = P::fmadd(diag, P::set1(q2), acc[2]);
-        acc[0] = P::fmadd(s3, dx, acc[0]);
-        acc[1] = P::fmadd(s3, dy, acc[1]);
-        acc[2] = P::fmadd(s3, dz, acc[2]);
-        V dqa = P::mul(dx, q[0]);
-        dqa = P::fmadd(dy, q[1], dqa);
-        dqa = P::fmadd(dz, q[2], dqa);
-        const V s3a = P::mul(offd, dqa);
-        pb[0] = P::fmadd(diag, q[0], pb[0]);
-        pb[1] = P::fmadd(diag, q[1], pb[1]);
-        pb[2] = P::fmadd(diag, q[2], pb[2]);
-        pb[0] = P::fmadd(s3a, dx, pb[0]);
-        pb[1] = P::fmadd(s3a, dy, pb[1]);
-        pb[2] = P::fmadd(s3a, dz, pb[2]);
-      });
+  mutual_t<P>(StokesTerm<P>{}, a, na, qa, fa, b, nb, qb, fb);
 }
 
 template <class P>
@@ -819,7 +773,6 @@ Ops make_ops(Tier tier, const char* name) {
   t.stokes_reg = &direct_stokes_reg_t<P>;
   t.laplace_mutual = &mutual_laplace_t<P>;
   t.stokes_mutual = &mutual_stokes_t<P>;
-  t.stokes_reg_mutual = &mutual_stokes_reg_t<P>;
   return t;
 }
 

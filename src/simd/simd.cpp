@@ -138,4 +138,10 @@ void force_tier(Tier t) {
 
 void clear_forced_tier() { g_active.store(nullptr, std::memory_order_release); }
 
+double* detail::mutual_scratch(std::size_t n) {
+  thread_local std::vector<double> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
 }  // namespace pkifmm::simd

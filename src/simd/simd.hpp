@@ -178,25 +178,22 @@ struct Ops {
   void (*stokes_reg)(const double* trg, std::size_t nt, const double* src,
                      std::size_t ns, const double* q, double* f, double eps2);
 
-  /// Mutual tiles of the even kernels above, K(d) = K(-d): one pass
-  /// over the na x nb pairs of point sets A and B (each point both a
-  /// target and a source) adds K(x_a - y_b) q_b into fa and
+  /// Mutual tiles of laplace and stokes, both even, K(d) = K(-d): one
+  /// pass over the na x nb pairs of point sets A and B (each point both
+  /// a target and a source) adds K(x_a - y_b) q_b into fa and
   /// K(x_b - y_a) q_a into fb, computing r and 1/r once per pair. The
-  /// A side is bitwise the one-way kernel's fa += laplace(a, b, qb).
-  /// The B side gives each B point kWidth per-lane partials, one lane
-  /// per A point of a group, accumulated over A's groups in order and
-  /// reduced in ascending lane order before the one add into fb; it
-  /// agrees with the one-way kernel to rounding (bitwise on the scalar
-  /// tier). fa and fb must not overlap.
+  /// A side runs the one-way kernel's code, so it is bitwise
+  /// fa += laplace(a, b, qb). The B side gives each B point kWidth
+  /// per-lane partials, one lane per A point of a group, accumulated
+  /// over A's groups in order and reduced in ascending lane order
+  /// before the one add into fb; it agrees with the one-way kernel to
+  /// rounding (bitwise on the scalar tier). fa and fb must not overlap.
   void (*laplace_mutual)(const double* a, std::size_t na, const double* qa,
                          double* fa, const double* b, std::size_t nb,
                          const double* qb, double* fb);
   void (*stokes_mutual)(const double* a, std::size_t na, const double* qa,
                         double* fa, const double* b, std::size_t nb,
                         const double* qb, double* fb);
-  void (*stokes_reg_mutual)(const double* a, std::size_t na, const double* qa,
-                            double* fa, const double* b, std::size_t nb,
-                            const double* qb, double* fb, double eps2);
 };
 
 /// "scalar" | "avx2" | "avx512".
@@ -245,6 +242,11 @@ const Ops& avx512_ops();  ///< defined only when the AVX-512 TU is built
 /// x86 only); scalar_ops() takes them when CPUID reports FMA.
 void scalar_fma_dft_x(const DftStage& st);
 void scalar_fma_dft_yz(const DftStage& st);
+/// The calling thread's scratch for the mutual tiles' lane partials:
+/// at least n doubles, contents unspecified, valid until the thread's
+/// next call. Defined in simd.cpp, which is built for the baseline ISA,
+/// so the tier TUs instantiate no standard-library template.
+double* mutual_scratch(std::size_t n);
 }  // namespace detail
 
 }  // namespace pkifmm::simd

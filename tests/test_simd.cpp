@@ -15,7 +15,6 @@
 #include <numbers>
 #include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -102,7 +101,6 @@ TEST(SimdTier, TableShapePerTier) {
     EXPECT_NE(o.stokes_reg, nullptr);
     EXPECT_NE(o.laplace_mutual, nullptr);
     EXPECT_NE(o.stokes_mutual, nullptr);
-    EXPECT_NE(o.stokes_reg_mutual, nullptr);
   }
 }
 
@@ -814,10 +812,8 @@ struct MutualKernel {
     const std::size_t nt = t.size() / 3, ns = s.size() / 3;
     if (dim == 1)
       o.laplace(t.data(), nt, s.data(), ns, q.data(), f);
-    else if (std::string_view(name) == "stokes")
-      o.stokes(t.data(), nt, s.data(), ns, q.data(), f);
     else
-      o.stokes_reg(t.data(), nt, s.data(), ns, q.data(), f, kEps2);
+      o.stokes(t.data(), nt, s.data(), ns, q.data(), f);
   }
   void mutual(const Ops& o, const std::vector<double>& a,
               const std::vector<double>& qa, double* fa,
@@ -827,18 +823,13 @@ struct MutualKernel {
     if (dim == 1)
       o.laplace_mutual(a.data(), na, qa.data(), fa, b.data(), nb, qb.data(),
                        fb);
-    else if (std::string_view(name) == "stokes")
+    else
       o.stokes_mutual(a.data(), na, qa.data(), fa, b.data(), nb, qb.data(),
                       fb);
-    else
-      o.stokes_reg_mutual(a.data(), na, qa.data(), fa, b.data(), nb,
-                          qb.data(), fb, kEps2);
   }
-  static constexpr double kEps2 = 1e-4;
 };
 
-const MutualKernel kMutualKernels[] = {
-    {"laplace", 1}, {"stokes", 3}, {"stokes-reg", 3}};
+const MutualKernel kMutualKernels[] = {{"laplace", 1}, {"stokes", 3}};
 
 /// A potential buffer with guard cells on both sides: the kernel gets
 /// data() and the guards must keep their sentinel.
@@ -936,7 +927,6 @@ TEST_F(SimdTest, MutualTilesCoincidentPointsAddZero) {
   // One coincident pair alone: exactly zero on both sides.
   const std::vector<double> p = {0.5, 0.25, 0.75};
   for (const MutualKernel& k : kMutualKernels) {
-    if (std::string_view(k.name) == "stokes-reg") continue;  // smooth at 0
     const std::vector<double> q(k.dim, 1.5), zero(k.dim, 0.0);
     for (Tier t : available_tiers()) {
       Guarded fa(zero), fb(zero);

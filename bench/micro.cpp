@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <numeric>
 #include <span>
 #include <string>
 #include <string_view>
@@ -122,7 +123,9 @@ BENCHMARK(BM_Fft3d)
 
 void BM_LaGemmAcc(benchmark::State& state) {
   // One surface-operator application batched over nb octant columns
-  // (n=6 surfaces have m=152 points; Laplace operators are 152x152).
+  // (n=6 surfaces have m=152 points; Laplace operators are 152x152):
+  // la::gemm_acc, the column-batch reference that wallbench's
+  // la.gemm_gflops times. The evaluator runs BM_GemmBatchParallel's op.
   const std::size_t nb = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   la::Matrix a(152, 152);
@@ -434,29 +437,38 @@ void BM_TaskPoolParallelFor(benchmark::State& state) {
 }
 
 void BM_GemmBatchParallel(benchmark::State& state) {
-  // The evaluator's gemm_batched shape: one surface operator applied to
-  // a column batch, the columns split across pool lanes exactly as
-  // core::Evaluator splits them (gemm_acc_cols windows of 64 columns).
-  // Bitwise identical to the serial gemm_acc for every worker count.
+  // The evaluator's gemm_batched step: one surface operator applied in
+  // place to a batch of node rows (la::gemm_rows, the operator read
+  // transposed), the nodes split into windows of 64 over the pool
+  // exactly as core::Evaluator splits them. Shape 0 is 152 x 152 over
+  // 256 nodes (Laplace n = 6), shape 1 is 168 x 168 over 16 nodes
+  // (Stokes n = 4, an adaptive tree's small U2U and L2L batches).
+  // Bitwise identical for every worker count.
   const int workers = static_cast<int>(state.range(0));
-  const std::size_t nb = 256;
+  const bool stokes = state.range(1) == 1;
+  const std::size_t dim = stokes ? 168 : 152, nb = stokes ? 16 : 256;
   util::TaskPool pool(workers);
   Rng rng(11);
-  la::Matrix a(152, 152);
-  for (std::size_t r = 0; r < a.rows(); ++r)
-    for (std::size_t c = 0; c < a.cols(); ++c) a(r, c) = rng.uniform(-1, 1);
-  std::vector<double> b(a.cols() * nb), acc(a.rows() * nb);
-  for (auto& v : b) v = rng.uniform(-1, 1);
+  la::Matrix at(dim, dim);
+  for (std::size_t r = 0; r < at.rows(); ++r)
+    for (std::size_t c = 0; c < at.cols(); ++c) at(r, c) = rng.uniform(-1, 1);
+  std::vector<double> x(dim * nb), y(dim * nb);
+  for (auto& v : x) v = rng.uniform(-1, 1);
+  std::vector<std::int32_t> rows(nb);
+  std::iota(rows.begin(), rows.end(), 0);
+  const std::span<const std::int32_t> all(rows);
   for (auto _ : state) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    pool.parallel_for(nb, 64, [&](std::size_t c0, std::size_t c1, int) {
-      la::gemm_acc_cols(a, b, acc, nb, c0, c1, 0.5);
+    std::fill(y.begin(), y.end(), 0.0);
+    pool.parallel_for(nb, 64, [&](std::size_t b, std::size_t e, int) {
+      la::gemm_rows(at, 0.5, x, all.subspan(b, e - b), y,
+                    all.subspan(b, e - b));
     });
-    benchmark::DoNotOptimize(acc.data());
+    benchmark::DoNotOptimize(y.data());
   }
   state.counters["workers"] = workers;
+  state.counters["nodes"] = static_cast<double>(nb);
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(la::gemm_flops(a, nb)));
+                          static_cast<std::int64_t>(la::gemm_flops(at, nb)));
 }
 
 /// Console reporting plus machine-readable capture for the perf-gate
@@ -525,7 +537,8 @@ int bench_main(int argc, char** argv) {
                                  BM_TaskPoolParallelFor)
         ->Arg(w);
     benchmark::RegisterBenchmark("BM_GemmBatchParallel", BM_GemmBatchParallel)
-        ->Arg(w);
+        ->Args({w, 0})
+        ->Args({w, 1});
   }
 
   int nargs = static_cast<int>(args.size());

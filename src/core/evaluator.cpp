@@ -57,6 +57,28 @@ Evaluator::Evaluator(const Tables& tables, const octree::Let& let,
           static_cast<std::int32_t>(i));
   }
 
+  // U2U's and L2L's batches: one pass per level buckets its (child,
+  // parent) pairs by child index.
+  child_off_.assign(8 * level_nodes_.size() + 1, 0);
+  std::array<std::vector<std::int32_t>, 8> bucket;
+  for (std::size_t level = 0; level < level_nodes_.size(); ++level) {
+    for (auto& b : bucket) b.clear();
+    for (auto i : level_nodes_[level]) {
+      const LetNode& node = let_.nodes[i];
+      if (!node.target || node.parent < 0) continue;
+      if (!let_.nodes[node.parent].target) continue;
+      bucket[morton::child_index(node.key)].push_back(i);
+    }
+    for (int ci = 0; ci < 8; ++ci) {
+      child_off_[8 * level + ci] = child_.size();
+      for (auto i : bucket[ci]) {
+        child_.push_back(i);
+        parent_.push_back(let_.nodes[i].parent);
+      }
+    }
+  }
+  child_off_.back() = child_.size();
+
   // Worker pool: prefer the Runtime-provided per-rank pool; otherwise
   // own one sized from the options (0 workers when threads_per_rank is
   // 1 — an inline executor with no thread or synchronization cost).
@@ -117,24 +139,44 @@ std::span<const double> Evaluator::box_surf(double radius_scale, const Key& k,
   return out;
 }
 
-void Evaluator::gemm_batched(const la::Matrix& m, double scale,
+namespace {
+
+/// gemm_batched's row contract: the out rows are distinct and, when
+/// src and dst are one array (`same`), disjoint from the in rows.
+[[maybe_unused]] bool rows_contract_holds(std::span<const std::int32_t> in,
+                                          std::span<const std::int32_t> out,
+                                          bool same) {
+  std::vector<std::int32_t> o(out.begin(), out.end());
+  std::sort(o.begin(), o.end());
+  if (std::adjacent_find(o.begin(), o.end()) != o.end()) return false;
+  return !same || std::none_of(in.begin(), in.end(), [&](std::int32_t r) {
+    return std::binary_search(o.begin(), o.end(), r);
+  });
+}
+
+}  // namespace
+
+void Evaluator::gemm_batched(const la::Matrix& at, double scale,
                              std::span<const double> src,
                              std::span<const std::int32_t> in,
                              std::span<double> dst,
                              std::span<const std::int32_t> out,
                              const char* phase) {
-  const std::size_t ncols = in.size();
-  batch_in_.resize(m.cols() * ncols);
-  la::gather_columns(src, in, m.cols(), batch_in_);
-  batch_out_.assign(m.rows() * ncols, 0.0);
+  PKIFMM_DCHECK(rows_contract_holds(in, out, src.data() == dst.data()));
   pool_->parallel_for(
-      ncols, kColGrain,
-      [&](std::size_t c0, std::size_t c1, int) {
-        la::gemm_acc_cols(m, batch_in_, batch_out_, ncols, c0, c1, scale);
+      in.size(), kColGrain,
+      [&](std::size_t b, std::size_t e, int) {
+        la::gemm_rows(at, scale, src, in.subspan(b, e - b), dst,
+                      out.subspan(b, e - b));
       },
       phase);
-  la::scatter_columns_acc(batch_out_, out, m.rows(), dst);
-  ctx_.flops.add(phase, la::gemm_flops(m, ncols));
+  ctx_.flops.add(phase, la::gemm_flops(at, in.size()));
+}
+
+Evaluator::ChildBatch Evaluator::child_batch(int level, int ci) const {
+  const std::size_t b = child_off_[8 * std::size_t(level) + ci];
+  const std::size_t e = child_off_[8 * std::size_t(level) + ci + 1];
+  return {{child_.data() + b, e - b}, {parent_.data() + b, e - b}};
 }
 
 void Evaluator::run() {
@@ -207,8 +249,9 @@ void Evaluator::publish_mem_gauges() {
   rec.gauge_set("mem.eval.lane_scratch_bytes",
                 cap(lane_surf_) + cap(lane_cube_) + cap(lane_spec_));
   rec.gauge_set("mem.eval.batch_bytes",
-                cap(batch_in_) + cap(batch_out_) + cap(batch_tmp_) +
-                    cap(slots_a_) + cap(slots_b_) + cap(slot_of_) +
+                cap(batch_tmp_) + cap(child_) + cap(parent_) +
+                    cap(child_off_) + cap(slots_a_) + cap(slots_b_) +
+                    cap(slot_of_) +
                     cap(tgt_slot_of_) + cap(vli_.tgt) + cap(vli_.src) +
                     cap(vli_.parents) + cap(vli_.colleagues) +
                     cap(uli_act_) + cap(uli_fold_));
@@ -386,38 +429,31 @@ void Evaluator::s2u() {
         "eval.s2u");
     ctx_.flops.add("eval.s2u", flops.load(std::memory_order_relaxed));
 
-    // ...transposed to batch columns, then ONE uc2ue application for
-    // the whole level (column-windowed over the pool).
+    // ...then ONE uc2ue application for the whole level, from scratch
+    // row j into leaf slots_a_[j]'s row of u_.
     slots_b_.resize(nb);
     std::iota(slots_b_.begin(), slots_b_.end(), 0);
     const LevelOps ops = tables_.at(level);
-    gemm_batched(*ops.uc2ue, ops.uc2ue_scale, batch_tmp_, slots_b_, u_,
+    gemm_batched(*ops.uc2ue_t, ops.uc2ue_scale, batch_tmp_, slots_b_, u_,
                  slots_a_, "eval.s2u");
   }
 }
 
 void Evaluator::u2u() {
   // Deepest level first so every child's density is final before it is
-  // lifted; within a level, one GEMM per child index (the eight M2M
+  // lifted; within a level, one batch per child index (the eight M2M
   // operators of the paper's Table I). Child indices run high-to-low,
   // so each parent adds its children in reverse preorder; the order
-  // fixes the last bits of every potential.
+  // fixes the last bits of every potential. A batch has one child per
+  // parent, and reads level `level` while it writes level - 1, so it
+  // keeps gemm_batched's row contract.
   for (int level = max_level_; level > min_level_; --level) {
     if (level_nodes_[level].empty()) continue;
     const LevelOps ops = tables_.at(level - 1);
     for (int ci = 7; ci >= 0; --ci) {
-      slots_a_.clear();  // children
-      slots_b_.clear();  // parents
-      for (auto i : level_nodes_[level]) {
-        const LetNode& node = let_.nodes[i];
-        if (!node.target || node.parent < 0) continue;
-        if (!let_.nodes[node.parent].target) continue;
-        if (morton::child_index(node.key) != ci) continue;
-        slots_a_.push_back(i);
-        slots_b_.push_back(node.parent);
-      }
-      if (slots_a_.empty()) continue;
-      gemm_batched((*ops.m2m)[ci], 1.0, u_, slots_a_, u_, slots_b_,
+      const ChildBatch batch = child_batch(level, ci);
+      if (batch.child.empty()) continue;
+      gemm_batched((*ops.m2m_t)[ci], 1.0, u_, batch.child, u_, batch.parent,
                    "eval.u2u");
     }
   }
@@ -458,7 +494,7 @@ void Evaluator::vli() {
         slots_b_.push_back(std::get<1>(pairs[r1]));
         slots_a_.push_back(std::get<2>(pairs[r1]));
       }
-      gemm_batched(tables_.m2l_dense(level, off), ops.m2l_scale, u_,
+      gemm_batched(tables_.m2l_dense_t(level, off), ops.m2l_scale, u_,
                    slots_a_, checkpot_, slots_b_, "eval.vli");
       r0 = r1;
     }
@@ -725,26 +761,17 @@ void Evaluator::xli(bool include_leaves) {
 
 void Evaluator::downward() {
   // Coarsest level first: a level's check potentials receive L2L from
-  // already-finalized parent densities (one GEMM per child index), then
+  // already-finalized parent densities (one batch per child index), then
   // ONE dc2de conversion finalizes the level's own densities.
   for (int level = min_level_; level <= max_level_; ++level) {
     if (level_nodes_[level].empty()) continue;
     if (level > min_level_) {
       const LevelOps pair_ops = tables_.at(level - 1);
       for (int ci = 0; ci < 8; ++ci) {
-        slots_a_.clear();  // parents
-        slots_b_.clear();  // children
-        for (auto i : level_nodes_[level]) {
-          const LetNode& node = let_.nodes[i];
-          if (!node.target || node.parent < 0) continue;
-          if (!let_.nodes[node.parent].target) continue;
-          if (morton::child_index(node.key) != ci) continue;
-          slots_a_.push_back(node.parent);
-          slots_b_.push_back(i);
-        }
-        if (slots_a_.empty()) continue;
-        gemm_batched((*pair_ops.l2l)[ci], pair_ops.l2l_scale, d_, slots_a_,
-                     checkpot_, slots_b_, "eval.down");
+        const ChildBatch batch = child_batch(level, ci);
+        if (batch.child.empty()) continue;
+        gemm_batched((*pair_ops.l2l_t)[ci], pair_ops.l2l_scale, d_,
+                     batch.parent, checkpot_, batch.child, "eval.down");
       }
     }
 
@@ -753,7 +780,7 @@ void Evaluator::downward() {
       if (let_.nodes[i].target) slots_a_.push_back(i);
     if (slots_a_.empty()) continue;
     const LevelOps ops = tables_.at(level);
-    gemm_batched(*ops.dc2de, ops.dc2de_scale, checkpot_, slots_a_, d_,
+    gemm_batched(*ops.dc2de_t, ops.dc2de_scale, checkpot_, slots_a_, d_,
                  slots_a_, "eval.down");
   }
 }

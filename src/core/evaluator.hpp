@@ -15,11 +15,12 @@
 ///              (points x tdim; valid for owned leaves)
 ///
 /// One engine (see DESIGN.md "Batched evaluation engine") runs every
-/// translation as a level- and operator-blocked batch: U2U/L2L as one
-/// GEMM per (level, child index), uc2ue/dc2de as one GEMM per level,
-/// dense M2L as one GEMM per (level, offset). Its oracles, the
-/// EvalOracle tests, are per-box la::gemm of each operator and analytic
-/// flop counts from the LET's lists.
+/// translation as a level- and operator-blocked batch applied in place
+/// to the boxes' rows (la::gemm_rows, no gather or scatter): U2U/L2L as
+/// one batch per (level, child index), uc2ue/dc2de as one per level,
+/// dense M2L as one per (level, offset). Its oracles, the EvalOracle
+/// tests, are per-box la::gemm of each operator and analytic flop
+/// counts from the LET's lists.
 ///
 /// The V-list translation is either FFT-diagonal (the paper's scheme)
 /// or dense (ablation baseline). The FFT V-list runs per level:
@@ -31,7 +32,7 @@
 ///
 /// Intra-rank parallelism (paper §V's per-node concurrency, on CPU
 /// workers): every batched hot loop — per-leaf kernel evaluations,
-/// batch-GEMM column windows, per-frequency-block V-list MACs, per-node
+/// translation node windows, per-frequency-block V-list MACs, per-node
 /// direct phases (ULI/XLI/WLI/D2T) — runs as util::TaskPool chunks over
 /// pre-assigned disjoint output ranges, so results are identical for
 /// any FmmOptions::threads_per_rank (see the pool's determinism
@@ -171,16 +172,26 @@ class Evaluator {
   /// chunk, else in the chunk's own rows of uli_far_.
   void uli_plan();
 
-  /// One batched translation through batch_in_/batch_out_: column j
-  /// gathers src row in[j] (m.cols() values), one gemm_acc over all
-  /// columns runs split into disjoint column windows over the pool
-  /// (bitwise identical to the unsplit call; see la::gemm_acc_cols),
-  /// and column j accumulates into dst row out[j] (m.rows() values).
+  /// One batched translation in place: dst row out[j] (at.cols()
+  /// values) += scale A (src row in[j], at.rows() values) for every j,
+  /// with the operator A given as its transpose `at` (la::gemm_rows).
+  /// The batch runs as kColGrain-node windows over the pool; each
+  /// output element is one chain in ascending k, so the windows give
+  /// the unsplit call's bits. Row contract (PKIFMM_DCHECK): the out
+  /// rows are distinct, and when src and dst are one array no in row is
+  /// an out row, so no window reads or writes a row another one writes.
   /// Adds the model flops to `phase`.
-  void gemm_batched(const la::Matrix& m, double scale,
+  void gemm_batched(const la::Matrix& at, double scale,
                     std::span<const double> src,
                     std::span<const std::int32_t> in, std::span<double> dst,
                     std::span<const std::int32_t> out, const char* phase);
+
+  /// The children of one (level, child index) batch of U2U and L2L and
+  /// their parents, aligned.
+  struct ChildBatch {
+    std::span<const std::int32_t> child, parent;
+  };
+  ChildBatch child_batch(int level, int ci) const;
 
   /// Publishes scratch-buffer capacities as `mem.eval.*` byte gauges
   /// (run() calls this after the pipeline; see DESIGN.md §5b).
@@ -210,9 +221,15 @@ class Evaluator {
   /// the grouping key of every batched phase.
   int min_level_ = 0, max_level_ = -1;
   std::vector<std::vector<std::int32_t>> level_nodes_;
+  /// U2U's and L2L's (child, parent) pairs: target nodes whose parent is
+  /// a target, bucketed by level and child index in one pass, node
+  /// order within a bucket. Bucket (level, ci) is [child_off_[8 level +
+  /// ci], child_off_[8 level + ci + 1]) of child_ and parent_.
+  std::vector<std::int32_t> child_, parent_;
+  std::vector<std::size_t> child_off_;
 
   // Batch scratch, reused across phases/levels (kept allocated).
-  std::vector<double> batch_in_, batch_out_, batch_tmp_;
+  std::vector<double> batch_tmp_;
   std::vector<std::int32_t> slots_a_, slots_b_;
   VliLevel vli_;                            ///< FFT V-list level
   std::vector<std::int32_t> slot_of_;       ///< node -> level source slot
@@ -223,7 +240,7 @@ class Evaluator {
   // Chunk grains are constants so the chunk decomposition — and with it
   // the output — never depends on the worker count.
   static constexpr std::size_t kNodeGrain = 16;  ///< nodes per direct chunk
-  static constexpr std::size_t kColGrain = 64;   ///< GEMM columns per chunk
+  static constexpr std::size_t kColGrain = 64;   ///< translation nodes per chunk
   static constexpr std::size_t kFftSlotGrain = 16;  ///< fwd/inv slots per chunk
   static constexpr std::size_t kFreqBlockGrain = 4; ///< V-list blocks per task
   std::unique_ptr<util::TaskPool> owned_pool_;

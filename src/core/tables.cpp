@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "core/surface.hpp"
 #include "la/svd.hpp"
@@ -189,9 +190,11 @@ std::unique_ptr<Tables::LevelTables> Tables::build_level(int level) const {
     const auto ue_child =
         surface_points(n, kUpwardEquivRadius, cc, child_half);
     t->m2m[i] = la::gemm(t->uc2ue, kernel_.assemble(uc, ue_child));
+    t->m2m_t[i] = t->m2m[i].transposed();
     const auto dc_child =
         surface_points(n, kDownCheckRadius, cc, child_half);
     t->l2l[i] = kernel_.assemble(dc_child, de);
+    t->l2l_t[i] = t->l2l[i].transposed();
   }
   return t;
 }
@@ -209,9 +212,13 @@ LevelOps Tables::at(int level) const {
   const LevelTables& t = level_tables(level);
   LevelOps ops;
   ops.uc2ue = &t.uc2ue;
+  ops.uc2ue_t = &t.dc2de;
   ops.dc2de = &t.dc2de;
+  ops.dc2de_t = &t.uc2ue;
   ops.m2m = &t.m2m;
+  ops.m2m_t = &t.m2m_t;
   ops.l2l = &t.l2l;
+  ops.l2l_t = &t.l2l_t;
   if (kernel_.homogeneous()) {
     const double deg = kernel_.homogeneity_degree();
     ops.uc2ue_scale = std::pow(2.0, level * deg);
@@ -333,16 +340,28 @@ la::Matrix Tables::build_dense(int level, int off_index) const {
   return kernel_.assemble(dc, ue);
 }
 
-const la::Matrix& Tables::m2l_dense(int level, int off_index) const {
+const Tables::DenseM2l& Tables::dense_m2l(int level, int off_index) const {
   const int key = kernel_.homogeneous() ? 0 : level;
   std::lock_guard<std::mutex> lock(cache_->mu);
   auto it = cache_->dense.find({key, off_index});
-  if (it == cache_->dense.end())
+  if (it == cache_->dense.end()) {
+    la::Matrix m = build_dense(key, off_index);
+    la::Matrix t = m.transposed();
     it = cache_->dense
              .emplace(std::make_pair(key, off_index),
-                      std::make_unique<la::Matrix>(build_dense(key, off_index)))
+                      std::make_unique<DenseM2l>(
+                          DenseM2l{std::move(m), std::move(t)}))
              .first;
+  }
   return *it->second;
+}
+
+const la::Matrix& Tables::m2l_dense(int level, int off_index) const {
+  return dense_m2l(level, off_index).m;
+}
+
+const la::Matrix& Tables::m2l_dense_t(int level, int off_index) const {
+  return dense_m2l(level, off_index).t;
 }
 
 }  // namespace pkifmm::core

@@ -19,7 +19,10 @@
 /// K(dc, de) equals K(uc, ue)^T entry for entry, bit for bit, and dc2de
 /// is uc2ue^T: pinv(A^T) = pinv(A)^T with the same singular values, so
 /// the same truncation, and only one SVD runs. Each level's build
-/// checks that property on the assembled matrices.
+/// checks that property on the assembled matrices. The evaluator's
+/// la::gemm_rows reads every operator transposed: uc2ue and dc2de serve
+/// as each other's transpose, and M2M, L2L and the dense M2L matrices
+/// keep a transposed copy next to them (LevelOps::*_t, m2l_dense_t).
 ///
 /// For homogeneous kernels (Laplace, Stokes: degree -1) one reference
 /// table serves all octree levels through a power-of-two scaling; for
@@ -113,14 +116,21 @@ class AlignedBuffer {
 };
 
 /// Level-resolved view of the translation operators, with the scale
-/// factors already worked out for the requested level.
+/// factors already worked out for the requested level. The *_t members
+/// are the operators' transposes, bit for bit, which la::gemm_rows
+/// reads: uc2ue and dc2de serve as each other's (dc2de = uc2ue^T), and
+/// M2M and L2L keep a transposed copy built with them.
 struct LevelOps {
   const la::Matrix* uc2ue;                 ///< pinv of K(uc, ue)
+  const la::Matrix* uc2ue_t;               ///< = dc2de
   double uc2ue_scale;
   const la::Matrix* dc2de;                 ///< pinv of K(dc, de)
+  const la::Matrix* dc2de_t;               ///< = uc2ue
   double dc2de_scale;
   const std::array<la::Matrix, 8>* m2m;    ///< child-eq -> parent-eq
+  const std::array<la::Matrix, 8>* m2m_t;
   const std::array<la::Matrix, 8>* l2l;    ///< parent-eq -> child check pot
+  const std::array<la::Matrix, 8>* l2l_t;
   double l2l_scale;
   double m2l_scale;                        ///< applied to V-list output
 };
@@ -197,15 +207,22 @@ class Tables {
   /// without filling the m2l_spectra cache. Thread-safe (lazy).
   const std::vector<AlignedBuffer>& vli_operator_blocks(int level) const;
 
-  /// Dense M2L matrix for an offset (ablation path). Thread-safe (lazy).
+  /// Dense M2L matrix for an offset (ablation path), and its transpose,
+  /// which la::gemm_rows reads; both are built on first use of either.
+  /// Thread-safe (lazy).
   const la::Matrix& m2l_dense(int level, int off_index) const;
+  const la::Matrix& m2l_dense_t(int level, int off_index) const;
 
  private:
   struct LevelTables {
     la::Matrix uc2ue;
     la::Matrix dc2de;
-    std::array<la::Matrix, 8> m2m;
-    std::array<la::Matrix, 8> l2l;
+    std::array<la::Matrix, 8> m2m, m2m_t;
+    std::array<la::Matrix, 8> l2l, l2l_t;
+  };
+
+  struct DenseM2l {
+    la::Matrix m, t;
   };
 
   /// Shared, mutex-guarded precompute cache so option-rebound copies
@@ -215,13 +232,14 @@ class Tables {
     std::map<int, std::unique_ptr<LevelTables>> levels;
     std::map<std::pair<int, int>, std::vector<fft::Complex>> spectra;
     std::map<int, std::vector<AlignedBuffer>> vli_blocks;
-    std::map<std::pair<int, int>, std::unique_ptr<la::Matrix>> dense;
+    std::map<std::pair<int, int>, std::unique_ptr<DenseM2l>> dense;
   };
 
   std::unique_ptr<LevelTables> build_level(int level) const;
   std::vector<fft::Complex> build_spectra(int level, int off_index) const;
   std::vector<AlignedBuffer> build_vli_blocks(int level) const;
   la::Matrix build_dense(int level, int off_index) const;
+  const DenseM2l& dense_m2l(int level, int off_index) const;
 
   /// Reference level used for table geometry. Homogeneous kernels use
   /// level 0 for everything; non-homogeneous kernels build per level.

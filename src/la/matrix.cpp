@@ -52,35 +52,26 @@ Matrix gemm(const Matrix& a, const Matrix& b) {
 
 void gemm_acc(const Matrix& a, std::span<const double> b,
               std::span<double> c, std::size_t ncols, double alpha) {
-  gemm_acc_cols(a, b, c, ncols, 0, ncols, alpha);
-}
-
-void gemm_acc_cols(const Matrix& a, std::span<const double> b,
-                   std::span<double> c, std::size_t ncols, std::size_t col0,
-                   std::size_t col1, double alpha) {
   PKIFMM_CHECK(b.size() == a.cols() * ncols && c.size() == a.rows() * ncols);
-  PKIFMM_CHECK(col0 <= col1 && col1 <= ncols);
-  if (col0 == col1 || a.empty()) return;
+  if (ncols == 0 || a.empty()) return;
   // Tile the k (reduction) and j (batch-column) dimensions so the B
   // panel stays in cache while every row of A streams over it; the
   // inner loop is contiguous in both B and C. Every c[i][j] sums its
-  // k terms in the same order for any column window, which is what
-  // makes the parallel column split exact.
+  // k terms in ascending order whatever the blocking.
   //
   // Within a k block, nonzero terms are grouped (up to simd::kAxpynMaxK
   // at a time) and flushed through the SIMD tier's axpyn, which folds
   // the group in ascending k with one fused multiply-add each — the
   // same association as the one-row-at-a-time loop it replaces, so the
   // k grouping only changes how many times the C row streams through
-  // cache, never the rounding. Zero terms are skipped BEFORE grouping,
-  // matching the old per-row zero skip bitwise.
+  // cache, never the rounding. Zero terms are skipped BEFORE grouping.
   const simd::Ops& ops = simd::ops();
   constexpr std::size_t kKBlock = 64;
   constexpr std::size_t kJBlock = 128;
   double ak[simd::kAxpynMaxK];
   const double* bk[simd::kAxpynMaxK];
-  for (std::size_t j0 = col0; j0 < col1; j0 += kJBlock) {
-    const std::size_t j1 = std::min(col1, j0 + kJBlock);
+  for (std::size_t j0 = 0; j0 < ncols; j0 += kJBlock) {
+    const std::size_t j1 = std::min(ncols, j0 + kJBlock);
     for (std::size_t k0 = 0; k0 < a.cols(); k0 += kKBlock) {
       const std::size_t k1 = std::min(a.cols(), k0 + kKBlock);
       for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -103,26 +94,21 @@ void gemm_acc_cols(const Matrix& a, std::span<const double> b,
   }
 }
 
-void gather_columns(std::span<const double> src,
-                    std::span<const std::int32_t> slots, std::size_t len,
-                    std::span<double> dst) {
-  const std::size_t nb = slots.size();
-  PKIFMM_CHECK(dst.size() == len * nb);
-  for (std::size_t j = 0; j < nb; ++j) {
-    const double* col = src.data() + std::size_t(slots[j]) * len;
-    for (std::size_t r = 0; r < len; ++r) dst[r * nb + j] = col[r];
+void gemm_rows(const Matrix& at, double alpha, std::span<const double> x,
+               std::span<const std::int32_t> in, std::span<double> y,
+               std::span<const std::int32_t> out) {
+  PKIFMM_CHECK(in.size() == out.size());
+  if (in.empty() || at.empty()) return;
+  const std::size_t xrows = x.size() / at.rows();
+  const std::size_t yrows = y.size() / at.cols();
+  for (std::size_t j = 0; j < in.size(); ++j) {
+    PKIFMM_CHECK_MSG(in[j] >= 0 && std::size_t(in[j]) < xrows,
+                     "gemm_rows: in row " << in[j] << " outside " << xrows);
+    PKIFMM_CHECK_MSG(out[j] >= 0 && std::size_t(out[j]) < yrows,
+                     "gemm_rows: out row " << out[j] << " outside " << yrows);
   }
-}
-
-void scatter_columns_acc(std::span<const double> src,
-                         std::span<const std::int32_t> slots, std::size_t len,
-                         std::span<double> dst) {
-  const std::size_t nb = slots.size();
-  PKIFMM_CHECK(src.size() == len * nb);
-  for (std::size_t j = 0; j < nb; ++j) {
-    double* col = dst.data() + std::size_t(slots[j]) * len;
-    for (std::size_t r = 0; r < len; ++r) col[r] += src[r * nb + j];
-  }
+  simd::ops().gemm_rows(at.data(), at.cols(), at.rows(), alpha, x.data(),
+                        in.data(), y.data(), out.data(), in.size());
 }
 
 Matrix identity(std::size_t n) {

@@ -5,8 +5,10 @@
 /// The KIFMM translation operators (Table I of the paper: S, U, D, E, Q,
 /// R, T) are small dense matrices (order 100-1000). This module provides
 /// the storage and the handful of operations the FMM needs: gemv with
-/// accumulation, gemm, transpose, and scaling. Everything is double
-/// precision; the GPU path re-implements its kernels in float.
+/// accumulation, gemm, transpose, scaling, and gemm_rows, which applies
+/// an operator in place to a batch of node-major rows (the evaluator's
+/// surface translations). Everything is double precision; the GPU path
+/// re-implements its kernels in float.
 
 #include <cstddef>
 #include <cstdint>
@@ -76,33 +78,26 @@ Matrix gemm(const Matrix& a, const Matrix& b);
 
 /// C += alpha * A B for row-major operands held in flat spans:
 /// B is (a.cols() x ncols), C is (a.rows() x ncols). Cache-tiled over
-/// the k and column dimensions; the batched-evaluation workhorse
-/// (one call applies a translation operator to ncols octants at once).
+/// the k and column dimensions; each c[i][j] folds its nonzero terms
+/// alpha a_ik b_kj (alpha a_ik rounded once) in ascending k through
+/// simd::Ops::axpyn. The reference for gemm_rows, and the call
+/// wallbench's la.gemm_gflops times.
 void gemm_acc(const Matrix& a, std::span<const double> b,
               std::span<double> c, std::size_t ncols, double alpha = 1.0);
 
-/// gemm_acc restricted to batch columns [col0, col1) of the same
-/// (a.cols() x ncols) B and (a.rows() x ncols) C panels. Each output
-/// column's reduction order is independent of the column blocking, so
-/// splitting a gemm_acc into disjoint windows (util::TaskPool chunks)
-/// reproduces the unsplit result bitwise.
-void gemm_acc_cols(const Matrix& a, std::span<const double> b,
-                   std::span<double> c, std::size_t ncols, std::size_t col0,
-                   std::size_t col1, double alpha = 1.0);
-
-/// Gathers per-node vectors into the column-major batch layout gemm_acc
-/// consumes: dst[r*slots.size() + j] = src[slots[j]*len + r]. `src` is
-/// a node-major state vector (len values per node), `slots` the node
-/// indices forming the batch.
-void gather_columns(std::span<const double> src,
-                    std::span<const std::int32_t> slots, std::size_t len,
-                    std::span<double> dst);
-
-/// Inverse of gather_columns with accumulation:
-/// dst[slots[j]*len + r] += src[r*slots.size() + j].
-void scatter_columns_acc(std::span<const double> src,
-                         std::span<const std::int32_t> slots, std::size_t len,
-                         std::span<double> dst);
+/// y row out[j] += alpha A (x row in[j]) for j < in.size(), in place on
+/// node-major rows (A.cols() values per x row, A.rows() per y row),
+/// through simd::Ops::gemm_rows. The operator comes as its transpose
+/// `at` (A.cols() x A.rows()). Each output element is the chain
+/// gemm_acc forms for one column of a gathered batch, added once into
+/// y, so it equals gather + gemm_acc + scatter bit for bit wherever A
+/// has no zero entry (DESIGN.md §5e: with finite inputs, everywhere).
+/// The out rows must be distinct, and when x and y are one array no out
+/// row may be an in row. Checks that every in row lies inside x and
+/// every out row inside y.
+void gemm_rows(const Matrix& at, double alpha, std::span<const double> x,
+               std::span<const std::int32_t> in, std::span<double> y,
+               std::span<const std::int32_t> out);
 
 /// Identity matrix of order n.
 Matrix identity(std::size_t n);
@@ -113,7 +108,8 @@ inline std::uint64_t gemv_flops(const Matrix& a) {
 }
 
 /// Number of flops in one gemm_acc application: exactly ncols gemvs, so
-/// a batch counts what its columns would count one by one.
+/// a batch counts what its columns would count one by one. Symmetric in
+/// a's shape, so it also counts a gemm_rows call given a = A^T.
 inline std::uint64_t gemm_flops(const Matrix& a, std::size_t ncols) {
   return 2ull * a.rows() * a.cols() * ncols;
 }

@@ -97,6 +97,132 @@ void axpyn_t(const double* a, const double* const* xs, std::size_t nk,
   }
 }
 
+/// Calls body.template operator()<R>() for the runtime r = R in [1, K);
+/// r = 0 calls nothing. The narrower tiles of a remainder (gemm_rows'
+/// nodes and output vectors, the DFT stages' lines and outputs).
+template <std::size_t K, class Body>
+void tile_rest(std::size_t r, const Body& body) {
+  if constexpr (K > 1) {
+    if (r == K - 1)
+      body.template operator()<K - 1>();
+    else
+      tile_rest<K - 1>(r, body);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// gemm_rows: a surface operator applied in place to a batch of node rows
+// (see Ops::gemm_rows). A tile keeps NR nodes x NV vectors of outputs in
+// registers over the whole k range: row k of the transposed operator is
+// loaded once per tile as NV vectors along i, scaled by alpha, and
+// shared by the NR nodes, whose inputs x[k] are broadcast. Each output
+// element is one chain in ascending k from +0, added once into its
+// destination row, so the tile shape, the remainder tiles and the
+// caller's node windows never move a bit.
+// ---------------------------------------------------------------------------
+
+/// Tile shape per tier: AVX-512 8 vectors x 3 nodes (24 of 32
+/// registers), AVX2 4 x 3 (12 of 16), scalar 4 x 4.
+template <class P>
+struct GemmRowsTile {
+  static constexpr std::size_t kVectors = P::kWidth == 8 ? 8 : 4;
+  static constexpr std::size_t kNodes = P::kWidth == 1 ? 4 : 3;
+};
+
+/// One step c + a b of a gemm_rows chain: P::fmadd, except that the
+/// scalar pack rounds once wherever the build targets FMA. There the
+/// compiler contracts axpyn's a * b + c, the chain la::gemm_acc forms,
+/// while the tile's unrolled steps may be SLP-vectorized into a rounded
+/// product and a separate sum; fused_fmadd keeps the two bitwise equal.
+template <class P>
+typename P::V gemm_rows_step(typename P::V a, typename P::V b,
+                             typename P::V c) {
+#ifdef __FMA__
+  if constexpr (P::kWidth == 1) return P::fused_fmadd(a, b, c);
+#endif
+  return P::fmadd(a, b, c);
+}
+
+/// Output rows [i, i + NV W) of NR nodes; with Tail, the last vector's
+/// lanes are those of mask m (the rows % W rows past the last full
+/// vector).
+template <class P, std::size_t NR, std::size_t NV, bool Tail>
+void gemm_rows_tile(const double* at, std::size_t rows, std::size_t cols,
+                    typename P::V va, const double* const* xr,
+                    double* const* yr, std::size_t i, typename P::M m) {
+  using V = typename P::V;
+  constexpr std::size_t W = P::kWidth;
+  constexpr std::size_t last = (NV - 1) * W;
+  V c[NR][NV];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < NR; ++r)
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < NV; ++v) c[r][v] = P::zero();
+  const double* ak = at + i;
+  for (std::size_t k = 0; k < cols; ++k, ak += rows) {
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < NV; ++v) {
+      const V a = P::mul(va, Tail && v == NV - 1 ? P::maskz_loadu(m, ak + last)
+                                                 : P::loadu(ak + v * W));
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < NR; ++r)
+        c[r][v] = gemm_rows_step<P>(a, P::set1(xr[r][k]), c[r][v]);
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < NR; ++r) {
+    double* y = yr[r] + i;
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v + (Tail ? 1 : 0) < NV; ++v)
+      P::storeu(y + v * W, P::add(P::loadu(y + v * W), c[r][v]));
+    if constexpr (Tail)
+      P::mask_storeu(y + last, m,
+                     P::add(P::maskz_loadu(m, y + last), c[r][NV - 1]));
+  }
+}
+
+/// Every output row of nodes [0, NR) of in/out.
+template <class P, std::size_t NR>
+void gemm_rows_nodes(const double* at, std::size_t rows, std::size_t cols,
+                     typename P::V va, const double* x,
+                     const std::int32_t* in, double* y,
+                     const std::int32_t* out) {
+  constexpr std::size_t W = P::kWidth, NV = GemmRowsTile<P>::kVectors;
+  const double* xr[NR];
+  double* yr[NR];
+  for (std::size_t r = 0; r < NR; ++r) {
+    xr[r] = x + std::size_t(in[r]) * cols;
+    yr[r] = y + std::size_t(out[r]) * rows;
+  }
+  const std::size_t full = rows / W, tail = rows % W;
+  const typename P::M m = P::tail_mask(tail);
+  std::size_t v = 0;
+  for (; v + NV <= full; v += NV)
+    gemm_rows_tile<P, NR, NV, false>(at, rows, cols, va, xr, yr, v * W, m);
+  if (tail != 0)
+    tile_rest<NV + 1>(full - v + 1, [&]<std::size_t R>() {
+      gemm_rows_tile<P, NR, R, true>(at, rows, cols, va, xr, yr, v * W, m);
+    });
+  else
+    tile_rest<NV>(full - v, [&]<std::size_t R>() {
+      gemm_rows_tile<P, NR, R, false>(at, rows, cols, va, xr, yr, v * W, m);
+    });
+}
+
+template <class P>
+void gemm_rows_t(const double* at, std::size_t rows, std::size_t cols,
+                 double alpha, const double* x, const std::int32_t* in,
+                 double* y, const std::int32_t* out, std::size_t n) {
+  constexpr std::size_t NR = GemmRowsTile<P>::kNodes;
+  const typename P::V va = P::set1(alpha);
+  std::size_t j = 0;
+  for (; j + NR <= n; j += NR)
+    gemm_rows_nodes<P, NR>(at, rows, cols, va, x, in + j, y, out + j);
+  tile_rest<NR>(n - j, [&]<std::size_t R>() {
+    gemm_rows_nodes<P, R>(at, rows, cols, va, x, in + j, y, out + j);
+  });
+}
+
 // ---------------------------------------------------------------------------
 // cmac: acc[i] += g[i] * f[i] over n interleaved complex values.
 // Vector tiers use the dup-even/dup-odd/fmaddsub idiom (W/2 complex
@@ -321,18 +447,6 @@ void vli_mac_block_t(const double* g, const std::int32_t* op_index,
 template <class P>
 inline constexpr std::size_t kDftBlock = P::kWidth == 8 ? 8 : 4;
 
-/// Calls body.template operator()<R>() for the runtime r = R in [1, K);
-/// r = 0 calls nothing.
-template <std::size_t K, class Body>
-void dft_rest(std::size_t r, const Body& body) {
-  if constexpr (K > 1) {
-    if (r == K - 1)
-      body.template operator()<K - 1>();
-    else
-      dft_rest<K - 1>(r, body);
-  }
-}
-
 /// dft_x over lines [l, l + K), output lanes [j, j + W) under mask m.
 /// CI: complex input; CO: complex output.
 template <class P, std::size_t K, bool CI, bool CO>
@@ -376,7 +490,7 @@ void dft_x_kind(const DftStage& st) {
     const typename P::M m = P::tail_mask(st.n_out - j);
     std::size_t l = 0;
     for (; l + K <= st.lines; l += K) dft_x_lines<P, K, CI, CO>(st, l, j, m);
-    dft_rest<K>(st.lines - l, [&]<std::size_t R>() {
+    tile_rest<K>(st.lines - l, [&]<std::size_t R>() {
       dft_x_lines<P, R, CI, CO>(st, l, j, m);
     });
   }
@@ -435,7 +549,7 @@ void dft_yz_t(const DftStage& st) {
       std::size_t o = 0;
       for (; o + K <= st.n_out; o += K)
         dft_yz_outputs<P, K>(st, xr, xi, yr, yi, o, m);
-      dft_rest<K>(st.n_out - o, [&]<std::size_t R>() {
+      tile_rest<K>(st.n_out - o, [&]<std::size_t R>() {
         dft_yz_outputs<P, R>(st, xr, xi, yr, yi, o, m);
       });
     }
@@ -762,6 +876,7 @@ Ops make_ops(Tier tier, const char* name) {
   t.name = name;
   t.width = P::kWidth;
   t.axpyn = &axpyn_t<P>;
+  t.gemm_rows = &gemm_rows_t<P>;
   t.cmac = &cmac_t<P>;
   t.cmac_entries = &cmac_entries_t<P>;
   t.vli_mac_block = &vli_mac_block_t<P>;

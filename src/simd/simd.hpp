@@ -8,11 +8,12 @@
 /// reference), AVX2+FMA (4 double lanes), AVX-512 (8 lanes) — each
 /// compiled in its own translation unit with its own -m flags, selected
 /// ONCE at runtime from CPUID and exposed as a table of function
-/// pointers. Hot callers (kernels::Kernel::direct, la::gemm_acc_cols,
-/// fft::pointwise_mac_*, fft::Fft3d's transforms, core::Evaluator's
-/// V-list MAC) fetch the table via ops() and stay agnostic of the lane
-/// width. Kernel::direct_mutual routes the U-list's pairs of owned
-/// leaves through the *_mutual entries.
+/// pointers. Hot callers (kernels::Kernel::direct, la::gemm_rows for
+/// core::Evaluator's surface translations, fft::pointwise_mac_*,
+/// fft::Fft3d's transforms, core::Evaluator's V-list MAC) fetch the
+/// table via ops() and stay agnostic of the lane width.
+/// Kernel::direct_mutual routes the U-list's pairs of owned leaves
+/// through the *_mutual entries.
 ///
 /// Tier selection:
 ///  - detect_tier() returns the best tier that is BOTH compiled into
@@ -111,6 +112,20 @@ struct Ops {
   /// single-row passes, so callers may block k freely.
   void (*axpyn)(const double* a, const double* const* xs, std::size_t nk,
                 double* y, std::size_t n);
+
+  /// A rows x cols operator A applied in place to a batch of node rows,
+  /// given as its transpose at (cols x rows, row-major): for j < n and
+  /// i < rows, y[out[j] rows + i] += c, where c starts at +0 and runs,
+  /// for k ascending, c = fmadd(alpha at[k rows + i],
+  /// x[in[j] cols + k], c) — alpha times the entry rounded once, then
+  /// one fused multiply-add on the vector tiers and a multiply and an
+  /// add on the scalar tier, as in axpyn. An element's chain depends on
+  /// nothing else in the call, so any split of a batch into windows
+  /// gives the same bits. Rows out[j] are distinct within a call, and
+  /// none is a row that x reads when x and y are one array.
+  void (*gemm_rows)(const double* at, std::size_t rows, std::size_t cols,
+                    double alpha, const double* x, const std::int32_t* in,
+                    double* y, const std::int32_t* out, std::size_t n);
 
   /// Interleaved complex MAC: acc[i] += g[i] * f[i] for n complex
   /// values ([re, im] pairs of doubles).

@@ -368,16 +368,38 @@ TEST(Tables, VliOperatorBlocksHoldTheSpectra) {
 TEST(Tables, MirroredSurfacesShareOnePinv) {
   // The radii mirror each other (upward_equiv = down_check,
   // upward_check = down_equiv), so K(dc, de) = K(uc, ue)^T and dc2de
-  // is exactly uc2ue^T, per level for a non-homogeneous kernel too.
+  // is exactly uc2ue^T, per level for a non-homogeneous kernel too. So
+  // uc2ue and dc2de serve as each other's transpose for la::gemm_rows,
+  // and the copies kept for M2M, L2L and the dense M2L matrices are
+  // their operators' transposes bit for bit, at every level.
   FmmOptions opts;
   opts.surface_n = 4;
-  for (const auto& [name, level] :
-       {std::pair<const char*, int>{"laplace", 0}, {"stokes", 0},
-        {"yukawa", 2}, {"stokes-reg", 0}}) {
+  const int off = offset_index(2, -1, 0);
+  for (const auto& [name, levels] :
+       {std::pair<const char*, int>{"laplace", 1}, {"stokes", 1},
+        {"yukawa", 4}, {"stokes-reg", 4}}) {
     const auto kernel = kernels::make_kernel(name);
     const Tables t(*kernel, opts);
-    const LevelOps ops = t.at(level);
-    EXPECT_TRUE(bitwise_equal(*ops.dc2de, ops.uc2ue->transposed())) << name;
+    for (int level = 0; level < levels; ++level) {
+      const LevelOps ops = t.at(level);
+      const std::string where =
+          std::string(name) + " level " + std::to_string(level);
+      EXPECT_TRUE(bitwise_equal(*ops.dc2de, ops.uc2ue->transposed()))
+          << where;
+      EXPECT_EQ(ops.uc2ue_t, ops.dc2de) << where;
+      EXPECT_EQ(ops.dc2de_t, ops.uc2ue) << where;
+      for (int i = 0; i < 8; ++i) {
+        EXPECT_TRUE(
+            bitwise_equal((*ops.m2m_t)[i], (*ops.m2m)[i].transposed()))
+            << where << " child " << i;
+        EXPECT_TRUE(
+            bitwise_equal((*ops.l2l_t)[i], (*ops.l2l)[i].transposed()))
+            << where << " child " << i;
+      }
+      EXPECT_TRUE(bitwise_equal(t.m2l_dense_t(level, off),
+                                t.m2l_dense(level, off).transposed()))
+          << where;
+    }
   }
 }
 
@@ -439,6 +461,8 @@ TEST(Tables, OperatorsIdenticalUnderEverySimdTier) {
       for (int i = 0; i < 8; ++i) {
         EXPECT_TRUE(bitwise_equal((*o.m2m)[i], (*r.m2m)[i])) << where;
         EXPECT_TRUE(bitwise_equal((*o.l2l)[i], (*r.l2l)[i])) << where;
+        EXPECT_TRUE(bitwise_equal((*o.m2m_t)[i], (*r.m2m_t)[i])) << where;
+        EXPECT_TRUE(bitwise_equal((*o.l2l_t)[i], (*r.l2l_t)[i])) << where;
       }
       const auto spec = t.m2l_spectra(0, off);
       ASSERT_EQ(spec.size(), r_spec.size()) << where;

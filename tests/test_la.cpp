@@ -100,42 +100,40 @@ TEST(Matrix, GemmFlopsCountsBatchColumns) {
   EXPECT_EQ(gemm_flops(a, 7), 7u * gemv_flops(a));
 }
 
-TEST(Matrix, GatherScatterColumnsRoundTrip) {
-  // Node-major storage (slot-strided) -> batch columns -> back.
-  const std::size_t len = 5, nslots = 8;
-  Rng rng(34);
-  std::vector<double> storage(len * nslots);
-  for (auto& v : storage) v = rng.uniform(-1.0, 1.0);
-  const std::vector<std::int32_t> slots = {6, 0, 3};
+TEST(Matrix, GemmRowsAppliesOperatorToNodeRows) {
+  // Node-major rows in place: y row out[j] += alpha A (x row in[j]), the
+  // operator passed as its transpose; rows not listed keep their bits.
+  const std::size_t m = 5, n = 3;
+  const Matrix a = random_matrix(m, n, 34);
+  Rng rng(35);
+  std::vector<double> x(4 * n), y(3 * m);
+  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
+  for (auto& v : y) v = rng.uniform(-1.0, 1.0);
+  const std::vector<std::int32_t> in = {3, 0}, out = {2, 0};
+  const double alpha = 0.5;
+  std::vector<double> ref = y;
+  for (std::size_t j = 0; j < in.size(); ++j)
+    gemv_acc(a, std::span<const double>(x.data() + in[j] * n, n),
+             std::span<double>(ref.data() + out[j] * m, m), alpha);
 
-  std::vector<double> batch(len * slots.size());
-  gather_columns(storage, slots, len, batch);
-  for (std::size_t j = 0; j < slots.size(); ++j)
-    for (std::size_t r = 0; r < len; ++r)
-      EXPECT_EQ(batch[r * slots.size() + j],
-                storage[std::size_t(slots[j]) * len + r]);
-
-  auto acc = storage;
-  scatter_columns_acc(batch, slots, len, acc);
-  for (std::size_t s = 0; s < nslots; ++s) {
-    const bool picked = s == 6 || s == 0 || s == 3;
-    for (std::size_t r = 0; r < len; ++r)
-      EXPECT_DOUBLE_EQ(acc[s * len + r],
-                       (picked ? 2.0 : 1.0) * storage[s * len + r]);
+  gemm_rows(a.transposed(), alpha, x, in, y, out);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    if (i / m == 1)
+      EXPECT_EQ(y[i], ref[i]) << i;  // untouched row
+    else
+      EXPECT_NEAR(y[i], ref[i], 1e-14) << i;
   }
 }
 
-TEST(Matrix, ScatterColumnsAccDuplicateSlotsAccumulate) {
-  const std::size_t len = 3;
-  const std::vector<std::int32_t> slots = {1, 1};
-  const std::vector<double> batch = {1.0, 10.0,   // row 0 of both columns
-                                     2.0, 20.0,   // row 1
-                                     3.0, 30.0};  // row 2
-  std::vector<double> dst(len * 2, 0.0);
-  scatter_columns_acc(batch, slots, len, dst);
-  EXPECT_DOUBLE_EQ(dst[3], 11.0);
-  EXPECT_DOUBLE_EQ(dst[4], 22.0);
-  EXPECT_DOUBLE_EQ(dst[5], 33.0);
+TEST(Matrix, GemmRowsRejectsRowsOutsideTheirSpans) {
+  const Matrix at = random_matrix(3, 5, 36);  // A is 5 x 3
+  std::vector<double> x(2 * 3), y(2 * 5);
+  using Rows = std::vector<std::int32_t>;
+  EXPECT_THROW(gemm_rows(at, 1.0, x, Rows{2}, y, Rows{0}), CheckFailure);
+  EXPECT_THROW(gemm_rows(at, 1.0, x, Rows{-1}, y, Rows{0}), CheckFailure);
+  EXPECT_THROW(gemm_rows(at, 1.0, x, Rows{0}, y, Rows{2}), CheckFailure);
+  EXPECT_THROW(gemm_rows(at, 1.0, x, Rows{0, 1}, y, Rows{0}), CheckFailure);
+  EXPECT_NO_THROW(gemm_rows(at, 1.0, x, Rows{1, 0}, y, Rows{0, 1}));
 }
 
 TEST(Svd, ReconstructsSquareMatrix) {

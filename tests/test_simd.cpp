@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "kernels/kernel.hpp"
+#include "la/matrix.hpp"
 #include "simd/ops_impl.hpp"
 #include "simd/simd.hpp"
 #include "util/check.hpp"
@@ -90,6 +92,7 @@ TEST(SimdTier, TableShapePerTier) {
         t == Tier::kScalar ? 1u : (t == Tier::kAvx2 ? 4u : 8u);
     EXPECT_EQ(o.width, want);
     EXPECT_NE(o.axpyn, nullptr);
+    EXPECT_NE(o.gemm_rows, nullptr);
     EXPECT_NE(o.cmac, nullptr);
     EXPECT_NE(o.cmac_entries, nullptr);
     EXPECT_NE(o.vli_mac_block, nullptr);
@@ -163,8 +166,8 @@ TEST_F(SimdTest, AxpynMatchesSequentialPasses) {
 
 TEST_F(SimdTest, AxpynBitwiseInvariantToWindowSplit) {
   // y[j] depends only on index j, so computing [0, n) in one call or as
-  // [0, cut) + [cut, n) must agree BITWISE — this is what makes the
-  // deterministic column-window chunking of gemm_acc_cols tier-safe.
+  // [0, cut) + [cut, n) must agree BITWISE — la::gemm_acc's column
+  // blocks rely on it.
   const std::size_t n = 67;
   const std::size_t nk = 3;
   const auto a = random_vec(nk, 1, -2.0, 2.0);
@@ -190,6 +193,160 @@ TEST_F(SimdTest, AxpynBitwiseInvariantToWindowSplit) {
         EXPECT_EQ(split[j], whole[j])
             << tier_name(t) << " cut=" << cut << " j=" << j;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// gemm_rows
+// ---------------------------------------------------------------------------
+
+/// One gemm_rows batch: an operator A (rows x cols) and its transpose,
+/// n + 2 node-major input rows read in reverse order, and 2n + 1 output
+/// rows of which the batch writes the odd ones in a shuffled order; the
+/// even rows are guards that must keep their values.
+struct RowsCase {
+  la::Matrix a, at;
+  std::vector<double> x, y0;
+  std::vector<std::int32_t> in, out;
+};
+
+RowsCase rows_case(std::size_t rows, std::size_t cols, std::size_t n,
+                   std::uint64_t seed) {
+  RowsCase c;
+  Rng rng(seed);
+  c.a = la::Matrix(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t k = 0; k < cols; ++k) c.a(i, k) = rng.uniform(-1, 1);
+  c.at = c.a.transposed();
+  c.x = random_vec((n + 2) * cols, seed + 1, -1.0, 1.0);
+  c.y0 = random_vec((2 * n + 1) * rows, seed + 2, -1.0, 1.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    c.in.push_back(static_cast<std::int32_t>(n + 1 - j));
+    c.out.push_back(static_cast<std::int32_t>(2 * j + 1));
+  }
+  for (std::size_t j = n; j > 1; --j)
+    std::swap(c.out[j - 1], c.out[rng.next_u64() % j]);
+  return c;
+}
+
+/// The evaluator's former path under tier t, as plain loops around
+/// la::gemm_acc: gather the input rows into a column batch, one
+/// gemm_acc into a zeroed batch, and add column j into row out[j].
+std::vector<double> rows_reference(const RowsCase& c, double alpha, Tier t) {
+  force_tier(t);
+  const std::size_t rows = c.a.rows(), cols = c.a.cols(), n = c.in.size();
+  std::vector<double> b(cols * n), acc(rows * n, 0.0);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t k = 0; k < cols; ++k)
+      b[k * n + j] = c.x[std::size_t(c.in[j]) * cols + k];
+  la::gemm_acc(c.a, b, acc, n, alpha);
+  std::vector<double> y = c.y0;
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < rows; ++i)
+      y[std::size_t(c.out[j]) * rows + i] += acc[i * n + j];
+  return y;
+}
+
+/// gemm_rows under tier t over the windows [cuts[w], cuts[w + 1]).
+std::vector<double> rows_op(const RowsCase& c, double alpha, Tier t,
+                            const std::vector<std::size_t>& cuts) {
+  std::vector<double> y = c.y0;
+  for (std::size_t w = 0; w + 1 < cuts.size(); ++w)
+    ops_for_tier(t).gemm_rows(c.at.data(), c.a.rows(), c.a.cols(), alpha,
+                              c.x.data(), c.in.data() + cuts[w], y.data(),
+                              c.out.data() + cuts[w], cuts[w + 1] - cuts[w]);
+  return y;
+}
+
+/// Elements whose bits differ.
+std::size_t bit_mismatches(const std::vector<double>& a,
+                           const std::vector<double>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    bad += std::memcmp(&a[i], &b[i], sizeof(double)) != 0;
+  return bad;
+}
+
+TEST_F(SimdTest, GemmRowsMatchesGemmAccPerTier) {
+  // Bitwise equal to gather + gemm_acc + scatter within each tier, within
+  // 1e-12 of the scalar tier, guard rows untouched. The shapes straddle
+  // each tier's vector width and tile (8 x 3 AVX-512, 4 x 3 AVX2, 4 x 4
+  // scalar) and cover the surface operators' orders: 56 (Laplace n = 4),
+  // 152 (Laplace n = 6), 168 (Stokes n = 4).
+  const std::size_t dims[] = {1, 7, 8, 9, 23, 24, 25, 56, 152, 168};
+  const double alpha = 0.3;  // not a power of two: alpha a_ik rounds
+  for (const std::size_t rows : dims)
+    for (const std::size_t cols : dims)
+      for (const std::size_t n : {0u, 1u, 3u, 7u, 8u, 9u, 17u, 64u}) {
+        const RowsCase c = rows_case(rows, cols, n, 1000 * rows + cols + n);
+        std::vector<double> scalar;
+        for (Tier t : available_tiers()) {
+          const std::vector<double> y = rows_op(c, alpha, t, {0, n});
+          const std::string where = std::string(tier_name(t)) + " " +
+                                    std::to_string(rows) + "x" +
+                                    std::to_string(cols) +
+                                    " n=" + std::to_string(n);
+          EXPECT_EQ(bit_mismatches(y, rows_reference(c, alpha, t)), 0u)
+              << where;
+          for (std::size_t g = 0; g <= 2 * n; g += 2)
+            EXPECT_EQ(std::memcmp(y.data() + g * rows, c.y0.data() + g * rows,
+                                  rows * sizeof(double)),
+                      0)
+                << where << " guard row " << g;
+          if (t == Tier::kScalar)
+            scalar = y;
+          else
+            EXPECT_LE(rel_err(y, scalar), 1e-12) << where;
+        }
+      }
+}
+
+TEST_F(SimdTest, GemmRowsBitwiseInvariantToWindowSplit) {
+  // Each output element is one chain that no other node of the call
+  // touches, so any split of [0, n) into windows (the evaluator's
+  // kColGrain windows over the pool) gives the unsplit call's bits.
+  struct Shape {
+    std::size_t rows, cols, n;
+  };
+  for (const Shape sh : {Shape{152, 152, 64}, Shape{168, 168, 17},
+                         Shape{23, 25, 9}, Shape{56, 56, 8}}) {
+    const RowsCase c = rows_case(sh.rows, sh.cols, sh.n, 77 + sh.rows);
+    for (Tier t : available_tiers()) {
+      const std::size_t n = sh.n;
+      const std::vector<double> whole = rows_op(c, 0.75, t, {0, n});
+      std::vector<std::size_t> singles, fives;
+      for (std::size_t j = 0; j <= n; ++j) singles.push_back(j);
+      for (std::size_t j = 0; j < n; j += 5) fives.push_back(j);
+      fives.push_back(n);
+      for (const std::vector<std::size_t>& cuts :
+           {std::vector<std::size_t>{0, 1, n}, {0, n - 1, n},
+            {0, n / 3, 2 * n / 3, n}, singles, fives})
+        EXPECT_EQ(bit_mismatches(rows_op(c, 0.75, t, cuts), whole), 0u)
+            << tier_name(t) << " " << sh.rows << "x" << sh.cols
+            << " n=" << n << " windows " << cuts.size() - 1;
+    }
+  }
+}
+
+TEST_F(SimdTest, GemmRowsZeroEntriesMatchGemmAccSkip) {
+  // gemm_acc skips a_ik == 0; the tile multiplies it. With finite inputs
+  // the +0 term adds +-0 to a chain that started at +0 and cannot reach
+  // -0, so the results are equal bit for bit (DESIGN.md §5e). Inputs
+  // hold zeros of both signs too.
+  for (const std::size_t dim : {9u, 56u, 168u}) {
+    RowsCase c = rows_case(dim, dim, 7, 5 + dim);
+    for (std::size_t i = 0; i < dim; ++i)
+      for (std::size_t k = 0; k < dim; ++k)
+        if ((i + 2 * k) % 3 == 0 || i == 1 || k == 2) c.a(i, k) = 0.0;
+    c.at = c.a.transposed();
+    for (std::size_t e = 0; e < c.x.size(); e += 5)
+      c.x[e] = e % 10 == 0 ? 0.0 : -0.0;
+    for (Tier t : available_tiers())
+      EXPECT_EQ(bit_mismatches(rows_op(c, 0.5, t, {0, 7}),
+                               rows_reference(c, 0.5, t)),
+                0u)
+          << tier_name(t) << " " << dim;
   }
 }
 
